@@ -26,9 +26,7 @@ __all__ = [
     "neg",
     "mul",
     "scale",
-    "scale_by",
     "col_scale",
-    "dot",
     "row_dot",
     "matvec",
     "matmul",
@@ -37,13 +35,11 @@ __all__ = [
     "narrow",
     "reshape",
     "take_rows",
-    "pick_row",
     "repeat_rows",
     "tanh",
     "sigmoid",
     "relu",
     "softmax_masked",
-    "mean_masked",
     "weighted_block_sum",
     "l1_norm",
     "l2_norm_sq",
@@ -195,20 +191,6 @@ def scale(tape, a, c):
     return _make(tape, a.data * c, (a,), backward)
 
 
-def scale_by(tape, a, s):
-    """Multiply an array by a scalar Value; gradients flow to both."""
-    if s.data.shape != ():
-        raise ValueError(f"scale_by: scalar expected, got shape {s.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * s.data)
-        if s.requires_grad:
-            s.accumulate(np.asarray(np.sum(g * a.data)))
-
-    return _make(tape, a.data * s.data, (a, s), backward)
-
-
 def col_scale(tape, x, v):
     """Scale row ``i`` of a matrix by ``v[i]``."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[0] != v.data.shape[0]:
@@ -221,19 +203,6 @@ def col_scale(tape, x, v):
             v.accumulate(np.sum(g * x.data, axis=1))
 
     return _make(tape, x.data * v.data[:, None], (x, v), backward)
-
-
-def dot(tape, a, b):
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ValueError(f"dot: incompatible shapes {a.data.shape}, {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
-
-    return _make(tape, np.asarray(a.data @ b.data), (a, b), backward)
 
 
 def row_dot(tape, a, b):
@@ -374,11 +343,6 @@ def take_rows(tape, m, idx):
     return _make(tape, m.data[idx].copy(), (m,), backward)
 
 
-def pick_row(tape, m, i):
-    """Single row of a matrix as a vector."""
-    return reshape(tape, take_rows(tape, m, np.asarray([i])), (m.data.shape[1],))
-
-
 def repeat_rows(tape, a, k):
     """Repeat each row k times: ``(B, d) -> (B*k, d)``, blockwise."""
     if a.data.ndim != 2:
@@ -452,25 +416,6 @@ def softmax_masked(tape, scores, mask):
             scores.accumulate(ds if scores.data.ndim == 2 else ds[0])
 
     return _make(tape, data, (scores,), backward)
-
-
-def mean_masked(tape, entries, mask):
-    """Mean of the unmasked rows of ``entries``: ``(k, d) -> (d,)``.
-
-    Divides by the count of real entries.  With nothing unmasked the
-    result is the zero vector (callers flag that case themselves).
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if entries.data.ndim != 2 or mask.shape != (entries.data.shape[0],):
-        raise ValueError(f"mean_masked: incompatible shapes {entries.data.shape}, {mask.shape}")
-    count = int(mask.sum())
-    w = mask.astype(np.float64) / max(count, 1)
-
-    def backward(g):
-        if entries.requires_grad:
-            entries.accumulate(np.outer(w, g))
-
-    return _make(tape, w @ entries.data, (entries,), backward)
 
 
 def weighted_block_sum(tape, entries, weights):

@@ -21,7 +21,7 @@ from .config import ConfigError, aggregator_config_from, resolve_config, train_c
 from .context import BundleContext
 from .decoder import SCORER_KINDS
 from .encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_from_sample
-from .evaluation import DenseView, classify, link_prediction, score_labeled, tune_thresholds
+from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets, sample_neighbors
 from .params import load_checkpoint, vocab_checksums
 from .rules import export_table, import_table, mine_confidence
@@ -208,8 +208,7 @@ def _cmd_inspect_weights(args):
     query = ctx.vocab.relation_id(args.query)
     rng = np.random.default_rng([args.seed, entity, query])
     sample = sample_neighbors(ctx.neighborhood(entity), acfg.neighbor_budget, rng)
-    encoded = encode_from_sample(store, DenseView(dense) if dense is not None else None,
-                                 acfg, query, sample, rng)
+    encoded = encode_from_sample(store, dense, acfg, query, sample, rng)
     lines = ["entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total"]
     for rel, ent, a_logic, a_nn, a_total in sorted(encoded.trace, key=lambda t: -t[4]):
         lines.append(

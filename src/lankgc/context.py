@@ -29,7 +29,6 @@ class BundleContext:
         self.unseen_ids = {self.vocab.entity_id(name) for name in bundle.unseen}
         seen = bundle.seen_entities()
         self.seen_ids = np.array(sorted(self.vocab.entity_id(n) for n in seen), dtype=np.int64)
-        self.seen_set = set(int(e) for e in self.seen_ids)
 
     def to_ids(self, triples):
         out = np.empty((len(triples), 3), dtype=np.int64)

@@ -43,11 +43,3 @@ def score_batch(tape, subjects, queries, objects, kind):
     t4 = ad.row_dot(tape, ad.mul(tape, s_im, q_re), o_im)
     return ad.add(tape, ad.sub(tape, t1, t2), ad.add(tape, t3, t4))
 
-
-def score(tape, s_vec, query, o_vec, relation_emb, kind):
-    """Score one triplet: (d,) endpoint Values and a relation id."""
-    dim = s_vec.data.shape[0]
-    s2 = ad.reshape(tape, s_vec, (1, dim))
-    o2 = ad.reshape(tape, o_vec, (1, dim))
-    q2 = ad.take_rows(tape, relation_emb, [int(query)])
-    return ad.reshape(tape, score_batch(tape, s2, q2, o2, kind), ())

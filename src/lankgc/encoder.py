@@ -22,10 +22,10 @@ so real slots sum to one.  Logic weights come from the mined implication
 table (see :mod:`lankgc.rules`).  For ``lan`` the two weight vectors are
 summed, not renormalized.
 
-Two implementations are kept deliberately: :func:`encode` walks one
-entity at a time through the small readable ops, and
-:func:`encode_batch` runs whole batches through block primitives.  The
-test suite pins them to each other.
+:func:`encode_batch` is the one forward pass, used for training,
+candidate encoding and scoring alike; :func:`encode_from_sample` is its
+B=1 form, which also reports the per-slot attention.  The numpy oracles
+in the test suite pin it to the formulas above.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .kg import sample_neighbors
-from .rules import logic_attention, logic_attention_batch
+from .rules import logic_attention_batch
 
 AGGREGATOR_KINDS = ("mean", "lstm", "lan", "query-attn", "global-attn", "logic-only")
 _LOGIC_KINDS = ("lan", "logic-only")
-_ATTN_KINDS = ("lan", "query-attn", "global-attn")
 
 
 @dataclass
@@ -84,135 +83,44 @@ class EncodedEntity:
     flagged: bool = False
 
 
-def transform(tape, e_vec, w_vec):
-    """Project out the transform direction: ``e - (w . e) w``."""
-    return ad.sub(tape, e_vec, ad.scale_by(tape, w_vec, ad.dot(tape, w_vec, e_vec)))
-
-
 def transform_batch(tape, entries, transforms):
-    """Row-wise :func:`transform` for ``(k, d)`` stacks."""
+    """Project out the transform direction row by row: ``e - (w . e) w``."""
     proj = ad.row_dot(tape, entries, transforms)
     return ad.sub(tape, entries, ad.col_scale(tape, transforms, proj))
 
 
-def nn_attention(tape, query_row, transformed, attn_proj, attn_score_vec):
-    """Unnormalized attention scores of ``(k, d)`` transformed neighbors."""
-    k = transformed.data.shape[0]
-    q_rep = ad.repeat_rows(tape, ad.reshape(tape, query_row, (1, query_row.data.shape[0])), k)
-    hidden = ad.tanh(tape, ad.matmul(tape, ad.concat(tape, q_rep, transformed), ad.transpose(tape, attn_proj)))
-    return ad.matvec(tape, hidden, attn_score_vec)
+def constant_leaves(tape, store):
+    """Every parameter of ``store`` as a constant (no-gradient) leaf."""
+    return {name: tape.constant(store[name]) for name in store.names()}
 
 
-def aggregate_mean(tape, transformed, mask):
-    """Masked mean of the real neighbor rows; zero vector when empty."""
-    return ad.mean_masked(tape, transformed, mask)
-
-
-def _lstm_step(tape, h, c, x, leaves):
-    hx = ad.concat(tape, h, x)
-    gates = {}
-    for g in ("f", "i", "c", "o"):
-        pre = ad.add(tape, ad.matvec(tape, leaves[f"lstm_w_{g}"], hx), leaves[f"lstm_b_{g}"])
-        gates[g] = ad.tanh(tape, pre) if g == "c" else ad.sigmoid(tape, pre)
-    c_new = ad.add(tape, ad.mul(tape, gates["f"], c), ad.mul(tape, gates["i"], gates["c"]))
-    h_new = ad.mul(tape, gates["o"], ad.tanh(tape, c_new))
-    return h_new, c_new
-
-
-def aggregate_lstm(tape, transformed, order, leaves, dim):
-    """Run the neighbor rows named by ``order`` through an LSTM.
-
-    ``order`` is the sequence of (valid) slot indices to consume; the
-    final hidden state is the aggregate.  An empty order yields zeros.
-    """
-    h = tape.constant(np.zeros(dim))
-    c = tape.constant(np.zeros(dim))
-    for slot in order:
-        x = ad.pick_row(tape, transformed, int(slot))
-        h, c = _lstm_step(tape, h, c, x, leaves)
-    return h
-
-
-def encode_from_sample(store, table, cfg, query, sample, rng):
+def encode_from_sample(store, dense, cfg, query, sample, rng):
     """Encode one entity from an already-sampled neighborhood.
 
-    Forward-only reference path: builds a private tape over constant
-    leaves and reports the full attention trace.
+    A B=1 :func:`encode_batch` over the real slots of ``sample`` on a
+    private tape of constant leaves.  ``dense`` is the (R, R) confidence
+    matrix, or anything numpy turns into one (a ``ConfidenceTable``
+    does); kinds without logic weights accept ``None``.
     """
+    mask = np.asarray(sample.mask, dtype=bool)
+    if not mask.any():
+        return EncodedEntity(np.zeros(store["entity_emb"].shape[1]), trace=[], flagged=True)
+    rels = np.asarray(sample.relations)[mask]
+    ents = np.asarray(sample.entities)[mask]
+    if dense is not None:
+        dense = np.asarray(dense, dtype=np.float64)
     tape = ad.Tape()
-    dim = store["entity_emb"].shape[1]
-    k = sample.mask.shape[0]
-    n_valid = sample.n_valid
-    if n_valid == 0:
-        return EncodedEntity(np.zeros(dim), trace=[], flagged=True)
-
-    entries = tape.constant(store["entity_emb"][sample.entities])
-    transforms = tape.constant(store["transform_vec"][sample.relations])
-    transformed = transform_batch(tape, entries, transforms)
-
-    logic_w = None
-    if cfg.needs_rules:
-        if table is None:
-            raise ValueError(f"aggregator {cfg.kind!r} needs a mined rule table")
-        logic_w = logic_attention(
-            table, sample.relations, sample.mask, query, mode=cfg.logic_mode, epsilon=cfg.epsilon
-        )
-
-    nn_w = None
-    if cfg.kind in _ATTN_KINDS:
-        if cfg.kind == "global-attn":
-            q_row = tape.constant(np.zeros(dim))
-        else:
-            q_row = tape.constant(store["query_vec"][query])
-        scores = nn_attention(
-            tape, q_row, transformed, tape.constant(store["attn_proj"]), tape.constant(store["attn_score_vec"])
-        )
-        nn_w = ad.softmax_masked(tape, scores, sample.mask)
-
-    if cfg.kind == "mean":
-        out = aggregate_mean(tape, transformed, sample.mask)
-    elif cfg.kind == "lstm":
-        order = rng.permutation(n_valid)
-        out = aggregate_lstm(tape, transformed, order, _constant_lstm_leaves(tape, store), dim)
-    else:
-        if cfg.kind == "logic-only":
-            weights = tape.constant(logic_w)
-        elif cfg.kind in ("query-attn", "global-attn"):
-            weights = nn_w
-        else:
-            weights = ad.add(tape, nn_w, tape.constant(logic_w))
-        out = ad.reshape(
-            tape,
-            ad.weighted_block_sum(tape, transformed, ad.reshape(tape, weights, (1, k))),
-            (dim,),
-        )
-
+    out, alpha_logic, alpha_nn = encode_batch(
+        tape, constant_leaves(tape, store), rels[None], ents[None], np.ones((1, rels.size), dtype=bool),
+        np.array([query]), cfg, dense_table=dense, rng=rng, trace=True,
+    )
     trace = []
     if cfg.kind not in ("mean", "lstm"):
-        lw = logic_w if logic_w is not None else np.zeros(k)
-        nw = nn_w.data if nn_w is not None else np.zeros(k)
-        for j in range(k):
-            if not sample.mask[j]:
-                continue
-            trace.append(
-                (int(sample.relations[j]), int(sample.entities[j]), float(lw[j]), float(nw[j]), float(lw[j] + nw[j]))
-            )
-    return EncodedEntity(out.data.copy(), trace=trace, flagged=False)
-
-
-def _constant_lstm_leaves(tape, store):
-    leaves = {}
-    for g in ("f", "i", "c", "o"):
-        for part in ("w", "b"):
-            name = f"lstm_{part}_{g}"
-            leaves[name] = tape.constant(store[name])
-    return leaves
-
-
-def encode(entity, query, kg, table, store, cfg, rng):
-    """Sample the entity's neighborhood from ``kg`` and encode it."""
-    sample = sample_neighbors(kg.neighborhood(entity), cfg.neighbor_budget, rng)
-    return encode_from_sample(store, table, cfg, query, sample, rng)
+        trace = [
+            (int(r), int(e), float(lw), float(nw), float(lw + nw))
+            for r, e, lw, nw in zip(rels, ents, alpha_logic[0], alpha_nn[0])
+        ]
+    return EncodedEntity(out.data[0].copy(), trace=trace, flagged=False)
 
 
 def stack_samples(neighborhood_fn, ent_ids, budget, rng):
@@ -230,13 +138,16 @@ def stack_samples(neighborhood_fn, ent_ids, budget, rng):
     return relations, entities, mask
 
 
-def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_table=None, rng=None):
+def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_table=None, rng=None,
+                 trace=False):
     """Encode a batch of entities; returns a ``(B, d)`` Value.
 
     ``relations``/``entities``/``mask`` are (B, K) sampled neighborhoods
     with real entries first (as produced by :func:`stack_samples`), and
     ``queries`` is the (B,) query relation per row.  Rows without any
-    real neighbor come out as zero vectors.
+    real neighbor come out as zero vectors.  With ``trace`` set the
+    result is ``(Value, alpha_logic, alpha_nn)``: the (B, K) logic and
+    neural attention weights, zero where the kind has no such part.
     """
     relations = np.asarray(relations, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -252,9 +163,10 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
     valid_row = mask.any(axis=1)
 
     if cfg.kind == "lstm":
-        return _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, k, dim)
+        out = _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, k, dim)
+        return (out, np.zeros((bsz, k)), np.zeros((bsz, k))) if trace else out
 
-    logic_w = None
+    logic_w = alpha_nn = None
     if cfg.needs_rules:
         if dense_table is None:
             raise ValueError(f"aggregator {cfg.kind!r} needs a mined rule table")
@@ -286,7 +198,11 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
             weights = ad.add(tape, alpha_nn, tape.constant(logic_w))
         else:
             weights = alpha_nn
-    return ad.weighted_block_sum(tape, transformed, weights)
+    out = ad.weighted_block_sum(tape, transformed, weights)
+    if not trace:
+        return out
+    zeros = np.zeros((bsz, k))
+    return out, (zeros if logic_w is None else logic_w), (zeros if alpha_nn is None else alpha_nn.data)
 
 
 def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, k, dim):

@@ -16,18 +16,14 @@ fallback for unseen-at-tuning relations) and reports test accuracy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .decoder import check_scorer, score_batch
-from .encoder import encode_batch, encode_from_sample, stack_samples
+from .encoder import constant_leaves, encode_batch, encode_from_sample, stack_samples
 from .kg import sample_neighbors
-from .util import worker_count
-
-_PARALLEL_MIN_QUERIES = 64
 
 
 class EvalError(ValueError):
@@ -68,14 +64,10 @@ def metrics_from_ranks(ranks):
     )
 
 
-def _const_leaves(tape, store):
-    return {name: tape.leaf(store.arrays[name], requires_grad=False) for name in store.names()}
-
-
 def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     """Forward-encode a batch of entities under one query relation -> (B, d)."""
     tape = ad.Tape()
-    leaves = _const_leaves(tape, store)
+    leaves = constant_leaves(tape, store)
     rels, ents, mask = stack_samples(ctx.neighborhood, ent_ids, acfg.neighbor_budget, rng)
     queries = np.full(len(ent_ids), query_rel, dtype=np.int64)
     enc = encode_batch(tape, leaves, rels, ents, mask, queries, acfg, dense_table=dense, rng=rng)
@@ -102,7 +94,7 @@ def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, 
     ``triplet`` is an (s, q, o) id tuple; ``rank_side`` names the slot
     to rank over the seen-entity candidates.  The per-query neighbor
     sampling rng is keyed on (seed, s, q, o), so results do not depend
-    on query order or parallelism.
+    on query order.
     """
     s, q, o = (int(x) for x in triplet)
     if rank_side not in ("subject", "object"):
@@ -125,8 +117,7 @@ def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, 
 
     rng = np.random.default_rng([seed, s, q, o])
     sample = sample_neighbors(ctx.neighborhood(fixed), acfg.neighbor_budget, rng)
-    table_like = DenseView(dense) if dense is not None else None
-    fixed_emb = encode_from_sample(store, table_like, acfg, q, sample, rng).embedding
+    fixed_emb = encode_from_sample(store, dense, acfg, q, sample, rng).embedding
 
     q_vec = store["relation_emb"][q]
     scores = _scores_against_candidates(cand_embs, q_vec, fixed_emb, scorer, rank_side)
@@ -147,17 +138,6 @@ def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, 
     return 1 + better + math.ceil(ties / 2)
 
 
-class DenseView:
-    """Adapter letting single-entity encoding read a dense confidence matrix."""
-
-    def __init__(self, dense):
-        self._dense = dense
-        self.n_relations = dense.shape[0]
-
-    def lookup(self, r1, r2):
-        return float(self._dense[r1, r2])
-
-
 @dataclass
 class LinkPredictionResult:
     metrics: MetricsSummary
@@ -170,8 +150,8 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
     The ranked slot defaults to the seen side of the bundle strategy:
     subject-strategy bundles rank objects, object-strategy bundles rank
     subjects.  Candidate encodings are computed once per distinct query
-    relation; queries are then scored in parallel (capped by
-    LANKGC_THREADS) with deterministic, order-independent results.
+    relation; queries are then ranked one after another, each with its
+    own keyed rng, so the ranks do not depend on query order.
     """
     check_scorer(scorer, store["entity_emb"].shape[1])
     if triplets is None:
@@ -189,17 +169,10 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
             ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q])
         )
 
-    def one(row):
-        return rank_query(
-            ctx, store, acfg, scorer, dense, tuple(row), rank_side, filter_set, seed, cand_cache
-        )
-
-    workers = worker_count()
-    if workers > 1 and triplets.shape[0] >= _PARALLEL_MIN_QUERIES:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranks = list(pool.map(one, triplets))
-    else:
-        ranks = [one(row) for row in triplets]
+    ranks = [
+        rank_query(ctx, store, acfg, scorer, dense, tuple(row), rank_side, filter_set, seed, cand_cache)
+        for row in triplets
+    ]
     return LinkPredictionResult(metrics=metrics_from_ranks(ranks), ranks=ranks)
 
 
@@ -264,7 +237,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0, batch_si
         rows = labeled_ids[lo:lo + batch_size]
         b = rows.shape[0]
         tape = ad.Tape()
-        leaves = _const_leaves(tape, store)
+        leaves = constant_leaves(tape, store)
         ent_ids = np.concatenate([rows[:, 0], rows[:, 2]])
         q2 = np.tile(rows[:, 1], 2)
         rels, ents, mask = stack_samples(ctx.neighborhood, ent_ids, acfg.neighbor_budget, rng)

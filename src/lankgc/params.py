@@ -13,7 +13,8 @@ All trainable state is a flat dict of named float64 arrays:
 
 Checkpoints are a directory holding one raw little-endian float64 file
 per parameter plus a ``manifest`` of ``key = value`` lines recording
-shapes, the run configuration, and vocabulary checksums.
+shapes, the sha256 of every parameter file, the run configuration, and
+vocabulary checksums.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import hashlib
 import os
 
 import numpy as np
+
+from .util import read_kv, sha256_file, write_kv
 
 LSTM_GATES = ("f", "i", "c", "o")
 
@@ -106,26 +109,19 @@ def save_checkpoint(out_dir, store, meta):
     lines = dict(meta)
     for name in store.names():
         arr = store.arrays[name]
-        arr.astype("<f8").tofile(os.path.join(out_dir, f"{name}.f64"))
+        path = os.path.join(out_dir, f"{name}.f64")
+        arr.astype("<f8").tofile(path)
         lines[f"shape.{name}"] = "x".join(str(d) for d in arr.shape)
-    with open(os.path.join(out_dir, "manifest"), "w", encoding="utf-8") as fh:
-        for k in sorted(lines):
-            fh.write(f"{k} = {lines[k]}\n")
+        lines[f"sha256.{name}.f64"] = sha256_file(path)
+    write_kv(os.path.join(out_dir, "manifest"), lines)
 
 
 def load_checkpoint(ckpt_dir):
-    """Read a checkpoint directory back into (store, meta)."""
+    """Read a checkpoint directory back into (store, meta), verifying checksums."""
     manifest = os.path.join(ckpt_dir, "manifest")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no manifest in checkpoint directory {ckpt_dir}")
-    meta = {}
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+    meta = read_kv(manifest)
     arrays = {}
     for key in list(meta):
         if not key.startswith("shape."):
@@ -135,6 +131,10 @@ def load_checkpoint(ckpt_dir):
         path = os.path.join(ckpt_dir, f"{name}.f64")
         if not os.path.exists(path):
             raise FileNotFoundError(f"checkpoint parameter file missing: {path}")
+        want = meta.get(f"sha256.{name}.f64")
+        got = sha256_file(path)
+        if want is not None and want != got:
+            raise ValueError(f"checksum mismatch for {path}: manifest {want}, file {got}")
         flat = np.fromfile(path, dtype="<f8")
         expect = int(np.prod(shape)) if shape else 1
         if flat.size != expect:

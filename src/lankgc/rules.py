@@ -39,19 +39,16 @@ class ConfidenceTable:
         self.support = support
         self.relation_names = relation_names
 
-    def lookup(self, r1, r2):
-        """Confidence of r1 => r2; unobserved pairs score 0."""
-        for r in (r1, r2):
-            if not (0 <= r < self.n_relations):
-                raise GraphError(f"relation id out of range: {r}")
-        return self.conf.get((r1, r2), 0.0)
-
     def dense(self):
-        """Materialize the table as an (R, R) float64 matrix."""
+        """Materialize the table as an (R, R) float64 matrix; unobserved pairs are 0."""
         out = np.zeros((self.n_relations, self.n_relations), dtype=np.float64)
         for (r1, r2), c in self.conf.items():
             out[r1, r2] = c
         return out
+
+    def __array__(self, dtype=None, copy=None):
+        """``np.asarray(table)`` is :meth:`dense`, so the table passes where the matrix is expected."""
+        return self.dense() if dtype is None else self.dense().astype(dtype)
 
     def __len__(self):
         return len(self.conf)
@@ -87,47 +84,23 @@ def mine_confidence(kg):
     return ConfidenceTable(nr, conf, support={r: int(s) for r, s in enumerate(support) if s}, relation_names=names)
 
 
-def logic_attention(table, relations, mask, query, mode="normalized", epsilon=1e-3):
-    """Logic weights for one sampled neighborhood under a query relation.
+def logic_attention_batch(dense, relations, mask, queries, mode="normalized", epsilon=1e-3):
+    """Logic weights for a batch of sampled neighborhoods.
 
-    ``relations``/``mask`` are the (k,) arrays of a NeighborSample;
-    masked slots get weight exactly 0.  ``mode`` is ``"raw"`` for the
-    plain ratios or ``"normalized"`` to rescale the real slots to sum
-    to 1 (when their sum is positive).
+    ``dense`` is the (R, R) confidence matrix, ``relations``/``mask``
+    are (B, K) and ``queries`` is (B,).  Masked slots get weight exactly
+    0.  ``mode`` is ``"raw"`` for the plain ratios or ``"normalized"``
+    to rescale each row's real slots to sum to 1 (when their sum is
+    positive).
     """
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown logic mode: {mode!r}")
-    if not (0 <= query < table.n_relations):
-        raise GraphError(f"query relation id out of range: {query}")
-    relations = np.asarray(relations, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    present = set(int(r) for r in relations[mask])
-    w = np.zeros(relations.shape[0], dtype=np.float64)
-    for j in range(relations.shape[0]):
-        if not mask[j]:
-            continue
-        r = int(relations[j])
-        num = table.lookup(r, query)
-        others = [table.lookup(rp, r) for rp in present if rp != r]
-        denom = max(others) if others else 1.0
-        w[j] = num / max(denom, epsilon)
-    if mode == "normalized":
-        total = w.sum()
-        if total > 0.0:
-            w = w / total
-    return w
-
-
-def logic_attention_batch(dense, relations, mask, queries, mode="normalized", epsilon=1e-3):
-    """Vectorized logic weights for a batch of sampled neighborhoods.
-
-    ``dense`` is the (R, R) confidence matrix, ``relations``/``mask``
-    are (B, K) and ``queries`` is (B,).  Matches :func:`logic_attention`
-    applied row by row.
-    """
     relations = np.asarray(relations, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     queries = np.asarray(queries, dtype=np.int64)
+    bad = queries[(queries < 0) | (queries >= dense.shape[1])]
+    if bad.size:
+        raise GraphError(f"query relation id out of range: {int(bad[0])}")
     bsz, k = relations.shape
     num = dense[relations, queries[:, None]]
     # cross[b, j', j] = conf(r_{j'} => r_j), with invalid j' and identical

@@ -167,27 +167,14 @@ def input_scores(tape, leaves, triplets, scorer):
     return score_batch(tape, subj, q_emb, obj, scorer)
 
 
-def main_loss(tape, leaves, positive, negative, neighborhood_fn, dense, tcfg, acfg, scorer, rng):
-    """Output-embedding hinge for one positive/negative pair (scalar Value)."""
-    phi_p = output_scores(tape, leaves, [positive], neighborhood_fn, dense, acfg, scorer, rng, tcfg.neighbor_budget)
-    phi_n = output_scores(tape, leaves, [negative], neighborhood_fn, dense, acfg, scorer, rng, tcfg.neighbor_budget)
-    return ad.reshape(tape, hinge(tape, tcfg.margin, phi_p, phi_n), ())
-
-
-def subtask_loss(tape, leaves, positive, negative, tcfg, scorer):
-    """Input-embedding hinge for one positive/negative pair (scalar Value)."""
-    phi_p = input_scores(tape, leaves, [positive], scorer)
-    phi_n = input_scores(tape, leaves, [negative], scorer)
-    return ad.reshape(tape, hinge(tape, tcfg.margin, phi_p, phi_n), ())
-
-
 def batch_objective(tape, leaves, positives, negatives, neighborhood_fn, dense, tcfg, acfg, scorer, rng):
     """Mean pair loss over a batch, plus the attention L2 penalty.
 
     Encodes the four endpoint groups (positive/negative x subject/object)
-    in a single pass; equivalent to summing :func:`main_loss` and
-    :func:`subtask_loss` over the batch.  Returns ``(loss, parts)`` where
-    ``parts`` holds the main and subtask components as plain floats.
+    in a single pass.  The main part is the mean hinge over output
+    embeddings; the subtask part, when enabled, is the same hinge over
+    raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
+    holds the main and subtask components as plain floats.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)

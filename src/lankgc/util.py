@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-import os
 
 ARTIFACT_VERSION = "0.1.0"
-THREADS_ENV = "LANKGC_THREADS"
 
 
 def sha256_file(path):
@@ -15,10 +13,6 @@ def sha256_file(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def sha256_bytes(data):
-    return hashlib.sha256(data).hexdigest()
 
 
 def write_kv(path, mapping):
@@ -44,14 +38,5 @@ def read_kv(path):
 
 
 def worker_count():
-    """Worker cap for parallel sections: LANKGC_THREADS or the cpu count."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    """Worker threads the evaluator uses: ranking runs in one loop, so 1."""
+    return 1

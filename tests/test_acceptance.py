@@ -143,11 +143,11 @@ def test_rule_miner_matches_naive_double_loop_on_random_graphs():
         n_r = int(rng.integers(1, 11))
         n_t = int(rng.integers(n_e, 3 * n_e + 1))
         kg = make_graph(random_name_triples(rng, n_e, n_r, n_t))
-        table = mine_confidence(kg)
+        dense = mine_confidence(kg).dense()
         naive = naive_confidence(kg)
         for r1 in range(kg.n_relations):
             for r2 in range(kg.n_relations):
-                assert table.lookup(r1, r2) == naive.get((r1, r2), 0.0)
+                assert dense[r1, r2] == naive.get((r1, r2), 0.0)
     assert time.perf_counter() - started <= 10.0
 
 
@@ -162,6 +162,7 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
         for r1 in range(n_relations) for r2 in range(n_relations)
         if conf_rng.random() < 0.7
     })
+    dense = table.dense()
     cfgs = {
         "lan": AggregatorConfig(kind="lan", neighbor_budget=64),
         "mean": AggregatorConfig(kind="mean", neighbor_budget=64),
@@ -176,7 +177,7 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
         sample = NeighborSample(rels, ents, np.ones(k, dtype=bool))
         query = int(rng.integers(n_relations))
         base = {
-            kind: encode_from_sample(store, table, cfg, query, sample,
+            kind: encode_from_sample(store, dense, cfg, query, sample,
                                      np.random.default_rng(0)).embedding
             for kind, cfg in cfgs.items()
         }
@@ -184,12 +185,12 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
             perm = rng.permutation(k)
             shuffled = NeighborSample(rels[perm], ents[perm], np.ones(k, dtype=bool))
             for kind in ("lan", "mean"):
-                out = encode_from_sample(store, table, cfgs[kind], query, shuffled,
+                out = encode_from_sample(store, dense, cfgs[kind], query, shuffled,
                                          np.random.default_rng(0)).embedding
                 scale = np.linalg.norm(base[kind])
                 assert scale > 0.0
                 assert np.linalg.norm(out - base[kind]) <= 1e-9 * scale
-            out = encode_from_sample(store, table, cfgs["lstm"], query, shuffled,
+            out = encode_from_sample(store, dense, cfgs["lstm"], query, shuffled,
                                      np.random.default_rng(0)).embedding
             worst_lstm_diff = max(worst_lstm_diff,
                                   float(np.abs(out - base["lstm"]).max()))

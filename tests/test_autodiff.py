@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lankgc import autodiff as ad
+from lankgc.encoder import AggregatorConfig, encode_batch
 
 
 def run_fd(build, params, h=1e-6, tol=1e-4):
@@ -50,12 +51,8 @@ FD_CASES = {
             lambda t, l: weighted(t, ad.mul(t, l["a"], l["b"]), 10)),
     "scale": ({"a": r(11, 5)},
               lambda t, l: weighted(t, ad.scale(t, l["a"], -1.7), 12)),
-    "scale_by": ({"a": r(13, 5), "s": r(14)},
-                 lambda t, l: weighted(t, ad.scale_by(t, l["a"], l["s"]), 15)),
     "col_scale": ({"x": r(16, 4, 3), "v": r(17, 4)},
                   lambda t, l: weighted(t, ad.col_scale(t, l["x"], l["v"]), 18)),
-    "dot": ({"a": r(19, 6), "b": r(20, 6)},
-            lambda t, l: ad.dot(t, l["a"], l["b"])),
     "row_dot": ({"a": r(21, 4, 3), "b": r(22, 4, 3)},
                 lambda t, l: weighted(t, ad.row_dot(t, l["a"], l["b"]), 23)),
     "matvec": ({"m": r(24, 3, 4), "v": r(25, 4)},
@@ -77,8 +74,6 @@ FD_CASES = {
     "take_rows": ({"m": r(44, 5, 3)},
                   lambda t, l: weighted(
                       t, ad.take_rows(t, l["m"], np.array([0, 3, 3, 1])), 45)),
-    "pick_row": ({"m": r(46, 5, 3)},
-                 lambda t, l: weighted(t, ad.pick_row(t, l["m"], 2), 47)),
     "repeat_rows": ({"a": r(48, 3, 2)},
                     lambda t, l: weighted(t, ad.repeat_rows(t, l["a"], 3), 49)),
     "tanh": ({"a": r(50, 5)},
@@ -95,9 +90,6 @@ FD_CASES = {
                          t, ad.softmax_masked(
                              t, l["a"],
                              np.array([[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]], bool)), 59)),
-    "mean_masked": ({"a": r(60, 5, 3)},
-                    lambda t, l: weighted(
-                        t, ad.mean_masked(t, l["a"], np.array([1, 0, 1, 1, 0], bool)), 61)),
     "weighted_block_sum": ({"e": r(62, 6, 3), "w": r(63, 2, 3)},
                            lambda t, l: weighted(
                                t, ad.weighted_block_sum(t, l["e"], l["w"]), 64)),
@@ -124,11 +116,11 @@ def test_primitive_gradients(name):
 
 def test_dot_backward_frozen():
     tape = ad.Tape()
-    x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
-    loss = ad.dot(tape, x, x)
+    x = tape.leaf(np.array([[1.0, 2.0]]), requires_grad=True)
+    loss = ad.sum_all(tape, ad.row_dot(tape, x, x))
     tape.backward(loss)
     assert loss.item() == 5.0
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(x.grad[0], [2.0, 4.0])
 
 
 def test_backward_is_repeatable():
@@ -204,17 +196,27 @@ def test_softmax_masked_rejects_empty_row():
         ad.softmax_masked(tape, scores, mask)
 
 
-def test_mean_masked_empty_is_zero_vector():
+def masked_mean(entries, mask):
+    """The mean aggregator's output for one row of neighbors ``entries``.
+
+    Zero transform vectors make the relation projection the identity.
+    """
     tape = ad.Tape()
-    out = ad.mean_masked(tape, tape.constant(r(8, 3, 4)), np.zeros(3, bool))
-    np.testing.assert_array_equal(out.data, np.zeros(4))
+    k, d = entries.shape
+    leaves = {"entity_emb": tape.constant(entries), "transform_vec": tape.constant(np.zeros((1, d)))}
+    return encode_batch(tape, leaves, np.zeros((1, k), np.int64), np.arange(k)[None], mask[None],
+                        np.zeros(1, np.int64), AggregatorConfig(kind="mean"))
+
+
+def test_mean_masked_empty_is_zero_vector():
+    out = masked_mean(r(8, 3, 4), np.zeros(3, bool))
+    np.testing.assert_array_equal(out.data[0], np.zeros(4))
 
 
 def test_mean_masked_counts_only_real_rows():
-    tape = ad.Tape()
     entries = np.arange(12, dtype=np.float64).reshape(4, 3)
-    out = ad.mean_masked(tape, tape.constant(entries), np.array([1, 1, 0, 0], bool))
-    np.testing.assert_array_equal(out.data, entries[:2].mean(axis=0))
+    out = masked_mean(entries, np.array([1, 1, 0, 0], bool))
+    np.testing.assert_array_equal(out.data[0], entries[:2].mean(axis=0))
 
 
 def test_weighted_block_sum_matches_loop():
@@ -242,7 +244,7 @@ def test_item_requires_scalar():
 @pytest.mark.parametrize("op,a,b", [
     (ad.add, np.zeros(3), np.zeros(4)),
     (ad.mul, np.zeros((2, 3)), np.zeros((3, 2))),
-    (ad.dot, np.zeros((2, 2)), np.zeros(2)),
+    (ad.sub, np.zeros((2, 2)), np.zeros(2)),
     (ad.matvec, np.zeros((2, 3)), np.zeros(2)),
     (ad.matmul, np.zeros((2, 3)), np.zeros((2, 3))),
     (ad.row_dot, np.zeros((2, 3)), np.zeros((3, 3))),

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import oracle_score
 from lankgc import autodiff as ad
-from lankgc.decoder import SCORER_KINDS, check_scorer, score, score_batch
+from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch
 
 
 def run(kind, s, q, o):
@@ -88,24 +88,6 @@ def test_batch_matches_oracle(kind):
     out = score_batch(tape, tape.constant(S), tape.constant(Q), tape.constant(O), kind)
     for i in range(16):
         assert out.data[i] == pytest.approx(oracle_score(S[i], Q[i], O[i], kind), rel=1e-12)
-
-
-@pytest.mark.parametrize("kind", SCORER_KINDS)
-def test_single_score_matches_batch_row(kind):
-    rng = np.random.default_rng(8)
-    s, o = rng.normal(size=(2, 6))
-    rel_emb = rng.normal(size=(4, 6))
-    tape = ad.Tape()
-    single = score(tape, tape.constant(s), 2, tape.constant(o), tape.constant(rel_emb), kind)
-    batch = score_batch(
-        tape,
-        tape.constant(s[None, :]),
-        tape.constant(rel_emb[2][None, :]),
-        tape.constant(o[None, :]),
-        kind,
-    )
-    assert single.data.shape == ()
-    assert float(single.data) == float(batch.data[0])
 
 
 @pytest.mark.parametrize("kind", SCORER_KINDS)

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import make_graph, oracle_encode, random_name_triples
+from helpers import make_graph, oracle_encode, oracle_logic, random_name_triples
 from lankgc import autodiff as ad
 from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
-    aggregate_lstm,
-    encode,
     encode_batch,
     encode_from_sample,
-    nn_attention,
     stack_samples,
-    transform,
     transform_batch,
 )
 from lankgc.kg import NeighborSample, sample_neighbors
 from lankgc.params import init_params
-from lankgc.rules import ConfidenceTable, logic_attention, mine_confidence
+from lankgc.rules import ConfidenceTable, logic_attention_batch, mine_confidence
 
 
 @pytest.fixture(scope="module")
@@ -71,24 +67,24 @@ def test_transform_output_orthogonal_to_direction():
         w /= np.linalg.norm(w)
         e = rng.normal(size=6)
         tape = ad.Tape()
-        out = transform(tape, tape.constant(e), tape.constant(w))
-        assert abs(np.dot(w, out.data)) <= 1e-12
+        out = transform_batch(tape, tape.constant(e[None]), tape.constant(w[None]))
+        assert abs(np.dot(w, out.data[0])) <= 1e-12
 
 
 def test_transform_annihilates_its_direction():
     w = np.zeros(4)
     w[1] = 1.0
     tape = ad.Tape()
-    out = transform(tape, tape.constant(w.copy()), tape.constant(w))
-    np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-15)
+    out = transform_batch(tape, tape.constant(w[None].copy()), tape.constant(w[None]))
+    np.testing.assert_allclose(out.data[0], np.zeros(4), atol=1e-15)
 
 
 def test_transform_keeps_perpendicular_component():
     w = np.array([1.0, 0.0, 0.0])
     e = np.array([0.0, 2.0, -3.0])
     tape = ad.Tape()
-    out = transform(tape, tape.constant(e), tape.constant(w))
-    np.testing.assert_array_equal(out.data, e)
+    out = transform_batch(tape, tape.constant(e[None]), tape.constant(w[None]))
+    np.testing.assert_array_equal(out.data[0], e)
 
 
 def test_transform_batch_matches_single():
@@ -99,8 +95,8 @@ def test_transform_batch_matches_single():
     tape = ad.Tape()
     batch = transform_batch(tape, tape.constant(E), tape.constant(W))
     for j in range(5):
-        single = transform(tape, tape.constant(E[j]), tape.constant(W[j]))
-        np.testing.assert_allclose(batch.data[j], single.data, rtol=1e-14, atol=1e-15)
+        single = E[j] - np.dot(W[j], E[j]) * W[j]
+        np.testing.assert_allclose(batch.data[j], single, rtol=1e-14, atol=1e-15)
 
 
 # --- mean --------------------------------------------------------------------
@@ -223,7 +219,7 @@ def test_lan_single_neighbor_composition(world):
     w = store["transform_vec"][r1]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
-    w_logic = logic_attention(table, np.array([r1]), np.ones(1, bool), q)[0]
+    w_logic = logic_attention_batch(table.dense(), np.array([[r1]]), np.ones((1, 1), bool), np.array([q]))[0, 0]
     np.testing.assert_allclose(out.embedding, (w_logic + 1.0) * t, rtol=1e-12)
     assert w_logic == 1.0  # positive single-neighbor weight normalizes to one
 
@@ -344,18 +340,6 @@ def test_lstm_matches_hand_rolled_gates(world):
     np.testing.assert_allclose(out.embedding, lstm_oracle(st2, xs), rtol=1e-10, atol=1e-12)
 
 
-def test_lstm_empty_order_yields_zero(world):
-    kg, table, store = world
-    tape = ad.Tape()
-    transformed = tape.constant(np.zeros((3, 10)))
-    leaves = {
-        name: tape.constant(store[name])
-        for name in store.names() if name.startswith("lstm")
-    }
-    out = aggregate_lstm(tape, transformed, [], leaves, 10)
-    np.testing.assert_array_equal(out.data, np.zeros(10))
-
-
 # --- single path vs batch path ------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["mean", "lan", "query-attn", "global-attn", "logic-only"])
@@ -419,8 +403,12 @@ def test_encode_samples_deterministically(world):
     kg, table, store = world
     e = max(range(kg.n_entities), key=lambda x: kg.neighborhood(x).shape[0])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=2)
-    a = encode(e, 0, kg, table, store, cfg, np.random.default_rng(3))
-    b = encode(e, 0, kg, table, store, cfg, np.random.default_rng(3))
+    encoded = []
+    for _ in range(2):
+        rng = np.random.default_rng(3)
+        sample = sample_neighbors(kg.neighborhood(e), cfg.neighbor_budget, rng)
+        encoded.append(encode_from_sample(store, table.dense(), cfg, 0, sample, rng))
+    a, b = encoded
     np.testing.assert_array_equal(a.embedding, b.embedding)
 
 
@@ -441,6 +429,32 @@ def test_encode_matches_numpy_oracle(world, kind):
         np.testing.assert_allclose(got.embedding, want, rtol=1e-9, atol=1e-12)
 
 
+def test_trace_matches_oracle_attention(world):
+    kg, table, store = world
+    dense = table.dense()
+    arrays = store.arrays
+    cfg = AggregatorConfig(kind="lan", neighbor_budget=64)
+    for e in range(kg.n_entities):
+        nb = kg.neighborhood(e)
+        if nb.shape[0] == 0:
+            continue
+        got = encode_from_sample(store, dense, cfg, 1, grab_sample(kg, e), np.random.default_rng(0))
+        rels = np.array([row[0] for row in got.trace])
+        ents = np.array([row[1] for row in got.trace])
+        assert sorted(zip(rels.tolist(), ents.tolist())) == sorted(map(tuple, nb.tolist()))
+        np.testing.assert_allclose([row[2] for row in got.trace], oracle_logic(dense, rels, 1),
+                                   rtol=1e-12, atol=1e-15)
+        w = arrays["transform_vec"][rels]
+        x = arrays["entity_emb"][ents]
+        transformed = x - np.sum(w * x, axis=1, keepdims=True) * w
+        scores = np.array([
+            arrays["attn_score_vec"] @ np.tanh(arrays["attn_proj"] @ np.concatenate([arrays["query_vec"][1], t]))
+            for t in transformed
+        ])
+        ex = np.exp(scores - scores.max())
+        np.testing.assert_allclose([row[3] for row in got.trace], ex / ex.sum(), rtol=1e-12, atol=1e-15)
+
+
 def test_stack_samples_trims_width(world):
     kg, table, store = world
     widest = max(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
@@ -450,16 +464,3 @@ def test_stack_samples_trims_width(world):
     assert rels.shape[1] == widest
     assert mask.sum() == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
 
-
-def test_nn_attention_shape(world):
-    kg, table, store = world
-    tape = ad.Tape()
-    transformed = tape.constant(np.random.default_rng(0).normal(size=(4, 10)))
-    scores = nn_attention(
-        tape,
-        tape.constant(store["query_vec"][0]),
-        transformed,
-        tape.constant(store["attn_proj"]),
-        tape.constant(store["attn_score_vec"]),
-    )
-    assert scores.data.shape == (4,)

@@ -14,7 +14,6 @@ from helpers import (
 from lankgc.context import BundleContext
 from lankgc.encoder import AggregatorConfig
 from lankgc.evaluation import (
-    DenseView,
     EvalError,
     ThresholdTable,
     _best_threshold,
@@ -103,7 +102,7 @@ def test_rank_side_validation():
 def test_truth_outside_candidates_raises():
     ctx, acfg, table, store = bundle_fixture(seed=2)
     trip = tuple(ctx.to_ids(ctx.bundle.test)[0])
-    assert trip[0] not in ctx.seen_set  # subject strategy leaves subjects unseen
+    assert trip[0] not in ctx.seen_ids  # subject strategy leaves subjects unseen
     with pytest.raises(EvalError, match="candidate set"):
         rank_query(ctx, store, acfg, "transe", table.dense(), trip, "subject",
                    ctx.known_triplets(), 0)
@@ -184,32 +183,11 @@ def test_link_prediction_default_side_follows_strategy():
     assert auto.ranks == explicit.ranks
 
 
-def test_link_prediction_parallel_matches_serial(monkeypatch):
-    ctx, acfg, table, store = bundle_fixture(seed=9)
-    dense = table.dense()
-    rows = ctx.to_ids(ctx.bundle.test)
-    rows = np.tile(rows, (max(1, 70 // rows.shape[0] + 1), 1))[:70]
-    monkeypatch.setenv("LANKGC_THREADS", "1")
-    serial = link_prediction(ctx, store, acfg, "distmult", dense, seed=2, triplets=rows)
-    monkeypatch.setenv("LANKGC_THREADS", "4")
-    parallel = link_prediction(ctx, store, acfg, "distmult", dense, seed=2, triplets=rows)
-    assert serial.ranks == parallel.ranks
-
-
 def test_link_prediction_empty_test_raises():
     ctx, acfg, table, store = bundle_fixture(seed=10)
     with pytest.raises(EvalError, match="no test triplets"):
         link_prediction(ctx, store, acfg, "transe", table.dense(),
                         triplets=np.zeros((0, 3), dtype=np.int64))
-
-
-def test_dense_view_adapts_lookup():
-    ctx, acfg, table, store = bundle_fixture(seed=11)
-    view = DenseView(table.dense())
-    assert view.n_relations == table.n_relations
-    for r1 in range(table.n_relations):
-        for r2 in range(table.n_relations):
-            assert view.lookup(r1, r2) == table.lookup(r1, r2)
 
 
 # --- thresholded classification ----------------------------------------------------

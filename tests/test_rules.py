@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_graph, naive_confidence, random_name_triples
+from helpers import make_graph, naive_confidence, oracle_logic, random_name_triples
 from lankgc.kg import GraphError, Vocabulary, graph_from_names
 from lankgc.rules import (
     ConfidenceTable,
     export_table,
     import_table,
-    logic_attention,
     logic_attention_batch,
     mine_confidence,
 )
@@ -30,9 +29,9 @@ def test_confidence_frozen_three_entity_case():
     r1 = kg.vocab.relation_id("r1")
     r2 = kg.vocab.relation_id("r2")
     table = mine_confidence(kg)
-    assert table.lookup(r1, r2) == 0.5
-    assert table.lookup(r2, r1) == 0.5
-    assert table.lookup(r1, r1) == 1.0
+    assert table.dense()[r1, r2] == 0.5
+    assert table.dense()[r2, r1] == 0.5
+    assert table.dense()[r1, r1] == 1.0
     assert table.support[r1] == 2
     assert table.support[r2] == 2
 
@@ -42,7 +41,7 @@ def test_self_implication_is_always_one():
     table = mine_confidence(kg)
     for r, support in table.support.items():
         assert support > 0
-        assert table.lookup(r, r) == 1.0
+        assert table.dense()[r, r] == 1.0
 
 
 def test_inverse_relations_take_part():
@@ -51,8 +50,8 @@ def test_inverse_relations_take_part():
     r1_inv = kg.vocab.relation_id("r1**INV")
     # x1 and x3 each carry exactly the inverse of r1
     assert table.support[r1_inv] == 2
-    assert table.lookup(r1_inv, r1_inv) == 1.0
-    assert table.lookup(r1_inv, kg.vocab.relation_id("r1")) == 0.0
+    assert table.dense()[r1_inv, r1_inv] == 1.0
+    assert table.dense()[r1_inv, kg.vocab.relation_id("r1")] == 0.0
 
 
 def test_mine_requires_augmented_graph():
@@ -64,7 +63,7 @@ def test_mine_requires_augmented_graph():
 def test_lookup_range_checked():
     table = mine_confidence(three_entity_graph())
     with pytest.raises(GraphError, match="out of range"):
-        table.lookup(0, table.n_relations)
+        logic_row(table, np.array([0]), np.ones(1, bool), table.n_relations)
 
 
 def test_dense_matches_sparse():
@@ -73,7 +72,7 @@ def test_dense_matches_sparse():
     assert dense.shape == (table.n_relations, table.n_relations)
     for r1 in range(table.n_relations):
         for r2 in range(table.n_relations):
-            assert dense[r1, r2] == table.lookup(r1, r2)
+            assert dense[r1, r2] == table.conf.get((r1, r2), 0.0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -101,6 +100,11 @@ def test_miner_matches_naive_property(seed):
 
 # --- logic attention ---------------------------------------------------------
 
+def logic_row(table, relations, mask, query, **kw):
+    """Logic weights of one neighborhood: a B=1 :func:`logic_attention_batch`."""
+    return logic_attention_batch(table.dense(), relations[None], mask[None], np.array([query]), **kw)[0]
+
+
 def two_relation_table():
     """conf(r1=>q)=conf(r2=>q)=0.6, conf(r2=>r1)=0.9, conf(r1=>r2)=0.1."""
     conf = {(0, 2): 0.6, (1, 2): 0.6, (1, 0): 0.9, (0, 1): 0.1}
@@ -111,7 +115,7 @@ def test_logic_attention_frozen_raw():
     table = two_relation_table()
     rels = np.array([0, 1])
     mask = np.ones(2, bool)
-    w = logic_attention(table, rels, mask, query=2, mode="raw")
+    w = logic_row(table, rels, mask, query=2, mode="raw")
     assert w[0] == 0.6 / 0.9
     assert w[1] == 0.6 / 0.1  # denominator above the floor
     np.testing.assert_allclose(w, [0.6667, 6.0], atol=5e-5)
@@ -119,7 +123,7 @@ def test_logic_attention_frozen_raw():
 
 def test_logic_attention_frozen_normalized():
     table = two_relation_table()
-    w = logic_attention(table, np.array([0, 1]), np.ones(2, bool), query=2)
+    w = logic_row(table, np.array([0, 1]), np.ones(2, bool), query=2)
     np.testing.assert_allclose(w, [0.1, 0.9], atol=1e-12)
     assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -127,22 +131,22 @@ def test_logic_attention_frozen_normalized():
 def test_logic_attention_single_neighbor_empty_max():
     # nothing implies the lone relation, so the denominator defaults to 1
     table = ConfidenceTable(2, {(0, 1): 0.8})
-    w = logic_attention(table, np.array([0]), np.ones(1, bool), query=1, mode="raw")
+    w = logic_row(table, np.array([0]), np.ones(1, bool), query=1, mode="raw")
     assert w[0] == 0.8
-    w = logic_attention(table, np.array([0]), np.ones(1, bool), query=1)
+    w = logic_row(table, np.array([0]), np.ones(1, bool), query=1)
     assert w[0] == 1.0
 
 
 def test_logic_attention_epsilon_floor():
     table = ConfidenceTable(3, {(0, 2): 0.5, (1, 0): 1e-9, (0, 1): 0.0})
-    w = logic_attention(table, np.array([0, 1]), np.ones(2, bool), query=2,
-                        mode="raw", epsilon=1e-3)
+    w = logic_row(table, np.array([0, 1]), np.ones(2, bool), query=2,
+                  mode="raw", epsilon=1e-3)
     assert w[0] == 0.5 / 1e-3
 
 
 def test_logic_attention_zero_numerator_stays_zero():
     table = ConfidenceTable(3, {(1, 0): 0.9})
-    w = logic_attention(table, np.array([0, 1]), np.ones(2, bool), query=2)
+    w = logic_row(table, np.array([0, 1]), np.ones(2, bool), query=2)
     np.testing.assert_array_equal(w, [0.0, 0.0])
 
 
@@ -150,30 +154,45 @@ def test_logic_attention_masked_slots_are_zero():
     table = two_relation_table()
     rels = np.array([0, 1, 0])
     mask = np.array([True, True, False])
-    w = logic_attention(table, rels, mask, query=2)
+    w = logic_row(table, rels, mask, query=2)
     assert w[2] == 0.0
     np.testing.assert_allclose(w[:2], [0.1, 0.9], atol=1e-12)
 
 
 def test_logic_attention_duplicate_relation_slots_share_weight():
     table = two_relation_table()
-    w = logic_attention(table, np.array([0, 1, 0]), np.ones(3, bool), query=2, mode="raw")
+    w = logic_row(table, np.array([0, 1, 0]), np.ones(3, bool), query=2, mode="raw")
     assert w[0] == w[2]
 
 
 def test_logic_attention_permutes_with_slots():
     table = two_relation_table()
-    w = logic_attention(table, np.array([0, 1]), np.ones(2, bool), query=2)
-    v = logic_attention(table, np.array([1, 0]), np.ones(2, bool), query=2)
+    w = logic_row(table, np.array([0, 1]), np.ones(2, bool), query=2)
+    v = logic_row(table, np.array([1, 0]), np.ones(2, bool), query=2)
     np.testing.assert_array_equal(w, v[::-1])
 
 
 def test_logic_attention_validates_inputs():
     table = two_relation_table()
     with pytest.raises(ValueError, match="mode"):
-        logic_attention(table, np.array([0]), np.ones(1, bool), query=2, mode="softmax")
+        logic_row(table, np.array([0]), np.ones(1, bool), query=2, mode="softmax")
     with pytest.raises(GraphError, match="out of range"):
-        logic_attention(table, np.array([0]), np.ones(1, bool), query=5)
+        logic_row(table, np.array([0]), np.ones(1, bool), query=5)
+
+
+def test_batch_rejects_unknown_mode():
+    dense = two_relation_table().dense()
+    with pytest.raises(ValueError, match="mode"):
+        logic_attention_batch(dense, np.zeros((2, 1), np.int64), np.ones((2, 1), bool),
+                              np.array([2, 2]), mode="softmax")
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_batch_rejects_out_of_range_query(bad):
+    dense = two_relation_table().dense()
+    with pytest.raises(GraphError, match="out of range"):
+        logic_attention_batch(dense, np.zeros((2, 1), np.int64), np.ones((2, 1), bool),
+                              np.array([2, bad]))
 
 
 @given(st.integers(0, 10_000), st.sampled_from(["raw", "normalized"]))
@@ -182,9 +201,6 @@ def test_batch_matches_single(seed, mode):
     rng = np.random.default_rng(seed)
     n_rel = int(rng.integers(2, 7))
     dense = np.where(rng.random((n_rel, n_rel)) < 0.5, rng.random((n_rel, n_rel)), 0.0)
-    table = ConfidenceTable(
-        n_rel, {(i, j): dense[i, j] for i in range(n_rel) for j in range(n_rel) if dense[i, j]}
-    )
     bsz, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
     rels = rng.integers(0, n_rel, size=(bsz, k))
     counts = rng.integers(1, k + 1, size=bsz)
@@ -192,7 +208,8 @@ def test_batch_matches_single(seed, mode):
     queries = rng.integers(0, n_rel, size=bsz)
     batch = logic_attention_batch(dense, rels, mask, queries, mode=mode)
     for b in range(bsz):
-        single = logic_attention(table, rels[b], mask[b], int(queries[b]), mode=mode)
+        single = np.zeros(k)
+        single[mask[b]] = oracle_logic(dense, rels[b][mask[b]], int(queries[b]), mode=mode)
         np.testing.assert_array_equal(batch[b], single)
 
 

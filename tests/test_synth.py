@@ -12,7 +12,7 @@ def mined_rule_strength(corpus):
     kg = make_graph(corpus.train + corpus.valid + corpus.test)
     body = kg.vocab.relation_id(RULE_BODY)
     head = kg.vocab.relation_id(RULE_HEAD)
-    return mine_confidence(kg).lookup(body, head)
+    return mine_confidence(kg).dense()[body, head]
 
 
 def test_same_seed_same_corpus():

@@ -15,9 +15,7 @@ from lankgc.training import (
     batch_objective,
     corrupt,
     hinge,
-    main_loss,
     make_optimizer,
-    subtask_loss,
     train,
 )
 
@@ -147,9 +145,9 @@ def test_batch_objective_matches_per_pair_losses():
     for p, n in zip(pos, neg):
         t2 = ad.Tape()
         l2 = store.leaves(t2)
-        single += main_loss(t2, l2, p, n, ctx.neighborhood, None, tcfg, acfg,
-                            "transe", np.random.default_rng(0)).item()
-        single += subtask_loss(t2, l2, p, n, tcfg, "transe").item()
+        pair, _ = batch_objective(t2, l2, [p], [n], ctx.neighborhood, None, tcfg, acfg,
+                                  "transe", np.random.default_rng(0))
+        single += pair.item()
     assert float(loss.data) == pytest.approx(single / 4, rel=1e-12)
 
 
@@ -310,6 +308,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert "vocab_sha256" in meta
     ctx = BundleContext(bundle)
     assert meta["n_entities"] == str(ctx.vocab.n_entities)
+
+
+def test_checkpoint_rejects_corrupted_parameter_file(tmp_path):
+    out = tmp_path / "ckpt"
+    train(tiny_bundle(), quick_cfg(epochs=1), AggregatorConfig(kind="mean"), out_dir=str(out))
+    path = out / "entity_emb.f64"
+    raw = bytearray(path.read_bytes())
+    raw[3] ^= 0x01  # same size, one bit off
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        load_checkpoint(str(out))
 
 
 def test_periodic_checkpoints(tmp_path):
