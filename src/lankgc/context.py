@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evaluation import KnownTriplets
 from .kg import KnowledgeGraph, Vocabulary, augment_inverses
 
 _EMPTY = np.zeros((0, 2), dtype=np.int64)
@@ -29,6 +30,7 @@ class BundleContext:
         self.unseen_ids = {self.vocab.entity_id(name) for name in bundle.unseen}
         seen = bundle.seen_entities()
         self.seen_ids = np.array(sorted(self.vocab.entity_id(n) for n in seen), dtype=np.int64)
+        self._known = None
 
     def to_ids(self, triples):
         out = np.empty((len(triples), 3), dtype=np.int64)
@@ -47,9 +49,14 @@ class BundleContext:
         return self.train_graph.neighborhood(e)
 
     def known_triplets(self):
-        """All bundle facts as id tuples, for filtered ranking."""
-        out = set()
-        for part in (self.bundle.train, self.bundle.aux, self.bundle.valid, self.bundle.test):
-            for row in self.to_ids(part):
-                out.add((int(row[0]), int(row[1]), int(row[2])))
-        return out
+        """All bundle facts (train, aux, valid, test) as a :class:`KnownTriplets`.
+
+        Built on the first call and cached; the bundle does not change.
+        """
+        if self._known is None:
+            parts = (self.bundle.train, self.bundle.aux, self.bundle.valid, self.bundle.test)
+            self._known = KnownTriplets(
+                np.concatenate([self.to_ids(part) for part in parts]),
+                self.vocab.n_entities, self.train_graph.n_relations,
+            )
+        return self._known

@@ -127,14 +127,26 @@ def stack_samples(neighborhood_fn, ent_ids, budget, rng):
     """Sample neighborhoods for a batch of entities into (B, K) arrays.
 
     ``neighborhood_fn(e)`` returns the (k, 2) adjacency rows of ``e``.
-    Trailing all-padding columns are trimmed, so K is at most the budget
-    but no larger than the widest sampled neighborhood (and at least 1).
+    Only neighborhoods over the budget go through :func:`sample_neighbors`,
+    in row order, so the rng draws are those of sampling every row.
+    K is at most the budget but no larger than the widest sampled
+    neighborhood (and at least 1).
     """
-    samples = [sample_neighbors(neighborhood_fn(int(e)), budget, rng) for e in ent_ids]
-    width = max(1, max((s.n_valid for s in samples), default=1))
-    relations = np.stack([s.relations[:width] for s in samples])
-    entities = np.stack([s.entities[:width] for s in samples])
-    mask = np.stack([s.mask[:width] for s in samples])
+    if budget < 1:
+        raise ValueError(f"neighbor budget must be >= 1, got {budget}")
+    hoods = [neighborhood_fn(int(e)) for e in ent_ids]
+    sizes = np.array([h.shape[0] for h in hoods], dtype=np.int64)
+    for i in np.flatnonzero(sizes > budget):
+        sample = sample_neighbors(hoods[i], budget, rng)
+        hoods[i] = np.stack([sample.relations, sample.entities], axis=1)
+        sizes[i] = budget
+    width = max(1, int(sizes.max(initial=0)))
+    mask = np.arange(width) < sizes[:, None]
+    flat = np.concatenate(hoods).reshape(-1, 2)
+    relations = np.zeros(mask.shape, dtype=np.int64)
+    entities = np.zeros(mask.shape, dtype=np.int64)
+    relations[mask] = flat[:, 0]
+    entities[mask] = flat[:, 1]
     return relations, entities, mask
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import oracle_score
 from lankgc import autodiff as ad
-from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch
+from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch, score_candidates
 
 
 def run(kind, s, q, o):
@@ -112,3 +112,19 @@ def test_score_is_differentiable(kind):
 )
 def test_transe_never_positive(rows):
     assert run("transe", rows[0], rows[1], rows[2]) <= 0.0
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+@pytest.mark.parametrize("rank_side", ["subject", "object"])
+def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
+    rng = np.random.default_rng(21)
+    for n, dim in ((1, 2), (7, 6), (300, 32), (1000, 50)):
+        cands = rng.normal(size=(n, dim))
+        q, fixed = rng.normal(size=dim), rng.normal(size=dim)
+        tape = ad.Tape()
+        c, qs, fs = (tape.constant(x) for x in (cands, np.tile(q, (n, 1)), np.tile(fixed, (n, 1))))
+        s, o = (c, fs) if rank_side == "subject" else (fs, c)
+        want = score_batch(tape, s, qs, o, kind).data
+        got = score_candidates(cands, q, fixed, kind, rank_side)
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes()

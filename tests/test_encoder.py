@@ -464,3 +464,22 @@ def test_stack_samples_trims_width(world):
     assert rels.shape[1] == widest
     assert mask.sum() == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
 
+
+def test_stack_samples_matches_per_entity_sampling():
+    # degrees 0..9 under budgets 1 to 64: empty, whole and truncated rows mixed
+    rng = np.random.default_rng(3)
+    hoods = [np.stack([rng.integers(0, 5, size=k), rng.integers(0, 30, size=k)], axis=1)
+             for k in rng.integers(0, 10, size=60)]
+    hoods[5] = np.zeros((0, 2), dtype=np.int64)
+    ents = np.concatenate([np.arange(60), [5, 7, 7]])
+    for budget in (1, 4, 9, 64):
+        ref_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
+        samples = [sample_neighbors(hoods[e], budget, ref_rng) for e in ents]
+        width = max(1, max(s.n_valid for s in samples))
+        rels, nbs, mask = stack_samples(lambda e: hoods[e], ents, budget, got_rng)
+        np.testing.assert_array_equal(rels, np.stack([s.relations[:width] for s in samples]))
+        np.testing.assert_array_equal(nbs, np.stack([s.entities[:width] for s in samples]))
+        np.testing.assert_array_equal(mask, np.stack([s.mask[:width] for s in samples]))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(ValueError, match="budget"):
+        stack_samples(lambda e: hoods[e], ents, 0, got_rng)

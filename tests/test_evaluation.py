@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -11,10 +11,12 @@ from helpers import (
     oracle_threshold_table,
     random_bundles,
 )
+from lankgc import autodiff as ad
 from lankgc.context import BundleContext
-from lankgc.encoder import AggregatorConfig
+from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, constant_leaves, encode_batch, stack_samples
 from lankgc.evaluation import (
     EvalError,
+    KnownTriplets,
     ThresholdTable,
     _best_threshold,
     classify,
@@ -152,6 +154,74 @@ def test_rank_query_matches_oracle(kind, scorer):
         assert got == want
 
 
+def test_rank_query_rejects_a_filter_that_is_not_an_index():
+    bundle = hand_bundle()
+    ctx = BundleContext(bundle)
+    acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, seed=1)
+    trip = tuple(ctx.to_ids(bundle.test)[0])
+    tuples = {tuple(int(x) for x in row) for row in ctx.to_ids(bundle.train)}
+    with pytest.raises(EvalError, match="KnownTriplets"):
+        rank_query(ctx, store, acfg, "transe", None, trip, "object", tuples, seed=0)
+    raw = [rank_query(ctx, store, acfg, "transe", None, trip, "object", f, seed=0)
+           for f in (None, set())]
+    assert raw == [3, 3]
+
+
+def test_known_triplets_match_brute_force_on_random_bundles():
+    bundles = random_bundles(3, start_seed=40, strategy="subject")
+    bundles += random_bundles(3, start_seed=80, strategy="object")
+    for bundle in bundles:
+        ctx = BundleContext(bundle)
+        known = ctx.known_triplets()
+        assert ctx.known_triplets() is known
+        facts = {tuple(int(x) for x in row)
+                 for part in (bundle.train, bundle.aux, bundle.valid, bundle.test)
+                 for row in ctx.to_ids(part)}
+        n, r = ctx.vocab.n_entities, ctx.train_graph.n_relations
+        for e in range(n):
+            for q in range(r):
+                objs = known.answers(e, q, "object")
+                subs = known.answers(e, q, "subject")
+                assert objs.tolist() == sorted(o for s, qq, o in facts if (s, qq) == (e, q))
+                assert subs.tolist() == sorted(s for s, qq, o in facts if (qq, o) == (q, e))
+        rng = np.random.default_rng(0)
+        probes = list(facts) + [tuple(int(x) for x in t) for t in rng.integers(-1, n + 1, size=(200, 3))]
+        for t in probes:
+            assert (t in known) == (t in facts)
+
+
+def test_known_triplets_refuse_overflowing_keys_and_bad_queries():
+    with pytest.raises(EvalError, match="overflow"):
+        KnownTriplets(np.zeros((1, 3), dtype=np.int64), 3_100_000_000, 1)
+    known = KnownTriplets(np.array([[0, 1, 2]]), 3, 2)
+    assert known.answers(0, 1, "object").tolist() == [2]
+    assert known.answers(2, 1, "subject").tolist() == [0]
+    assert (0, 1, 2) in known and (0, 0, 2) not in known and (0, 2, 2) not in known
+    with pytest.raises(EvalError, match="outside"):
+        known.answers(0, 2, "object")
+    with pytest.raises(EvalError, match="outside"):
+        known.answers(3, 0, "subject")
+
+
+@pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "lstm"])
+def test_grouped_encode_entities_matches_one_padded_batch(kind):
+    ctx, acfg, table, store = bundle_fixture(seed=5)
+    dense = table.dense()
+    degrees = [ctx.neighborhood(int(e)).shape[0] for e in ctx.seen_ids]
+    budget = int(np.median(degrees))  # truncates the larger half
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=budget)
+    q = 1
+    got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
+    rng = np.random.default_rng([2, q])
+    rels, ents, mask = stack_samples(ctx.neighborhood, ctx.seen_ids, budget, rng)
+    assert mask.shape[1] == budget and len(set(mask.sum(axis=1))) > 2
+    tape = ad.Tape()
+    want = encode_batch(tape, constant_leaves(tape, store), rels, ents, mask,
+                        np.full(len(ctx.seen_ids), q), acfg, dense_table=dense, rng=rng).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # --- whole-test-set ranking -------------------------------------------------------
 
 def test_link_prediction_matches_oracle_metrics():
@@ -211,6 +281,18 @@ def test_best_threshold_matches_oracle_scan():
         labels = rng.integers(0, 2, size=n)
         got = _best_threshold(scores, labels)
         assert got == oracle_threshold(scores, labels)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 2000), st.integers(1, 30), st.integers(0, 2**32 - 1))
+@example(2000, 2, 0)
+@example(2000, 30, 1)
+def test_best_threshold_matches_oracle_with_heavy_ties(n, distinct, seed):
+    rng = np.random.default_rng(seed)
+    levels = np.round(rng.normal(size=distinct), 1)
+    scores = rng.choice(levels, size=n)
+    labels = (rng.random(n) < rng.random()).astype(np.int64)
+    assert _best_threshold(scores, labels) == oracle_threshold(scores, labels)
 
 
 def test_tune_thresholds_matches_oracle_table():
