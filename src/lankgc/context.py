@@ -1,10 +1,12 @@
 """Shared id-space view of a dataset bundle.
 
 Builds one vocabulary over every split of a bundle (unseen entities
-included), the inverse-augmented training graph, and the auxiliary
-graph that supplies neighborhoods for unseen entities.  Seen entities
-always draw their neighbors from training facts; unseen entities only
-ever see auxiliary facts.
+included), the inverse-augmented training graph, and one
+inverse-augmented neighborhood graph for the encoder.  The neighborhood
+graph holds the training facts of every seen entity and the auxiliary
+facts of every unseen entity, so seen entities always draw their
+neighbors from training facts and unseen entities only ever see
+auxiliary facts.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import numpy as np
 from .evaluation import KnownTriplets
 from .kg import KnowledgeGraph, Vocabulary, augment_inverses
 
-_EMPTY = np.zeros((0, 2), dtype=np.int64)
-
 
 class BundleContext:
     def __init__(self, bundle):
@@ -24,10 +24,13 @@ class BundleContext:
         self.train_graph = augment_inverses(
             KnowledgeGraph(self.vocab, self.to_ids(bundle.train))
         )
-        self.aux_graph = None
-        if bundle.aux:
-            self.aux_graph = augment_inverses(KnowledgeGraph(self.vocab, self.to_ids(bundle.aux)))
         self.unseen_ids = {self.vocab.entity_id(name) for name in bundle.unseen}
+        unseen = np.zeros(self.vocab.n_entities, dtype=bool)
+        unseen[list(self.unseen_ids)] = True
+        train = self.train_graph.triplets
+        aux = augment_inverses(KnowledgeGraph(self.vocab, self.to_ids(bundle.aux))).triplets
+        rows = np.concatenate([train[~unseen[train[:, 0]]], aux[unseen[aux[:, 0]]]])
+        self.neighbor_graph = KnowledgeGraph(self.vocab, rows, augmented=True)
         seen = bundle.seen_entities()
         self.seen_ids = np.array(sorted(self.vocab.entity_id(n) for n in seen), dtype=np.int64)
         self._known = None
@@ -42,11 +45,7 @@ class BundleContext:
 
     def neighborhood(self, e):
         """Adjacency rows for ``e``: auxiliary facts if unseen, else training facts."""
-        if e in self.unseen_ids:
-            if self.aux_graph is None:
-                return _EMPTY
-            return self.aux_graph.neighborhood(e)
-        return self.train_graph.neighborhood(e)
+        return self.neighbor_graph.neighborhood(e)
 
     def known_triplets(self):
         """All bundle facts (train, aux, valid, test) as a :class:`KnownTriplets`.

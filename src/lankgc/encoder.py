@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .kg import sample_neighbors
+from .kg import GraphError, sample_neighbors
 from .rules import logic_attention_batch
 
 AGGREGATOR_KINDS = ("mean", "lstm", "lan", "query-attn", "global-attn", "logic-only")
@@ -123,30 +123,39 @@ def encode_from_sample(store, dense, cfg, query, sample, rng):
     return EncodedEntity(out.data[0].copy(), trace=trace, flagged=False)
 
 
-def stack_samples(neighborhood_fn, ent_ids, budget, rng):
+def stack_samples(graph, ent_ids, budget, rng):
     """Sample neighborhoods for a batch of entities into (B, K) arrays.
 
-    ``neighborhood_fn(e)`` returns the (k, 2) adjacency rows of ``e``.
-    Only neighborhoods over the budget go through :func:`sample_neighbors`,
-    in row order, so the rng draws are those of sampling every row.
-    K is at most the budget but no larger than the widest sampled
-    neighborhood (and at least 1).
+    ``graph`` is a :class:`~lankgc.kg.KnowledgeGraph`, or anything with
+    its CSR ``offsets`` and ``pairs`` arrays; rows are gathered from
+    them directly.  Only neighborhoods over the budget go through
+    :func:`sample_neighbors`, in row order, so the rng draws are those
+    of sampling every row.  K is at most the budget but no larger than
+    the widest sampled neighborhood (and at least 1).  An entity id
+    outside [0, N) raises :class:`~lankgc.kg.GraphError`.
     """
     if budget < 1:
         raise ValueError(f"neighbor budget must be >= 1, got {budget}")
-    hoods = [neighborhood_fn(int(e)) for e in ent_ids]
-    sizes = np.array([h.shape[0] for h in hoods], dtype=np.int64)
-    for i in np.flatnonzero(sizes > budget):
-        sample = sample_neighbors(hoods[i], budget, rng)
-        hoods[i] = np.stack([sample.relations, sample.entities], axis=1)
-        sizes[i] = budget
-    width = max(1, int(sizes.max(initial=0)))
-    mask = np.arange(width) < sizes[:, None]
-    flat = np.concatenate(hoods).reshape(-1, 2)
+    offsets, pairs = graph.offsets, graph.pairs
+    ent_ids = np.asarray(ent_ids, dtype=np.int64).reshape(-1)
+    bad = ent_ids[(ent_ids < 0) | (ent_ids >= offsets.size - 1)]
+    if bad.size:
+        raise GraphError(f"entity id out of range: {int(bad[0])}")
+    starts = offsets[ent_ids]
+    sizes = offsets[ent_ids + 1] - starts
+    taken = np.minimum(sizes, budget)
+    width = max(1, int(taken.max(initial=0)))
+    slots = np.arange(width)
+    mask = slots < taken[:, None]
+    src = (starts[:, None] + slots)[mask]  # slot j of row i reads pairs[starts[i] + j]
     relations = np.zeros(mask.shape, dtype=np.int64)
     entities = np.zeros(mask.shape, dtype=np.int64)
-    relations[mask] = flat[:, 0]
-    entities[mask] = flat[:, 1]
+    relations[mask] = pairs[src, 0]
+    entities[mask] = pairs[src, 1]
+    for i in np.flatnonzero(sizes > budget):
+        sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, rng)
+        relations[i] = sample.relations
+        entities[i] = sample.entities
     return relations, entities, mask
 
 

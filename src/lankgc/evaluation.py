@@ -126,7 +126,7 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     slot is padding and the tape holds one group at a time.  Identical
     neighborhoods share a degree, so they share a matmul and tie exactly.
     """
-    rels, ents, mask = stack_samples(ctx.neighborhood, ent_ids, acfg.neighbor_budget, rng)
+    rels, ents, mask = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
     degree = mask.sum(axis=1)
     out = np.empty((degree.size, store["entity_emb"].shape[1]))
     for k in np.unique(degree):
@@ -287,24 +287,31 @@ def tune_thresholds(valid_scores):
     return ThresholdTable(per_relation=per_relation, default=_best_threshold(scores, labels))
 
 
+def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng, budget):
+    """phi over output embeddings: both endpoints neighborhood-encoded from ``graph``."""
+    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    b = triplets.shape[0]
+    ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
+    queries = np.tile(triplets[:, 1], 2)
+    rels, ents, mask = stack_samples(graph, ent_ids, budget, rng)
+    enc = encode_batch(tape, leaves, rels, ents, mask, queries, acfg, dense_table=dense, rng=rng)
+    subj = ad.take_rows(tape, enc, np.arange(b))
+    obj = ad.take_rows(tape, enc, np.arange(b) + b)
+    q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
+    return score_batch(tape, subj, q_emb, obj, scorer)
+
+
 def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0, batch_size=512):
     """Output-embedding scores for (s, q, o) id rows, batched."""
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
     for lo in range(0, labeled_ids.shape[0], batch_size):
-        rows = labeled_ids[lo:lo + batch_size]
-        b = rows.shape[0]
         tape = ad.Tape()
-        leaves = constant_leaves(tape, store)
-        ent_ids = np.concatenate([rows[:, 0], rows[:, 2]])
-        q2 = np.tile(rows[:, 1], 2)
-        rels, ents, mask = stack_samples(ctx.neighborhood, ent_ids, acfg.neighbor_budget, rng)
-        enc = encode_batch(tape, leaves, rels, ents, mask, q2, acfg, dense_table=dense, rng=rng)
-        subj = ad.take_rows(tape, enc, np.arange(b))
-        obj = ad.take_rows(tape, enc, np.arange(b) + b)
-        q_emb = ad.take_rows(tape, leaves["relation_emb"], rows[:, 1])
-        out[lo:lo + b] = score_batch(tape, subj, q_emb, obj, scorer).data
+        out[lo:lo + batch_size] = output_scores(
+            tape, constant_leaves(tape, store), labeled_ids[lo:lo + batch_size], ctx.neighbor_graph,
+            dense, acfg, scorer, rng, acfg.neighbor_budget,
+        ).data
     return out
 
 

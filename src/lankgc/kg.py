@@ -9,6 +9,11 @@ Inverse augmentation doubles the relation vocabulary: a base relation
 with id ``r`` in ``[0, m)`` gets an inverse with id ``r + m``.  Inverse
 relations are serialized with the reserved name suffix ``**INV``, which
 is rejected in input files.
+
+A graph stores its neighborhoods once, in compressed sparse rows: an
+``offsets`` array of N+1 entries into one ``pairs`` array of
+(relation, entity) rows.  A neighborhood is a read-only slice of
+``pairs``; batch samplers gather from the two arrays directly.
 """
 
 from __future__ import annotations
@@ -82,23 +87,29 @@ class Vocabulary:
 
 
 class KnowledgeGraph:
-    """Immutable triplet store with per-entity adjacency.
+    """Immutable triplet store with a CSR neighborhood index.
 
     ``triplets`` is an ``(N, 3)`` int64 array of (s, r, o) ids, in the
-    deduplicated order they were supplied.  ``adjacency[e]`` lists the
-    outgoing edges of ``e`` as a ``(k, 2)`` array of (relation, entity)
-    pairs sorted by relation id then entity id.  On an augmented graph
-    the adjacency is the full neighborhood of the paper's aggregators:
-    every fact touching ``e``, with incoming facts visible through
-    inverse relations.
+    deduplicated order they were supplied.  Neighborhoods are stored in
+    compressed sparse rows: ``pairs`` is the ``(E, 2)`` array of
+    (relation, entity) rows of every fact, sorted by subject, relation,
+    then entity, and the rows of entity ``e`` are
+    ``pairs[offsets[e]:offsets[e + 1]]``.  Both arrays are read-only.
+    On an augmented graph a neighborhood is the full neighborhood of the
+    paper's aggregators: every fact touching ``e``, with incoming facts
+    visible through inverse relations.
     """
 
     def __init__(self, vocab, triplets, augmented=False):
         self.vocab = vocab
         self.triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
         self.augmented = bool(augmented)
-        self.triplet_set = {(int(s), int(r), int(o)) for s, r, o in self.triplets}
-        self._adjacency = self._build_adjacency()
+        t = self.triplets
+        srt = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
+        self.offsets = np.searchsorted(srt[:, 0], np.arange(vocab.n_entities + 1))
+        self.pairs = np.ascontiguousarray(srt[:, 1:])
+        self.offsets.flags.writeable = False
+        self.pairs.flags.writeable = False
 
     @property
     def n_entities(self):
@@ -110,27 +121,15 @@ class KnowledgeGraph:
         m = self.vocab.n_relations
         return 2 * m if self.augmented else m
 
-    def _build_adjacency(self):
-        n = self.vocab.n_entities
-        if len(self.triplets) == 0:
-            return [np.zeros((0, 2), dtype=np.int64) for _ in range(n)]
-        order = np.lexsort((self.triplets[:, 2], self.triplets[:, 1], self.triplets[:, 0]))
-        srt = self.triplets[order]
-        adjacency = []
-        bounds = np.searchsorted(srt[:, 0], np.arange(n + 1))
-        for e in range(n):
-            adjacency.append(srt[bounds[e]:bounds[e + 1], 1:].copy())
-        return adjacency
-
     def neighborhood(self, e):
-        """Outgoing (relation, entity) pairs of entity ``e``, deterministic order."""
+        """Outgoing (relation, entity) pairs of entity ``e`` as a read-only view."""
         if not (0 <= e < self.vocab.n_entities):
             raise GraphError(f"entity id out of range: {e}")
-        return self._adjacency[e]
+        return self.pairs[self.offsets[e]:self.offsets[e + 1]]
 
     def isolated_entities(self):
         """Ids of entities with an empty neighborhood (possible pre-augmentation)."""
-        return [e for e in range(self.vocab.n_entities) if len(self._adjacency[e]) == 0]
+        return np.flatnonzero(np.diff(self.offsets) == 0).tolist()
 
     def inverse(self, r):
         """Map a relation id to its inverse id (and back)."""
@@ -257,7 +256,7 @@ def sample_neighbors(entries, budget, rng):
     ``entries`` is a ``(k, 2)`` (relation, entity) array as returned by
     :meth:`KnowledgeGraph.neighborhood`.  When the neighborhood fits the
     budget it is taken whole (no randomness); otherwise a uniform sample
-    without replacement is drawn and kept in adjacency order.
+    without replacement is drawn and kept in neighborhood order.
     """
     if budget < 1:
         raise ValueError(f"neighbor budget must be >= 1, got {budget}")

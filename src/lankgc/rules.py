@@ -58,20 +58,13 @@ def mine_confidence(kg):
     """Mine the implication table from an inverse-augmented graph.
 
     Every entity of the graph contributes its distinct neighbor-relation
-    set; pair counts come from one sparse product of the incidence
-    matrix with itself.
+    set, read off the distinct ``s*R + r`` keys of its facts; pair counts
+    come from one sparse product of the incidence matrix with itself.
     """
     if not kg.augmented:
         raise GraphError("confidence mining expects an inverse-augmented graph")
     n, nr = kg.n_entities, kg.n_relations
-    ent_ids = []
-    rel_ids = []
-    for e in range(n):
-        rels = np.unique(kg.neighborhood(e)[:, 0])
-        ent_ids.append(np.full(rels.shape[0], e, dtype=np.int64))
-        rel_ids.append(rels)
-    ent_ids = np.concatenate(ent_ids) if ent_ids else np.zeros(0, dtype=np.int64)
-    rel_ids = np.concatenate(rel_ids) if rel_ids else np.zeros(0, dtype=np.int64)
+    ent_ids, rel_ids = np.divmod(np.unique(kg.triplets[:, 0] * nr + kg.triplets[:, 1]), nr)
     incidence = sp.csr_matrix(
         (np.ones(ent_ids.shape[0], dtype=np.int64), (ent_ids, rel_ids)), shape=(n, nr)
     )

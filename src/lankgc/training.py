@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .context import BundleContext
 from .decoder import check_scorer, score_batch
-from .encoder import AggregatorConfig, encode_batch, stack_samples
-from .evaluation import link_prediction
+from .encoder import AggregatorConfig
+from .evaluation import KnownTriplets, link_prediction, output_scores
 from .params import collect_gradients, init_params, save_checkpoint, vocab_checksums
 from .rules import mine_confidence
 from .util import ARTIFACT_VERSION
@@ -124,15 +124,15 @@ def make_optimizer(name, store):
     return Adam(store) if name == "adam" else Sgd(store)
 
 
-def corrupt(triplet, triplet_set, n_entities, rng):
-    """Corrupt one endpoint uniformly; retry (up to 100x) known facts."""
+def corrupt(triplet, known, n_entities, rng):
+    """Corrupt one endpoint uniformly; retry (up to 100x) facts in the ``known`` index."""
     s, q, o = (int(x) for x in triplet)
     corrupt_subject = rng.random() < 0.5
     cand = (s, q, o)
     for _ in range(100):
         e = int(rng.integers(n_entities))
         cand = (e, q, o) if corrupt_subject else (s, q, e)
-        if cand not in triplet_set:
+        if cand not in known:
             return cand
     return cand
 
@@ -144,20 +144,6 @@ def hinge(tape, margin, phi_pos, phi_neg):
     return ad.relu(tape, ad.add(tape, ad.sub(tape, margin_vec, phi_pos), phi_neg))
 
 
-def output_scores(tape, leaves, triplets, neighborhood_fn, dense, acfg, scorer, rng, budget):
-    """phi over output embeddings: both endpoints neighborhood-encoded."""
-    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    b = triplets.shape[0]
-    ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
-    queries = np.tile(triplets[:, 1], 2)
-    rels, ents, mask = stack_samples(neighborhood_fn, ent_ids, budget, rng)
-    enc = encode_batch(tape, leaves, rels, ents, mask, queries, acfg, dense_table=dense, rng=rng)
-    subj = ad.take_rows(tape, enc, np.arange(b))
-    obj = ad.take_rows(tape, enc, np.arange(b) + b)
-    q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
-    return score_batch(tape, subj, q_emb, obj, scorer)
-
-
 def input_scores(tape, leaves, triplets, scorer):
     """phi over raw input embeddings (the subtask), same relation rows."""
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
@@ -167,20 +153,21 @@ def input_scores(tape, leaves, triplets, scorer):
     return score_batch(tape, subj, q_emb, obj, scorer)
 
 
-def batch_objective(tape, leaves, positives, negatives, neighborhood_fn, dense, tcfg, acfg, scorer, rng):
+def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, rng):
     """Mean pair loss over a batch, plus the attention L2 penalty.
 
     Encodes the four endpoint groups (positive/negative x subject/object)
-    in a single pass.  The main part is the mean hinge over output
-    embeddings; the subtask part, when enabled, is the same hinge over
-    raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
-    holds the main and subtask components as plain floats.
+    in a single pass, sampling neighborhoods from ``graph``.  The main
+    part is the mean hinge over output embeddings; the subtask part,
+    when enabled, is the same hinge over raw input embeddings.  Returns
+    ``(loss, parts)`` where ``parts`` holds the main and subtask
+    components as plain floats.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     b = positives.shape[0]
     both = np.concatenate([positives, negatives], axis=0)
-    phi = output_scores(tape, leaves, both, neighborhood_fn, dense, acfg, scorer, rng, tcfg.neighbor_budget)
+    phi = output_scores(tape, leaves, both, graph, dense, acfg, scorer, rng, tcfg.neighbor_budget)
     loss = ad.mean_all(tape, hinge(tape, tcfg.margin, ad.narrow(tape, phi, 0, b), ad.narrow(tape, phi, b, 2 * b)))
     parts = {"main": float(loss.data), "subtask": 0.0}
     if tcfg.subtask_enabled:
@@ -228,6 +215,7 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
 
     store = init_params(ctx.vocab.n_entities, graph.n_relations, tcfg.dim, tcfg.seed, with_lstm=acfg.uses_lstm)
     positives = graph.triplets
+    known = KnownTriplets(positives, ctx.vocab.n_entities, graph.n_relations)
     rng = np.random.default_rng(tcfg.seed)
     opt = make_optimizer(tcfg.optimizer, store)
     report = TrainReport()
@@ -250,11 +238,13 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
             if tcfg.negatives_per_positive > 1:
                 pos = np.repeat(pos, tcfg.negatives_per_positive, axis=0)
             neg = np.array(
-                [corrupt(t, graph.triplet_set, ctx.vocab.n_entities, rng) for t in pos], dtype=np.int64
+                [corrupt(t, known, ctx.vocab.n_entities, rng) for t in pos], dtype=np.int64
             )
             tape = ad.Tape()
             leaves = store.leaves(tape)
-            loss, parts = batch_objective(tape, leaves, pos, neg, ctx.neighborhood, dense, tcfg, acfg, scorer, rng)
+            loss, parts = batch_objective(
+                tape, leaves, pos, neg, ctx.neighbor_graph, dense, tcfg, acfg, scorer, rng
+            )
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainError(

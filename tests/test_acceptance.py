@@ -69,7 +69,7 @@ def _loss_fn(kg, dense, pos, neg, tcfg, acfg, scorer):
         leaves = {k: tape.leaf(v, requires_grad=True) for k, v in arrays.items()}
         rng = np.random.default_rng(0)
         loss, _ = batch_objective(
-            tape, leaves, pos, neg, kg.neighborhood, dense, tcfg, acfg, scorer, rng
+            tape, leaves, pos, neg, kg, dense, tcfg, acfg, scorer, rng
         )
         tape.backward(loss)
         grads = {
@@ -94,7 +94,7 @@ def _kink_distance(arrays, kg, dense, pos, neg, tcfg, acfg, scorer):
     both = np.concatenate([np.asarray(pos), np.asarray(neg)], axis=0)
     b = len(pos)
     phi = output_scores(
-        tape, leaves, both, kg.neighborhood, dense, acfg, scorer, rng, tcfg.neighbor_budget
+        tape, leaves, both, kg, dense, acfg, scorer, rng, tcfg.neighbor_budget
     ).data
     psi = input_scores(tape, leaves, both, scorer).data
     args = np.concatenate([

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from lankgc.encoder import (
     stack_samples,
     transform_batch,
 )
-from lankgc.kg import NeighborSample, sample_neighbors
+from lankgc.kg import GraphError, NeighborSample, sample_neighbors
 from lankgc.params import init_params
 from lankgc.rules import ConfidenceTable, logic_attention_batch, mine_confidence
 
@@ -349,7 +351,7 @@ def test_encode_batch_matches_single(world, kind):
     dense = table.dense()
     ents = np.arange(kg.n_entities)
     queries = np.arange(kg.n_entities) % kg.n_relations
-    rels, nbs, mask = stack_samples(kg.neighborhood, ents, 64, np.random.default_rng(0))
+    rels, nbs, mask = stack_samples(kg, ents, 64, np.random.default_rng(0))
     tape = ad.Tape()
     leaves = {n: tape.constant(store[n]) for n in store.names()}
     batch = encode_batch(tape, leaves, rels, nbs, mask, queries, cfg,
@@ -367,7 +369,7 @@ def test_encode_batch_matches_single_lstm(world):
     for e in range(4):
         sample = grab_sample(kg, e)
         single = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(5))
-        rels, nbs, mask = stack_samples(kg.neighborhood, [e], 64, np.random.default_rng(0))
+        rels, nbs, mask = stack_samples(kg, [e], 64, np.random.default_rng(0))
         tape = ad.Tape()
         leaves = {n: tape.constant(store[n]) for n in store.names()}
         batch = encode_batch(tape, leaves, rels, nbs, mask, np.array([0]), cfg,
@@ -459,7 +461,7 @@ def test_stack_samples_trims_width(world):
     kg, table, store = world
     widest = max(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
     rels, nbs, mask = stack_samples(
-        kg.neighborhood, np.arange(kg.n_entities), 64, np.random.default_rng(0)
+        kg, np.arange(kg.n_entities), 64, np.random.default_rng(0)
     )
     assert rels.shape[1] == widest
     assert mask.sum() == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
@@ -471,15 +473,26 @@ def test_stack_samples_matches_per_entity_sampling():
     hoods = [np.stack([rng.integers(0, 5, size=k), rng.integers(0, 30, size=k)], axis=1)
              for k in rng.integers(0, 10, size=60)]
     hoods[5] = np.zeros((0, 2), dtype=np.int64)
+    graph = SimpleNamespace(
+        offsets=np.concatenate([[0], np.cumsum([h.shape[0] for h in hoods])]),
+        pairs=np.concatenate(hoods).astype(np.int64),
+    )
     ents = np.concatenate([np.arange(60), [5, 7, 7]])
     for budget in (1, 4, 9, 64):
         ref_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
         samples = [sample_neighbors(hoods[e], budget, ref_rng) for e in ents]
         width = max(1, max(s.n_valid for s in samples))
-        rels, nbs, mask = stack_samples(lambda e: hoods[e], ents, budget, got_rng)
+        rels, nbs, mask = stack_samples(graph, ents, budget, got_rng)
         np.testing.assert_array_equal(rels, np.stack([s.relations[:width] for s in samples]))
         np.testing.assert_array_equal(nbs, np.stack([s.entities[:width] for s in samples]))
         np.testing.assert_array_equal(mask, np.stack([s.mask[:width] for s in samples]))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     with pytest.raises(ValueError, match="budget"):
-        stack_samples(lambda e: hoods[e], ents, 0, got_rng)
+        stack_samples(graph, ents, 0, got_rng)
+
+
+def test_stack_samples_rejects_out_of_range_entities(world):
+    kg, table, store = world
+    for bad in (-1, kg.n_entities):
+        with pytest.raises(GraphError, match="out of range"):
+            stack_samples(kg, [0, bad], 64, np.random.default_rng(0))

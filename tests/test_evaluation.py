@@ -214,7 +214,7 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind):
     q = 1
     got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
     rng = np.random.default_rng([2, q])
-    rels, ents, mask = stack_samples(ctx.neighborhood, ctx.seen_ids, budget, rng)
+    rels, ents, mask = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
     assert mask.shape[1] == budget and len(set(mask.sum(axis=1))) > 2
     tape = ad.Tape()
     want = encode_batch(tape, constant_leaves(tape, store), rels, ents, mask,

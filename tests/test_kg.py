@@ -89,12 +89,17 @@ def test_vocabulary_unknown_names_rejected():
     assert vocab.has_entity("a") and not vocab.has_entity("b")
 
 
+def facts(g):
+    """The graph's facts as a set of (s, r, o) int tuples."""
+    return {tuple(t) for t in g.triplets.tolist()}
+
+
 def test_same_triples_same_ids_regardless_of_order():
     triples = [("a", "r1", "b"), ("c", "r2", "a"), ("b", "r1", "c")]
     g1 = graph_from_names(triples)
     g2 = graph_from_names(list(reversed(triples)))
     assert g1.vocab.entities == g2.vocab.entities
-    assert set(g1.triplet_set) == set(g2.triplet_set)
+    assert set(facts(g1)) == set(facts(g2))
 
 
 def test_augmentation_adds_inverse_facts():
@@ -104,7 +109,7 @@ def test_augmentation_adds_inverse_facts():
     assert aug.n_relations == 2 * m
     assert aug.triplets.shape[0] == 2 * g.triplets.shape[0]
     for s, r, o in g.triplets:
-        assert (int(o), int(r) + m, int(s)) in aug.triplet_set
+        assert (int(o), int(r) + m, int(s)) in facts(aug)
     with pytest.raises(GraphError, match="already"):
         augment_inverses(aug)
 
@@ -113,8 +118,8 @@ def test_augmentation_self_loop():
     g = graph_from_names([("a", "r", "a"), ("a", "r", "b")])
     aug = augment_inverses(g)
     a = g.vocab.entity_id("a")
-    assert (a, 0, a) in aug.triplet_set
-    assert (a, 1, a) in aug.triplet_set
+    assert (a, 0, a) in facts(aug)
+    assert (a, 1, a) in facts(aug)
 
 
 def test_neighborhood_frozen_example():
@@ -134,6 +139,15 @@ def test_neighborhood_bounds_checked():
     g = graph_from_names([("a", "r", "b")])
     with pytest.raises(GraphError, match="out of range"):
         g.neighborhood(99)
+
+
+def test_neighborhood_views_are_read_only():
+    aug = augment_inverses(graph_from_names([("a", "r1", "b"), ("c", "r2", "a")]))
+    nb = aug.neighborhood(aug.vocab.entity_id("a"))
+    before = nb.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        nb[0, 1] = 99
+    np.testing.assert_array_equal(aug.neighborhood(aug.vocab.entity_id("a")), before)
 
 
 def test_inverse_id_mapping():

@@ -5,6 +5,7 @@ from helpers import make_graph, random_bundles, random_name_triples
 from lankgc import autodiff as ad
 from lankgc.context import BundleContext
 from lankgc.encoder import AggregatorConfig
+from lankgc.evaluation import KnownTriplets
 from lankgc.params import init_params, load_checkpoint
 from lankgc.splits import DatasetBundle, SplitSpec
 from lankgc.training import (
@@ -40,16 +41,21 @@ def quick_cfg(**kw):
 
 # --- negative sampling ---------------------------------------------------------
 
+def fact_index(facts, n_entities, n_relations=4):
+    """The :class:`KnownTriplets` index that ``corrupt`` tests candidates against."""
+    return KnownTriplets(np.array(facts, dtype=np.int64).reshape(-1, 3), n_entities, n_relations)
+
+
 def test_corrupt_side_ratio_is_balanced():
     rng = np.random.default_rng(0)
     flips = sum(
-        corrupt((3, 1, 7), set(), 100, rng)[0] != 3 for _ in range(10_000)
+        corrupt((3, 1, 7), fact_index([], 100), 100, rng)[0] != 3 for _ in range(10_000)
     )
     assert 0.47 <= flips / 10_000 <= 0.53
 
 
 def test_corrupt_avoids_known_facts():
-    known = {(0, 0, 1), (0, 0, 2), (2, 0, 1)}
+    known = fact_index([(0, 0, 1), (0, 0, 2), (2, 0, 1)], 4)
     rng = np.random.default_rng(1)
     for _ in range(500):
         cand = corrupt((0, 0, 1), known, 4, rng)
@@ -59,14 +65,14 @@ def test_corrupt_avoids_known_facts():
 def test_corrupt_keeps_query_and_other_endpoint():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        s, q, o = corrupt((5, 3, 9), set(), 50, rng)
+        s, q, o = corrupt((5, 3, 9), fact_index([], 50), 50, rng)
         assert q == 3
         assert (s, o).count(5) + (s, o).count(9) >= 1
         assert s == 5 or o == 9
 
 
 def test_corrupt_two_entity_graph_forced_choice():
-    known = {(0, 0, 1)}
+    known = fact_index([(0, 0, 1)], 2)
     rng = np.random.default_rng(3)
     got = {corrupt((0, 0, 1), known, 2, rng) for _ in range(200)}
     assert got == {(1, 0, 1), (0, 0, 0)}
@@ -88,13 +94,14 @@ def objective_on(bundle, tcfg, acfg, scorer="transe"):
                         tcfg.dim, tcfg.seed, with_lstm=acfg.uses_lstm)
     rng = np.random.default_rng(0)
     pos = ctx.train_graph.triplets[:8]
+    known = fact_index(ctx.train_graph.triplets, ctx.vocab.n_entities, ctx.train_graph.n_relations)
     neg = np.array(
-        [corrupt(t, ctx.train_graph.triplet_set, ctx.vocab.n_entities, rng) for t in pos]
+        [corrupt(t, known, ctx.vocab.n_entities, rng) for t in pos]
     )
     tape = ad.Tape()
     leaves = store.leaves(tape)
     loss, parts = batch_objective(
-        tape, leaves, pos, neg, ctx.neighborhood, None, tcfg, acfg, scorer, rng
+        tape, leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, scorer, rng
     )
     return store, float(loss.data), parts
 
@@ -137,7 +144,7 @@ def test_batch_objective_matches_per_pair_losses():
     tape = ad.Tape()
     leaves = store.leaves(tape)
     loss, _ = batch_objective(
-        tape, leaves, pos, neg, ctx.neighborhood, None, tcfg, acfg, "transe",
+        tape, leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, "transe",
         np.random.default_rng(0),
     )
 
@@ -145,7 +152,7 @@ def test_batch_objective_matches_per_pair_losses():
     for p, n in zip(pos, neg):
         t2 = ad.Tape()
         l2 = store.leaves(t2)
-        pair, _ = batch_objective(t2, l2, [p], [n], ctx.neighborhood, None, tcfg, acfg,
+        pair, _ = batch_objective(t2, l2, [p], [n], ctx.neighbor_graph, None, tcfg, acfg,
                                   "transe", np.random.default_rng(0))
         single += pair.item()
     assert float(loss.data) == pytest.approx(single / 4, rel=1e-12)
