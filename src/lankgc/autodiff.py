@@ -9,14 +9,19 @@ support, every primitive checks its operand shapes explicitly.
 
 Gradients live next to the data on each :class:`Value`.  They are left
 unallocated (``None``) until a backward pass touches them, so pure
-forward evaluation never pays for gradient buffers.  A backward pass
-first clears all gradients on the tape, which makes repeated backward
-calls over the same tape bit-identical.
+forward evaluation never pays for gradient buffers.  The first touch
+takes a private copy of the incoming delta, and later touches add into
+that copy in place.  The copy matters: an op may hand one upstream
+buffer to several parents (``add`` gives the same ``g`` to both), so a
+gradient must never alias it.  A backward pass first clears all
+gradients on the tape, which makes repeated backward calls over the
+same tape bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Tape",
@@ -36,6 +41,7 @@ __all__ = [
     "reshape",
     "take_rows",
     "repeat_rows",
+    "masked_scatter",
     "tanh",
     "sigmoid",
     "relu",
@@ -74,10 +80,11 @@ class Value:
         return float(self.data)
 
     def accumulate(self, delta):
-        """Add ``delta`` into this node's gradient, allocating on first touch."""
+        """Add ``delta`` into this node's gradient; the first touch stores a copy of it."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += delta
+            self.grad = np.array(delta, dtype=np.float64)
+        else:
+            self.grad += delta
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -125,7 +132,7 @@ class Tape:
 
 
 def _make(tape, data, parents, backward):
-    needs = any(p.requires_grad for p in parents)
+    needs = any([p.requires_grad for p in parents])
     out = Value(data, requires_grad=needs, parents=parents, backward=backward if needs else None)
     return tape._register(out)
 
@@ -253,7 +260,7 @@ def transpose(tape, a):
         if a.requires_grad:
             a.accumulate(g.T)
 
-    return _make(tape, a.data.T.copy(), (a,), backward)
+    return _make(tape, a.data.T, (a,), backward)
 
 
 def concat(tape, a, b):
@@ -327,20 +334,33 @@ def reshape(tape, a, shape):
 
 
 def take_rows(tape, m, idx):
-    """Gather rows ``m[idx]``; the backward pass scatter-adds into ``m``."""
+    """Gather rows ``m[idx]``; the backward pass scatter-adds into ``m``.
+
+    The scatter is one sparse product: a selection matrix with a single
+    1 in column ``j`` at row ``idx[j]`` times the upstream gradient, so
+    repeated indices sum.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if m.data.ndim != 2 or idx.ndim != 1:
         raise ValueError(f"take_rows: need matrix and index vector, got {m.data.shape}, {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
+    if idx.size and idx.view(np.uint64).max() >= m.data.shape[0]:  # a negative id reads as huge
         raise ValueError("take_rows: index out of range")
 
     def backward(g):
         if m.requires_grad:
+            n = m.data.shape[0]
+            # int32 indices, as scipy stores them anyway; int64 costs a checked downcast per call
+            itype = np.int32 if max(n, idx.size) < 2**31 else np.int64
+            select = sp.csc_matrix(
+                (np.ones(idx.size), idx.astype(itype), np.arange(idx.size + 1, dtype=itype)), shape=(n, idx.size)
+            )
+            summed = np.asarray(select @ g)
             if m.grad is None:
-                m.grad = np.zeros_like(m.data)
-            np.add.at(m.grad, idx, g)
+                m.grad = summed  # a fresh array, so this node owns it
+            else:
+                m.grad += summed
 
-    return _make(tape, m.data[idx].copy(), (m,), backward)
+    return _make(tape, m.data[idx], (m,), backward)  # fancy indexing already copies
 
 
 def repeat_rows(tape, a, k):
@@ -354,6 +374,26 @@ def repeat_rows(tape, a, k):
             a.accumulate(g.reshape(n, k, d).sum(axis=1))
 
     return _make(tape, np.repeat(a.data, k, axis=0), (a,), backward)
+
+
+def masked_scatter(tape, values, mask):
+    """Lay a vector out on a grid: ``values`` fill the True slots of ``mask``, row-major.
+
+    ``mask`` is a plain boolean matrix with exactly ``len(values)``
+    True slots; every other slot of the ``mask``-shaped result is 0.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    slots = np.count_nonzero(mask)
+    if values.data.ndim != 1 or mask.ndim != 2 or values.data.shape[0] != slots:
+        raise ValueError(f"masked_scatter: {values.data.shape} values for a mask with {slots} slots")
+    data = np.zeros(mask.shape)
+    data[mask] = values.data
+
+    def backward(g):
+        if values.requires_grad:
+            values.accumulate(g[mask])
+
+    return _make(tape, data, (values,), backward)
 
 
 def tanh(tape, a):
@@ -418,27 +458,47 @@ def softmax_masked(tape, scores, mask):
     return _make(tape, data, (scores,), backward)
 
 
-def weighted_block_sum(tape, entries, weights):
-    """Per-block weighted sum: ``(B*K, d)`` rows with ``(B, K)`` weights -> ``(B, d)``.
+def weighted_block_sum(tape, entries, weights, mask=None):
+    """Per-block weighted sum of entry rows with ``(B, K)`` weights -> ``(B, d)``.
 
-    Row ``b`` of the output is ``sum_j weights[b, j] * entries[b*K + j]``.
+    ``entries`` holds one row per True slot of ``mask``, in row-major
+    slot order, so row ``b`` of the output is the weighted sum of the
+    entries of the real slots of block ``b``.  Weights at the other
+    slots are ignored and get no gradient, and a block without a real
+    slot sums to zero.  Without ``mask`` every slot is real and
+    ``entries`` is ``(B*K, d)``.
+
+    The forward pass is one einsum over the ``(B, K, d)`` grid, which is
+    a view of ``entries`` when every slot is real and a zero-filled copy
+    otherwise; its cost has no per-call set-up, so B=1 calls stay cheap.
+    The backward pass touches the real slots only.
     """
     if entries.data.ndim != 2 or weights.data.ndim != 2:
-        raise ValueError("weighted_block_sum: need (B*K, d) entries and (B, K) weights")
+        raise ValueError("weighted_block_sum: need (S, d) entries and (B, K) weights")
     bb, kk = weights.data.shape
-    if entries.data.shape[0] != bb * kk:
-        raise ValueError(
-            f"weighted_block_sum: {entries.data.shape[0]} rows != {bb}x{kk} weights"
-        )
+    mask = np.ones((bb, kk), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != (bb, kk):
+        raise ValueError(f"weighted_block_sum: mask shape {mask.shape} != weights {(bb, kk)}")
+    rows = np.nonzero(mask)[0]  # the block of each real slot, in row-major slot order
+    if entries.data.shape[0] != rows.size:
+        raise ValueError(f"weighted_block_sum: {entries.data.shape[0]} rows for {rows.size} real slots")
     d = entries.data.shape[1]
-    e3 = entries.data.reshape(bb, kk, d)
-    data = np.einsum("bkd,bk->bd", e3, weights.data)
+    w = weights.data[mask]
+    if rows.size == bb * kk:
+        grid = entries.data.reshape(bb, kk, d)
+    else:
+        grid = np.zeros((bb, kk, d))
+        grid[mask] = entries.data
+    data = np.einsum("bkd,bk->bd", grid, np.where(mask, weights.data, 0.0))
 
     def backward(g):
+        g_slots = g[rows]
         if entries.requires_grad:
-            entries.accumulate((np.repeat(g, kk, axis=0) * weights.data.reshape(-1, 1)))
+            entries.accumulate(g_slots * w[:, None])
         if weights.requires_grad:
-            weights.accumulate(np.einsum("bkd,bd->bk", e3, g))
+            dw = np.zeros((bb, kk))
+            dw[mask] = np.sum(entries.data * g_slots, axis=1)
+            weights.accumulate(dw)
 
     return _make(tape, data, (entries, weights), backward)
 

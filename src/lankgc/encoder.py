@@ -26,6 +26,17 @@ summed, not renormalized.
 candidate encoding and scoring alike; :func:`encode_from_sample` is its
 B=1 form, which also reports the per-slot attention.  The numpy oracles
 in the test suite pin it to the formulas above.
+
+A batch arrives as (B, K) slot grids padded to its widest row, but
+every d-wide step (the gathers, the transform, the attention projection
+and its tanh) runs on the S real slots only.  Only per-slot scalars
+live on the grid: the logic weights, the attention scores, the softmax
+and the weights of the final sum.  (That sum's forward einsum reads a
+zero-filled grid copy of the real rows when a batch has padding; see
+:func:`~lankgc.autodiff.weighted_block_sum`.)  ``attn_proj`` is applied in two
+halves taken apart by column: ``W_a [z_q ; t] = W_q z_q + W_e t``.  The
+query half is computed once per row and gathered to its slots, the
+neighbor half once per real slot; ``global-attn`` has no query half.
 """
 
 from __future__ import annotations
@@ -166,9 +177,10 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
     ``relations``/``entities``/``mask`` are (B, K) sampled neighborhoods
     with real entries first (as produced by :func:`stack_samples`), and
     ``queries`` is the (B,) query relation per row.  Rows without any
-    real neighbor come out as zero vectors.  With ``trace`` set the
-    result is ``(Value, alpha_logic, alpha_nn)``: the (B, K) logic and
-    neural attention weights, zero where the kind has no such part.
+    real neighbor come out as zero vectors.  Padding slots do no d-wide
+    work and get no gradient.  With ``trace`` set the result is
+    ``(Value, alpha_logic, alpha_nn)``: the (B, K) logic and neural
+    attention weights, zero where the kind has no such part.
     """
     relations = np.asarray(relations, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -177,14 +189,12 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
     bsz, k = relations.shape
     dim = leaves["entity_emb"].data.shape[1]
 
-    entries = ad.take_rows(tape, leaves["entity_emb"], entities.reshape(-1))
-    transforms = ad.take_rows(tape, leaves["transform_vec"], relations.reshape(-1))
-    transformed = transform_batch(tape, entries, transforms)
-
-    valid_row = mask.any(axis=1)
+    entries = ad.take_rows(tape, leaves["entity_emb"], entities[mask])
+    transforms = ad.take_rows(tape, leaves["transform_vec"], relations[mask])
+    transformed = transform_batch(tape, entries, transforms)  # (S, d), row-major slot order
 
     if cfg.kind == "lstm":
-        out = _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, k, dim)
+        out = _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim)
         return (out, np.zeros((bsz, k)), np.zeros((bsz, k))) if trace else out
 
     logic_w = alpha_nn = None
@@ -201,42 +211,38 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
     elif cfg.kind == "logic-only":
         weights = tape.constant(logic_w)
     else:
-        if cfg.kind == "global-attn":
-            q_rows = tape.constant(np.zeros((bsz, dim)))
-        else:
-            q_rows = ad.take_rows(tape, leaves["query_vec"], queries)
-        q_rep = ad.repeat_rows(tape, q_rows, k)
-        hidden = ad.tanh(
-            tape, ad.matmul(tape, ad.concat(tape, q_rep, transformed), ad.transpose(tape, leaves["attn_proj"]))
-        )
-        scores = ad.reshape(tape, ad.matvec(tape, hidden, leaves["attn_score_vec"]), (bsz, k))
+        proj = leaves["attn_proj"]
+        pre = ad.matmul(tape, transformed, ad.transpose(tape, ad.narrow(tape, proj, dim, 2 * dim)))
+        if cfg.kind != "global-attn":
+            w_q = ad.transpose(tape, ad.narrow(tape, proj, 0, dim))
+            q_part = ad.matmul(tape, ad.take_rows(tape, leaves["query_vec"], queries), w_q)  # (B, d)
+            pre = ad.add(tape, pre, ad.take_rows(tape, q_part, np.nonzero(mask)[0]))
+        scores = ad.matvec(tape, ad.tanh(tape, pre), leaves["attn_score_vec"])
         soft_mask = mask.copy()
-        soft_mask[~valid_row, 0] = True
-        alpha_nn = ad.softmax_masked(tape, scores, soft_mask)
-        if not valid_row.all():
-            alpha_nn = ad.mul(tape, alpha_nn, tape.constant(np.broadcast_to(valid_row[:, None], mask.shape).astype(np.float64).copy()))
-        if cfg.kind == "lan":
-            weights = ad.add(tape, alpha_nn, tape.constant(logic_w))
-        else:
-            weights = alpha_nn
-    out = ad.weighted_block_sum(tape, transformed, weights)
+        soft_mask[~mask.any(axis=1), 0] = True  # an empty row's weights are never read
+        alpha_nn = ad.softmax_masked(tape, ad.masked_scatter(tape, scores, mask), soft_mask)
+        weights = ad.add(tape, alpha_nn, tape.constant(logic_w)) if cfg.kind == "lan" else alpha_nn
+    out = ad.weighted_block_sum(tape, transformed, weights, mask)
     if not trace:
         return out
     zeros = np.zeros((bsz, k))
-    return out, (zeros if logic_w is None else logic_w), (zeros if alpha_nn is None else alpha_nn.data)
+    nn_w = zeros if alpha_nn is None else np.where(mask, alpha_nn.data, 0.0)
+    return out, (zeros if logic_w is None else logic_w), nn_w
 
 
-def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, k, dim):
+def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim):
     """Batched LSTM aggregation with per-row freezing after the last real slot.
 
-    Each row consumes its real slots in a freshly permuted order; rows
-    that have run out keep their hidden state unchanged, so the final
-    state equals the single-entity LSTM over the same sequence.
+    ``transformed`` holds the real slots only, row-major.  Each row
+    consumes its real slots in a freshly permuted order; rows that have
+    run out keep their hidden state unchanged, so the final state equals
+    the single-entity LSTM over the same sequence.
     """
     if rng is None:
         raise ValueError("lstm aggregation needs an rng for the neighbor permutation")
     counts = mask.sum(axis=1)
-    order = np.zeros((bsz, k), dtype=np.int64)
+    starts = np.cumsum(counts) - counts  # row b's real slots are transformed[starts[b]:][:counts[b]]
+    order = np.zeros((bsz, mask.shape[1]), dtype=np.int64)
     for b in range(bsz):
         v = int(counts[b])
         if v:
@@ -244,9 +250,10 @@ def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, k, dim):
     h = tape.constant(np.zeros((bsz, dim)))
     c = tape.constant(np.zeros((bsz, dim)))
     t_max = int(counts.max()) if bsz else 0
+    last = transformed.data.shape[0] - 1
     for t in range(t_max):
-        idx = np.arange(bsz) * k + order[:, t]
-        x = ad.take_rows(tape, transformed, idx)
+        # a row that has run out reads any real slot; its step is dropped below
+        x = ad.take_rows(tape, transformed, np.minimum(starts + order[:, t], last))
         hx = ad.concat(tape, h, x)
         gates = {}
         for g in ("f", "i", "c", "o"):

@@ -45,7 +45,8 @@ class KnownTriplets:
     answers "which objects does (s, q) have" and ``(o*R + q)*N + s``
     "which subjects does (q, o) have", each as one contiguous run found
     by :func:`numpy.searchsorted`.  ``N`` is the entity count and ``R``
-    the relation id space.  ``(s, q, o) in known`` tests membership.
+    the relation id space.  :meth:`contains` tests many rows at once,
+    and ``(s, q, o) in known`` is its one-row form.
     """
 
     def __init__(self, triplets, n_entities, n_relations):
@@ -64,14 +65,21 @@ class KnownTriplets:
     def _in_range(self, e, q):
         return 0 <= e < self.n_entities and 0 <= q < self.n_relations
 
-    def __contains__(self, triplet):
-        s, q, o = (int(x) for x in triplet)
-        if not (self._in_range(s, q) and 0 <= o < self.n_entities):
-            return False
+    def contains(self, rows):
+        """Boolean (n,) membership of (s, q, o) id rows; a row with an id outside the index is no fact."""
+        t = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        s, q, o = t[:, 0], t[:, 1], t[:, 2]
+        n, r = self.n_entities, self.n_relations
+        ok = (s >= 0) & (s < n) & (q >= 0) & (q < r) & (o >= 0) & (o < n)
         keys = self._keys["object"]
-        key = (s * self.n_relations + q) * self.n_entities + o
-        i = np.searchsorted(keys, key)
-        return bool(i < keys.size and keys[i] == key)
+        key = (s * r + q) * n + o
+        at = np.searchsorted(keys, key)
+        hit = ok & (at < keys.size)
+        hit[hit] = keys[at[hit]] == key[hit]
+        return hit
+
+    def __contains__(self, triplet):
+        return bool(self.contains([triplet])[0])
 
     def answers(self, fixed, q, rank_side):
         """Sorted ids of the known entities in the ``rank_side`` slot of (fixed, q)."""

@@ -3,7 +3,12 @@
 Every positive triplet is paired with negatives obtained by corrupting
 one endpoint (subject or object, a fair coin per negative) with a
 uniformly random entity, resampled while the corrupted triplet is a
-known training fact.  The loss per pair is a hinge on the score gap,
+known training fact.  A batch is corrupted at once: one coin per row,
+then rounds of fresh draws for just the rows that are still known
+facts, each round one vectorized index lookup.  Rows still known after
+100 rounds are kept and counted (``TrainReport.neg_fallbacks``), and
+``train`` warns for every epoch that had any.  The loss per pair is a
+hinge on the score gap,
 
     [margin - phi(positive) + phi(negative)]_+
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +94,7 @@ class TrainReport:
     best_mrr: float = 0.0
     stopped_early: bool = False
     seconds: float = 0.0
+    neg_fallbacks: int = 0
 
 
 class Sgd:
@@ -124,17 +131,23 @@ def make_optimizer(name, store):
     return Adam(store) if name == "adam" else Sgd(store)
 
 
-def corrupt(triplet, known, n_entities, rng):
-    """Corrupt one endpoint uniformly; retry (up to 100x) facts in the ``known`` index."""
-    s, q, o = (int(x) for x in triplet)
-    corrupt_subject = rng.random() < 0.5
-    cand = (s, q, o)
+def corrupt(positives, known, n_entities, rng):
+    """Corrupt one endpoint of each (B, 3) positive row uniformly at random.
+
+    One coin per row picks the side.  Rows whose candidate is a fact in
+    the ``known`` index are redrawn, up to 100 times.  Returns
+    ``(negatives, fallbacks)``: the (B, 3) candidates and the number of
+    rows still known facts after the last round.
+    """
+    cand = np.array(positives, dtype=np.int64).reshape(-1, 3)
+    side = np.where(rng.random(cand.shape[0]) < 0.5, 0, 2)
+    todo = np.arange(cand.shape[0])
     for _ in range(100):
-        e = int(rng.integers(n_entities))
-        cand = (e, q, o) if corrupt_subject else (s, q, e)
-        if cand not in known:
-            return cand
-    return cand
+        if not todo.size:
+            break
+        cand[todo, side[todo]] = rng.integers(n_entities, size=todo.size)
+        todo = todo[known.contains(cand[todo])]
+    return cand, int(todo.size)
 
 
 def hinge(tape, margin, phi_pos, phi_neg):
@@ -232,14 +245,13 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
     for epoch in range(1, tcfg.epochs + 1):
         order = rng.permutation(positives.shape[0])
         total = np.zeros(3)
-        norm_sum, count, batches = 0.0, 0, 0
+        norm_sum, count, batches, epoch_fallbacks = 0.0, 0, 0, 0
         for lo in range(0, order.size, tcfg.batch_size):
             pos = positives[order[lo:lo + tcfg.batch_size]]
             if tcfg.negatives_per_positive > 1:
                 pos = np.repeat(pos, tcfg.negatives_per_positive, axis=0)
-            neg = np.array(
-                [corrupt(t, known, ctx.vocab.n_entities, rng) for t in pos], dtype=np.int64
-            )
+            neg, fallbacks = corrupt(pos, known, ctx.vocab.n_entities, rng)
+            epoch_fallbacks += fallbacks
             tape = ad.Tape()
             leaves = store.leaves(tape)
             loss, parts = batch_objective(
@@ -269,6 +281,12 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
         report.epoch_main_losses.append(mean[1])
         report.epoch_subtask_losses.append(mean[2])
         report.grad_norms.append(norm_sum / max(batches, 1))
+        report.neg_fallbacks += epoch_fallbacks
+        if epoch_fallbacks:
+            warnings.warn(
+                f"epoch {epoch}: {epoch_fallbacks} negatives are known facts after 100 redraws",
+                RuntimeWarning, stacklevel=2,
+            )
         if log:
             log(f"epoch {epoch}: loss {report.epoch_losses[-1]:.6f}")
 

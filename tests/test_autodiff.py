@@ -93,6 +93,15 @@ FD_CASES = {
     "weighted_block_sum": ({"e": r(62, 6, 3), "w": r(63, 2, 3)},
                            lambda t, l: weighted(
                                t, ad.weighted_block_sum(t, l["e"], l["w"]), 64)),
+    "weighted_block_sum_masked": ({"e": r(60, 4, 3), "w": r(61, 3, 3)},
+                                  lambda t, l: weighted(
+                                      t, ad.weighted_block_sum(
+                                          t, l["e"], l["w"],
+                                          np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0]], bool)), 46)),
+    "masked_scatter": ({"a": r(47, 4)},
+                       lambda t, l: weighted(
+                           t, ad.masked_scatter(
+                               t, l["a"], np.array([[1, 0, 1], [0, 0, 0], [1, 1, 0]], bool)), 19)),
     "l1_norm_vec": ({"a": r(65, 6) + np.sign(r(65, 6)) * 0.1},
                     lambda t, l: ad.l1_norm(t, l["a"])),
     "l1_norm_rows": ({"a": r(66, 3, 4) + np.sign(r(66, 3, 4)) * 0.1},
@@ -178,6 +187,89 @@ def test_take_rows_accumulates_duplicate_indices():
     expect = np.zeros((4, 2))
     expect[1] = 3.0
     np.testing.assert_array_equal(m.grad, expect)
+
+
+def _scatter_oracle(idx, g, shape, earlier=None):
+    """``np.add.at`` into a zero (or ``earlier``) gradient: the reference scatter-add."""
+    out = np.zeros(shape) if earlier is None else earlier.copy()
+    np.add.at(out, idx, g)
+    return out
+
+
+@pytest.mark.parametrize("idx", [[2, 0, 2, 2, 4, 0], [3], [], [1, 1, 1, 1]])
+def test_take_rows_backward_matches_add_at(idx):
+    idx = np.array(idx, dtype=np.int64)
+    m0 = r(13, 5, 3)
+    g = r(14, idx.size, 3)
+    tape = ad.Tape()
+    m = tape.leaf(m0, requires_grad=True)
+    loss = ad.sum_all(tape, ad.mul(tape, ad.take_rows(tape, m, idx), tape.constant(g)))
+    tape.backward(loss)
+    np.testing.assert_allclose(m.grad, _scatter_oracle(idx, g, m0.shape), rtol=1e-15, atol=0)
+
+
+def test_take_rows_backward_adds_to_a_gradient_already_touched():
+    idx = np.array([0, 4, 4, 1, 0], dtype=np.int64)
+    m0 = r(15, 5, 3)
+    g = r(16, idx.size, 3)
+    w = r(17, 5, 3)
+    tape = ad.Tape()
+    m = tape.leaf(m0, requires_grad=True)
+    gathered = ad.sum_all(tape, ad.mul(tape, ad.take_rows(tape, m, idx), tape.constant(g)))
+    # the mul below sits later on the tape, so its backward touches m first
+    loss = ad.add(tape, gathered, ad.sum_all(tape, ad.mul(tape, m, tape.constant(w))))
+    tape.backward(loss)
+    np.testing.assert_allclose(m.grad, _scatter_oracle(idx, g, m0.shape, earlier=w), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("idx", [[0, -1], [5], [2, 7, 1]])
+def test_take_rows_rejects_out_of_range_indices(idx):
+    tape = ad.Tape()
+    with pytest.raises(ValueError, match="out of range"):
+        ad.take_rows(tape, tape.constant(r(22, 5, 3)), np.array(idx))
+
+
+def test_first_touch_copies_a_shared_upstream_gradient():
+    g = r(18, 4)
+    tape = ad.Tape()
+    x = tape.leaf(r(19, 4), requires_grad=True)
+    doubled = ad.add(tape, x, x)
+    loss = ad.sum_all(tape, ad.mul(tape, doubled, tape.constant(g)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * g)
+    np.testing.assert_array_equal(doubled.grad, g)  # x's gradient never aliased its upstream buffer
+
+    tape = ad.Tape()
+    a = tape.leaf(r(20, 4), requires_grad=True)
+    b = tape.leaf(r(21, 4), requires_grad=True)
+    loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, a, b), tape.constant(g)))
+    tape.backward(loss)
+    a.accumulate(np.ones(4))
+    np.testing.assert_array_equal(a.grad, g + 1.0)
+    np.testing.assert_array_equal(b.grad, g)
+
+
+def test_weighted_block_sum_with_mask_matches_the_padded_grid():
+    rng = np.random.default_rng(12)
+    mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], bool)
+    grid = rng.normal(size=(12, 3))
+    w = rng.normal(size=(3, 4))
+    tape = ad.Tape()
+    real = ad.weighted_block_sum(tape, tape.constant(grid[mask.reshape(-1)]), tape.constant(w), mask)
+    padded = ad.weighted_block_sum(tape, tape.constant(grid), tape.constant(np.where(mask, w, 0.0)))
+    np.testing.assert_allclose(real.data, padded.data, rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(real.data[1], np.zeros(3))
+    with pytest.raises(ValueError, match="real slots"):
+        ad.weighted_block_sum(tape, tape.constant(grid), tape.constant(w), mask)
+
+
+def test_masked_scatter_places_values_row_major():
+    tape = ad.Tape()
+    mask = np.array([[0, 1, 1], [1, 0, 0]], bool)
+    out = ad.masked_scatter(tape, tape.constant(np.array([1.0, 2.0, 3.0])), mask)
+    np.testing.assert_array_equal(out.data, [[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="slots"):
+        ad.masked_scatter(tape, tape.constant(np.ones(2)), mask)
 
 
 def test_softmax_masked_rows_sum_to_one():

@@ -377,6 +377,53 @@ def test_encode_batch_matches_single_lstm(world):
         np.testing.assert_allclose(batch.data[0], single.embedding, rtol=1e-9, atol=1e-12)
 
 
+def _row_objective(kind, store, table, rels, nbs, mask, queries, weights, rng):
+    """Encode a batch, dot each row with ``weights``; returns (outputs, leaf gradients)."""
+    tape = ad.Tape()
+    leaves = store.leaves(tape)
+    out = encode_batch(tape, leaves, rels, nbs, mask, queries, AggregatorConfig(kind=kind),
+                       dense_table=table.dense(), rng=rng)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, out, tape.constant(weights))))
+    grads = {n: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
+             for n, leaf in leaves.items()}
+    return out.data, grads
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_padding_never_leaks_into_outputs_or_gradients(world, kind):
+    kg, table, store = world
+    wide = int(np.argmax(np.diff(kg.offsets)))
+    # narrow rows: the first one, two and three neighbors of other entities
+    rows = [kg.neighborhood((wide + 1) % kg.n_entities)[:1], kg.neighborhood(wide),
+            kg.neighborhood((wide + 2) % kg.n_entities)[:3], np.zeros((0, 2), np.int64),
+            kg.neighborhood((wide + 3) % kg.n_entities)[:2]]
+    width = max(len(nb) for nb in rows)
+    assert width > 3 and sorted(len(nb) for nb in rows)[:4] == [0, 1, 2, 3]
+    rels = np.zeros((len(rows), width), np.int64)
+    nbs = np.zeros((len(rows), width), np.int64)
+    mask = np.zeros((len(rows), width), bool)
+    for b, nb in enumerate(rows):
+        rels[b, :len(nb)], nbs[b, :len(nb)], mask[b, :len(nb)] = nb[:, 0], nb[:, 1], True
+    rels[~mask], nbs[~mask] = 2, 5  # padding ids that would show if they were read
+    queries = np.arange(len(rows)) % kg.n_relations
+    weights = np.random.default_rng(3).normal(size=(len(rows), store["entity_emb"].shape[1]))
+
+    out, grads = _row_objective(kind, store, table, rels, nbs, mask, queries, weights,
+                                np.random.default_rng(7))
+    summed = {n: np.zeros_like(g) for n, g in grads.items()}
+    single_rng = np.random.default_rng(7)  # the batch draws its lstm orders row by row
+    for b, nb in enumerate(rows):
+        k = max(len(nb), 1)
+        one, g1 = _row_objective(kind, store, table, rels[b:b + 1, :k], nbs[b:b + 1, :k], mask[b:b + 1, :k],
+                                 queries[b:b + 1], weights[b:b + 1], single_rng)
+        np.testing.assert_allclose(out[b], one[0], rtol=1e-12, atol=1e-12)
+        for n in summed:
+            summed[n] += g1[n]
+    np.testing.assert_array_equal(out[3], 0.0)
+    for n, g in grads.items():
+        np.testing.assert_allclose(g, summed[n], rtol=1e-12, atol=1e-12, err_msg=n)
+
+
 def test_encode_batch_zero_neighbor_rows(world):
     kg, table, store = world
     for kind in AGGREGATOR_KINDS:

@@ -191,6 +191,31 @@ def test_known_triplets_match_brute_force_on_random_bundles():
             assert (t in known) == (t in facts)
 
 
+def test_known_triplets_contains_matches_brute_force_on_random_bundles():
+    bundles = random_bundles(3, start_seed=120, strategy="subject")
+    bundles += random_bundles(2, start_seed=160, strategy="object")
+    for i, bundle in enumerate(bundles):
+        ctx = BundleContext(bundle)
+        known = ctx.known_triplets()
+        facts = {tuple(int(x) for x in row)
+                 for part in (bundle.train, bundle.aux, bundle.valid, bundle.test)
+                 for row in ctx.to_ids(part)}
+        n, r = ctx.vocab.n_entities, ctx.train_graph.n_relations
+        rng = np.random.default_rng(i)
+        known_rows = np.array(sorted(facts), dtype=np.int64)
+        unknown = rng.integers(0, [n, r, n], size=(300, 3))
+        out_of_range = rng.integers(-3, [n + 3, r + 3, n + 3], size=(300, 3))
+        out_of_range = out_of_range[((out_of_range < 0) | (out_of_range >= [n, r, n])).any(axis=1)]
+        assert out_of_range.shape[0] > 0
+        rows = np.concatenate([known_rows, unknown, out_of_range])
+        rows = rows[rng.permutation(rows.shape[0])]
+        want = [tuple(t) in facts for t in rows.tolist()]
+        assert known.contains(rows).tolist() == want
+        assert [tuple(t) in known for t in rows.tolist()] == want
+    assert KnownTriplets(np.zeros((0, 3), dtype=np.int64), 4, 2).contains([[0, 0, 1]]).tolist() == [False]
+    assert known.contains(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
 def test_known_triplets_refuse_overflowing_keys_and_bad_queries():
     with pytest.raises(EvalError, match="overflow"):
         KnownTriplets(np.zeros((1, 3), dtype=np.int64), 3_100_000_000, 1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,24 +50,23 @@ def fact_index(facts, n_entities, n_relations=4):
 
 def test_corrupt_side_ratio_is_balanced():
     rng = np.random.default_rng(0)
-    flips = sum(
-        corrupt((3, 1, 7), fact_index([], 100), 100, rng)[0] != 3 for _ in range(10_000)
-    )
+    neg, _ = corrupt(np.tile([3, 1, 7], (10_000, 1)), fact_index([], 100), 100, rng)
+    flips = int((neg[:, 0] != 3).sum())
     assert 0.47 <= flips / 10_000 <= 0.53
 
 
 def test_corrupt_avoids_known_facts():
     known = fact_index([(0, 0, 1), (0, 0, 2), (2, 0, 1)], 4)
     rng = np.random.default_rng(1)
-    for _ in range(500):
-        cand = corrupt((0, 0, 1), known, 4, rng)
+    neg, _ = corrupt(np.tile([0, 0, 1], (500, 1)), known, 4, rng)
+    for cand in map(tuple, neg.tolist()):
         assert cand not in known
 
 
 def test_corrupt_keeps_query_and_other_endpoint():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        s, q, o = corrupt((5, 3, 9), fact_index([], 50), 50, rng)
+    neg, _ = corrupt(np.tile([5, 3, 9], (200, 1)), fact_index([], 50), 50, rng)
+    for s, q, o in neg.tolist():
         assert q == 3
         assert (s, o).count(5) + (s, o).count(9) >= 1
         assert s == 5 or o == 9
@@ -74,8 +75,36 @@ def test_corrupt_keeps_query_and_other_endpoint():
 def test_corrupt_two_entity_graph_forced_choice():
     known = fact_index([(0, 0, 1)], 2)
     rng = np.random.default_rng(3)
-    got = {corrupt((0, 0, 1), known, 2, rng) for _ in range(200)}
+    neg, _ = corrupt(np.tile([0, 0, 1], (200, 1)), known, 2, rng)
+    got = set(map(tuple, neg.tolist()))
     assert got == {(1, 0, 1), (0, 0, 0)}
+
+
+def test_corrupt_counts_rows_left_known_after_every_redraw():
+    known = fact_index([(s, 0, o) for s in range(2) for o in range(2)], 2)
+    pos = np.tile([0, 0, 1], (7, 1))
+    neg, fallbacks = corrupt(pos, known, 2, np.random.default_rng(4))
+    assert fallbacks == 7
+    assert known.contains(neg).all() and (neg[:, 1] == 0).all()
+
+
+def test_train_counts_and_warns_on_negative_fallbacks():
+    # every (s, r, o) over two entities is a fact, so no corruption can escape
+    triples = [(f"e{s}", "r", f"e{o}") for s in range(2) for o in range(2)]
+    bundle = DatasetBundle(train=triples, aux=[], valid=[], test=[], unseen=[],
+                           spec=SplitSpec("subject", 1.0, 0))
+    with pytest.warns(RuntimeWarning, match="known facts after 100 redraws") as caught:
+        _, report = train(bundle, quick_cfg(epochs=2, dim=4), AggregatorConfig(kind="mean"))
+    assert [str(w.message).split(":")[0] for w in caught] == ["epoch 1", "epoch 2"]
+    positives = BundleContext(bundle).train_graph.triplets.shape[0]
+    assert report.neg_fallbacks == 2 * positives
+
+
+def test_train_on_an_ordinary_bundle_has_no_fallbacks():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, report = train(tiny_bundle(), quick_cfg(), AggregatorConfig(kind="mean"))
+    assert report.neg_fallbacks == 0
 
 
 # --- loss pieces ----------------------------------------------------------------
@@ -95,9 +124,7 @@ def objective_on(bundle, tcfg, acfg, scorer="transe"):
     rng = np.random.default_rng(0)
     pos = ctx.train_graph.triplets[:8]
     known = fact_index(ctx.train_graph.triplets, ctx.vocab.n_entities, ctx.train_graph.n_relations)
-    neg = np.array(
-        [corrupt(t, known, ctx.vocab.n_entities, rng) for t in pos]
-    )
+    neg, _ = corrupt(pos, known, ctx.vocab.n_entities, rng)
     tape = ad.Tape()
     leaves = store.leaves(tape)
     loss, parts = batch_objective(
