@@ -172,6 +172,9 @@ def _cmd_eval_lp(args):
             f"{row['hits1']:.4f}", f"{row['hits3']:.4f}", f"{row['hits10']:.4f}",
         ])
     _write_meta(args.out, "eval-lp", {"seed": args.seed}, {"bundle": args.bundle, "ckpt": args.ckpt})
+    if result.empty_fixed:
+        print(f"warning: {result.empty_fixed} of {result.metrics.n_queries} queries have a fixed entity "
+              "with no neighbors and were scored from a zero vector", file=sys.stderr)
     print(f"{model} on {dataset}: MR {row['MR']:.1f} MRR {row['MRR']:.4f} "
           f"hits@1 {row['hits1']:.2f}% hits@3 {row['hits3']:.2f}% hits@10 {row['hits10']:.2f}%")
     return 0

@@ -21,14 +21,14 @@ class BundleContext:
     def __init__(self, bundle):
         self.bundle = bundle
         self.vocab = Vocabulary(bundle.all_entities(), bundle.all_relations())
-        self.train_graph = augment_inverses(
-            KnowledgeGraph(self.vocab, self.to_ids(bundle.train))
-        )
+        self._train_ids = self.to_ids(bundle.train)
+        self._aux_ids = self.to_ids(bundle.aux)
+        self.train_graph = augment_inverses(KnowledgeGraph(self.vocab, self._train_ids))
         self.unseen_ids = {self.vocab.entity_id(name) for name in bundle.unseen}
         unseen = np.zeros(self.vocab.n_entities, dtype=bool)
         unseen[list(self.unseen_ids)] = True
         train = self.train_graph.triplets
-        aux = augment_inverses(KnowledgeGraph(self.vocab, self.to_ids(bundle.aux))).triplets
+        aux = augment_inverses(KnowledgeGraph(self.vocab, self._aux_ids)).triplets
         rows = np.concatenate([train[~unseen[train[:, 0]]], aux[unseen[aux[:, 0]]]])
         self.neighbor_graph = KnowledgeGraph(self.vocab, rows, augmented=True)
         seen = bundle.seen_entities()
@@ -36,12 +36,8 @@ class BundleContext:
         self._known = None
 
     def to_ids(self, triples):
-        out = np.empty((len(triples), 3), dtype=np.int64)
-        for i, (s, r, o) in enumerate(triples):
-            out[i, 0] = self.vocab.entity_id(s)
-            out[i, 1] = self.vocab.relation_id(r)
-            out[i, 2] = self.vocab.entity_id(o)
-        return out
+        """(n, 3) id rows of (s, r, o) name triples; see :meth:`Vocabulary.triplet_ids`."""
+        return self.vocab.triplet_ids(triples)
 
     def neighborhood(self, e):
         """Adjacency rows for ``e``: auxiliary facts if unseen, else training facts."""
@@ -53,9 +49,10 @@ class BundleContext:
         Built on the first call and cached; the bundle does not change.
         """
         if self._known is None:
-            parts = (self.bundle.train, self.bundle.aux, self.bundle.valid, self.bundle.test)
+            parts = (self._train_ids, self._aux_ids,
+                     self.to_ids(self.bundle.valid), self.to_ids(self.bundle.test))
             self._known = KnownTriplets(
-                np.concatenate([self.to_ids(part) for part in parts]),
+                np.concatenate(parts),
                 self.vocab.n_entities, self.train_graph.n_relations,
             )
         return self._known

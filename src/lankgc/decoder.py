@@ -9,9 +9,11 @@ Relation embeddings are looked up per query; inverse relations have
 their own independent rows.
 
 :func:`score_batch` scores rows on an autodiff tape, for training and
-batched scoring.  :func:`score_candidates` scores many candidates against
-one fixed endpoint in plain numpy, for ranking; it performs the same
-element operations in the same order, so the two agree bit for bit.
+batched scoring.  :func:`score_candidate_block` scores many candidates
+against many fixed endpoints in plain numpy, for ranking, and
+:func:`score_candidates` is its one-endpoint form; they perform the same
+element operations in the same order as :func:`score_batch`, so all of
+them agree bit for bit.
 """
 
 from __future__ import annotations
@@ -51,34 +53,51 @@ def score_batch(tape, subjects, queries, objects, kind):
     return ad.add(tape, ad.sub(tape, t1, t2), ad.add(tape, t3, t4))
 
 
-_BLOCK_ROWS = 2048  # candidate rows per scoring pass: a (2048, d) buffer stays in cache
+_BLOCK_ROWS = 2048  # (query, candidate) rows per scoring pass: a (2048, d) buffer stays in cache
 
 
 def score_candidates(candidates, query, fixed, kind, rank_side):
     """Score (N, d) candidates in the ``rank_side`` slot against one fixed endpoint.
 
-    ``query`` and ``fixed`` are (d,) vectors, broadcast over the
-    candidate rows; ``rank_side`` is ``"subject"`` or ``"object"``.
-    Rows go through in blocks, each block's element operations in one
-    preallocated buffer small enough to stay in cache.  The result
-    equals :func:`score_batch` on the tiled rows bit for bit.
+    The one-query form of :func:`score_candidate_block`: ``query`` and
+    ``fixed`` are (d,) vectors, and the result is (N,).
+    """
+    return score_candidate_block(candidates, query, np.reshape(fixed, (1, -1)), kind, rank_side)[0]
+
+
+def score_candidate_block(candidates, query, fixed, kind, rank_side):
+    """Score (N, d) candidates against each of (Q, d) fixed endpoints -> (Q, N).
+
+    ``query`` is the (d,) relation vector shared by every row, and
+    ``rank_side`` (``"subject"`` or ``"object"``) names the slot the
+    candidates fill.  A pass covers at most ``_BLOCK_ROWS`` (query,
+    candidate) pairs: a few queries against every candidate when N is
+    small, one query against a slice of the candidates when it is large.
+    Its element operations run in one preallocated buffer small enough
+    to stay in cache.  Each row equals :func:`score_batch` on the tiled
+    rows bit for bit.
     """
     n, dim = candidates.shape
     check_scorer(kind, dim)
-    out = np.empty(n)
-    buf = np.empty((min(n, _BLOCK_ROWS), dim // 2 if kind == "complex" else dim))
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = candidates[lo:lo + _BLOCK_ROWS]
-        subj, obj = (block, fixed) if rank_side == "subject" else (fixed, block)
-        out[lo:lo + block.shape[0]] = _score_rows(subj, query, obj, kind, buf[:block.shape[0]])
+    fixed = np.asarray(fixed).reshape(-1, dim)
+    out = np.empty((fixed.shape[0], n))
+    cols = max(1, min(n, _BLOCK_ROWS))
+    rows = max(1, _BLOCK_ROWS // cols)
+    buf = np.empty((min(rows, fixed.shape[0]), cols, dim // 2 if kind == "complex" else dim))
+    for lo in range(0, n, cols):
+        block = candidates[lo:lo + cols]
+        for top in range(0, fixed.shape[0], rows):
+            ends = fixed[top:top + rows, None, :]
+            subj, obj = (block, ends) if rank_side == "subject" else (ends, block)
+            nq, nc = ends.shape[0], block.shape[0]
+            out[top:top + nq, lo:lo + nc] = _score_rows(subj, query, obj, kind, buf[:nq, :nc])
     return out
 
 
 def _score_rows(subj, query, obj, kind, buf):
-    """Scores of one block; either ``subj`` or ``obj`` is the (d,) fixed side."""
+    """Scores of one pass: ``subj`` and ``obj`` broadcast to the (q, n, d) ``buf``."""
     if kind == "transe":
-        head = np.add(subj, query, out=buf if subj.ndim == 2 else None)
-        return np.abs(np.subtract(head, obj, out=buf), out=buf).sum(axis=1) * -1.0
+        return np.abs(np.subtract(subj + query, obj, out=buf), out=buf).sum(axis=-1) * -1.0
     if kind == "distmult":
         return _product_sum(subj, query, obj, buf)
     half = subj.shape[-1] // 2
@@ -94,5 +113,4 @@ def _score_rows(subj, query, obj, kind, buf):
 
 def _product_sum(s, q, o, buf):
     """Row sums of ``(s * q) * o``, the element order of ``row_dot(mul(s, q), o)``."""
-    head = np.multiply(s, q, out=buf if s.ndim == 2 else None)
-    return np.multiply(head, o, out=buf).sum(axis=1)
+    return np.multiply(s * q, o, out=buf).sum(axis=-1)

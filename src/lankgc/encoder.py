@@ -23,9 +23,9 @@ table (see :mod:`lankgc.rules`).  For ``lan`` the two weight vectors are
 summed, not renormalized.
 
 :func:`encode_batch` is the one forward pass, used for training,
-candidate encoding and scoring alike; :func:`encode_from_sample` is its
-B=1 form, which also reports the per-slot attention.  The numpy oracles
-in the test suite pin it to the formulas above.
+ranking and scoring alike; :func:`encode_from_sample` is its B=1 form,
+which also reports the per-slot attention (for ``inspect-weights``).
+The numpy oracles in the test suite pin it to the formulas above.
 
 A batch arrives as (B, K) slot grids padded to its widest row, but
 every d-wide step (the gathers, the transform, the attention projection
@@ -141,8 +141,10 @@ def stack_samples(graph, ent_ids, budget, rng):
     its CSR ``offsets`` and ``pairs`` arrays; rows are gathered from
     them directly.  Only neighborhoods over the budget go through
     :func:`sample_neighbors`, in row order, so the rng draws are those
-    of sampling every row.  K is at most the budget but no larger than
-    the widest sampled neighborhood (and at least 1).  An entity id
+    of sampling every row.  ``rng`` is one Generator, or a sequence of
+    one per row, from which each truncated row draws (rows that fit the
+    budget never read theirs).  K is at most the budget but no larger
+    than the widest sampled neighborhood (and at least 1).  An entity id
     outside [0, N) raises :class:`~lankgc.kg.GraphError`.
     """
     if budget < 1:
@@ -163,8 +165,9 @@ def stack_samples(graph, ent_ids, budget, rng):
     entities = np.zeros(mask.shape, dtype=np.int64)
     relations[mask] = pairs[src, 0]
     entities[mask] = pairs[src, 1]
+    shared = isinstance(rng, np.random.Generator)
     for i in np.flatnonzero(sizes > budget):
-        sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, rng)
+        sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, rng if shared else rng[i])
         relations[i] = sample.relations
         entities[i] = sample.entities
     return relations, entities, mask
@@ -178,9 +181,11 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
     with real entries first (as produced by :func:`stack_samples`), and
     ``queries`` is the (B,) query relation per row.  Rows without any
     real neighbor come out as zero vectors.  Padding slots do no d-wide
-    work and get no gradient.  With ``trace`` set the result is
-    ``(Value, alpha_logic, alpha_nn)``: the (B, K) logic and neural
-    attention weights, zero where the kind has no such part.
+    work and get no gradient.  ``rng`` (lstm only) is one Generator or a
+    sequence of one per row, as for :func:`stack_samples`.  With
+    ``trace`` set the result is ``(Value, alpha_logic, alpha_nn)``: the
+    (B, K) logic and neural attention weights, zero where the kind has
+    no such part.
     """
     relations = np.asarray(relations, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -236,17 +241,19 @@ def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim):
     ``transformed`` holds the real slots only, row-major.  Each row
     consumes its real slots in a freshly permuted order; rows that have
     run out keep their hidden state unchanged, so the final state equals
-    the single-entity LSTM over the same sequence.
+    the single-entity LSTM over the same sequence.  With one Generator
+    per row, each row draws its permutation from its own.
     """
     if rng is None:
         raise ValueError("lstm aggregation needs an rng for the neighbor permutation")
+    shared = isinstance(rng, np.random.Generator)
     counts = mask.sum(axis=1)
     starts = np.cumsum(counts) - counts  # row b's real slots are transformed[starts[b]:][:counts[b]]
     order = np.zeros((bsz, mask.shape[1]), dtype=np.int64)
     for b in range(bsz):
         v = int(counts[b])
         if v:
-            order[b, :v] = rng.permutation(v)
+            order[b, :v] = (rng if shared else rng[b]).permutation(v)
     h = tape.constant(np.zeros((bsz, dim)))
     c = tape.constant(np.zeros((bsz, dim)))
     t_max = int(counts.max()) if bsz else 0

@@ -7,12 +7,17 @@ known true triplets (train, aux, valid, test) are removed from the
 candidate list, except the ground truth itself.  Tied scores resolve to
 the middle of the tie block, ``1 + #better + ceil(#ties / 2)``.
 
-Ranking is numpy throughout.  Candidates are encoded once per query
-relation, one :func:`~lankgc.encoder.encode_batch` per group of equal
-sampled degree, so no slot is padding.  Each query scores all
-candidates with :func:`~lankgc.decoder.score_candidates`, without a
-tape, and filters through :class:`KnownTriplets`, sorted int64 fact
-keys that yield a query's known answers by binary search.
+Ranking is numpy throughout and runs one query relation at a time.
+The candidates are encoded once per relation, and the fixed-side
+entities of all the relation's queries in one more pass; each pass is
+one :func:`~lankgc.encoder.encode_batch` per group of equal sampled
+degree, so no slot is padding.  Each query keeps its own rng, keyed on
+(seed, s, q, o), for a truncated neighborhood or an lstm permutation.
+Scores come in bounded (queries, candidates) blocks from
+:func:`~lankgc.decoder.score_candidate_block`, without a tape.  One
+binary search of :class:`KnownTriplets`, sorted int64 fact keys, finds
+every query's known answers, and masked row sums count the better
+scores and the ties.
 
 Triplet classification tunes one score threshold per relation on
 labeled validation triplets (midpoints between consecutive sorted
@@ -23,15 +28,14 @@ The tuner sorts once and counts labels cumulatively per relation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .decoder import check_scorer, score_batch, score_candidates
-from .encoder import constant_leaves, encode_batch, encode_from_sample, stack_samples
-from .kg import sample_neighbors
+from .decoder import check_scorer, score_batch, score_candidate_block
+from .encoder import constant_leaves, encode_batch, stack_samples
+from .kg import GraphError
 
 
 class EvalError(ValueError):
@@ -46,7 +50,9 @@ class KnownTriplets:
     "which subjects does (q, o) have", each as one contiguous run found
     by :func:`numpy.searchsorted`.  ``N`` is the entity count and ``R``
     the relation id space.  :meth:`contains` tests many rows at once,
-    and ``(s, q, o) in known`` is its one-row form.
+    and ``(s, q, o) in known`` is its one-row form; :meth:`answer_rows`
+    finds the answers of many queries at once, and :meth:`answers` is
+    its one-query form.
     """
 
     def __init__(self, triplets, n_entities, n_relations):
@@ -61,9 +67,6 @@ class KnownTriplets:
             "object": np.unique((s * r + q) * n + o),
             "subject": np.unique((o * r + q) * n + s),
         }
-
-    def _in_range(self, e, q):
-        return 0 <= e < self.n_entities and 0 <= q < self.n_relations
 
     def contains(self, rows):
         """Boolean (n,) membership of (s, q, o) id rows; a row with an id outside the index is no fact."""
@@ -81,15 +84,31 @@ class KnownTriplets:
     def __contains__(self, triplet):
         return bool(self.contains([triplet])[0])
 
+    def answer_rows(self, fixed, q, rank_side):
+        """Known answers of many (fixed, q) queries -> (query index, entity id) arrays.
+
+        The answers of query i are the entities at ``index == i``,
+        sorted; one :func:`numpy.searchsorted` finds every query's run.
+        ``q`` is one relation id or one per query.
+        """
+        fixed = np.asarray(fixed, dtype=np.int64).reshape(-1)
+        q = np.broadcast_to(np.asarray(q, dtype=np.int64), fixed.shape)
+        n, r = self.n_entities, self.n_relations
+        outside = (fixed < 0) | (fixed >= n) | (q < 0) | (q >= r)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise EvalError(f"entity {fixed[i]} or relation {q[i]} is outside the fact index")
+        keys = self._keys[rank_side]
+        lo = (fixed * r + q) * n
+        first, stop = np.searchsorted(keys, np.stack([lo, lo + n]))
+        counts = stop - first
+        index = np.repeat(np.arange(fixed.size), counts)
+        at = np.arange(index.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        return index, keys[at] - lo[index]
+
     def answers(self, fixed, q, rank_side):
         """Sorted ids of the known entities in the ``rank_side`` slot of (fixed, q)."""
-        fixed, q = int(fixed), int(q)
-        if not self._in_range(fixed, q):
-            raise EvalError(f"entity {fixed} or relation {q} is outside the fact index")
-        keys = self._keys[rank_side]
-        lo = (fixed * self.n_relations + q) * self.n_entities
-        a, b = np.searchsorted(keys, [lo, lo + self.n_entities])
-        return keys[a:b] - lo
+        return self.answer_rows([fixed], [q], rank_side)[1]
 
 
 @dataclass
@@ -129,25 +148,100 @@ def metrics_from_ranks(ranks):
 def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     """Forward-encode a batch of entities under one query relation -> (B, d).
 
-    Rows are grouped by sampled degree, and each group runs one
-    :func:`encode_batch` at exactly its width on its own tape, so no
-    slot is padding and the tape holds one group at a time.  Identical
-    neighborhoods share a degree, so they share a matmul and tie exactly.
+    Neighborhoods come from :func:`stack_samples`, and ``rng`` is one
+    Generator or one per entity, as there.  Rows are grouped by sampled
+    degree, and each group runs one :func:`encode_batch` at exactly its
+    width on its own tape, so no slot is padding and the tape holds one
+    group at a time.  Identical neighborhoods share a degree, so they
+    share a matmul and tie exactly.  Rows without neighbors are zero
+    vectors and take no pass.
     """
     rels, ents, mask = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
+    return _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng)
+
+
+def _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng):
+    """:func:`encode_entities` on neighborhoods already sampled into (B, K) grids."""
     degree = mask.sum(axis=1)
-    out = np.empty((degree.size, store["entity_emb"].shape[1]))
-    for k in np.unique(degree):
+    out = np.zeros((degree.size, store["entity_emb"].shape[1]))
+    shared = isinstance(rng, np.random.Generator)
+    for k in np.unique(degree[degree > 0]).tolist():
         rows = np.flatnonzero(degree == k)
-        width = max(int(k), 1)
         tape = ad.Tape()
         enc = encode_batch(
-            tape, constant_leaves(tape, store), rels[rows, :width], ents[rows, :width],
-            mask[rows, :width], np.full(rows.size, query_rel, dtype=np.int64), acfg,
-            dense_table=dense, rng=rng,
+            tape, constant_leaves(tape, store), rels[rows, :k], ents[rows, :k], mask[rows, :k],
+            np.full(rows.size, query_rel, dtype=np.int64), acfg, dense_table=dense,
+            rng=rng if shared else [rng[i] for i in rows],
         )
         out[rows] = enc.data
     return out
+
+
+_SCORE_CELLS = 1 << 18  # (query, candidate) scores held at once: 2 MB of float64
+
+
+def _rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_set, seed, cand_cache=None):
+    """Filtered ranks of (Q, 3) queries that share one relation, and the empty fixed sides.
+
+    Returns the (Q,) int64 ranks and the number of queries whose fixed
+    entity has no neighbors, so that it is scored from a zero vector.
+    ``cand_cache`` maps a relation to its candidate encodings; a miss
+    encodes them and, when a dict is given, stores them.
+    """
+    if rank_side not in ("subject", "object"):
+        raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
+    if filter_set and not isinstance(filter_set, KnownTriplets):
+        raise EvalError(
+            f"filter_set must be a KnownTriplets index, got {type(filter_set).__name__}"
+        )
+    q = int(triplets[0, 1])
+    s, o = triplets[:, 0], triplets[:, 2]
+    truth, fixed = (s, o) if rank_side == "subject" else (o, s)
+    candidates = ctx.seen_ids
+    truth_pos = np.searchsorted(candidates, truth)
+    found = truth_pos < candidates.size
+    found[found] = candidates[truth_pos[found]] == truth[found]
+    if not found.all():
+        raise EvalError(f"ground-truth entity {truth[np.argmin(found)]} is not in the candidate set")
+
+    if cand_cache is not None and q in cand_cache:
+        cand_embs = cand_cache[q]
+    else:
+        cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q]))
+        if cand_cache is not None:
+            cand_cache[q] = cand_embs
+
+    offsets = ctx.neighbor_graph.offsets
+    outside = (fixed < 0) | (fixed >= offsets.size - 1)
+    if outside.any():
+        raise GraphError(f"entity id out of range: {fixed[np.argmax(outside)]}")
+    # a query's generator is only read to sample a truncated neighborhood or permute an lstm's
+    draws = (offsets[fixed + 1] - offsets[fixed] > acfg.neighbor_budget) | acfg.uses_lstm
+    rngs = [np.random.default_rng([seed, *row]) if d else None for row, d in zip(triplets.tolist(), draws)]
+    rels, ents, mask = stack_samples(ctx.neighbor_graph, fixed, acfg.neighbor_budget, rngs)
+    fixed_embs = _encode_grouped(store, acfg, dense, rels, ents, mask, q, rngs)
+
+    drop_query = drop_cand = np.zeros(0, dtype=np.int64)
+    if filter_set:
+        drop_query, known = filter_set.answer_rows(fixed, q, rank_side)
+        drop_cand = np.minimum(np.searchsorted(candidates, known), candidates.size - 1)
+        hit = (candidates[drop_cand] == known) & (known != truth[drop_query])
+        drop_query, drop_cand = drop_query[hit], drop_cand[hit]
+
+    ranks = np.empty(triplets.shape[0], dtype=np.int64)
+    step = max(1, _SCORE_CELLS // max(candidates.size, 1))
+    q_vec = store["relation_emb"][q]
+    for top in range(0, ranks.size, step):
+        scores = score_candidate_block(cand_embs, q_vec, fixed_embs[top:top + step], scorer, rank_side)
+        nb = scores.shape[0]
+        truth_score = scores[np.arange(nb), truth_pos[top:top + nb], None]
+        keep = np.ones(scores.shape, dtype=bool)
+        a, b = np.searchsorted(drop_query, [top, top + nb])
+        keep[drop_query[a:b] - top, drop_cand[a:b]] = False
+        better = ((scores > truth_score) & keep).sum(axis=1)
+        ties = ((scores == truth_score) & keep).sum(axis=1) - 1  # the truth ties itself
+        ranks[top:top + nb] = 1 + better + (ties + 1) // 2  # (ties + 1) // 2 == ceil(ties / 2)
+    return ranks, int((~mask.any(axis=1)).sum())
 
 
 def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, seed, cand_cache=None):
@@ -157,54 +251,25 @@ def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, 
     to rank over the seen-entity candidates.  ``filter_set`` is the
     :class:`KnownTriplets` of the bundle; ``None`` or an empty set ranks
     raw.  The per-query neighbor sampling rng is keyed on (seed, s, q,
-    o), so results do not depend on query order.
+    o), so results do not depend on query order.  This is the one-query
+    form of the ranker :func:`link_prediction` runs per relation.
     """
-    s, q, o = (int(x) for x in triplet)
-    if rank_side not in ("subject", "object"):
-        raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
-    truth = s if rank_side == "subject" else o
-    fixed = o if rank_side == "subject" else s
-    candidates = ctx.seen_ids
-    truth_pos = np.searchsorted(candidates, truth)
-    if truth_pos >= candidates.size or candidates[truth_pos] != truth:
-        raise EvalError(f"ground-truth entity {truth} is not in the candidate set")
-
-    if cand_cache is not None and q in cand_cache:
-        cand_embs = cand_cache[q]
-    else:
-        cand_embs = encode_entities(
-            ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q])
-        )
-        if cand_cache is not None:
-            cand_cache[q] = cand_embs
-
-    rng = np.random.default_rng([seed, s, q, o])
-    sample = sample_neighbors(ctx.neighborhood(fixed), acfg.neighbor_budget, rng)
-    fixed_emb = encode_from_sample(store, dense, acfg, q, sample, rng).embedding
-
-    scores = score_candidates(cand_embs, store["relation_emb"][q], fixed_emb, scorer, rank_side)
-
-    keep = np.ones(candidates.size, dtype=bool)
-    if isinstance(filter_set, KnownTriplets):
-        answers = filter_set.answers(fixed, q, rank_side)
-        answers = answers[answers != truth]
-        pos = np.minimum(np.searchsorted(candidates, answers), candidates.size - 1)
-        keep[pos[candidates[pos] == answers]] = False
-    elif filter_set:
-        raise EvalError(
-            f"filter_set must be a KnownTriplets index, got {type(filter_set).__name__}"
-        )
-    truth_score = scores[truth_pos]
-    others = scores[keep]
-    better = int((others > truth_score).sum())
-    ties = int((others == truth_score).sum()) - 1  # the truth ties itself
-    return 1 + better + math.ceil(ties / 2)
+    row = np.array([[int(x) for x in triplet]], dtype=np.int64)
+    ranks, _ = _rank_relation(ctx, store, acfg, scorer, dense, row, rank_side, filter_set, seed, cand_cache)
+    return int(ranks[0])
 
 
 @dataclass
 class LinkPredictionResult:
+    """Ranks in query order and their summary.
+
+    ``empty_fixed`` counts the queries whose fixed-side entity had no
+    neighbors and was scored from a zero vector.
+    """
+
     metrics: MetricsSummary
     ranks: list = field(default_factory=list)
+    empty_fixed: int = 0
 
 
 def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank_side=None):
@@ -212,10 +277,11 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
 
     The ranked slot defaults to the seen side of the bundle strategy:
     subject-strategy bundles rank objects, object-strategy bundles rank
-    subjects.  Queries are ranked one relation at a time: the candidate
-    encodings of a relation are computed once and dropped before the
-    next, so at most one (N, d) block is held.  Each query has its own
-    keyed rng, so the ranks do not depend on query order.
+    subjects.  Queries are ranked one relation at a time, all of a
+    relation's queries together: the candidate encodings of a relation
+    are computed once and dropped before the next, so at most one
+    (N, d) block is held.  Each query has its own keyed rng, so the
+    ranks do not depend on query order.
     """
     check_scorer(scorer, store["entity_emb"].shape[1])
     if triplets is None:
@@ -227,16 +293,16 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
         rank_side = "object" if ctx.bundle.spec.strategy == "subject" else "subject"
     filter_set = ctx.known_triplets()
 
-    ranks = [0] * triplets.shape[0]
+    ranks = np.zeros(triplets.shape[0], dtype=np.int64)
+    empty_fixed = 0
     for q in np.unique(triplets[:, 1]).tolist():
-        cand_cache = {q: encode_entities(
-            ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q])
-        )}
-        for i in np.flatnonzero(triplets[:, 1] == q).tolist():
-            ranks[i] = rank_query(
-                ctx, store, acfg, scorer, dense, tuple(triplets[i]), rank_side, filter_set, seed, cand_cache
-            )
-    return LinkPredictionResult(metrics=metrics_from_ranks(ranks), ranks=ranks)
+        idx = np.flatnonzero(triplets[:, 1] == q)
+        ranks[idx], empty = _rank_relation(
+            ctx, store, acfg, scorer, dense, triplets[idx], rank_side, filter_set, seed
+        )
+        empty_fixed += empty
+    ranks = ranks.tolist()
+    return LinkPredictionResult(metrics=metrics_from_ranks(ranks), ranks=ranks, empty_fixed=empty_fixed)
 
 
 @dataclass

@@ -67,6 +67,29 @@ class Vocabulary:
         except KeyError:
             raise GraphError(f"unknown relation: {name!r}") from None
 
+    def triplet_ids(self, triples):
+        """(n, 3) int64 ids of (s, r, o) name triples; an unknown name raises :class:`GraphError`.
+
+        Each column goes through its name index in one ``map`` call, not a
+        Python loop per triple.  Relation names fall back to
+        :meth:`relation_id` only when one is not a base relation (an
+        inverse name, or an unknown one to report).
+        """
+        out = np.empty((len(triples), 3), dtype=np.int64)
+        if not triples:
+            return out
+        subjects, relations, objects = zip(*triples)
+        try:
+            out[:, 0] = np.fromiter(map(self._ent_index.__getitem__, subjects), np.int64, len(triples))
+            out[:, 2] = np.fromiter(map(self._ent_index.__getitem__, objects), np.int64, len(triples))
+        except KeyError as exc:
+            raise GraphError(f"unknown entity: {exc.args[0]!r}") from None
+        try:
+            out[:, 1] = np.fromiter(map(self._rel_index.__getitem__, relations), np.int64, len(triples))
+        except KeyError:
+            out[:, 1] = np.fromiter(map(self.relation_id, relations), np.int64, len(triples))
+        return out
+
     def entity_name(self, i):
         return self.entities[i]
 
@@ -94,22 +117,40 @@ class KnowledgeGraph:
     compressed sparse rows: ``pairs`` is the ``(E, 2)`` array of
     (relation, entity) rows of every fact, sorted by subject, relation,
     then entity, and the rows of entity ``e`` are
-    ``pairs[offsets[e]:offsets[e + 1]]``.  Both arrays are read-only.
-    On an augmented graph a neighborhood is the full neighborhood of the
-    paper's aggregators: every fact touching ``e``, with incoming facts
-    visible through inverse relations.
+    ``pairs[offsets[e]:offsets[e + 1]]``.  Both arrays are read-only and
+    built on first read, so a graph that only supplies triplets (to
+    :func:`augment_inverses`, say) never sorts them.  On an augmented
+    graph a neighborhood is the full neighborhood of the paper's
+    aggregators: every fact touching ``e``, with incoming facts visible
+    through inverse relations.
     """
 
     def __init__(self, vocab, triplets, augmented=False):
         self.vocab = vocab
         self.triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
         self.augmented = bool(augmented)
-        t = self.triplets
-        srt = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
-        self.offsets = np.searchsorted(srt[:, 0], np.arange(vocab.n_entities + 1))
-        self.pairs = np.ascontiguousarray(srt[:, 1:])
-        self.offsets.flags.writeable = False
-        self.pairs.flags.writeable = False
+        self._csr = None
+
+    def _index(self):
+        if self._csr is None:
+            t = self.triplets
+            srt = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
+            offsets = np.searchsorted(srt[:, 0], np.arange(self.vocab.n_entities + 1))
+            pairs = np.ascontiguousarray(srt[:, 1:])
+            offsets.flags.writeable = False
+            pairs.flags.writeable = False
+            self._csr = offsets, pairs
+        return self._csr
+
+    @property
+    def offsets(self):
+        """(N + 1,) start of each entity's rows in :attr:`pairs`."""
+        return self._index()[0]
+
+    @property
+    def pairs(self):
+        """(E, 2) (relation, entity) rows of every fact, sorted by subject."""
+        return self._index()[1]
 
     @property
     def n_entities(self):
@@ -125,7 +166,8 @@ class KnowledgeGraph:
         """Outgoing (relation, entity) pairs of entity ``e`` as a read-only view."""
         if not (0 <= e < self.vocab.n_entities):
             raise GraphError(f"entity id out of range: {e}")
-        return self.pairs[self.offsets[e]:self.offsets[e + 1]]
+        offsets, pairs = self._index()
+        return pairs[offsets[e]:offsets[e + 1]]
 
     def isolated_entities(self):
         """Ids of entities with an empty neighborhood (possible pre-augmentation)."""
@@ -178,12 +220,7 @@ def graph_from_names(name_triples, vocab=None):
             ents.add(o)
             rels.add(r)
         vocab = Vocabulary(ents, rels)
-    ids = np.empty((len(name_triples), 3), dtype=np.int64)
-    for i, (s, r, o) in enumerate(name_triples):
-        ids[i, 0] = vocab.entity_id(s)
-        ids[i, 1] = vocab.relation_id(r)
-        ids[i, 2] = vocab.entity_id(o)
-    return KnowledgeGraph(vocab, ids, augmented=False)
+    return KnowledgeGraph(vocab, vocab.triplet_ids(name_triples), augmented=False)
 
 
 def load_triplets(path):

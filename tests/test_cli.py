@@ -1,11 +1,12 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lankgc import cli
-from lankgc.splits import read_bundle
+from lankgc.splits import read_bundle, write_bundle
 from lankgc.util import read_kv, sha256_file
 
 
@@ -95,6 +96,25 @@ def test_eval_lp_writes_csv_and_is_idempotent(pipeline, capsys):
                      "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == first
     assert (root / "metrics.csv.run.meta").exists()
+
+
+def test_eval_lp_warns_about_neighborless_fixed_entities(pipeline, tmp_path, capsys):
+    root, _, bundle_dir, _, ckpt = pipeline
+    bundle = read_bundle(str(bundle_dir))
+    bare = bundle.test[0][0]  # subject strategy: the unseen subject is the fixed side
+    assert bare in bundle.unseen
+    stripped = replace(bundle, aux=[t for t in bundle.aux if bare not in (t[0], t[2])])
+    write_bundle(stripped, str(tmp_path / "bundle"))
+    out = tmp_path / "metrics.csv"
+    code, captured = run(["eval-lp", "--bundle", str(tmp_path / "bundle"), "--ckpt", str(ckpt),
+                          "--seed", "0", "--out", str(out)], capsys)
+    assert code == 0
+    n_bare = sum(1 for s, _, _ in bundle.test if s == bare)
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"warning: {n_bare} of {len(bundle.test)} queries")
+    code, captured = run(["eval-lp", "--bundle", str(bundle_dir), "--ckpt", str(ckpt),
+                          "--seed", "0", "--out", str(tmp_path / "full.csv")], capsys)
+    assert code == 0 and captured.err == ""
 
 
 def make_labeled(bundle_dir, path, rows):

@@ -43,3 +43,17 @@ def test_unseen_entities_without_auxiliary_facts_have_empty_neighborhoods():
             assert ctx.neighborhood(ctx.vocab.entity_id(name)).tolist() == [
                 list(row) for row in expected_rows(ctx, bare.train, name)
             ]
+
+
+def test_ids_match_per_name_lookups_and_only_the_neighbor_graph_is_indexed():
+    for bundle in random_bundles(3, start_seed=40):
+        ctx = BundleContext(bundle)
+        v = ctx.vocab
+        for part in (bundle.train, bundle.aux, bundle.valid, bundle.test):
+            want = [[v.entity_id(s), v.relation_id(r), v.entity_id(o)] for s, r, o in part]
+            assert ctx.to_ids(part).tolist() == want
+        assert ctx.train_graph._csr is None  # nothing reads the training graph's neighborhoods
+        known = ctx.known_triplets()
+        facts = [tuple(row) for part in (bundle.train, bundle.aux, bundle.valid, bundle.test)
+                 for row in ctx.to_ids(part).tolist()]
+        assert all(t in known for t in facts)

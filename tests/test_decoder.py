@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import oracle_score
 from lankgc import autodiff as ad
-from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch, score_candidates
+from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch, score_candidate_block, score_candidates
 
 
 def run(kind, s, q, o):
@@ -118,7 +118,9 @@ def test_transe_never_positive(rows):
 @pytest.mark.parametrize("rank_side", ["subject", "object"])
 def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
     rng = np.random.default_rng(21)
-    for n, dim in ((1, 2), (7, 6), (300, 32), (1000, 50)):
+    # 2500 candidates take a full and a ragged candidate pass; 7 queries over
+    # 1000 candidates take passes of 2, 2, 2 and a ragged 1 query
+    for n, dim in ((1, 2), (7, 6), (300, 32), (1000, 50), (2500, 8)):
         cands = rng.normal(size=(n, dim))
         q, fixed = rng.normal(size=dim), rng.normal(size=dim)
         tape = ad.Tape()
@@ -128,3 +130,13 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         got = score_candidates(cands, q, fixed, kind, rank_side)
         assert got.shape == (n,)
         assert got.tobytes() == want.tobytes()
+
+        ends = np.concatenate([fixed[None], rng.normal(size=(6, dim))])
+        block = score_candidate_block(cands, q, ends, kind, rank_side)
+        assert block.shape == (7, n)
+        assert block[0].tobytes() == want.tobytes()
+        for top, width in ((0, 7), (0, 3), (3, 3), (6, 3)):  # whole, then 3-query blocks, the last ragged
+            part = score_candidate_block(cands, q, ends[top:top + width], kind, rank_side)
+            for i, row in enumerate(part):
+                assert row.tobytes() == score_candidates(cands, q, ends[top + i], kind, rank_side).tobytes()
+                assert row.tobytes() == block[top + i].tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,15 @@ from helpers import (
 )
 from lankgc import autodiff as ad
 from lankgc.context import BundleContext
-from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, constant_leaves, encode_batch, stack_samples
+from lankgc.decoder import score_candidates
+from lankgc.encoder import (
+    AGGREGATOR_KINDS,
+    AggregatorConfig,
+    constant_leaves,
+    encode_batch,
+    encode_from_sample,
+    stack_samples,
+)
 from lankgc.evaluation import (
     EvalError,
     KnownTriplets,
@@ -27,6 +37,7 @@ from lankgc.evaluation import (
     score_labeled,
     tune_thresholds,
 )
+from lankgc.kg import sample_neighbors
 from lankgc.params import init_params
 from lankgc.rules import mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
@@ -135,6 +146,24 @@ def test_structurally_tied_candidates_split_the_rank():
     want = oracle_rank(ctx, store.arrays, None, "mean", "transe", trip,
                        "object", ctx.known_triplets())
     assert got == want
+
+
+@pytest.mark.parametrize("twins", [1, 2, 3])
+def test_batched_ranker_splits_ties_that_include_the_known_truth(twins):
+    # the truth is itself a known fact; it must stay in its own tie block,
+    # which an odd number of tied twins shows
+    tied = [f"e{i}" for i in range(2, 3 + twins)]
+    train = [("e1", "r", "h")] + [(name, "r", "h") for name in tied] + [("x", "r2", "e1")]
+    bundle = DatasetBundle(train=train, aux=[], valid=[], test=[("x", "r2", "e2")],
+                           unseen=[], spec=SplitSpec("subject", 1.0, 0))
+    ctx = BundleContext(bundle)
+    acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 3)
+    trip = tuple(int(x) for x in ctx.to_ids(bundle.test)[0])
+    want = oracle_rank(ctx, store.arrays, None, "mean", "transe", trip, "object", ctx.known_triplets())
+    assert link_prediction(ctx, store, acfg, "transe", None, seed=0).ranks == [want]
+    unfiltered_ties = oracle_rank(ctx, store.arrays, None, "mean", "transe", trip, "object", set())
+    assert want - unfiltered_ties in (0, -1)  # only e1 is filtered
 
 
 @pytest.mark.parametrize("kind,scorer", [
@@ -266,6 +295,90 @@ def test_link_prediction_matches_oracle_metrics():
     assert res.metrics.mr == om["mr"]
     assert res.metrics.mrr == om["mrr"]
     assert res.metrics.hits10 == om["hits10"]
+
+
+def per_query_rank(ctx, store, acfg, scorer, dense, triplet, rank_side, known, seed):
+    """One query ranked on its own: keyed sample, B=1 encode, one filter search."""
+    s, q, o = triplet
+    truth, fixed = (s, o) if rank_side == "subject" else (o, s)
+    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q]))
+    rng = np.random.default_rng([seed, s, q, o])
+    sample = sample_neighbors(ctx.neighborhood(fixed), acfg.neighbor_budget, rng)
+    emb = encode_from_sample(store, dense, acfg, q, sample, rng).embedding
+    scores = score_candidates(cands, store["relation_emb"][q], emb, scorer, rank_side)
+    answers = known.answers(fixed, q, rank_side)
+    keep = ~np.isin(ctx.seen_ids, answers[answers != truth])
+    truth_score = scores[np.searchsorted(ctx.seen_ids, truth)]
+    better = int((scores[keep] > truth_score).sum())
+    ties = int((scores[keep] == truth_score).sum()) - 1
+    return 1 + better + math.ceil(ties / 2)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+@pytest.mark.parametrize("strategy", ["subject", "object"])
+def test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, strategy):
+    [bundle] = random_bundles(1, start_seed=5, strategy=strategy)
+    ctx = BundleContext(bundle)
+    rank_side = "object" if strategy == "subject" else "subject"
+    test = ctx.to_ids(bundle.test)
+    fixed = test[:, 0] if rank_side == "object" else test[:, 2]
+    degrees = np.array([ctx.neighborhood(int(e)).shape[0] for e in fixed])
+    budget = int(np.median(degrees))  # truncates the larger half of the fixed sides
+    assert (degrees > budget).sum() >= 2 and len(set(degrees.tolist())) > 2
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=budget)
+    dense = mine_confidence(ctx.train_graph).dense()
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, seed=4,
+                        with_lstm=acfg.uses_lstm)
+    known = ctx.known_triplets()
+    for scorer in ("transe", "distmult", "complex"):
+        res = link_prediction(ctx, store, acfg, scorer, dense, seed=6, triplets=test, rank_side=rank_side)
+        want = [per_query_rank(ctx, store, acfg, scorer, dense, tuple(int(x) for x in row), rank_side, known, 6)
+                for row in test]
+        assert res.ranks == want
+        assert res.empty_fixed == int((degrees == 0).sum())
+
+
+def test_empty_fixed_side_is_counted_and_scored_from_zero():
+    train = [("a", "r", "b"), ("a", "r", "c"), ("b", "r", "d"), ("d", "r", "a")]
+    aux = [("v", "r", "a")]
+    test = [("u", "r", "b"), ("v", "r", "c")]  # u is unseen and has no auxiliary facts
+    bundle = DatasetBundle(train=train, aux=aux, valid=[], test=test,
+                           unseen=["u", "v"], spec=SplitSpec("subject", 1.0, 0))
+    ctx = BundleContext(bundle)
+    acfg = AggregatorConfig(kind="lan", neighbor_budget=8)
+    dense = mine_confidence(ctx.train_graph).dense()
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, seed=2)
+    res = link_prediction(ctx, store, acfg, "transe", dense, seed=0)
+    assert res.empty_fixed == 1
+    q = ctx.vocab.relation_id("r")
+    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([0, q]))
+    scores = score_candidates(cands, store["relation_emb"][q], np.zeros(6), "transe", "object")
+    truth = scores[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id("b"))]
+    known = ctx.known_triplets()
+    keep = ~np.isin(ctx.seen_ids, known.answers(ctx.vocab.entity_id("u"), q, "object"))
+    keep[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id("b"))] = True
+    ties = int((scores[keep] == truth).sum()) - 1
+    assert res.ranks[0] == 1 + int((scores[keep] > truth).sum()) + math.ceil(ties / 2)
+    full = link_prediction(ctx, store, acfg, "transe", dense, seed=0, triplets=ctx.to_ids(test[1:]))
+    assert full.empty_fixed == 0 and full.ranks == res.ranks[1:]
+
+
+def test_known_answer_rows_match_one_query_answers():
+    ctx, acfg, table, store = bundle_fixture(seed=5)
+    known = ctx.known_triplets()
+    rng = np.random.default_rng(1)
+    n, r = ctx.vocab.n_entities, ctx.train_graph.n_relations
+    fixed, q = rng.integers(0, n, size=60), rng.integers(0, r, size=60)
+    for side in ("object", "subject"):
+        index, ents = known.answer_rows(fixed, q, side)
+        assert np.all(np.diff(index) >= 0)
+        for i in range(fixed.size):
+            assert ents[index == i].tolist() == known.answers(fixed[i], q[i], side).tolist()
+        one_rel, _ = known.answer_rows(fixed, 1, side)
+        assert one_rel.size == sum(known.answers(e, 1, side).size for e in fixed)
+    assert [a.shape for a in known.answer_rows([], 0, "object")] == [(0,), (0,)]
+    with pytest.raises(EvalError, match="outside"):
+        known.answer_rows([0, n], 0, "object")
 
 
 def test_link_prediction_default_side_follows_strategy():

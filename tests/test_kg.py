@@ -150,6 +150,29 @@ def test_neighborhood_views_are_read_only():
     np.testing.assert_array_equal(aug.neighborhood(aug.vocab.entity_id("a")), before)
 
 
+def test_csr_arrays_are_built_on_first_read_and_stay_read_only():
+    raw = graph_from_names([("a", "r1", "b"), ("c", "r2", "a"), ("a", "r1", "c")])
+    aug = augment_inverses(raw)
+    assert raw._csr is None and aug._csr is None  # augmenting reads triplets only
+    offsets, pairs = aug.offsets, aug.pairs
+    assert aug.offsets is offsets and aug.pairs is pairs
+    assert not offsets.flags.writeable and not pairs.flags.writeable
+    assert offsets.tolist() == [0, 3, 4, 6]
+    assert pairs.tolist() == [[0, 1], [0, 2], [3, 2], [2, 0], [1, 0], [2, 0]]
+
+
+def test_triplet_ids_match_per_name_lookups():
+    vocab = Vocabulary(["a", "b", "c"], ["r1", "r2"])
+    triples = [("c", "r2", "a"), ("a", "r1" + INVERSE_SUFFIX, "b"), ("b", "r1", "b")]
+    want = [[vocab.entity_id(s), vocab.relation_id(r), vocab.entity_id(o)] for s, r, o in triples]
+    assert vocab.triplet_ids(triples).tolist() == want == [[2, 1, 0], [0, 2, 1], [1, 0, 1]]
+    assert vocab.triplet_ids([]).shape == (0, 3)
+    for bad, message in (("x", "r1", "a"), "unknown entity: 'x'"), (("a", "r1", "y"), "unknown entity: 'y'"), \
+            (("a", "r3", "b"), "unknown relation: 'r3'"), (("a", "r3" + INVERSE_SUFFIX, "b"), "unknown relation"):
+        with pytest.raises(GraphError, match=message):
+            vocab.triplet_ids(triples + [bad])
+
+
 def test_inverse_id_mapping():
     aug = augment_inverses(graph_from_names([("a", "r1", "b"), ("a", "r2", "b")]))
     assert aug.inverse(0) == 2
