@@ -73,9 +73,10 @@ def score_candidate_block(candidates, query, fixed, kind, rank_side):
     candidates fill.  A pass covers at most ``_BLOCK_ROWS`` (query,
     candidate) pairs: a few queries against every candidate when N is
     small, one query against a slice of the candidates when it is large.
-    Its element operations run in one preallocated buffer small enough
-    to stay in cache.  Each row equals :func:`score_batch` on the tiled
-    rows bit for bit.
+    The subject-times-relation half of each score is computed once per
+    subject row, before the passes, and each pass combines it with the
+    objects in one preallocated buffer small enough to stay in cache.
+    Each row equals :func:`score_batch` on the tiled rows bit for bit.
     """
     n, dim = candidates.shape
     check_scorer(kind, dim)
@@ -84,33 +85,45 @@ def score_candidate_block(candidates, query, fixed, kind, rank_side):
     cols = max(1, min(n, _BLOCK_ROWS))
     rows = max(1, _BLOCK_ROWS // cols)
     buf = np.empty((min(rows, fixed.shape[0]), cols, dim // 2 if kind == "complex" else dim))
+    if rank_side == "object":
+        fixed_heads = _heads(fixed, query, kind)
     for lo in range(0, n, cols):
         block = candidates[lo:lo + cols]
+        if rank_side == "subject":
+            heads = _heads(block, query, kind)
         for top in range(0, fixed.shape[0], rows):
             ends = fixed[top:top + rows, None, :]
-            subj, obj = (block, ends) if rank_side == "subject" else (ends, block)
             nq, nc = ends.shape[0], block.shape[0]
-            out[top:top + nq, lo:lo + nc] = _score_rows(subj, query, obj, kind, buf[:nq, :nc])
+            if rank_side == "subject":
+                scores = _combine(heads, ends, kind, buf[:nq, :nc])
+            else:
+                scores = _combine([h[top:top + rows, None, :] for h in fixed_heads], block, kind, buf[:nq, :nc])
+            out[top:top + nq, lo:lo + nc] = scores
     return out
 
 
-def _score_rows(subj, query, obj, kind, buf):
-    """Scores of one pass: ``subj`` and ``obj`` broadcast to the (q, n, d) ``buf``."""
+def _heads(subj, query, kind):
+    """The subject-and-relation factors of each score: ``s + q``, ``s * q``, or complex's four products."""
     if kind == "transe":
-        return np.abs(np.subtract(subj + query, obj, out=buf), out=buf).sum(axis=-1) * -1.0
+        return [subj + query]
     if kind == "distmult":
-        return _product_sum(subj, query, obj, buf)
+        return [subj * query]
     half = subj.shape[-1] // 2
-    re, im = slice(0, half), slice(half, None)
+    s_re, s_im, q_re, q_im = subj[:, :half], subj[:, half:], query[:half], query[half:]
+    return [s_re * q_re, s_im * q_im, s_re * q_im, s_im * q_re]
 
-    def term(s_part, q_part, o_part):
-        return _product_sum(subj[..., s_part], query[q_part], obj[..., o_part], buf)
 
-    t1, t2 = term(re, re, re), term(im, im, re)
-    t3, t4 = term(re, im, im), term(im, re, im)
+def _combine(heads, obj, kind, buf):
+    """Scores of one pass: :func:`_heads` and ``obj`` broadcast to the (q, n, d) ``buf``.
+
+    The element order is that of :func:`score_batch`: ``(s + q) - o``,
+    and ``(s * q) * o`` summed per row, one such sum per complex term.
+    """
+    if kind == "transe":
+        return np.abs(np.subtract(heads[0], obj, out=buf), out=buf).sum(axis=-1) * -1.0
+    if kind == "distmult":
+        return np.multiply(heads[0], obj, out=buf).sum(axis=-1)
+    half = obj.shape[-1] // 2
+    o_re, o_im = obj[..., :half], obj[..., half:]
+    t1, t2, t3, t4 = (np.multiply(h, o, out=buf).sum(axis=-1) for h, o in zip(heads, (o_re, o_re, o_im, o_im)))
     return (t1 - t2) + (t3 + t4)
-
-
-def _product_sum(s, q, o, buf):
-    """Row sums of ``(s * q) * o``, the element order of ``row_dot(mul(s, q), o)``."""
-    return np.multiply(s * q, o, out=buf).sum(axis=-1)

@@ -141,9 +141,10 @@ def stack_samples(graph, ent_ids, budget, rng):
     its CSR ``offsets`` and ``pairs`` arrays; rows are gathered from
     them directly.  Only neighborhoods over the budget go through
     :func:`sample_neighbors`, in row order, so the rng draws are those
-    of sampling every row.  ``rng`` is one Generator, or a sequence of
-    one per row, from which each truncated row draws (rows that fit the
-    budget never read theirs).  K is at most the budget but no larger
+    of sampling every row.  ``rng`` is one Generator, or a sequence with
+    one entry per row: a Generator, or a seed from which a truncated row
+    makes its own with :func:`numpy.random.default_rng` (rows that fit
+    the budget never read theirs).  K is at most the budget but no larger
     than the widest sampled neighborhood (and at least 1).  An entity id
     outside [0, N) raises :class:`~lankgc.kg.GraphError`.
     """
@@ -167,7 +168,8 @@ def stack_samples(graph, ent_ids, budget, rng):
     entities[mask] = pairs[src, 1]
     shared = isinstance(rng, np.random.Generator)
     for i in np.flatnonzero(sizes > budget):
-        sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, rng if shared else rng[i])
+        row_rng = rng if shared else np.random.default_rng(rng[i])
+        sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, row_rng)
         relations[i] = sample.relations
         entities[i] = sample.entities
     return relations, entities, mask
@@ -182,10 +184,10 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
     ``queries`` is the (B,) query relation per row.  Rows without any
     real neighbor come out as zero vectors.  Padding slots do no d-wide
     work and get no gradient.  ``rng`` (lstm only) is one Generator or a
-    sequence of one per row, as for :func:`stack_samples`.  With
-    ``trace`` set the result is ``(Value, alpha_logic, alpha_nn)``: the
-    (B, K) logic and neural attention weights, zero where the kind has
-    no such part.
+    sequence with one Generator or seed per row, as for
+    :func:`stack_samples`.  With ``trace`` set the result is ``(Value,
+    alpha_logic, alpha_nn)``: the (B, K) logic and neural attention
+    weights, zero where the kind has no such part.
     """
     relations = np.asarray(relations, dtype=np.int64)
     entities = np.asarray(entities, dtype=np.int64)
@@ -241,8 +243,9 @@ def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim):
     ``transformed`` holds the real slots only, row-major.  Each row
     consumes its real slots in a freshly permuted order; rows that have
     run out keep their hidden state unchanged, so the final state equals
-    the single-entity LSTM over the same sequence.  With one Generator
-    per row, each row draws its permutation from its own.
+    the single-entity LSTM over the same sequence.  With one entry per
+    row, each row draws its permutation from its own Generator, or from
+    one made from its seed.
     """
     if rng is None:
         raise ValueError("lstm aggregation needs an rng for the neighbor permutation")
@@ -253,7 +256,7 @@ def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim):
     for b in range(bsz):
         v = int(counts[b])
         if v:
-            order[b, :v] = (rng if shared else rng[b]).permutation(v)
+            order[b, :v] = (rng if shared else np.random.default_rng(rng[b])).permutation(v)
     h = tape.constant(np.zeros((bsz, dim)))
     c = tape.constant(np.zeros((bsz, dim)))
     t_max = int(counts.max()) if bsz else 0

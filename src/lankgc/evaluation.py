@@ -35,7 +35,6 @@ import numpy as np
 from . import autodiff as ad
 from .decoder import check_scorer, score_batch, score_candidate_block
 from .encoder import constant_leaves, encode_batch, stack_samples
-from .kg import GraphError
 
 
 class EvalError(ValueError):
@@ -180,13 +179,15 @@ def _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng):
 _SCORE_CELLS = 1 << 18  # (query, candidate) scores held at once: 2 MB of float64
 
 
-def _rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_set, seed, cand_cache=None):
-    """Filtered ranks of (Q, 3) queries that share one relation, and the empty fixed sides.
+def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_set, seed, cand_cache=None):
+    """Filtered ranks of (Q, 3) id queries that share one relation, and the empty fixed sides.
 
-    Returns the (Q,) int64 ranks and the number of queries whose fixed
-    entity has no neighbors, so that it is scored from a zero vector.
-    ``cand_cache`` maps a relation to its candidate encodings; a miss
-    encodes them and, when a dict is given, stores them.
+    The arguments are those of :func:`rank_query`, with ``triplets`` in
+    place of one triplet.  Returns the (Q,) int64 ranks and the number
+    of queries whose fixed entity has no neighbors, so that it is scored
+    from a zero vector.  ``cand_cache`` maps a relation to its candidate
+    encodings; a miss encodes them and, when a dict is given, stores
+    them.  :func:`link_prediction` calls this once per query relation.
     """
     if rank_side not in ("subject", "object"):
         raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
@@ -211,13 +212,10 @@ def _rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_
         if cand_cache is not None:
             cand_cache[q] = cand_embs
 
-    offsets = ctx.neighbor_graph.offsets
-    outside = (fixed < 0) | (fixed >= offsets.size - 1)
-    if outside.any():
-        raise GraphError(f"entity id out of range: {fixed[np.argmax(outside)]}")
-    # a query's generator is only read to sample a truncated neighborhood or permute an lstm's
-    draws = (offsets[fixed + 1] - offsets[fixed] > acfg.neighbor_budget) | acfg.uses_lstm
-    rngs = [np.random.default_rng([seed, *row]) if d else None for row, d in zip(triplets.tolist(), draws)]
+    keys = [[seed, *row] for row in triplets.tolist()]
+    # an lstm permutes every row after any sample, from that row's one generator; the other
+    # kinds read a generator only to sample a truncated neighborhood, and stack_samples makes those
+    rngs = [np.random.default_rng(key) for key in keys] if acfg.uses_lstm else keys
     rels, ents, mask = stack_samples(ctx.neighbor_graph, fixed, acfg.neighbor_budget, rngs)
     fixed_embs = _encode_grouped(store, acfg, dense, rels, ents, mask, q, rngs)
 
@@ -255,7 +253,7 @@ def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, 
     form of the ranker :func:`link_prediction` runs per relation.
     """
     row = np.array([[int(x) for x in triplet]], dtype=np.int64)
-    ranks, _ = _rank_relation(ctx, store, acfg, scorer, dense, row, rank_side, filter_set, seed, cand_cache)
+    ranks, _ = rank_relation(ctx, store, acfg, scorer, dense, row, rank_side, filter_set, seed, cand_cache)
     return int(ranks[0])
 
 
@@ -297,7 +295,7 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
     empty_fixed = 0
     for q in np.unique(triplets[:, 1]).tolist():
         idx = np.flatnonzero(triplets[:, 1] == q)
-        ranks[idx], empty = _rank_relation(
+        ranks[idx], empty = rank_relation(
             ctx, store, acfg, scorer, dense, triplets[idx], rank_side, filter_set, seed
         )
         empty_fixed += empty

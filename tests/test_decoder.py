@@ -135,6 +135,10 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         block = score_candidate_block(cands, q, ends, kind, rank_side)
         assert block.shape == (7, n)
         assert block[0].tobytes() == want.tobytes()
+        for end, row in zip(ends, block):
+            e = tape.constant(np.tile(end, (n, 1)))
+            s, o = (c, e) if rank_side == "subject" else (e, c)
+            assert row.tobytes() == score_batch(tape, s, qs, o, kind).data.tobytes()
         for top, width in ((0, 7), (0, 3), (3, 3), (6, 3)):  # whole, then 3-query blocks, the last ragged
             part = score_candidate_block(cands, q, ends[top:top + width], kind, rank_side)
             for i, row in enumerate(part):
