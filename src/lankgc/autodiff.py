@@ -28,7 +28,6 @@ __all__ = [
     "Value",
     "add",
     "sub",
-    "neg",
     "mul",
     "scale",
     "col_scale",
@@ -50,7 +49,6 @@ __all__ = [
     "l1_norm",
     "l2_norm_sq",
     "sum_all",
-    "row_sum",
     "mean_all",
     "finite_difference_check",
 ]
@@ -164,14 +162,6 @@ def sub(tape, a, b):
             b.accumulate(-g)
 
     return _make(tape, a.data - b.data, (a, b), backward)
-
-
-def neg(tape, a):
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(-g)
-
-    return _make(tape, -a.data, (a,), backward)
 
 
 def mul(tape, a, b):
@@ -543,17 +533,6 @@ def sum_all(tape, a):
             a.accumulate(np.full_like(a.data, float(g)))
 
     return _make(tape, np.asarray(np.sum(a.data)), (a,), backward)
-
-
-def row_sum(tape, a):
-    if a.data.ndim != 2:
-        raise ValueError(f"row_sum: matrix expected, got shape {a.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.repeat(g[:, None], a.data.shape[1], axis=1))
-
-    return _make(tape, np.sum(a.data, axis=1), (a,), backward)
 
 
 def mean_all(tape, a):

@@ -90,13 +90,8 @@ def _cmd_mine_rules(args):
     graph = augment_inverses(load_triplets(args.train))
     table = mine_confidence(graph)
     export_table(table, args.out)
-    _write_meta(
-        args.out,
-        "mine-rules",
-        {"epsilon": args.epsilon},
-        {"train": args.train},
-    )
-    print(f"mined {len(table)} relation pairs from {args.train} into {args.out}")
+    _write_meta(args.out, "mine-rules", {}, {"train": args.train})
+    print(f"mined {np.count_nonzero(table.dense())} relation pairs from {args.train} into {args.out}")
     return 0
 
 
@@ -255,7 +250,6 @@ def build_parser():
     p = sub.add_parser("mine-rules", help="mine relation implication confidences")
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-3)
     p.set_defaults(func=_cmd_mine_rules)
 
     p = sub.add_parser("train", help="train a model on a bundle")

@@ -179,15 +179,14 @@ def _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng):
 _SCORE_CELLS = 1 << 18  # (query, candidate) scores held at once: 2 MB of float64
 
 
-def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_set, seed, cand_cache=None):
+def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_set, seed):
     """Filtered ranks of (Q, 3) id queries that share one relation, and the empty fixed sides.
 
     The arguments are those of :func:`rank_query`, with ``triplets`` in
     place of one triplet.  Returns the (Q,) int64 ranks and the number
     of queries whose fixed entity has no neighbors, so that it is scored
-    from a zero vector.  ``cand_cache`` maps a relation to its candidate
-    encodings; a miss encodes them and, when a dict is given, stores
-    them.  :func:`link_prediction` calls this once per query relation.
+    from a zero vector.  The candidates are encoded once per call.
+    :func:`link_prediction` calls this once per query relation.
     """
     if rank_side not in ("subject", "object"):
         raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
@@ -205,12 +204,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     if not found.all():
         raise EvalError(f"ground-truth entity {truth[np.argmin(found)]} is not in the candidate set")
 
-    if cand_cache is not None and q in cand_cache:
-        cand_embs = cand_cache[q]
-    else:
-        cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q]))
-        if cand_cache is not None:
-            cand_cache[q] = cand_embs
+    cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q]))
 
     keys = [[seed, *row] for row in triplets.tolist()]
     # an lstm permutes every row after any sample, from that row's one generator; the other
@@ -242,7 +236,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     return ranks, int((~mask.any(axis=1)).sum())
 
 
-def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, seed, cand_cache=None):
+def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, seed):
     """Filtered rank of the true entity in one slot of ``triplet``.
 
     ``triplet`` is an (s, q, o) id tuple; ``rank_side`` names the slot
@@ -253,7 +247,7 @@ def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, 
     form of the ranker :func:`link_prediction` runs per relation.
     """
     row = np.array([[int(x) for x in triplet]], dtype=np.int64)
-    ranks, _ = rank_relation(ctx, store, acfg, scorer, dense, row, rank_side, filter_set, seed, cand_cache)
+    ranks, _ = rank_relation(ctx, store, acfg, scorer, dense, row, rank_side, filter_set, seed)
     return int(ranks[0])
 
 

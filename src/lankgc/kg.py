@@ -173,13 +173,6 @@ class KnowledgeGraph:
         """Ids of entities with an empty neighborhood (possible pre-augmentation)."""
         return np.flatnonzero(np.diff(self.offsets) == 0).tolist()
 
-    def inverse(self, r):
-        """Map a relation id to its inverse id (and back)."""
-        if not self.augmented:
-            raise GraphError("inverse ids only exist on an augmented graph")
-        m = self.vocab.n_relations
-        return r + m if r < m else r - m
-
 
 def parse_triplet_file(path):
     """Read a 3-column TSV of name triplets, deduplicated, order preserved.

@@ -8,9 +8,11 @@ graph:
                      / |{e : r1 in N_R(e)}|
 
 where N_R(e) is the set of relations appearing in e's neighborhood.
-Counting runs through a sparse entity x relation incidence matrix; the
-per-pair counts are exact integers, so the resulting ratios match a
-naive per-entity scan bit for bit.
+The table is one dense (R, R) matrix, since every consumer gathers from
+it.  Counting runs through a sparse entity x relation incidence matrix;
+the per-pair counts are exact integers and the division is one
+vectorized step, so the ratios match a naive per-entity scan bit for
+bit.
 
 The logic attention weight of a neighbor connected through relation r,
 under query relation q, is
@@ -31,50 +33,53 @@ from .kg import GraphError
 
 
 class ConfidenceTable:
-    """Sparse conf(r1 => r2) lookup over an augmented relation vocabulary."""
+    """conf(r1 => r2) over an augmented relation vocabulary, as an (R, R) matrix.
 
-    def __init__(self, n_relations, conf, support=None, relation_names=None):
-        self.n_relations = int(n_relations)
-        self.conf = conf
+    Row r1, column r2 holds conf(r1 => r2); unobserved pairs are 0.  The
+    matrix is float64 and read-only.  ``support`` is the (R,) int64 count
+    of entities carrying each relation, or ``None`` for an imported table.
+    """
+
+    def __init__(self, matrix, support=None, relation_names=None):
+        # a view, so freezing it leaves the caller's own array writable
+        self._matrix = np.asarray(matrix, dtype=np.float64).view()
+        self._matrix.flags.writeable = False
         self.support = support
         self.relation_names = relation_names
 
+    @property
+    def n_relations(self):
+        return self._matrix.shape[0]
+
     def dense(self):
-        """Materialize the table as an (R, R) float64 matrix; unobserved pairs are 0."""
-        out = np.zeros((self.n_relations, self.n_relations), dtype=np.float64)
-        for (r1, r2), c in self.conf.items():
-            out[r1, r2] = c
-        return out
+        """The read-only (R, R) float64 confidence matrix; unobserved pairs are 0."""
+        return self._matrix
 
     def __array__(self, dtype=None, copy=None):
         """``np.asarray(table)`` is :meth:`dense`, so the table passes where the matrix is expected."""
-        return self.dense() if dtype is None else self.dense().astype(dtype)
-
-    def __len__(self):
-        return len(self.conf)
+        return np.array(self._matrix, dtype=dtype, copy=copy)
 
 
 def mine_confidence(kg):
     """Mine the implication table from an inverse-augmented graph.
 
     Every entity of the graph contributes its distinct neighbor-relation
-    set, read off the distinct ``s*R + r`` keys of its facts; pair counts
-    come from one sparse product of the incidence matrix with itself.
+    set, a row of the 0/1 entity x relation incidence matrix; pair counts
+    come from one sparse product of that matrix with itself, and its
+    diagonal is the support.
     """
     if not kg.augmented:
         raise GraphError("confidence mining expects an inverse-augmented graph")
-    n, nr = kg.n_entities, kg.n_relations
-    ent_ids, rel_ids = np.divmod(np.unique(kg.triplets[:, 0] * nr + kg.triplets[:, 1]), nr)
-    incidence = sp.csr_matrix(
-        (np.ones(ent_ids.shape[0], dtype=np.int64), (ent_ids, rel_ids)), shape=(n, nr)
-    )
-    pair_counts = (incidence.T @ incidence).tocoo()
-    support = np.asarray(incidence.sum(axis=0)).reshape(-1)
-    conf = {}
-    for r1, r2, c in zip(pair_counts.row, pair_counts.col, pair_counts.data):
-        conf[(int(r1), int(r2))] = float(c) / float(support[r1])
-    names = [kg.vocab.relation_name(r) for r in range(nr)]
-    return ConfidenceTable(nr, conf, support={r: int(s) for r, s in enumerate(support) if s}, relation_names=names)
+    s, r = kg.triplets[:, 0], kg.triplets[:, 1]
+    # the constructor sums repeated (entity, relation) cells; > 0 turns the sums into 0/1
+    facts = sp.csr_matrix((np.ones(s.size, dtype=np.int32), (s, r)), shape=(kg.n_entities, kg.n_relations))
+    incidence = (facts > 0).astype(np.int32)
+    counts = (incidence.T @ incidence).toarray()
+    support = counts.diagonal().astype(np.int64)
+    # a relation no entity carries has an all-zero row, so dividing it by 1 keeps it 0
+    matrix = counts / np.maximum(support, 1)[:, None]
+    names = [kg.vocab.relation_name(i) for i in range(kg.n_relations)]
+    return ConfidenceTable(matrix, support=support, relation_names=names)
 
 
 def logic_attention_batch(dense, relations, mask, queries, mode="normalized", epsilon=1e-3):
@@ -111,26 +116,32 @@ def logic_attention_batch(dense, relations, mask, queries, mode="normalized", ep
 
 
 def export_table(table, path):
-    """Write the table as TSV rows ``r1\tr2\tconfidence``, sorted by id.
+    """Write the table's nonzero cells as TSV rows ``r1\tr2\tconfidence``, sorted by id.
 
     Confidences are written with ``repr`` so a float64 round-trips
     exactly through import.
     """
     if table.relation_names is None:
         raise ValueError("table has no relation names; mine it from a graph first")
+    matrix = table.dense()
+    rows, cols = np.nonzero(matrix)
+    names = table.relation_names
     with open(path, "w", encoding="utf-8") as fh:
-        for (r1, r2) in sorted(table.conf):
-            c = table.conf[(r1, r2)]
-            fh.write(f"{table.relation_names[r1]}\t{table.relation_names[r2]}\t{c!r}\n")
+        for r1, r2, c in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+            fh.write(f"{names[r1]}\t{names[r2]}\t{c!r}\n")
 
 
 def import_table(path, vocab):
     """Read an exported table back, resolving names through ``vocab``.
 
-    Support counts are not serialized and come back as ``None``.
+    Each row must name two relations of ``vocab``, each confidence must
+    be a number in [0, 1] and each pair may appear once; a row breaking
+    a rule raises ``ValueError`` naming its line.  Support counts are not
+    serialized and come back as ``None``.
     """
-    conf = {}
-    m = vocab.n_relations
+    nr = 2 * vocab.n_relations
+    matrix = np.zeros((nr, nr))
+    listed = np.zeros((nr, nr), dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -139,7 +150,19 @@ def import_table(path, vocab):
             fields = line.split("\t")
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            r1, r2 = vocab.relation_id(fields[0]), vocab.relation_id(fields[1])
-            conf[(r1, r2)] = float(fields[2])
-    names = [vocab.relation_name(r) for r in range(2 * m)]
-    return ConfidenceTable(2 * m, conf, support=None, relation_names=names)
+            try:
+                r1, r2 = vocab.relation_id(fields[0]), vocab.relation_id(fields[1])
+            except GraphError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            try:
+                c = float(fields[2])
+            except ValueError:
+                c = float("nan")  # reported below with the out-of-range values
+            if not 0.0 <= c <= 1.0:
+                raise ValueError(f"{path}:{lineno}: confidence must be a number in [0, 1], got {fields[2]!r}")
+            if listed[r1, r2]:
+                raise ValueError(f"{path}:{lineno}: pair {fields[0]} => {fields[1]} is listed twice")
+            listed[r1, r2] = True
+            matrix[r1, r2] = c
+    names = [vocab.relation_name(r) for r in range(nr)]
+    return ConfidenceTable(matrix, support=None, relation_names=names)

@@ -157,11 +157,12 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
     n_entities, n_relations, dim = 40, 5, 16
     store = init_params(n_entities, n_relations, dim, seed=7, with_lstm=True)
     conf_rng = np.random.default_rng(13)
-    table = ConfidenceTable(n_relations, {
-        (r1, r2): float(conf_rng.random())
-        for r1 in range(n_relations) for r2 in range(n_relations)
-        if conf_rng.random() < 0.7
-    })
+    matrix = np.zeros((n_relations, n_relations))
+    for r1 in range(n_relations):
+        for r2 in range(n_relations):
+            if conf_rng.random() < 0.7:
+                matrix[r1, r2] = conf_rng.random()
+    table = ConfidenceTable(matrix)
     dense = table.dense()
     cfgs = {
         "lan": AggregatorConfig(kind="lan", neighbor_budget=64),

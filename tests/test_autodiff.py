@@ -45,8 +45,6 @@ FD_CASES = {
             lambda t, l: weighted(t, ad.add(t, l["a"], l["b"]), 2)),
     "sub": ({"a": r(3, 4, 3), "b": r(4, 4, 3)},
             lambda t, l: weighted(t, ad.sub(t, l["a"], l["b"]), 5)),
-    "neg": ({"a": r(6, 5)},
-            lambda t, l: weighted(t, ad.neg(t, l["a"]), 7)),
     "mul": ({"a": r(8, 6), "b": r(9, 6)},
             lambda t, l: weighted(t, ad.mul(t, l["a"], l["b"]), 10)),
     "scale": ({"a": r(11, 5)},
@@ -110,8 +108,6 @@ FD_CASES = {
                    lambda t, l: ad.l2_norm_sq(t, l["a"])),
     "sum_all": ({"a": r(69, 3, 4)},
                 lambda t, l: ad.sum_all(t, l["a"])),
-    "row_sum": ({"a": r(70, 3, 4)},
-                lambda t, l: weighted(t, ad.row_sum(t, l["a"]), 71)),
     "mean_all": ({"a": r(72, 7)},
                  lambda t, l: ad.mean_all(t, l["a"])),
 }

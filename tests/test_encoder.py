@@ -214,7 +214,7 @@ def test_global_equals_query_attention_at_zero_query_row(world):
 def test_lan_single_neighbor_composition(world):
     kg, table, store = world
     # pick a (relation, query) pair with positive implication confidence
-    (r1, q), _ = next(iter(sorted(table.conf.items())))
+    r1, q = np.argwhere(table.dense())[0].tolist()
     sample = NeighborSample(np.array([r1]), np.array([3]), np.array([True]))
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
     out = encode_from_sample(store, table, cfg, q, sample, np.random.default_rng(0))
@@ -228,7 +228,7 @@ def test_lan_single_neighbor_composition(world):
 
 def test_lan_single_neighbor_zero_confidence(world):
     kg, table, store = world
-    dead = ConfidenceTable(table.n_relations, {})
+    dead = ConfidenceTable(np.zeros((table.n_relations, table.n_relations)))
     sample = NeighborSample(np.array([0]), np.array([3]), np.array([True]))
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
     out = encode_from_sample(store, dead, cfg, 1, sample, np.random.default_rng(0))
@@ -241,8 +241,11 @@ def test_lan_single_neighbor_zero_confidence(world):
 def test_redundancy_demotion_in_trace():
     # b is implied by a more than a is implied by b, so the a-neighbor
     # (the redundant one, standing in for the implied relation) loses
-    conf = {(0, 2): 0.5, (1, 2): 0.5, (1, 0): 0.8, (0, 1): 0.2}
-    table = ConfidenceTable(3, conf)
+    table = ConfidenceTable([
+        [0.0, 0.2, 0.5],
+        [0.8, 0.0, 0.5],
+        [0.0, 0.0, 0.0],
+    ])
     store = init_params(4, 3, 6, seed=1)
     sample = NeighborSample(np.array([0, 1]), np.array([2, 3]), np.ones(2, bool))
     cfg = AggregatorConfig(kind="logic-only", neighbor_budget=2)

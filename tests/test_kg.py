@@ -173,15 +173,6 @@ def test_triplet_ids_match_per_name_lookups():
             vocab.triplet_ids(triples + [bad])
 
 
-def test_inverse_id_mapping():
-    aug = augment_inverses(graph_from_names([("a", "r1", "b"), ("a", "r2", "b")]))
-    assert aug.inverse(0) == 2
-    assert aug.inverse(3) == 1
-    raw = graph_from_names([("a", "r", "b")])
-    with pytest.raises(GraphError):
-        raw.inverse(0)
-
-
 def test_isolated_entities_before_augmentation():
     g = graph_from_names([("a", "r", "b"), ("c", "r", "a")])
     # b has no outgoing fact until inverses exist

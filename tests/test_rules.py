@@ -39,7 +39,8 @@ def test_confidence_frozen_three_entity_case():
 def test_self_implication_is_always_one():
     kg = three_entity_graph()
     table = mine_confidence(kg)
-    for r, support in table.support.items():
+    for r in np.flatnonzero(table.support):
+        support = table.support[r]
         assert support > 0
         assert table.dense()[r, r] == 1.0
 
@@ -67,24 +68,53 @@ def test_lookup_range_checked():
 
 
 def test_dense_matches_sparse():
-    table = mine_confidence(three_entity_graph())
+    kg = three_entity_graph()
+    table = mine_confidence(kg)
+    naive = naive_confidence(kg)
     dense = table.dense()
     assert dense.shape == (table.n_relations, table.n_relations)
     for r1 in range(table.n_relations):
         for r2 in range(table.n_relations):
-            assert dense[r1, r2] == table.conf.get((r1, r2), 0.0)
+            assert dense[r1, r2] == naive.get((r1, r2), 0.0)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_miner_matches_naive_double_loop_exactly(seed):
+def test_table_matrix_is_read_only_and_copied_on_request():
+    source = np.array([[0.0, 0.5], [0.25, 0.0]])
+    table = ConfidenceTable(source)
+    assert table.n_relations == 2
+    assert np.asarray(table) is table.dense()
+    assert not table.dense().flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.dense()[0, 0] = 1.0
+    assert source.flags.writeable  # freezing the table leaves the caller's array alone
+    copy = np.array(table, copy=True)
+    copy[0, 0] = 1.0
+    assert table.dense()[0, 0] == 0.0
+    assert np.asarray(table, dtype=np.float32).dtype == np.float32
+
+
+def assert_matches_naive(dense, naive):
+    """Every cell equals the naive scan's, and the nonzero cells are exactly its pairs."""
+    n = dense.shape[0]
+    assert all(dense[r1, r2] == naive.get((r1, r2), 0.0) for r1 in range(n) for r2 in range(n))
+    assert {tuple(pair) for pair in np.argwhere(dense).tolist()} == set(naive)
+
+
+def seeded_graph(seed):
+    """A random augmented graph of 5-39 entities and 1-7 relations, or ``None`` if it has no triples."""
     rng = np.random.default_rng(seed)
     triples = random_name_triples(
         rng, int(rng.integers(5, 40)), int(rng.integers(1, 8)), int(rng.integers(5, 120))
     )
-    if not triples:
+    return make_graph(triples) if triples else None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_miner_matches_naive_double_loop_exactly(seed):
+    kg = seeded_graph(seed)
+    if kg is None:
         return
-    kg = make_graph(triples)
-    assert mine_confidence(kg).conf == naive_confidence(kg)
+    assert_matches_naive(mine_confidence(kg).dense(), naive_confidence(kg))
 
 
 @given(st.integers(0, 10_000))
@@ -95,7 +125,7 @@ def test_miner_matches_naive_property(seed):
     if not triples:
         return
     kg = make_graph(triples)
-    assert mine_confidence(kg).conf == naive_confidence(kg)
+    assert_matches_naive(mine_confidence(kg).dense(), naive_confidence(kg))
 
 
 # --- logic attention ---------------------------------------------------------
@@ -107,8 +137,11 @@ def logic_row(table, relations, mask, query, **kw):
 
 def two_relation_table():
     """conf(r1=>q)=conf(r2=>q)=0.6, conf(r2=>r1)=0.9, conf(r1=>r2)=0.1."""
-    conf = {(0, 2): 0.6, (1, 2): 0.6, (1, 0): 0.9, (0, 1): 0.1}
-    return ConfidenceTable(3, conf)
+    return ConfidenceTable([
+        [0.0, 0.1, 0.6],
+        [0.9, 0.0, 0.6],
+        [0.0, 0.0, 0.0],
+    ])
 
 
 def test_logic_attention_frozen_raw():
@@ -130,7 +163,7 @@ def test_logic_attention_frozen_normalized():
 
 def test_logic_attention_single_neighbor_empty_max():
     # nothing implies the lone relation, so the denominator defaults to 1
-    table = ConfidenceTable(2, {(0, 1): 0.8})
+    table = ConfidenceTable([[0.0, 0.8], [0.0, 0.0]])
     w = logic_row(table, np.array([0]), np.ones(1, bool), query=1, mode="raw")
     assert w[0] == 0.8
     w = logic_row(table, np.array([0]), np.ones(1, bool), query=1)
@@ -138,14 +171,14 @@ def test_logic_attention_single_neighbor_empty_max():
 
 
 def test_logic_attention_epsilon_floor():
-    table = ConfidenceTable(3, {(0, 2): 0.5, (1, 0): 1e-9, (0, 1): 0.0})
+    table = ConfidenceTable([[0.0, 0.0, 0.5], [1e-9, 0.0, 0.0], [0.0, 0.0, 0.0]])
     w = logic_row(table, np.array([0, 1]), np.ones(2, bool), query=2,
                   mode="raw", epsilon=1e-3)
     assert w[0] == 0.5 / 1e-3
 
 
 def test_logic_attention_zero_numerator_stays_zero():
-    table = ConfidenceTable(3, {(1, 0): 0.9})
+    table = ConfidenceTable([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.0]])
     w = logic_row(table, np.array([0, 1]), np.ones(2, bool), query=2)
     np.testing.assert_array_equal(w, [0.0, 0.0])
 
@@ -220,12 +253,24 @@ def test_export_import_round_trip(tmp_path):
     export_table(table, path)
     back = import_table(path, kg.vocab)
     assert back.n_relations == table.n_relations
-    assert back.conf == table.conf
+    np.testing.assert_array_equal(back.dense(), table.dense())
     assert back.support is None
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_export_writes_naive_rows_sorted_by_id(seed, tmp_path):
+    kg = seeded_graph(seed)
+    if kg is None:
+        return
+    path = tmp_path / "rules.tsv"
+    export_table(mine_confidence(kg), path)
+    name = kg.vocab.relation_name
+    want = "".join(f"{name(r1)}\t{name(r2)}\t{c!r}\n" for (r1, r2), c in sorted(naive_confidence(kg).items()))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_export_needs_relation_names(tmp_path):
-    table = ConfidenceTable(2, {(0, 1): 0.5})
+    table = ConfidenceTable([[0.0, 0.5], [0.0, 0.0]])
     with pytest.raises(ValueError, match="names"):
         export_table(table, tmp_path / "rules.tsv")
 
@@ -236,3 +281,18 @@ def test_import_rejects_malformed_rows(tmp_path):
     path.write_text("r\tr\n")
     with pytest.raises(ValueError, match="expected 3"):
         import_table(path, vocab)
+
+
+@pytest.mark.parametrize("row, message", [
+    *[(f"r\tr\t{value}", f"confidence must be a number in [0, 1], got {value!r}")
+      for value in ("nan", "inf", "-inf", "-0.5", "7.0", "1.0000001", "high")],
+    ("r**INV\tr\t0.25", "pair r**INV => r is listed twice"),
+    ("r\tq\t0.5", "unknown relation: 'q'"),
+])
+def test_import_rejects_bad_rows_naming_their_line(tmp_path, row, message):
+    vocab = Vocabulary(["a"], ["r"])
+    path = tmp_path / "rules.tsv"
+    path.write_text("r**INV\tr\t0.5\n" + row + "\n")
+    with pytest.raises(ValueError) as err:
+        import_table(path, vocab)
+    assert str(err.value) == f"{path}:2: {message}"
