@@ -41,6 +41,14 @@ class EvalError(ValueError):
     """Evaluation requested something the model or bundle cannot answer."""
 
 
+def _sorted_distinct(keys):
+    """``np.unique(keys)`` of a 1-D array, by one sort and a neighbour compare (far faster on numpy 2.x)."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 class KnownTriplets:
     """Every known (s, q, o) fact as sorted int64 keys, for filtered ranking.
 
@@ -63,8 +71,8 @@ class KnownTriplets:
         self.n_entities, self.n_relations = n, r
         # keyed by the side being ranked: ranking objects fixes the subject
         self._keys = {
-            "object": np.unique((s * r + q) * n + o),
-            "subject": np.unique((o * r + q) * n + s),
+            "object": _sorted_distinct((s * r + q) * n + o),
+            "subject": _sorted_distinct((o * r + q) * n + s),
         }
 
     def contains(self, rows):
@@ -164,7 +172,7 @@ def _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng):
     degree = mask.sum(axis=1)
     out = np.zeros((degree.size, store["entity_emb"].shape[1]))
     shared = isinstance(rng, np.random.Generator)
-    for k in np.unique(degree[degree > 0]).tolist():
+    for k in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
         rows = np.flatnonzero(degree == k)
         tape = ad.Tape()
         enc = encode_batch(

@@ -22,6 +22,10 @@ under query relation q, is
 with an empty max defined as 1 and the denominator floored at epsilon.
 A high numerator means r tends to imply the query; a high denominator
 means r is implied by other present relations, i.e. redundant.
+
+A batch arrives as (B, K) slot grids padded to its widest row, but the
+max only ever pairs a row's real slots with each other: a batch costs
+the sum of k_i^2 over its rows' real slot counts k_i, not B * K^2.
 """
 
 from __future__ import annotations
@@ -87,31 +91,48 @@ def logic_attention_batch(dense, relations, mask, queries, mode="normalized", ep
 
     ``dense`` is the (R, R) confidence matrix, ``relations``/``mask``
     are (B, K) and ``queries`` is (B,).  Masked slots get weight exactly
-    0.  ``mode`` is ``"raw"`` for the plain ratios or ``"normalized"``
-    to rescale each row's real slots to sum to 1 (when their sum is
-    positive).
+    0, whatever relation id they hold.  ``mode`` is ``"raw"`` for the
+    plain ratios or ``"normalized"`` to rescale each row's real slots to
+    sum to 1 (when their sum is positive).  A query id, or the relation
+    id of a real slot, outside the matrix raises
+    :class:`~lankgc.kg.GraphError`.
     """
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown logic mode: {mode!r}")
     relations = np.asarray(relations, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     queries = np.asarray(queries, dtype=np.int64)
-    bad = queries[(queries < 0) | (queries >= dense.shape[1])]
+    n_rel = dense.shape[1]
+    bad = queries[(queries < 0) | (queries >= n_rel)]
     if bad.size:
         raise GraphError(f"query relation id out of range: {int(bad[0])}")
     bsz, k = relations.shape
-    num = dense[relations, queries[:, None]]
-    # cross[b, j', j] = conf(r_{j'} => r_j), with invalid j' and identical
-    # relation ids excluded from the max
-    cross = dense[relations[:, :, None], relations[:, None, :]]
-    excl = (~mask[:, :, None]) | (relations[:, :, None] == relations[:, None, :])
-    cross = np.where(excl, -np.inf, cross)
-    denom = cross.max(axis=1)
-    denom = np.where(np.isneginf(denom), 1.0, denom)
-    w = np.where(mask, num / np.maximum(denom, epsilon), 0.0)
+    w = np.zeros((bsz, k))
+    # the S real slots in row-major order, so each row's slots are one contiguous run
+    slots = np.flatnonzero(mask)
+    rel = relations.reshape(-1)[slots]
+    bad = rel[(rel < 0) | (rel >= dense.shape[0])]
+    if bad.size:
+        raise GraphError(f"neighbor relation id out of range: {int(bad[0])}")
+    if slots.size:
+        flat = dense.reshape(-1)  # dense[i, j] is flat[i * n_rel + j]
+        row = slots // k
+        counts = np.bincount(row, minlength=bsz)
+        first = np.cumsum(counts) - counts  # each row's first slot among the S
+        # real slot s of row b owns the run of k_b pairs that starts at seg[s];
+        # pair seg[s] + i partners s with slot first[b] + i
+        size = counts[row]
+        seg = np.cumsum(size) - size
+        partner = np.arange(seg[-1] + size[-1]) - np.repeat(seg - first[row], size)
+        implier, implied = rel[partner], np.repeat(rel, size)
+        # conf(r_{j'} => r_j), with identical relation ids excluded from the max
+        cross = np.where(implier == implied, -np.inf, flat.take(implier * n_rel + implied))
+        denom = np.maximum.reduceat(cross, seg)
+        denom[np.isneginf(denom)] = 1.0
+        w.reshape(-1)[slots] = flat.take(rel * n_rel + queries[row]) / np.maximum(denom, epsilon)
     if mode == "normalized":
         totals = w.sum(axis=1, keepdims=True)
-        w = np.where(totals > 0.0, w / np.where(totals > 0.0, totals, 1.0), w)
+        w /= np.where(totals > 0.0, totals, 1.0)  # x / 1.0 is x, so rows summing to <= 0 stay as they are
     return w
 
 

@@ -245,6 +245,17 @@ def test_known_triplets_contains_matches_brute_force_on_random_bundles():
     assert known.contains(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
+def test_known_triplets_keys_equal_np_unique():
+    rng = np.random.default_rng(2)
+    facts = rng.integers(0, [9, 4, 9], size=(400, 3))  # many duplicate rows
+    for rows in (facts, facts[:1], np.zeros((0, 3), dtype=np.int64)):
+        known = KnownTriplets(rows, 9, 4)
+        s, q, o = rows[:, 0], rows[:, 1], rows[:, 2]
+        assert known._keys["object"].tobytes() == np.unique((s * 4 + q) * 9 + o).tobytes()
+        assert known._keys["subject"].tobytes() == np.unique((o * 4 + q) * 9 + s).tobytes()
+    assert known._keys["object"].dtype == np.int64
+
+
 def test_known_triplets_refuse_overflowing_keys_and_bad_queries():
     with pytest.raises(EvalError, match="overflow"):
         KnownTriplets(np.zeros((1, 3), dtype=np.int64), 3_100_000_000, 1)

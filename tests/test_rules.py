@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_graph, naive_confidence, oracle_logic, random_name_triples
+from lankgc.encoder import stack_samples
 from lankgc.kg import GraphError, Vocabulary, graph_from_names
 from lankgc.rules import (
     ConfidenceTable,
@@ -244,6 +245,102 @@ def test_batch_matches_single(seed, mode):
         single = np.zeros(k)
         single[mask[b]] = oracle_logic(dense, rels[b][mask[b]], int(queries[b]), mode=mode)
         np.testing.assert_array_equal(batch[b], single)
+
+
+def padded_grid_logic(dense, relations, mask, queries, mode="normalized", epsilon=1e-3):
+    """The logic weights computed over the whole padded (B, K, K) grid: the reference form."""
+    num = dense[relations, queries[:, None]]
+    # cross[b, j', j] = conf(r_{j'} => r_j), with padding j' and identical
+    # relation ids excluded from the max
+    cross = dense[relations[:, :, None], relations[:, None, :]]
+    excl = (~mask[:, :, None]) | (relations[:, :, None] == relations[:, None, :])
+    cross = np.where(excl, -np.inf, cross)
+    denom = cross.max(axis=1)
+    denom = np.where(np.isneginf(denom), 1.0, denom)
+    w = np.where(mask, num / np.maximum(denom, epsilon), 0.0)
+    if mode == "normalized":
+        totals = w.sum(axis=1, keepdims=True)
+        w = np.where(totals > 0.0, w / np.where(totals > 0.0, totals, 1.0), w)
+    return w
+
+
+@st.composite
+def logic_batches(draw):
+    """A confidence matrix with some zero columns and a (B, K) batch over it, with any mask."""
+    n_rel = draw(st.integers(1, 12))
+    bsz, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+
+    def ints(hi, size):
+        return np.array(draw(st.lists(st.integers(0, hi), min_size=size, max_size=size)), dtype=np.int64)
+
+    cells = st.sampled_from([0.0, 1e-4, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    dense = np.array(draw(st.lists(cells, min_size=n_rel * n_rel, max_size=n_rel * n_rel))).reshape(n_rel, n_rel)
+    dense[:, draw(st.lists(st.integers(0, n_rel - 1), max_size=2))] = 0.0
+    # a few distinct ids per batch, so rows repeat relations
+    pool = ints(n_rel - 1, draw(st.integers(1, 4)))
+    relations = pool[ints(pool.size - 1, bsz * k)].reshape(bsz, k)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=bsz * k, max_size=bsz * k))).reshape(bsz, k)
+    return dense, relations, mask, ints(n_rel - 1, bsz)
+
+
+@given(logic_batches(), st.sampled_from(["raw", "normalized"]), st.sampled_from([1e-3, 0.3, 0.6]))
+@settings(max_examples=300, deadline=None)
+def test_batch_equals_padded_grid_form_bitwise(batch, mode, epsilon):
+    dense, relations, mask, queries = batch
+    got = logic_attention_batch(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
+    want = padded_grid_logic(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_batch_equals_padded_grid_form_on_named_cases():
+    # rows: duplicates, a single slot, empty, a mask that is no prefix, one id alone twice
+    dense = np.array([
+        [1.0, 0.5, 0.0, 0.2],
+        [0.9, 1.0, 0.0, 0.0005],
+        [0.4, 0.3, 0.0, 0.7],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    relations = np.array([[0, 1, 0, 3], [2, 0, 0, 0], [1, 1, 1, 1], [3, 0, 1, 2], [1, 3, 1, 0]])
+    mask = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool)
+    queries = np.array([3, 0, 1, 3, 2])
+    for mode in ("raw", "normalized"):
+        for epsilon in (1e-3, 0.25):
+            got = logic_attention_batch(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
+            want = padded_grid_logic(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
+            assert got.tobytes() == want.tobytes()
+            assert not got[2].any() and not got[~mask].any()
+
+
+def test_batch_equals_padded_grid_form_on_truncated_samples():
+    rng = np.random.default_rng(4)
+    kg = make_graph(random_name_triples(rng, 25, 5, 150))
+    dense = mine_confidence(kg).dense()
+    degree = np.diff(kg.offsets)
+    budget = int(degree.max()) - 3
+    ents = np.arange(kg.n_entities)
+    relations, _, mask = stack_samples(kg, ents, budget, np.random.default_rng(0))
+    assert mask.shape[1] == budget and (degree > budget).sum() > 1
+    queries = rng.integers(0, kg.n_relations, size=ents.size)
+    for mode in ("raw", "normalized"):
+        got = logic_attention_batch(dense, relations, mask, queries, mode=mode)
+        assert got.tobytes() == padded_grid_logic(dense, relations, mask, queries, mode=mode).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_batch_rejects_out_of_range_relation_of_a_real_slot(bad):
+    dense = two_relation_table().dense()
+    relations = np.array([[0, 1], [bad, 0]])
+    with pytest.raises(GraphError, match=f"relation id out of range: {bad}"):
+        logic_attention_batch(dense, relations, np.ones((2, 2), bool), np.array([2, 2]))
+
+
+def test_batch_ignores_relation_ids_of_padding():
+    dense = two_relation_table().dense()
+    mask = np.array([[True, True, False], [True, False, False]])
+    queries = np.array([2, 2])
+    want = logic_attention_batch(dense, np.array([[0, 1, 0], [1, 0, 0]]), mask, queries)
+    got = logic_attention_batch(dense, np.array([[0, 1, -7], [1, 3, 99]]), mask, queries)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_export_import_round_trip(tmp_path):
