@@ -458,10 +458,11 @@ def weighted_block_sum(tape, entries, weights, mask=None):
     slot sums to zero.  Without ``mask`` every slot is real and
     ``entries`` is ``(B*K, d)``.
 
-    The forward pass is one einsum over the ``(B, K, d)`` grid, which is
-    a view of ``entries`` when every slot is real and a zero-filled copy
-    otherwise; its cost has no per-call set-up, so B=1 calls stay cheap.
-    The backward pass touches the real slots only.
+    The forward pass is one sparse product, the mirror of the
+    :func:`take_rows` backward: a (B, S) CSR matrix holding each real
+    slot's weight in its block's row times ``entries``.  It adds each
+    block's slots in slot order, and no padded ``(B, K, d)`` grid is
+    built.  The backward pass touches the real slots only.
     """
     if entries.data.ndim != 2 or weights.data.ndim != 2:
         raise ValueError("weighted_block_sum: need (S, d) entries and (B, K) weights")
@@ -472,14 +473,12 @@ def weighted_block_sum(tape, entries, weights, mask=None):
     rows = np.nonzero(mask)[0]  # the block of each real slot, in row-major slot order
     if entries.data.shape[0] != rows.size:
         raise ValueError(f"weighted_block_sum: {entries.data.shape[0]} rows for {rows.size} real slots")
-    d = entries.data.shape[1]
     w = weights.data[mask]
-    if rows.size == bb * kk:
-        grid = entries.data.reshape(bb, kk, d)
-    else:
-        grid = np.zeros((bb, kk, d))
-        grid[mask] = entries.data
-    data = np.einsum("bkd,bk->bd", grid, np.where(mask, weights.data, 0.0))
+    itype = np.int32 if rows.size < 2**31 else np.int64
+    indptr = np.zeros(bb + 1, dtype=itype)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    select = sp.csr_matrix((w, np.arange(rows.size, dtype=itype), indptr), shape=(bb, rows.size))
+    data = np.asarray(select @ entries.data)
 
     def backward(g):
         g_slots = g[rows]

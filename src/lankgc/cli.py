@@ -20,7 +20,7 @@ import numpy as np
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
 from .context import BundleContext
 from .decoder import SCORER_KINDS
-from .encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_from_sample
+from .encoder import AGGREGATOR_KINDS, encode_from_sample
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets, sample_neighbors
 from .params import load_checkpoint, vocab_checksums
@@ -129,17 +129,18 @@ def _cmd_train(args):
 def _load_model(ckpt_dir, bundle):
     store, meta = load_checkpoint(ckpt_dir)
     ctx = BundleContext(bundle)
-    want = vocab_checksums(ctx.vocab)["vocab_sha256"]
-    have = meta.get("vocab_sha256")
-    if have is not None and have != want:
+    manifest = os.path.join(ckpt_dir, "manifest")
+    if "vocab_sha256" not in meta:
+        raise ValueError(f"{manifest} has no vocab_sha256 line")
+    if meta["vocab_sha256"] != vocab_checksums(ctx.vocab)["vocab_sha256"]:
         raise ValueError("checkpoint was trained on a different vocabulary than this bundle")
-    acfg = AggregatorConfig(
-        kind=meta.get("aggregator", "lan"),
-        neighbor_budget=int(meta.get("neighbor_budget", "64")),
-        logic_mode=meta.get("logic_mode", "normalized"),
-        epsilon=float(meta.get("epsilon", "1e-3")),
-    )
-    scorer = meta.get("scorer", "transe")
+    keys = ("aggregator", "scorer", "neighbor_budget", "logic_mode", "epsilon")
+    try:
+        resolved = resolve_config(overrides={key: meta[key] for key in keys if key in meta})
+        acfg = aggregator_config_from(resolved)
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest}: {exc}") from None
+    scorer = resolved["scorer"]
     dense = None
     if acfg.needs_rules:
         rules_path = os.path.join(ckpt_dir, "rules.tsv")

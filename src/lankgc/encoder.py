@@ -31,9 +31,8 @@ A batch arrives as (B, K) slot grids padded to its widest row, but
 every d-wide step (the gathers, the transform, the attention projection
 and its tanh) runs on the S real slots only.  Only per-slot scalars
 live on the grid: the logic weights, the attention scores, the softmax
-and the weights of the final sum.  (That sum's forward einsum reads a
-zero-filled grid copy of the real rows when a batch has padding; see
-:func:`~lankgc.autodiff.weighted_block_sum`.)  ``attn_proj`` is applied in two
+and the weights of the final sum, which adds the real slots directly
+(:func:`~lankgc.autodiff.weighted_block_sum`).  ``attn_proj`` is applied in two
 halves taken apart by column: ``W_a [z_q ; t] = W_q z_q + W_e t``.  The
 query half is computed once per row and gathered to its slots, the
 neighbor half once per real slot; ``global-attn`` has no query half.

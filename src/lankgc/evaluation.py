@@ -9,9 +9,9 @@ the middle of the tie block, ``1 + #better + ceil(#ties / 2)``.
 
 Ranking is numpy throughout and runs one query relation at a time.
 The candidates are encoded once per relation, and the fixed-side
-entities of all the relation's queries in one more pass; each pass is
-one :func:`~lankgc.encoder.encode_batch` per group of equal sampled
-degree, so no slot is padding.  Each query keeps its own rng, keyed on
+entities of all the relation's queries in one more pass; each pass runs
+:func:`~lankgc.encoder.encode_batch` on consecutive row blocks of at
+most 2^14 real slots, or one wider row.  Each query keeps its own rng, keyed on
 (seed, s, q, o), for a truncated neighborhood or an lstm permutation.
 Scores come in bounded (queries, candidates) blocks from
 :func:`~lankgc.decoder.score_candidate_block`, without a tape.  One
@@ -156,31 +156,37 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     """Forward-encode a batch of entities under one query relation -> (B, d).
 
     Neighborhoods come from :func:`stack_samples`, and ``rng`` is one
-    Generator or one per entity, as there.  Rows are grouped by sampled
-    degree, and each group runs one :func:`encode_batch` at exactly its
-    width on its own tape, so no slot is padding and the tape holds one
-    group at a time.  Identical neighborhoods share a degree, so they
-    share a matmul and tie exactly.  Rows without neighbors are zero
-    vectors and take no pass.
+    Generator or one per entity, as there.  Consecutive rows are encoded
+    in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row is a
+    block of its own), each one :func:`encode_batch` on its own tape, so
+    the tape holds one block at a time.  Padding is left only on the
+    (B, K) scalar grids.  Rows without neighbors are zero vectors.
     """
     rels, ents, mask = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
-    return _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng)
+    return _encode_blocks(store, acfg, dense, rels, ents, mask, query_rel, rng)
 
 
-def _encode_grouped(store, acfg, dense, rels, ents, mask, query_rel, rng):
+_BLOCK_SLOTS = 1 << 14  # real neighbor slots per encode pass, which bounds the tape
+
+
+def _encode_blocks(store, acfg, dense, rels, ents, mask, query_rel, rng):
     """:func:`encode_entities` on neighborhoods already sampled into (B, K) grids."""
     degree = mask.sum(axis=1)
+    ends = np.cumsum(degree)
     out = np.zeros((degree.size, store["entity_emb"].shape[1]))
-    shared = isinstance(rng, np.random.Generator)
-    for k in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
-        rows = np.flatnonzero(degree == k)
-        tape = ad.Tape()
-        enc = encode_batch(
-            tape, constant_leaves(tape, store), rels[rows, :k], ents[rows, :k], mask[rows, :k],
-            np.full(rows.size, query_rel, dtype=np.int64), acfg, dense_table=dense,
-            rng=rng if shared else [rng[i] for i in rows],
-        )
-        out[rows] = enc.data
+    lo = 0
+    while lo < degree.size:
+        # rows lo..hi-1 hold at most _BLOCK_SLOTS real slots, or are a single row
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - degree[lo] + _BLOCK_SLOTS, side="right")))
+        k = int(degree[lo:hi].max())
+        if k:  # a block of empty rows stays zero
+            tape = ad.Tape()
+            out[lo:hi] = encode_batch(
+                tape, constant_leaves(tape, store), rels[lo:hi, :k], ents[lo:hi, :k], mask[lo:hi, :k],
+                np.full(hi - lo, query_rel, dtype=np.int64), acfg, dense_table=dense,
+                rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
+            ).data
+        lo = hi
     return out
 
 
@@ -219,7 +225,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     # kinds read a generator only to sample a truncated neighborhood, and stack_samples makes those
     rngs = [np.random.default_rng(key) for key in keys] if acfg.uses_lstm else keys
     rels, ents, mask = stack_samples(ctx.neighbor_graph, fixed, acfg.neighbor_budget, rngs)
-    fixed_embs = _encode_grouped(store, acfg, dense, rels, ents, mask, q, rngs)
+    fixed_embs = _encode_blocks(store, acfg, dense, rels, ents, mask, q, rngs)
 
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:

@@ -174,30 +174,37 @@ class KnowledgeGraph:
         return np.flatnonzero(np.diff(self.offsets) == 0).tolist()
 
 
-def parse_triplet_file(path):
-    """Read a 3-column TSV of name triplets, deduplicated, order preserved.
+def tsv_rows(path, width):
+    """Yield (line number, fields) for each non-blank line of a TSV file.
 
-    Malformed lines (not exactly three tab-separated fields) raise
-    :class:`ParseError` naming the offending line.  The reserved inverse
-    suffix is rejected in relation names.
+    A line without exactly ``width`` tab-separated fields raises
+    :class:`ParseError` naming it.
     """
-    triples = []
-    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            s, r, o = fields
-            if INVERSE_SUFFIX in r:
-                raise ParseError(f"{path}:{lineno}: relation name uses reserved suffix {INVERSE_SUFFIX!r}")
-            t = (s, r, o)
-            if t not in seen:
-                seen.add(t)
-                triples.append(t)
+            if line:
+                fields = line.split("\t")
+                if len(fields) != width:
+                    raise ParseError(f"{path}:{lineno}: expected {width} tab-separated fields, got {len(fields)}")
+                yield lineno, fields
+
+
+def parse_triplet_file(path):
+    """Read a 3-column TSV of name triplets, deduplicated, order preserved.
+
+    Malformed lines (see :func:`tsv_rows`) raise :class:`ParseError`
+    naming the offending line.  The reserved inverse suffix is rejected
+    in relation names.
+    """
+    triples = []
+    seen = set()
+    for lineno, (s, r, o) in tsv_rows(path, 3):
+        if INVERSE_SUFFIX in r:
+            raise ParseError(f"{path}:{lineno}: relation name uses reserved suffix {INVERSE_SUFFIX!r}")
+        if (s, r, o) not in seen:
+            seen.add((s, r, o))
+            triples.append((s, r, o))
     return triples
 
 
@@ -206,13 +213,8 @@ def graph_from_names(name_triples, vocab=None):
     if not name_triples:
         raise GraphError("empty graph: no triplets supplied")
     if vocab is None:
-        ents = set()
-        rels = set()
-        for s, r, o in name_triples:
-            ents.add(s)
-            ents.add(o)
-            rels.add(r)
-        vocab = Vocabulary(ents, rels)
+        subjects, relations, objects = zip(*name_triples)
+        vocab = Vocabulary(subjects + objects, relations)
     return KnowledgeGraph(vocab, vocab.triplet_ids(name_triples), augmented=False)
 
 
@@ -230,18 +232,10 @@ def load_labeled_triplets(path):
     Returns (s, r, o, label) name tuples; used by triplet classification.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            s, r, o, label = fields
-            if label not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            rows.append((s, r, o, int(label)))
+    for lineno, (s, r, o, label) in tsv_rows(path, 4):
+        if label not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        rows.append((s, r, o, int(label)))
     if not rows:
         raise ParseError(f"{path}: no labeled triplets")
     return rows

@@ -117,7 +117,7 @@ def save_checkpoint(out_dir, store, meta):
 
 
 def load_checkpoint(ckpt_dir):
-    """Read a checkpoint directory back into (store, meta), verifying checksums."""
+    """Read a checkpoint directory back into (store, meta); each file must match its sha256 line."""
     manifest = os.path.join(ckpt_dir, "manifest")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no manifest in checkpoint directory {ckpt_dir}")
@@ -132,8 +132,10 @@ def load_checkpoint(ckpt_dir):
         if not os.path.exists(path):
             raise FileNotFoundError(f"checkpoint parameter file missing: {path}")
         want = meta.get(f"sha256.{name}.f64")
+        if want is None:
+            raise ValueError(f"{manifest} has no sha256.{name}.f64 line for {path}")
         got = sha256_file(path)
-        if want is not None and want != got:
+        if want != got:
             raise ValueError(f"checksum mismatch for {path}: manifest {want}, file {got}")
         flat = np.fromfile(path, dtype="<f8")
         expect = int(np.prod(shape)) if shape else 1

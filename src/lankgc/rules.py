@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .kg import GraphError
+from .kg import GraphError, tsv_rows
 
 
 class ConfidenceTable:
@@ -163,27 +163,20 @@ def import_table(path, vocab):
     nr = 2 * vocab.n_relations
     matrix = np.zeros((nr, nr))
     listed = np.zeros((nr, nr), dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                r1, r2 = vocab.relation_id(fields[0]), vocab.relation_id(fields[1])
-            except GraphError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            try:
-                c = float(fields[2])
-            except ValueError:
-                c = float("nan")  # reported below with the out-of-range values
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"{path}:{lineno}: confidence must be a number in [0, 1], got {fields[2]!r}")
-            if listed[r1, r2]:
-                raise ValueError(f"{path}:{lineno}: pair {fields[0]} => {fields[1]} is listed twice")
-            listed[r1, r2] = True
-            matrix[r1, r2] = c
+    for lineno, fields in tsv_rows(path, 3):
+        try:
+            r1, r2 = vocab.relation_id(fields[0]), vocab.relation_id(fields[1])
+        except GraphError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        try:
+            c = float(fields[2])
+        except ValueError:
+            c = float("nan")  # reported below with the out-of-range values
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"{path}:{lineno}: confidence must be a number in [0, 1], got {fields[2]!r}")
+        if listed[r1, r2]:
+            raise ValueError(f"{path}:{lineno}: pair {fields[0]} => {fields[1]} is listed twice")
+        listed[r1, r2] = True
+        matrix[r1, r2] = c
     names = [vocab.relation_name(r) for r in range(nr)]
     return ConfidenceTable(matrix, support=None, relation_names=names)

@@ -236,7 +236,7 @@ def write_bundle(bundle, out_dir):
 
 
 def read_bundle(bundle_dir):
-    """Load a bundle directory, verifying manifest checksums."""
+    """Load a bundle directory; each file must match its manifest ``sha256.<file>`` line."""
     manifest_path = os.path.join(bundle_dir, "manifest")
     if not os.path.exists(manifest_path):
         raise SplitError(f"no manifest in bundle directory {bundle_dir}")
@@ -246,8 +246,10 @@ def read_bundle(bundle_dir):
         if not os.path.exists(path):
             raise SplitError(f"bundle file missing: {path}")
         want = manifest.get(f"sha256.{name}")
+        if want is None:
+            raise SplitError(f"{manifest_path} has no sha256.{name} line for {path}")
         got = sha256_file(path)
-        if want is not None and want != got:
+        if want != got:
             raise SplitError(f"checksum mismatch for {path}: manifest {want}, file {got}")
     try:
         spec = SplitSpec(

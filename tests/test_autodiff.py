@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -315,6 +315,51 @@ def test_weighted_block_sum_matches_loop():
     out = ad.weighted_block_sum(tape, tape.constant(e), tape.constant(w))
     expect = np.stack([w[b] @ e[b * 3:(b + 1) * 3] for b in range(2)])
     np.testing.assert_allclose(out.data, expect, rtol=1e-15)
+
+
+def padded_grid_block_sum(entries, weights, mask):
+    """The former forward of ``weighted_block_sum``: an einsum over a zero-filled (B, K, d) grid."""
+    bb, kk = weights.shape
+    d = entries.shape[1]
+    if entries.shape[0] == bb * kk:
+        grid = entries.reshape(bb, kk, d)
+    else:
+        grid = np.zeros((bb, kk, d))
+        grid[mask] = entries
+    return np.einsum("bkd,bk->bd", grid, np.where(mask, weights, 0.0))
+
+
+@st.composite
+def block_sum_cases(draw):
+    bb = draw(st.integers(1, 40))
+    kk = draw(st.integers(1, 12))
+    d = draw(st.integers(2, 40))  # at d=1 the einsum sums over K in an order of its own
+    mask = draw(arrays(bool, (bb, kk)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-6, 7, size=(int(mask.sum()), 1))
+    return rng.normal(size=(int(mask.sum()), d)) * scale, rng.normal(size=(bb, kk)), mask
+
+
+def _named_block_sum_case(mask, d=5, seed=0):
+    mask = np.asarray(mask, dtype=bool)
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(int(mask.sum()), d)), rng.normal(size=mask.shape), mask
+
+
+@given(block_sum_cases())
+@example(_named_block_sum_case([[1, 1, 0], [0, 0, 0], [1, 0, 0]]))  # an empty row
+@example(_named_block_sum_case([[1, 0, 1, 1]]))  # B=1
+@example(_named_block_sum_case(np.ones((4, 3))))  # every slot real
+@example(_named_block_sum_case(np.zeros((3, 4))))  # no real slot at all
+@settings(max_examples=200, deadline=None)
+def test_weighted_block_sum_equals_padded_grid_einsum_bitwise(case):
+    entries, weights, mask = case
+    tape = ad.Tape()
+    out = ad.weighted_block_sum(tape, tape.constant(entries), tape.constant(weights), mask)
+    want = padded_grid_block_sum(entries, weights, mask)
+    assert out.data.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
 
 
 # --- shape and usage errors --------------------------------------------------

@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 from lankgc import cli
 from lankgc.splits import read_bundle, write_bundle
-from lankgc.util import read_kv, sha256_file
+from lankgc.util import read_kv, sha256_file, write_kv
 
 
 def run(argv, capsys=None):
@@ -242,6 +243,42 @@ def test_vocabulary_mismatch_is_refused(pipeline, tmp_path, capsys):
                           "--out", str(tmp_path / "m.csv")], capsys)
     assert code == 1
     assert "different vocabulary" in captured.err
+
+
+def edited_checkpoint(ckpt, tmp_path, **changes):
+    """A copy of ``ckpt`` whose manifest has ``changes`` applied; a value of None drops the line."""
+    copy = tmp_path / "edited"
+    shutil.copytree(ckpt, copy)
+    manifest = read_kv(str(copy / "manifest"))
+    for key, value in changes.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    write_kv(str(copy / "manifest"), manifest)
+    return copy
+
+
+def test_checkpoint_without_a_vocabulary_line_is_refused(pipeline, tmp_path, capsys):
+    _, _, bundle, _, ckpt = pipeline
+    edited = edited_checkpoint(ckpt, tmp_path, vocab_sha256=None)
+    code, captured = run(["eval-lp", "--bundle", str(bundle), "--ckpt", str(edited),
+                          "--out", str(tmp_path / "m.csv")], capsys)
+    assert code == 1
+    assert captured.err.startswith("error:") and "no vocab_sha256 line" in captured.err
+    assert str(edited / "manifest") in captured.err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epsilon", "tiny"), ("neighbor_budget", "0"), ("aggregator", "sum"), ("logic_mode", "soft"),
+])
+def test_bad_checkpoint_config_value_gives_one_error_line(pipeline, tmp_path, capsys, key, value):
+    _, _, bundle, _, ckpt = pipeline
+    edited = edited_checkpoint(ckpt, tmp_path, **{key: value})
+    code, captured = run(["eval-lp", "--bundle", str(bundle), "--ckpt", str(edited),
+                          "--out", str(tmp_path / "m.csv")], capsys)
+    assert code == 1
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {edited / 'manifest'}: ")
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -14,6 +14,7 @@ from helpers import (
     random_bundles,
 )
 from lankgc import autodiff as ad
+from lankgc import evaluation
 from lankgc.context import BundleContext
 from lankgc.decoder import score_candidates
 from lankgc.encoder import (
@@ -269,15 +270,22 @@ def test_known_triplets_refuse_overflowing_keys_and_bad_queries():
         known.answers(3, 0, "subject")
 
 
-@pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "lstm"])
-def test_grouped_encode_entities_matches_one_padded_batch(kind):
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     ctx, acfg, table, store = bundle_fixture(seed=5)
     dense = table.dense()
     degrees = [ctx.neighborhood(int(e)).shape[0] for e in ctx.seen_ids]
     budget = int(np.median(degrees))  # truncates the larger half
     acfg = AggregatorConfig(kind=kind, neighbor_budget=budget)
+    if acfg.uses_lstm:
+        store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 5, with_lstm=True)
     q = 1
+    # a bound of one budget plus one slot splits the candidates into many passes
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", budget + 1)
+    passes = []
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[4].shape) or encode_batch(*a, **kw))
     got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
+    assert len(passes) > 3 and sum(rows for rows, _ in passes) == len(ctx.seen_ids)
     rng = np.random.default_rng([2, q])
     rels, ents, mask = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
     assert mask.shape[1] == budget and len(set(mask.sum(axis=1))) > 2
@@ -347,6 +355,16 @@ def test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, st
                 for row in test]
         assert res.ranks == want
         assert res.empty_fixed == int((degrees == 0).sum())
+
+
+@pytest.mark.parametrize("kind", ["lan", "lstm"])
+def test_batched_ranks_match_per_query_ranks_across_encode_passes(kind, monkeypatch):
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)
+    keyed = []  # passes whose rows each carry their own rng or seed: the fixed sides
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: keyed.append(
+        not isinstance(kw["rng"], np.random.Generator)) or encode_batch(*a, **kw))
+    test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, "subject")
+    assert sum(keyed) > 3
 
 
 def test_empty_fixed_side_is_counted_and_scored_from_zero():

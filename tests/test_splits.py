@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_corpus
 from lankgc.splits import (
+    BUNDLE_FILES,
     Corpus,
     DatasetBundle,
     SplitError,
@@ -18,6 +19,7 @@ from lankgc.splits import (
     write_bundle,
 )
 from lankgc.synth import gen_synthetic, write_corpus
+from lankgc.util import read_kv, write_kv
 
 
 def check_bundle_invariants(corpus, bundle):
@@ -206,6 +208,18 @@ def test_read_bundle_missing_pieces(tmp_path):
     write_bundle(bundle, out)
     os.remove(out / "aux.tsv")
     with pytest.raises(SplitError, match="missing"):
+        read_bundle(out)
+
+
+@pytest.mark.parametrize("name", BUNDLE_FILES)
+def test_read_bundle_refuses_a_manifest_without_a_checksum_line(tmp_path, name):
+    bundle = build_split(gen_synthetic(100, 0.8, seed=7), SplitSpec("subject", 0.5, 3))
+    out = tmp_path / "bundle"
+    write_bundle(bundle, out)
+    manifest = read_kv(str(out / "manifest"))
+    del manifest[f"sha256.{name}"]
+    write_kv(str(out / "manifest"), manifest)
+    with pytest.raises(SplitError, match=f"no sha256.{name} line for .*{name}"):
         read_bundle(out)
 
 

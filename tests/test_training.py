@@ -21,6 +21,7 @@ from lankgc.training import (
     make_optimizer,
     train,
 )
+from lankgc.util import read_kv, write_kv
 
 
 def tiny_bundle(seed=0, n_entities=14, n_triples=40):
@@ -352,6 +353,16 @@ def test_checkpoint_rejects_corrupted_parameter_file(tmp_path):
     raw[3] ^= 0x01  # same size, one bit off
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum mismatch"):
+        load_checkpoint(str(out))
+
+
+def test_checkpoint_refuses_a_manifest_without_a_checksum_line(tmp_path):
+    out = tmp_path / "ckpt"
+    train(tiny_bundle(), quick_cfg(epochs=1), AggregatorConfig(kind="mean"), out_dir=str(out))
+    manifest = read_kv(str(out / "manifest"))
+    del manifest["sha256.entity_emb.f64"]
+    write_kv(str(out / "manifest"), manifest)
+    with pytest.raises(ValueError, match="no sha256.entity_emb.f64 line for .*entity_emb.f64"):
         load_checkpoint(str(out))
 
 
