@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
 from .context import BundleContext
-from .decoder import SCORER_KINDS
+from .decoder import SCORER_KINDS, check_scorer
 from .encoder import AGGREGATOR_KINDS, encode_from_sample
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets, sample_neighbors
@@ -138,9 +138,10 @@ def _load_model(ckpt_dir, bundle):
     try:
         resolved = resolve_config(overrides={key: meta[key] for key in keys if key in meta})
         acfg = aggregator_config_from(resolved)
-    except ConfigError as exc:
+        scorer = resolved["scorer"]
+        check_scorer(scorer, store["entity_emb"].shape[1])
+    except ValueError as exc:  # a ConfigError, or check_scorer's ValueError
         raise ConfigError(f"{manifest}: {exc}") from None
-    scorer = resolved["scorer"]
     dense = None
     if acfg.needs_rules:
         rules_path = os.path.join(ckpt_dir, "rules.tsv")

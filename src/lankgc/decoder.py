@@ -10,10 +10,10 @@ their own independent rows.
 
 :func:`score_batch` scores rows on an autodiff tape, for training and
 batched scoring.  :func:`score_candidate_block` scores many candidates
-against many fixed endpoints in plain numpy, for ranking, and
-:func:`score_candidates` is its one-endpoint form; they perform the same
-element operations in the same order as :func:`score_batch`, so all of
-them agree bit for bit.
+against many fixed endpoints in plain numpy, for ranking: candidates
+laid out (d, N), 8 feature rows added at a time in numpy's pairwise
+order, so that every score equals :func:`score_batch`'s per-row
+``np.sum(axis=1)``, the reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,77 +53,108 @@ def score_batch(tape, subjects, queries, objects, kind):
     return ad.add(tape, ad.sub(tape, t1, t2), ad.add(tape, t3, t4))
 
 
-_BLOCK_ROWS = 2048  # (query, candidate) rows per scoring pass: a (2048, d) buffer stays in cache
+_TILE_CELLS = 6144  # (query, candidate) scores per tile; its (8, tile) temporaries stay in cache
+_LANES, _RUN = 8, 128  # numpy's pairwise sum: 8 running sums over runs of at most 128 values
 
 
 def score_candidates(candidates, query, fixed, kind, rank_side):
-    """Score (N, d) candidates in the ``rank_side`` slot against one fixed endpoint.
-
-    The one-query form of :func:`score_candidate_block`: ``query`` and
-    ``fixed`` are (d,) vectors, and the result is (N,).
-    """
+    """The one-query form of :func:`score_candidate_block`: (d,) ``query`` and ``fixed`` -> (N,)."""
     return score_candidate_block(candidates, query, np.reshape(fixed, (1, -1)), kind, rank_side)[0]
 
 
 def score_candidate_block(candidates, query, fixed, kind, rank_side):
     """Score (N, d) candidates against each of (Q, d) fixed endpoints -> (Q, N).
 
-    ``query`` is the (d,) relation vector shared by every row, and
-    ``rank_side`` (``"subject"`` or ``"object"``) names the slot the
-    candidates fill.  A pass covers at most ``_BLOCK_ROWS`` (query,
-    candidate) pairs: a few queries against every candidate when N is
-    small, one query against a slice of the candidates when it is large.
-    The subject-times-relation half of each score is computed once per
-    subject row, before the passes, and each pass combines it with the
-    objects in one preallocated buffer small enough to stay in cache.
-    Each row equals :func:`score_batch` on the tiled rows bit for bit.
+    ``query`` is the (d,) relation vector, and ``rank_side`` (``"subject"`` or
+    ``"object"``) the slot the candidates fill.  :func:`candidate_columns` lays
+    them out as contiguous (d, N) factors (``s + q``, ``s * q`` or complex's four
+    products for subjects), and :func:`score_columns` scores tiles of at most
+    ``_TILE_CELLS`` (query, candidate) pairs, adding a tile's features 8 rows at a
+    time in numpy's pairwise order: 8 running lanes, then
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover features one by
+    one; below 8 features a running sum from 0.0; above 128 the halves split at
+    ``n//2 - (n//2) % 8``; the total is added to 0.0.  Each score equals
+    :func:`score_batch`'s ``np.sum(axis=1)`` on the tiled rows bit for bit.
     """
-    n, dim = candidates.shape
-    check_scorer(kind, dim)
-    fixed = np.asarray(fixed).reshape(-1, dim)
-    out = np.empty((fixed.shape[0], n))
-    cols = max(1, min(n, _BLOCK_ROWS))
-    rows = max(1, _BLOCK_ROWS // cols)
-    buf = np.empty((min(rows, fixed.shape[0]), cols, dim // 2 if kind == "complex" else dim))
-    if rank_side == "object":
-        fixed_heads = _heads(fixed, query, kind)
+    return score_columns(candidate_columns(candidates, query, kind, rank_side), query, fixed, kind, rank_side)
+
+
+def candidate_columns(candidates, query, kind, rank_side):
+    """The (d, N) layout of (N, d) candidates for :func:`score_columns`; a ranker makes it once."""
+    check_scorer(kind, candidates.shape[1])
+    return _factors(candidates, query, kind, _is_subject(rank_side))
+
+
+def score_columns(columns, query, fixed, kind, rank_side):
+    """:func:`score_candidate_block` on candidates laid out by :func:`candidate_columns`."""
+    fixed = _factors(np.reshape(fixed, (-1, query.size)), query, kind, not _is_subject(rank_side))
+    n, nq = columns[0].shape[1], fixed[0].shape[1]
+    out = np.empty((nq, n))
+    cols = max(1, min(n, _TILE_CELLS))
+    rows = max(1, min(nq, _TILE_CELLS // cols))
     for lo in range(0, n, cols):
-        block = candidates[lo:lo + cols]
-        if rank_side == "subject":
-            heads = _heads(block, query, kind)
-        for top in range(0, fixed.shape[0], rows):
-            ends = fixed[top:top + rows, None, :]
-            nq, nc = ends.shape[0], block.shape[0]
-            if rank_side == "subject":
-                scores = _combine(heads, ends, kind, buf[:nq, :nc])
-            else:
-                scores = _combine([h[top:top + rows, None, :] for h in fixed_heads], block, kind, buf[:nq, :nc])
-            out[top:top + nq, lo:lo + nc] = scores
+        for top in range(0, nq, rows):
+            t = [_pairwise_sum(f[:, top:top + rows], c[:, lo:lo + cols], kind) for f, c in zip(fixed, columns)]
+            tile = t[0] * -1.0 if kind == "transe" else (t[0] - t[1]) + (t[2] + t[3]) if kind == "complex" else t[0]
+            out[top:top + tile.shape[0], lo:lo + tile.shape[1]] = tile
     return out
 
 
-def _heads(subj, query, kind):
-    """The subject-and-relation factors of each score: ``s + q``, ``s * q``, or complex's four products."""
-    if kind == "transe":
-        return [subj + query]
-    if kind == "distmult":
-        return [subj * query]
-    half = subj.shape[-1] // 2
-    s_re, s_im, q_re, q_im = subj[:, :half], subj[:, half:], query[:half], query[half:]
-    return [s_re * q_re, s_im * q_im, s_re * q_im, s_im * q_re]
+def _is_subject(rank_side):
+    if rank_side not in ("subject", "object"):
+        raise ValueError(f"rank_side must be subject or object, got {rank_side!r}")
+    return rank_side == "subject"
 
 
-def _combine(heads, obj, kind, buf):
-    """Scores of one pass: :func:`_heads` and ``obj`` broadcast to the (q, n, d) ``buf``.
+def _factors(x, query, kind, subject):
+    """The (k, M) factors of each score term from (M, d) rows ``x``, as in :func:`score_batch`:
+    ``s + q``, ``s * q`` or complex's four products for subjects, the rows or their halves for objects."""
+    xt = np.ascontiguousarray(np.transpose(x))
+    half = xt.shape[0] // 2
+    if subject and kind == "complex":
+        s_re, s_im, q_re, q_im = xt[:half], xt[half:], query[:half, None], query[half:, None]
+        return [s_re * q_re, s_im * q_im, s_re * q_im, s_im * q_re]
+    if subject:
+        return [xt + query[:, None] if kind == "transe" else xt * query[:, None]]
+    return [xt[:half], xt[:half], xt[half:], xt[half:]] if kind == "complex" else [xt]
 
-    The element order is that of :func:`score_batch`: ``(s + q) - o``,
-    and ``(s * q) * o`` summed per row, one such sum per complex term.
+
+def _pairwise_sum(fixed, cands, kind):
+    """One term of a tile, the sum over k of ``|f - c|`` (transe) or ``f * c`` -> (q, n).
+
+    ``fixed`` is (k, q) and ``cands`` (k, n).  ``|f - c|`` is ``|(s + q) - o|``
+    whichever side is fixed, as ``a - b`` is ``-(b - a)``.
     """
-    if kind == "transe":
-        return np.abs(np.subtract(heads[0], obj, out=buf), out=buf).sum(axis=-1) * -1.0
-    if kind == "distmult":
-        return np.multiply(heads[0], obj, out=buf).sum(axis=-1)
-    half = obj.shape[-1] // 2
-    o_re, o_im = obj[..., :half], obj[..., half:]
-    t1, t2, t3, t4 = (np.multiply(h, o, out=buf).sum(axis=-1) for h, o in zip(heads, (o_re, o_re, o_im, o_im)))
-    return (t1 - t2) + (t3 + t4)
+
+    def terms(k, width):  # features k..k+width-1 as a fresh (width, q, n) array
+        f, c = fixed[k:k + width, :, None], cands[k:k + width, None, :]
+        if kind == "transe":
+            diff = f - c
+            return np.abs(diff, out=diff)
+        return f * c
+
+    res = _pairwise(terms, 0, fixed.shape[0], (fixed.shape[1], cands.shape[1]))
+    res += 0.0  # numpy adds the sum to its identity 0.0, which turns -0.0 into 0.0
+    return res
+
+
+def _pairwise(terms, lo, n, shape):
+    """Features lo..lo+n-1 of ``terms`` added in numpy's pairwise order -> ``shape``.
+
+    Not a closure: a recursive closure is a reference cycle that holds the columns until gc runs.
+    """
+    if n > _RUN:
+        half = n // 2 - (n // 2) % _LANES
+        return _pairwise(terms, lo, half, shape) + _pairwise(terms, lo + half, n - half, shape)
+    stop = lo + n - n % _LANES
+    if n < _LANES:
+        res = np.zeros(shape)
+    else:
+        lanes = terms(lo, _LANES)
+        for k in range(lo + _LANES, stop, _LANES):
+            lanes += terms(k, _LANES)
+        pairs = lanes[0::2] + lanes[1::2]
+        res = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for k in range(stop, lo + n):
+        res += terms(k, 1)[0]
+    return res

@@ -13,8 +13,8 @@ entities of all the relation's queries in one more pass; each pass runs
 :func:`~lankgc.encoder.encode_batch` on consecutive row blocks of at
 most 2^14 real slots, or one wider row.  Each query keeps its own rng, keyed on
 (seed, s, q, o), for a truncated neighborhood or an lstm permutation.
-Scores come in bounded (queries, candidates) blocks from
-:func:`~lankgc.decoder.score_candidate_block`, without a tape.  One
+Scores come tape-free in bounded (queries, candidates) blocks from
+:func:`~lankgc.decoder.score_columns`, the candidates laid out (d, N) once.  One
 binary search of :class:`KnownTriplets`, sorted int64 fact keys, finds
 every query's known answers, and masked row sums count the better
 scores and the ties.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .decoder import check_scorer, score_batch, score_candidate_block
+from .decoder import candidate_columns, check_scorer, score_batch, score_columns
 from .encoder import constant_leaves, encode_batch, stack_samples
 
 
@@ -199,7 +199,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     The arguments are those of :func:`rank_query`, with ``triplets`` in
     place of one triplet.  Returns the (Q,) int64 ranks and the number
     of queries whose fixed entity has no neighbors, so that it is scored
-    from a zero vector.  The candidates are encoded once per call.
+    from a zero vector.  The candidates are encoded and laid out once per call.
     :func:`link_prediction` calls this once per query relation.
     """
     if rank_side not in ("subject", "object"):
@@ -218,7 +218,10 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     if not found.all():
         raise EvalError(f"ground-truth entity {truth[np.argmin(found)]} is not in the candidate set")
 
+    q_vec = store["relation_emb"][q]
     cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q]))
+    columns = candidate_columns(cand_embs, q_vec, scorer, rank_side)
+    del cand_embs  # the (d, N) layout replaces the encodings
 
     keys = [[seed, *row] for row in triplets.tolist()]
     # an lstm permutes every row after any sample, from that row's one generator; the other
@@ -236,9 +239,8 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
 
     ranks = np.empty(triplets.shape[0], dtype=np.int64)
     step = max(1, _SCORE_CELLS // max(candidates.size, 1))
-    q_vec = store["relation_emb"][q]
     for top in range(0, ranks.size, step):
-        scores = score_candidate_block(cand_embs, q_vec, fixed_embs[top:top + step], scorer, rank_side)
+        scores = score_columns(columns, q_vec, fixed_embs[top:top + step], scorer, rank_side)
         nb = scores.shape[0]
         truth_score = scores[np.arange(nb), truth_pos[top:top + nb], None]
         keep = np.ones(scores.shape, dtype=bool)

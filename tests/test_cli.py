@@ -271,6 +271,7 @@ def test_checkpoint_without_a_vocabulary_line_is_refused(pipeline, tmp_path, cap
 
 @pytest.mark.parametrize("key,value", [
     ("epsilon", "tiny"), ("neighbor_budget", "0"), ("aggregator", "sum"), ("logic_mode", "soft"),
+    ("scorer", "foo"),
 ])
 def test_bad_checkpoint_config_value_gives_one_error_line(pipeline, tmp_path, capsys, key, value):
     _, _, bundle, _, ckpt = pipeline

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import oracle_score
 from lankgc import autodiff as ad
+from lankgc import decoder
 from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch, score_candidate_block, score_candidates
 
 
@@ -19,6 +22,24 @@ def run(kind, s, q, o):
         kind,
     )
     return float(out.data[0])
+
+
+def with_negative_zeros(rng, x):
+    """``x`` with about a third of its entries set to -0.0 and a few to 0.0."""
+    x = x.copy()
+    pick = rng.random(x.shape)
+    x[pick < 0.3] = -0.0
+    x[pick > 0.95] = 0.0
+    return x
+
+
+def batch_scores(cands, q, end, kind, rank_side):
+    """:func:`score_batch` of every candidate against one fixed endpoint, the tiled rows."""
+    tape = ad.Tape()
+    n = cands.shape[0]
+    c, qs, e = (tape.constant(x) for x in (cands, np.tile(q, (n, 1)), np.tile(end, (n, 1))))
+    s, o = (c, e) if rank_side == "subject" else (e, c)
+    return score_batch(tape, s, qs, o, kind).data
 
 
 def test_check_scorer():
@@ -118,11 +139,19 @@ def test_transe_never_positive(rows):
 @pytest.mark.parametrize("rank_side", ["subject", "object"])
 def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
     rng = np.random.default_rng(21)
-    # 2500 candidates take a full and a ragged candidate pass; 7 queries over
-    # 1000 candidates take passes of 2, 2, 2 and a ragged 1 query
-    for n, dim in ((1, 2), (7, 6), (300, 32), (1000, 50), (2500, 8)):
+    # 7 queries over 2500 candidates take query tiles of 2, 2, 2 and a ragged 1;
+    # 13000 candidates take two full and a ragged column tile per query.  The
+    # cases after the first five cover d < 8, d not a multiple of 8 and d > 128
+    # (the halves of numpy's pairwise sum), with -0.0 entries on both sides.
+    cases = ((1, 2), (7, 6), (300, 32), (1000, 50), (2500, 8),
+             (40, 1), (50, 5), (30, 9), (20, 15), (60, 24), (25, 100), (10, 130), (12, 256), (13000, 9))
+    for case, (n, dim) in enumerate(cases):
+        if kind == "complex" and dim % 2:
+            continue
         cands = rng.normal(size=(n, dim))
         q, fixed = rng.normal(size=dim), rng.normal(size=dim)
+        if case >= 5:
+            cands, fixed = with_negative_zeros(rng, cands), with_negative_zeros(rng, fixed)
         tape = ad.Tape()
         c, qs, fs = (tape.constant(x) for x in (cands, np.tile(q, (n, 1)), np.tile(fixed, (n, 1))))
         s, o = (c, fs) if rank_side == "subject" else (fs, c)
@@ -144,3 +173,59 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
             for i, row in enumerate(part):
                 assert row.tobytes() == score_candidates(cands, q, ends[top + i], kind, rank_side).tobytes()
                 assert row.tobytes() == block[top + i].tobytes()
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+@pytest.mark.parametrize("rank_side", ["subject", "object"])
+@pytest.mark.parametrize("cells", [1, 5, 12])
+def test_score_candidate_block_bitwise_across_small_tiles(kind, rank_side, cells, monkeypatch):
+    # 1 cell: one query and one candidate per tile; 5: ragged column tiles of 5
+    # over 23 candidates; 12 over 3 candidates: query tiles of 4, the last ragged.
+    # d = 300 gives complex halves of 150, over the 128 at which numpy's sum splits
+    monkeypatch.setattr(decoder, "_TILE_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    for n, nq, dim in ((23, 6, 2), (23, 3, 10), (3, 7, 34), (5, 9, 130), (4, 3, 300), (23, 2, 1), (3, 5, 9)):
+        if kind == "complex" and dim % 2:
+            continue
+        cands = with_negative_zeros(rng, rng.normal(size=(n, dim)))
+        ends = with_negative_zeros(rng, rng.normal(size=(nq, dim)))
+        q = rng.normal(size=dim)
+        block = score_candidate_block(cands, q, ends, kind, rank_side)
+        assert block.shape == (nq, n)
+        for end, row in zip(ends, block):
+            assert row.tobytes() == batch_scores(cands, q, end, kind, rank_side).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(SCORER_KINDS), rank_side=st.sampled_from(["subject", "object"]),
+       cells=st.sampled_from([1, 7, 64, decoder._TILE_CELLS]))
+def test_score_candidate_block_bitwise_hypothesis(data, kind, rank_side, cells):
+    dim = data.draw(st.integers(1, 150).map(lambda d: 2 * d if kind == "complex" else d), label="dim")
+    n, nq = data.draw(st.integers(1, 30), label="n"), data.draw(st.integers(1, 5), label="nq")
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3, allow_nan=False, width=64))
+    cands = data.draw(hnp.arrays(np.float64, (n, dim), elements=entries), label="cands")
+    ends = data.draw(hnp.arrays(np.float64, (nq, dim), elements=entries), label="ends")
+    q = data.draw(hnp.arrays(np.float64, dim, elements=entries), label="q")
+    with mock.patch.object(decoder, "_TILE_CELLS", cells):
+        block = score_candidate_block(cands, q, ends, kind, rank_side)
+    for end, row in zip(ends, block):
+        assert row.tobytes() == batch_scores(cands, q, end, kind, rank_side).tobytes()
+
+
+@pytest.mark.parametrize("rank_side", ["foo", None])
+def test_scorer_rejects_an_unknown_rank_side(rank_side):
+    cands, q = np.ones((3, 4)), np.ones(4)
+    with pytest.raises(ValueError, match=f"rank_side must be subject or object, got {rank_side!r}"):
+        score_candidate_block(cands, q, np.ones((2, 4)), "transe", rank_side)
+    with pytest.raises(ValueError, match=f"got {rank_side!r}"):
+        score_candidates(cands, q, np.ones(4), "distmult", rank_side)
+
+
+@pytest.mark.parametrize("dim", [3, 9, 200])
+def test_score_candidate_block_sums_negative_zeros_to_zero(dim):
+    # every product is -0.0; numpy adds the sum to its identity 0.0, giving +0.0
+    cands, q, ends = np.full((4, dim), -0.0), np.ones(dim), np.ones((2, dim))
+    for rank_side in ("subject", "object"):
+        block = score_candidate_block(cands, q, ends, "distmult", rank_side)
+        assert not np.signbit(block).any()
+        assert block[0].tobytes() == batch_scores(cands, q, ends[0], "distmult", rank_side).tobytes()
