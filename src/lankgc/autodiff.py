@@ -16,6 +16,12 @@ buffer to several parents (``add`` gives the same ``g`` to both), so a
 gradient must never alias it.  A backward pass first clears all
 gradients on the tape, which makes repeated backward calls over the
 same tape bit-identical.
+
+The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
+take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
+owning the slots ``offsets[b]:offsets[b + 1]``.  Each row's sums add its
+slots in slot order, so its values and gradients have the same bytes
+whichever rows share the batch.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ __all__ = [
     "reshape",
     "take_rows",
     "repeat_rows",
-    "masked_scatter",
     "tanh",
     "sigmoid",
     "relu",
@@ -366,26 +371,6 @@ def repeat_rows(tape, a, k):
     return _make(tape, np.repeat(a.data, k, axis=0), (a,), backward)
 
 
-def masked_scatter(tape, values, mask):
-    """Lay a vector out on a grid: ``values`` fill the True slots of ``mask``, row-major.
-
-    ``mask`` is a plain boolean matrix with exactly ``len(values)``
-    True slots; every other slot of the ``mask``-shaped result is 0.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    slots = np.count_nonzero(mask)
-    if values.data.ndim != 1 or mask.ndim != 2 or values.data.shape[0] != slots:
-        raise ValueError(f"masked_scatter: {values.data.shape} values for a mask with {slots} slots")
-    data = np.zeros(mask.shape)
-    data[mask] = values.data
-
-    def backward(g):
-        if values.requires_grad:
-            values.accumulate(g[mask])
-
-    return _make(tape, data, (values,), backward)
-
-
 def tanh(tape, a):
     data = np.tanh(a.data)
 
@@ -417,77 +402,73 @@ def relu(tape, a):
     return _make(tape, np.where(keep, a.data, 0.0), (a,), backward)
 
 
-def softmax_masked(tape, scores, mask):
-    """Softmax over the unmasked entries of each row.
+def _slot_rows(offsets, slots, op):
+    """The row of each of ``slots`` real slots laid out by CSR ``offsets``, and the row sizes.
 
-    ``scores`` is a vector or matrix Value; ``mask`` is a plain boolean
-    array of the same shape (True = real entry).  Masked slots get
-    weight exactly 0.  A row with no unmasked entry is an error: the
-    distribution would be undefined.
+    Row ``b`` owns the slots ``offsets[b]:offsets[b + 1]``; ``offsets``
+    must run, never decreasing, from 0 to ``slots``.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.data.shape:
-        raise ValueError(f"softmax_masked: mask shape {mask.shape} != scores {scores.data.shape}")
-    s2 = scores.data if scores.data.ndim == 2 else scores.data[None, :]
-    m2 = mask if mask.ndim == 2 else mask[None, :]
-    if not m2.any(axis=1).all():
-        raise ValueError("softmax_masked: a row has no unmasked entries")
-    shifted = np.where(m2, s2, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.where(m2, np.exp(shifted), 0.0)
-    p2 = e / e.sum(axis=1, keepdims=True)
-    data = p2 if scores.data.ndim == 2 else p2[0]
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != slots
+            or (np.diff(offsets) < 0).any()):
+        raise ValueError(f"{op}: offsets must rise from 0 to the {slots} real slots")
+    counts = np.diff(offsets)
+    return np.repeat(np.arange(counts.size), counts), counts
+
+
+def softmax_masked(tape, scores, offsets):
+    """Softmax over each row's slots of the (S,) ``scores``: a segment softmax.
+
+    Row ``b`` owns the slots ``offsets[b]:offsets[b + 1]``; a row
+    without slots has nothing to normalize.  The row max is exact, and
+    each row's sum, like the backward's inner product, adds the row's
+    slots in slot order (:func:`numpy.bincount` is a running sum), so a
+    row's weights have the same bytes whichever rows share the batch.
+    """
+    if scores.data.ndim != 1:
+        raise ValueError(f"softmax_masked: need (S,) scores, got shape {scores.data.shape}")
+    row, counts = _slot_rows(offsets, scores.data.shape[0], "softmax_masked")
+    filled = counts > 0
+    top = np.maximum.reduceat(scores.data, np.asarray(offsets)[:-1][filled])  # only rows with slots
+    e = np.exp(scores.data - np.repeat(top, counts[filled]))
+    data = e / np.bincount(row, weights=e, minlength=counts.size)[row]
 
     def backward(g):
         if scores.requires_grad:
-            g2 = g if g.ndim == 2 else g[None, :]
-            inner = (g2 * p2).sum(axis=1, keepdims=True)
-            ds = p2 * (g2 - inner)
-            scores.accumulate(ds if scores.data.ndim == 2 else ds[0])
+            inner = np.bincount(row, weights=g * data, minlength=counts.size)
+            scores.accumulate(data * (g - inner[row]))
 
     return _make(tape, data, (scores,), backward)
 
 
-def weighted_block_sum(tape, entries, weights, mask=None):
-    """Per-block weighted sum of entry rows with ``(B, K)`` weights -> ``(B, d)``.
+def weighted_block_sum(tape, entries, weights, offsets):
+    """Per-row weighted sum of the (S, d) ``entries`` by the (S,) ``weights`` -> ``(B, d)``.
 
-    ``entries`` holds one row per True slot of ``mask``, in row-major
-    slot order, so row ``b`` of the output is the weighted sum of the
-    entries of the real slots of block ``b``.  Weights at the other
-    slots are ignored and get no gradient, and a block without a real
-    slot sums to zero.  Without ``mask`` every slot is real and
-    ``entries`` is ``(B*K, d)``.
-
+    Row ``b`` of the output is the weighted sum of the slots
+    ``offsets[b]:offsets[b + 1]``; a row without slots sums to zero.
     The forward pass is one sparse product, the mirror of the
-    :func:`take_rows` backward: a (B, S) CSR matrix holding each real
-    slot's weight in its block's row times ``entries``.  It adds each
-    block's slots in slot order, and no padded ``(B, K, d)`` grid is
-    built.  The backward pass touches the real slots only.
+    :func:`take_rows` backward: a (B, S) CSR matrix with ``offsets`` as
+    its row pointer, holding each slot's weight, times ``entries``.  It
+    adds each row's slots in slot order.
     """
-    if entries.data.ndim != 2 or weights.data.ndim != 2:
-        raise ValueError("weighted_block_sum: need (S, d) entries and (B, K) weights")
-    bb, kk = weights.data.shape
-    mask = np.ones((bb, kk), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != (bb, kk):
-        raise ValueError(f"weighted_block_sum: mask shape {mask.shape} != weights {(bb, kk)}")
-    rows = np.nonzero(mask)[0]  # the block of each real slot, in row-major slot order
-    if entries.data.shape[0] != rows.size:
-        raise ValueError(f"weighted_block_sum: {entries.data.shape[0]} rows for {rows.size} real slots")
-    w = weights.data[mask]
-    itype = np.int32 if rows.size < 2**31 else np.int64
-    indptr = np.zeros(bb + 1, dtype=itype)
-    np.cumsum(mask.sum(axis=1), out=indptr[1:])
-    select = sp.csr_matrix((w, np.arange(rows.size, dtype=itype), indptr), shape=(bb, rows.size))
+    if entries.data.ndim != 2 or weights.data.ndim != 1:
+        raise ValueError("weighted_block_sum: need (S, d) entries and (S,) weights")
+    slots = weights.data.shape[0]
+    row, counts = _slot_rows(offsets, slots, "weighted_block_sum")
+    if entries.data.shape[0] != slots:
+        raise ValueError(f"weighted_block_sum: {entries.data.shape[0]} rows for {slots} real slots")
+    w = weights.data
+    itype = np.int32 if slots < 2**31 else np.int64
+    select = sp.csr_matrix((w, np.arange(slots, dtype=itype), np.asarray(offsets, dtype=itype)),
+                           shape=(counts.size, slots))
     data = np.asarray(select @ entries.data)
 
     def backward(g):
-        g_slots = g[rows]
+        g_slots = g[row]
         if entries.requires_grad:
             entries.accumulate(g_slots * w[:, None])
         if weights.requires_grad:
-            dw = np.zeros((bb, kk))
-            dw[mask] = np.sum(entries.data * g_slots, axis=1)
-            weights.accumulate(dw)
+            weights.accumulate(np.sum(entries.data * g_slots, axis=1))
 
     return _make(tape, data, (entries, weights), backward)
 

@@ -17,25 +17,35 @@ Aggregator kinds:
     logic-only    the logic weights alone
 
 The neural attention scores a neighbor by
-``u_a . tanh(W_a [z_q ; T_r(e)])`` and normalizes with a masked softmax,
-so real slots sum to one.  Logic weights come from the mined implication
-table (see :mod:`lankgc.rules`).  For ``lan`` the two weight vectors are
-summed, not renormalized.
+``u_a . tanh(W_a [z_q ; T_r(e)])`` and normalizes with a softmax over
+the row's neighbors, so they sum to one.  Logic weights come from the
+mined implication table (see :mod:`lankgc.rules`).  For ``lan`` the two
+weight vectors are summed, not renormalized.
 
 :func:`encode_batch` is the one forward pass, used for training,
 ranking and scoring alike; :func:`encode_from_sample` is its B=1 form,
 which also reports the per-slot attention (for ``inspect-weights``).
 The numpy oracles in the test suite pin it to the formulas above.
 
-A batch arrives as (B, K) slot grids padded to its widest row, but
-every d-wide step (the gathers, the transform, the attention projection
-and its tanh) runs on the S real slots only.  Only per-slot scalars
-live on the grid: the logic weights, the attention scores, the softmax
-and the weights of the final sum, which adds the real slots directly
-(:func:`~lankgc.autodiff.weighted_block_sum`).  ``attn_proj`` is applied in two
-halves taken apart by column: ``W_a [z_q ; t] = W_q z_q + W_e t``.  The
-query half is computed once per row and gathered to its slots, the
-neighbor half once per real slot; ``global-attn`` has no query half.
+A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
+the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
+arrays, and every per-slot quantity is an (S,) array, from the gathers,
+the transform and the attention projection to the logic weights, the
+softmax and the weights of the final sum
+(:func:`~lankgc.autodiff.weighted_block_sum`).  Each row's scalar sums
+add its own slots in slot order, so an empty row simply has no slots.
+``attn_proj`` is applied in two halves taken apart by column:
+``W_a [z_q ; t] = W_q z_q + W_e t``.  The query half is computed once
+per row and gathered to its slots, the neighbor half once per slot;
+``global-attn`` has no query half.
+
+A row's encoding does not depend on the other rows of its batch, except
+through BLAS: the attention's ``transformed @ W_e^T`` and the lstm's
+gate products round a row differently in its last bits depending on the
+product's row count (with the transposed view of ``W_e``, rows of a
+product under 64 rows differ from the same rows in a larger one).  So a
+row equals its B=1 encoding bitwise for ``mean`` and ``logic-only``
+only; the other kinds agree to rounding.
 """
 
 from __future__ import annotations
@@ -121,99 +131,103 @@ def encode_from_sample(store, dense, cfg, query, sample, rng):
         dense = np.asarray(dense, dtype=np.float64)
     tape = ad.Tape()
     out, alpha_logic, alpha_nn = encode_batch(
-        tape, constant_leaves(tape, store), rels[None], ents[None], np.ones((1, rels.size), dtype=bool),
+        tape, constant_leaves(tape, store), np.array([0, rels.size]), rels, ents,
         np.array([query]), cfg, dense_table=dense, rng=rng, trace=True,
     )
     trace = []
     if cfg.kind not in ("mean", "lstm"):
         trace = [
             (int(r), int(e), float(lw), float(nw), float(lw + nw))
-            for r, e, lw, nw in zip(rels, ents, alpha_logic[0], alpha_nn[0])
+            for r, e, lw, nw in zip(rels, ents, alpha_logic, alpha_nn)
         ]
     return EncodedEntity(out.data[0].copy(), trace=trace, flagged=False)
 
 
-def stack_samples(graph, ent_ids, budget, rng):
-    """Sample neighborhoods for a batch of entities into (B, K) arrays.
+def _shared_rng(rng, rows):
+    """Whether ``rng`` is one Generator for all rows; a per-row sequence must have ``rows`` entries."""
+    if isinstance(rng, np.random.Generator):
+        return True
+    if len(rng) != rows:
+        raise ValueError(f"per-row rng sequence has {len(rng)} entries for {rows} rows")
+    return False
 
-    ``graph`` is a :class:`~lankgc.kg.KnowledgeGraph`, or anything with
-    its CSR ``offsets`` and ``pairs`` arrays; rows are gathered from
-    them directly.  Only neighborhoods over the budget go through
+
+def stack_samples(graph, ent_ids, budget, rng):
+    """Sample neighborhoods for a batch of entities as CSR slots.
+
+    Returns ``(offsets, relations, entities)``: row ``i`` holds the
+    slots ``offsets[i]:offsets[i + 1]`` of the (S,) ``relations`` and
+    ``entities``, at most ``budget`` of them.  ``graph`` is a
+    :class:`~lankgc.kg.KnowledgeGraph`, or anything with its CSR
+    ``offsets`` and ``pairs`` arrays; rows are gathered from them
+    directly.  Only neighborhoods over the budget go through
     :func:`sample_neighbors`, in row order, so the rng draws are those
     of sampling every row.  ``rng`` is one Generator, or a sequence with
     one entry per row: a Generator, or a seed from which a truncated row
     makes its own with :func:`numpy.random.default_rng` (rows that fit
-    the budget never read theirs).  K is at most the budget but no larger
-    than the widest sampled neighborhood (and at least 1).  An entity id
-    outside [0, N) raises :class:`~lankgc.kg.GraphError`.
+    the budget never read theirs).  An entity id outside [0, N) raises
+    :class:`~lankgc.kg.GraphError`.
     """
     if budget < 1:
         raise ValueError(f"neighbor budget must be >= 1, got {budget}")
-    offsets, pairs = graph.offsets, graph.pairs
+    indptr, pairs = graph.offsets, np.asarray(graph.pairs, dtype=np.int64)
     ent_ids = np.asarray(ent_ids, dtype=np.int64).reshape(-1)
-    bad = ent_ids[(ent_ids < 0) | (ent_ids >= offsets.size - 1)]
+    bad = ent_ids[(ent_ids < 0) | (ent_ids >= indptr.size - 1)]
     if bad.size:
         raise GraphError(f"entity id out of range: {int(bad[0])}")
-    starts = offsets[ent_ids]
-    sizes = offsets[ent_ids + 1] - starts
+    shared = _shared_rng(rng, ent_ids.size)
+    starts = indptr[ent_ids]
+    sizes = indptr[ent_ids + 1] - starts
     taken = np.minimum(sizes, budget)
-    width = max(1, int(taken.max(initial=0)))
-    slots = np.arange(width)
-    mask = slots < taken[:, None]
-    src = (starts[:, None] + slots)[mask]  # slot j of row i reads pairs[starts[i] + j]
-    relations = np.zeros(mask.shape, dtype=np.int64)
-    entities = np.zeros(mask.shape, dtype=np.int64)
-    relations[mask] = pairs[src, 0]
-    entities[mask] = pairs[src, 1]
-    shared = isinstance(rng, np.random.Generator)
+    offsets = np.zeros(ent_ids.size + 1, dtype=np.int64)
+    np.cumsum(taken, out=offsets[1:])
+    src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], taken)  # slot j of row i reads pairs[starts[i] + j]
+    relations, entities = pairs[src, 0], pairs[src, 1]
     for i in np.flatnonzero(sizes > budget):
         row_rng = rng if shared else np.random.default_rng(rng[i])
         sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, row_rng)
-        relations[i] = sample.relations
-        entities[i] = sample.entities
-    return relations, entities, mask
+        relations[offsets[i]:offsets[i + 1]] = sample.relations
+        entities[offsets[i]:offsets[i + 1]] = sample.entities
+    return offsets, relations, entities
 
 
-def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_table=None, rng=None,
+def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense_table=None, rng=None,
                  trace=False):
     """Encode a batch of entities; returns a ``(B, d)`` Value.
 
-    ``relations``/``entities``/``mask`` are (B, K) sampled neighborhoods
-    with real entries first (as produced by :func:`stack_samples`), and
-    ``queries`` is the (B,) query relation per row.  Rows without any
-    real neighbor come out as zero vectors.  Padding slots do no d-wide
-    work and get no gradient.  ``rng`` (lstm only) is one Generator or a
-    sequence with one Generator or seed per row, as for
-    :func:`stack_samples`.  With ``trace`` set the result is ``(Value,
-    alpha_logic, alpha_nn)``: the (B, K) logic and neural attention
-    weights, zero where the kind has no such part.
+    The batch is CSR, as :func:`stack_samples` returns it: row ``b``'s
+    neighbors are the slots ``offsets[b]:offsets[b + 1]`` of the (S,)
+    ``relations`` and ``entities``, and ``queries`` is the (B,) query
+    relation per row.  Rows without a neighbor come out as zero vectors.
+    ``rng`` (lstm only) is one Generator or a sequence with one
+    Generator or seed per row, as for :func:`stack_samples`.  With
+    ``trace`` set the result is ``(Value, alpha_logic, alpha_nn)``: the
+    (S,) logic and neural attention weights, zero where the kind has no
+    such part.
     """
-    relations = np.asarray(relations, dtype=np.int64)
-    entities = np.asarray(entities, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
+    offsets = np.asarray(offsets, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
-    bsz, k = relations.shape
+    counts = np.diff(offsets)
     dim = leaves["entity_emb"].data.shape[1]
 
-    entries = ad.take_rows(tape, leaves["entity_emb"], entities[mask])
-    transforms = ad.take_rows(tape, leaves["transform_vec"], relations[mask])
-    transformed = transform_batch(tape, entries, transforms)  # (S, d), row-major slot order
+    entries = ad.take_rows(tape, leaves["entity_emb"], entities)
+    transforms = ad.take_rows(tape, leaves["transform_vec"], relations)
+    transformed = transform_batch(tape, entries, transforms)  # (S, d), in slot order
 
     if cfg.kind == "lstm":
-        out = _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim)
-        return (out, np.zeros((bsz, k)), np.zeros((bsz, k))) if trace else out
+        out = _encode_batch_lstm(tape, leaves, transformed, offsets, rng)
+        return (out, np.zeros(offsets[-1]), np.zeros(offsets[-1])) if trace else out
 
     logic_w = alpha_nn = None
     if cfg.needs_rules:
         if dense_table is None:
             raise ValueError(f"aggregator {cfg.kind!r} needs a mined rule table")
         logic_w = logic_attention_batch(
-            dense_table, relations, mask, queries, mode=cfg.logic_mode, epsilon=cfg.epsilon
+            dense_table, offsets, relations, queries, mode=cfg.logic_mode, epsilon=cfg.epsilon
         )
 
     if cfg.kind == "mean":
-        counts = np.maximum(mask.sum(axis=1), 1)
-        weights = tape.constant(mask.astype(np.float64) / counts[:, None])
+        weights = tape.constant(1.0 / np.repeat(counts, counts))
     elif cfg.kind == "logic-only":
         weights = tape.constant(logic_w)
     else:
@@ -222,43 +236,39 @@ def encode_batch(tape, leaves, relations, entities, mask, queries, cfg, dense_ta
         if cfg.kind != "global-attn":
             w_q = ad.transpose(tape, ad.narrow(tape, proj, 0, dim))
             q_part = ad.matmul(tape, ad.take_rows(tape, leaves["query_vec"], queries), w_q)  # (B, d)
-            pre = ad.add(tape, pre, ad.take_rows(tape, q_part, np.nonzero(mask)[0]))
+            pre = ad.add(tape, pre, ad.take_rows(tape, q_part, np.repeat(np.arange(counts.size), counts)))
         scores = ad.matvec(tape, ad.tanh(tape, pre), leaves["attn_score_vec"])
-        soft_mask = mask.copy()
-        soft_mask[~mask.any(axis=1), 0] = True  # an empty row's weights are never read
-        alpha_nn = ad.softmax_masked(tape, ad.masked_scatter(tape, scores, mask), soft_mask)
+        alpha_nn = ad.softmax_masked(tape, scores, offsets)
         weights = ad.add(tape, alpha_nn, tape.constant(logic_w)) if cfg.kind == "lan" else alpha_nn
-    out = ad.weighted_block_sum(tape, transformed, weights, mask)
+    out = ad.weighted_block_sum(tape, transformed, weights, offsets)
     if not trace:
         return out
-    zeros = np.zeros((bsz, k))
-    nn_w = zeros if alpha_nn is None else np.where(mask, alpha_nn.data, 0.0)
-    return out, (zeros if logic_w is None else logic_w), nn_w
+    zeros = np.zeros(offsets[-1])
+    return out, (zeros if logic_w is None else logic_w), (zeros if alpha_nn is None else alpha_nn.data)
 
 
-def _encode_batch_lstm(tape, leaves, transformed, mask, rng, bsz, dim):
-    """Batched LSTM aggregation with per-row freezing after the last real slot.
+def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
+    """Batched LSTM aggregation with per-row freezing after the last slot.
 
-    ``transformed`` holds the real slots only, row-major.  Each row
-    consumes its real slots in a freshly permuted order; rows that have
-    run out keep their hidden state unchanged, so the final state equals
-    the single-entity LSTM over the same sequence.  With one entry per
-    row, each row draws its permutation from its own Generator, or from
-    one made from its seed.
+    ``transformed`` holds the (S, d) slots; row ``b`` owns
+    ``transformed[offsets[b]:offsets[b + 1]]``.  Each row consumes its
+    slots in a freshly permuted order; rows that have run out keep their
+    hidden state unchanged, so the final state equals the single-entity
+    LSTM over the same sequence.  With one entry per row, each row draws
+    its permutation from its own Generator, or from one made from its
+    seed.
     """
     if rng is None:
         raise ValueError("lstm aggregation needs an rng for the neighbor permutation")
-    shared = isinstance(rng, np.random.Generator)
-    counts = mask.sum(axis=1)
-    starts = np.cumsum(counts) - counts  # row b's real slots are transformed[starts[b]:][:counts[b]]
-    order = np.zeros((bsz, mask.shape[1]), dtype=np.int64)
-    for b in range(bsz):
-        v = int(counts[b])
-        if v:
-            order[b, :v] = (rng if shared else np.random.default_rng(rng[b])).permutation(v)
+    starts, counts = offsets[:-1], np.diff(offsets)
+    bsz, dim = counts.size, transformed.data.shape[1]
+    shared = _shared_rng(rng, bsz)
+    t_max = int(counts.max(initial=0))
+    order = np.zeros((bsz, t_max), dtype=np.int64)
+    for b in np.flatnonzero(counts):
+        order[b, :counts[b]] = (rng if shared else np.random.default_rng(rng[b])).permutation(counts[b])
     h = tape.constant(np.zeros((bsz, dim)))
     c = tape.constant(np.zeros((bsz, dim)))
-    t_max = int(counts.max()) if bsz else 0
     last = transformed.data.shape[0] - 1
     for t in range(t_max):
         # a row that has run out reads any real slot; its step is dropped below

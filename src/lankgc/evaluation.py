@@ -159,30 +159,28 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     Generator or one per entity, as there.  Consecutive rows are encoded
     in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row is a
     block of its own), each one :func:`encode_batch` on its own tape, so
-    the tape holds one block at a time.  Padding is left only on the
-    (B, K) scalar grids.  Rows without neighbors are zero vectors.
+    the tape holds one block at a time.  Nothing is padded: a block is
+    a run of the CSR slots.  Rows without neighbors are zero vectors.
     """
-    rels, ents, mask = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
-    return _encode_blocks(store, acfg, dense, rels, ents, mask, query_rel, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
+    return _encode_blocks(store, acfg, dense, offsets, rels, ents, query_rel, rng)
 
 
 _BLOCK_SLOTS = 1 << 14  # real neighbor slots per encode pass, which bounds the tape
 
 
-def _encode_blocks(store, acfg, dense, rels, ents, mask, query_rel, rng):
-    """:func:`encode_entities` on neighborhoods already sampled into (B, K) grids."""
-    degree = mask.sum(axis=1)
-    ends = np.cumsum(degree)
-    out = np.zeros((degree.size, store["entity_emb"].shape[1]))
+def _encode_blocks(store, acfg, dense, offsets, rels, ents, query_rel, rng):
+    """:func:`encode_entities` on neighborhoods already sampled as CSR slots."""
+    out = np.zeros((offsets.size - 1, store["entity_emb"].shape[1]))
     lo = 0
-    while lo < degree.size:
-        # rows lo..hi-1 hold at most _BLOCK_SLOTS real slots, or are a single row
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - degree[lo] + _BLOCK_SLOTS, side="right")))
-        k = int(degree[lo:hi].max())
-        if k:  # a block of empty rows stays zero
+    while lo < out.shape[0]:
+        # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
+        hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
+        a, z = offsets[lo], offsets[hi]
+        if z > a:  # a block of empty rows stays zero
             tape = ad.Tape()
             out[lo:hi] = encode_batch(
-                tape, constant_leaves(tape, store), rels[lo:hi, :k], ents[lo:hi, :k], mask[lo:hi, :k],
+                tape, constant_leaves(tape, store), offsets[lo:hi + 1] - a, rels[a:z], ents[a:z],
                 np.full(hi - lo, query_rel, dtype=np.int64), acfg, dense_table=dense,
                 rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
             ).data
@@ -200,7 +198,8 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     place of one triplet.  Returns the (Q,) int64 ranks and the number
     of queries whose fixed entity has no neighbors, so that it is scored
     from a zero vector.  The candidates are encoded and laid out once per call.
-    :func:`link_prediction` calls this once per query relation.
+    :func:`link_prediction` calls this once per query relation; no
+    queries, or queries of more than one relation, raise :class:`EvalError`.
     """
     if rank_side not in ("subject", "object"):
         raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
@@ -208,7 +207,13 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         raise EvalError(
             f"filter_set must be a KnownTriplets index, got {type(filter_set).__name__}"
         )
+    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    if triplets.shape[0] == 0:
+        raise EvalError("no queries to rank")
     q = int(triplets[0, 1])
+    mixed = triplets[triplets[:, 1] != q, 1]
+    if mixed.size:
+        raise EvalError(f"queries mix relations {q} and {int(mixed[0])}; rank_relation ranks one relation")
     s, o = triplets[:, 0], triplets[:, 2]
     truth, fixed = (s, o) if rank_side == "subject" else (o, s)
     candidates = ctx.seen_ids
@@ -227,8 +232,8 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     # an lstm permutes every row after any sample, from that row's one generator; the other
     # kinds read a generator only to sample a truncated neighborhood, and stack_samples makes those
     rngs = [np.random.default_rng(key) for key in keys] if acfg.uses_lstm else keys
-    rels, ents, mask = stack_samples(ctx.neighbor_graph, fixed, acfg.neighbor_budget, rngs)
-    fixed_embs = _encode_blocks(store, acfg, dense, rels, ents, mask, q, rngs)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, fixed, acfg.neighbor_budget, rngs)
+    fixed_embs = _encode_blocks(store, acfg, dense, offsets, rels, ents, q, rngs)
 
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:
@@ -249,7 +254,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         better = ((scores > truth_score) & keep).sum(axis=1)
         ties = ((scores == truth_score) & keep).sum(axis=1) - 1  # the truth ties itself
         ranks[top:top + nb] = 1 + better + (ties + 1) // 2  # (ties + 1) // 2 == ceil(ties / 2)
-    return ranks, int((~mask.any(axis=1)).sum())
+    return ranks, int((np.diff(offsets) == 0).sum())
 
 
 def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, seed):
@@ -375,8 +380,8 @@ def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng, budge
     b = triplets.shape[0]
     ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
     queries = np.tile(triplets[:, 1], 2)
-    rels, ents, mask = stack_samples(graph, ent_ids, budget, rng)
-    enc = encode_batch(tape, leaves, rels, ents, mask, queries, acfg, dense_table=dense, rng=rng)
+    offsets, rels, ents = stack_samples(graph, ent_ids, budget, rng)
+    enc = encode_batch(tape, leaves, offsets, rels, ents, queries, acfg, dense_table=dense, rng=rng)
     subj = ad.take_rows(tape, enc, np.arange(b))
     obj = ad.take_rows(tape, enc, np.arange(b) + b)
     q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])

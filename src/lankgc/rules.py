@@ -23,9 +23,12 @@ with an empty max defined as 1 and the denominator floored at epsilon.
 A high numerator means r tends to imply the query; a high denominator
 means r is implied by other present relations, i.e. redundant.
 
-A batch arrives as (B, K) slot grids padded to its widest row, but the
-max only ever pairs a row's real slots with each other: a batch costs
-the sum of k_i^2 over its rows' real slot counts k_i, not B * K^2.
+A batch arrives as CSR slots: row b owns the slots offsets[b]:offsets[b+1]
+of a flat relation array.  The max only ever pairs a row's slots with
+each other, so a batch costs the sum of k_i^2 over its rows' slot
+counts k_i.  The max is exact, and the normalization adds each row's
+slots in slot order (a running sum, as ``sum`` over a list does), so a
+row's weights have the same bytes whichever rows share its batch.
 """
 
 from __future__ import annotations
@@ -86,53 +89,45 @@ def mine_confidence(kg):
     return ConfidenceTable(matrix, support=support, relation_names=names)
 
 
-def logic_attention_batch(dense, relations, mask, queries, mode="normalized", epsilon=1e-3):
-    """Logic weights for a batch of sampled neighborhoods.
+def logic_attention_batch(dense, offsets, relations, queries, mode="normalized", epsilon=1e-3):
+    """Logic weights for a batch of sampled neighborhoods, one per slot.
 
-    ``dense`` is the (R, R) confidence matrix, ``relations``/``mask``
-    are (B, K) and ``queries`` is (B,).  Masked slots get weight exactly
-    0, whatever relation id they hold.  ``mode`` is ``"raw"`` for the
-    plain ratios or ``"normalized"`` to rescale each row's real slots to
-    sum to 1 (when their sum is positive).  A query id, or the relation
-    id of a real slot, outside the matrix raises
-    :class:`~lankgc.kg.GraphError`.
+    ``dense`` is the (R, R) confidence matrix; row ``b`` of the batch is
+    the slots ``offsets[b]:offsets[b + 1]`` of the (S,) ``relations``,
+    under the query ``queries[b]``.  Returns the (S,) weights.  ``mode``
+    is ``"raw"`` for the plain ratios or ``"normalized"`` to rescale each
+    row to sum to 1 (when its sum is positive).  A query or neighbor
+    relation id outside the matrix raises :class:`~lankgc.kg.GraphError`.
     """
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown logic mode: {mode!r}")
-    relations = np.asarray(relations, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    rel = np.asarray(relations, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
     n_rel = dense.shape[1]
     bad = queries[(queries < 0) | (queries >= n_rel)]
     if bad.size:
         raise GraphError(f"query relation id out of range: {int(bad[0])}")
-    bsz, k = relations.shape
-    w = np.zeros((bsz, k))
-    # the S real slots in row-major order, so each row's slots are one contiguous run
-    slots = np.flatnonzero(mask)
-    rel = relations.reshape(-1)[slots]
     bad = rel[(rel < 0) | (rel >= dense.shape[0])]
     if bad.size:
         raise GraphError(f"neighbor relation id out of range: {int(bad[0])}")
-    if slots.size:
-        flat = dense.reshape(-1)  # dense[i, j] is flat[i * n_rel + j]
-        row = slots // k
-        counts = np.bincount(row, minlength=bsz)
-        first = np.cumsum(counts) - counts  # each row's first slot among the S
-        # real slot s of row b owns the run of k_b pairs that starts at seg[s];
-        # pair seg[s] + i partners s with slot first[b] + i
-        size = counts[row]
-        seg = np.cumsum(size) - size
-        partner = np.arange(seg[-1] + size[-1]) - np.repeat(seg - first[row], size)
-        implier, implied = rel[partner], np.repeat(rel, size)
-        # conf(r_{j'} => r_j), with identical relation ids excluded from the max
-        cross = np.where(implier == implied, -np.inf, flat.take(implier * n_rel + implied))
-        denom = np.maximum.reduceat(cross, seg)
-        denom[np.isneginf(denom)] = 1.0
-        w.reshape(-1)[slots] = flat.take(rel * n_rel + queries[row]) / np.maximum(denom, epsilon)
+    flat = dense.reshape(-1)  # dense[i, j] is flat[i * n_rel + j]
+    counts = np.diff(offsets)
+    row = np.repeat(np.arange(counts.size), counts)
+    # slot s of row b owns the run of k_b pairs that starts at seg[s];
+    # pair seg[s] + i partners s with slot offsets[b] + i
+    size = counts[row]
+    seg = np.cumsum(size) - size
+    partner = np.arange(size.sum()) - np.repeat(seg - offsets[row], size)
+    implier, implied = rel[partner], np.repeat(rel, size)
+    # conf(r_{j'} => r_j), with identical relation ids excluded from the max
+    cross = np.where(implier == implied, -np.inf, flat.take(implier * n_rel + implied))
+    denom = np.maximum.reduceat(cross, seg)
+    denom[np.isneginf(denom)] = 1.0
+    w = flat.take(rel * n_rel + queries[row]) / np.maximum(denom, epsilon)
     if mode == "normalized":
-        totals = w.sum(axis=1, keepdims=True)
-        w /= np.where(totals > 0.0, totals, 1.0)  # x / 1.0 is x, so rows summing to <= 0 stay as they are
+        totals = np.bincount(row, weights=w, minlength=counts.size)
+        w /= np.where(totals > 0.0, totals, 1.0)[row]  # x / 1.0 is x, so rows summing to <= 0 stay as they are
     return w
 
 

@@ -83,6 +83,13 @@ def naive_confidence(kg):
     return conf
 
 
+def grid_to_csr(mask, *grids):
+    """(B, K) slot grids as CSR: ``(offsets, *flat)``, the True slots of ``mask`` in row-major order."""
+    mask = np.asarray(mask, dtype=bool)
+    offsets = np.concatenate([[0], np.cumsum(mask.sum(axis=1))]).astype(np.int64)
+    return (offsets, *(np.asarray(grid)[mask] for grid in grids))
+
+
 def oracle_logic(dense, rels, query, mode="normalized", epsilon=1e-3):
     """Logic weights of a fully-valid neighborhood, straight from the formula."""
     rels = [int(r) for r in rels]

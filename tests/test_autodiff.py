@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import grid_to_csr
 from lankgc import autodiff as ad
 from lankgc.encoder import AggregatorConfig, encode_batch
 
@@ -36,6 +37,19 @@ def weighted(tape, v, seed):
 
 def r(seed, *shape):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def masked(seed, mask):
+    """Random values at the True slots of a (B, K) ``mask``, as CSR: ``(offsets, values)``."""
+    mask = np.array(mask, dtype=bool)
+    return grid_to_csr(mask, r(seed, *mask.shape))
+
+
+SOFTMAX_VEC = masked(56, [[1, 1, 0, 1, 0, 1]])
+SOFTMAX_ROWS = masked(58, [[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
+SOFTMAX_EMPTY_ROW = masked(47, [[1, 0, 1], [0, 0, 0], [1, 1, 0]])
+BLOCK_SUM = masked(63, np.ones((2, 3)))
+BLOCK_SUM_MASKED = masked(61, [[1, 1, 0], [0, 0, 0], [1, 1, 0]])
 
 
 # --- one finite-difference case per primitive -------------------------------
@@ -80,26 +94,18 @@ FD_CASES = {
                 lambda t, l: weighted(t, ad.sigmoid(t, l["a"]), 53)),
     "relu": ({"a": r(54, 9) + 0.05},
              lambda t, l: weighted(t, ad.relu(t, l["a"]), 55)),
-    "softmax_vec": ({"a": r(56, 6)},
-                    lambda t, l: weighted(
-                        t, ad.softmax_masked(t, l["a"], np.array([1, 1, 0, 1, 0, 1], bool)), 57)),
-    "softmax_rows": ({"a": r(58, 3, 4)},
-                     lambda t, l: weighted(
-                         t, ad.softmax_masked(
-                             t, l["a"],
-                             np.array([[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]], bool)), 59)),
-    "weighted_block_sum": ({"e": r(62, 6, 3), "w": r(63, 2, 3)},
+    "softmax_vec": ({"a": SOFTMAX_VEC[1]},
+                    lambda t, l: weighted(t, ad.softmax_masked(t, l["a"], SOFTMAX_VEC[0]), 57)),
+    "softmax_rows": ({"a": SOFTMAX_ROWS[1]},
+                     lambda t, l: weighted(t, ad.softmax_masked(t, l["a"], SOFTMAX_ROWS[0]), 59)),
+    "softmax_empty_row": ({"a": SOFTMAX_EMPTY_ROW[1]},
+                          lambda t, l: weighted(t, ad.softmax_masked(t, l["a"], SOFTMAX_EMPTY_ROW[0]), 19)),
+    "weighted_block_sum": ({"e": r(62, 6, 3), "w": BLOCK_SUM[1]},
                            lambda t, l: weighted(
-                               t, ad.weighted_block_sum(t, l["e"], l["w"]), 64)),
-    "weighted_block_sum_masked": ({"e": r(60, 4, 3), "w": r(61, 3, 3)},
+                               t, ad.weighted_block_sum(t, l["e"], l["w"], BLOCK_SUM[0]), 64)),
+    "weighted_block_sum_masked": ({"e": r(60, 4, 3), "w": BLOCK_SUM_MASKED[1]},
                                   lambda t, l: weighted(
-                                      t, ad.weighted_block_sum(
-                                          t, l["e"], l["w"],
-                                          np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0]], bool)), 46)),
-    "masked_scatter": ({"a": r(47, 4)},
-                       lambda t, l: weighted(
-                           t, ad.masked_scatter(
-                               t, l["a"], np.array([[1, 0, 1], [0, 0, 0], [1, 1, 0]], bool)), 19)),
+                                      t, ad.weighted_block_sum(t, l["e"], l["w"], BLOCK_SUM_MASKED[0]), 46)),
     "l1_norm_vec": ({"a": r(65, 6) + np.sign(r(65, 6)) * 0.1},
                     lambda t, l: ad.l1_norm(t, l["a"])),
     "l1_norm_rows": ({"a": r(66, 3, 4) + np.sign(r(66, 3, 4)) * 0.1},
@@ -250,38 +256,54 @@ def test_weighted_block_sum_with_mask_matches_the_padded_grid():
     mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], bool)
     grid = rng.normal(size=(12, 3))
     w = rng.normal(size=(3, 4))
+    offsets, entries, w_real = grid_to_csr(mask, grid.reshape(3, 4, 3), w)
     tape = ad.Tape()
-    real = ad.weighted_block_sum(tape, tape.constant(grid[mask.reshape(-1)]), tape.constant(w), mask)
-    padded = ad.weighted_block_sum(tape, tape.constant(grid), tape.constant(np.where(mask, w, 0.0)))
-    np.testing.assert_allclose(real.data, padded.data, rtol=1e-15, atol=1e-15)
+    real = ad.weighted_block_sum(tape, tape.constant(entries), tape.constant(w_real), offsets)
+    padded = padded_grid_block_sum(entries, w, mask)
+    np.testing.assert_allclose(real.data, padded, rtol=1e-15, atol=1e-15)
     np.testing.assert_array_equal(real.data[1], np.zeros(3))
     with pytest.raises(ValueError, match="real slots"):
-        ad.weighted_block_sum(tape, tape.constant(grid), tape.constant(w), mask)
+        ad.weighted_block_sum(tape, tape.constant(grid), tape.constant(w_real), offsets)
 
 
-def test_masked_scatter_places_values_row_major():
+def test_segment_ops_place_slots_by_offsets():
     tape = ad.Tape()
-    mask = np.array([[0, 1, 1], [1, 0, 0]], bool)
-    out = ad.masked_scatter(tape, tape.constant(np.array([1.0, 2.0, 3.0])), mask)
-    np.testing.assert_array_equal(out.data, [[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="slots"):
-        ad.masked_scatter(tape, tape.constant(np.ones(2)), mask)
+    offsets = np.array([0, 0, 2, 3])  # an empty row, then two slots, then one
+    out = ad.weighted_block_sum(tape, tape.constant(np.eye(3)), tape.constant(np.array([1.0, 2.0, 3.0])), offsets)
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    p = ad.softmax_masked(tape, tape.constant(np.array([0.0, 0.0, 5.0])), offsets)
+    np.testing.assert_array_equal(p.data, [0.5, 0.5, 1.0])
+    with pytest.raises(ValueError, match="4 rows for 3 real slots"):
+        ad.weighted_block_sum(tape, tape.constant(np.eye(4)), tape.constant(np.ones(3)), offsets)
+    for bad in ([0, 2, 4], [0, 2, 1, 3], [1, 2, 3], [[0, 3]], []):
+        with pytest.raises(ValueError, match="offsets must rise"):
+            ad.weighted_block_sum(tape, tape.constant(np.eye(3)), tape.constant(np.ones(3)), bad)
+        with pytest.raises(ValueError, match="offsets must rise"):
+            ad.softmax_masked(tape, tape.constant(np.ones(3)), bad)
+    with pytest.raises(ValueError, match=r"\(S,\) weights"):
+        ad.weighted_block_sum(tape, tape.constant(np.eye(3)), tape.constant(np.eye(3)), offsets)
+    with pytest.raises(ValueError, match=r"\(S,\) scores"):
+        ad.softmax_masked(tape, tape.constant(np.ones((1, 3))), [0, 3])
 
 
 def test_softmax_masked_rows_sum_to_one():
     tape = ad.Tape()
     mask = np.array([[1, 0, 1, 1], [1, 1, 0, 0]], bool)
-    p = ad.softmax_masked(tape, tape.constant(r(6, 2, 4)), mask)
-    np.testing.assert_allclose(p.data.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
-    assert (p.data[~mask] == 0.0).all()
+    offsets, scores = grid_to_csr(mask, r(6, 2, 4))
+    p = np.zeros(mask.shape)
+    p[mask] = ad.softmax_masked(tape, tape.constant(scores), offsets).data
+    np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
+    assert (p[~mask] == 0.0).all()
 
 
-def test_softmax_masked_rejects_empty_row():
+def test_softmax_masked_gives_an_empty_row_no_slots():
     tape = ad.Tape()
-    scores = tape.constant(r(7, 2, 3))
-    mask = np.array([[1, 1, 1], [0, 0, 0]], bool)
-    with pytest.raises(ValueError, match="no unmasked"):
-        ad.softmax_masked(tape, scores, mask)
+    scores = tape.leaf(r(7, 3), requires_grad=True)
+    p = ad.softmax_masked(tape, scores, np.array([0, 3, 3]))
+    assert p.data.shape == (3,)
+    np.testing.assert_allclose(p.data.sum(), 1.0, rtol=0, atol=1e-15)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, p, tape.constant(r(8, 3)))))
+    assert scores.grad.shape == (3,)
 
 
 def masked_mean(entries, mask):
@@ -292,8 +314,8 @@ def masked_mean(entries, mask):
     tape = ad.Tape()
     k, d = entries.shape
     leaves = {"entity_emb": tape.constant(entries), "transform_vec": tape.constant(np.zeros((1, d)))}
-    return encode_batch(tape, leaves, np.zeros((1, k), np.int64), np.arange(k)[None], mask[None],
-                        np.zeros(1, np.int64), AggregatorConfig(kind="mean"))
+    offsets, rels, ents = grid_to_csr(mask[None], np.zeros((1, k), np.int64), np.arange(k)[None])
+    return encode_batch(tape, leaves, offsets, rels, ents, np.zeros(1, np.int64), AggregatorConfig(kind="mean"))
 
 
 def test_mean_masked_empty_is_zero_vector():
@@ -312,20 +334,15 @@ def test_weighted_block_sum_matches_loop():
     e = rng.normal(size=(6, 4))
     w = rng.normal(size=(2, 3))
     tape = ad.Tape()
-    out = ad.weighted_block_sum(tape, tape.constant(e), tape.constant(w))
+    out = ad.weighted_block_sum(tape, tape.constant(e), tape.constant(w.reshape(-1)), [0, 3, 6])
     expect = np.stack([w[b] @ e[b * 3:(b + 1) * 3] for b in range(2)])
     np.testing.assert_allclose(out.data, expect, rtol=1e-15)
 
 
 def padded_grid_block_sum(entries, weights, mask):
     """The former forward of ``weighted_block_sum``: an einsum over a zero-filled (B, K, d) grid."""
-    bb, kk = weights.shape
-    d = entries.shape[1]
-    if entries.shape[0] == bb * kk:
-        grid = entries.reshape(bb, kk, d)
-    else:
-        grid = np.zeros((bb, kk, d))
-        grid[mask] = entries
+    grid = np.zeros((*weights.shape, entries.shape[1]))
+    grid[mask] = entries
     return np.einsum("bkd,bk->bd", grid, np.where(mask, weights, 0.0))
 
 
@@ -355,11 +372,50 @@ def _named_block_sum_case(mask, d=5, seed=0):
 @settings(max_examples=200, deadline=None)
 def test_weighted_block_sum_equals_padded_grid_einsum_bitwise(case):
     entries, weights, mask = case
+    offsets, w_real = grid_to_csr(mask, weights)
     tape = ad.Tape()
-    out = ad.weighted_block_sum(tape, tape.constant(entries), tape.constant(weights), mask)
+    out = ad.weighted_block_sum(tape, tape.constant(entries), tape.constant(w_real), offsets)
     want = padded_grid_block_sum(entries, weights, mask)
     assert out.data.shape == want.shape
     assert out.data.tobytes() == want.tobytes()
+
+
+@st.composite
+def segment_cases(draw):
+    """CSR rows of 0 to 64 slots: offsets, (S,) scores or weights, (S, d) entries, upstream gradients."""
+    counts = draw(st.lists(st.integers(0, 64), min_size=1, max_size=8))
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slots, d = int(offsets[-1]), draw(st.integers(1, 6))
+    values = rng.normal(size=slots) * 10.0 ** rng.integers(-3, 4, size=slots)
+    return offsets, values, rng.normal(size=(slots, d)), rng.normal(size=slots), rng.normal(size=(len(counts), d))
+
+
+def _run_segment_op(op, offsets, arrays, upstream):
+    """``op`` over leaves of ``arrays``, backward from ``sum(out * upstream)``: (output, leaf gradients)."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+    out = op(tape, *leaves, offsets)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, out, tape.constant(upstream))))
+    return out.data, [np.zeros_like(a) if leaf.grad is None else leaf.grad for a, leaf in zip(arrays, leaves)]
+
+
+@given(segment_cases())
+@settings(max_examples=100, deadline=None)
+def test_segment_ops_give_each_row_the_same_bytes_alone_as_in_any_batch(case):
+    offsets, values, entries, slot_up, row_up = case
+    soft, (d_soft,) = _run_segment_op(ad.softmax_masked, offsets, [values], slot_up)
+    summed, (d_entries, d_weights) = _run_segment_op(ad.weighted_block_sum, offsets, [entries, values], row_up)
+    for b in range(offsets.size - 1):
+        a, z = offsets[b], offsets[b + 1]
+        alone = [0, z - a]
+        soft1, (d_soft1,) = _run_segment_op(ad.softmax_masked, alone, [values[a:z]], slot_up[a:z])
+        assert soft1.tobytes() == soft[a:z].tobytes() and d_soft1.tobytes() == d_soft[a:z].tobytes()
+        summed1, (d_entries1, d_weights1) = _run_segment_op(
+            ad.weighted_block_sum, alone, [entries[a:z], values[a:z]], row_up[b:b + 1])
+        assert summed1.tobytes() == summed[b:b + 1].tobytes()
+        assert d_entries1.tobytes() == d_entries[a:z].tobytes()
+        assert d_weights1.tobytes() == d_weights[a:z].tobytes()
 
 
 # --- shape and usage errors --------------------------------------------------
@@ -452,6 +508,7 @@ def test_mul_gradients_cross(a, b):
 @given(arrays(np.float64, (3, 4), elements=st.floats(-5, 5, allow_nan=False, width=32)))
 def test_softmax_rows_are_distributions(scores):
     tape = ad.Tape()
-    p = ad.softmax_masked(tape, tape.constant(scores), np.ones((3, 4), bool))
-    assert (p.data >= 0).all()
-    np.testing.assert_allclose(p.data.sum(axis=1), np.ones(3), atol=1e-12)
+    offsets, flat = grid_to_csr(np.ones((3, 4), bool), scores)
+    p = ad.softmax_masked(tape, tape.constant(flat), offsets).data.reshape(3, 4)
+    assert (p >= 0).all()
+    np.testing.assert_allclose(p.sum(axis=1), np.ones(3), atol=1e-12)

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import make_graph, oracle_encode, oracle_logic, random_name_triples
+from helpers import grid_to_csr, make_graph, oracle_encode, oracle_logic, random_name_triples
 from lankgc import autodiff as ad
+from lankgc import evaluation
 from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
@@ -221,7 +222,7 @@ def test_lan_single_neighbor_composition(world):
     w = store["transform_vec"][r1]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
-    w_logic = logic_attention_batch(table.dense(), np.array([[r1]]), np.ones((1, 1), bool), np.array([q]))[0, 0]
+    w_logic = logic_attention_batch(table.dense(), [0, 1], np.array([r1]), np.array([q]))[0]
     np.testing.assert_allclose(out.embedding, (w_logic + 1.0) * t, rtol=1e-12)
     assert w_logic == 1.0  # positive single-neighbor weight normalizes to one
 
@@ -354,10 +355,10 @@ def test_encode_batch_matches_single(world, kind):
     dense = table.dense()
     ents = np.arange(kg.n_entities)
     queries = np.arange(kg.n_entities) % kg.n_relations
-    rels, nbs, mask = stack_samples(kg, ents, 64, np.random.default_rng(0))
+    offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
     tape = ad.Tape()
     leaves = {n: tape.constant(store[n]) for n in store.names()}
-    batch = encode_batch(tape, leaves, rels, nbs, mask, queries, cfg,
+    batch = encode_batch(tape, leaves, offsets, rels, nbs, queries, cfg,
                          dense_table=dense, rng=np.random.default_rng(0))
     for i, e in enumerate(ents):
         sample = grab_sample(kg, int(e))
@@ -372,19 +373,60 @@ def test_encode_batch_matches_single_lstm(world):
     for e in range(4):
         sample = grab_sample(kg, e)
         single = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(5))
-        rels, nbs, mask = stack_samples(kg, [e], 64, np.random.default_rng(0))
+        offsets, rels, nbs = stack_samples(kg, [e], 64, np.random.default_rng(0))
         tape = ad.Tape()
         leaves = {n: tape.constant(store[n]) for n in store.names()}
-        batch = encode_batch(tape, leaves, rels, nbs, mask, np.array([0]), cfg,
+        batch = encode_batch(tape, leaves, offsets, rels, nbs, np.array([0]), cfg,
                              rng=np.random.default_rng(5))
         np.testing.assert_allclose(batch.data[0], single.embedding, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
+    kg = make_graph(random_name_triples(np.random.default_rng(2), 10, 4, 70))
+    table = mine_confidence(kg)
+    store = init_params(kg.n_entities, kg.n_relations, 10, seed=5, with_lstm=True)
+    cfg = AggregatorConfig(kind=kind, neighbor_budget=64)
+    ents = np.concatenate([np.arange(kg.n_entities), [3, 0, 3]])  # every entity, some twice
+    widths = np.diff(kg.offsets)[ents]
+    assert len(set(widths.tolist())) > 3 and widths.max() > 8  # mixed widths, some past numpy's 8 sum lanes
+    seeds = [[9, i] for i in range(ents.size)]  # lstm permutations, one generator per row
+    offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
+    single = np.stack([
+        encode_from_sample(store, table, cfg, 1, NeighborSample(rels[a:z], nbs[a:z], np.ones(z - a, bool)),
+                           np.random.default_rng(seeds[i])).embedding
+        for i, (a, z) in enumerate(zip(offsets[:-1], offsets[1:]))
+    ])
+    tape = ad.Tape()
+    batch = encode_batch(tape, store.leaves(tape), offsets, rels, nbs, np.ones(ents.size, np.int64), cfg,
+                         dense_table=table.dense(), rng=seeds).data
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 5)  # blocks of one to a few rows
+    blocks = evaluation.encode_entities(SimpleNamespace(neighbor_graph=kg), store, cfg, table.dense(), ents, 1, seeds)
+    for got in (batch, blocks):
+        if kind in ("mean", "logic-only"):
+            assert got.tobytes() == single.tobytes()
+        else:
+            np.testing.assert_allclose(got, single, rtol=1e-9, atol=1e-12)
+
+
+def test_per_row_rng_sequences_must_match_the_rows(world):
+    kg, table, store = world
+    hub = int(np.argmax(np.diff(kg.offsets)))
+    for rngs in ([7], [7, 8, 9]):
+        with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
+            stack_samples(kg, [hub, 0], 2, rngs)
+        offsets, rels, nbs = stack_samples(kg, [hub, 0], 2, np.random.default_rng(0))
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
+            encode_batch(tape, store.leaves(tape), offsets, rels, nbs, np.zeros(2, np.int64),
+                         AggregatorConfig(kind="lstm"), rng=rngs)
 
 
 def _row_objective(kind, store, table, rels, nbs, mask, queries, weights, rng):
     """Encode a batch, dot each row with ``weights``; returns (outputs, leaf gradients)."""
     tape = ad.Tape()
     leaves = store.leaves(tape)
-    out = encode_batch(tape, leaves, rels, nbs, mask, queries, AggregatorConfig(kind=kind),
+    out = encode_batch(tape, leaves, *grid_to_csr(mask, rels, nbs), queries, AggregatorConfig(kind=kind),
                        dense_table=table.dense(), rng=rng)
     tape.backward(ad.sum_all(tape, ad.mul(tape, out, tape.constant(weights))))
     grads = {n: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
@@ -436,7 +478,7 @@ def test_encode_batch_zero_neighbor_rows(world):
         mask = np.array([[True, True, False], [False, False, False]])
         tape = ad.Tape()
         leaves = {n: tape.constant(store[n]) for n in store.names()}
-        out = encode_batch(tape, leaves, rels, nbs, mask, np.array([0, 0]), cfg,
+        out = encode_batch(tape, leaves, *grid_to_csr(mask, rels, nbs), np.array([0, 0]), cfg,
                            dense_table=table.dense(), rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out.data[1], np.zeros(10))
         assert np.abs(out.data[0]).max() > 0
@@ -447,8 +489,8 @@ def test_encode_batch_requires_rules(world):
     tape = ad.Tape()
     leaves = {n: tape.constant(store[n]) for n in store.names()}
     with pytest.raises(ValueError, match="rule table"):
-        encode_batch(tape, leaves, np.zeros((1, 2), np.int64), np.zeros((1, 2), np.int64),
-                     np.ones((1, 2), bool), np.array([0]), AggregatorConfig(kind="lan"))
+        encode_batch(tape, leaves, [0, 2], np.zeros(2, np.int64), np.zeros(2, np.int64),
+                     np.array([0]), AggregatorConfig(kind="lan"))
 
 
 def test_encode_samples_deterministically(world):
@@ -510,11 +552,11 @@ def test_trace_matches_oracle_attention(world):
 def test_stack_samples_trims_width(world):
     kg, table, store = world
     widest = max(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
-    rels, nbs, mask = stack_samples(
+    offsets, rels, nbs = stack_samples(
         kg, np.arange(kg.n_entities), 64, np.random.default_rng(0)
     )
-    assert rels.shape[1] == widest
-    assert mask.sum() == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
+    assert np.diff(offsets).max() == widest
+    assert rels.size == nbs.size == offsets[-1] == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
 
 
 def test_stack_samples_matches_per_entity_sampling():
@@ -531,11 +573,10 @@ def test_stack_samples_matches_per_entity_sampling():
     for budget in (1, 4, 9, 64):
         ref_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
         samples = [sample_neighbors(hoods[e], budget, ref_rng) for e in ents]
-        width = max(1, max(s.n_valid for s in samples))
-        rels, nbs, mask = stack_samples(graph, ents, budget, got_rng)
-        np.testing.assert_array_equal(rels, np.stack([s.relations[:width] for s in samples]))
-        np.testing.assert_array_equal(nbs, np.stack([s.entities[:width] for s in samples]))
-        np.testing.assert_array_equal(mask, np.stack([s.mask[:width] for s in samples]))
+        offsets, rels, nbs = stack_samples(graph, ents, budget, got_rng)
+        want = grid_to_csr(*(np.stack([getattr(s, f) for s in samples]) for f in ("mask", "relations", "entities")))
+        for got, expect in zip((offsets, rels, nbs), want):
+            np.testing.assert_array_equal(got, expect)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     with pytest.raises(ValueError, match="budget"):
         stack_samples(graph, ents, 0, got_rng)

@@ -35,6 +35,7 @@ from lankgc.evaluation import (
     link_prediction,
     metrics_from_ranks,
     rank_query,
+    rank_relation,
     score_labeled,
     tune_thresholds,
 )
@@ -283,14 +284,14 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     # a bound of one budget plus one slot splits the candidates into many passes
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", budget + 1)
     passes = []
-    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[4].shape) or encode_batch(*a, **kw))
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[2].size - 1) or encode_batch(*a, **kw))
     got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
-    assert len(passes) > 3 and sum(rows for rows, _ in passes) == len(ctx.seen_ids)
+    assert len(passes) > 3 and sum(passes) == len(ctx.seen_ids)
     rng = np.random.default_rng([2, q])
-    rels, ents, mask = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
-    assert mask.shape[1] == budget and len(set(mask.sum(axis=1))) > 2
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
+    assert np.diff(offsets).max() == budget and len(set(np.diff(offsets))) > 2
     tape = ad.Tape()
-    want = encode_batch(tape, constant_leaves(tape, store), rels, ents, mask,
+    want = encode_batch(tape, constant_leaves(tape, store), offsets, rels, ents,
                         np.full(len(ctx.seen_ids), q), acfg, dense_table=dense, rng=rng).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -425,6 +426,40 @@ def test_link_prediction_empty_test_raises():
     with pytest.raises(EvalError, match="no test triplets"):
         link_prediction(ctx, store, acfg, "transe", table.dense(),
                         triplets=np.zeros((0, 3), dtype=np.int64))
+
+
+def test_rank_relation_rejects_an_empty_query_set():
+    ctx, acfg, table, store = bundle_fixture(seed=7)
+    with pytest.raises(EvalError, match="no queries"):
+        rank_relation(ctx, store, acfg, "transe", table.dense(), np.zeros((0, 3), dtype=np.int64),
+                      "object", ctx.known_triplets(), 0)
+
+
+def test_rank_relation_rejects_queries_of_mixed_relations():
+    ctx, acfg, table, store = bundle_fixture(seed=7)
+    test = ctx.to_ids(ctx.bundle.test)
+    other = int(np.argmax(test[:, 1] != test[0, 1]))
+    assert test[other, 1] != test[0, 1]
+    with pytest.raises(EvalError, match=f"mix relations {test[0, 1]} and {test[other, 1]}"):
+        rank_relation(ctx, store, acfg, "transe", table.dense(), test[[0, other]], "object", ctx.known_triplets(), 0)
+
+
+@pytest.mark.parametrize("kind", ["mean", "logic-only"])
+def test_ranks_do_not_depend_on_how_queries_are_split_into_calls(kind):
+    [bundle] = random_bundles(1, start_seed=5)
+    ctx = BundleContext(bundle)
+    test = ctx.to_ids(bundle.test)
+    degrees = np.array([ctx.neighborhood(int(e)).shape[0] for e in test[:, 0]])
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=int(np.median(degrees)))  # truncates some fixed sides
+    dense = mine_confidence(ctx.train_graph).dense()
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, seed=4)
+
+    def ranks(triplets):
+        return link_prediction(ctx, store, acfg, "transe", dense, seed=6, triplets=triplets).ranks
+
+    whole = ranks(test)
+    assert whole == [r for part in np.array_split(test, 3) for r in ranks(part)]
+    assert whole == [ranks(row[None])[0] for row in test]
 
 
 # --- thresholded classification ----------------------------------------------------

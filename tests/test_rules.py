@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_graph, naive_confidence, oracle_logic, random_name_triples
+from helpers import grid_to_csr, make_graph, naive_confidence, oracle_logic, random_name_triples
 from lankgc.encoder import stack_samples
 from lankgc.kg import GraphError, Vocabulary, graph_from_names
 from lankgc.rules import (
@@ -131,9 +131,18 @@ def test_miner_matches_naive_property(seed):
 
 # --- logic attention ---------------------------------------------------------
 
+def logic_grid(dense, relations, mask, queries, **kw):
+    """:func:`logic_attention_batch` of (B, K) slot grids, its weights laid back on the grid (0 at padding)."""
+    mask = np.asarray(mask, dtype=bool)
+    offsets, rels = grid_to_csr(mask, relations)
+    w = np.zeros(mask.shape)
+    w[mask] = logic_attention_batch(dense, offsets, rels, queries, **kw)
+    return w
+
+
 def logic_row(table, relations, mask, query, **kw):
     """Logic weights of one neighborhood: a B=1 :func:`logic_attention_batch`."""
-    return logic_attention_batch(table.dense(), relations[None], mask[None], np.array([query]), **kw)[0]
+    return logic_grid(table.dense(), relations[None], mask[None], np.array([query]), **kw)[0]
 
 
 def two_relation_table():
@@ -217,16 +226,16 @@ def test_logic_attention_validates_inputs():
 def test_batch_rejects_unknown_mode():
     dense = two_relation_table().dense()
     with pytest.raises(ValueError, match="mode"):
-        logic_attention_batch(dense, np.zeros((2, 1), np.int64), np.ones((2, 1), bool),
-                              np.array([2, 2]), mode="softmax")
+        logic_grid(dense, np.zeros((2, 1), np.int64), np.ones((2, 1), bool),
+                   np.array([2, 2]), mode="softmax")
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_batch_rejects_out_of_range_query(bad):
     dense = two_relation_table().dense()
     with pytest.raises(GraphError, match="out of range"):
-        logic_attention_batch(dense, np.zeros((2, 1), np.int64), np.ones((2, 1), bool),
-                              np.array([2, bad]))
+        logic_grid(dense, np.zeros((2, 1), np.int64), np.ones((2, 1), bool),
+                   np.array([2, bad]))
 
 
 @given(st.integers(0, 10_000), st.sampled_from(["raw", "normalized"]))
@@ -235,12 +244,12 @@ def test_batch_matches_single(seed, mode):
     rng = np.random.default_rng(seed)
     n_rel = int(rng.integers(2, 7))
     dense = np.where(rng.random((n_rel, n_rel)) < 0.5, rng.random((n_rel, n_rel)), 0.0)
-    bsz, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    bsz, k = int(rng.integers(1, 5)), int(rng.integers(1, 65))
     rels = rng.integers(0, n_rel, size=(bsz, k))
     counts = rng.integers(1, k + 1, size=bsz)
     mask = np.arange(k)[None, :] < counts[:, None]
     queries = rng.integers(0, n_rel, size=bsz)
-    batch = logic_attention_batch(dense, rels, mask, queries, mode=mode)
+    batch = logic_grid(dense, rels, mask, queries, mode=mode)
     for b in range(bsz):
         single = np.zeros(k)
         single[mask[b]] = oracle_logic(dense, rels[b][mask[b]], int(queries[b]), mode=mode)
@@ -259,16 +268,16 @@ def padded_grid_logic(dense, relations, mask, queries, mode="normalized", epsilo
     denom = np.where(np.isneginf(denom), 1.0, denom)
     w = np.where(mask, num / np.maximum(denom, epsilon), 0.0)
     if mode == "normalized":
-        totals = w.sum(axis=1, keepdims=True)
+        totals = np.add.accumulate(w, axis=1)[:, -1:]  # a running sum over each row's slots; padding adds +0.0
         w = np.where(totals > 0.0, w / np.where(totals > 0.0, totals, 1.0), w)
     return w
 
 
 @st.composite
-def logic_batches(draw):
+def logic_batches(draw, max_width=8):
     """A confidence matrix with some zero columns and a (B, K) batch over it, with any mask."""
     n_rel = draw(st.integers(1, 12))
-    bsz, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    bsz, k = draw(st.integers(1, 6)), draw(st.integers(1, max_width))
 
     def ints(hi, size):
         return np.array(draw(st.lists(st.integers(0, hi), min_size=size, max_size=size)), dtype=np.int64)
@@ -287,9 +296,22 @@ def logic_batches(draw):
 @settings(max_examples=300, deadline=None)
 def test_batch_equals_padded_grid_form_bitwise(batch, mode, epsilon):
     dense, relations, mask, queries = batch
-    got = logic_attention_batch(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
+    got = logic_grid(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
     want = padded_grid_logic(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
     assert got.tobytes() == want.tobytes()
+
+
+@given(logic_batches(max_width=64), st.sampled_from(["raw", "normalized"]))
+@settings(max_examples=200, deadline=None)
+def test_each_row_has_the_same_bytes_alone_as_in_any_batch(batch, mode):
+    dense, relations, mask, queries = batch
+    offsets, rels = grid_to_csr(mask, relations)
+    got = logic_attention_batch(dense, offsets, rels, queries, mode=mode)
+    assert got.shape == rels.shape
+    for b in range(queries.size):
+        a, z = offsets[b], offsets[b + 1]
+        alone = logic_attention_batch(dense, [0, z - a], rels[a:z], queries[b:b + 1], mode=mode)
+        assert alone.tobytes() == got[a:z].tobytes()
 
 
 def test_batch_equals_padded_grid_form_on_named_cases():
@@ -305,7 +327,7 @@ def test_batch_equals_padded_grid_form_on_named_cases():
     queries = np.array([3, 0, 1, 3, 2])
     for mode in ("raw", "normalized"):
         for epsilon in (1e-3, 0.25):
-            got = logic_attention_batch(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
+            got = logic_grid(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
             want = padded_grid_logic(dense, relations, mask, queries, mode=mode, epsilon=epsilon)
             assert got.tobytes() == want.tobytes()
             assert not got[2].any() and not got[~mask].any()
@@ -318,11 +340,15 @@ def test_batch_equals_padded_grid_form_on_truncated_samples():
     degree = np.diff(kg.offsets)
     budget = int(degree.max()) - 3
     ents = np.arange(kg.n_entities)
-    relations, _, mask = stack_samples(kg, ents, budget, np.random.default_rng(0))
+    offsets, rels, _ = stack_samples(kg, ents, budget, np.random.default_rng(0))
+    counts = np.diff(offsets)
+    mask = np.arange(counts.max())[None, :] < counts[:, None]
+    relations = np.zeros(mask.shape, dtype=np.int64)
+    relations[mask] = rels
     assert mask.shape[1] == budget and (degree > budget).sum() > 1
     queries = rng.integers(0, kg.n_relations, size=ents.size)
     for mode in ("raw", "normalized"):
-        got = logic_attention_batch(dense, relations, mask, queries, mode=mode)
+        got = logic_grid(dense, relations, mask, queries, mode=mode)
         assert got.tobytes() == padded_grid_logic(dense, relations, mask, queries, mode=mode).tobytes()
 
 
@@ -331,15 +357,15 @@ def test_batch_rejects_out_of_range_relation_of_a_real_slot(bad):
     dense = two_relation_table().dense()
     relations = np.array([[0, 1], [bad, 0]])
     with pytest.raises(GraphError, match=f"relation id out of range: {bad}"):
-        logic_attention_batch(dense, relations, np.ones((2, 2), bool), np.array([2, 2]))
+        logic_grid(dense, relations, np.ones((2, 2), bool), np.array([2, 2]))
 
 
 def test_batch_ignores_relation_ids_of_padding():
     dense = two_relation_table().dense()
     mask = np.array([[True, True, False], [True, False, False]])
     queries = np.array([2, 2])
-    want = logic_attention_batch(dense, np.array([[0, 1, 0], [1, 0, 0]]), mask, queries)
-    got = logic_attention_batch(dense, np.array([[0, 1, -7], [1, 3, 99]]), mask, queries)
+    want = logic_grid(dense, np.array([[0, 1, 0], [1, 0, 0]]), mask, queries)
+    got = logic_grid(dense, np.array([[0, 1, -7], [1, 3, 99]]), mask, queries)
     assert got.tobytes() == want.tobytes()
 
 
