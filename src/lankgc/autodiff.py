@@ -259,31 +259,18 @@ def transpose(tape, a):
 
 
 def concat(tape, a, b):
-    """Join two vectors end to end, or two matrices column-wise."""
-    if a.data.ndim != b.data.ndim:
-        raise ValueError(f"concat: rank mismatch {a.data.shape} vs {b.data.shape}")
-    if a.data.ndim == 1:
-        data = np.concatenate([a.data, b.data])
-        split = a.data.shape[0]
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g[:split])
-            if b.requires_grad:
-                b.accumulate(g[split:])
-
-    elif a.data.ndim == 2 and a.data.shape[0] == b.data.shape[0]:
-        data = np.concatenate([a.data, b.data], axis=1)
-        split = a.data.shape[1]
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g[:, :split])
-            if b.requires_grad:
-                b.accumulate(g[:, split:])
-
-    else:
+    """Join two matrices of the same row count column-wise."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat: incompatible shapes {a.data.shape}, {b.data.shape}")
+    data = np.concatenate([a.data, b.data], axis=1)
+    split = a.data.shape[1]
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[:, :split])
+        if b.requires_grad:
+            b.accumulate(g[:, split:])
+
     return _make(tape, data, (a, b), backward)
 
 
@@ -474,26 +461,18 @@ def weighted_block_sum(tape, entries, weights, offsets):
 
 
 def l1_norm(tape, a):
-    """Sum of absolute values: vector -> scalar, matrix -> per-row vector.
+    """Sum of absolute values of each row of a matrix -> (B,) vector.
 
     The subgradient of ``|x|`` at zero is taken as zero.
     """
-    if a.data.ndim == 1:
-        data = np.asarray(np.sum(np.abs(a.data)))
+    if a.data.ndim != 2:
+        raise ValueError(f"l1_norm: expects a matrix, got shape {a.data.shape}")
+    data = np.sum(np.abs(a.data), axis=1)
 
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g * np.sign(a.data))
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[:, None] * np.sign(a.data))
 
-    elif a.data.ndim == 2:
-        data = np.sum(np.abs(a.data), axis=1)
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(g[:, None] * np.sign(a.data))
-
-    else:
-        raise ValueError("l1_norm: scalar input")
     return _make(tape, data, (a,), backward)
 
 

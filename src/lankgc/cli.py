@@ -207,8 +207,8 @@ def _cmd_inspect_weights(args):
     entity = ctx.vocab.entity_id(args.entity)
     query = ctx.vocab.relation_id(args.query)
     rng = np.random.default_rng([args.seed, entity, query])
-    sample = sample_neighbors(ctx.neighborhood(entity), acfg.neighbor_budget, rng)
-    encoded = encode_from_sample(store, dense, acfg, query, sample, rng)
+    rows = sample_neighbors(ctx.neighborhood(entity), acfg.neighbor_budget, rng)
+    encoded = encode_from_sample(store, dense, acfg, query, rows, rng)
     lines = ["entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total"]
     for rel, ent, a_logic, a_nn, a_total in sorted(encoded.trace, key=lambda t: -t[4]):
         lines.append(

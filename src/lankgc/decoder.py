@@ -9,11 +9,12 @@ Relation embeddings are looked up per query; inverse relations have
 their own independent rows.
 
 :func:`score_batch` scores rows on an autodiff tape, for training and
-batched scoring.  :func:`score_candidate_block` scores many candidates
-against many fixed endpoints in plain numpy, for ranking: candidates
-laid out (d, N), 8 feature rows added at a time in numpy's pairwise
-order, so that every score equals :func:`score_batch`'s per-row
-``np.sum(axis=1)``, the reference, bit for bit.
+batched scoring.  :func:`score_columns` is the ranking scorer: it
+scores many candidates against many fixed endpoints in plain numpy,
+the candidates laid out (d, N) once by :func:`candidate_columns`, 8
+feature rows added at a time in numpy's pairwise order, so that every
+score equals :func:`score_batch`'s per-row ``np.sum(axis=1)``, the
+reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,28 +58,6 @@ _TILE_CELLS = 6144  # (query, candidate) scores per tile; its (8, tile) temporar
 _LANES, _RUN = 8, 128  # numpy's pairwise sum: 8 running sums over runs of at most 128 values
 
 
-def score_candidates(candidates, query, fixed, kind, rank_side):
-    """The one-query form of :func:`score_candidate_block`: (d,) ``query`` and ``fixed`` -> (N,)."""
-    return score_candidate_block(candidates, query, np.reshape(fixed, (1, -1)), kind, rank_side)[0]
-
-
-def score_candidate_block(candidates, query, fixed, kind, rank_side):
-    """Score (N, d) candidates against each of (Q, d) fixed endpoints -> (Q, N).
-
-    ``query`` is the (d,) relation vector, and ``rank_side`` (``"subject"`` or
-    ``"object"``) the slot the candidates fill.  :func:`candidate_columns` lays
-    them out as contiguous (d, N) factors (``s + q``, ``s * q`` or complex's four
-    products for subjects), and :func:`score_columns` scores tiles of at most
-    ``_TILE_CELLS`` (query, candidate) pairs, adding a tile's features 8 rows at a
-    time in numpy's pairwise order: 8 running lanes, then
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover features one by
-    one; below 8 features a running sum from 0.0; above 128 the halves split at
-    ``n//2 - (n//2) % 8``; the total is added to 0.0.  Each score equals
-    :func:`score_batch`'s ``np.sum(axis=1)`` on the tiled rows bit for bit.
-    """
-    return score_columns(candidate_columns(candidates, query, kind, rank_side), query, fixed, kind, rank_side)
-
-
 def candidate_columns(candidates, query, kind, rank_side):
     """The (d, N) layout of (N, d) candidates for :func:`score_columns`; a ranker makes it once."""
     check_scorer(kind, candidates.shape[1])
@@ -86,7 +65,18 @@ def candidate_columns(candidates, query, kind, rank_side):
 
 
 def score_columns(columns, query, fixed, kind, rank_side):
-    """:func:`score_candidate_block` on candidates laid out by :func:`candidate_columns`."""
+    """Score candidates laid out by :func:`candidate_columns` against (Q, d) fixed endpoints -> (Q, N).
+
+    ``query`` is the (d,) relation vector, and ``rank_side`` (``"subject"`` or
+    ``"object"``) the slot the candidates fill.  The columns are contiguous (d, N)
+    factors (``s + q``, ``s * q`` or complex's four products for subjects).  Scores
+    come in tiles of at most ``_TILE_CELLS`` (query, candidate) pairs, adding a
+    tile's features 8 rows at a time in numpy's pairwise order: 8 running lanes,
+    then ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover features one by
+    one; below 8 features a running sum from 0.0; above 128 the halves split at
+    ``n//2 - (n//2) % 8``; the total is added to 0.0.  Each score equals
+    :func:`score_batch`'s ``np.sum(axis=1)`` on the tiled rows bit for bit.
+    """
     fixed = _factors(np.reshape(fixed, (-1, query.size)), query, kind, not _is_subject(rank_side))
     n, nq = columns[0].shape[1], fixed[0].shape[1]
     out = np.empty((nq, n))

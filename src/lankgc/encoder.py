@@ -114,21 +114,16 @@ def constant_leaves(tape, store):
     return {name: tape.constant(store[name]) for name in store.names()}
 
 
-def encode_from_sample(store, dense, cfg, query, sample, rng):
-    """Encode one entity from an already-sampled neighborhood.
+def encode_from_sample(store, dense, cfg, query, entries, rng):
+    """Encode one entity from its sampled ``(k, 2)`` (relation, entity) rows.
 
-    A B=1 :func:`encode_batch` over the real slots of ``sample`` on a
-    private tape of constant leaves.  ``dense`` is the (R, R) confidence
-    matrix, or anything numpy turns into one (a ``ConfidenceTable``
-    does); kinds without logic weights accept ``None``.
+    A B=1 :func:`encode_batch` over ``entries`` on a private tape of
+    constant leaves.  ``dense`` is the (R, R) confidence matrix; kinds
+    without logic weights accept ``None``.
     """
-    mask = np.asarray(sample.mask, dtype=bool)
-    if not mask.any():
+    if entries.shape[0] == 0:
         return EncodedEntity(np.zeros(store["entity_emb"].shape[1]), trace=[], flagged=True)
-    rels = np.asarray(sample.relations)[mask]
-    ents = np.asarray(sample.entities)[mask]
-    if dense is not None:
-        dense = np.asarray(dense, dtype=np.float64)
+    rels, ents = entries[:, 0], entries[:, 1]
     tape = ad.Tape()
     out, alpha_logic, alpha_nn = encode_batch(
         tape, constant_leaves(tape, store), np.array([0, rels.size]), rels, ents,
@@ -185,9 +180,8 @@ def stack_samples(graph, ent_ids, budget, rng):
     relations, entities = pairs[src, 0], pairs[src, 1]
     for i in np.flatnonzero(sizes > budget):
         row_rng = rng if shared else np.random.default_rng(rng[i])
-        sample = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, row_rng)
-        relations[offsets[i]:offsets[i + 1]] = sample.relations
-        entities[offsets[i]:offsets[i + 1]] = sample.entities
+        kept = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, row_rng)
+        relations[offsets[i]:offsets[i + 1]], entities[offsets[i]:offsets[i + 1]] = kept.T
     return offsets, relations, entities
 
 

@@ -58,8 +58,7 @@ class KnownTriplets:
     by :func:`numpy.searchsorted`.  ``N`` is the entity count and ``R``
     the relation id space.  :meth:`contains` tests many rows at once,
     and ``(s, q, o) in known`` is its one-row form; :meth:`answer_rows`
-    finds the answers of many queries at once, and :meth:`answers` is
-    its one-query form.
+    finds the answers of many queries at once.
     """
 
     def __init__(self, triplets, n_entities, n_relations):
@@ -112,10 +111,6 @@ class KnownTriplets:
         index = np.repeat(np.arange(fixed.size), counts)
         at = np.arange(index.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
         return index, keys[at] - lo[index]
-
-    def answers(self, fixed, q, rank_side):
-        """Sorted ids of the known entities in the ``rank_side`` slot of (fixed, q)."""
-        return self.answer_rows([fixed], [q], rank_side)[1]
 
 
 @dataclass
@@ -194,12 +189,16 @@ _SCORE_CELLS = 1 << 18  # (query, candidate) scores held at once: 2 MB of float6
 def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_set, seed):
     """Filtered ranks of (Q, 3) id queries that share one relation, and the empty fixed sides.
 
-    The arguments are those of :func:`rank_query`, with ``triplets`` in
-    place of one triplet.  Returns the (Q,) int64 ranks and the number
-    of queries whose fixed entity has no neighbors, so that it is scored
-    from a zero vector.  The candidates are encoded and laid out once per call.
-    :func:`link_prediction` calls this once per query relation; no
-    queries, or queries of more than one relation, raise :class:`EvalError`.
+    ``triplets`` holds (s, q, o) id rows; ``rank_side`` names the slot to
+    rank over the seen-entity candidates.  ``filter_set`` is the
+    :class:`KnownTriplets` of the bundle; ``None`` or an empty set ranks
+    raw.  Each query's neighbor sampling rng is keyed on (seed, s, q, o),
+    so results do not depend on query order.  Returns the (Q,) int64
+    ranks and the number of queries whose fixed entity has no neighbors,
+    so that it is scored from a zero vector.  The candidates are encoded
+    and laid out once per call.  :func:`link_prediction` calls this once
+    per query relation; no queries, or queries of more than one
+    relation, raise :class:`EvalError`.
     """
     if rank_side not in ("subject", "object"):
         raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
@@ -255,21 +254,6 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         ties = ((scores == truth_score) & keep).sum(axis=1) - 1  # the truth ties itself
         ranks[top:top + nb] = 1 + better + (ties + 1) // 2  # (ties + 1) // 2 == ceil(ties / 2)
     return ranks, int((np.diff(offsets) == 0).sum())
-
-
-def rank_query(ctx, store, acfg, scorer, dense, triplet, rank_side, filter_set, seed):
-    """Filtered rank of the true entity in one slot of ``triplet``.
-
-    ``triplet`` is an (s, q, o) id tuple; ``rank_side`` names the slot
-    to rank over the seen-entity candidates.  ``filter_set`` is the
-    :class:`KnownTriplets` of the bundle; ``None`` or an empty set ranks
-    raw.  The per-query neighbor sampling rng is keyed on (seed, s, q,
-    o), so results do not depend on query order.  This is the one-query
-    form of the ranker :func:`link_prediction` runs per relation.
-    """
-    row = np.array([[int(x) for x in triplet]], dtype=np.int64)
-    ranks, _ = rank_relation(ctx, store, acfg, scorer, dense, row, rank_side, filter_set, seed)
-    return int(ranks[0])
 
 
 @dataclass
@@ -374,13 +358,13 @@ def tune_thresholds(valid_scores):
     return ThresholdTable(per_relation=per_relation, default=_best_threshold(scores, labels))
 
 
-def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng, budget):
-    """phi over output embeddings: both endpoints neighborhood-encoded from ``graph``."""
+def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
+    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most."""
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     b = triplets.shape[0]
     ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
     queries = np.tile(triplets[:, 1], 2)
-    offsets, rels, ents = stack_samples(graph, ent_ids, budget, rng)
+    offsets, rels, ents = stack_samples(graph, ent_ids, acfg.neighbor_budget, rng)
     enc = encode_batch(tape, leaves, offsets, rels, ents, queries, acfg, dense_table=dense, rng=rng)
     subj = ad.take_rows(tape, enc, np.arange(b))
     obj = ad.take_rows(tape, enc, np.arange(b) + b)
@@ -397,7 +381,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0, batch_si
         tape = ad.Tape()
         out[lo:lo + batch_size] = output_scores(
             tape, constant_leaves(tape, store), labeled_ids[lo:lo + batch_size], ctx.neighbor_graph,
-            dense, acfg, scorer, rng, acfg.neighbor_budget,
+            dense, acfg, scorer, rng,
         ).data
     return out
 

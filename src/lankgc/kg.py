@@ -12,8 +12,10 @@ is rejected in input files.
 
 A graph stores its neighborhoods once, in compressed sparse rows: an
 ``offsets`` array of N+1 entries into one ``pairs`` array of
-(relation, entity) rows.  A neighborhood is a read-only slice of
-``pairs``; batch samplers gather from the two arrays directly.
+(relation, entity) rows.  A neighborhood, whole or sampled, is its
+``(k, 2)`` (relation, entity) rows: the whole one is a read-only slice
+of ``pairs``, and a sampled one that fits its budget may be that same
+slice.  Batch samplers gather from the two arrays directly.
 """
 
 from __future__ import annotations
@@ -255,46 +257,21 @@ def augment_inverses(kg):
     return KnowledgeGraph(kg.vocab, np.concatenate([fwd, inv], axis=0), augmented=True)
 
 
-class NeighborSample:
-    """A fixed-width neighbor slice: ids plus a validity mask.
-
-    Real entries come first; padded slots carry relation/entity id 0 and
-    ``mask`` False.  An empty neighborhood yields an all-masked sample.
-    """
-
-    __slots__ = ("relations", "entities", "mask")
-
-    def __init__(self, relations, entities, mask):
-        self.relations = relations
-        self.entities = entities
-        self.mask = mask
-
-    @property
-    def n_valid(self):
-        return int(self.mask.sum())
-
-
 def sample_neighbors(entries, budget, rng):
-    """Draw at most ``budget`` neighbors without replacement, then pad.
+    """The kept ``(min(k, budget), 2)`` rows of a ``(k, 2)`` neighborhood.
 
-    ``entries`` is a ``(k, 2)`` (relation, entity) array as returned by
-    :meth:`KnowledgeGraph.neighborhood`.  When the neighborhood fits the
-    budget it is taken whole (no randomness); otherwise a uniform sample
-    without replacement is drawn and kept in neighborhood order.
+    ``entries`` holds (relation, entity) rows, as returned by
+    :meth:`KnowledgeGraph.neighborhood`.  A neighborhood that fits the
+    budget is returned as it is (no randomness), so it may be the
+    graph's read-only slice; a larger one yields a uniform sample
+    without replacement, kept in neighborhood order.
     """
     if budget < 1:
         raise ValueError(f"neighbor budget must be >= 1, got {budget}")
     entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
     k = entries.shape[0]
-    if k > budget:
-        take = rng.choice(k, size=budget, replace=False)
-        take.sort()
-        entries = entries[take]
-        k = budget
-    relations = np.zeros(budget, dtype=np.int64)
-    entities = np.zeros(budget, dtype=np.int64)
-    mask = np.zeros(budget, dtype=bool)
-    relations[:k] = entries[:, 0]
-    entities[:k] = entries[:, 1]
-    mask[:k] = True
-    return NeighborSample(relations, entities, mask)
+    if k <= budget:
+        return entries
+    take = rng.choice(k, size=budget, replace=False)
+    take.sort()
+    return entries[take]

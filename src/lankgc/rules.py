@@ -62,10 +62,6 @@ class ConfidenceTable:
         """The read-only (R, R) float64 confidence matrix; unobserved pairs are 0."""
         return self._matrix
 
-    def __array__(self, dtype=None, copy=None):
-        """``np.asarray(table)`` is :meth:`dense`, so the table passes where the matrix is expected."""
-        return np.array(self._matrix, dtype=dtype, copy=copy)
-
 
 def mine_confidence(kg):
     """Mine the implication table from an inverse-augmented graph.

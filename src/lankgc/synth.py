@@ -74,10 +74,10 @@ def gen_synthetic(n_entities, rule_strength, seed):
 
     order = rng.permutation(len(endorsements))
     n_train = int(_TRAIN_SHARE * len(endorsements))
-    n_valid = int(0.1 * len(endorsements))
+    valid_end = n_train + int(0.1 * len(endorsements))
     train.extend(endorsements[i] for i in order[:n_train])
-    valid = [endorsements[i] for i in order[n_train:n_train + n_valid]]
-    test = [endorsements[i] for i in order[n_train + n_valid:]]
+    valid = [endorsements[i] for i in order[n_train:valid_end]]
+    test = [endorsements[i] for i in order[valid_end:]]
     return Corpus(train=train, valid=valid, test=test)
 
 

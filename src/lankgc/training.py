@@ -170,17 +170,17 @@ def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg
     """Mean pair loss over a batch, plus the attention L2 penalty.
 
     Encodes the four endpoint groups (positive/negative x subject/object)
-    in a single pass, sampling neighborhoods from ``graph``.  The main
-    part is the mean hinge over output embeddings; the subtask part,
-    when enabled, is the same hinge over raw input embeddings.  Returns
-    ``(loss, parts)`` where ``parts`` holds the main and subtask
-    components as plain floats.
+    in a single pass, sampling at most ``acfg.neighbor_budget`` neighbors
+    each from ``graph``.  The main part is the mean hinge over output
+    embeddings; the subtask part, when enabled, is the same hinge over
+    raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
+    holds the main and subtask components as plain floats.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     b = positives.shape[0]
     both = np.concatenate([positives, negatives], axis=0)
-    phi = output_scores(tape, leaves, both, graph, dense, acfg, scorer, rng, tcfg.neighbor_budget)
+    phi = output_scores(tape, leaves, both, graph, dense, acfg, scorer, rng)
     loss = ad.mean_all(tape, hinge(tape, tcfg.margin, ad.narrow(tape, phi, 0, b), ad.narrow(tape, phi, b, 2 * b)))
     parts = {"main": float(loss.data), "subtask": 0.0}
     if tcfg.subtask_enabled:

@@ -34,7 +34,6 @@ from lankgc.config import aggregator_config_from, resolve_config, train_config_f
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_from_sample
 from lankgc.evaluation import link_prediction, tune_thresholds
-from lankgc.kg import NeighborSample
 from lankgc.params import init_params
 from lankgc.rules import ConfidenceTable, mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec, build_split, load_corpus, split_stats
@@ -94,7 +93,7 @@ def _kink_distance(arrays, kg, dense, pos, neg, tcfg, acfg, scorer):
     both = np.concatenate([np.asarray(pos), np.asarray(neg)], axis=0)
     b = len(pos)
     phi = output_scores(
-        tape, leaves, both, kg, dense, acfg, scorer, rng, tcfg.neighbor_budget
+        tape, leaves, both, kg, dense, acfg, scorer, rng
     ).data
     psi = input_scores(tape, leaves, both, scorer).data
     args = np.concatenate([
@@ -175,7 +174,7 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
         k = int(rng.integers(1, 65))
         rels = rng.integers(0, n_relations, size=k)
         ents = rng.integers(0, n_entities, size=k)
-        sample = NeighborSample(rels, ents, np.ones(k, dtype=bool))
+        sample = np.stack([rels, ents], axis=1)
         query = int(rng.integers(n_relations))
         base = {
             kind: encode_from_sample(store, dense, cfg, query, sample,
@@ -184,7 +183,7 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
         }
         for _ in range(10):
             perm = rng.permutation(k)
-            shuffled = NeighborSample(rels[perm], ents[perm], np.ones(k, dtype=bool))
+            shuffled = sample[perm]
             for kind in ("lan", "mean"):
                 out = encode_from_sample(store, dense, cfgs[kind], query, shuffled,
                                          np.random.default_rng(0)).embedding

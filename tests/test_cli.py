@@ -6,7 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lankgc import autodiff as ad
 from lankgc import cli
+from lankgc.context import BundleContext
+from lankgc.encoder import AggregatorConfig, constant_leaves, encode_batch, stack_samples
+from lankgc.params import load_checkpoint
+from lankgc.rules import import_table
 from lankgc.splits import read_bundle, write_bundle
 from lankgc.util import read_kv, sha256_file, write_kv
 
@@ -171,6 +176,40 @@ def test_inspect_weights_table(pipeline, capsys):
                           "--entity", entity, "--query", query], capsys)
     assert code == 0
     assert captured.out.splitlines()[0] == lines[0]
+
+
+def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path):
+    _, _, bundle, _, _ = pipeline
+    ckpt = tmp_path / "budget2"
+    assert cli.main(["train", "--bundle", str(bundle), "--aggregator", "lan", "--scorer", "distmult",
+                     "--seed", "0", "--set", "epochs=1", "--set", "dim=8", "--set", "batch_size=128",
+                     "--set", "neighbor_budget=2", "--out", str(ckpt)]) == 0
+    ctx = BundleContext(read_bundle(str(bundle)))
+    degrees = np.diff(ctx.neighbor_graph.offsets)
+    e = int(np.argmax(degrees))
+    assert degrees[e] > 2
+    q = int(ctx.neighborhood(e)[0, 0])
+    entity, query = ctx.vocab.entity_name(e), ctx.vocab.relation_name(q)
+    out = tmp_path / "trace.tsv"
+    assert cli.main(["inspect-weights", "--bundle", str(bundle), "--ckpt", str(ckpt),
+                     "--entity", entity, "--query", query, "--seed", "3", "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2
+
+    # the slots a B=1 batch samples with the command's rng, and their attention
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], 2, np.random.default_rng([3, e, q]))
+    store, _ = load_checkpoint(str(ckpt))
+    dense = import_table(str(ckpt / "rules.tsv"), ctx.vocab).dense()
+    tape = ad.Tape()
+    _, alpha_logic, alpha_nn = encode_batch(tape, constant_leaves(tape, store), offsets, rels, ents, [q],
+                                            AggregatorConfig(kind="lan", neighbor_budget=2),
+                                            dense_table=dense, trace=True)
+    slots = sorted(zip(rels.tolist(), ents.tolist(), alpha_logic, alpha_nn), key=lambda t: -(t[2] + t[3]))
+    assert rows == [
+        f"{entity}\t{query}\t{ctx.vocab.relation_name(r)}\t{ctx.vocab.entity_name(n)}\t"
+        f"{a_logic:.6f}\t{a_nn:.6f}\t{a_logic + a_nn:.6f}"
+        for r, n, a_logic, a_nn in slots
+    ]
 
 
 def test_train_is_bitwise_repeatable(pipeline, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from helpers import oracle_score
 from lankgc import autodiff as ad
 from lankgc import decoder
-from lankgc.decoder import SCORER_KINDS, check_scorer, score_batch, score_candidate_block, score_candidates
+from lankgc.decoder import SCORER_KINDS, candidate_columns, check_scorer, score_batch, score_columns
 
 
 def run(kind, s, q, o):
@@ -156,12 +156,13 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         c, qs, fs = (tape.constant(x) for x in (cands, np.tile(q, (n, 1)), np.tile(fixed, (n, 1))))
         s, o = (c, fs) if rank_side == "subject" else (fs, c)
         want = score_batch(tape, s, qs, o, kind).data
-        got = score_candidates(cands, q, fixed, kind, rank_side)
+        columns = candidate_columns(cands, q, kind, rank_side)
+        got = score_columns(columns, q, fixed, kind, rank_side)[0]
         assert got.shape == (n,)
         assert got.tobytes() == want.tobytes()
 
         ends = np.concatenate([fixed[None], rng.normal(size=(6, dim))])
-        block = score_candidate_block(cands, q, ends, kind, rank_side)
+        block = score_columns(columns, q, ends, kind, rank_side)
         assert block.shape == (7, n)
         assert block[0].tobytes() == want.tobytes()
         for end, row in zip(ends, block):
@@ -169,9 +170,9 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
             s, o = (c, e) if rank_side == "subject" else (e, c)
             assert row.tobytes() == score_batch(tape, s, qs, o, kind).data.tobytes()
         for top, width in ((0, 7), (0, 3), (3, 3), (6, 3)):  # whole, then 3-query blocks, the last ragged
-            part = score_candidate_block(cands, q, ends[top:top + width], kind, rank_side)
+            part = score_columns(columns, q, ends[top:top + width], kind, rank_side)
             for i, row in enumerate(part):
-                assert row.tobytes() == score_candidates(cands, q, ends[top + i], kind, rank_side).tobytes()
+                assert row.tobytes() == score_columns(columns, q, ends[top + i], kind, rank_side)[0].tobytes()
                 assert row.tobytes() == block[top + i].tobytes()
 
 
@@ -190,7 +191,7 @@ def test_score_candidate_block_bitwise_across_small_tiles(kind, rank_side, cells
         cands = with_negative_zeros(rng, rng.normal(size=(n, dim)))
         ends = with_negative_zeros(rng, rng.normal(size=(nq, dim)))
         q = rng.normal(size=dim)
-        block = score_candidate_block(cands, q, ends, kind, rank_side)
+        block = score_columns(candidate_columns(cands, q, kind, rank_side), q, ends, kind, rank_side)
         assert block.shape == (nq, n)
         for end, row in zip(ends, block):
             assert row.tobytes() == batch_scores(cands, q, end, kind, rank_side).tobytes()
@@ -207,7 +208,7 @@ def test_score_candidate_block_bitwise_hypothesis(data, kind, rank_side, cells):
     ends = data.draw(hnp.arrays(np.float64, (nq, dim), elements=entries), label="ends")
     q = data.draw(hnp.arrays(np.float64, dim, elements=entries), label="q")
     with mock.patch.object(decoder, "_TILE_CELLS", cells):
-        block = score_candidate_block(cands, q, ends, kind, rank_side)
+        block = score_columns(candidate_columns(cands, q, kind, rank_side), q, ends, kind, rank_side)
     for end, row in zip(ends, block):
         assert row.tobytes() == batch_scores(cands, q, end, kind, rank_side).tobytes()
 
@@ -216,9 +217,10 @@ def test_score_candidate_block_bitwise_hypothesis(data, kind, rank_side, cells):
 def test_scorer_rejects_an_unknown_rank_side(rank_side):
     cands, q = np.ones((3, 4)), np.ones(4)
     with pytest.raises(ValueError, match=f"rank_side must be subject or object, got {rank_side!r}"):
-        score_candidate_block(cands, q, np.ones((2, 4)), "transe", rank_side)
+        candidate_columns(cands, q, "transe", rank_side)
+    columns = candidate_columns(cands, q, "distmult", "object")
     with pytest.raises(ValueError, match=f"got {rank_side!r}"):
-        score_candidates(cands, q, np.ones(4), "distmult", rank_side)
+        score_columns(columns, q, np.ones(4), "distmult", rank_side)
 
 
 @pytest.mark.parametrize("dim", [3, 9, 200])
@@ -226,6 +228,6 @@ def test_score_candidate_block_sums_negative_zeros_to_zero(dim):
     # every product is -0.0; numpy adds the sum to its identity 0.0, giving +0.0
     cands, q, ends = np.full((4, dim), -0.0), np.ones(dim), np.ones((2, dim))
     for rank_side in ("subject", "object"):
-        block = score_candidate_block(cands, q, ends, "distmult", rank_side)
+        block = score_columns(candidate_columns(cands, q, "distmult", rank_side), q, ends, "distmult", rank_side)
         assert not np.signbit(block).any()
         assert block[0].tobytes() == batch_scores(cands, q, ends[0], "distmult", rank_side).tobytes()

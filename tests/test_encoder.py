@@ -14,7 +14,7 @@ from lankgc.encoder import (
     stack_samples,
     transform_batch,
 )
-from lankgc.kg import GraphError, NeighborSample, sample_neighbors
+from lankgc.kg import GraphError, sample_neighbors
 from lankgc.params import init_params
 from lankgc.rules import ConfidenceTable, logic_attention_batch, mine_confidence
 
@@ -31,13 +31,6 @@ def world():
 
 def grab_sample(kg, entity, budget=64, seed=0):
     return sample_neighbors(kg.neighborhood(entity), budget, np.random.default_rng(seed))
-
-
-def permute_valid(sample, perm):
-    """Reorder the valid slots of a sample, leaving the padding in place."""
-    v = sample.n_valid
-    idx = np.concatenate([np.asarray(perm), np.arange(v, sample.mask.shape[0])])
-    return NeighborSample(sample.relations[idx], sample.entities[idx], sample.mask[idx])
 
 
 # --- config ------------------------------------------------------------------
@@ -109,7 +102,7 @@ def test_mean_divides_by_real_count_not_budget(world):
     e = 0
     nb = kg.neighborhood(e)
     sample = grab_sample(kg, e, budget=64)
-    assert sample.n_valid == nb.shape[0] < 64
+    assert sample.shape[0] == nb.shape[0] < 64
     cfg = AggregatorConfig(kind="mean", neighbor_budget=64)
     out = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(0)).embedding
     manual = np.zeros(10)
@@ -126,9 +119,7 @@ def test_mean_of_opposite_neighbors_is_zero():
     v = np.random.default_rng(3).normal(size=6)
     store.arrays["entity_emb"][0] = v
     store.arrays["entity_emb"][1] = -v
-    sample = NeighborSample(
-        np.array([0, 0]), np.array([0, 1]), np.array([True, True])
-    )
+    sample = np.array([[0, 0], [0, 1]])
     cfg = AggregatorConfig(kind="mean", neighbor_budget=2)
     out = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(0))
     np.testing.assert_allclose(out.embedding, np.zeros(6), atol=1e-15)
@@ -136,10 +127,10 @@ def test_mean_of_opposite_neighbors_is_zero():
 
 def test_empty_neighborhood_is_flagged_zero(world):
     kg, table, store = world
-    empty = NeighborSample(np.zeros(4, np.int64), np.zeros(4, np.int64), np.zeros(4, bool))
+    empty = np.zeros((0, 2), np.int64)
     for kind in AGGREGATOR_KINDS:
         cfg = AggregatorConfig(kind=kind, neighbor_budget=4)
-        out = encode_from_sample(store, table, cfg, 0, empty, np.random.default_rng(0))
+        out = encode_from_sample(store, table.dense(), cfg, 0, empty, np.random.default_rng(0))
         assert out.flagged
         assert out.trace == []
         np.testing.assert_array_equal(out.embedding, np.zeros(10))
@@ -151,10 +142,10 @@ def test_attention_weights_sum_to_one(world):
     kg, table, store = world
     for e in range(kg.n_entities):
         sample = grab_sample(kg, e)
-        if sample.n_valid == 0:
+        if len(sample) == 0:
             continue
         cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-        out = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
+        out = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
         total = sum(row[3] for row in out.trace)
         assert abs(total - 1.0) <= 1e-12
 
@@ -165,17 +156,17 @@ def test_zero_score_vector_gives_uniform_attention(world):
     flat.arrays["attn_score_vec"][:] = 0.0
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-    out = encode_from_sample(flat, table, cfg, 1, sample, np.random.default_rng(0))
-    k = sample.n_valid
+    out = encode_from_sample(flat, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    k = len(sample)
     for row in out.trace:
         assert row[3] == pytest.approx(1.0 / k, abs=1e-15)
 
 
 def test_single_neighbor_attention_is_one(world):
     kg, table, store = world
-    sample = NeighborSample(np.array([0, 0]), np.array([1, 0]), np.array([True, False]))
+    sample = np.array([[0, 1]])
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=2)
-    out = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
+    out = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     assert len(out.trace) == 1
     assert out.trace[0][3] == 1.0
 
@@ -184,8 +175,8 @@ def test_attention_depends_on_query(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-    a = encode_from_sample(store, table, cfg, 0, sample, np.random.default_rng(0))
-    b = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
+    a = encode_from_sample(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
+    b = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     assert np.abs(a.embedding - b.embedding).max() > 1e-9
 
 
@@ -193,8 +184,8 @@ def test_global_attention_ignores_query(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="global-attn", neighbor_budget=64)
-    a = encode_from_sample(store, table, cfg, 0, sample, np.random.default_rng(0))
-    b = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
+    a = encode_from_sample(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
+    b = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     np.testing.assert_array_equal(a.embedding, b.embedding)
 
 
@@ -203,9 +194,9 @@ def test_global_equals_query_attention_at_zero_query_row(world):
     zeroed = store.copy()
     zeroed.arrays["query_vec"][2] = 0.0
     sample = grab_sample(kg, 0)
-    g = encode_from_sample(zeroed, table, AggregatorConfig(kind="global-attn"),
+    g = encode_from_sample(zeroed, table.dense(), AggregatorConfig(kind="global-attn"),
                            2, sample, np.random.default_rng(0))
-    q = encode_from_sample(zeroed, table, AggregatorConfig(kind="query-attn"),
+    q = encode_from_sample(zeroed, table.dense(), AggregatorConfig(kind="query-attn"),
                            2, sample, np.random.default_rng(0))
     np.testing.assert_array_equal(g.embedding, q.embedding)
 
@@ -216,9 +207,9 @@ def test_lan_single_neighbor_composition(world):
     kg, table, store = world
     # pick a (relation, query) pair with positive implication confidence
     r1, q = np.argwhere(table.dense())[0].tolist()
-    sample = NeighborSample(np.array([r1]), np.array([3]), np.array([True]))
+    sample = np.array([[r1, 3]])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
-    out = encode_from_sample(store, table, cfg, q, sample, np.random.default_rng(0))
+    out = encode_from_sample(store, table.dense(), cfg, q, sample, np.random.default_rng(0))
     w = store["transform_vec"][r1]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
@@ -229,8 +220,8 @@ def test_lan_single_neighbor_composition(world):
 
 def test_lan_single_neighbor_zero_confidence(world):
     kg, table, store = world
-    dead = ConfidenceTable(np.zeros((table.n_relations, table.n_relations)))
-    sample = NeighborSample(np.array([0]), np.array([3]), np.array([True]))
+    dead = np.zeros((table.n_relations, table.n_relations))
+    sample = np.array([[0, 3]])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
     out = encode_from_sample(store, dead, cfg, 1, sample, np.random.default_rng(0))
     w = store["transform_vec"][0]
@@ -248,9 +239,9 @@ def test_redundancy_demotion_in_trace():
         [0.0, 0.0, 0.0],
     ])
     store = init_params(4, 3, 6, seed=1)
-    sample = NeighborSample(np.array([0, 1]), np.array([2, 3]), np.ones(2, bool))
+    sample = np.array([[0, 2], [1, 3]])
     cfg = AggregatorConfig(kind="logic-only", neighbor_budget=2)
-    out = encode_from_sample(store, table, cfg, 2, sample, np.random.default_rng(0))
+    out = encode_from_sample(store, table.dense(), cfg, 2, sample, np.random.default_rng(0))
     weights = {row[0]: row[2] for row in out.trace}
     assert weights[1] > weights[0]
 
@@ -268,8 +259,8 @@ def test_trace_reports_total_as_sum(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="lan", neighbor_budget=64)
-    out = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
-    assert len(out.trace) == sample.n_valid
+    out = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    assert len(out.trace) == len(sample)
     for _, _, a_logic, a_nn, a_total in out.trace:
         assert a_total == a_logic + a_nn
 
@@ -283,15 +274,13 @@ def test_permutation_invariance(world, kind):
     rng = np.random.default_rng(99)
     for e in range(kg.n_entities):
         sample = grab_sample(kg, e)
-        if sample.n_valid < 2:
+        if len(sample) < 2:
             continue
-        base = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
+        base = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
         scale = max(np.abs(base.embedding).max(), 1e-30)
         for _ in range(5):
-            perm = rng.permutation(sample.n_valid)
-            other = encode_from_sample(
-                store, table, cfg, 1, permute_valid(sample, perm), np.random.default_rng(0)
-            )
+            perm = rng.permutation(len(sample))
+            other = encode_from_sample(store, table.dense(), cfg, 1, sample[perm], np.random.default_rng(0))
             rel = np.abs(other.embedding - base.embedding).max() / scale
             assert rel <= 1e-9
 
@@ -300,10 +289,10 @@ def test_lstm_is_order_sensitive(world):
     kg, table, store = world
     e = max(range(kg.n_entities), key=lambda x: kg.neighborhood(x).shape[0])
     sample = grab_sample(kg, e)
-    assert sample.n_valid >= 3
+    assert len(sample) >= 3
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     outs = [
-        encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(s)).embedding
+        encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(s)).embedding
         for s in (0, 1)
     ]
     assert np.abs(outs[0] - outs[1]).max() > 1e-6
@@ -337,11 +326,11 @@ def test_lstm_matches_hand_rolled_gates(world):
     seed = 21
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     out = encode_from_sample(st2, None, cfg, 0, sample, np.random.default_rng(seed))
-    order = np.random.default_rng(seed).permutation(sample.n_valid)
+    order = np.random.default_rng(seed).permutation(len(sample))
     xs = []
     for j in order:
-        w = st2["transform_vec"][sample.relations[j]]
-        x = st2["entity_emb"][sample.entities[j]]
+        w = st2["transform_vec"][sample[j, 0]]
+        x = st2["entity_emb"][sample[j, 1]]
         xs.append(x - np.dot(w, x) * w)
     np.testing.assert_allclose(out.embedding, lstm_oracle(st2, xs), rtol=1e-10, atol=1e-12)
 
@@ -362,7 +351,7 @@ def test_encode_batch_matches_single(world, kind):
                          dense_table=dense, rng=np.random.default_rng(0))
     for i, e in enumerate(ents):
         sample = grab_sample(kg, int(e))
-        single = encode_from_sample(store, table, cfg, int(queries[i]), sample,
+        single = encode_from_sample(store, table.dense(), cfg, int(queries[i]), sample,
                                     np.random.default_rng(0))
         np.testing.assert_allclose(batch.data[i], single.embedding, rtol=1e-9, atol=1e-12)
 
@@ -393,7 +382,7 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     seeds = [[9, i] for i in range(ents.size)]  # lstm permutations, one generator per row
     offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
     single = np.stack([
-        encode_from_sample(store, table, cfg, 1, NeighborSample(rels[a:z], nbs[a:z], np.ones(z - a, bool)),
+        encode_from_sample(store, table.dense(), cfg, 1, np.stack([rels[a:z], nbs[a:z]], axis=1),
                            np.random.default_rng(seeds[i])).embedding
         for i, (a, z) in enumerate(zip(offsets[:-1], offsets[1:]))
     ])
@@ -518,7 +507,7 @@ def test_encode_matches_numpy_oracle(world, kind):
         if nb.shape[0] == 0:
             continue
         sample = grab_sample(kg, e)
-        got = encode_from_sample(store, table, cfg, 1, sample, np.random.default_rng(0))
+        got = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
         want = oracle_encode(store.arrays, dense, kind, 1, nb)
         np.testing.assert_allclose(got.embedding, want, rtol=1e-9, atol=1e-12)
 
@@ -574,7 +563,8 @@ def test_stack_samples_matches_per_entity_sampling():
         ref_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
         samples = [sample_neighbors(hoods[e], budget, ref_rng) for e in ents]
         offsets, rels, nbs = stack_samples(graph, ents, budget, got_rng)
-        want = grid_to_csr(*(np.stack([getattr(s, f) for s in samples]) for f in ("mask", "relations", "entities")))
+        kept = np.concatenate(samples)
+        want = (np.cumsum([0] + [len(rows) for rows in samples]), kept[:, 0], kept[:, 1])
         for got, expect in zip((offsets, rels, nbs), want):
             np.testing.assert_array_equal(got, expect)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state

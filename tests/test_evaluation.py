@@ -16,7 +16,7 @@ from helpers import (
 from lankgc import autodiff as ad
 from lankgc import evaluation
 from lankgc.context import BundleContext
-from lankgc.decoder import score_candidates
+from lankgc.decoder import candidate_columns, score_columns
 from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
@@ -34,7 +34,6 @@ from lankgc.evaluation import (
     encode_entities,
     link_prediction,
     metrics_from_ranks,
-    rank_query,
     rank_relation,
     score_labeled,
     tune_thresholds,
@@ -97,10 +96,10 @@ def test_filtering_removes_known_competitors():
     ctx = BundleContext(bundle)
     acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, seed=1)
-    trip = tuple(ctx.to_ids(bundle.test)[0])
-    filtered = rank_query(ctx, store, acfg, "transe", None, trip, "object",
-                          ctx.known_triplets(), seed=0)
-    raw = rank_query(ctx, store, acfg, "transe", None, trip, "object", set(), seed=0)
+    trip = ctx.to_ids(bundle.test)[:1]
+    [filtered], _ = rank_relation(ctx, store, acfg, "transe", None, trip, "object",
+                                  ctx.known_triplets(), seed=0)
+    [raw], _ = rank_relation(ctx, store, acfg, "transe", None, trip, "object", set(), seed=0)
     assert (filtered, raw) == (2, 3)
 
 
@@ -109,18 +108,18 @@ def test_rank_side_validation():
     ctx = BundleContext(bundle)
     acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 0)
-    trip = tuple(ctx.to_ids(bundle.test)[0])
+    trip = ctx.to_ids(bundle.test)[:1]
     with pytest.raises(EvalError, match="rank_side"):
-        rank_query(ctx, store, acfg, "transe", None, trip, "both", set(), 0)
+        rank_relation(ctx, store, acfg, "transe", None, trip, "both", set(), 0)
 
 
 def test_truth_outside_candidates_raises():
     ctx, acfg, table, store = bundle_fixture(seed=2)
-    trip = tuple(ctx.to_ids(ctx.bundle.test)[0])
-    assert trip[0] not in ctx.seen_ids  # subject strategy leaves subjects unseen
+    trip = ctx.to_ids(ctx.bundle.test)[:1]
+    assert trip[0, 0] not in ctx.seen_ids  # subject strategy leaves subjects unseen
     with pytest.raises(EvalError, match="candidate set"):
-        rank_query(ctx, store, acfg, "transe", table.dense(), trip, "subject",
-                   ctx.known_triplets(), 0)
+        rank_relation(ctx, store, acfg, "transe", table.dense(), trip, "subject",
+                      ctx.known_triplets(), 0)
 
 
 def test_structurally_tied_candidates_split_the_rank():
@@ -143,8 +142,8 @@ def test_structurally_tied_candidates_split_the_rank():
     np.testing.assert_array_equal(rows["e2"], rows["e4"])
 
     trip = tuple(ctx.to_ids(bundle.test)[0])
-    got = rank_query(ctx, store, acfg, "transe", None, trip, "object",
-                     ctx.known_triplets(), seed=0)
+    [got], _ = rank_relation(ctx, store, acfg, "transe", None, np.array([trip]), "object",
+                             ctx.known_triplets(), seed=0)
     want = oracle_rank(ctx, store.arrays, None, "mean", "transe", trip,
                        "object", ctx.known_triplets())
     assert got == want
@@ -179,7 +178,7 @@ def test_rank_query_matches_oracle(kind, scorer):
     known = ctx.known_triplets()
     for row in ctx.to_ids(ctx.bundle.test)[:10]:
         trip = tuple(int(x) for x in row)
-        got = rank_query(ctx, store, acfg, scorer, dense, trip, "object", known, seed=9)
+        [got], _ = rank_relation(ctx, store, acfg, scorer, dense, row[None], "object", known, seed=9)
         want = oracle_rank(ctx, store.arrays, dense, kind, scorer, trip,
                            "object", known)
         assert got == want
@@ -190,13 +189,13 @@ def test_rank_query_rejects_a_filter_that_is_not_an_index():
     ctx = BundleContext(bundle)
     acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, seed=1)
-    trip = tuple(ctx.to_ids(bundle.test)[0])
+    trip = ctx.to_ids(bundle.test)[:1]
     tuples = {tuple(int(x) for x in row) for row in ctx.to_ids(bundle.train)}
     with pytest.raises(EvalError, match="KnownTriplets"):
-        rank_query(ctx, store, acfg, "transe", None, trip, "object", tuples, seed=0)
-    raw = [rank_query(ctx, store, acfg, "transe", None, trip, "object", f, seed=0)
+        rank_relation(ctx, store, acfg, "transe", None, trip, "object", tuples, seed=0)
+    raw = [rank_relation(ctx, store, acfg, "transe", None, trip, "object", f, seed=0)[0].tolist()
            for f in (None, set())]
-    assert raw == [3, 3]
+    assert raw == [[3], [3]]
 
 
 def test_known_triplets_match_brute_force_on_random_bundles():
@@ -212,8 +211,8 @@ def test_known_triplets_match_brute_force_on_random_bundles():
         n, r = ctx.vocab.n_entities, ctx.train_graph.n_relations
         for e in range(n):
             for q in range(r):
-                objs = known.answers(e, q, "object")
-                subs = known.answers(e, q, "subject")
+                objs = known.answer_rows(e, q, "object")[1]
+                subs = known.answer_rows(e, q, "subject")[1]
                 assert objs.tolist() == sorted(o for s, qq, o in facts if (s, qq) == (e, q))
                 assert subs.tolist() == sorted(s for s, qq, o in facts if (qq, o) == (q, e))
         rng = np.random.default_rng(0)
@@ -262,13 +261,13 @@ def test_known_triplets_refuse_overflowing_keys_and_bad_queries():
     with pytest.raises(EvalError, match="overflow"):
         KnownTriplets(np.zeros((1, 3), dtype=np.int64), 3_100_000_000, 1)
     known = KnownTriplets(np.array([[0, 1, 2]]), 3, 2)
-    assert known.answers(0, 1, "object").tolist() == [2]
-    assert known.answers(2, 1, "subject").tolist() == [0]
+    assert known.answer_rows(0, 1, "object")[1].tolist() == [2]
+    assert known.answer_rows(2, 1, "subject")[1].tolist() == [0]
     assert (0, 1, 2) in known and (0, 0, 2) not in known and (0, 2, 2) not in known
     with pytest.raises(EvalError, match="outside"):
-        known.answers(0, 2, "object")
+        known.answer_rows(0, 2, "object")
     with pytest.raises(EvalError, match="outside"):
-        known.answers(3, 0, "subject")
+        known.answer_rows(3, 0, "subject")
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
@@ -323,10 +322,11 @@ def per_query_rank(ctx, store, acfg, scorer, dense, triplet, rank_side, known, s
     truth, fixed = (s, o) if rank_side == "subject" else (o, s)
     cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q]))
     rng = np.random.default_rng([seed, s, q, o])
-    sample = sample_neighbors(ctx.neighborhood(fixed), acfg.neighbor_budget, rng)
-    emb = encode_from_sample(store, dense, acfg, q, sample, rng).embedding
-    scores = score_candidates(cands, store["relation_emb"][q], emb, scorer, rank_side)
-    answers = known.answers(fixed, q, rank_side)
+    rows = sample_neighbors(ctx.neighborhood(fixed), acfg.neighbor_budget, rng)
+    emb = encode_from_sample(store, dense, acfg, q, rows, rng).embedding
+    q_vec = store["relation_emb"][q]
+    [scores] = score_columns(candidate_columns(cands, q_vec, scorer, rank_side), q_vec, emb, scorer, rank_side)
+    _, answers = known.answer_rows(fixed, q, rank_side)
     keep = ~np.isin(ctx.seen_ids, answers[answers != truth])
     truth_score = scores[np.searchsorted(ctx.seen_ids, truth)]
     better = int((scores[keep] > truth_score).sum())
@@ -382,10 +382,11 @@ def test_empty_fixed_side_is_counted_and_scored_from_zero():
     assert res.empty_fixed == 1
     q = ctx.vocab.relation_id("r")
     cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([0, q]))
-    scores = score_candidates(cands, store["relation_emb"][q], np.zeros(6), "transe", "object")
+    q_vec = store["relation_emb"][q]
+    [scores] = score_columns(candidate_columns(cands, q_vec, "transe", "object"), q_vec, np.zeros(6), "transe", "object")
     truth = scores[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id("b"))]
     known = ctx.known_triplets()
-    keep = ~np.isin(ctx.seen_ids, known.answers(ctx.vocab.entity_id("u"), q, "object"))
+    keep = ~np.isin(ctx.seen_ids, known.answer_rows(ctx.vocab.entity_id("u"), q, "object")[1])
     keep[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id("b"))] = True
     ties = int((scores[keep] == truth).sum()) - 1
     assert res.ranks[0] == 1 + int((scores[keep] > truth).sum()) + math.ceil(ties / 2)
@@ -403,9 +404,9 @@ def test_known_answer_rows_match_one_query_answers():
         index, ents = known.answer_rows(fixed, q, side)
         assert np.all(np.diff(index) >= 0)
         for i in range(fixed.size):
-            assert ents[index == i].tolist() == known.answers(fixed[i], q[i], side).tolist()
+            assert ents[index == i].tolist() == known.answer_rows(fixed[i], q[i], side)[1].tolist()
         one_rel, _ = known.answer_rows(fixed, 1, side)
-        assert one_rel.size == sum(known.answers(e, 1, side).size for e in fixed)
+        assert one_rel.size == sum(known.answer_rows(e, 1, side)[1].size for e in fixed)
     assert [a.shape for a in known.answer_rows([], 0, "object")] == [(0,), (0,)]
     with pytest.raises(EvalError, match="outside"):
         known.answer_rows([0, n], 0, "object")

@@ -212,40 +212,37 @@ def big_neighborhood(n):
 
 def test_sample_within_budget_is_identity():
     nb = big_neighborhood(10)
-    s = sample_neighbors(nb, 16, np.random.default_rng(0))
-    assert s.n_valid == 10
-    np.testing.assert_array_equal(s.relations[:10], nb[:, 0])
-    np.testing.assert_array_equal(s.entities[:10], nb[:, 1])
-    assert s.mask[:10].all() and not s.mask[10:].any()
-    assert (s.relations[10:] == 0).all() and (s.entities[10:] == 0).all()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    s = sample_neighbors(nb, 16, rng)
+    assert s.shape == (10, 2)
+    np.testing.assert_array_equal(s, nb)
+    assert rng.bit_generator.state == state  # a neighborhood that fits draws nothing
 
 
 def test_sample_over_budget_draws_distinct_subset_in_order():
     nb = big_neighborhood(100)
     s = sample_neighbors(nb, 64, np.random.default_rng(1))
-    assert s.n_valid == 64
+    assert s.shape == (64, 2)
     rows = {tuple(row) for row in nb}
-    got = list(zip(s.relations[:64], s.entities[:64]))
-    assert all(tuple(map(int, g)) in rows for g in got)
+    got = [tuple(row) for row in s.tolist()]
+    assert all(g in rows for g in got)
     # subset stays in adjacency order, i.e. sorted by (relation, entity)
     assert got == sorted(got)
     # without replacement: 64 distinct rows
-    assert len({tuple(map(int, g)) for g in got}) == 64
+    assert len(set(got)) == 64
 
 
 def test_sample_same_seed_is_bit_identical():
     nb = big_neighborhood(100)
     a = sample_neighbors(nb, 16, np.random.default_rng(42))
     b = sample_neighbors(nb, 16, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.relations, b.relations)
-    np.testing.assert_array_equal(a.entities, b.entities)
-    np.testing.assert_array_equal(a.mask, b.mask)
+    np.testing.assert_array_equal(a, b)
 
 
-def test_sample_empty_neighborhood_all_masked():
+def test_sample_empty_neighborhood_has_no_rows():
     s = sample_neighbors(np.zeros((0, 2), dtype=np.int64), 4, np.random.default_rng(0))
-    assert s.n_valid == 0
-    assert not s.mask.any()
+    assert s.shape == (0, 2)
 
 
 def test_sample_budget_validated():
@@ -254,10 +251,8 @@ def test_sample_budget_validated():
 
 
 @given(st.integers(1, 20), st.integers(1, 30), st.integers(0, 1000))
-def test_sample_shape_and_mask_properties(budget, n, seed):
+def test_sample_shape_properties(budget, n, seed):
     nb = big_neighborhood(n)
     s = sample_neighbors(nb, budget, np.random.default_rng(seed))
-    assert s.relations.shape == (budget,)
-    assert s.n_valid == min(n, budget)
-    assert s.mask[:s.n_valid].all()
-    assert not s.mask[s.n_valid:].any()
+    assert s.shape == (min(n, budget), 2)
+    assert {tuple(row) for row in s.tolist()} <= {tuple(row) for row in nb.tolist()}

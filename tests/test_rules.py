@@ -79,19 +79,14 @@ def test_dense_matches_sparse():
             assert dense[r1, r2] == naive.get((r1, r2), 0.0)
 
 
-def test_table_matrix_is_read_only_and_copied_on_request():
+def test_table_matrix_is_read_only():
     source = np.array([[0.0, 0.5], [0.25, 0.0]])
     table = ConfidenceTable(source)
     assert table.n_relations == 2
-    assert np.asarray(table) is table.dense()
     assert not table.dense().flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table.dense()[0, 0] = 1.0
     assert source.flags.writeable  # freezing the table leaves the caller's array alone
-    copy = np.array(table, copy=True)
-    copy[0, 0] = 1.0
-    assert table.dense()[0, 0] == 0.0
-    assert np.asarray(table, dtype=np.float32).dtype == np.float32
 
 
 def assert_matches_naive(dense, naive):
