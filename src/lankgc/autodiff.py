@@ -9,13 +9,18 @@ support, every primitive checks its operand shapes explicitly.
 
 Gradients live next to the data on each :class:`Value`.  They are left
 unallocated (``None``) until a backward pass touches them, so pure
-forward evaluation never pays for gradient buffers.  The first touch
-takes a private copy of the incoming delta, and later touches add into
-that copy in place.  The copy matters: an op may hand one upstream
-buffer to several parents (``add`` gives the same ``g`` to both), so a
-gradient must never alias it.  A backward pass first clears all
-gradients on the tape, which makes repeated backward calls over the
-same tape bit-identical.
+forward evaluation never pays for gradient buffers.  Ops are pure: each
+records one vector-Jacobian product per parent, and ``vjps[i](g)``
+returns parent ``i``'s delta for the upstream gradient ``g``.  A delta
+is ``g``, a view of ``g`` or a fresh array, never an array held
+anywhere else.  :meth:`Tape.backward` alone decides what to do with it,
+for each parent that requires a gradient: add it in place into a
+gradient the parent already has; otherwise store a private copy if it
+shares memory with ``g`` (``add``, ``sub``'s left side, ``transpose``,
+``reshape`` and ``concat`` pass ``g`` on), and store it as it is if it
+is fresh.  So no gradient aliases another node's gradient or data.  A
+backward pass first clears all gradients on the tape, which makes
+repeated backward calls over the same tape bit-identical.
 
 The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
 take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
@@ -62,16 +67,16 @@ __all__ = [
 class Value:
     """One node on the tape: a float64 array plus a gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError(f"values are at most rank 2, got shape {self.data.shape}")
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = parents
-        self._backward = backward
+        self._vjps = vjps
 
     @property
     def shape(self):
@@ -81,13 +86,6 @@ class Value:
         if self.data.shape != ():
             raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data)
-
-    def accumulate(self, delta):
-        """Add ``delta`` into this node's gradient; the first touch stores a copy of it."""
-        if self.grad is None:
-            self.grad = np.array(delta, dtype=np.float64)
-        else:
-            self.grad += delta
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -107,10 +105,6 @@ class Tape:
     def constant(self, data):
         return self.leaf(data, requires_grad=False)
 
-    def _register(self, out):
-        self.nodes.append(out)
-        return out
-
     def backward(self, loss):
         """Populate gradients of every tape node w.r.t. a scalar ``loss``.
 
@@ -127,17 +121,27 @@ class Tape:
             node.grad = None
         loss.grad = np.ones((), dtype=np.float64)
         for node in reversed(self.nodes):
-            if node.grad is None or node._backward is None:
+            g = node.grad
+            if g is None:
                 continue
-            if not node.requires_grad:
-                continue
-            node._backward(node.grad)
+            for parent, vjp in zip(node._parents, node._vjps):  # no vjps unless some parent requires a gradient
+                if not parent.requires_grad:
+                    continue
+                delta = vjp(g)
+                if parent.grad is not None:
+                    parent.grad += delta
+                elif np.may_share_memory(delta, g):
+                    parent.grad = np.array(delta)
+                else:
+                    parent.grad = np.asarray(delta)  # a 0-d product comes back as a numpy scalar
 
 
-def _make(tape, data, parents, backward):
+def _make(tape, data, parents, vjps):
+    """Record an op's output; ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta."""
     needs = any([p.requires_grad for p in parents])
-    out = Value(data, requires_grad=needs, parents=parents, backward=backward if needs else None)
-    return tape._register(out)
+    out = Value(data, requires_grad=needs, parents=parents, vjps=vjps if needs else ())
+    tape.nodes.append(out)
+    return out
 
 
 def _same_shape(a, b, op):
@@ -147,172 +151,89 @@ def _same_shape(a, b, op):
 
 def add(tape, a, b):
     _same_shape(a, b, "add")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return _make(tape, a.data + b.data, (a, b), backward)
+    return _make(tape, a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(tape, a, b):
     _same_shape(a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(-g)
-
-    return _make(tape, a.data - b.data, (a, b), backward)
+    return _make(tape, a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(tape, a, b):
     """Elementwise product of same-shape operands."""
     _same_shape(a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
-
-    return _make(tape, a.data * b.data, (a, b), backward)
+    return _make(tape, a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def scale(tape, a, c):
     """Multiply by a plain python float (not differentiated through)."""
     c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
-
-    return _make(tape, a.data * c, (a,), backward)
+    return _make(tape, a.data * c, (a,), (lambda g: g * c,))
 
 
 def col_scale(tape, x, v):
     """Scale row ``i`` of a matrix by ``v[i]``."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[0] != v.data.shape[0]:
         raise ValueError(f"col_scale: incompatible shapes {x.data.shape}, {v.data.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g * v.data[:, None])
-        if v.requires_grad:
-            v.accumulate(np.sum(g * x.data, axis=1))
-
-    return _make(tape, x.data * v.data[:, None], (x, v), backward)
+    return _make(tape, x.data * v.data[:, None], (x, v),
+                 (lambda g: g * v.data[:, None], lambda g: np.sum(g * x.data, axis=1)))
 
 
 def row_dot(tape, a, b):
     """Row-wise dot product of two equal-shape matrices, giving a vector."""
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise ValueError(f"row_dot: incompatible shapes {a.data.shape}, {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[:, None] * b.data)
-        if b.requires_grad:
-            b.accumulate(g[:, None] * a.data)
-
-    return _make(tape, np.sum(a.data * b.data, axis=1), (a, b), backward)
+    return _make(tape, np.sum(a.data * b.data, axis=1), (a, b),
+                 (lambda g: g[:, None] * b.data, lambda g: g[:, None] * a.data))
 
 
 def matvec(tape, m, v):
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {m.data.shape}, {v.data.shape}")
-
-    def backward(g):
-        if m.requires_grad:
-            m.accumulate(np.outer(g, v.data))
-        if v.requires_grad:
-            v.accumulate(m.data.T @ g)
-
-    return _make(tape, m.data @ v.data, (m, v), backward)
+    return _make(tape, m.data @ v.data, (m, v), (lambda g: np.outer(g, v.data), lambda g: m.data.T @ g))
 
 
 def matmul(tape, a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape}, {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    return _make(tape, a.data @ b.data, (a, b), backward)
+    return _make(tape, a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(tape, a):
     if a.data.ndim != 2:
         raise ValueError(f"transpose: matrix expected, got shape {a.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.T)
-
-    return _make(tape, a.data.T, (a,), backward)
+    return _make(tape, a.data.T, (a,), (lambda g: g.T,))
 
 
 def concat(tape, a, b):
     """Join two matrices of the same row count column-wise."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat: incompatible shapes {a.data.shape}, {b.data.shape}")
-    data = np.concatenate([a.data, b.data], axis=1)
     split = a.data.shape[1]
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[:, :split])
-        if b.requires_grad:
-            b.accumulate(g[:, split:])
-
-    return _make(tape, data, (a, b), backward)
+    return _make(tape, np.concatenate([a.data, b.data], axis=1), (a, b),
+                 (lambda g: g[:, :split], lambda g: g[:, split:]))
 
 
 def narrow(tape, a, lo, hi):
     """Slice elements ``lo:hi`` of a vector, or columns ``lo:hi`` of a matrix."""
-    if a.data.ndim == 1:
-        if not (0 <= lo <= hi <= a.data.shape[0]):
-            raise ValueError(f"narrow: bad range [{lo}, {hi}) for shape {a.data.shape}")
-        data = a.data[lo:hi].copy()
-
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[lo:hi] = g
-                a.accumulate(full)
-
-    elif a.data.ndim == 2:
-        if not (0 <= lo <= hi <= a.data.shape[1]):
-            raise ValueError(f"narrow: bad range [{lo}, {hi}) for shape {a.data.shape}")
-        data = a.data[:, lo:hi].copy()
-
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[:, lo:hi] = g
-                a.accumulate(full)
-
-    else:
+    if a.data.ndim == 0:
         raise ValueError("narrow: scalar input")
-    return _make(tape, data, (a,), backward)
+    if not (0 <= lo <= hi <= a.data.shape[-1]):
+        raise ValueError(f"narrow: bad range [{lo}, {hi}) for shape {a.data.shape}")
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[..., lo:hi] = g
+        return full
+
+    return _make(tape, a.data[..., lo:hi].copy(), (a,), (vjp,))
 
 
 def reshape(tape, a, shape):
     data = a.data.reshape(shape)
     if data.ndim > 2:
         raise ValueError(f"reshape: target rank too high {shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(a.data.shape))
-
-    return _make(tape, data.copy(), (a,), backward)
+    return _make(tape, data.copy(), (a,), (lambda g: g.reshape(a.data.shape),))
 
 
 def take_rows(tape, m, idx):
@@ -328,21 +249,16 @@ def take_rows(tape, m, idx):
     if idx.size and idx.view(np.uint64).max() >= m.data.shape[0]:  # a negative id reads as huge
         raise ValueError("take_rows: index out of range")
 
-    def backward(g):
-        if m.requires_grad:
-            n = m.data.shape[0]
-            # int32 indices, as scipy stores them anyway; int64 costs a checked downcast per call
-            itype = np.int32 if max(n, idx.size) < 2**31 else np.int64
-            select = sp.csc_matrix(
-                (np.ones(idx.size), idx.astype(itype), np.arange(idx.size + 1, dtype=itype)), shape=(n, idx.size)
-            )
-            summed = np.asarray(select @ g)
-            if m.grad is None:
-                m.grad = summed  # a fresh array, so this node owns it
-            else:
-                m.grad += summed
+    def vjp(g):
+        n = m.data.shape[0]
+        # int32 indices, as scipy stores them anyway; int64 costs a checked downcast per call
+        itype = np.int32 if max(n, idx.size) < 2**31 else np.int64
+        select = sp.csc_matrix(
+            (np.ones(idx.size), idx.astype(itype), np.arange(idx.size + 1, dtype=itype)), shape=(n, idx.size)
+        )
+        return np.asarray(select @ g)
 
-    return _make(tape, m.data[idx], (m,), backward)  # fancy indexing already copies
+    return _make(tape, m.data[idx], (m,), (vjp,))  # fancy indexing already copies
 
 
 def repeat_rows(tape, a, k):
@@ -350,43 +266,23 @@ def repeat_rows(tape, a, k):
     if a.data.ndim != 2:
         raise ValueError(f"repeat_rows: matrix expected, got shape {a.data.shape}")
     n, d = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(n, k, d).sum(axis=1))
-
-    return _make(tape, np.repeat(a.data, k, axis=0), (a,), backward)
+    return _make(tape, np.repeat(a.data, k, axis=0), (a,), (lambda g: g.reshape(n, k, d).sum(axis=1),))
 
 
 def tanh(tape, a):
     data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - data * data))
-
-    return _make(tape, data, (a,), backward)
+    return _make(tape, data, (a,), (lambda g: g * (1.0 - data * data),))
 
 
 def sigmoid(tape, a):
     data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * data * (1.0 - data))
-
-    return _make(tape, data, (a,), backward)
+    return _make(tape, data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
 def relu(tape, a):
     """max(0, x); the subgradient at exactly zero is taken as zero."""
     keep = a.data > 0.0
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * keep)
-
-    return _make(tape, np.where(keep, a.data, 0.0), (a,), backward)
+    return _make(tape, np.where(keep, a.data, 0.0), (a,), (lambda g: g * keep,))
 
 
 def _slot_rows(offsets, slots, op):
@@ -420,12 +316,11 @@ def softmax_masked(tape, scores, offsets):
     e = np.exp(scores.data - np.repeat(top, counts[filled]))
     data = e / np.bincount(row, weights=e, minlength=counts.size)[row]
 
-    def backward(g):
-        if scores.requires_grad:
-            inner = np.bincount(row, weights=g * data, minlength=counts.size)
-            scores.accumulate(data * (g - inner[row]))
+    def vjp(g):
+        inner = np.bincount(row, weights=g * data, minlength=counts.size)
+        return data * (g - inner[row])
 
-    return _make(tape, data, (scores,), backward)
+    return _make(tape, data, (scores,), (vjp,))
 
 
 def weighted_block_sum(tape, entries, weights, offsets):
@@ -448,16 +343,8 @@ def weighted_block_sum(tape, entries, weights, offsets):
     itype = np.int32 if slots < 2**31 else np.int64
     select = sp.csr_matrix((w, np.arange(slots, dtype=itype), np.asarray(offsets, dtype=itype)),
                            shape=(counts.size, slots))
-    data = np.asarray(select @ entries.data)
-
-    def backward(g):
-        g_slots = g[row]
-        if entries.requires_grad:
-            entries.accumulate(g_slots * w[:, None])
-        if weights.requires_grad:
-            weights.accumulate(np.sum(entries.data * g_slots, axis=1))
-
-    return _make(tape, data, (entries, weights), backward)
+    return _make(tape, np.asarray(select @ entries.data), (entries, weights),
+                 (lambda g: g[row] * w[:, None], lambda g: np.sum(entries.data * g[row], axis=1)))
 
 
 def l1_norm(tape, a):
@@ -467,31 +354,16 @@ def l1_norm(tape, a):
     """
     if a.data.ndim != 2:
         raise ValueError(f"l1_norm: expects a matrix, got shape {a.data.shape}")
-    data = np.sum(np.abs(a.data), axis=1)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[:, None] * np.sign(a.data))
-
-    return _make(tape, data, (a,), backward)
+    return _make(tape, np.sum(np.abs(a.data), axis=1), (a,), (lambda g: g[:, None] * np.sign(a.data),))
 
 
 def l2_norm_sq(tape, a):
     """Sum of squares of all entries, as a scalar."""
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * 2.0 * a.data)
-
-    return _make(tape, np.asarray(np.sum(a.data * a.data)), (a,), backward)
+    return _make(tape, np.asarray(np.sum(a.data * a.data)), (a,), (lambda g: g * 2.0 * a.data,))
 
 
 def sum_all(tape, a):
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, float(g)))
-
-    return _make(tape, np.asarray(np.sum(a.data)), (a,), backward)
+    return _make(tape, np.asarray(np.sum(a.data)), (a,), (lambda g: np.full_like(a.data, float(g)),))
 
 
 def mean_all(tape, a):

@@ -19,18 +19,14 @@ class ConfigError(ValueError):
     pass
 
 
-_EXTRA_TYPES = {
-    "aggregator": str,
-    "scorer": str,
-    "logic_mode": str,
-    "epsilon": float,
-}
+_AGGREGATOR_DEFAULTS = AggregatorConfig()
 _EXTRA_DEFAULTS = {
-    "aggregator": "lan",
+    "aggregator": _AGGREGATOR_DEFAULTS.kind,
     "scorer": "transe",
-    "logic_mode": "normalized",
-    "epsilon": 1e-3,
+    "logic_mode": _AGGREGATOR_DEFAULTS.logic_mode,
+    "epsilon": _AGGREGATOR_DEFAULTS.epsilon,
 }
+_EXTRA_TYPES = {key: type(value) for key, value in _EXTRA_DEFAULTS.items()}
 
 
 def _known_types():

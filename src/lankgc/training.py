@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,10 +212,7 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
     if acfg is None:
         acfg = AggregatorConfig()
     if acfg.neighbor_budget != tcfg.neighbor_budget:
-        acfg = AggregatorConfig(
-            kind=acfg.kind, neighbor_budget=tcfg.neighbor_budget,
-            logic_mode=acfg.logic_mode, epsilon=acfg.epsilon,
-        )
+        acfg = replace(acfg, neighbor_budget=tcfg.neighbor_budget)
     check_scorer(scorer, tcfg.dim)
     if not bundle.train:
         raise TrainError("bundle has no training triplets")

@@ -4,9 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import grid_to_csr
+from helpers import grid_to_csr, make_graph, random_name_triples
 from lankgc import autodiff as ad
-from lankgc.encoder import AggregatorConfig, encode_batch
+from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_batch
+from lankgc.params import init_params
+from lankgc.rules import mine_confidence
+from lankgc.training import TrainConfig, batch_objective
+
+try:
+    from numpy.lib.array_utils import byte_bounds  # numpy >= 2.0
+except ImportError:
+    from numpy import byte_bounds
 
 
 def run_fd(build, params, h=1e-6, tol=1e-4):
@@ -242,9 +250,65 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     b = tape.leaf(r(21, 4), requires_grad=True)
     loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, a, b), tape.constant(g)))
     tape.backward(loss)
-    a.accumulate(np.ones(4))
+    a.grad += 1.0
     np.testing.assert_array_equal(a.grad, g + 1.0)
     np.testing.assert_array_equal(b.grad, g)
+
+
+def _assert_gradients_private(tape):
+    """No node's ``.grad`` shares memory with another node's ``.grad`` or with any node's ``.data``.
+
+    Sorts the byte intervals of all arrays once, so a long tape costs
+    ``n log n``: an interval that starts before the furthest end seen so
+    far overlaps an earlier one, and that is a fault if either is a gradient.
+    """
+    spans = []
+    for node in tape.nodes:
+        for is_grad, arr in ((False, node.data), (True, node.grad)):
+            if arr is not None and arr.size:
+                lo, hi = byte_bounds(arr)
+                spans.append((lo, hi, is_grad))
+    spans.sort(key=lambda span: span[0])
+    end_any = end_grad = -1
+    for lo, hi, is_grad in spans:
+        assert lo >= (end_any if is_grad else end_grad), "a gradient shares memory with another array"
+        end_any = max(end_any, hi)
+        if is_grad:
+            end_grad = max(end_grad, hi)
+
+
+def _objective_tape(kind):
+    """The tape of one training batch of ``kind``, with truncated neighborhoods, subtask and L2."""
+    graph = make_graph(random_name_triples(np.random.default_rng(3), 14, 3, 40))
+    n = graph.vocab.n_entities
+    tcfg = TrainConfig(dim=6, neighbor_budget=3, l2_rate=0.01, subtask_enabled=True)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=3)
+    store = init_params(n, graph.n_relations, tcfg.dim, 0, with_lstm=acfg.uses_lstm)
+    dense = mine_confidence(graph).dense() if acfg.needs_rules else None
+    pos = graph.triplets[:8]
+    neg = pos.copy()
+    neg[:, 2] = (neg[:, 2] + 1) % n
+    tape = ad.Tape()
+    loss, _ = batch_objective(tape, store.leaves(tape), pos, neg, graph, dense, tcfg, acfg, "transe",
+                              np.random.default_rng(0))
+    return tape, loss
+
+
+def _op_tape(name):
+    params, build = FD_CASES[name]
+    tape = ad.Tape()
+    loss = build(tape, {k: tape.leaf(v.copy(), requires_grad=True) for k, v in params.items()})
+    return tape, loss
+
+
+@pytest.mark.parametrize("case", [("op", name) for name in sorted(FD_CASES)]
+                         + [("objective", kind) for kind in AGGREGATOR_KINDS], ids="-".join)
+def test_backward_leaves_every_gradient_private(case):
+    source, name = case
+    tape, loss = _op_tape(name) if source == "op" else _objective_tape(name)
+    tape.backward(loss)
+    assert sum(node.grad is not None for node in tape.nodes) > 1
+    _assert_gradients_private(tape)
 
 
 def test_weighted_block_sum_with_mask_matches_the_padded_grid():
