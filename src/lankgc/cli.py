@@ -6,6 +6,12 @@ recording the resolved configuration, seeds, input checksums and the
 artifact version.  Commands are deterministic for fixed inputs and
 seeds; re-running one overwrites its outputs with identical bytes.
 Errors exit nonzero with a single ``error: ...`` line on stderr.
+
+``train`` passes a ``--rules`` table, when given, to
+:func:`lankgc.training.train`, which mines one otherwise and saves it as
+``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint.  The
+commands that load a checkpoint read that file back and refuse a logic
+checkpoint without it.
 """
 
 from __future__ import annotations
@@ -105,18 +111,12 @@ def _cmd_train(args):
     acfg = aggregator_config_from(resolved)
     bundle = read_bundle(args.bundle)
     table = None
-    if acfg.needs_rules:
-        ctx = BundleContext(bundle)
-        if args.rules:
-            table = import_table(args.rules, ctx.vocab)
-        else:
-            table = mine_confidence(ctx.train_graph)
+    if acfg.needs_rules and args.rules:
+        table = import_table(args.rules, BundleContext(bundle).vocab)
     store, report = train(
         bundle, tcfg, acfg, scorer=resolved["scorer"], rules_table=table, out_dir=args.out,
         log=(print if args.verbose else None),
     )
-    if table is not None:
-        export_table(table, os.path.join(args.out, "rules.tsv"))
     _write_meta(args.out, "train", resolved, {"bundle": args.bundle, "rules": args.rules})
     last = report.epoch_losses[-1] if report.epoch_losses else float("nan")
     print(f"trained {acfg.kind}+{resolved['scorer']} for {len(report.epoch_losses)} epochs "
@@ -145,10 +145,10 @@ def _load_model(ckpt_dir, bundle):
     dense = None
     if acfg.needs_rules:
         rules_path = os.path.join(ckpt_dir, "rules.tsv")
-        if os.path.exists(rules_path):
-            dense = import_table(rules_path, ctx.vocab).dense()
-        else:
-            dense = mine_confidence(ctx.train_graph).dense()
+        if not os.path.exists(rules_path):
+            raise ValueError(f"{rules_path} is missing; a {acfg.kind} checkpoint needs the rule table "
+                             "it was trained with")
+        dense = import_table(rules_path, ctx.vocab).dense()
     return ctx, store, acfg, scorer, dense
 
 

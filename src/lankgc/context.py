@@ -24,9 +24,8 @@ class BundleContext:
         self._train_ids = self.to_ids(bundle.train)
         self._aux_ids = self.to_ids(bundle.aux)
         self.train_graph = augment_inverses(KnowledgeGraph(self.vocab, self._train_ids))
-        self.unseen_ids = {self.vocab.entity_id(name) for name in bundle.unseen}
         unseen = np.zeros(self.vocab.n_entities, dtype=bool)
-        unseen[list(self.unseen_ids)] = True
+        unseen[[self.vocab.entity_id(name) for name in bundle.unseen]] = True
         train = self.train_graph.triplets
         aux = augment_inverses(KnowledgeGraph(self.vocab, self._aux_ids)).triplets
         rows = np.concatenate([train[~unseen[train[:, 0]]], aux[unseen[aux[:, 0]]]])

@@ -372,15 +372,18 @@ def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
     return score_batch(tape, subj, q_emb, obj, scorer)
 
 
-def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0, batch_size=512):
+_LABELED_BATCH = 512  # (s, q, o) rows scored per tape
+
+
+def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     """Output-embedding scores for (s, q, o) id rows, batched."""
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
-    for lo in range(0, labeled_ids.shape[0], batch_size):
+    for lo in range(0, labeled_ids.shape[0], _LABELED_BATCH):
         tape = ad.Tape()
-        out[lo:lo + batch_size] = output_scores(
-            tape, constant_leaves(tape, store), labeled_ids[lo:lo + batch_size], ctx.neighbor_graph,
+        out[lo:lo + _LABELED_BATCH] = output_scores(
+            tape, constant_leaves(tape, store), labeled_ids[lo:lo + _LABELED_BATCH], ctx.neighbor_graph,
             dense, acfg, scorer, rng,
         ).data
     return out

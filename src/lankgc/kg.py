@@ -103,9 +103,6 @@ class Vocabulary:
             return self.relations[r - m] + INVERSE_SUFFIX
         raise GraphError(f"relation id out of range: {r}")
 
-    def has_entity(self, name):
-        return name in self._ent_index
-
     def checksum_material(self):
         """Stable byte string covering both vocabularies (for manifests)."""
         return "\n".join(self.entities + ["--"] + self.relations).encode("utf-8")
@@ -171,10 +168,6 @@ class KnowledgeGraph:
         offsets, pairs = self._index()
         return pairs[offsets[e]:offsets[e + 1]]
 
-    def isolated_entities(self):
-        """Ids of entities with an empty neighborhood (possible pre-augmentation)."""
-        return np.flatnonzero(np.diff(self.offsets) == 0).tolist()
-
 
 def tsv_rows(path, width):
     """Yield (line number, fields) for each non-blank line of a TSV file.
@@ -210,13 +203,12 @@ def parse_triplet_file(path):
     return triples
 
 
-def graph_from_names(name_triples, vocab=None):
+def graph_from_names(name_triples):
     """Build a graph from (s, r, o) name tuples, assigning sorted ids."""
     if not name_triples:
         raise GraphError("empty graph: no triplets supplied")
-    if vocab is None:
-        subjects, relations, objects = zip(*name_triples)
-        vocab = Vocabulary(subjects + objects, relations)
+    subjects, relations, objects = zip(*name_triples)
+    vocab = Vocabulary(subjects + objects, relations)
     return KnowledgeGraph(vocab, vocab.triplet_ids(name_triples), augmented=False)
 
 

@@ -38,9 +38,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self.arrays[name]
 
-    def __contains__(self, name):
-        return name in self.arrays
-
     def names(self):
         return sorted(self.arrays)
 

@@ -34,7 +34,7 @@ from .decoder import check_scorer, score_batch
 from .encoder import AggregatorConfig
 from .evaluation import KnownTriplets, link_prediction, output_scores
 from .params import collect_gradients, init_params, save_checkpoint, vocab_checksums
-from .rules import mine_confidence
+from .rules import export_table, mine_confidence
 from .util import ARTIFACT_VERSION
 
 _ATTN_PARAM_NAMES = ("attn_proj", "attn_score_vec", "query_vec")
@@ -189,14 +189,11 @@ def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg
         parts["subtask"] = float(sub.data)
         loss = ad.add(tape, loss, sub)
     if tcfg.l2_rate > 0.0:
-        reg = None
-        for name in _ATTN_PARAM_NAMES:
-            if name not in leaves:
-                continue
-            term = ad.l2_norm_sq(tape, leaves[name])
-            reg = term if reg is None else ad.add(tape, reg, term)
-        if reg is not None:
-            loss = ad.add(tape, loss, ad.scale(tape, reg, tcfg.l2_rate))
+        first, *rest = _ATTN_PARAM_NAMES
+        reg = ad.l2_norm_sq(tape, leaves[first])
+        for name in rest:
+            reg = ad.add(tape, reg, ad.l2_norm_sq(tape, leaves[name]))
+        loss = ad.add(tape, loss, ad.scale(tape, reg, tcfg.l2_rate))
     return loss, parts
 
 
@@ -206,7 +203,10 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
     Positives are the inverse-augmented training triplets.  When
     ``eval_every`` is set and the bundle has validation triplets, a
     filtered-MRR probe on (a deterministic subset of) validation drives
-    best-checkpoint tracking and early stopping.
+    best-checkpoint tracking and early stopping.  A logic aggregator
+    uses ``rules_table``, or a table mined from the training graph when
+    none is given, and every checkpoint written under ``out_dir`` holds
+    that table as ``rules.tsv``.
     """
     started = time.perf_counter()
     if acfg is None:
@@ -219,9 +219,13 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
 
     ctx = BundleContext(bundle)
     graph = ctx.train_graph
-    if acfg.needs_rules and rules_table is None:
+    if not acfg.needs_rules:
+        rules_table = None
+    elif rules_table is None:
         rules_table = mine_confidence(graph)
-    dense = rules_table.dense() if (rules_table is not None and acfg.needs_rules) else None
+    elif out_dir and rules_table.relation_names is None:
+        raise TrainError("rules_table has no relation names, so no checkpoint could hold it")
+    dense = None if rules_table is None else rules_table.dense()
 
     store = init_params(ctx.vocab.n_entities, graph.n_relations, tcfg.dim, tcfg.seed, with_lstm=acfg.uses_lstm)
     positives = graph.triplets
@@ -307,17 +311,18 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
                     break
 
         if out_dir and tcfg.checkpoint_every > 0 and epoch % tcfg.checkpoint_every == 0:
-            _save(os.path.join(out_dir, f"epoch-{epoch:04d}"), store, ctx, tcfg, acfg, scorer, epoch)
+            _save(os.path.join(out_dir, f"epoch-{epoch:04d}"), store, ctx, tcfg, acfg, scorer, rules_table, epoch)
 
     if best_store is not None:
         store = best_store
     report.seconds = time.perf_counter() - started
     if out_dir:
-        _save(out_dir, store, ctx, tcfg, acfg, scorer, report.best_epoch or tcfg.epochs)
+        _save(out_dir, store, ctx, tcfg, acfg, scorer, rules_table, report.best_epoch or tcfg.epochs)
     return store, report
 
 
-def _save(path, store, ctx, tcfg, acfg, scorer, epoch):
+def _save(path, store, ctx, tcfg, acfg, scorer, rules_table, epoch):
+    """Write a checkpoint directory, with ``rules.tsv`` in it when the model has a rule table."""
     meta = {
         "artifact_version": ARTIFACT_VERSION,
         "epoch": str(epoch),
@@ -332,3 +337,5 @@ def _save(path, store, ctx, tcfg, acfg, scorer, epoch):
     }
     meta.update(vocab_checksums(ctx.vocab))
     save_checkpoint(path, store, meta)
+    if rules_table is not None:
+        export_table(rules_table, os.path.join(path, "rules.tsv"))

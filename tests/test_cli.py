@@ -11,7 +11,7 @@ from lankgc import cli
 from lankgc.context import BundleContext
 from lankgc.encoder import AggregatorConfig, constant_leaves, encode_batch, stack_samples
 from lankgc.params import load_checkpoint
-from lankgc.rules import import_table
+from lankgc.rules import export_table, import_table
 from lankgc.splits import read_bundle, write_bundle
 from lankgc.util import read_kv, sha256_file, write_kv
 
@@ -222,6 +222,50 @@ def test_train_is_bitwise_repeatable(pipeline, tmp_path):
                      "--out", str(again)]) == 0
     assert (again / "entity_emb.f64").read_bytes() == (ckpt / "entity_emb.f64").read_bytes()
     assert (again / "manifest").read_bytes() == (ckpt / "manifest").read_bytes()
+
+
+def test_every_checkpoint_holds_the_rule_table_it_was_trained_with(pipeline, tmp_path):
+    _, _, bundle, _, _ = pipeline
+    vocab = BundleContext(read_bundle(str(bundle))).vocab
+    names = [vocab.relation_name(r) for r in range(2 * vocab.n_relations)]
+    custom = tmp_path / "custom.tsv"  # rows out of id order, confidences not in repr form
+    custom.write_text("".join(f"{names[i]}\t{names[(i + 1) % len(names)]}\t{(i % 4 + 1) / 4:g}\n"
+                              for i in reversed(range(len(names)))), encoding="utf-8")
+    canonical = tmp_path / "canonical.tsv"
+    export_table(import_table(str(custom), vocab), str(canonical))
+    ckpt = tmp_path / "model"
+    assert cli.main(["train", "--bundle", str(bundle), "--aggregator", "lan", "--scorer", "distmult",
+                     "--rules", str(custom), "--seed", "0", "--set", "epochs=2", "--set", "dim=8",
+                     "--set", "checkpoint_every=1", "--out", str(ckpt)]) == 0
+    for target in (ckpt / "epoch-0001", ckpt / "epoch-0002", ckpt):
+        assert (target / "rules.tsv").read_bytes() == canonical.read_bytes(), target
+    for target in (ckpt / "epoch-0002", ckpt):
+        assert cli.main(["eval-lp", "--bundle", str(bundle), "--ckpt", str(target),
+                         "--out", str(target / "metrics.csv")]) == 0
+    assert (ckpt / "epoch-0002" / "metrics.csv").read_bytes() == (ckpt / "metrics.csv").read_bytes()
+
+
+def test_logic_checkpoint_without_its_rule_table_is_refused(pipeline, tmp_path, capsys):
+    _, _, bundle, _, ckpt = pipeline
+    copy = tmp_path / "model"
+    shutil.copytree(ckpt, copy)
+    (copy / "rules.tsv").unlink()
+    code, captured = run(["eval-lp", "--bundle", str(bundle), "--ckpt", str(copy),
+                          "--out", str(tmp_path / "m.csv")], capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(copy / "rules.tsv") in lines[0]
+
+
+def test_mean_checkpoint_has_no_rule_table_and_evaluates(pipeline, tmp_path):
+    _, _, bundle, _, _ = pipeline
+    ckpt = tmp_path / "mean"
+    assert cli.main(["train", "--bundle", str(bundle), "--aggregator", "mean", "--seed", "0",
+                     "--set", "epochs=1", "--set", "dim=8", "--set", "checkpoint_every=1",
+                     "--out", str(ckpt)]) == 0
+    assert not (ckpt / "rules.tsv").exists() and not (ckpt / "epoch-0001" / "rules.tsv").exists()
+    assert cli.main(["eval-lp", "--bundle", str(bundle), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "m.csv")]) == 0
 
 
 def test_flag_beats_set_beats_file(pipeline, tmp_path):

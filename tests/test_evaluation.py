@@ -550,10 +550,11 @@ def test_score_labeled_shape_and_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_score_labeled_batch_size_is_immaterial_within_budget():
+def test_score_labeled_batch_size_is_immaterial_within_budget(monkeypatch):
     ctx, acfg, table, store = bundle_fixture(seed=13)
     rows = ctx.to_ids(ctx.bundle.valid)
     dense = table.dense()
-    whole = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0, batch_size=512)
-    pieces = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0, batch_size=3)
+    whole = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0)
+    monkeypatch.setattr(evaluation, "_LABELED_BATCH", 3)
+    pieces = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0)
     np.testing.assert_allclose(whole, pieces, rtol=1e-9, atol=1e-12)

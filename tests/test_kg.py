@@ -86,7 +86,6 @@ def test_vocabulary_unknown_names_rejected():
         vocab.entity_id("b")
     with pytest.raises(GraphError, match="unknown relation"):
         vocab.relation_id("s")
-    assert vocab.has_entity("a") and not vocab.has_entity("b")
 
 
 def facts(g):
@@ -171,13 +170,6 @@ def test_triplet_ids_match_per_name_lookups():
             (("a", "r3", "b"), "unknown relation: 'r3'"), (("a", "r3" + INVERSE_SUFFIX, "b"), "unknown relation"):
         with pytest.raises(GraphError, match=message):
             vocab.triplet_ids(triples + [bad])
-
-
-def test_isolated_entities_before_augmentation():
-    g = graph_from_names([("a", "r", "b"), ("c", "r", "a")])
-    # b has no outgoing fact until inverses exist
-    assert g.isolated_entities() == [g.vocab.entity_id("b")]
-    assert augment_inverses(g).isolated_entities() == []
 
 
 @given(st.integers(0, 10_000))

@@ -9,6 +9,7 @@ from lankgc.context import BundleContext
 from lankgc.encoder import AggregatorConfig
 from lankgc.evaluation import KnownTriplets
 from lankgc.params import init_params, load_checkpoint
+from lankgc.rules import ConfidenceTable, import_table, mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
 from lankgc.training import (
     Adam,
@@ -343,6 +344,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert "vocab_sha256" in meta
     ctx = BundleContext(bundle)
     assert meta["n_entities"] == str(ctx.vocab.n_entities)
+    # the mined table travels with the weights, bit for bit
+    mined = mine_confidence(ctx.train_graph).dense()
+    assert import_table(str(out / "rules.tsv"), ctx.vocab).dense().tobytes() == mined.tobytes()
+
+
+def test_a_table_without_relation_names_is_refused_before_the_first_epoch(tmp_path):
+    bundle = tiny_bundle()
+    n_rel = BundleContext(bundle).train_graph.n_relations
+    epochs = []
+    with pytest.raises(TrainError, match="no relation names"):
+        train(bundle, quick_cfg(epochs=2), AggregatorConfig(kind="lan"),
+              rules_table=ConfidenceTable(np.full((n_rel, n_rel), 0.5)), out_dir=str(tmp_path / "ckpt"),
+              log=epochs.append)
+    assert epochs == []
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_checkpoint_rejects_corrupted_parameter_file(tmp_path):
