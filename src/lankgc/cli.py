@@ -9,7 +9,8 @@ Errors exit nonzero with a single ``error: ...`` line on stderr.
 
 ``train`` passes a ``--rules`` table, when given, to
 :func:`lankgc.training.train`, which mines one otherwise and saves it as
-``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint.  The
+``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it refuses
+``--rules`` for the other aggregators, which use no rule table.  The
 commands that load a checkpoint read that file back and refuse a logic
 checkpoint without it.
 """
@@ -109,9 +110,11 @@ def _cmd_train(args):
     )
     tcfg = train_config_from(resolved)
     acfg = aggregator_config_from(resolved)
+    if args.rules and not acfg.needs_rules:
+        raise ConfigError(f"--rules is for the lan and logic-only aggregators; {acfg.kind} uses no rule table")
     bundle = read_bundle(args.bundle)
     table = None
-    if acfg.needs_rules and args.rules:
+    if args.rules:
         table = import_table(args.rules, BundleContext(bundle).vocab)
     store, report = train(
         bundle, tcfg, acfg, scorer=resolved["scorer"], rules_table=table, out_dir=args.out,

@@ -45,7 +45,9 @@ gate products round a row differently in its last bits depending on the
 product's row count (with the transposed view of ``W_e``, rows of a
 product under 64 rows differ from the same rows in a larger one).  So a
 row equals its B=1 encoding bitwise for ``mean`` and ``logic-only``
-only; the other kinds agree to rounding.
+only; the other kinds agree to rounding.  Within a scoring batch a row's
+encoding is shared by its repeats (:func:`distinct_rows`): rows with the
+same (entity, query) key that read no rng are encoded once.
 """
 
 from __future__ import annotations
@@ -183,6 +185,32 @@ def stack_samples(graph, ent_ids, budget, rng):
         kept = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, row_rng)
         relations[offsets[i]:offsets[i + 1]], entities[offsets[i]:offsets[i + 1]] = kept.T
     return offsets, relations, entities
+
+
+def distinct_rows(graph, ent_ids, queries, cfg):
+    """The rows of a batch to encode, and where each row's encoding is.
+
+    Returns ``(keep, where)``: encoding the rows ``keep`` (ascending
+    indices into ``ent_ids``) gives row ``i``'s encoding at ``where[i]``.
+    A row shares the encoding of the first row with its (entity, query)
+    key only when it reads no rng: its neighborhood fits
+    ``cfg.neighbor_budget`` and the kind is not ``lstm``.  Every other
+    row is kept, so :func:`stack_samples` over ``ent_ids[keep]`` makes
+    the draws of sampling every row.  An entity id outside [0, N) is
+    kept too, for :func:`stack_samples` to refuse.
+    """
+    ent_ids = np.asarray(ent_ids, dtype=np.int64).reshape(-1)
+    queries = np.asarray(queries, dtype=np.int64).reshape(-1)
+    indptr = graph.offsets
+    ids = np.clip(ent_ids, 0, indptr.size - 2)
+    shares = (indptr[ids + 1] - indptr[ids] <= cfg.neighbor_budget) & (ids == ent_ids) & (not cfg.uses_lstm)
+    rows = np.flatnonzero(shares)
+    keys = ent_ids[rows] * (queries.max(initial=0) + 1) + queries[rows]  # distinct for relation ids >= 0
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rep = np.arange(ent_ids.size)
+    rep[rows] = rows[first][inverse]
+    keep = np.flatnonzero(rep == np.arange(ent_ids.size))
+    return keep, np.searchsorted(keep, rep)
 
 
 def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense_table=None, rng=None,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .decoder import candidate_columns, check_scorer, score_batch, score_columns
-from .encoder import constant_leaves, encode_batch, stack_samples
+from .encoder import constant_leaves, distinct_rows, encode_batch, stack_samples
 
 
 class EvalError(ValueError):
@@ -359,15 +359,23 @@ def tune_thresholds(valid_scores):
 
 
 def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
-    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most."""
+    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
+
+    Each endpoint is encoded under its triplet's relation, once per
+    distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`):
+    rows whose neighborhood fits the budget share one encoding, while a
+    truncated row and every lstm row keep their own, so ``rng`` (one
+    Generator) makes the draws of encoding every row.
+    """
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     b = triplets.shape[0]
     ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
     queries = np.tile(triplets[:, 1], 2)
-    offsets, rels, ents = stack_samples(graph, ent_ids, acfg.neighbor_budget, rng)
-    enc = encode_batch(tape, leaves, offsets, rels, ents, queries, acfg, dense_table=dense, rng=rng)
-    subj = ad.take_rows(tape, enc, np.arange(b))
-    obj = ad.take_rows(tape, enc, np.arange(b) + b)
+    keep, where = distinct_rows(graph, ent_ids, queries, acfg)
+    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg.neighbor_budget, rng)
+    enc = encode_batch(tape, leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense, rng=rng)
+    subj = ad.take_rows(tape, enc, where[:b])
+    obj = ad.take_rows(tape, enc, where[b:])
     q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
     return score_batch(tape, subj, q_emb, obj, scorer)
 

@@ -17,6 +17,13 @@ on, also to the raw input-embedding scores (same relation embeddings,
 same margin).  Batches are averaged; attention parameters can carry an
 L2 penalty.  After every optimizer step the relation transform vectors
 are renormalized to unit length.
+
+A negative corrupts one endpoint, so it shares the other with its
+positive.  Each distinct (entity, relation) endpoint of a batch is
+encoded once, and the gradients of its repeats are summed before they
+flow back through the encoder; a truncated neighborhood and every lstm
+row are still encoded per row, so the rng draws are those of encoding
+every row.
 """
 
 from __future__ import annotations
@@ -171,9 +178,11 @@ def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg
 
     Encodes the four endpoint groups (positive/negative x subject/object)
     in a single pass, sampling at most ``acfg.neighbor_budget`` neighbors
-    each from ``graph``.  The main part is the mean hinge over output
-    embeddings; the subtask part, when enabled, is the same hinge over
-    raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
+    each from ``graph``; repeated (entity, relation) endpoints whose
+    neighborhood fits the budget share one encoding (see
+    :func:`~lankgc.evaluation.output_scores`).  The main part is the
+    mean hinge over output embeddings; the subtask part, when enabled,
+    is the same hinge over raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
     holds the main and subtask components as plain floats.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)

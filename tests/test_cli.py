@@ -268,6 +268,18 @@ def test_mean_checkpoint_has_no_rule_table_and_evaluates(pipeline, tmp_path):
                      "--out", str(tmp_path / "m.csv")]) == 0
 
 
+@pytest.mark.parametrize("kind", ["mean", "lstm", "query-attn", "global-attn"])
+def test_rules_for_an_aggregator_without_a_rule_table_are_refused(pipeline, tmp_path, capsys, kind):
+    _, _, bundle, rules, _ = pipeline
+    out = tmp_path / "model"
+    code, captured = run(["train", "--bundle", str(bundle), "--aggregator", kind, "--rules", str(rules),
+                          "--set", "epochs=1", "--set", "dim=8", "--out", str(out)], capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --rules") and kind in lines[0]
+    assert not out.exists()
+
+
 def test_flag_beats_set_beats_file(pipeline, tmp_path):
     _, _, bundle, *_ = pipeline
     cfg = tmp_path / "run.cfg"

@@ -34,11 +34,12 @@ from lankgc.evaluation import (
     encode_entities,
     link_prediction,
     metrics_from_ranks,
+    output_scores,
     rank_relation,
     score_labeled,
     tune_thresholds,
 )
-from lankgc.kg import sample_neighbors
+from lankgc.kg import GraphError, sample_neighbors
 from lankgc.params import init_params
 from lankgc.rules import mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
@@ -558,3 +559,83 @@ def test_score_labeled_batch_size_is_immaterial_within_budget(monkeypatch):
     monkeypatch.setattr(evaluation, "_LABELED_BATCH", 3)
     pieces = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0)
     np.testing.assert_allclose(whole, pieces, rtol=1e-9, atol=1e-12)
+
+
+# --- one encoding per distinct (entity, query) row -------------------------------
+
+def repeated_rows(ctx):
+    """Training triplets with every row twice, and rows sharing a subject or an object under one relation."""
+    t = ctx.train_graph.triplets[:12]
+    flipped = t[::-1].copy()
+    flipped[:, 0] = t[:, 0]  # the subjects of t, under their own relation, with other objects
+    flipped[:, 1] = t[:, 1]
+    return np.concatenate([t, t[::-1], flipped])
+
+
+def scores_of(ctx, store, acfg, dense, triplets, scorer="transe", rng=None):
+    tape = ad.Tape()
+    rng = np.random.default_rng(3) if rng is None else rng
+    return output_scores(tape, constant_leaves(tape, store), triplets, ctx.neighbor_graph, dense, acfg,
+                         scorer, rng).data
+
+
+@pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "lstm"])
+@pytest.mark.parametrize("scorer", ["transe", "distmult", "complex"])
+def test_output_scores_of_repeated_rows_equal_one_row_at_a_time(kind, scorer):
+    ctx, acfg, table, store = bundle_fixture(seed=7)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
+    dense = table.dense()
+    rows = repeated_rows(ctx)
+    got = scores_of(ctx, store, acfg, dense, rows, scorer)
+    want = np.concatenate([scores_of(ctx, store, acfg, dense, row[None], scorer) for row in rows])
+    if kind in ("mean", "logic-only"):
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_output_scores_encode_each_distinct_row_once(kind, monkeypatch):
+    ctx, acfg, table, store = bundle_fixture(seed=8)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 8, with_lstm=acfg.uses_lstm)
+    rows = repeated_rows(ctx)
+    encoded = []
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: encoded.append(a[2].size - 1)
+                        or encode_batch(*a, **kw))
+    scores_of(ctx, store, acfg, table.dense(), rows)
+    keys = {(int(e), int(q)) for e, q in zip(np.concatenate([rows[:, 0], rows[:, 2]]), np.tile(rows[:, 1], 2))}
+    assert len(keys) < 2 * rows.shape[0]
+    assert encoded == [2 * rows.shape[0] if acfg.uses_lstm else len(keys)]
+
+
+@pytest.mark.parametrize("kind", ["lan", "mean"])
+def test_truncated_repeats_are_each_sampled_with_the_draws_of_every_row(kind, monkeypatch):
+    ctx, _, table, store = bundle_fixture(seed=9)
+    graph = ctx.neighbor_graph
+    degrees = np.diff(graph.offsets)
+    hub, small = int(np.argmax(degrees)), int(np.argmin(degrees))
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=int(degrees[hub]) - 1)
+    assert degrees[small] <= acfg.neighbor_budget
+    rows = np.array([[hub, 0, small], [small, 1, hub], [hub, 0, hub], [small, 1, small], [hub, 0, small]])
+    sampled = []
+    monkeypatch.setattr(evaluation, "stack_samples", lambda g, ids, *a: sampled.append(np.array(ids))
+                        or stack_samples(g, ids, *a))
+    rng = np.random.default_rng(21)
+    scores_of(ctx, store, acfg, table.dense(), rows, rng=rng)
+    # the hub is sampled once per row it ends (five times); each (small, query) row once
+    assert (sampled[0] == hub).sum() == 5
+    assert (sampled[0] == small).sum() == 2
+    every = np.random.default_rng(21)
+    stack_samples(graph, np.concatenate([rows[:, 0], rows[:, 2]]), acfg.neighbor_budget, every)
+    assert rng.bit_generator.state == every.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_output_scores_refuse_an_entity_id_out_of_range(bad):
+    ctx, acfg, table, store = bundle_fixture(seed=10)
+    bad = ctx.vocab.n_entities if bad == "n" else bad
+    row = ctx.train_graph.triplets[0]
+    rows = np.array([row, row, [row[0], row[1], bad]])
+    with pytest.raises(GraphError, match="out of range"):
+        scores_of(ctx, store, acfg, table.dense(), rows)

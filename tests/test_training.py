@@ -5,10 +5,11 @@ import pytest
 
 from helpers import make_graph, random_bundles, random_name_triples
 from lankgc import autodiff as ad
+from lankgc import evaluation
 from lankgc.context import BundleContext
-from lankgc.encoder import AggregatorConfig
+from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
 from lankgc.evaluation import KnownTriplets
-from lankgc.params import init_params, load_checkpoint
+from lankgc.params import collect_gradients, init_params, load_checkpoint
 from lankgc.rules import ConfidenceTable, import_table, mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
 from lankgc.training import (
@@ -185,6 +186,37 @@ def test_batch_objective_matches_per_pair_losses():
                                   "transe", np.random.default_rng(0))
         single += pair.item()
     assert float(loss.data) == pytest.approx(single / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(kind, monkeypatch):
+    ctx = BundleContext(tiny_bundle(seed=3))
+    tcfg = quick_cfg(subtask_enabled=True, l2_rate=0.01, neighbor_budget=6)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=tcfg.neighbor_budget)
+    graph = ctx.neighbor_graph
+    assert np.diff(graph.offsets).max() > acfg.neighbor_budget  # truncated rows ride along
+    dense = mine_confidence(ctx.train_graph).dense()
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, tcfg.dim, 3,
+                        with_lstm=acfg.uses_lstm)
+    pos = np.concatenate([ctx.train_graph.triplets[:10]] * 2)
+    known = fact_index(ctx.train_graph.triplets, ctx.vocab.n_entities, ctx.train_graph.n_relations)
+    neg, _ = corrupt(pos, known, ctx.vocab.n_entities, np.random.default_rng(1))
+
+    def gradients():
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        loss, _ = batch_objective(tape, leaves, pos, neg, graph, dense, tcfg, acfg, "transe",
+                                  np.random.default_rng(2))
+        tape.backward(loss)
+        return loss.item(), collect_gradients(leaves)
+
+    merged_loss, merged = gradients()
+    monkeypatch.setattr(evaluation, "distinct_rows", lambda g, ids, q, cfg: (np.arange(ids.size),) * 2)
+    every_loss, every = gradients()
+    assert merged_loss == pytest.approx(every_loss, rel=0, abs=1e-12)
+    assert merged.keys() == every.keys()
+    for name in every:
+        np.testing.assert_allclose(merged[name], every[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 # --- optimizers -----------------------------------------------------------------
