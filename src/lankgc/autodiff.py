@@ -56,11 +56,11 @@ __all__ = [
     "relu",
     "softmax_masked",
     "weighted_block_sum",
+    "row_sum",
     "l1_norm",
     "l2_norm_sq",
     "sum_all",
     "mean_all",
-    "finite_difference_check",
 ]
 
 
@@ -347,14 +347,35 @@ def weighted_block_sum(tape, entries, weights, offsets):
                  (lambda g: g[row] * w[:, None], lambda g: np.sum(entries.data * g[row], axis=1)))
 
 
+def _running_sum(x):
+    """Each row of a matrix added from 0.0 in column order -> (B,) vector.
+
+    One fixed order, so a ranker can repeat these sums bit for bit
+    outside the tape (:mod:`lankgc.decoder`); ``np.sum`` adds a row
+    pairwise, and a numpy reduction over the outer axis of a one-row
+    array does too.
+    """
+    acc = np.zeros(x.shape[0])
+    for k in range(x.shape[1]):
+        acc += x[:, k]
+    return acc
+
+
+def row_sum(tape, a):
+    """Each row of a matrix added as a running sum from 0.0 in column order -> (B,) vector."""
+    if a.data.ndim != 2:
+        raise ValueError(f"row_sum: expects a matrix, got shape {a.data.shape}")
+    return _make(tape, _running_sum(a.data), (a,), (lambda g: np.broadcast_to(g[:, None], a.data.shape),))
+
+
 def l1_norm(tape, a):
-    """Sum of absolute values of each row of a matrix -> (B,) vector.
+    """Sum of absolute values of each row of a matrix -> (B,) vector, added as in :func:`row_sum`.
 
     The subgradient of ``|x|`` at zero is taken as zero.
     """
     if a.data.ndim != 2:
         raise ValueError(f"l1_norm: expects a matrix, got shape {a.data.shape}")
-    return _make(tape, np.sum(np.abs(a.data), axis=1), (a,), (lambda g: g[:, None] * np.sign(a.data),))
+    return _make(tape, _running_sum(np.abs(a.data)), (a,), (lambda g: g[:, None] * np.sign(a.data),))
 
 
 def l2_norm_sq(tape, a):
@@ -369,39 +390,3 @@ def sum_all(tape, a):
 def mean_all(tape, a):
     return scale(tape, sum_all(tape, a), 1.0 / max(a.data.size, 1))
 
-
-def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
-    """Compare analytic gradients with central finite differences.
-
-    ``fn(arrays) -> (loss_value, grads_dict)`` must rebuild its tape on
-    every call from the plain float64 arrays in ``arrays`` and return
-    the scalar loss along with analytic gradients keyed like ``arrays``.
-    Every entry of every array is perturbed by ``±h``.  Relative error
-    uses a unit floor, ``|a - n| / max(|a|, |n|, 1)``, so near-zero
-    gradients are compared absolutely.
-
-    Returns ``(ok, report)`` where ``report`` maps each array name to
-    its worst relative error.
-    """
-    _, grads = fn(arrays)
-    report = {}
-    for name, arr in arrays.items():
-        analytic = grads.get(name)
-        if analytic is None:
-            analytic = np.zeros_like(arr)
-        worst = 0.0
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up, _ = fn(arrays)
-            flat[i] = keep - h
-            down, _ = fn(arrays)
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
-            a = float(analytic.reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            worst = max(worst, err)
-        report[name] = worst
-    ok = all(v <= tol for v in report.values())
-    return ok, report

@@ -14,7 +14,11 @@ entities of all the relation's queries in one more pass; each pass runs
 most 2^14 real slots, or one wider row.  Each query keeps its own rng, keyed on
 (seed, s, q, o), for a truncated neighborhood or an lstm permutation.
 Scores come tape-free in bounded (queries, candidates) blocks from
-:func:`~lankgc.decoder.score_columns`, the candidates laid out (d, N) once.  One
+:func:`~lankgc.decoder.score_columns`, the candidates laid out once: transe
+through one ``cdist`` city-block call per block, distmult and complex through
+a running-sum loop over (d, N) factors.  Every term is a running sum over
+the features from 0.0, as in training and triplet classification, so a
+ranked score equals :func:`~lankgc.decoder.score_batch`'s bit for bit.  One
 binary search of :class:`KnownTriplets`, sorted int64 fact keys, finds
 every query's known answers, and masked row sums count the better
 scores and the ties.
@@ -196,9 +200,12 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     so results do not depend on query order.  Returns the (Q,) int64
     ranks and the number of queries whose fixed entity has no neighbors,
     so that it is scored from a zero vector.  The candidates are encoded
-    and laid out once per call.  :func:`link_prediction` calls this once
-    per query relation; no queries, or queries of more than one
-    relation, raise :class:`EvalError`.
+    and laid out once per call.  Each score is a running sum over the
+    features, equal to :func:`~lankgc.decoder.score_batch`'s bit for bit;
+    transe scores a block of queries with one ``cdist`` call.
+    :func:`link_prediction` calls this once per query relation; no
+    queries, or queries of more than one relation, raise
+    :class:`EvalError`.
     """
     if rank_side not in ("subject", "object"):
         raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
@@ -225,7 +232,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     q_vec = store["relation_emb"][q]
     cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q]))
     columns = candidate_columns(cand_embs, q_vec, scorer, rank_side)
-    del cand_embs  # the (d, N) layout replaces the encodings
+    del cand_embs  # only the layout is read from here
 
     keys = [[seed, *row] for row in triplets.tolist()]
     # an lstm permutes every row after any sample, from that row's one generator; the other

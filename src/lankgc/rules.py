@@ -43,13 +43,15 @@ class ConfidenceTable:
     """conf(r1 => r2) over an augmented relation vocabulary, as an (R, R) matrix.
 
     Row r1, column r2 holds conf(r1 => r2); unobserved pairs are 0.  The
-    matrix is float64 and read-only.  ``support`` is the (R,) int64 count
-    of entities carrying each relation, or ``None`` for an imported table.
+    matrix is C-ordered float64 and read-only.  ``support`` is the (R,)
+    int64 count of entities carrying each relation, or ``None`` for an
+    imported table.
     """
 
     def __init__(self, matrix, support=None, relation_names=None):
-        # a view, so freezing it leaves the caller's own array writable
-        self._matrix = np.asarray(matrix, dtype=np.float64).view()
+        # C-ordered once, so logic_attention_batch's flat view never copies it; a view, so
+        # freezing it leaves the caller's own array writable
+        self._matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
         self._matrix.flags.writeable = False
         self.support = support
         self.relation_names = relation_names

@@ -1,4 +1,5 @@
-"""Shared test fixtures-in-code: tiny graphs, random corpora, and oracles.
+"""Shared test fixtures-in-code: tiny graphs, random corpora, oracles, and
+a finite-difference gradient check.
 
 The oracle functions here deliberately reimplement the library math in
 plain numpy loops, straight from the formulas, so the vectorized
@@ -13,6 +14,43 @@ import numpy as np
 
 from lankgc.kg import augment_inverses, graph_from_names
 from lankgc.splits import Corpus, SplitError, SplitSpec, build_split
+
+
+def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
+    """Compare analytic gradients with central finite differences.
+
+    ``fn(arrays) -> (loss_value, grads_dict)`` must rebuild its tape on
+    every call from the plain float64 arrays in ``arrays`` and return
+    the scalar loss along with analytic gradients keyed like ``arrays``.
+    Every entry of every array is perturbed by ``±h``.  Relative error
+    uses a unit floor, ``|a - n| / max(|a|, |n|, 1)``, so near-zero
+    gradients are compared absolutely.
+
+    Returns ``(ok, report)`` where ``report`` maps each array name to
+    its worst relative error.
+    """
+    _, grads = fn(arrays)
+    report = {}
+    for name, arr in arrays.items():
+        analytic = grads.get(name)
+        if analytic is None:
+            analytic = np.zeros_like(arr)
+        worst = 0.0
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up, _ = fn(arrays)
+            flat[i] = keep - h
+            down, _ = fn(arrays)
+            flat[i] = keep
+            numeric = (up - down) / (2.0 * h)
+            a = float(analytic.reshape(-1)[i])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+            worst = max(worst, err)
+        report[name] = worst
+    ok = all(v <= tol for v in report.values())
+    return ok, report
 
 
 def make_graph(triples):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    finite_difference_check,
     make_graph,
     max_degree,
     naive_confidence,
@@ -127,7 +128,7 @@ def test_gradients_match_finite_differences_for_every_aggregator_and_scorer():
             else:
                 pytest.fail(f"no kink-free init found for {kind}+{scorer}")
             fn = _loss_fn(kg, dense, pos, neg, tcfg, acfg, scorer)
-            ok, report = ad.finite_difference_check(fn, store.arrays, tol=1e-4)
+            ok, report = finite_difference_check(fn, store.arrays, tol=1e-4)
             assert ok, f"{kind}+{scorer}: worst relative errors {report}"
     assert time.perf_counter() - started <= 120.0
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import grid_to_csr, make_graph, random_name_triples
+from helpers import finite_difference_check, grid_to_csr, make_graph, random_name_triples
 from lankgc import autodiff as ad
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_batch
 from lankgc.params import init_params
@@ -31,7 +31,7 @@ def run_fd(build, params, h=1e-6, tol=1e-4):
         }
         return loss.item(), grads
 
-    ok, report = ad.finite_difference_check(fn, params, h=h, tol=tol)
+    ok, report = finite_difference_check(fn, params, h=h, tol=tol)
     assert ok, report
 
 
@@ -112,6 +112,8 @@ FD_CASES = {
     "weighted_block_sum_masked": ({"e": r(60, 4, 3), "w": BLOCK_SUM_MASKED[1]},
                                   lambda t, l: weighted(
                                       t, ad.weighted_block_sum(t, l["e"], l["w"], BLOCK_SUM_MASKED[0]), 46)),
+    "row_sum": ({"a": r(70, 3, 9)},
+                lambda t, l: weighted(t, ad.row_sum(t, l["a"]), 71)),
     "l1_norm_rows": ({"a": r(66, 3, 4) + np.sign(r(66, 3, 4)) * 0.1},
                      lambda t, l: weighted(t, ad.l1_norm(t, l["a"]), 67)),
     "l2_norm_sq": ({"a": r(68, 3, 4)},
@@ -535,7 +537,7 @@ def test_finite_difference_check_catches_wrong_gradient():
         tape.backward(loss)
         return loss.item(), {"x": 3.0 * x.grad}  # deliberately wrong
 
-    ok, report = ad.finite_difference_check(fn, {"x": r(10, 4)})
+    ok, report = finite_difference_check(fn, {"x": r(10, 4)})
     assert not ok
     assert report["x"] > 1e-4
 

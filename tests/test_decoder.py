@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import oracle_score
+from helpers import finite_difference_check, oracle_score
 from lankgc import autodiff as ad
 from lankgc import decoder
 from lankgc.decoder import SCORER_KINDS, candidate_columns, check_scorer, score_batch, score_columns
@@ -123,7 +123,7 @@ def test_score_is_differentiable(kind):
         tape.backward(loss)
         return float(loss.data), {k: v.grad for k, v in leaves.items()}
 
-    ok, report = ad.finite_difference_check(build, {"s": S, "q": Q, "o": O})
+    ok, report = finite_difference_check(build, {"s": S, "q": Q, "o": O})
     assert ok, report
 
 
@@ -142,7 +142,8 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
     # 7 queries over 2500 candidates take query tiles of 2, 2, 2 and a ragged 1;
     # 13000 candidates take two full and a ragged column tile per query.  The
     # cases after the first five cover d < 8, d not a multiple of 8 and d > 128
-    # (the halves of numpy's pairwise sum), with -0.0 entries on both sides.
+    # (where numpy's pairwise np.sum would split its halves), with -0.0 entries
+    # on both sides.
     cases = ((1, 2), (7, 6), (300, 32), (1000, 50), (2500, 8),
              (40, 1), (50, 5), (30, 9), (20, 15), (60, 24), (25, 100), (10, 130), (12, 256), (13000, 9))
     for case, (n, dim) in enumerate(cases):
@@ -182,7 +183,7 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
 def test_score_candidate_block_bitwise_across_small_tiles(kind, rank_side, cells, monkeypatch):
     # 1 cell: one query and one candidate per tile; 5: ragged column tiles of 5
     # over 23 candidates; 12 over 3 candidates: query tiles of 4, the last ragged.
-    # d = 300 gives complex halves of 150, over the 128 at which numpy's sum splits
+    # d = 300 gives complex halves of 150, running sums of 150 products
     monkeypatch.setattr(decoder, "_TILE_CELLS", cells)
     rng = np.random.default_rng(cells)
     for n, nq, dim in ((23, 6, 2), (23, 3, 10), (3, 7, 34), (5, 9, 130), (4, 3, 300), (23, 2, 1), (3, 5, 9)):
@@ -225,9 +226,50 @@ def test_scorer_rejects_an_unknown_rank_side(rank_side):
 
 @pytest.mark.parametrize("dim", [3, 9, 200])
 def test_score_candidate_block_sums_negative_zeros_to_zero(dim):
-    # every product is -0.0; numpy adds the sum to its identity 0.0, giving +0.0
+    # every product is -0.0; a running sum from 0.0 gives +0.0
     cands, q, ends = np.full((4, dim), -0.0), np.ones(dim), np.ones((2, dim))
     for rank_side in ("subject", "object"):
         block = score_columns(candidate_columns(cands, q, "distmult", rank_side), q, ends, "distmult", rank_side)
         assert not np.signbit(block).any()
         assert block[0].tobytes() == batch_scores(cands, q, ends[0], "distmult", rank_side).tobytes()
+
+
+def running_score(s, q, o, kind):
+    """One score with each term added one Python float at a time, from 0.0 in feature order."""
+
+    def running(terms):
+        acc = 0.0
+        for x in terms:
+            acc += x
+        return acc
+
+    d = len(s)
+    if kind == "transe":
+        return -running(abs((s[k] + q[k]) - o[k]) for k in range(d))
+    if kind == "distmult":
+        return running((s[k] * q[k]) * o[k] for k in range(d))
+    h = d // 2
+    re, im = range(h), range(h, d)
+    t1 = running((s[a] * q[a]) * o[a] for a in re)
+    t2 = running((s[b] * q[b]) * o[a] for a, b in zip(re, im))
+    t3 = running((s[a] * q[b]) * o[b] for a, b in zip(re, im))
+    t4 = running((s[b] * q[a]) * o[b] for a, b in zip(re, im))
+    return (t1 - t2) + (t3 + t4)
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+@pytest.mark.parametrize("rank_side", ["subject", "object"])
+@pytest.mark.parametrize("dim", [9, 32, 130])
+def test_every_score_is_a_running_sum_in_feature_order(kind, rank_side, dim):
+    # at these sizes numpy's pairwise np.sum adds in another order and differs in the last bits
+    dim = 2 * dim if kind == "complex" and dim % 2 else dim
+    rng = np.random.default_rng(dim)
+    cands = with_negative_zeros(rng, rng.normal(size=(20, dim)) * 10.0 ** rng.integers(-3, 4, size=(20, dim)))
+    ends = with_negative_zeros(rng, rng.normal(size=(3, dim)))
+    q = with_negative_zeros(rng, rng.normal(size=dim))
+    block = score_columns(candidate_columns(cands, q, kind, rank_side), q, ends, kind, rank_side)
+    for end, row in zip(ends, block):
+        pairs = [(c, end) if rank_side == "subject" else (end, c) for c in cands.tolist()]
+        want = np.array([running_score(s, q.tolist(), o, kind) for s, o in pairs])
+        assert batch_scores(cands, q, end, kind, rank_side).tobytes() == want.tobytes()
+        assert row.tobytes() == want.tobytes()

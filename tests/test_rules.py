@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,21 @@ def test_table_matrix_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table.dense()[0, 0] = 1.0
     assert source.flags.writeable  # freezing the table leaves the caller's array alone
+
+
+def test_mined_matrix_is_c_ordered_so_a_logic_call_reads_it_in_place():
+    # the sparse product comes back Fortran-ordered, which a logic call's flat view would copy whole
+    kg = make_graph(random_name_triples(np.random.default_rng(4), 120, 300, 1500))
+    dense = mine_confidence(kg).dense()
+    assert dense.flags.c_contiguous and not dense.flags.writeable
+    offsets, rels, _ = stack_samples(kg, np.arange(8), 16, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        logic_attention_batch(dense, offsets, rels, rels[offsets[:-1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense.nbytes // 10
 
 
 def assert_matches_naive(dense, naive):
