@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The engine records every operation on an append-only tape.  Because
-operands must exist before the operation that consumes them, the tape
-order is already topological, and the backward pass simply walks it in
-reverse.  Values are scalars (shape ``()``), vectors ``(n,)`` or
+The engine records leaves, and every operation whose output requires a
+gradient, on an append-only tape.  Because operands must exist before
+the operation that consumes them, the tape order is already
+topological, and the backward pass simply walks it in reverse.  An
+output whose operands all lack a gradient is not recorded and keeps no
+parents and no vector-Jacobian products, so it is freed as soon as the
+caller drops it: a forward pass over constant leaves holds no
+intermediate that it no longer reads.  A backward pass from such an
+output only clears the tape's gradients.  Values are scalars (shape ``()``), vectors ``(n,)`` or
 matrices ``(n, m)``; there is no broadcasting and no higher-rank
 support, every primitive checks its operand shapes explicitly.
 
@@ -30,6 +35,8 @@ whichever rows share the batch.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,11 +72,15 @@ __all__ = [
 
 
 class Value:
-    """One node on the tape: a float64 array plus a gradient slot."""
+    """One node on the tape: a float64 array plus a gradient slot.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    An op output that requires no gradient is not on the tape; its
+    ``_tape`` is a weak reference to the tape whose op computed it.
+    """
 
-    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_tape")
+
+    def __init__(self, data, requires_grad=False, parents=(), vjps=(), tape=None):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError(f"values are at most rank 2, got shape {self.data.shape}")
@@ -77,6 +88,7 @@ class Value:
         self.requires_grad = bool(requires_grad)
         self._parents = parents
         self._vjps = vjps
+        self._tape = tape
 
     @property
     def shape(self):
@@ -92,7 +104,7 @@ class Value:
 
 
 class Tape:
-    """Append-only record of operations; replayed in reverse for gradients."""
+    """Append-only record of leaves and of the ops that require a gradient; replayed in reverse for gradients."""
 
     def __init__(self):
         self.nodes = []
@@ -111,20 +123,26 @@ class Tape:
         Gradients are zeroed first, so calling this twice on the same
         tape gives identical results.  Nodes whose gradient was never
         touched (they do not influence the loss) are skipped entirely;
-        their ``grad`` stays ``None`` and reads as zero.
+        their ``grad`` stays ``None`` and reads as zero.  A loss that an
+        op of this tape computed without a gradient, which the tape does
+        not record, depends on no leaf that requires one: every gradient
+        is cleared, and none is set.
         """
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        if not any(node is loss for node in self.nodes):
+        made_here = loss._tape is not None and loss._tape() is self
+        if not made_here and not any(node is loss for node in self.nodes):
             raise ValueError("loss is not a node on this tape")
         for node in self.nodes:
             node.grad = None
+        if not loss.requires_grad:
+            return
         loss.grad = np.ones((), dtype=np.float64)
         for node in reversed(self.nodes):
             g = node.grad
             if g is None:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):  # no vjps unless some parent requires a gradient
+            for parent, vjp in zip(node._parents, node._vjps):  # a leaf has no parents
                 if not parent.requires_grad:
                     continue
                 delta = vjp(g)
@@ -137,9 +155,13 @@ class Tape:
 
 
 def _make(tape, data, parents, vjps):
-    """Record an op's output; ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta."""
-    needs = any([p.requires_grad for p in parents])
-    out = Value(data, requires_grad=needs, parents=parents, vjps=vjps if needs else ())
+    """An op's output, recorded only if it requires a gradient.
+
+    ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta.
+    """
+    if not any([p.requires_grad for p in parents]):
+        return Value(data, tape=weakref.ref(tape))  # one shared weak reference per tape
+    out = Value(data, requires_grad=True, parents=parents, vjps=vjps)
     tape.nodes.append(out)
     return out
 
@@ -258,7 +280,7 @@ def take_rows(tape, m, idx):
         )
         return np.asarray(select @ g)
 
-    return _make(tape, m.data[idx], (m,), (vjp,))  # fancy indexing already copies
+    return _make(tape, m.data.take(idx, axis=0), (m,), (vjp,))  # a copy, as m.data[idx], but faster
 
 
 def repeat_rows(tape, a, k):

@@ -232,9 +232,11 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
     counts = np.diff(offsets)
     dim = leaves["entity_emb"].data.shape[1]
 
-    entries = ad.take_rows(tape, leaves["entity_emb"], entities)
-    transforms = ad.take_rows(tape, leaves["transform_vec"], relations)
-    transformed = transform_batch(tape, entries, transforms)  # (S, d), in slot order
+    transformed = transform_batch(  # (S, d), in slot order; the gathers are freed here unless recorded
+        tape,
+        ad.take_rows(tape, leaves["entity_emb"], entities),
+        ad.take_rows(tape, leaves["transform_vec"], relations),
+    )
 
     if cfg.kind == "lstm":
         out = _encode_batch_lstm(tape, leaves, transformed, offsets, rng)

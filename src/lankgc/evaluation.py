@@ -11,7 +11,10 @@ Ranking is numpy throughout and runs one query relation at a time.
 The candidates are encoded once per relation, and the fixed-side
 entities of all the relation's queries in one more pass; each pass runs
 :func:`~lankgc.encoder.encode_batch` on consecutive row blocks of at
-most 2^14 real slots, or one wider row.  Each query keeps its own rng, keyed on
+most 2^12 real slots, or one wider row.  A block's per-slot arrays are
+its transient memory, and a freed block leaves its high-water mark in
+the heap that the allocator keeps, so the block size bounds the peak
+resident memory of ranking.  Each query keeps its own rng, keyed on
 (seed, s, q, o), for a truncated neighborhood or an lstm permutation.
 Scores come tape-free in bounded (queries, candidates) blocks from
 :func:`~lankgc.decoder.score_columns`, the candidates laid out once: transe
@@ -157,15 +160,16 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     Neighborhoods come from :func:`stack_samples`, and ``rng`` is one
     Generator or one per entity, as there.  Consecutive rows are encoded
     in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row is a
-    block of its own), each one :func:`encode_batch` on its own tape, so
-    the tape holds one block at a time.  Nothing is padded: a block is
-    a run of the CSR slots.  Rows without neighbors are zero vectors.
+    block of its own), each one :func:`encode_batch` on its own tape of
+    constant leaves, so only one block's arrays are alive at a time.
+    Nothing is padded: a block is a run of the CSR slots.  Rows without
+    neighbors are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
     return _encode_blocks(store, acfg, dense, offsets, rels, ents, query_rel, rng)
 
 
-_BLOCK_SLOTS = 1 << 14  # real neighbor slots per encode pass, which bounds the tape
+_BLOCK_SLOTS = 1 << 12  # real neighbor slots per encode pass, which bound its per-slot arrays
 
 
 def _encode_blocks(store, acfg, dense, offsets, rels, ents, query_rel, rng):
@@ -276,6 +280,13 @@ class LinkPredictionResult:
     empty_fixed: int = 0
 
 
+def _check_vocabulary(ctx, store):
+    """Refuse a parameter store with fewer entity rows than the bundle's vocabulary."""
+    rows, n = store["entity_emb"].shape[0], ctx.vocab.n_entities
+    if rows < n:
+        raise EvalError(f"the parameter store embeds {rows} entities, but the bundle's vocabulary has {n}")
+
+
 def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank_side=None):
     """Filtered ranking metrics over the bundle's test triplets.
 
@@ -288,6 +299,7 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
     ranks do not depend on query order.
     """
     check_scorer(scorer, store["entity_emb"].shape[1])
+    _check_vocabulary(ctx, store)
     if triplets is None:
         triplets = ctx.to_ids(ctx.bundle.test)
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
@@ -392,6 +404,7 @@ _LABELED_BATCH = 512  # (s, q, o) rows scored per tape
 
 def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     """Output-embedding scores for (s, q, o) id rows, batched."""
+    _check_vocabulary(ctx, store)
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])

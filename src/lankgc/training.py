@@ -24,6 +24,9 @@ encoded once, and the gradients of its repeats are summed before they
 flow back through the encoder; a truncated neighborhood and every lstm
 row are still encoded per row, so the rng draws are those of encoding
 every row.
+
+One batch's tape is alive at a time: a step frees its tape, leaves and
+gradients before the next batch is corrupted and encoded.
 """
 
 from __future__ import annotations
@@ -206,6 +209,27 @@ def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg
     return loss, parts
 
 
+def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, rng, where):
+    """One optimizer step on one batch, then the transform renormalization -> ``(loss, parts, gradient norm)``.
+
+    The batch's tape, leaves and gradients die when this returns, before
+    the next batch is built.  ``where`` names the batch in the error
+    that a non-finite loss raises.
+    """
+    tape = ad.Tape()
+    leaves = store.leaves(tape)
+    loss, parts = batch_objective(tape, leaves, pos, neg, graph, dense, tcfg, acfg, scorer, rng)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainError(f"non-finite loss at {where}: {value}")
+    tape.backward(loss)
+    grads = collect_gradients(leaves)
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    opt.step(store, grads, tcfg.learning_rate)
+    store.renormalize_transforms()
+    return value, parts, norm
+
+
 def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=None, log=None):
     """Fit a model on a bundle; returns ``(store, report)``.
 
@@ -262,21 +286,11 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
                 pos = np.repeat(pos, tcfg.negatives_per_positive, axis=0)
             neg, fallbacks = corrupt(pos, known, ctx.vocab.n_entities, rng)
             epoch_fallbacks += fallbacks
-            tape = ad.Tape()
-            leaves = store.leaves(tape)
-            loss, parts = batch_objective(
-                tape, leaves, pos, neg, ctx.neighbor_graph, dense, tcfg, acfg, scorer, rng
+            value, parts, norm = _step(
+                store, opt, pos, neg, ctx.neighbor_graph, dense, tcfg, acfg, scorer, rng,
+                f"epoch {epoch}, batch {lo // tcfg.batch_size}",
             )
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // tcfg.batch_size}: {value}"
-                )
-            tape.backward(loss)
-            grads = collect_gradients(leaves)
-            norm_sum += np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            opt.step(store, grads, tcfg.learning_rate)
-            store.renormalize_transforms()
+            norm_sum += norm
             for name, arr in store.arrays.items():
                 if not np.isfinite(arr).all():
                     raise TrainError(

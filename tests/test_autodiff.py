@@ -529,6 +529,32 @@ def test_backward_requires_loss_on_tape():
         tape.backward(other)
 
 
+def test_backward_on_a_gradient_free_loss_clears_every_gradient():
+    tape = ad.Tape()
+    x = tape.leaf(r(30, 3), requires_grad=True)
+    c = tape.constant(r(31, 3))
+    tape.backward(ad.sum_all(tape, ad.mul(tape, x, c)))
+    assert x.grad is not None
+    free = ad.sum_all(tape, ad.mul(tape, c, c))
+    assert not free.requires_grad and len(tape.nodes) == 4  # x, c, and the first loss with its product
+    tape.backward(free)
+    assert all(node.grad is None for node in tape.nodes)
+    with pytest.raises(ValueError, match="not a node"):
+        ad.Tape().backward(free)
+
+
+def test_take_rows_gathers_the_bytes_of_fancy_indexing():
+    m = r(32, 6, 5)
+    m[1, 2], m[4, 0], m[5, 3] = -0.0, np.nan, np.inf
+    tape = ad.Tape()
+    for data in (m, m.T.copy().T, r(33, 5, 6).T):  # C order, Fortran order, a transposed view
+        leaf = tape.constant(data)
+        for idx in ([4, 1, 4, 5, 0], [], [5] * 3):
+            got = ad.take_rows(tape, leaf, idx).data
+            want = data[np.asarray(idx, dtype=np.int64)]
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
 def test_finite_difference_check_catches_wrong_gradient():
     def fn(arrs):
         tape = ad.Tape()

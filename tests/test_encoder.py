@@ -9,6 +9,7 @@ from lankgc import evaluation
 from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
+    constant_leaves,
     encode_batch,
     encode_from_sample,
     stack_samples,
@@ -456,6 +457,29 @@ def test_padding_never_leaks_into_outputs_or_gradients(world, kind):
     np.testing.assert_array_equal(out[3], 0.0)
     for n, g in grads.items():
         np.testing.assert_allclose(g, summed[n], rtol=1e-12, atol=1e-12, err_msg=n)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_an_encode_over_constant_leaves_records_only_leaves(world, kind):
+    kg, table, store = world
+    ents = np.arange(kg.n_entities)
+    offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
+    queries = ents % kg.n_relations
+    cfg = AggregatorConfig(kind=kind)
+    tape = ad.Tape()
+    leaves = constant_leaves(tape, store)
+    out = encode_batch(tape, leaves, offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
+                       rng=np.random.default_rng(1))
+    # no op output needs a gradient, so none is kept: the tape holds the store's leaves and the
+    # constants the pass makes (uniform, logic or lstm state), nothing that an op computed
+    assert tape.nodes[:len(leaves)] == list(leaves.values())
+    assert all(not node._parents and not node.requires_grad for node in tape.nodes)
+    assert not out.requires_grad and out not in tape.nodes
+    tape = ad.Tape()
+    recorded = encode_batch(tape, store.leaves(tape), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
+                            rng=np.random.default_rng(1))
+    assert recorded.requires_grad and any(node is recorded for node in tape.nodes)
+    assert out.data.tobytes() == recorded.data.tobytes()
 
 
 def test_encode_batch_zero_neighbor_rows(world):

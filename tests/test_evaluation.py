@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,6 +298,27 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_encode_entities_holds_one_block_of_slots_at_a_time(kind):
+    # every entity has 12 neighbors, within the budget, so the candidates span more than 4 blocks
+    n, deg, dim, r = 2000, 12, 32, 6
+    assert n * deg > 4 * evaluation._BLOCK_SLOTS
+    rng = np.random.default_rng(4)
+    graph = SimpleNamespace(offsets=np.arange(n + 1) * deg,
+                            pairs=np.stack([rng.integers(0, r, n * deg), rng.integers(0, n, n * deg)], axis=1))
+    store = init_params(n, r, dim, 4, with_lstm=True)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=64)
+    tracemalloc.start()
+    try:
+        out = encode_entities(SimpleNamespace(neighbor_graph=graph), store, acfg, rng.random((r, r)), np.arange(n),
+                              1, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's per-slot (S, d) arrays: the gathers, the transform and the attention steps
+    assert peak <= out.nbytes + 6 * evaluation._BLOCK_SLOTS * dim * 8
+
+
 # --- whole-test-set ranking -------------------------------------------------------
 
 def test_link_prediction_matches_oracle_metrics():
@@ -428,6 +451,21 @@ def test_link_prediction_empty_test_raises():
     with pytest.raises(EvalError, match="no test triplets"):
         link_prediction(ctx, store, acfg, "transe", table.dense(),
                         triplets=np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("entry", ["link_prediction", "score_labeled"])
+def test_a_store_smaller_than_the_vocabulary_is_refused_before_any_encoding(entry, monkeypatch):
+    ctx, acfg, table, _ = bundle_fixture(seed=9)
+    n = ctx.vocab.n_entities
+    small = init_params(n - 1, ctx.train_graph.n_relations, 8, 9)
+    encoded = []
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: encoded.append(a) or encode_batch(*a, **kw))
+    with pytest.raises(EvalError, match=f"embeds {n - 1} entities, but the bundle's vocabulary has {n}"):
+        if entry == "link_prediction":
+            link_prediction(ctx, small, acfg, "transe", table.dense(), seed=0)
+        else:
+            score_labeled(ctx, small, acfg, "transe", table.dense(), ctx.to_ids(ctx.bundle.valid), seed=0)
+    assert not encoded
 
 
 def test_rank_relation_rejects_an_empty_query_set():

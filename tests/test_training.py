@@ -1,11 +1,13 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from helpers import make_graph, random_bundles, random_name_triples
 from lankgc import autodiff as ad
-from lankgc import evaluation
+from lankgc import evaluation, training
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
 from lankgc.evaluation import KnownTriplets
@@ -217,6 +219,33 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
     assert merged.keys() == every.keys()
     for name in every:
         np.testing.assert_allclose(merged[name], every[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_batch_tape_is_freed_before_the_next_batch_starts(kind, monkeypatch):
+    refs = []  # weak references to the last batch's tape, its op outputs and its gradients
+    alive_at_start = []
+
+    def objective(tape, leaves, *args):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        loss, parts = batch_objective(tape, leaves, *args)
+        refs[:] = [weakref.ref(tape)] + [weakref.ref(node.data) for node in tape.nodes if node._parents]
+        return loss, parts
+
+    def gradients(leaves):
+        grads = collect_gradients(leaves)
+        refs.extend(weakref.ref(g) for g in grads.values())
+        return grads
+
+    monkeypatch.setattr(training, "batch_objective", objective)
+    monkeypatch.setattr(training, "collect_gradients", gradients)
+    gc.disable()  # reference counting alone must free a batch
+    try:
+        train(tiny_bundle(seed=4), quick_cfg(), AggregatorConfig(kind=kind))
+    finally:
+        gc.enable()
+    assert len(alive_at_start) > 2 and alive_at_start == [0] * len(alive_at_start)
+    assert len(refs) > 20
 
 
 # --- optimizers -----------------------------------------------------------------
