@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
-from .context import BundleContext
+from .context import BundleContext, bundle_vocabulary
 from .decoder import SCORER_KINDS, check_scorer
 from .encoder import AGGREGATOR_KINDS, encode_from_sample
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
@@ -115,7 +115,7 @@ def _cmd_train(args):
     bundle = read_bundle(args.bundle)
     table = None
     if args.rules:
-        table = import_table(args.rules, BundleContext(bundle).vocab)
+        table = import_table(args.rules, bundle_vocabulary(bundle))
     store, report = train(
         bundle, tcfg, acfg, scorer=resolved["scorer"], rules_table=table, out_dir=args.out,
         log=(print if args.verbose else None),

@@ -7,6 +7,12 @@ graph holds the training facts of every seen entity and the auxiliary
 facts of every unseen entity, so seen entities always draw their
 neighbors from training facts and unseen entities only ever see
 auxiliary facts.
+
+Construction reads the bundle's facts column by column: the vocabulary's
+name sets are unions of per-column lists (:func:`bundle_vocabulary`),
+each part becomes (n, 3) id rows in one :meth:`Vocabulary.triplet_ids`
+call, and the rest (the unseen and seen masks, the neighborhood graph's
+rows, ``seen_ids``) is numpy over those id rows.
 """
 
 from __future__ import annotations
@@ -17,10 +23,15 @@ from .evaluation import KnownTriplets
 from .kg import KnowledgeGraph, Vocabulary, augment_inverses
 
 
+def bundle_vocabulary(bundle):
+    """The :class:`Vocabulary` of every name in ``bundle``, unseen entities included."""
+    return Vocabulary(bundle.all_entities(), bundle.all_relations())
+
+
 class BundleContext:
     def __init__(self, bundle):
         self.bundle = bundle
-        self.vocab = Vocabulary(bundle.all_entities(), bundle.all_relations())
+        self.vocab = bundle_vocabulary(bundle)
         self._train_ids = self.to_ids(bundle.train)
         self._aux_ids = self.to_ids(bundle.aux)
         self.train_graph = augment_inverses(KnowledgeGraph(self.vocab, self._train_ids))
@@ -30,8 +41,10 @@ class BundleContext:
         aux = augment_inverses(KnowledgeGraph(self.vocab, self._aux_ids)).triplets
         rows = np.concatenate([train[~unseen[train[:, 0]]], aux[unseen[aux[:, 0]]]])
         self.neighbor_graph = KnowledgeGraph(self.vocab, rows, augmented=True)
-        seen = bundle.seen_entities()
-        self.seen_ids = np.array(sorted(self.vocab.entity_id(n) for n in seen), dtype=np.int64)
+        seen = np.zeros(self.vocab.n_entities, dtype=bool)
+        seen[self._train_ids[:, 0]] = True
+        seen[self._train_ids[:, 2]] = True
+        self.seen_ids = np.flatnonzero(seen)
         self._known = None
 
     def to_ids(self, triples):

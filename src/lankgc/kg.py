@@ -72,24 +72,26 @@ class Vocabulary:
     def triplet_ids(self, triples):
         """(n, 3) int64 ids of (s, r, o) name triples; an unknown name raises :class:`GraphError`.
 
-        Each column goes through its name index in one ``map`` call, not a
-        Python loop per triple.  Relation names fall back to
-        :meth:`relation_id` only when one is not a base relation (an
-        inverse name, or an unknown one to report).
+        Each column is read out of the triples by one list comprehension
+        and goes through its name index in one ``map`` call, not a Python
+        loop per triple.  Relation names fall back to :meth:`relation_id`
+        only when one is not a base relation (an inverse name, or an
+        unknown one to report).
         """
-        out = np.empty((len(triples), 3), dtype=np.int64)
+        n = len(triples)
+        out = np.empty((n, 3), dtype=np.int64)
         if not triples:
             return out
-        subjects, relations, objects = zip(*triples)
         try:
-            out[:, 0] = np.fromiter(map(self._ent_index.__getitem__, subjects), np.int64, len(triples))
-            out[:, 2] = np.fromiter(map(self._ent_index.__getitem__, objects), np.int64, len(triples))
+            for i in (0, 2):
+                out[:, i] = np.fromiter(map(self._ent_index.__getitem__, [t[i] for t in triples]), np.int64, n)
         except KeyError as exc:
             raise GraphError(f"unknown entity: {exc.args[0]!r}") from None
+        relations = [t[1] for t in triples]
         try:
-            out[:, 1] = np.fromiter(map(self._rel_index.__getitem__, relations), np.int64, len(triples))
+            out[:, 1] = np.fromiter(map(self._rel_index.__getitem__, relations), np.int64, n)
         except KeyError:
-            out[:, 1] = np.fromiter(map(self.relation_id, relations), np.int64, len(triples))
+            out[:, 1] = np.fromiter(map(self.relation_id, relations), np.int64, n)
         return out
 
     def entity_name(self, i):

@@ -14,12 +14,20 @@ vocabulary.
 
 Sampling takes a prefix of a seeded permutation of the test file, so
 growing R only ever adds candidate entities.
+
+The split is computed on interned ids, not on sets of names: every
+entity name of the corpus gets an int64 code once, each file becomes
+code columns, and candidates, unseen and seen entities are boolean
+masks over the codes, so each filter above is one mask expression over
+whole columns.  Kept facts are picked from the corpus lists by mask, so
+a bundle holds the corpus's own tuples in corpus order.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -68,27 +76,18 @@ class DatasetBundle:
     corpus_checksums: dict = field(default_factory=dict)
 
     def seen_entities(self):
-        seen = set()
-        for s, _, o in self.train:
-            seen.add(s)
-            seen.add(o)
-        return seen
+        return _names((self.train,), 0, 2)
 
     def all_entities(self):
-        ents = set()
-        for part in (self.train, self.aux, self.valid, self.test):
-            for s, _, o in part:
-                ents.add(s)
-                ents.add(o)
-        ents.update(self.unseen)
-        return ents
+        return _names((self.train, self.aux, self.valid, self.test), 0, 2).union(self.unseen)
 
     def all_relations(self):
-        rels = set()
-        for part in (self.train, self.aux, self.valid, self.test):
-            for _, r, _ in part:
-                rels.add(r)
-        return rels
+        return _names((self.train, self.aux, self.valid, self.test), 1)
+
+
+def _names(parts, *fields):
+    """The set of names in the ``fields`` columns of the triple lists ``parts``."""
+    return set().union(*([t[i] for t in part] for part in parts for i in fields))
 
 
 @dataclass
@@ -119,8 +118,20 @@ def load_corpus(directory):
     return Corpus(parts["train"], parts["valid"], parts["test"], checksums)
 
 
+def _name_codes(*columns):
+    """Names in first-seen order, and one int64 code column per name column."""
+    names = list(dict.fromkeys(chain.from_iterable(columns)))
+    code = dict(zip(names, range(len(names))))
+    return names, [np.fromiter(map(code.__getitem__, c), np.int64, len(c)) for c in columns]
+
+
+def _pick(rows, mask):
+    """The rows of ``rows`` where the boolean ``mask`` holds, same objects, same order."""
+    return list(compress(rows, mask.tolist()))
+
+
 def build_split(corpus, spec):
-    """Carve an unseen-entity bundle out of ``corpus`` per ``spec``."""
+    """Carve an unseen-entity bundle out of ``corpus`` per ``spec`` (on code columns; see the module docstring)."""
     if not corpus.test:
         raise SplitError("cannot build a split from an empty test set")
     if not corpus.train:
@@ -132,51 +143,40 @@ def build_split(corpus, spec):
     perm = rng.permutation(n_test)
     chosen = np.zeros(n_test, dtype=bool)
     chosen[perm[:n_take]] = True
-    side = 0 if spec.strategy == "subject" else 2
-    candidates = {corpus.test[i][side] for i in range(n_test) if chosen[i]}
 
-    neighbors = {}
-    for s, _, o in corpus.train:
-        neighbors.setdefault(s, set()).add(o)
-        neighbors.setdefault(o, set()).add(s)
+    names, (s, o, ts, to, vs, vo) = _name_codes(
+        *([t[i] for t in part] for part in (corpus.train, corpus.test, corpus.valid) for i in (0, 2))
+    )
+    side, other = (ts, to) if spec.strategy == "subject" else (to, ts)
+    candidate = np.zeros(len(names), dtype=bool)
+    candidate[side[chosen]] = True
 
-    unseen = {
-        e
-        for e in candidates
-        if any(v not in candidates for v in neighbors.get(e, ()))
-    }
-    if not unseen:
+    # a candidate stays only with a training neighbor outside the
+    # candidates; a self-loop's neighbor is the candidate itself
+    unseen = np.zeros(len(names), dtype=bool)
+    unseen[s[candidate[s] & ~candidate[o]]] = True
+    unseen[o[candidate[o] & ~candidate[s]]] = True
+    if not unseen.any():
         raise SplitError("no unseen entities survive the neighbor filter; increase the rate or check the corpus")
 
-    train, aux = [], []
-    for t in corpus.train:
-        hits = (t[0] in unseen) + (t[2] in unseen)
-        if hits == 0:
-            train.append(t)
-        elif hits == 1:
-            aux.append(t)
-    if not train:
+    hit_s, hit_o = unseen[s], unseen[o]
+    keep = ~(hit_s | hit_o)
+    if not keep.any():
         raise SplitError("every training triplet touches an unseen entity")
+    seen = np.zeros(len(names), dtype=bool)
+    seen[s[keep]] = True
+    seen[o[keep]] = True
 
-    seen = set()
-    for s, _, o in train:
-        seen.add(s)
-        seen.add(o)
-
-    if spec.strategy == "subject":
-        test = [t for t in corpus.test if t[0] in unseen and t[2] in seen]
-    else:
-        test = [t for t in corpus.test if t[2] in unseen and t[0] in seen]
+    test = _pick(corpus.test, unseen[side] & seen[other])
     if not test:
         raise SplitError("no test triplets survive the split filters")
-    valid = [t for t in corpus.valid if t[0] in seen and t[2] in seen]
 
     return DatasetBundle(
-        train=train,
-        aux=aux,
-        valid=valid,
+        train=_pick(corpus.train, keep),
+        aux=_pick(corpus.train, hit_s ^ hit_o),
+        valid=_pick(corpus.valid, seen[vs] & seen[vo]),
         test=test,
-        unseen=sorted(unseen),
+        unseen=sorted(compress(names, unseen.tolist())),
         spec=spec,
         corpus_checksums=dict(corpus.checksums),
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from lankgc.kg import augment_inverses, graph_from_names
-from lankgc.splits import Corpus, SplitError, SplitSpec, build_split
+from lankgc.kg import Vocabulary, augment_inverses, graph_from_names
+from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSpec, build_split
 
 
 def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
@@ -98,6 +99,131 @@ def random_bundles(count, start_seed=0, strategy="subject", **corpus_kw):
             pass
         seed += 1
     return bundles
+
+
+# ---------------------------------------------------------------------------
+# name-set split and vocabulary
+
+
+# Few names, so candidates often neighbor only candidates and self-loops
+# are common; unicode and inner spaces, never a tab or a newline.  The
+# held-out names occur only in valid and test facts.
+SPLIT_ENTITIES = ("a", "b", "c", "d", "e", "f", "Zoë", "東京", "𝔘", "x y")
+HELD_OUT_ENTITIES = ("ω", "held-out")
+SPLIT_RELATIONS = ("r", "q", "λ")
+
+
+def _facts(entities, min_size, max_size):
+    ent = st.sampled_from(entities)
+    return st.lists(st.tuples(ent, st.sampled_from(SPLIT_RELATIONS), ent), min_size=min_size, max_size=max_size)
+
+
+def corpora():
+    """Small corpora with at least one train and one test fact."""
+    held = SPLIT_ENTITIES + HELD_OUT_ENTITIES
+    return st.builds(Corpus, train=_facts(SPLIT_ENTITIES, 1, 30), valid=_facts(held, 0, 8),
+                     test=_facts(held, 1, 12))
+
+
+def split_specs():
+    return st.builds(SplitSpec, st.sampled_from(STRATEGIES), st.floats(0.05, 1.0), st.integers(0, 2**16))
+
+
+def bundles():
+    """Bundles with no split invariant: any name may be unseen, seen, both or neither."""
+    held = SPLIT_ENTITIES + HELD_OUT_ENTITIES
+    return st.builds(
+        DatasetBundle, train=_facts(SPLIT_ENTITIES, 1, 20), aux=_facts(held, 0, 12),
+        valid=_facts(held, 0, 6), test=_facts(held, 0, 6),
+        unseen=st.lists(st.sampled_from(held), unique=True).map(sorted), spec=st.just(SplitSpec()),
+    )
+
+
+def oracle_split(corpus, spec):
+    """:func:`lankgc.splits.build_split` from Python sets of names.
+
+    A neighbor set per entity, membership tests per triple: the
+    construction the code-column masks replaced, kept as their oracle.
+    """
+    if not corpus.test:
+        raise SplitError("cannot build a split from an empty test set")
+    if not corpus.train:
+        raise SplitError("cannot build a split from an empty training set")
+
+    rng = np.random.default_rng(spec.seed)
+    n_test = len(corpus.test)
+    n_take = max(1, int(round(spec.sample_rate * n_test)))
+    perm = rng.permutation(n_test)
+    chosen = np.zeros(n_test, dtype=bool)
+    chosen[perm[:n_take]] = True
+    side = 0 if spec.strategy == "subject" else 2
+    candidates = {corpus.test[i][side] for i in range(n_test) if chosen[i]}
+
+    neighbors = {}
+    for s, _, o in corpus.train:
+        neighbors.setdefault(s, set()).add(o)
+        neighbors.setdefault(o, set()).add(s)
+
+    unseen = {
+        e
+        for e in candidates
+        if any(v not in candidates for v in neighbors.get(e, ()))
+    }
+    if not unseen:
+        raise SplitError("no unseen entities survive the neighbor filter; increase the rate or check the corpus")
+
+    train, aux = [], []
+    for t in corpus.train:
+        hits = (t[0] in unseen) + (t[2] in unseen)
+        if hits == 0:
+            train.append(t)
+        elif hits == 1:
+            aux.append(t)
+    if not train:
+        raise SplitError("every training triplet touches an unseen entity")
+
+    seen = set()
+    for s, _, o in train:
+        seen.add(s)
+        seen.add(o)
+
+    if spec.strategy == "subject":
+        test = [t for t in corpus.test if t[0] in unseen and t[2] in seen]
+    else:
+        test = [t for t in corpus.test if t[2] in unseen and t[0] in seen]
+    if not test:
+        raise SplitError("no test triplets survive the split filters")
+    valid = [t for t in corpus.valid if t[0] in seen and t[2] in seen]
+
+    return DatasetBundle(
+        train=train,
+        aux=aux,
+        valid=valid,
+        test=test,
+        unseen=sorted(unseen),
+        spec=spec,
+        corpus_checksums=dict(corpus.checksums),
+    )
+
+
+def oracle_vocabulary(bundle):
+    """The bundle's :class:`Vocabulary`, its name sets filled one triple at a time."""
+    ents, rels = set(bundle.unseen), set()
+    for part in (bundle.train, bundle.aux, bundle.valid, bundle.test):
+        for s, r, o in part:
+            ents.add(s)
+            ents.add(o)
+            rels.add(r)
+    return Vocabulary(ents, rels)
+
+
+def oracle_seen_ids(bundle, vocab):
+    """Sorted int64 ids of the names in the bundle's training facts."""
+    seen = set()
+    for s, _, o in bundle.train:
+        seen.add(s)
+        seen.add(o)
+    return np.array(sorted(vocab.entity_id(n) for n in seen), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

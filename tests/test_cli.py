@@ -12,7 +12,8 @@ from lankgc.context import BundleContext
 from lankgc.encoder import AggregatorConfig, constant_leaves, encode_batch, stack_samples
 from lankgc.params import load_checkpoint
 from lankgc.rules import export_table, import_table
-from lankgc.splits import read_bundle, write_bundle
+from helpers import oracle_split
+from lankgc.splits import BUNDLE_FILES, SplitSpec, load_corpus, read_bundle, write_bundle
 from lankgc.util import read_kv, sha256_file, write_kv
 
 
@@ -70,6 +71,18 @@ def test_build_dataset_meta_checksums_input(pipeline):
     assert meta["input_sha256.corpus_train"] == sha256_file(str(corpus / "train.tsv"))
     assert meta["config.strategy"] == "subject"
     assert meta["config.rate"] == "0.2"
+
+
+@pytest.mark.parametrize("strategy", ["subject", "object"])
+@pytest.mark.parametrize("rate", ["0.2", "1.0"])
+def test_build_dataset_writes_the_bytes_of_the_name_set_split(pipeline, tmp_path, strategy, rate):
+    _, corpus, *_ = pipeline
+    out, want = tmp_path / "bundle", tmp_path / "oracle"
+    assert run(["build-dataset", "--corpus", str(corpus), "--strategy", strategy,
+                "--rate", rate, "--seed", "3", "--out", str(out)]) == 0
+    write_bundle(oracle_split(load_corpus(str(corpus)), SplitSpec(strategy, float(rate), 3)), str(want))
+    for name in BUNDLE_FILES + ("manifest",):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_train_meta_echoes_resolved_config(pipeline):
@@ -266,6 +279,21 @@ def test_mean_checkpoint_has_no_rule_table_and_evaluates(pipeline, tmp_path):
     assert not (ckpt / "rules.tsv").exists() and not (ckpt / "epoch-0001" / "rules.tsv").exists()
     assert cli.main(["eval-lp", "--bundle", str(bundle), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "m.csv")]) == 0
+
+
+def test_train_with_a_rule_table_builds_one_context(pipeline, tmp_path, monkeypatch):
+    _, _, bundle, rules, _ = pipeline
+    built = []
+    init = BundleContext.__init__
+
+    def counted(self, b):
+        built.append(b)
+        init(self, b)
+
+    monkeypatch.setattr(BundleContext, "__init__", counted)
+    assert run(["train", "--bundle", str(bundle), "--aggregator", "lan", "--rules", str(rules),
+                "--seed", "0", "--set", "epochs=1", "--set", "dim=8", "--out", str(tmp_path / "m")]) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("kind", ["mean", "lstm", "query-attn", "global-attn"])

@@ -2,10 +2,10 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_corpus
+from helpers import corpora, oracle_split, random_corpus, split_specs
 from lankgc.splits import (
     BUNDLE_FILES,
     Corpus,
@@ -258,3 +258,30 @@ def test_bundle_entity_views():
     assert bundle.seen_entities() == {"a", "b"}
     assert bundle.all_entities() == {"a", "b", "u"}
     assert bundle.all_relations() == {"r", "q"}
+
+
+def split_outcome(build, corpus, spec):
+    """The bundle ``build`` returns, or the message of the :class:`SplitError` it raises."""
+    try:
+        return build(corpus, spec)
+    except SplitError as exc:
+        return str(exc)
+
+
+# a self-loop is no neighbor outside the candidates
+@example(Corpus([("a", "r", "a")], [], [("a", "q", "a")]), SplitSpec("subject", 1.0, 0))
+@example(Corpus([("a", "r", "a"), ("a", "r", "b"), ("b", "r", "c")], [], [("a", "q", "c"), ("b", "q", "a")]),
+         SplitSpec("subject", 1.0, 0))
+# a fact between two unseen entities is dropped, not sent to aux
+@example(Corpus([("a", "r", "b"), ("a", "r", "c"), ("b", "r", "c"), ("c", "r", "d")], [("c", "r", "d")],
+                [("a", "q", "c"), ("b", "q", "d")]), SplitSpec("subject", 1.0, 0))
+@given(corpora(), split_specs())
+@settings(max_examples=400)
+def test_build_split_equals_the_name_set_oracle(corpus, spec):
+    got, want = split_outcome(build_split, corpus, spec), split_outcome(oracle_split, corpus, spec)
+    assert type(got) is type(want)
+    assert got == want  # every DatasetBundle field, or the same error message
+    if isinstance(want, DatasetBundle):
+        assert type(got.unseen) is list
+        for name in ("train", "aux", "valid", "test"):
+            assert all(g is w for g, w in zip(getattr(got, name), getattr(want, name)))  # the corpus's own tuples
