@@ -49,7 +49,8 @@ def main(argv=None):
     corpus = gen_synthetic(args.entities, args.rule_strength, args.corpus_seed)
     bundle = build_split(corpus, SplitSpec(args.strategy, args.rate, args.corpus_seed))
     ctx = BundleContext(bundle)
-    dense = mine_confidence(ctx.train_graph).dense()
+    table = mine_confidence(ctx.train_graph)  # mined once, for every logic run
+    dense = table.dense()
     print(f"split: train={len(bundle.train)} aux={len(bundle.aux)} "
           f"valid={len(bundle.valid)} test={len(bundle.test)} "
           f"unseen={len(bundle.unseen)}")
@@ -64,7 +65,7 @@ def main(argv=None):
                                dim=args.dim, neighbor_budget=64, epochs=args.epochs,
                                batch_size=256, optimizer="adam", seed=seed)
             started = time.perf_counter()
-            store, report = train(bundle, tcfg, acfg, scorer=args.scorer)
+            store, report = train(bundle, tcfg, acfg, scorer=args.scorer, rules_table=table)
             d = dense if acfg.needs_rules else None
             m = link_prediction(ctx, store, acfg, args.scorer, d, seed=0).metrics
             mrrs.append(m.mrr)

@@ -24,12 +24,13 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
 from .context import BundleContext, bundle_vocabulary
 from .decoder import SCORER_KINDS, check_scorer
-from .encoder import AGGREGATOR_KINDS, encode_from_sample
+from .encoder import AGGREGATOR_KINDS, constant_leaves, encode_batch, stack_samples
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
-from .kg import augment_inverses, load_labeled_triplets, load_triplets, sample_neighbors
+from .kg import augment_inverses, load_labeled_triplets, load_triplets
 from .params import load_checkpoint, vocab_checksums
 from .rules import export_table, import_table, mine_confidence
 from .splits import SplitSpec, build_split, load_corpus, read_bundle, split_stats, write_bundle
@@ -210,14 +211,20 @@ def _cmd_inspect_weights(args):
     entity = ctx.vocab.entity_id(args.entity)
     query = ctx.vocab.relation_id(args.query)
     rng = np.random.default_rng([args.seed, entity, query])
-    rows = sample_neighbors(ctx.neighborhood(entity), acfg.neighbor_budget, rng)
-    encoded = encode_from_sample(store, dense, acfg, query, rows, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg.neighbor_budget, rng)
+    tape = ad.Tape()
+    _, alpha_logic, alpha_nn = encode_batch(
+        tape, constant_leaves(tape, store), offsets, rels, ents, [query], acfg,
+        dense_table=dense, rng=rng, trace=True,
+    )
     lines = ["entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total"]
-    for rel, ent, a_logic, a_nn, a_total in sorted(encoded.trace, key=lambda t: -t[4]):
-        lines.append(
-            f"{args.entity}\t{args.query}\t{ctx.vocab.relation_name(rel)}\t"
-            f"{ctx.vocab.entity_name(ent)}\t{a_logic:.6f}\t{a_nn:.6f}\t{a_total:.6f}"
-        )
+    if acfg.kind not in ("mean", "lstm"):  # they have no attention to report
+        slots = zip(rels.tolist(), ents.tolist(), alpha_logic.tolist(), alpha_nn.tolist())
+        for rel, ent, a_logic, a_nn in sorted(slots, key=lambda t: -(t[2] + t[3])):
+            lines.append(
+                f"{args.entity}\t{args.query}\t{ctx.vocab.relation_name(rel)}\t"
+                f"{ctx.vocab.entity_name(ent)}\t{a_logic:.6f}\t{a_nn:.6f}\t{a_logic + a_nn:.6f}"
+            )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,7 +235,7 @@ def _cmd_inspect_weights(args):
     _write_meta(meta_target, "inspect-weights",
                 {"entity": args.entity, "query": args.query, "seed": args.seed},
                 {"bundle": args.bundle, "ckpt": args.ckpt})
-    if encoded.flagged:
+    if rels.size == 0:
         print(f"note: {args.entity} has no neighbors; embedding is all-zero", file=sys.stderr)
     return 0
 

@@ -51,10 +51,6 @@ class BundleContext:
         """(n, 3) id rows of (s, r, o) name triples; see :meth:`Vocabulary.triplet_ids`."""
         return self.vocab.triplet_ids(triples)
 
-    def neighborhood(self, e):
-        """Adjacency rows for ``e``: auxiliary facts if unseen, else training facts."""
-        return self.neighbor_graph.neighborhood(e)
-
     def known_triplets(self):
         """All bundle facts (train, aux, valid, test) as a :class:`KnownTriplets`.
 

@@ -23,9 +23,9 @@ mined implication table (see :mod:`lankgc.rules`).  For ``lan`` the two
 weight vectors are summed, not renormalized.
 
 :func:`encode_batch` is the one forward pass, used for training,
-ranking and scoring alike; :func:`encode_from_sample` is its B=1 form,
-which also reports the per-slot attention (for ``inspect-weights``).
-The numpy oracles in the test suite pin it to the formulas above.
+ranking, scoring and ``inspect-weights`` alike; with ``trace`` set it
+also returns the per-slot attention.  The numpy oracles in the test
+suite pin it to the formulas above.
 
 A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
 the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
@@ -52,7 +52,7 @@ same (entity, query) key that read no rng are encoded once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,21 +90,6 @@ class AggregatorConfig:
         return self.kind == "lstm"
 
 
-@dataclass
-class EncodedEntity:
-    """Result of encoding one entity: embedding, attention trace, flag.
-
-    ``trace`` rows are ``(relation, entity, alpha_logic, alpha_nn,
-    alpha_total)`` for each real neighbor slot; it stays empty for the
-    mean and lstm aggregators, which have no attention to report.
-    ``flagged`` marks an empty neighborhood (the embedding is zero).
-    """
-
-    embedding: np.ndarray
-    trace: list = field(default_factory=list)
-    flagged: bool = False
-
-
 def transform_batch(tape, entries, transforms):
     """Project out the transform direction row by row: ``e - (w . e) w``."""
     proj = ad.row_dot(tape, entries, transforms)
@@ -114,30 +99,6 @@ def transform_batch(tape, entries, transforms):
 def constant_leaves(tape, store):
     """Every parameter of ``store`` as a constant (no-gradient) leaf."""
     return {name: tape.constant(store[name]) for name in store.names()}
-
-
-def encode_from_sample(store, dense, cfg, query, entries, rng):
-    """Encode one entity from its sampled ``(k, 2)`` (relation, entity) rows.
-
-    A B=1 :func:`encode_batch` over ``entries`` on a private tape of
-    constant leaves.  ``dense`` is the (R, R) confidence matrix; kinds
-    without logic weights accept ``None``.
-    """
-    if entries.shape[0] == 0:
-        return EncodedEntity(np.zeros(store["entity_emb"].shape[1]), trace=[], flagged=True)
-    rels, ents = entries[:, 0], entries[:, 1]
-    tape = ad.Tape()
-    out, alpha_logic, alpha_nn = encode_batch(
-        tape, constant_leaves(tape, store), np.array([0, rels.size]), rels, ents,
-        np.array([query]), cfg, dense_table=dense, rng=rng, trace=True,
-    )
-    trace = []
-    if cfg.kind not in ("mean", "lstm"):
-        trace = [
-            (int(r), int(e), float(lw), float(nw), float(lw + nw))
-            for r, e, lw, nw in zip(rels, ents, alpha_logic, alpha_nn)
-        ]
-    return EncodedEntity(out.data[0].copy(), trace=trace, flagged=False)
 
 
 def _shared_rng(rng, rows):

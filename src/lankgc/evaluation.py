@@ -154,6 +154,9 @@ def metrics_from_ranks(ranks):
     )
 
 
+_BLOCK_SLOTS = 1 << 12  # real neighbor slots per encode pass, which bound its per-slot arrays
+
+
 def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     """Forward-encode a batch of entities under one query relation -> (B, d).
 
@@ -166,14 +169,6 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     neighbors are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
-    return _encode_blocks(store, acfg, dense, offsets, rels, ents, query_rel, rng)
-
-
-_BLOCK_SLOTS = 1 << 12  # real neighbor slots per encode pass, which bound its per-slot arrays
-
-
-def _encode_blocks(store, acfg, dense, offsets, rels, ents, query_rel, rng):
-    """:func:`encode_entities` on neighborhoods already sampled as CSR slots."""
     out = np.zeros((offsets.size - 1, store["entity_emb"].shape[1]))
     lo = 0
     while lo < out.shape[0]:
@@ -242,8 +237,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     # an lstm permutes every row after any sample, from that row's one generator; the other
     # kinds read a generator only to sample a truncated neighborhood, and stack_samples makes those
     rngs = [np.random.default_rng(key) for key in keys] if acfg.uses_lstm else keys
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, fixed, acfg.neighbor_budget, rngs)
-    fixed_embs = _encode_blocks(store, acfg, dense, offsets, rels, ents, q, rngs)
+    fixed_embs = encode_entities(ctx, store, acfg, dense, fixed, q, rngs)
 
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:
@@ -264,7 +258,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         better = ((scores > truth_score) & keep).sum(axis=1)
         ties = ((scores == truth_score) & keep).sum(axis=1) - 1  # the truth ties itself
         ranks[top:top + nb] = 1 + better + (ties + 1) // 2  # (ties + 1) // 2 == ceil(ties / 2)
-    return ranks, int((np.diff(offsets) == 0).sum())
+    return ranks, int((np.diff(ctx.neighbor_graph.offsets)[fixed] == 0).sum())
 
 
 @dataclass

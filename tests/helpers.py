@@ -1,5 +1,5 @@
-"""Shared test fixtures-in-code: tiny graphs, random corpora, oracles, and
-a finite-difference gradient check.
+"""Shared test fixtures-in-code: tiny graphs, random corpora, oracles, a
+B=1 encode and a finite-difference gradient check.
 
 The oracle functions here deliberately reimplement the library math in
 plain numpy loops, straight from the formulas, so the vectorized
@@ -9,10 +9,13 @@ production paths have something independent to be checked against.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 
+from lankgc import autodiff as ad
+from lankgc.encoder import constant_leaves, encode_batch
 from lankgc.kg import Vocabulary, augment_inverses, graph_from_names
 from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSpec, build_split
 
@@ -254,6 +257,29 @@ def grid_to_csr(mask, *grids):
     return (offsets, *(np.asarray(grid)[mask] for grid in grids))
 
 
+def encode_one(store, dense, cfg, query, entries, rng):
+    """One entity's B=1 :func:`encode_batch` over its sampled ``(k, 2)`` (relation, entity) rows.
+
+    Returns ``embedding``, ``trace`` and ``flagged``.  ``trace`` holds a
+    ``(relation, entity, alpha_logic, alpha_nn, alpha_total)`` row per
+    slot; it stays empty for mean and lstm, which have no attention to
+    report.  ``flagged`` marks an empty neighborhood, whose embedding is
+    zero.
+    """
+    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
+    rels, ents = entries[:, 0], entries[:, 1]
+    tape = ad.Tape()
+    out, alpha_logic, alpha_nn = encode_batch(
+        tape, constant_leaves(tape, store), np.array([0, rels.size]), rels, ents, np.array([query]), cfg,
+        dense_table=dense, rng=rng, trace=True,
+    )
+    trace = []
+    if cfg.kind not in ("mean", "lstm"):
+        trace = [(int(r), int(e), float(lw), float(nw), float(lw + nw))
+                 for r, e, lw, nw in zip(rels, ents, alpha_logic, alpha_nn)]
+    return SimpleNamespace(embedding=out.data[0].copy(), trace=trace, flagged=rels.size == 0)
+
+
 def oracle_logic(dense, rels, query, mode="normalized", epsilon=1e-3):
     """Logic weights of a fully-valid neighborhood, straight from the formula."""
     rels = [int(r) for r in rels]
@@ -333,7 +359,7 @@ def oracle_rank(ctx, arrays, dense, kind, scorer, triplet, rank_side, known,
     truth = s if rank_side == "subject" else o
     fixed = o if rank_side == "subject" else s
     q_vec = arrays["relation_emb"][q]
-    fixed_emb = oracle_encode(arrays, dense, kind, q, ctx.neighborhood(fixed),
+    fixed_emb = oracle_encode(arrays, dense, kind, q, ctx.neighbor_graph.neighborhood(fixed),
                               logic_mode, epsilon)
     scores = {}
     for c in ctx.seen_ids:
@@ -342,7 +368,7 @@ def oracle_rank(ctx, arrays, dense, kind, scorer, triplet, rank_side, known,
         if cand_cache is not None and key in cand_cache:
             emb = cand_cache[key]
         else:
-            emb = oracle_encode(arrays, dense, kind, q, ctx.neighborhood(c),
+            emb = oracle_encode(arrays, dense, kind, q, ctx.neighbor_graph.neighborhood(c),
                                 logic_mode, epsilon)
             if cand_cache is not None:
                 cand_cache[key] = emb
@@ -380,7 +406,7 @@ def max_degree(ctx):
     """Largest neighborhood over train and aux graphs (for budget choices)."""
     best = 1
     for e in range(ctx.vocab.n_entities):
-        best = max(best, ctx.neighborhood(e).shape[0])
+        best = max(best, ctx.neighbor_graph.neighborhood(e).shape[0])
     return best
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    encode_one,
     finite_difference_check,
     make_graph,
     max_degree,
@@ -33,7 +34,7 @@ from test_splits import check_bundle_invariants
 from lankgc import autodiff as ad
 from lankgc.config import aggregator_config_from, resolve_config, train_config_from
 from lankgc.context import BundleContext
-from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_from_sample
+from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
 from lankgc.evaluation import link_prediction, tune_thresholds
 from lankgc.params import init_params
 from lankgc.rules import ConfidenceTable, mine_confidence
@@ -178,21 +179,21 @@ def test_permutation_invariance_and_lstm_order_sensitivity():
         sample = np.stack([rels, ents], axis=1)
         query = int(rng.integers(n_relations))
         base = {
-            kind: encode_from_sample(store, dense, cfg, query, sample,
-                                     np.random.default_rng(0)).embedding
+            kind: encode_one(store, dense, cfg, query, sample,
+                             np.random.default_rng(0)).embedding
             for kind, cfg in cfgs.items()
         }
         for _ in range(10):
             perm = rng.permutation(k)
             shuffled = sample[perm]
             for kind in ("lan", "mean"):
-                out = encode_from_sample(store, dense, cfgs[kind], query, shuffled,
-                                         np.random.default_rng(0)).embedding
+                out = encode_one(store, dense, cfgs[kind], query, shuffled,
+                                 np.random.default_rng(0)).embedding
                 scale = np.linalg.norm(base[kind])
                 assert scale > 0.0
                 assert np.linalg.norm(out - base[kind]) <= 1e-9 * scale
-            out = encode_from_sample(store, dense, cfgs["lstm"], query, shuffled,
-                                     np.random.default_rng(0)).embedding
+            out = encode_one(store, dense, cfgs["lstm"], query, shuffled,
+                             np.random.default_rng(0)).embedding
             worst_lstm_diff = max(worst_lstm_diff,
                                   float(np.abs(out - base["lstm"]).max()))
     assert worst_lstm_diff > 1e-6

@@ -9,11 +9,11 @@ import pytest
 from lankgc import autodiff as ad
 from lankgc import cli
 from lankgc.context import BundleContext
-from lankgc.encoder import AggregatorConfig, constant_leaves, encode_batch, stack_samples
+from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, constant_leaves, encode_batch, stack_samples
 from lankgc.params import load_checkpoint
 from lankgc.rules import export_table, import_table
 from helpers import oracle_split
-from lankgc.splits import BUNDLE_FILES, SplitSpec, load_corpus, read_bundle, write_bundle
+from lankgc.splits import BUNDLE_FILES, DatasetBundle, SplitSpec, load_corpus, read_bundle, write_bundle
 from lankgc.util import read_kv, sha256_file, write_kv
 
 
@@ -191,17 +191,18 @@ def test_inspect_weights_table(pipeline, capsys):
     assert captured.out.splitlines()[0] == lines[0]
 
 
-def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path):
+@pytest.mark.parametrize("kind", ["lan", "logic-only", "query-attn", "global-attn"])
+def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path, kind):
     _, _, bundle, _, _ = pipeline
     ckpt = tmp_path / "budget2"
-    assert cli.main(["train", "--bundle", str(bundle), "--aggregator", "lan", "--scorer", "distmult",
+    assert cli.main(["train", "--bundle", str(bundle), "--aggregator", kind, "--scorer", "distmult",
                      "--seed", "0", "--set", "epochs=1", "--set", "dim=8", "--set", "batch_size=128",
                      "--set", "neighbor_budget=2", "--out", str(ckpt)]) == 0
     ctx = BundleContext(read_bundle(str(bundle)))
     degrees = np.diff(ctx.neighbor_graph.offsets)
     e = int(np.argmax(degrees))
     assert degrees[e] > 2
-    q = int(ctx.neighborhood(e)[0, 0])
+    q = int(ctx.neighbor_graph.neighborhood(e)[0, 0])
     entity, query = ctx.vocab.entity_name(e), ctx.vocab.relation_name(q)
     out = tmp_path / "trace.tsv"
     assert cli.main(["inspect-weights", "--bundle", str(bundle), "--ckpt", str(ckpt),
@@ -212,10 +213,10 @@ def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path):
     # the slots a B=1 batch samples with the command's rng, and their attention
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], 2, np.random.default_rng([3, e, q]))
     store, _ = load_checkpoint(str(ckpt))
-    dense = import_table(str(ckpt / "rules.tsv"), ctx.vocab).dense()
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=2)
+    dense = import_table(str(ckpt / "rules.tsv"), ctx.vocab).dense() if acfg.needs_rules else None
     tape = ad.Tape()
-    _, alpha_logic, alpha_nn = encode_batch(tape, constant_leaves(tape, store), offsets, rels, ents, [q],
-                                            AggregatorConfig(kind="lan", neighbor_budget=2),
+    _, alpha_logic, alpha_nn = encode_batch(tape, constant_leaves(tape, store), offsets, rels, ents, [q], acfg,
                                             dense_table=dense, trace=True)
     slots = sorted(zip(rels.tolist(), ents.tolist(), alpha_logic, alpha_nn), key=lambda t: -(t[2] + t[3]))
     assert rows == [
@@ -223,6 +224,27 @@ def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path):
         f"{a_logic:.6f}\t{a_nn:.6f}\t{a_logic + a_nn:.6f}"
         for r, n, a_logic, a_nn in slots
     ]
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_inspect_weights_of_a_neighborless_entity(tmp_path, capsys, kind):
+    train = [("a", "r", "b"), ("a", "r", "c"), ("b", "r", "d"), ("d", "r", "a")]
+    test = [("u", "r", "b"), ("v", "r", "c")]  # u is unseen and has no auxiliary facts
+    bundle = DatasetBundle(train=train, aux=[("v", "r", "a")], valid=[], test=test,
+                           unseen=["u", "v"], spec=SplitSpec("subject", 1.0, 0))
+    write_bundle(bundle, str(tmp_path / "bundle"))
+    ckpt = tmp_path / "model"
+    code, _ = run(["train", "--bundle", str(tmp_path / "bundle"), "--aggregator", kind, "--seed", "0",
+                   "--set", "epochs=1", "--set", "dim=4", "--out", str(ckpt)], capsys)
+    assert code == 0
+    out = tmp_path / "trace.tsv"
+    code, captured = run(["inspect-weights", "--bundle", str(tmp_path / "bundle"), "--ckpt", str(ckpt),
+                          "--entity", "u", "--query", "r", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == (
+        "entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total\n"
+    )
+    assert captured.err == "note: u has no neighbors; embedding is all-zero\n"
 
 
 def test_train_is_bitwise_repeatable(pipeline, tmp_path):

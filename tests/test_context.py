@@ -22,7 +22,7 @@ def test_neighborhood_matches_brute_force_on_random_bundles():
         unseen = set(bundle.unseen)
         aux_touches_seen = False
         for name in ctx.vocab.entities:
-            got = ctx.neighborhood(ctx.vocab.entity_id(name)).tolist()
+            got = ctx.neighbor_graph.neighborhood(ctx.vocab.entity_id(name)).tolist()
             if name in unseen:
                 assert got == [list(row) for row in expected_rows(ctx, bundle.aux, name)]
             else:
@@ -39,10 +39,10 @@ def test_unseen_entities_without_auxiliary_facts_have_empty_neighborhoods():
         ctx = BundleContext(bare)
         assert bare.unseen
         for name in bare.unseen:
-            nb = ctx.neighborhood(ctx.vocab.entity_id(name))
+            nb = ctx.neighbor_graph.neighborhood(ctx.vocab.entity_id(name))
             assert nb.shape == (0, 2) and nb.dtype == np.int64
         for name in bare.seen_entities():
-            assert ctx.neighborhood(ctx.vocab.entity_id(name)).tolist() == [
+            assert ctx.neighbor_graph.neighborhood(ctx.vocab.entity_id(name)).tolist() == [
                 list(row) for row in expected_rows(ctx, bare.train, name)
             ]
 

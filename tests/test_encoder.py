@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import grid_to_csr, make_graph, oracle_encode, oracle_logic, random_name_triples
+from helpers import encode_one, grid_to_csr, make_graph, oracle_encode, oracle_logic, random_name_triples
 from lankgc import autodiff as ad
 from lankgc import evaluation
 from lankgc.encoder import (
@@ -11,7 +11,6 @@ from lankgc.encoder import (
     AggregatorConfig,
     constant_leaves,
     encode_batch,
-    encode_from_sample,
     stack_samples,
     transform_batch,
 )
@@ -105,7 +104,7 @@ def test_mean_divides_by_real_count_not_budget(world):
     sample = grab_sample(kg, e, budget=64)
     assert sample.shape[0] == nb.shape[0] < 64
     cfg = AggregatorConfig(kind="mean", neighbor_budget=64)
-    out = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(0)).embedding
+    out = encode_one(store, None, cfg, 0, sample, np.random.default_rng(0)).embedding
     manual = np.zeros(10)
     for r, v in nb:
         w = store["transform_vec"][r]
@@ -122,7 +121,7 @@ def test_mean_of_opposite_neighbors_is_zero():
     store.arrays["entity_emb"][1] = -v
     sample = np.array([[0, 0], [0, 1]])
     cfg = AggregatorConfig(kind="mean", neighbor_budget=2)
-    out = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(0))
+    out = encode_one(store, None, cfg, 0, sample, np.random.default_rng(0))
     np.testing.assert_allclose(out.embedding, np.zeros(6), atol=1e-15)
 
 
@@ -131,7 +130,7 @@ def test_empty_neighborhood_is_flagged_zero(world):
     empty = np.zeros((0, 2), np.int64)
     for kind in AGGREGATOR_KINDS:
         cfg = AggregatorConfig(kind=kind, neighbor_budget=4)
-        out = encode_from_sample(store, table.dense(), cfg, 0, empty, np.random.default_rng(0))
+        out = encode_one(store, table.dense(), cfg, 0, empty, np.random.default_rng(0))
         assert out.flagged
         assert out.trace == []
         np.testing.assert_array_equal(out.embedding, np.zeros(10))
@@ -146,7 +145,7 @@ def test_attention_weights_sum_to_one(world):
         if len(sample) == 0:
             continue
         cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-        out = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+        out = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
         total = sum(row[3] for row in out.trace)
         assert abs(total - 1.0) <= 1e-12
 
@@ -157,7 +156,7 @@ def test_zero_score_vector_gives_uniform_attention(world):
     flat.arrays["attn_score_vec"][:] = 0.0
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-    out = encode_from_sample(flat, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(flat, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     k = len(sample)
     for row in out.trace:
         assert row[3] == pytest.approx(1.0 / k, abs=1e-15)
@@ -167,7 +166,7 @@ def test_single_neighbor_attention_is_one(world):
     kg, table, store = world
     sample = np.array([[0, 1]])
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=2)
-    out = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     assert len(out.trace) == 1
     assert out.trace[0][3] == 1.0
 
@@ -176,8 +175,8 @@ def test_attention_depends_on_query(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-    a = encode_from_sample(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
-    b = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    a = encode_one(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
+    b = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     assert np.abs(a.embedding - b.embedding).max() > 1e-9
 
 
@@ -185,8 +184,8 @@ def test_global_attention_ignores_query(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="global-attn", neighbor_budget=64)
-    a = encode_from_sample(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
-    b = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    a = encode_one(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
+    b = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     np.testing.assert_array_equal(a.embedding, b.embedding)
 
 
@@ -195,10 +194,10 @@ def test_global_equals_query_attention_at_zero_query_row(world):
     zeroed = store.copy()
     zeroed.arrays["query_vec"][2] = 0.0
     sample = grab_sample(kg, 0)
-    g = encode_from_sample(zeroed, table.dense(), AggregatorConfig(kind="global-attn"),
-                           2, sample, np.random.default_rng(0))
-    q = encode_from_sample(zeroed, table.dense(), AggregatorConfig(kind="query-attn"),
-                           2, sample, np.random.default_rng(0))
+    g = encode_one(zeroed, table.dense(), AggregatorConfig(kind="global-attn"),
+                   2, sample, np.random.default_rng(0))
+    q = encode_one(zeroed, table.dense(), AggregatorConfig(kind="query-attn"),
+                   2, sample, np.random.default_rng(0))
     np.testing.assert_array_equal(g.embedding, q.embedding)
 
 
@@ -210,7 +209,7 @@ def test_lan_single_neighbor_composition(world):
     r1, q = np.argwhere(table.dense())[0].tolist()
     sample = np.array([[r1, 3]])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
-    out = encode_from_sample(store, table.dense(), cfg, q, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, q, sample, np.random.default_rng(0))
     w = store["transform_vec"][r1]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
@@ -224,7 +223,7 @@ def test_lan_single_neighbor_zero_confidence(world):
     dead = np.zeros((table.n_relations, table.n_relations))
     sample = np.array([[0, 3]])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
-    out = encode_from_sample(store, dead, cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(store, dead, cfg, 1, sample, np.random.default_rng(0))
     w = store["transform_vec"][0]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
@@ -242,7 +241,7 @@ def test_redundancy_demotion_in_trace():
     store = init_params(4, 3, 6, seed=1)
     sample = np.array([[0, 2], [1, 3]])
     cfg = AggregatorConfig(kind="logic-only", neighbor_budget=2)
-    out = encode_from_sample(store, table.dense(), cfg, 2, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, 2, sample, np.random.default_rng(0))
     weights = {row[0]: row[2] for row in out.trace}
     assert weights[1] > weights[0]
 
@@ -252,15 +251,15 @@ def test_rules_required_for_logic_kinds(world):
     sample = grab_sample(kg, 0)
     for kind in ("lan", "logic-only"):
         with pytest.raises(ValueError, match="rule table"):
-            encode_from_sample(store, None, AggregatorConfig(kind=kind),
-                               0, sample, np.random.default_rng(0))
+            encode_one(store, None, AggregatorConfig(kind=kind),
+                       0, sample, np.random.default_rng(0))
 
 
 def test_trace_reports_total_as_sum(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="lan", neighbor_budget=64)
-    out = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
     assert len(out.trace) == len(sample)
     for _, _, a_logic, a_nn, a_total in out.trace:
         assert a_total == a_logic + a_nn
@@ -277,11 +276,11 @@ def test_permutation_invariance(world, kind):
         sample = grab_sample(kg, e)
         if len(sample) < 2:
             continue
-        base = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+        base = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
         scale = max(np.abs(base.embedding).max(), 1e-30)
         for _ in range(5):
             perm = rng.permutation(len(sample))
-            other = encode_from_sample(store, table.dense(), cfg, 1, sample[perm], np.random.default_rng(0))
+            other = encode_one(store, table.dense(), cfg, 1, sample[perm], np.random.default_rng(0))
             rel = np.abs(other.embedding - base.embedding).max() / scale
             assert rel <= 1e-9
 
@@ -293,7 +292,7 @@ def test_lstm_is_order_sensitive(world):
     assert len(sample) >= 3
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     outs = [
-        encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(s)).embedding
+        encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(s)).embedding
         for s in (0, 1)
     ]
     assert np.abs(outs[0] - outs[1]).max() > 1e-6
@@ -326,7 +325,7 @@ def test_lstm_matches_hand_rolled_gates(world):
     sample = grab_sample(kg, 0)
     seed = 21
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
-    out = encode_from_sample(st2, None, cfg, 0, sample, np.random.default_rng(seed))
+    out = encode_one(st2, None, cfg, 0, sample, np.random.default_rng(seed))
     order = np.random.default_rng(seed).permutation(len(sample))
     xs = []
     for j in order:
@@ -352,8 +351,8 @@ def test_encode_batch_matches_single(world, kind):
                          dense_table=dense, rng=np.random.default_rng(0))
     for i, e in enumerate(ents):
         sample = grab_sample(kg, int(e))
-        single = encode_from_sample(store, table.dense(), cfg, int(queries[i]), sample,
-                                    np.random.default_rng(0))
+        single = encode_one(store, table.dense(), cfg, int(queries[i]), sample,
+                            np.random.default_rng(0))
         np.testing.assert_allclose(batch.data[i], single.embedding, rtol=1e-9, atol=1e-12)
 
 
@@ -362,7 +361,7 @@ def test_encode_batch_matches_single_lstm(world):
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     for e in range(4):
         sample = grab_sample(kg, e)
-        single = encode_from_sample(store, None, cfg, 0, sample, np.random.default_rng(5))
+        single = encode_one(store, None, cfg, 0, sample, np.random.default_rng(5))
         offsets, rels, nbs = stack_samples(kg, [e], 64, np.random.default_rng(0))
         tape = ad.Tape()
         leaves = {n: tape.constant(store[n]) for n in store.names()}
@@ -383,8 +382,8 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     seeds = [[9, i] for i in range(ents.size)]  # lstm permutations, one generator per row
     offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
     single = np.stack([
-        encode_from_sample(store, table.dense(), cfg, 1, np.stack([rels[a:z], nbs[a:z]], axis=1),
-                           np.random.default_rng(seeds[i])).embedding
+        encode_one(store, table.dense(), cfg, 1, np.stack([rels[a:z], nbs[a:z]], axis=1),
+                   np.random.default_rng(seeds[i])).embedding
         for i, (a, z) in enumerate(zip(offsets[:-1], offsets[1:]))
     ])
     tape = ad.Tape()
@@ -514,7 +513,7 @@ def test_encode_samples_deterministically(world):
     for _ in range(2):
         rng = np.random.default_rng(3)
         sample = sample_neighbors(kg.neighborhood(e), cfg.neighbor_budget, rng)
-        encoded.append(encode_from_sample(store, table.dense(), cfg, 0, sample, rng))
+        encoded.append(encode_one(store, table.dense(), cfg, 0, sample, rng))
     a, b = encoded
     np.testing.assert_array_equal(a.embedding, b.embedding)
 
@@ -531,7 +530,7 @@ def test_encode_matches_numpy_oracle(world, kind):
         if nb.shape[0] == 0:
             continue
         sample = grab_sample(kg, e)
-        got = encode_from_sample(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+        got = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
         want = oracle_encode(store.arrays, dense, kind, 1, nb)
         np.testing.assert_allclose(got.embedding, want, rtol=1e-9, atol=1e-12)
 
@@ -545,7 +544,7 @@ def test_trace_matches_oracle_attention(world):
         nb = kg.neighborhood(e)
         if nb.shape[0] == 0:
             continue
-        got = encode_from_sample(store, dense, cfg, 1, grab_sample(kg, e), np.random.default_rng(0))
+        got = encode_one(store, dense, cfg, 1, grab_sample(kg, e), np.random.default_rng(0))
         rels = np.array([row[0] for row in got.trace])
         ents = np.array([row[1] for row in got.trace])
         assert sorted(zip(rels.tolist(), ents.tolist())) == sorted(map(tuple, nb.tolist()))

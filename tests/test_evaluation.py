@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    encode_one,
     max_degree,
     oracle_metrics,
     oracle_rank,
@@ -24,7 +25,6 @@ from lankgc.encoder import (
     AggregatorConfig,
     constant_leaves,
     encode_batch,
-    encode_from_sample,
     stack_samples,
 )
 from lankgc.evaluation import (
@@ -277,7 +277,7 @@ def test_known_triplets_refuse_overflowing_keys_and_bad_queries():
 def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     ctx, acfg, table, store = bundle_fixture(seed=5)
     dense = table.dense()
-    degrees = [ctx.neighborhood(int(e)).shape[0] for e in ctx.seen_ids]
+    degrees = [ctx.neighbor_graph.neighborhood(int(e)).shape[0] for e in ctx.seen_ids]
     budget = int(np.median(degrees))  # truncates the larger half
     acfg = AggregatorConfig(kind=kind, neighbor_budget=budget)
     if acfg.uses_lstm:
@@ -346,8 +346,8 @@ def per_query_rank(ctx, store, acfg, scorer, dense, triplet, rank_side, known, s
     truth, fixed = (s, o) if rank_side == "subject" else (o, s)
     cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q]))
     rng = np.random.default_rng([seed, s, q, o])
-    rows = sample_neighbors(ctx.neighborhood(fixed), acfg.neighbor_budget, rng)
-    emb = encode_from_sample(store, dense, acfg, q, rows, rng).embedding
+    rows = sample_neighbors(ctx.neighbor_graph.neighborhood(fixed), acfg.neighbor_budget, rng)
+    emb = encode_one(store, dense, acfg, q, rows, rng).embedding
     q_vec = store["relation_emb"][q]
     [scores] = score_columns(candidate_columns(cands, q_vec, scorer, rank_side), q_vec, emb, scorer, rank_side)
     _, answers = known.answer_rows(fixed, q, rank_side)
@@ -366,7 +366,7 @@ def test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, st
     rank_side = "object" if strategy == "subject" else "subject"
     test = ctx.to_ids(bundle.test)
     fixed = test[:, 0] if rank_side == "object" else test[:, 2]
-    degrees = np.array([ctx.neighborhood(int(e)).shape[0] for e in fixed])
+    degrees = np.array([ctx.neighbor_graph.neighborhood(int(e)).shape[0] for e in fixed])
     budget = int(np.median(degrees))  # truncates the larger half of the fixed sides
     assert (degrees > budget).sum() >= 2 and len(set(degrees.tolist())) > 2
     acfg = AggregatorConfig(kind=kind, neighbor_budget=budget)
@@ -489,7 +489,7 @@ def test_ranks_do_not_depend_on_how_queries_are_split_into_calls(kind):
     [bundle] = random_bundles(1, start_seed=5)
     ctx = BundleContext(bundle)
     test = ctx.to_ids(bundle.test)
-    degrees = np.array([ctx.neighborhood(int(e)).shape[0] for e in test[:, 0]])
+    degrees = np.array([ctx.neighbor_graph.neighborhood(int(e)).shape[0] for e in test[:, 0]])
     acfg = AggregatorConfig(kind=kind, neighbor_budget=int(np.median(degrees)))  # truncates some fixed sides
     dense = mine_confidence(ctx.train_graph).dense()
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, seed=4)
