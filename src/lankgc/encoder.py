@@ -254,16 +254,17 @@ def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
         order[b, :counts[b]] = (rng if shared else np.random.default_rng(rng[b])).permutation(counts[b])
     h = tape.constant(np.zeros((bsz, dim)))
     c = tape.constant(np.zeros((bsz, dim)))
+    w_t = {g: ad.transpose(tape, leaves[f"lstm_w_{g}"]) for g in "fico"}
+    b_row = {g: ad.reshape(tape, leaves[f"lstm_b_{g}"], (1, dim)) for g in "fico"}
     last = transformed.data.shape[0] - 1
     for t in range(t_max):
         # a row that has run out reads any real slot; its step is dropped below
         x = ad.take_rows(tape, transformed, np.minimum(starts + order[:, t], last))
         hx = ad.concat(tape, h, x)
         gates = {}
-        for g in ("f", "i", "c", "o"):
-            w_t = ad.transpose(tape, leaves[f"lstm_w_{g}"])
-            bias = ad.repeat_rows(tape, ad.reshape(tape, leaves[f"lstm_b_{g}"], (1, dim)), bsz)
-            pre = ad.add(tape, ad.matmul(tape, hx, w_t), bias)
+        for g in "fico":
+            bias = ad.repeat_rows(tape, b_row[g], bsz)  # per step: one shared repeat would reorder the bias sum
+            pre = ad.add(tape, ad.matmul(tape, hx, w_t[g]), bias)
             gates[g] = ad.tanh(tape, pre) if g == "c" else ad.sigmoid(tape, pre)
         c_new = ad.add(tape, ad.mul(tape, gates["f"], c), ad.mul(tape, gates["i"], gates["c"]))
         h_new = ad.mul(tape, gates["o"], ad.tanh(tape, c_new))

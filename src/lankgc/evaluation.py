@@ -23,8 +23,8 @@ a running-sum loop over (d, N) factors.  Every term is a running sum over
 the features from 0.0, as in training and triplet classification, so a
 ranked score equals :func:`~lankgc.decoder.score_batch`'s bit for bit.  One
 binary search of :class:`KnownTriplets`, sorted int64 fact keys, finds
-every query's known answers, and masked row sums count the better
-scores and the ties.
+every query's known answers.  The truth and those answers then score NaN,
+which neither beats nor ties, and row sums count the better and tied scores.
 
 Triplet classification tunes one score threshold per relation on
 labeled validation triplets (midpoints between consecutive sorted
@@ -46,6 +46,14 @@ from .encoder import constant_leaves, distinct_rows, encode_batch, stack_samples
 
 class EvalError(ValueError):
     """Evaluation requested something the model or bundle cannot answer."""
+
+
+def _find(sorted_values, values):
+    """Insertion points of ``values`` in the sorted 1-D ``sorted_values``, and whether each value is there."""
+    at = np.searchsorted(sorted_values, values)
+    found = at < sorted_values.size
+    found[found] = sorted_values[at[found]] == values[found]
+    return at, found
 
 
 def _sorted_distinct(keys):
@@ -87,12 +95,7 @@ class KnownTriplets:
         s, q, o = t[:, 0], t[:, 1], t[:, 2]
         n, r = self.n_entities, self.n_relations
         ok = (s >= 0) & (s < n) & (q >= 0) & (q < r) & (o >= 0) & (o < n)
-        keys = self._keys["object"]
-        key = (s * r + q) * n + o
-        at = np.searchsorted(keys, key)
-        hit = ok & (at < keys.size)
-        hit[hit] = keys[at[hit]] == key[hit]
-        return hit
+        return ok & _find(self._keys["object"], (s * r + q) * n + o)[1]
 
     def __contains__(self, triplet):
         return bool(self.contains([triplet])[0])
@@ -163,25 +166,25 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     Neighborhoods come from :func:`stack_samples`, and ``rng`` is one
     Generator or one per entity, as there.  Consecutive rows are encoded
     in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row is a
-    block of its own), each one :func:`encode_batch` on its own tape of
-    constant leaves, so only one block's arrays are alive at a time.
+    block of its own), each one :func:`encode_batch` over the constant
+    leaves made once per call, on a tape of its own that takes only the
+    block's constants, so only one block's arrays are alive at a time.
     Nothing is padded: a block is a run of the CSR slots.  Rows without
     neighbors are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
-    out = np.zeros((offsets.size - 1, store["entity_emb"].shape[1]))
+    out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
+    leaves = constant_leaves(ad.Tape(), store)
     lo = 0
     while lo < out.shape[0]:
         # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
         hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
         a, z = offsets[lo], offsets[hi]
-        if z > a:  # a block of empty rows stays zero
-            tape = ad.Tape()
-            out[lo:hi] = encode_batch(
-                tape, constant_leaves(tape, store), offsets[lo:hi + 1] - a, rels[a:z], ents[a:z],
-                np.full(hi - lo, query_rel, dtype=np.int64), acfg, dense_table=dense,
-                rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
-            ).data
+        out[lo:hi] = encode_batch(
+            ad.Tape(), leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z],
+            np.full(hi - lo, query_rel, dtype=np.int64), acfg, dense_table=dense,
+            rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
+        ).data
         lo = hi
     return out
 
@@ -222,9 +225,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     s, o = triplets[:, 0], triplets[:, 2]
     truth, fixed = (s, o) if rank_side == "subject" else (o, s)
     candidates = ctx.seen_ids
-    truth_pos = np.searchsorted(candidates, truth)
-    found = truth_pos < candidates.size
-    found[found] = candidates[truth_pos[found]] == truth[found]
+    truth_pos, found = _find(candidates, truth)
     if not found.all():
         raise EvalError(f"ground-truth entity {truth[np.argmin(found)]} is not in the candidate set")
 
@@ -242,21 +243,22 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:
         drop_query, known = filter_set.answer_rows(fixed, q, rank_side)
-        drop_cand = np.minimum(np.searchsorted(candidates, known), candidates.size - 1)
-        hit = (candidates[drop_cand] == known) & (known != truth[drop_query])
-        drop_query, drop_cand = drop_query[hit], drop_cand[hit]
+        drop_cand, found = _find(candidates, known)
+        drop_query, drop_cand = drop_query[found], drop_cand[found]
 
     ranks = np.empty(triplets.shape[0], dtype=np.int64)
     step = max(1, _SCORE_CELLS // max(candidates.size, 1))
     for top in range(0, ranks.size, step):
         scores = score_columns(columns, q_vec, fixed_embs[top:top + step], scorer, rank_side)
         nb = scores.shape[0]
-        truth_score = scores[np.arange(nb), truth_pos[top:top + nb], None]
-        keep = np.ones(scores.shape, dtype=bool)
+        at = (np.arange(nb), truth_pos[top:top + nb])
+        truth_score = scores[at][:, None]
+        # the truth and the known answers leave the block: NaN neither beats nor ties a score
+        scores[at] = np.nan
         a, b = np.searchsorted(drop_query, [top, top + nb])
-        keep[drop_query[a:b] - top, drop_cand[a:b]] = False
-        better = ((scores > truth_score) & keep).sum(axis=1)
-        ties = ((scores == truth_score) & keep).sum(axis=1) - 1  # the truth ties itself
+        scores[drop_query[a:b] - top, drop_cand[a:b]] = np.nan
+        better = (scores > truth_score).sum(axis=1)
+        ties = (scores == truth_score).sum(axis=1)
         ranks[top:top + nb] = 1 + better + (ties + 1) // 2  # (ties + 1) // 2 == ceil(ties / 2)
     return ranks, int((np.diff(ctx.neighbor_graph.offsets)[fixed] == 0).sum())
 
@@ -402,11 +404,10 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
+    leaves = constant_leaves(ad.Tape(), store)  # a tape per batch takes only that batch's constants
     for lo in range(0, labeled_ids.shape[0], _LABELED_BATCH):
-        tape = ad.Tape()
         out[lo:lo + _LABELED_BATCH] = output_scores(
-            tape, constant_leaves(tape, store), labeled_ids[lo:lo + _LABELED_BATCH], ctx.neighbor_graph,
-            dense, acfg, scorer, rng,
+            ad.Tape(), leaves, labeled_ids[lo:lo + _LABELED_BATCH], ctx.neighbor_graph, dense, acfg, scorer, rng,
         ).data
     return out
 

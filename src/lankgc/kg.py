@@ -205,6 +205,13 @@ def parse_triplet_file(path):
     return triples
 
 
+def write_triplet_file(path, triples):
+    """Write (s, r, o) name triplets as a 3-column TSV, one line each, in order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for s, r, o in triples:
+            fh.write(f"{s}\t{r}\t{o}\n")
+
+
 def graph_from_names(name_triples):
     """Build a graph from (s, r, o) name tuples, assigning sorted ids."""
     if not name_triples:

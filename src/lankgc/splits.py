@@ -31,7 +31,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .kg import ParseError, parse_triplet_file
+from .kg import ParseError, parse_triplet_file, write_triplet_file
 from .util import ARTIFACT_VERSION, read_kv, sha256_file, write_kv
 
 BUNDLE_FILES = ("train.tsv", "aux.tsv", "valid.tsv", "test.tsv", "unseen.txt")
@@ -202,19 +202,11 @@ def split_stats(bundle):
     )
 
 
-def _write_triplets(path, triples):
-    with open(path, "w", encoding="utf-8") as fh:
-        for s, r, o in triples:
-            fh.write(f"{s}\t{r}\t{o}\n")
-
-
 def write_bundle(bundle, out_dir):
     """Write the five bundle files plus a checksummed manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_triplets(os.path.join(out_dir, "train.tsv"), bundle.train)
-    _write_triplets(os.path.join(out_dir, "aux.tsv"), bundle.aux)
-    _write_triplets(os.path.join(out_dir, "valid.tsv"), bundle.valid)
-    _write_triplets(os.path.join(out_dir, "test.tsv"), bundle.test)
+    for stem in ("train", "aux", "valid", "test"):
+        write_triplet_file(os.path.join(out_dir, f"{stem}.tsv"), getattr(bundle, stem))
     with open(os.path.join(out_dir, "unseen.txt"), "w", encoding="utf-8") as fh:
         for name in bundle.unseen:
             fh.write(name + "\n")

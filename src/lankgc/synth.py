@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 
+from .kg import write_triplet_file
 from .splits import Corpus
 
 RULE_BODY = "mentored_by"
@@ -84,6 +85,4 @@ def gen_synthetic(n_entities, rule_strength, seed):
 def write_corpus(corpus, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for stem, triples in (("train", corpus.train), ("valid", corpus.valid), ("test", corpus.test)):
-        with open(os.path.join(out_dir, f"{stem}.tsv"), "w", encoding="utf-8") as fh:
-            for s, r, o in triples:
-                fh.write(f"{s}\t{r}\t{o}\n")
+        write_triplet_file(os.path.join(out_dir, f"{stem}.tsv"), triples)

@@ -170,6 +170,27 @@ def test_batched_ranker_splits_ties_that_include_the_known_truth(twins):
     assert want - unfiltered_ties in (0, -1)  # only e1 is filtered
 
 
+@pytest.mark.parametrize("twins", [0, 1, 2])
+def test_a_filtered_answer_that_ties_the_truth_leaves_the_tie_block(twins):
+    # e3 is a known answer (from valid) with exactly the truth e2's neighborhood, so it ties the
+    # truth; filtering removes it from the tie block, while the unfiltered twins stay in it
+    tied = [f"t{i}" for i in range(twins)]
+    train = [(name, "r", "h") for name in ["e1", "e2", "e3", *tied]] + [("e1", "r", "x"), ("x", "r3", "h")]
+    bundle = DatasetBundle(train=train, aux=[], valid=[("x", "r2", "e3")], test=[("x", "r2", "e2")],
+                           unseen=[], spec=SplitSpec("subject", 1.0, 0))
+    ctx = BundleContext(bundle)
+    acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 3)
+    trip = tuple(int(x) for x in ctx.to_ids(bundle.test)[0])
+    known = ctx.known_triplets()
+    assert (trip[0], trip[1], ctx.vocab.entity_id("e3")) in known
+    ranks = [rank_relation(ctx, store, acfg, "transe", None, np.array([trip]), "object", f, seed=0)[0].tolist()
+             for f in (known, set())]
+    want = [[oracle_rank(ctx, store.arrays, None, "mean", "transe", trip, "object", f)] for f in (known, set())]
+    assert ranks == want
+    assert want[1][0] - want[0][0] == (twins + 2) // 2 - (twins + 1) // 2  # e3 left the tie block
+
+
 @pytest.mark.parametrize("kind,scorer", [
     ("mean", "transe"), ("lan", "distmult"), ("logic-only", "complex"),
     ("query-attn", "transe"), ("global-attn", "distmult"),
@@ -317,6 +338,31 @@ def test_encode_entities_holds_one_block_of_slots_at_a_time(kind):
         tracemalloc.stop()
     # a block's per-slot (S, d) arrays: the gathers, the transform and the attention steps
     assert peak <= out.nbytes + 6 * evaluation._BLOCK_SLOTS * dim * 8
+
+
+@pytest.mark.parametrize("kind", ["lan", "lstm", "mean"])
+def test_constant_leaves_are_made_once_per_call_on_a_tape_that_stays_empty(kind, monkeypatch):
+    ctx, acfg, table, store = bundle_fixture(seed=5)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
+    if acfg.uses_lstm:
+        store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 5, with_lstm=True)
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)
+    monkeypatch.setattr(evaluation, "_LABELED_BATCH", 3)
+    made, passes = [], []
+
+    def capture(tape, store):
+        made.append((tape, constant_leaves(tape, store)))
+        return made[-1][1]
+    monkeypatch.setattr(evaluation, "constant_leaves", capture)
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[0]) or encode_batch(*a, **kw))
+    encode_entities(ctx, store, acfg, table.dense(), ctx.seen_ids, 1, np.random.default_rng(0))
+    blocks = len(passes)
+    rows = ctx.to_ids(ctx.bundle.valid)
+    score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=0)
+    assert len(made) == 2 and blocks > 3 and len(passes) - blocks == math.ceil(rows.shape[0] / 3) > 1
+    # each block and batch puts its own constants on a tape of its own, which dies with it
+    assert len({id(tape) for tape in passes}) == len(passes)
+    assert all(tape.nodes == list(leaves.values()) for tape, leaves in made)
 
 
 # --- whole-test-set ranking -------------------------------------------------------

@@ -16,6 +16,7 @@ from lankgc.kg import (
     load_triplets,
     parse_triplet_file,
     sample_neighbors,
+    write_triplet_file,
 )
 
 
@@ -43,6 +44,13 @@ def test_parse_skips_blank_lines(tmp_path):
     p = tmp_path / "t.tsv"
     p.write_text("a\tr\tb\n\nc\tr\td\n")
     assert len(parse_triplet_file(p)) == 2
+
+
+def test_write_triplet_file_writes_one_line_per_triplet_and_parses_back(tmp_path):
+    p = tmp_path / "t.tsv"
+    write_triplet_file(p, [("a", "r", "b"), ("c", "r", "d"), ("a", "r", "b")])
+    assert p.read_bytes() == b"a\tr\tb\nc\tr\td\na\tr\tb\n"
+    assert parse_triplet_file(p) == [("a", "r", "b"), ("c", "r", "d")]
 
 
 def test_load_triplets_rejects_empty(tmp_path):
