@@ -65,7 +65,7 @@ def main(argv=None):
                                dim=args.dim, neighbor_budget=64, epochs=args.epochs,
                                batch_size=256, optimizer="adam", seed=seed)
             started = time.perf_counter()
-            store, report = train(bundle, tcfg, acfg, scorer=args.scorer, rules_table=table)
+            store, report = train(ctx, tcfg, acfg, scorer=args.scorer, rules_table=table)
             d = dense if acfg.needs_rules else None
             m = link_prediction(ctx, store, acfg, args.scorer, d, seed=0).metrics
             mrrs.append(m.mrr)

@@ -7,12 +7,13 @@ artifact version.  Commands are deterministic for fixed inputs and
 seeds; re-running one overwrites its outputs with identical bytes.
 Errors exit nonzero with a single ``error: ...`` line on stderr.
 
-``train`` passes a ``--rules`` table, when given, to
-:func:`lankgc.training.train`, which mines one otherwise and saves it as
-``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it refuses
-``--rules`` for the other aggregators, which use no rule table.  The
-commands that load a checkpoint read that file back and refuse a logic
-checkpoint without it.
+``train`` builds one :class:`~lankgc.context.BundleContext`, imports a
+``--rules`` table, when given, through its vocabulary and passes both to
+:func:`lankgc.training.train`, which mines a table otherwise and saves
+it as ``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it
+refuses ``--rules`` for the other aggregators, which use no rule table.
+The commands that load a checkpoint read the bundle and that file back
+in :func:`_load_model` and refuse a logic checkpoint without it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
-from .context import BundleContext, bundle_vocabulary
+from .context import BundleContext
 from .decoder import SCORER_KINDS, check_scorer
 from .encoder import AGGREGATOR_KINDS, constant_leaves, encode_batch, stack_samples
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
@@ -113,12 +114,10 @@ def _cmd_train(args):
     acfg = aggregator_config_from(resolved)
     if args.rules and not acfg.needs_rules:
         raise ConfigError(f"--rules is for the lan and logic-only aggregators; {acfg.kind} uses no rule table")
-    bundle = read_bundle(args.bundle)
-    table = None
-    if args.rules:
-        table = import_table(args.rules, bundle_vocabulary(bundle))
+    ctx = BundleContext(read_bundle(args.bundle))
+    table = import_table(args.rules, ctx.vocab) if args.rules else None
     store, report = train(
-        bundle, tcfg, acfg, scorer=resolved["scorer"], rules_table=table, out_dir=args.out,
+        ctx, tcfg, acfg, scorer=resolved["scorer"], rules_table=table, out_dir=args.out,
         log=(print if args.verbose else None),
     )
     _write_meta(args.out, "train", resolved, {"bundle": args.bundle, "rules": args.rules})
@@ -130,9 +129,9 @@ def _cmd_train(args):
     return 0
 
 
-def _load_model(ckpt_dir, bundle):
+def _load_model(ckpt_dir, bundle_dir):
+    ctx = BundleContext(read_bundle(bundle_dir))
     store, meta = load_checkpoint(ckpt_dir)
-    ctx = BundleContext(bundle)
     manifest = os.path.join(ckpt_dir, "manifest")
     if "vocab_sha256" not in meta:
         raise ValueError(f"{manifest} has no vocab_sha256 line")
@@ -157,8 +156,7 @@ def _load_model(ckpt_dir, bundle):
 
 
 def _cmd_eval_lp(args):
-    bundle = read_bundle(args.bundle)
-    ctx, store, acfg, scorer, dense = _load_model(args.ckpt, bundle)
+    ctx, store, acfg, scorer, dense = _load_model(args.ckpt, args.bundle)
     result = link_prediction(ctx, store, acfg, scorer, dense, seed=args.seed)
     row = result.metrics.as_row()
     model = f"{acfg.kind}+{scorer}"
@@ -182,8 +180,7 @@ def _cmd_eval_lp(args):
 
 
 def _cmd_eval_tc(args):
-    bundle = read_bundle(args.bundle)
-    ctx, store, acfg, scorer, dense = _load_model(args.ckpt, bundle)
+    ctx, store, acfg, scorer, dense = _load_model(args.ckpt, args.bundle)
 
     def scored(path):
         rows = load_labeled_triplets(path)
@@ -206,8 +203,7 @@ def _cmd_eval_tc(args):
 
 
 def _cmd_inspect_weights(args):
-    bundle = read_bundle(args.bundle)
-    ctx, store, acfg, scorer, dense = _load_model(args.ckpt, bundle)
+    ctx, store, acfg, scorer, dense = _load_model(args.ckpt, args.bundle)
     entity = ctx.vocab.entity_id(args.entity)
     query = ctx.vocab.relation_id(args.query)
     rng = np.random.default_rng([args.seed, entity, query])

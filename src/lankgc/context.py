@@ -9,10 +9,11 @@ neighbors from training facts and unseen entities only ever see
 auxiliary facts.
 
 Construction reads the bundle's facts column by column: the vocabulary's
-name sets are unions of per-column lists (:func:`bundle_vocabulary`),
+name sets (unseen entities included) are unions of per-column lists,
 each part becomes (n, 3) id rows in one :meth:`Vocabulary.triplet_ids`
 call, and the rest (the unseen and seen masks, the neighborhood graph's
-rows, ``seen_ids``) is numpy over those id rows.
+rows, ``seen_ids``) is numpy over those id rows.  A caller builds one
+context per bundle and passes it to training, ranking and scoring.
 """
 
 from __future__ import annotations
@@ -23,15 +24,10 @@ from .evaluation import KnownTriplets
 from .kg import KnowledgeGraph, Vocabulary, augment_inverses
 
 
-def bundle_vocabulary(bundle):
-    """The :class:`Vocabulary` of every name in ``bundle``, unseen entities included."""
-    return Vocabulary(bundle.all_entities(), bundle.all_relations())
-
-
 class BundleContext:
     def __init__(self, bundle):
         self.bundle = bundle
-        self.vocab = bundle_vocabulary(bundle)
+        self.vocab = Vocabulary(bundle.all_entities(), bundle.all_relations())
         self._train_ids = self.to_ids(bundle.train)
         self._aux_ids = self.to_ids(bundle.aux)
         self.train_graph = augment_inverses(KnowledgeGraph(self.vocab, self._train_ids))

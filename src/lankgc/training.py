@@ -91,6 +91,10 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.valid_max_queries < 1:
+            raise ValueError(f"valid max queries must be >= 1, got {self.valid_max_queries}")
 
 
 @dataclass
@@ -233,6 +237,8 @@ def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, rng, where):
 def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=None, log=None):
     """Fit a model on a bundle; returns ``(store, report)``.
 
+    ``bundle`` is a :class:`~lankgc.splits.DatasetBundle` or its
+    :class:`BundleContext`, used as given; only a bundle gets one built.
     Positives are the inverse-augmented training triplets.  When
     ``eval_every`` is set and the bundle has validation triplets, a
     filtered-MRR probe on (a deterministic subset of) validation drives
@@ -247,10 +253,10 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
     if acfg.neighbor_budget != tcfg.neighbor_budget:
         acfg = replace(acfg, neighbor_budget=tcfg.neighbor_budget)
     check_scorer(scorer, tcfg.dim)
-    if not bundle.train:
+    ctx = bundle if isinstance(bundle, BundleContext) else BundleContext(bundle)
+    if not ctx.bundle.train:
         raise TrainError("bundle has no training triplets")
 
-    ctx = BundleContext(bundle)
     graph = ctx.train_graph
     if not acfg.needs_rules:
         rules_table = None
@@ -270,8 +276,8 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
     stale = 0
 
     valid_ids = None
-    if tcfg.eval_every > 0 and bundle.valid:
-        valid_ids = ctx.to_ids(bundle.valid)
+    if tcfg.eval_every > 0 and ctx.bundle.valid:
+        valid_ids = ctx.to_ids(ctx.bundle.valid)
         if valid_ids.shape[0] > tcfg.valid_max_queries:
             pick = np.random.default_rng(tcfg.seed).permutation(valid_ids.shape[0])
             valid_ids = valid_ids[pick[: tcfg.valid_max_queries]]

@@ -303,8 +303,9 @@ def test_mean_checkpoint_has_no_rule_table_and_evaluates(pipeline, tmp_path):
                      "--out", str(tmp_path / "m.csv")]) == 0
 
 
-def test_train_with_a_rule_table_builds_one_context(pipeline, tmp_path, monkeypatch):
-    _, _, bundle, rules, _ = pipeline
+@pytest.fixture
+def contexts_built(monkeypatch):
+    """The bundles that a :class:`BundleContext` is built from, in order, while the test runs."""
     built = []
     init = BundleContext.__init__
 
@@ -313,9 +314,46 @@ def test_train_with_a_rule_table_builds_one_context(pipeline, tmp_path, monkeypa
         init(self, b)
 
     monkeypatch.setattr(BundleContext, "__init__", counted)
+    return built
+
+
+def test_train_with_a_rule_table_builds_one_context(pipeline, tmp_path, contexts_built):
+    _, _, bundle, rules, _ = pipeline
     assert run(["train", "--bundle", str(bundle), "--aggregator", "lan", "--rules", str(rules),
                 "--seed", "0", "--set", "epochs=1", "--set", "dim=8", "--out", str(tmp_path / "m")]) == 0
-    assert len(built) == 1
+    assert len(contexts_built) == 1
+
+
+@pytest.mark.parametrize("command", ["eval-lp", "eval-tc", "inspect-weights"])
+def test_a_command_that_loads_a_checkpoint_builds_one_context(pipeline, tmp_path, contexts_built, command):
+    _, _, bundle, _, ckpt = pipeline
+    b = read_bundle(str(bundle))
+    argv = [command, "--bundle", str(bundle), "--ckpt", str(ckpt)]
+    if command == "eval-lp":
+        argv += ["--out", str(tmp_path / "m.csv")]
+    elif command == "eval-tc":
+        make_labeled(bundle, tmp_path / "valid.tsv", b.valid[:10])
+        make_labeled(bundle, tmp_path / "test.tsv", b.valid[:10])
+        argv += ["--valid", str(tmp_path / "valid.tsv"), "--test", str(tmp_path / "test.tsv"),
+                 "--out", str(tmp_path / "tc.out")]
+    else:
+        argv += ["--entity", b.train[0][0], "--query", b.train[0][1], "--out", str(tmp_path / "trace.tsv")]
+    assert run(argv) == 0
+    assert len(contexts_built) == 1
+
+
+@pytest.mark.parametrize("setting", ["valid_max_queries=0", "valid_max_queries=-2", "patience=0"])
+def test_validation_settings_below_one_are_refused_before_anything_is_written(pipeline, tmp_path, capsys,
+                                                                              setting):
+    _, _, bundle, _, _ = pipeline
+    out = tmp_path / "model"
+    code, captured = run(["train", "--bundle", str(bundle), "--set", "eval_every=1", "--set", setting,
+                          "--out", str(out)], capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    key = setting.partition("=")[0].replace("_", " ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be >= 1")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["mean", "lstm", "query-attn", "global-attn"])

@@ -319,11 +319,8 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
-def test_encode_entities_holds_one_block_of_slots_at_a_time(kind):
-    # every entity has 12 neighbors, within the budget, so the candidates span more than 4 blocks
-    n, deg, dim, r = 2000, 12, 32, 6
-    assert n * deg > 4 * evaluation._BLOCK_SLOTS
+def traced_encode(kind, n, deg, dim, r):
+    """``encode_entities`` over n entities of ``deg`` neighbors each -> (output, tracemalloc peak in bytes)."""
     rng = np.random.default_rng(4)
     graph = SimpleNamespace(offsets=np.arange(n + 1) * deg,
                             pairs=np.stack([rng.integers(0, r, n * deg), rng.integers(0, n, n * deg)], axis=1))
@@ -333,11 +330,30 @@ def test_encode_entities_holds_one_block_of_slots_at_a_time(kind):
     try:
         out = encode_entities(SimpleNamespace(neighbor_graph=graph), store, acfg, rng.random((r, r)), np.arange(n),
                               1, np.random.default_rng(5))
-        peak = tracemalloc.get_traced_memory()[1]
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_encode_entities_holds_one_block_of_slots_at_a_time(kind):
+    # every entity has 12 neighbors, within the budget, so the candidates span more than 4 blocks
+    n, deg, dim, r = 2000, 12, 32, 6
+    assert n * deg > 4 * evaluation._BLOCK_SLOTS
+    out, peak = traced_encode(kind, n, deg, dim, r)
     # a block's per-slot (S, d) arrays: the gathers, the transform and the attention steps
     assert peak <= out.nbytes + 6 * evaluation._BLOCK_SLOTS * dim * 8
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_encode_entities_frees_each_block_before_the_next(kind, monkeypatch):
+    # 2^6-slot blocks: 375 of them, so arrays that outlive their block add up past the bound
+    n, deg, dim, r = 2000, 12, 32, 6
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 1 << 6)
+    assert n * deg > 300 * evaluation._BLOCK_SLOTS
+    out, peak = traced_encode(kind, n, deg, dim, r)
+    # the (n, d) output and the (n * deg,) CSR slot arrays, plus one block's per-slot (S, d) arrays
+    assert peak <= out.nbytes + 3 * n * deg * 8 + 6 * evaluation._BLOCK_SLOTS * dim * 8
 
 
 @pytest.mark.parametrize("kind", ["lan", "lstm", "mean"])

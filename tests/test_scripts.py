@@ -3,6 +3,7 @@ import importlib.util
 from pathlib import Path
 
 from lankgc import training
+from lankgc.context import BundleContext
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_synthetic_experiment.py"
 
@@ -15,8 +16,14 @@ def load_script():
 
 
 def test_synthetic_experiment_mines_the_rule_table_once(tmp_path, monkeypatch):
+    # and builds one context for every run, which train() and link_prediction() share
     script = load_script()
-    mined = []
+    mined, built = [], []
+    init = BundleContext.__init__
+
+    def counted_init(self, bundle):
+        built.append(bundle)
+        init(self, bundle)
 
     def counted(mine):
         def wrapper(graph):
@@ -26,6 +33,7 @@ def test_synthetic_experiment_mines_the_rule_table_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(script, "mine_confidence", counted(script.mine_confidence))
     monkeypatch.setattr(training, "mine_confidence", counted(training.mine_confidence))
+    monkeypatch.setattr(BundleContext, "__init__", counted_init)
     out = tmp_path / "results.csv"
     assert script.main(["--entities", "60", "--aggregators", "mean,lan", "--seeds", "0,1",
                         "--epochs", "1", "--dim", "8", "--out", str(out)]) == 0
@@ -35,3 +43,4 @@ def test_synthetic_experiment_mines_the_rule_table_once(tmp_path, monkeypatch):
         ("mean", "0"), ("mean", "1"), ("lan", "0"), ("lan", "1"),
     ]
     assert len(mined) == 1
+    assert len(built) == 1

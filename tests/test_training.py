@@ -299,7 +299,13 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="negatives"):
         TrainConfig(negatives_per_positive=0)
+    with pytest.raises(ValueError, match="patience"):
+        TrainConfig(patience=0)
+    for bad in (0, -3):  # no validation query at all, or a slice that drops the last rows
+        with pytest.raises(ValueError, match="valid max queries"):
+            TrainConfig(valid_max_queries=bad)
     TrainConfig(l2_rate=0.0)  # disabled regularization is allowed
+    TrainConfig(patience=1, valid_max_queries=1)
 
 
 # --- the training loop -------------------------------------------------------------
@@ -461,6 +467,35 @@ def test_validation_probe_and_early_stop():
     assert rep.stopped_early and epochs_run < 30
     assert rep.best_epoch == rep.valid_mrr[0][0]
     assert rep.best_mrr == max(m for _, m in rep.valid_mrr)
+
+
+def checkpoint_files(root):
+    """Every file under a checkpoint directory, ``epoch-NNNN/`` included -> {relative path: bytes}."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def context_arrays(ctx):
+    """What a :class:`BundleContext` holds: names, id rows and graph triplets."""
+    return [ctx.vocab.entities, ctx.vocab.relations, ctx.seen_ids.tobytes(),
+            ctx.train_graph.triplets.tobytes(), ctx.neighbor_graph.triplets.tobytes()]
+
+
+@pytest.mark.parametrize("budget", [2, 64])
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_train_on_a_context_equals_train_on_its_bundle(kind, budget, tmp_path):
+    [bundle] = random_bundles(1, start_seed=4, strategy="subject", n_entities=40, n_triples=160)
+    assert len(bundle.valid) > 5
+    tcfg = quick_cfg(neighbor_budget=budget, eval_every=1, checkpoint_every=1, valid_max_queries=5)
+    ctx = BundleContext(bundle)
+    before = context_arrays(ctx)
+    runs = []
+    for name, given in (("bundle", bundle), ("context", ctx), ("context-again", ctx)):
+        store, report = train(given, tcfg, AggregatorConfig(kind=kind), out_dir=str(tmp_path / name))
+        report.seconds = 0.0
+        runs.append(({k: v.tobytes() for k, v in store.arrays.items()}, report, checkpoint_files(tmp_path / name)))
+    assert "epoch-0002/manifest" in runs[0][2] and runs[0][1].valid_mrr
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert context_arrays(ctx) == before
 
 
 def test_rules_mined_on_demand_for_lan():
