@@ -22,10 +22,10 @@ anywhere else.  :meth:`Tape.backward` alone decides what to do with it,
 for each parent that requires a gradient: add it in place into a
 gradient the parent already has; otherwise store a private copy if it
 shares memory with ``g`` (``add``, ``sub``'s left side, ``transpose``,
-``reshape`` and ``concat`` pass ``g`` on), and store it as it is if it
-is fresh.  So no gradient aliases another node's gradient or data.  A
-backward pass first clears all gradients on the tape, which makes
-repeated backward calls over the same tape bit-identical.
+``reshape`` and ``concat`` along either axis pass ``g`` on), and store
+it as it is if it is fresh.  So no gradient aliases another node's
+gradient or data.  A backward pass first clears all gradients on the
+tape, which makes repeated backward calls over the same tape bit-identical.
 
 The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
 take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
@@ -227,13 +227,14 @@ def transpose(tape, a):
     return _make(tape, a.data.T, (a,), (lambda g: g.T,))
 
 
-def concat(tape, a, b):
-    """Join two matrices of the same row count column-wise."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise ValueError(f"concat: incompatible shapes {a.data.shape}, {b.data.shape}")
-    split = a.data.shape[1]
-    return _make(tape, np.concatenate([a.data, b.data], axis=1), (a, b),
-                 (lambda g: g[:, :split], lambda g: g[:, split:]))
+def concat(tape, a, b, axis=1):
+    """Join two matrices column-wise (``axis=1``, same row count) or row-wise (``axis=0``, same column count)."""
+    sa, sb = a.data.shape, b.data.shape
+    if axis not in (0, 1) or len(sa) != 2 or len(sb) != 2 or sa[1 - axis] != sb[1 - axis]:
+        raise ValueError(f"concat: incompatible shapes {sa}, {sb} along axis {axis}")
+    split = sa[axis]
+    return _make(tape, np.concatenate([a.data, b.data], axis=axis), (a, b),
+                 (lambda g: np.split(g, [split], axis)[0], lambda g: np.split(g, [split], axis)[1]))
 
 
 def narrow(tape, a, lo, hi):

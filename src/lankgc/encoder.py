@@ -41,13 +41,14 @@ per row and gathered to its slots, the neighbor half once per slot;
 
 A row's encoding does not depend on the other rows of its batch, except
 through BLAS: the attention's ``transformed @ W_e^T`` and the lstm's
-gate products round a row differently in its last bits depending on the
-product's row count (with the transposed view of ``W_e``, rows of a
-product under 64 rows differ from the same rows in a larger one).  So a
-row equals its B=1 encoding bitwise for ``mean`` and ``logic-only``
-only; the other kinds agree to rounding.  Within a scoring batch a row's
-encoding is shared by its repeats (:func:`distinct_rows`): rows with the
-same (entity, query) key that read no rng are encoded once.
+gate products, which run over the rows still live at each step, round a
+row differently in its last bits depending on the product's row count
+(with the transposed view of ``W_e``, rows of a product under 64 rows
+differ from the same rows in a larger one).  So a row equals its B=1
+encoding bitwise for ``mean`` and ``logic-only`` only; the other kinds
+agree to rounding.  Within a scoring batch a row's encoding is shared
+by its repeats (:func:`distinct_rows`): rows with the same (entity,
+query) key that read no rng are encoded once.
 """
 
 from __future__ import annotations
@@ -233,44 +234,39 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
 
 
 def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
-    """Batched LSTM aggregation with per-row freezing after the last slot.
+    """Batched LSTM aggregation: each row steps over its own slots only.
 
     ``transformed`` holds the (S, d) slots; row ``b`` owns
-    ``transformed[offsets[b]:offsets[b + 1]]``.  Each row consumes its
-    slots in a freshly permuted order; rows that have run out keep their
-    hidden state unchanged, so the final state equals the single-entity
-    LSTM over the same sequence.  With one entry per row, each row draws
-    its permutation from its own Generator, or from one made from its
-    seed.
+    ``transformed[offsets[b]:offsets[b + 1]]`` and consumes them in an
+    order permuted before any step, row by row: with one entry per row,
+    by its own Generator or one made from its seed.  Rows run longest
+    first and right-aligned: a row of k slots joins at step ``t_max - k``
+    with zero state, so the live rows are a prefix that only grows, and
+    the gates run over them alone.  A row without slots stays zero.
     """
     if rng is None:
         raise ValueError("lstm aggregation needs an rng for the neighbor permutation")
-    starts, counts = offsets[:-1], np.diff(offsets)
-    bsz, dim = counts.size, transformed.data.shape[1]
-    shared = _shared_rng(rng, bsz)
-    t_max = int(counts.max(initial=0))
-    order = np.zeros((bsz, t_max), dtype=np.int64)
+    counts, dim = np.diff(offsets), transformed.data.shape[1]
+    shared = _shared_rng(rng, counts.size)
+    order = np.repeat(offsets[:-1], counts)  # step j of row b reads transformed[order[offsets[b] + j]]
     for b in np.flatnonzero(counts):
-        order[b, :counts[b]] = (rng if shared else np.random.default_rng(rng[b])).permutation(counts[b])
-    h = tape.constant(np.zeros((bsz, dim)))
-    c = tape.constant(np.zeros((bsz, dim)))
+        order[offsets[b]:offsets[b + 1]] += (rng if shared else np.random.default_rng(rng[b])).permutation(counts[b])
+    by_len = np.argsort(-counts, kind="stable")
+    ends, t_max = offsets[1:][by_len], int(counts.max(initial=0))
+    live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
+    h = c = tape.constant(np.zeros((0, dim)))
     w_t = {g: ad.transpose(tape, leaves[f"lstm_w_{g}"]) for g in "fico"}
     b_row = {g: ad.reshape(tape, leaves[f"lstm_b_{g}"], (1, dim)) for g in "fico"}
-    last = transformed.data.shape[0] - 1
-    for t in range(t_max):
-        # a row that has run out reads any real slot; its step is dropped below
-        x = ad.take_rows(tape, transformed, np.minimum(starts + order[:, t], last))
-        hx = ad.concat(tape, h, x)
+    for t, n in enumerate(live):
+        if n > h.data.shape[0]:
+            fresh = tape.constant(np.zeros((n - h.data.shape[0], dim)))
+            h, c = ad.concat(tape, h, fresh, axis=0), ad.concat(tape, c, fresh, axis=0)
+        hx = ad.concat(tape, h, ad.take_rows(tape, transformed, order[ends[:n] - (t_max - t)]))
         gates = {}
-        for g in "fico":
-            bias = ad.repeat_rows(tape, b_row[g], bsz)  # per step: one shared repeat would reorder the bias sum
-            pre = ad.add(tape, ad.matmul(tape, hx, w_t[g]), bias)
+        for g in "fico":  # a bias repeat per step: one shared repeat would reorder its gradient's sum
+            pre = ad.add(tape, ad.matmul(tape, hx, w_t[g]), ad.repeat_rows(tape, b_row[g], n))
             gates[g] = ad.tanh(tape, pre) if g == "c" else ad.sigmoid(tape, pre)
-        c_new = ad.add(tape, ad.mul(tape, gates["f"], c), ad.mul(tape, gates["i"], gates["c"]))
-        h_new = ad.mul(tape, gates["o"], ad.tanh(tape, c_new))
-        live = (counts > t).astype(np.float64)
-        keep = tape.constant(live)
-        drop = tape.constant(1.0 - live)
-        h = ad.add(tape, ad.col_scale(tape, h_new, keep), ad.col_scale(tape, h, drop))
-        c = ad.add(tape, ad.col_scale(tape, c_new, keep), ad.col_scale(tape, c, drop))
-    return h
+        c = ad.add(tape, ad.mul(tape, gates["f"], c), ad.mul(tape, gates["i"], gates["c"]))
+        h = ad.mul(tape, gates["o"], ad.tanh(tape, c))
+    h = ad.concat(tape, h, tape.constant(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
+    return ad.take_rows(tape, h, np.argsort(by_len))  # back to row order

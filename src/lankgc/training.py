@@ -95,6 +95,9 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.valid_max_queries < 1:
             raise ValueError(f"valid max queries must be >= 1, got {self.valid_max_queries}")
+        for key in ("eval_every", "checkpoint_every"):  # 0 turns either off
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key.replace('_', ' ')} must be >= 1, or 0 for off, got {getattr(self, key)}")
 
 
 @dataclass

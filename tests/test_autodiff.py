@@ -83,6 +83,8 @@ FD_CASES = {
                   lambda t, l: weighted(t, ad.transpose(t, l["a"]), 31)),
     "concat_cols": ({"a": r(35, 3, 2), "b": r(36, 3, 4)},
                     lambda t, l: weighted(t, ad.concat(t, l["a"], l["b"]), 37)),
+    "concat_rows": ({"a": r(32, 2, 3), "b": r(33, 4, 3)},
+                    lambda t, l: weighted(t, ad.concat(t, l["a"], l["b"], axis=0), 34)),
     "narrow_vec": ({"a": r(38, 7)},
                    lambda t, l: weighted(t, ad.narrow(t, l["a"], 2, 5), 39)),
     "narrow_cols": ({"a": r(40, 3, 7)},
@@ -501,6 +503,8 @@ def test_item_requires_scalar():
     (ad.row_dot, np.zeros((2, 3)), np.zeros((3, 3))),
     (ad.concat, np.zeros(3), np.zeros((2, 3))),
     (ad.col_scale, np.zeros((3, 2)), np.zeros(2)),
+    (lambda tape, a, b: ad.concat(tape, a, b, axis=0), np.zeros((2, 3)), np.zeros((2, 4))),
+    (lambda tape, a, b: ad.concat(tape, a, b, axis=2), np.zeros((2, 3)), np.zeros((2, 3))),
 ])
 def test_shape_mismatches_rejected(op, a, b):
     tape = ad.Tape()

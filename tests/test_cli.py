@@ -342,7 +342,8 @@ def test_a_command_that_loads_a_checkpoint_builds_one_context(pipeline, tmp_path
     assert len(contexts_built) == 1
 
 
-@pytest.mark.parametrize("setting", ["valid_max_queries=0", "valid_max_queries=-2", "patience=0"])
+@pytest.mark.parametrize("setting", ["valid_max_queries=0", "valid_max_queries=-2", "patience=0", "eval_every=-1",
+                                     "checkpoint_every=-2"])
 def test_validation_settings_below_one_are_refused_before_anything_is_written(pipeline, tmp_path, capsys,
                                                                               setting):
     _, _, bundle, _, _ = pipeline

@@ -370,6 +370,29 @@ def test_encode_batch_matches_single_lstm(world):
         np.testing.assert_allclose(batch.data[0], single.embedding, rtol=1e-9, atol=1e-12)
 
 
+def test_lstm_gates_run_over_the_live_rows_only(world, monkeypatch):
+    kg, table, store = world
+    counts = np.array([3, 0, 5, 3, 1, 5, 2])  # an empty row, and tied widths
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rng = np.random.default_rng(4)
+    rels, nbs = rng.integers(kg.n_relations, size=counts.sum()), rng.integers(kg.n_entities, size=counts.sum())
+    gate_rows = []
+    matmul = ad.matmul
+
+    def counted(tape, a, b):
+        gate_rows.append(a.data.shape[0])
+        return matmul(tape, a, b)
+
+    monkeypatch.setattr(ad, "matmul", counted)
+    tape = ad.Tape()
+    out = encode_batch(tape, store.leaves(tape), offsets, rels, nbs, np.zeros(counts.size, np.int64),
+                       AggregatorConfig(kind="lstm"), rng=np.random.default_rng(0))
+    # longest first and right-aligned: the two 5-slot rows step alone until the 3-slot rows join
+    assert gate_rows == np.repeat([2, 2, 4, 5, 6], 4).tolist()
+    assert sum(gate_rows) == 4 * counts.sum()  # stepping every row to the widest would give 4 * 7 * 5
+    np.testing.assert_array_equal(out.data[1], 0.0)
+
+
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     kg = make_graph(random_name_triples(np.random.default_rng(2), 10, 4, 70))

@@ -304,8 +304,13 @@ def test_config_validation():
     for bad in (0, -3):  # no validation query at all, or a slice that drops the last rows
         with pytest.raises(ValueError, match="valid max queries"):
             TrainConfig(valid_max_queries=bad)
+    with pytest.raises(ValueError, match="eval every"):
+        TrainConfig(eval_every=-1)
+    with pytest.raises(ValueError, match="checkpoint every"):
+        TrainConfig(checkpoint_every=-2)
     TrainConfig(l2_rate=0.0)  # disabled regularization is allowed
     TrainConfig(patience=1, valid_max_queries=1)
+    TrainConfig(eval_every=0, checkpoint_every=0)  # 0 turns either off
 
 
 # --- the training loop -------------------------------------------------------------
