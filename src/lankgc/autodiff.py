@@ -12,20 +12,24 @@ output only clears the tape's gradients.  Values are scalars (shape ``()``), vec
 matrices ``(n, m)``; there is no broadcasting and no higher-rank
 support, every primitive checks its operand shapes explicitly.
 
-Gradients live next to the data on each :class:`Value`.  They are left
-unallocated (``None``) until a backward pass touches them, so pure
-forward evaluation never pays for gradient buffers.  Ops are pure: each
-records one vector-Jacobian product per parent, and ``vjps[i](g)``
-returns parent ``i``'s delta for the upstream gradient ``g``.  A delta
-is ``g``, a view of ``g`` or a fresh array, never an array held
-anywhere else.  :meth:`Tape.backward` alone decides what to do with it,
-for each parent that requires a gradient: add it in place into a
-gradient the parent already has; otherwise store a private copy if it
-shares memory with ``g`` (``add``, ``sub``'s left side, ``transpose``,
-``reshape`` and ``concat`` along either axis pass ``g`` on), and store
-it as it is if it is fresh.  So no gradient aliases another node's
-gradient or data.  A backward pass first clears all gradients on the
-tape, which makes repeated backward calls over the same tape bit-identical.
+After a backward pass only leaves hold gradients, on their
+:class:`Value`.  A gradient is left unallocated (``None``) until a
+backward pass touches it, so pure forward evaluation never pays for
+gradient buffers, and an op output's gradient is released as soon as
+its vector-Jacobian products have run, since nothing reads it again: a
+backward pass holds the gradients still to be passed on, not one per
+node.  Ops are pure: each records one vector-Jacobian product per
+parent, and ``vjps[i](g)`` returns parent ``i``'s delta for the
+upstream gradient ``g``.  A delta is ``g``, a view of ``g`` or a fresh
+array, never an array held anywhere else.  :meth:`Tape.backward` alone
+decides what to do with it, for each parent that requires a gradient:
+add it in place into a gradient the parent already has; otherwise store
+a private copy if it shares memory with ``g`` (``add``, ``sub``'s left
+side, ``transpose``, ``reshape`` and ``concat`` along either axis pass
+``g`` on), and store it as it is if it is fresh.  So no gradient aliases another node's
+gradient or data, while it is held.  A backward pass first clears all
+gradients on the tape, which makes repeated backward calls over the
+same tape bit-identical.
 
 The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
 take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
@@ -118,15 +122,17 @@ class Tape:
         return self.leaf(data, requires_grad=False)
 
     def backward(self, loss):
-        """Populate gradients of every tape node w.r.t. a scalar ``loss``.
+        """Set the gradient of every leaf w.r.t. a scalar ``loss``.
 
-        Gradients are zeroed first, so calling this twice on the same
-        tape gives identical results.  Nodes whose gradient was never
-        touched (they do not influence the loss) are skipped entirely;
-        their ``grad`` stays ``None`` and reads as zero.  A loss that an
-        op of this tape computed without a gradient, which the tape does
-        not record, depends on no leaf that requires one: every gradient
-        is cleared, and none is set.
+        Gradients are cleared first, so calling this twice on the same
+        tape gives identical results.  An op output's gradient lives
+        only until its vector-Jacobian products have run, so afterwards
+        every op output's ``grad`` is ``None``.  Leaves whose gradient
+        was never touched (they do not influence the loss) keep
+        ``None``, which reads as zero.  A loss that an op of this tape
+        computed without a gradient, which the tape does not record,
+        depends on no leaf that requires one: every gradient is
+        cleared, and none is set.
         """
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -140,9 +146,9 @@ class Tape:
         loss.grad = np.ones((), dtype=np.float64)
         for node in reversed(self.nodes):
             g = node.grad
-            if g is None:
+            if g is None or not node._parents:  # a leaf keeps its gradient
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):  # a leaf has no parents
+            for parent, vjp in zip(node._parents, node._vjps):
                 if not parent.requires_grad:
                     continue
                 delta = vjp(g)
@@ -152,6 +158,7 @@ class Tape:
                     parent.grad = np.array(delta)
                 else:
                     parent.grad = np.asarray(delta)  # a 0-d product comes back as a numpy scalar
+            node.grad = delta = None  # nothing reads an interior gradient, or a view of it, once its VJPs have run
 
 
 def _make(tape, data, parents, vjps):

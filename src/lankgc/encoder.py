@@ -79,8 +79,8 @@ class AggregatorConfig:
             raise ValueError(f"neighbor budget must be >= 1, got {self.neighbor_budget}")
         if self.logic_mode not in ("raw", "normalized"):
             raise ValueError(f"unknown logic mode: {self.logic_mode!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not np.isfinite(self.epsilon) or self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def needs_rules(self):

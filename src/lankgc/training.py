@@ -26,7 +26,12 @@ row are still encoded per row, so the rng draws are those of encoding
 every row.
 
 One batch's tape is alive at a time: a step frees its tape, leaves and
-gradients before the next batch is corrupted and encoded.
+gradients before the next batch is corrupted and encoded.  Within a
+step, the backward pass keeps only the leaves' gradients, releasing each
+op output's gradient once its vector-Jacobian products have run, and
+Adam updates each parameter in place through two parameter-sized
+scratch arrays, so the step's high-water mark is the tape's data plus
+the gradients still to be passed on.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ class TrainConfig:
     valid_max_queries: int = 500
 
     def __post_init__(self):
+        for key in ("learning_rate", "margin", "l2_rate"):  # nan passes every comparison below
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key.replace('_', ' ')} must be finite, got {getattr(self, key)}")
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
         if self.margin <= 0.0:
@@ -137,11 +145,19 @@ class Adam:
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
+            # m += (1 - b1) g, v += (1 - b2) g g, p -= lr (m / b1c) / (sqrt(v / b2c) + eps), op for op
+            update, denom = np.empty_like(m), np.empty_like(v)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=update)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            store.arrays[name] -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, b1c, out=update)
+            update *= lr
+            np.sqrt(np.divide(v, b2c, out=denom), out=denom)
+            denom += self.eps
+            update /= denom
+            store.arrays[name] -= update
 
 
 def make_optimizer(name, store):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -244,10 +246,14 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     tape = ad.Tape()
     x = tape.leaf(r(19, 4), requires_grad=True)
     doubled = ad.add(tape, x, x)
+    upstream = []  # the gradient that doubled's VJPs read, kept past its release
+    doubled._vjps = tuple(lambda up, vjp=vjp: upstream.append(up) or vjp(up) for vjp in doubled._vjps)
     loss = ad.sum_all(tape, ad.mul(tape, doubled, tape.constant(g)))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, 2.0 * g)
-    np.testing.assert_array_equal(doubled.grad, g)  # x's gradient never aliased its upstream buffer
+    assert doubled.grad is None and len(upstream) == 2 and upstream[0] is upstream[1]
+    np.testing.assert_array_equal(upstream[0], g)  # x's gradient never aliased its upstream buffer
+    assert not np.may_share_memory(x.grad, upstream[0])
 
     tape = ad.Tape()
     a = tape.leaf(r(20, 4), requires_grad=True)
@@ -257,6 +263,15 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     a.grad += 1.0
     np.testing.assert_array_equal(a.grad, g + 1.0)
     np.testing.assert_array_equal(b.grad, g)
+
+    # an interior node reads its gradient after an earlier node's delta reached a leaf
+    tape = ad.Tape()
+    x = tape.leaf(r(22, 4), requires_grad=True)
+    w = tape.leaf(r(23, 4), requires_grad=True)
+    loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, x, ad.mul(tape, x, w)), tape.constant(g)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, g + g * w.data)
+    np.testing.assert_array_equal(w.grad, g * x.data)
 
 
 def _assert_gradients_private(tape):
@@ -279,6 +294,17 @@ def _assert_gradients_private(tape):
         end_any = max(end_any, hi)
         if is_grad:
             end_grad = max(end_grad, hi)
+
+
+def _leaves_reached(tape, loss):
+    """The leaves of ``tape`` that require a gradient and that ``loss`` depends on, in tape order."""
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return [node for node in tape.nodes if id(node) in seen and node.requires_grad and not node._parents]
 
 
 def _objective_tape(kind):
@@ -311,8 +337,46 @@ def test_backward_leaves_every_gradient_private(case):
     source, name = case
     tape, loss = _op_tape(name) if source == "op" else _objective_tape(name)
     tape.backward(loss)
-    assert sum(node.grad is not None for node in tape.nodes) > 1
+    held = [node for node in tape.nodes if node.grad is not None]
+    assert held and held == _leaves_reached(tape, loss)
     _assert_gradients_private(tape)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_only_the_leaves_the_loss_reaches_keep_a_gradient(kind):
+    tape, loss = _objective_tape(kind)
+    leaves = [node for node in tape.nodes if node.requires_grad and not node._parents]
+    for _ in range(2):  # a repeated backward releases the same gradients
+        tape.backward(loss)
+        held = [node for node in tape.nodes if node.grad is not None]
+        # the L2 penalty reaches the attention parameters, so the loss reaches every parameter
+        assert held == _leaves_reached(tape, loss) == leaves and len(held) > 1
+    assert loss.grad is None
+
+
+def test_backward_frees_each_interior_gradient_as_it_goes():
+    tape = ad.Tape()
+    x = tape.leaf(r(34, 2000, 16), requires_grad=True)
+    array = x.data.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = x
+        for _ in range(20):
+            y = ad.tanh(tape, y)
+        loss = ad.sum_all(tape, y)
+        del y
+        forward = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward >= 20 * array  # the tape keeps every output
+    # one op's upstream gradient, its delta and its VJP's temporaries, not one gradient per node
+    assert peak - before <= forward + 4 * array
+    assert after - before <= forward + array + array // 8  # only x's gradient is left
+    assert x.grad.shape == x.data.shape
 
 
 def test_weighted_block_sum_with_mask_matches_the_padded_grid():

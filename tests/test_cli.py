@@ -357,6 +357,20 @@ def test_validation_settings_below_one_are_refused_before_anything_is_written(pi
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["margin=nan", "l2_rate=nan", "learning_rate=nan", "epsilon=nan",
+                                     "learning_rate=inf", "margin=inf", "l2_rate=inf", "epsilon=-inf"])
+def test_non_finite_settings_are_refused_before_anything_is_written(pipeline, tmp_path, capsys, setting):
+    _, _, bundle, _, _ = pipeline
+    out = tmp_path / "model"
+    code, captured = run(["train", "--bundle", str(bundle), "--set", "epochs=1", "--set", "dim=8",
+                          "--set", setting, "--out", str(out)], capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    key = setting.partition("=")[0].replace("_", " ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be ") and "finite" in lines[0]
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["mean", "lstm", "query-attn", "global-attn"])
 def test_rules_for_an_aggregator_without_a_rule_table_are_refused(pipeline, tmp_path, capsys, kind):
     _, _, bundle, rules, _ = pipeline

@@ -42,8 +42,9 @@ def test_config_validation():
         AggregatorConfig(neighbor_budget=0)
     with pytest.raises(ValueError, match="mode"):
         AggregatorConfig(logic_mode="softmax")
-    with pytest.raises(ValueError, match="epsilon"):
-        AggregatorConfig(epsilon=0.0)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            AggregatorConfig(epsilon=bad)
 
 
 def test_config_flags():

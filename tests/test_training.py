@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -11,7 +12,7 @@ from lankgc import evaluation, training
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
 from lankgc.evaluation import KnownTriplets
-from lankgc.params import collect_gradients, init_params, load_checkpoint
+from lankgc.params import ParamStore, collect_gradients, init_params, load_checkpoint
 from lankgc.rules import ConfidenceTable, import_table, mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
 from lankgc.training import (
@@ -278,6 +279,54 @@ def test_adam_first_step_size():
     np.testing.assert_allclose(store["entity_emb"], before - 0.01, rtol=1e-6)
 
 
+def test_adam_in_place_step_is_the_written_out_update():
+    store = init_params(6, 4, 5, seed=2, with_lstm=True)
+    want = {k: v.copy() for k, v in store.arrays.items()}
+    m = {k: np.zeros_like(p) for k, p in want.items()}
+    v = {k: np.zeros_like(p) for k, p in want.items()}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam(store)
+    rng = np.random.default_rng(3)
+    for t in range(1, 6):
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        rows = rng.integers(0, 3, size=4)  # entity rows 3 to 5 get zero gradients
+        picked = ad.take_rows(tape, leaves["entity_emb"], rows)
+        loss = ad.add(tape, ad.sum_all(tape, ad.mul(tape, picked, tape.constant(rng.normal(size=picked.shape)))),
+                      ad.l2_norm_sq(tape, leaves["relation_emb"]))
+        tape.backward(loss)
+        grads = collect_gradients(leaves)
+        assert leaves["attn_proj"].grad is None and not grads["attn_proj"].any()
+        assert grads["entity_emb"][rows].all() and not grads["entity_emb"][3:].any()
+        opt.step(store, grads, lr)
+        b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, g in grads.items():
+            m[k] *= b1
+            m[k] += (1 - b1) * g
+            v[k] *= b2
+            v[k] += (1 - b2) * g * g
+            want[k] -= lr * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + eps)
+        for k in want:
+            assert store.arrays[k].tobytes() == want[k].tobytes(), k
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes(), k
+
+
+def test_adam_step_holds_two_scratch_arrays_per_parameter():
+    store = ParamStore({"p": np.random.default_rng(4).normal(size=(2000, 16))})
+    grads = {"p": np.random.default_rng(5).normal(size=(2000, 16))}
+    opt = Adam(store)
+    opt.step(store, grads, 0.01)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        opt.step(store, grads, 0.01)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    array = grads["p"].nbytes
+    assert peak - before <= 2 * array + array // 8 and after - before <= array // 8
+
+
 def test_make_optimizer_dispatch():
     store = init_params(2, 2, 4, seed=0)
     assert isinstance(make_optimizer("adam", store), Adam)
@@ -308,6 +357,10 @@ def test_config_validation():
         TrainConfig(eval_every=-1)
     with pytest.raises(ValueError, match="checkpoint every"):
         TrainConfig(checkpoint_every=-2)
+    for bad in (np.nan, np.inf, -np.inf):  # nan compares false with any bound
+        for key in ("learning_rate", "margin", "l2_rate"):
+            with pytest.raises(ValueError, match=f"{key.replace('_', ' ')} must be finite"):
+                TrainConfig(**{key: bad})
     TrainConfig(l2_rate=0.0)  # disabled regularization is allowed
     TrainConfig(patience=1, valid_max_queries=1)
     TrainConfig(eval_every=0, checkpoint_every=0)  # 0 turns either off
