@@ -1,16 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The engine records leaves, and every operation whose output requires a
-gradient, on an append-only tape.  Because operands must exist before
-the operation that consumes them, the tape order is already
-topological, and the backward pass simply walks it in reverse.  An
-output whose operands all lack a gradient is not recorded and keeps no
-parents and no vector-Jacobian products, so it is freed as soon as the
-caller drops it: a forward pass over constant leaves holds no
-intermediate that it no longer reads.  A backward pass from such an
-output only clears the tape's gradients.  Values are scalars (shape ``()``), vectors ``(n,)`` or
-matrices ``(n, m)``; there is no broadcasting and no higher-rank
-support, every primitive checks its operand shapes explicitly.
+A tape records only what a backward pass reads: the leaves that
+require a gradient, and every op output computed from one.  Because
+operands must exist before the operation that consumes them, the tape
+order is already topological, and the backward pass simply walks it in
+reverse.  A constant, and an op output whose operands all lack a
+gradient, is a plain :class:`Value` off the tape: it keeps no parents
+and no vector-Jacobian products, so it is freed as soon as the caller
+drops it, and a forward pass over constant weights records nothing.
+Values are scalars (shape ``()``), vectors ``(n,)`` or matrices
+``(n, m)``; there is no broadcasting and no higher-rank support, every
+primitive checks its operand shapes explicitly.
 
 After a backward pass only leaves hold gradients, on their
 :class:`Value`.  A gradient is left unallocated (``None``) until a
@@ -39,8 +39,6 @@ whichever rows share the batch.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,15 +74,11 @@ __all__ = [
 
 
 class Value:
-    """One node on the tape: a float64 array plus a gradient slot.
+    """A float64 array plus a gradient slot; a tape node if it requires a gradient."""
 
-    An op output that requires no gradient is not on the tape; its
-    ``_tape`` is a weak reference to the tape whose op computed it.
-    """
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_tape")
-
-    def __init__(self, data, requires_grad=False, parents=(), vjps=(), tape=None):
+    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError(f"values are at most rank 2, got shape {self.data.shape}")
@@ -92,7 +86,6 @@ class Value:
         self.requires_grad = bool(requires_grad)
         self._parents = parents
         self._vjps = vjps
-        self._tape = tape
 
     @property
     def shape(self):
@@ -108,18 +101,19 @@ class Value:
 
 
 class Tape:
-    """Append-only record of leaves and of the ops that require a gradient; replayed in reverse for gradients."""
+    """Append-only record of gradient leaves and of the ops that need a gradient; replayed in reverse."""
 
     def __init__(self):
         self.nodes = []
 
-    def leaf(self, data, requires_grad=False):
-        v = Value(data, requires_grad=requires_grad)
+    def leaf(self, data):
+        v = Value(data, requires_grad=True)
         self.nodes.append(v)
         return v
 
     def constant(self, data):
-        return self.leaf(data, requires_grad=False)
+        """A value that requires no gradient; the tape does not record it."""
+        return Value(data)
 
     def backward(self, loss):
         """Set the gradient of every leaf w.r.t. a scalar ``loss``.
@@ -129,15 +123,14 @@ class Tape:
         only until its vector-Jacobian products have run, so afterwards
         every op output's ``grad`` is ``None``.  Leaves whose gradient
         was never touched (they do not influence the loss) keep
-        ``None``, which reads as zero.  A loss that an op of this tape
-        computed without a gradient, which the tape does not record,
-        depends on no leaf that requires one: every gradient is
+        ``None``, which reads as zero.  A loss that requires a gradient
+        must be a node of this tape.  A loss that requires none depends
+        on no leaf, wherever it was computed: this tape's gradients are
         cleared, and none is set.
         """
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        made_here = loss._tape is not None and loss._tape() is self
-        if not made_here and not any(node is loss for node in self.nodes):
+        if loss.requires_grad and not any(node is loss for node in self.nodes):
             raise ValueError("loss is not a node on this tape")
         for node in self.nodes:
             node.grad = None
@@ -167,7 +160,7 @@ def _make(tape, data, parents, vjps):
     ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta.
     """
     if not any([p.requires_grad for p in parents]):
-        return Value(data, tape=weakref.ref(tape))  # one shared weak reference per tape
+        return Value(data)
     out = Value(data, requires_grad=True, parents=parents, vjps=vjps)
     tape.nodes.append(out)
     return out

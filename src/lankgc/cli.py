@@ -13,7 +13,8 @@ Errors exit nonzero with a single ``error: ...`` line on stderr.
 it as ``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it
 refuses ``--rules`` for the other aggregators, which use no rule table.
 The commands that load a checkpoint read the bundle and that file back
-in :func:`_load_model` and refuse a logic checkpoint without it.
+in :func:`_load_model` and refuse a logic checkpoint without it, or
+with one that does not match its manifest's sha256 line.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .rules import export_table, import_table, mine_confidence
 from .splits import SplitSpec, build_split, load_corpus, read_bundle, split_stats, write_bundle
 from .synth import gen_synthetic, write_corpus
 from .training import train
-from .util import ARTIFACT_VERSION, sha256_file, write_kv
+from .util import ARTIFACT_VERSION, checked_file, sha256_file, write_kv
 
 
 def _meta_path(out):
@@ -147,11 +148,7 @@ def _load_model(ckpt_dir, bundle_dir):
         raise ConfigError(f"{manifest}: {exc}") from None
     dense = None
     if acfg.needs_rules:
-        rules_path = os.path.join(ckpt_dir, "rules.tsv")
-        if not os.path.exists(rules_path):
-            raise ValueError(f"{rules_path} is missing; a {acfg.kind} checkpoint needs the rule table "
-                             "it was trained with")
-        dense = import_table(rules_path, ctx.vocab).dense()
+        dense = import_table(checked_file(ckpt_dir, meta, "rules.tsv"), ctx.vocab).dense()
     return ctx, store, acfg, scorer, dense
 
 

@@ -98,7 +98,7 @@ def transform_batch(tape, entries, transforms):
 
 
 def constant_leaves(tape, store):
-    """Every parameter of ``store`` as a constant (no-gradient) leaf."""
+    """Every parameter of ``store`` as a constant (no-gradient) value, which ``tape`` does not record."""
     return {name: tape.constant(store[name]) for name in store.names()}
 
 

@@ -166,22 +166,22 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
     Neighborhoods come from :func:`stack_samples`, and ``rng`` is one
     Generator or one per entity, as there.  Consecutive rows are encoded
     in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row is a
-    block of its own), each one :func:`encode_batch` over the constant
-    leaves made once per call, on a tape of its own that takes only the
-    block's constants, so only one block's arrays are alive at a time.
-    Nothing is padded: a block is a run of the CSR slots.  Rows without
-    neighbors are zero vectors.
+    block of its own), each one :func:`encode_batch` over constant
+    weights, which records nothing on the call's tape, so only one
+    block's arrays are alive at a time.  Nothing is padded: a block is a
+    run of the CSR slots.  Rows without neighbors are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
     out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
-    leaves = constant_leaves(ad.Tape(), store)
+    tape = ad.Tape()
+    leaves = constant_leaves(tape, store)
     lo = 0
     while lo < out.shape[0]:
         # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
         hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
         a, z = offsets[lo], offsets[hi]
         out[lo:hi] = encode_batch(
-            ad.Tape(), leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z],
+            tape, leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z],
             np.full(hi - lo, query_rel, dtype=np.int64), acfg, dense_table=dense,
             rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
         ).data
@@ -395,7 +395,7 @@ def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
     return score_batch(tape, subj, q_emb, obj, scorer)
 
 
-_LABELED_BATCH = 512  # (s, q, o) rows scored per tape
+_LABELED_BATCH = 512  # (s, q, o) rows scored per encode pass
 
 
 def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
@@ -404,10 +404,11 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
-    leaves = constant_leaves(ad.Tape(), store)  # a tape per batch takes only that batch's constants
+    tape = ad.Tape()
+    leaves = constant_leaves(tape, store)
     for lo in range(0, labeled_ids.shape[0], _LABELED_BATCH):
         out[lo:lo + _LABELED_BATCH] = output_scores(
-            ad.Tape(), leaves, labeled_ids[lo:lo + _LABELED_BATCH], ctx.neighbor_graph, dense, acfg, scorer, rng,
+            tape, leaves, labeled_ids[lo:lo + _LABELED_BATCH], ctx.neighbor_graph, dense, acfg, scorer, rng,
         ).data
     return out
 

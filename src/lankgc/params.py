@@ -13,8 +13,8 @@ All trainable state is a flat dict of named float64 arrays:
 
 Checkpoints are a directory holding one raw little-endian float64 file
 per parameter plus a ``manifest`` of ``key = value`` lines recording
-shapes, the sha256 of every parameter file, the run configuration, and
-vocabulary checksums.
+shapes, the sha256 of every file (``rules.tsv`` included), the run
+configuration, and vocabulary checksums.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .util import read_kv, sha256_file, write_kv
+from .util import checked_file, read_kv, sha256_file, write_kv
 
 LSTM_GATES = ("f", "i", "c", "o")
 
@@ -43,7 +43,7 @@ class ParamStore:
 
     def leaves(self, tape):
         """Wrap every array as a gradient-requiring leaf on ``tape``."""
-        return {name: tape.leaf(self.arrays[name], requires_grad=True) for name in self.names()}
+        return {name: tape.leaf(self.arrays[name]) for name in self.names()}
 
     def copy(self):
         return ParamStore({k: v.copy() for k, v in self.arrays.items()})
@@ -125,15 +125,7 @@ def load_checkpoint(ckpt_dir):
             continue
         name = key[len("shape."):]
         shape = tuple(int(d) for d in meta[key].split("x"))
-        path = os.path.join(ckpt_dir, f"{name}.f64")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"checkpoint parameter file missing: {path}")
-        want = meta.get(f"sha256.{name}.f64")
-        if want is None:
-            raise ValueError(f"{manifest} has no sha256.{name}.f64 line for {path}")
-        got = sha256_file(path)
-        if want != got:
-            raise ValueError(f"checksum mismatch for {path}: manifest {want}, file {got}")
+        path = checked_file(ckpt_dir, meta, f"{name}.f64")
         flat = np.fromfile(path, dtype="<f8")
         expect = int(np.prod(shape)) if shape else 1
         if flat.size != expect:

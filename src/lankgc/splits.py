@@ -32,7 +32,7 @@ from itertools import chain, compress
 import numpy as np
 
 from .kg import ParseError, parse_triplet_file, write_triplet_file
-from .util import ARTIFACT_VERSION, read_kv, sha256_file, write_kv
+from .util import ARTIFACT_VERSION, checked_file, read_kv, sha256_file, write_kv
 
 BUNDLE_FILES = ("train.tsv", "aux.tsv", "valid.tsv", "test.tsv", "unseen.txt")
 STRATEGIES = ("subject", "object")
@@ -228,27 +228,24 @@ def write_bundle(bundle, out_dir):
 
 
 def read_bundle(bundle_dir):
-    """Load a bundle directory; each file must match its manifest ``sha256.<file>`` line."""
+    """Load a bundle directory; each file must match its ``sha256.<file>`` line, and no split setting may be missing."""
     manifest_path = os.path.join(bundle_dir, "manifest")
     if not os.path.exists(manifest_path):
         raise SplitError(f"no manifest in bundle directory {bundle_dir}")
     manifest = read_kv(manifest_path)
-    for name in BUNDLE_FILES:
-        path = os.path.join(bundle_dir, name)
-        if not os.path.exists(path):
-            raise SplitError(f"bundle file missing: {path}")
-        want = manifest.get(f"sha256.{name}")
-        if want is None:
-            raise SplitError(f"{manifest_path} has no sha256.{name} line for {path}")
-        got = sha256_file(path)
-        if want != got:
-            raise SplitError(f"checksum mismatch for {path}: manifest {want}, file {got}")
+    try:
+        for name in BUNDLE_FILES:
+            checked_file(bundle_dir, manifest, name)
+    except (FileNotFoundError, ValueError) as exc:
+        raise SplitError(str(exc)) from None
     try:
         spec = SplitSpec(
-            strategy=manifest.get("strategy", "subject"),
-            sample_rate=float(manifest.get("sample_rate", "0.1")),
-            seed=int(manifest.get("seed", "0")),
+            strategy=manifest["strategy"],
+            sample_rate=float(manifest["sample_rate"]),
+            seed=int(manifest["seed"]),
         )
+    except KeyError as exc:
+        raise SplitError(f"{manifest_path} has no {exc.args[0]} line") from None
     except ValueError as exc:
         raise SplitError(f"bad manifest values in {manifest_path}: {exc}") from None
 

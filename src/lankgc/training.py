@@ -50,7 +50,7 @@ from .encoder import AggregatorConfig
 from .evaluation import KnownTriplets, link_prediction, output_scores
 from .params import collect_gradients, init_params, save_checkpoint, vocab_checksums
 from .rules import export_table, mine_confidence
-from .util import ARTIFACT_VERSION
+from .util import ARTIFACT_VERSION, sha256_file
 
 _ATTN_PARAM_NAMES = ("attn_proj", "attn_score_vec", "query_vec")
 
@@ -370,7 +370,7 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
 
 
 def _save(path, store, ctx, tcfg, acfg, scorer, rules_table, epoch):
-    """Write a checkpoint directory, with ``rules.tsv`` in it when the model has a rule table."""
+    """Write a checkpoint directory, with ``rules.tsv`` and its manifest sha256 when the model has a rule table."""
     meta = {
         "artifact_version": ARTIFACT_VERSION,
         "epoch": str(epoch),
@@ -384,6 +384,9 @@ def _save(path, store, ctx, tcfg, acfg, scorer, rules_table, epoch):
         "seed": str(tcfg.seed),
     }
     meta.update(vocab_checksums(ctx.vocab))
+    if rules_table is not None:  # written first, so the manifest records its sha256
+        os.makedirs(path, exist_ok=True)
+        rules_path = os.path.join(path, "rules.tsv")
+        export_table(rules_table, rules_path)
+        meta["sha256.rules.tsv"] = sha256_file(rules_path)
     save_checkpoint(path, store, meta)
-    if rules_table is not None:
-        export_table(rules_table, os.path.join(path, "rules.tsv"))

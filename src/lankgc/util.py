@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -13,6 +14,20 @@ def sha256_file(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def checked_file(directory, manifest, filename):
+    """The path of ``filename`` in ``directory``, once it matches its ``sha256.<filename>`` line in ``manifest``."""
+    path = os.path.join(directory, filename)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{path} is missing")
+    want = manifest.get(f"sha256.{filename}")
+    if want is None:
+        raise ValueError(f"{os.path.join(directory, 'manifest')} has no sha256.{filename} line for {path}")
+    got = sha256_file(path)
+    if want != got:
+        raise ValueError(f"checksum mismatch for {path}: manifest {want}, file {got}")
+    return path
 
 
 def write_kv(path, mapping):

@@ -67,7 +67,7 @@ def _loss_fn(kg, dense, pos, neg, tcfg, acfg, scorer):
 
     def fn(arrays):
         tape = ad.Tape()
-        leaves = {k: tape.leaf(v, requires_grad=True) for k, v in arrays.items()}
+        leaves = {k: tape.leaf(v) for k, v in arrays.items()}
         rng = np.random.default_rng(0)
         loss, _ = batch_objective(
             tape, leaves, pos, neg, kg, dense, tcfg, acfg, scorer, rng
@@ -90,7 +90,7 @@ def _kink_distance(arrays, kg, dense, pos, neg, tcfg, acfg, scorer):
     differences in the checker never straddle a kink.
     """
     tape = ad.Tape()
-    leaves = {k: tape.leaf(v) for k, v in arrays.items()}
+    leaves = {k: tape.constant(v) for k, v in arrays.items()}
     rng = np.random.default_rng(0)
     both = np.concatenate([np.asarray(pos), np.asarray(neg)], axis=0)
     b = len(pos)

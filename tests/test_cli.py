@@ -292,6 +292,29 @@ def test_logic_checkpoint_without_its_rule_table_is_refused(pipeline, tmp_path, 
     assert len(lines) == 1 and lines[0].startswith("error:") and str(copy / "rules.tsv") in lines[0]
 
 
+@pytest.mark.parametrize("damage", ["edited confidence", "no checksum line"])
+def test_logic_checkpoint_with_an_unchecked_rule_table_is_refused(pipeline, tmp_path, capsys, damage):
+    _, _, bundle, _, ckpt = pipeline
+    copy = tmp_path / "model"
+    shutil.copytree(ckpt, copy)
+    rules, manifest = copy / "rules.tsv", read_kv(str(copy / "manifest"))
+    assert manifest["sha256.rules.tsv"] == sha256_file(str(rules))
+    if damage == "edited confidence":  # still a valid table, so only its checksum can tell
+        lines = rules.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = "\t".join(lines[0].split("\t")[:2] + ["0.0123\n"])
+        rules.write_text("".join(lines), encoding="utf-8")
+        want = "checksum mismatch"
+    else:
+        del manifest["sha256.rules.tsv"]
+        write_kv(str(copy / "manifest"), manifest)
+        want = "no sha256.rules.tsv line"
+    code, captured = run(["eval-lp", "--bundle", str(bundle), "--ckpt", str(copy),
+                          "--out", str(tmp_path / "m.csv")], capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and want in lines[0] and str(rules) in lines[0]
+
+
 def test_mean_checkpoint_has_no_rule_table_and_evaluates(pipeline, tmp_path):
     _, _, bundle, _, _ = pipeline
     ckpt = tmp_path / "mean"

@@ -118,7 +118,7 @@ def test_score_is_differentiable(kind):
 
     def build(arrays):
         tape = ad.Tape()
-        leaves = {k: tape.leaf(arrays[k], requires_grad=True) for k in ("s", "q", "o")}
+        leaves = {k: tape.leaf(arrays[k]) for k in ("s", "q", "o")}
         loss = ad.sum_all(tape, score_batch(tape, leaves["s"], leaves["q"], leaves["o"], kind))
         tape.backward(loss)
         return float(loss.data), {k: v.grad for k, v in leaves.items()}

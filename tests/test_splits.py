@@ -223,6 +223,19 @@ def test_read_bundle_refuses_a_manifest_without_a_checksum_line(tmp_path, name):
         read_bundle(out)
 
 
+@pytest.mark.parametrize("key", ["strategy", "sample_rate", "seed"])
+def test_read_bundle_refuses_a_manifest_without_a_split_setting(tmp_path, key):
+    # an object-strategy bundle read back with the defaults would rank the wrong side
+    bundle = build_split(gen_synthetic(100, 0.8, seed=7), SplitSpec("object", 0.5, 3))
+    out = tmp_path / "bundle"
+    write_bundle(bundle, out)
+    manifest = read_kv(str(out / "manifest"))
+    del manifest[key]
+    write_kv(str(out / "manifest"), manifest)
+    with pytest.raises(SplitError, match=f"manifest has no {key} line"):
+        read_bundle(out)
+
+
 def test_load_corpus_and_extension_fallback(tmp_path):
     corpus = gen_synthetic(80, 0.9, seed=5)
     write_corpus(corpus, tmp_path)
