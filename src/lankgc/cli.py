@@ -178,11 +178,14 @@ def _cmd_eval_lp(args):
 
 def _cmd_eval_tc(args):
     ctx, store, acfg, scorer, dense = _load_model(args.ckpt, args.bundle)
+    degrees = np.diff(ctx.neighbor_graph.offsets)
+    empty = []  # per labeled row: does its subject or object have no neighbors
 
     def scored(path):
         rows = load_labeled_triplets(path)
         ids = ctx.to_ids([(s, r, o) for s, r, o, _ in rows])
         scores = score_labeled(ctx, store, acfg, scorer, dense, ids, seed=args.seed)
+        empty.extend((np.minimum(degrees[ids[:, 0]], degrees[ids[:, 2]]) == 0).tolist())
         return [(int(ids[i, 1]), float(scores[i]), rows[i][3]) for i in range(len(rows))]
 
     table = tune_thresholds(scored(args.valid))
@@ -195,6 +198,9 @@ def _cmd_eval_tc(args):
     meta_target = args.out if args.out else os.path.join(args.ckpt, "eval-tc.out")
     _write_meta(meta_target, "eval-tc", {"seed": args.seed},
                 {"bundle": args.bundle, "ckpt": args.ckpt, "valid": args.valid, "test": args.test})
+    if any(empty):
+        print(f"warning: {sum(empty)} of {len(empty)} labeled rows have a subject or object with no neighbors "
+              "and were scored from a zero vector", file=sys.stderr)
     print(f"triplet classification accuracy: {accuracy:.4f}")
     return 0
 

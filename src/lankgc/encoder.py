@@ -168,11 +168,14 @@ def distinct_rows(graph, ent_ids, queries, cfg):
     shares = (indptr[ids + 1] - indptr[ids] <= cfg.neighbor_budget) & (ids == ent_ids) & (not cfg.uses_lstm)
     rows = np.flatnonzero(shares)
     keys = ent_ids[rows] * (queries.max(initial=0) + 1) + queries[rows]  # distinct for relation ids >= 0
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(keys, kind="stable")  # a key's rows in ascending order, its first row leading
+    by_key, keys = rows[order], keys[order]
+    leads = np.ones(keys.size, dtype=bool)
+    leads[1:] = keys[1:] != keys[:-1]
     rep = np.arange(ent_ids.size)
-    rep[rows] = rows[first][inverse]
-    keep = np.flatnonzero(rep == np.arange(ent_ids.size))
-    return keep, np.searchsorted(keep, rep)
+    rep[by_key] = by_key[leads][np.cumsum(leads) - 1]
+    kept = rep == np.arange(ent_ids.size)
+    return np.flatnonzero(kept), (np.cumsum(kept) - 1)[rep]
 
 
 def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense_table=None, rng=None,

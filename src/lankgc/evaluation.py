@@ -26,11 +26,15 @@ binary search of :class:`KnownTriplets`, sorted int64 fact keys, finds
 every query's known answers.  The truth and those answers then score NaN,
 which neither beats nor ties, and row sums count the better and tied scores.
 
-Triplet classification tunes one score threshold per relation on
-labeled validation triplets (midpoints between consecutive sorted
-scores, ties broken toward the smallest threshold, with a global
-fallback for unseen-at-tuning relations) and reports test accuracy.
-The tuner sorts once and counts labels cumulatively per relation.
+Triplet classification encodes the distinct (entity, relation)
+endpoints of up to 2^11 labeled rows at a time through the same encoder
+and its 2^12-slot blocks, so one bound covers the transient memory of
+ranking and triplet classification.  It tunes one score threshold per
+relation on labeled validation triplets (midpoints between consecutive
+sorted scores, ties broken toward the smallest threshold, with a global
+fallback for unseen-at-tuning relations) and reports test accuracy.  The
+tuner sorts once and counts labels cumulatively per relation; the
+classifier looks up each relation's threshold once.
 """
 
 from __future__ import annotations
@@ -160,30 +164,34 @@ def metrics_from_ranks(ranks):
 _BLOCK_SLOTS = 1 << 12  # real neighbor slots per encode pass, which bound its per-slot arrays
 
 
-def encode_entities(ctx, store, acfg, dense, ent_ids, query_rel, rng):
-    """Forward-encode a batch of entities under one query relation -> (B, d).
+def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None):
+    """Forward-encode a batch of entities, each under its query relation -> (B, d).
 
-    Neighborhoods come from :func:`stack_samples`, and ``rng`` is one
-    Generator or one per entity, as there.  Consecutive rows are encoded
-    in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row is a
-    block of its own), each one :func:`encode_batch` over constant
-    weights, which records nothing on the call's tape, so only one
-    block's arrays are alive at a time.  Nothing is padded: a block is a
-    run of the CSR slots.  Rows without neighbors are zero vectors.
+    ``queries`` holds one query relation per entity, or one for all of
+    them.  Neighborhoods come from :func:`stack_samples`, and ``rng`` is
+    one Generator or one per entity, as there.  Consecutive rows are
+    encoded in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row
+    is a block of its own), each one :func:`encode_batch` over constant
+    weights, which records nothing on a tape, so only one block's arrays
+    are alive at a time: this one bound covers ranking and triplet
+    classification alike.  ``leaves`` are the constant weights of
+    :func:`constant_leaves`, made from ``store`` when not given.  Nothing
+    is padded: a block is a run of the CSR slots.  Rows without neighbors
+    are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
+    queries = np.broadcast_to(np.asarray(queries, dtype=np.int64), offsets.size - 1)
     out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
     tape = ad.Tape()
-    leaves = constant_leaves(tape, store)
+    leaves = constant_leaves(tape, store) if leaves is None else leaves
     lo = 0
     while lo < out.shape[0]:
         # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
         hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
         a, z = offsets[lo], offsets[hi]
         out[lo:hi] = encode_batch(
-            tape, leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z],
-            np.full(hi - lo, query_rel, dtype=np.int64), acfg, dense_table=dense,
-            rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
+            tape, leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg,
+            dense_table=dense, rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
         ).data
         lo = hi
     return out
@@ -395,30 +403,52 @@ def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
     return score_batch(tape, subj, q_emb, obj, scorer)
 
 
-_LABELED_BATCH = 512  # (s, q, o) rows scored per encode pass
-
-
 def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
-    """Output-embedding scores for (s, q, o) id rows, batched."""
+    """Output-embedding scores of (s, q, o) id rows -> (n,) float64.
+
+    Rows go in batches of ``_BLOCK_SLOTS // 2``, so a batch has at most as
+    many endpoints as a block has slots.  Each distinct (entity, relation)
+    endpoint of a batch (:func:`~lankgc.encoder.distinct_rows`) is encoded
+    once through :func:`encode_entities`, under the bound that also covers
+    ranking, and :func:`score_batch` scores the rows over constant values.
+    One Generator, keyed on (seed, n), makes every draw, batch by batch.
+    An id outside the model raises :class:`EvalError`.
+    """
     _check_vocabulary(ctx, store)
     labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
+    n, r = ctx.neighbor_graph.offsets.size - 1, store["relation_emb"].shape[0]
+    outside = (labeled_ids < 0) | (labeled_ids >= np.array([n, r, n]))
+    if outside.any():
+        i = int(np.argmax(outside.any(axis=1)))
+        raise EvalError(f"labeled row {i} {tuple(labeled_ids[i].tolist())} has an id outside "
+                        f"{n} entities and {r} relations")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
     tape = ad.Tape()
     leaves = constant_leaves(tape, store)
-    for lo in range(0, labeled_ids.shape[0], _LABELED_BATCH):
-        out[lo:lo + _LABELED_BATCH] = output_scores(
-            tape, leaves, labeled_ids[lo:lo + _LABELED_BATCH], ctx.neighbor_graph, dense, acfg, scorer, rng,
-        ).data
+    step = max(1, _BLOCK_SLOTS // 2)
+    for lo in range(0, out.size, step):
+        t = labeled_ids[lo:lo + step]
+        b = t.shape[0]
+        ent_ids, queries = np.concatenate([t[:, 0], t[:, 2]]), np.tile(t[:, 1], 2)
+        keep, where = distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)
+        enc = encode_entities(ctx, store, acfg, dense, ent_ids[keep], queries[keep], rng, leaves=leaves)
+        subj, obj = tape.constant(enc[where[:b]]), tape.constant(enc[where[b:]])
+        q_emb = tape.constant(leaves["relation_emb"].data[t[:, 1]])
+        out[lo:lo + b] = score_batch(tape, subj, q_emb, obj, scorer).data
     return out
 
 
 def classify(test_scores, table):
-    """Accuracy of thresholded classification on (relation, score, label) rows."""
+    """Accuracy of thresholded classification on (relation, score, label) rows.
+
+    A row is predicted positive when its score is >= its relation's
+    threshold; each relation's threshold is looked up once.
+    """
     if not test_scores:
         raise EvalError("no test scores to classify")
-    hits = 0
-    for rel, sc, lab in test_scores:
-        pred = 1 if sc >= table.threshold(int(rel)) else 0
-        hits += int(pred == int(lab))
-    return hits / len(test_scores)
+    rels, scores, labels = (np.asarray(col) for col in zip(*test_scores))
+    uniq, inverse = np.unique(rels.astype(np.int64), return_inverse=True)
+    thresholds = np.array([table.threshold(int(rel)) for rel in uniq], dtype=np.float64)
+    pred = scores.astype(np.float64) >= thresholds[inverse]
+    return int(np.count_nonzero(pred == labels.astype(np.int64))) / len(test_scores)

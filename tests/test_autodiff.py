@@ -275,15 +275,19 @@ def test_first_touch_copies_a_shared_upstream_gradient():
 
 
 def _assert_gradients_private(tape):
-    """No node's ``.grad`` shares memory with another node's ``.grad`` or with any node's ``.data``.
+    """No node's ``.grad`` shares memory with another ``.grad`` or with the ``.data`` of a node or a parent.
 
-    Sorts the byte intervals of all arrays once, so a long tape costs
-    ``n log n``: an interval that starts before the furthest end seen so
-    far overlaps an earlier one, and that is a fault if either is a gradient.
+    The parents include the constants, which the tape does not record, so
+    a gradient that aliases a constant's data (such as the hinge's margin
+    vector) is seen too.  Sorts the byte intervals of all arrays once, so
+    a long tape costs ``n log n``: an interval that starts before the
+    furthest end seen so far overlaps an earlier one, and that is a fault
+    if either is a gradient.
     """
+    values = {id(value): value for node in tape.nodes for value in (node, *node._parents)}
     spans = []
-    for node in tape.nodes:
-        for is_grad, arr in ((False, node.data), (True, node.grad)):
+    for value in values.values():
+        for is_grad, arr in ((False, value.data), (True, value.grad)):
             if arr is not None and arr.size:
                 lo, hi = byte_bounds(arr)
                 spans.append((lo, hi, is_grad))
@@ -294,6 +298,16 @@ def _assert_gradients_private(tape):
         end_any = max(end_any, hi)
         if is_grad:
             end_grad = max(end_grad, hi)
+
+
+def test_the_privacy_check_sees_a_gradient_that_aliases_a_constant():
+    tape = ad.Tape()
+    x, margin = tape.leaf(r(35, 4)), tape.constant(r(36, 4))
+    tape.backward(ad.sum_all(tape, ad.add(tape, x, margin)))
+    _assert_gradients_private(tape)
+    x.grad = margin.data  # as if a VJP had handed back the constant's own array
+    with pytest.raises(AssertionError, match="shares memory"):
+        _assert_gradients_private(tape)
 
 
 def _leaves_reached(tape, loss):

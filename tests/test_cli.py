@@ -169,6 +169,34 @@ def test_eval_tc_reports_accuracy(pipeline, capsys):
     assert (root / "tc.out.run.meta").exists()
 
 
+def test_eval_tc_warns_about_neighborless_endpoints(pipeline, tmp_path, capsys):
+    root, _, bundle_dir, _, ckpt = pipeline
+    bundle = read_bundle(str(bundle_dir))
+    bare = bundle.test[0][0]  # an unseen subject: its neighbors are all auxiliary facts
+    assert bare in bundle.unseen
+    stripped = replace(bundle, aux=[t for t in bundle.aux if bare not in (t[0], t[2])])
+    write_bundle(stripped, str(tmp_path / "bundle"))
+    valid_tsv, test_tsv = tmp_path / "tc_valid.tsv", tmp_path / "tc_test.tsv"
+    make_labeled(bundle_dir, valid_tsv, bundle.valid[:20])
+    make_labeled(bundle_dir, test_tsv, bundle.test[:20])
+    labeled = [line.split("\t") for path in (valid_tsv, test_tsv) for line in path.read_text().splitlines()]
+    n_bare = sum(1 for s, _, o, _ in labeled if bare in (s, o))
+    assert 0 < n_bare < len(labeled)
+    outs = []
+    for name, target in (("stripped", tmp_path / "bundle"), ("full", bundle_dir)):
+        out = tmp_path / f"{name}.out"
+        code, captured = run(["eval-tc", "--bundle", str(target), "--ckpt", str(ckpt), "--valid", str(valid_tsv),
+                              "--test", str(test_tsv), "--out", str(out)], capsys)
+        assert code == 0 and "accuracy" in captured.out
+        outs.append((captured.err.splitlines(), read_kv(str(out)), read_kv(str(out) + ".run.meta")))
+    (warned, report, meta), (quiet, full_report, _) = outs
+    assert len(warned) == 1 and warned[0] == (f"warning: {n_bare} of {len(labeled)} labeled rows have a subject or "
+                                              "object with no neighbors and were scored from a zero vector")
+    assert quiet == []
+    # the count goes to stderr only: the report and run.meta keep their keys
+    assert set(report) == set(full_report) and not any("warn" in key or "empty" in key for key in {**report, **meta})
+
+
 def test_inspect_weights_table(pipeline, capsys):
     root, _, bundle, _, ckpt = pipeline
     b = read_bundle(str(bundle))

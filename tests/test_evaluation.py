@@ -24,6 +24,7 @@ from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
     constant_leaves,
+    distinct_rows,
     encode_batch,
     stack_samples,
 )
@@ -356,11 +357,12 @@ def test_encode_entities_frees_each_block_before_the_next(kind, monkeypatch):
     assert peak <= out.nbytes + 3 * n * deg * 8 + 6 * evaluation._BLOCK_SLOTS * dim * 8
 
 
-@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
-def test_score_labeled_frees_each_batch_before_the_next(kind, monkeypatch):
-    # 8-row batches, 750 of them on the call's one tape, so arrays that outlive their batch add up past the bound
-    n, deg, dim, r, rows = 2000, 12, 32, 6, 6000
-    monkeypatch.setattr(evaluation, "_LABELED_BATCH", 8)
+def traced_score_labeled(kind, n, deg, dim, r, rows):
+    """``score_labeled`` over ``rows`` random rows of n entities of ``deg`` neighbors each -> (output, traced peak).
+
+    One row is scored first, untraced, so the peak leaves out what numpy
+    and scipy set up once per process.
+    """
     rng = np.random.default_rng(4)
     graph = SimpleNamespace(offsets=np.arange(n + 1) * deg,
                             pairs=np.stack([rng.integers(0, r, n * deg), rng.integers(0, n, n * deg)], axis=1))
@@ -368,14 +370,40 @@ def test_score_labeled_frees_each_batch_before_the_next(kind, monkeypatch):
     store = init_params(n, r, dim, 4, with_lstm=True)
     labeled = np.stack([rng.integers(0, n, rows), rng.integers(0, r, rows), rng.integers(0, n, rows)], axis=1)
     acfg = AggregatorConfig(kind=kind, neighbor_budget=64)
+    dense = rng.random((r, r))
+    score_labeled(ctx, store, acfg, "transe", dense, labeled[:1], seed=1)
     tracemalloc.start()
     try:
-        out = score_labeled(ctx, store, acfg, "transe", rng.random((r, r)), labeled, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = score_labeled(ctx, store, acfg, "transe", dense, labeled, seed=1)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (rows,) scores, plus one batch's per-slot (S, d) arrays over its 2 * 8 endpoints and their scratch
-    assert peak <= out.nbytes + 8 * 2 * evaluation._LABELED_BATCH * deg * dim * 8
+
+
+def one_batch_bound(deg, dim):
+    """Bytes a scoring batch may hold beside the (rows,) scores: its (S,) CSR slot arrays over at most
+    _BLOCK_SLOTS endpoints, their (E, d) encodings with the scorer's (rows, d) operands, and one block's
+    per-slot (S, d) arrays."""
+    slots = evaluation._BLOCK_SLOTS
+    return 4 * slots * deg * 8 + 4 * slots * dim * 8 + 6 * slots * dim * 8
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_score_labeled_holds_one_block_of_slots_at_a_time(kind):
+    # 48 neighbors per endpoint: a batch of _BLOCK_SLOTS // 2 rows spans 48 blocks of slots
+    n, deg, dim, r, rows = 6000, 48, 32, 6, 3000
+    assert rows > evaluation._BLOCK_SLOTS // 2
+    out, peak = traced_score_labeled(kind, n, deg, dim, r, rows)
+    assert peak <= out.nbytes + one_batch_bound(deg, dim)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_score_labeled_frees_each_batch_before_the_next(kind, monkeypatch):
+    # 64-row batches, 94 of them on the call's one tape, so arrays that outlive their batch add up past the bound
+    n, deg, dim, r, rows = 2000, 12, 32, 6, 6000
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 128)
+    out, peak = traced_score_labeled(kind, n, deg, dim, r, rows)
+    assert peak <= out.nbytes + one_batch_bound(deg, dim)
 
 
 @pytest.mark.parametrize("kind", ["lan", "lstm", "mean"])
@@ -384,8 +412,7 @@ def test_constant_leaves_are_made_once_per_call_on_a_tape_that_stays_empty(kind,
     acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
     if acfg.uses_lstm:
         store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 5, with_lstm=True)
-    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)
-    monkeypatch.setattr(evaluation, "_LABELED_BATCH", 3)
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)  # and so 4-row scoring batches
     made, passes = [], []
 
     def capture(tape, store):
@@ -397,7 +424,14 @@ def test_constant_leaves_are_made_once_per_call_on_a_tape_that_stays_empty(kind,
     blocks = len(passes)
     rows = ctx.to_ids(ctx.bundle.valid)
     score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=0)
-    assert len(made) == 2 and blocks > 3 and len(passes) - blocks == math.ceil(rows.shape[0] / 3) > 1
+    want = 0  # a pass per block of at most 8 slots (or one wider row) over each batch's distinct endpoints
+    degrees = np.minimum(np.diff(ctx.neighbor_graph.offsets), acfg.neighbor_budget)
+    for lo in range(0, rows.shape[0], 4):
+        ent_ids, queries = np.concatenate([rows[lo:lo + 4, 0], rows[lo:lo + 4, 2]]), np.tile(rows[lo:lo + 4, 1], 2)
+        filled = None
+        for k in degrees[ent_ids[distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)[0]]]:
+            want, filled = (want, filled + k) if filled is not None and filled + k <= 8 else (want + 1, k)
+    assert len(made) == 2 and blocks > 3 and len(passes) - blocks == want > math.ceil(rows.shape[0] / 4)
     assert all(tape.nodes == [] for tape, _ in made)
 
 
@@ -676,7 +710,7 @@ def test_score_labeled_batch_size_is_immaterial_within_budget(monkeypatch):
     rows = ctx.to_ids(ctx.bundle.valid)
     dense = table.dense()
     whole = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0)
-    monkeypatch.setattr(evaluation, "_LABELED_BATCH", 3)
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 6)  # 3-row batches
     pieces = score_labeled(ctx, store, acfg, "transe", dense, rows, seed=0)
     np.testing.assert_allclose(whole, pieces, rtol=1e-9, atol=1e-12)
 
@@ -759,3 +793,16 @@ def test_output_scores_refuse_an_entity_id_out_of_range(bad):
     rows = np.array([row, row, [row[0], row[1], bad]])
     with pytest.raises(GraphError, match="out of range"):
         scores_of(ctx, store, acfg, table.dense(), rows)
+
+
+@pytest.mark.parametrize("kind", ["mean", "lan"])
+@pytest.mark.parametrize("column, bad", [(0, -1), (2, "n"), (1, -1), (1, "r")])
+def test_score_labeled_refuses_an_id_out_of_range(kind, column, bad):
+    ctx, acfg, table, store = bundle_fixture(seed=10)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
+    limit = {"n": ctx.vocab.n_entities, "r": store["relation_emb"].shape[0]}
+    row = ctx.train_graph.triplets[0]
+    rows = np.array([row, row, row])
+    rows[2, column] = limit.get(bad, bad)
+    with pytest.raises(EvalError, match=r"labeled row 2 .* has an id outside"):
+        score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=0)
