@@ -7,7 +7,8 @@ order is already topological, and the backward pass simply walks it in
 reverse.  A constant, and an op output whose operands all lack a
 gradient, is a plain :class:`Value` off the tape: it keeps no parents
 and no vector-Jacobian products, so it is freed as soon as the caller
-drops it, and a forward pass over constant weights records nothing.
+drops it.  A constant is ``Value(data)``, and a forward pass over
+constant weights passes ``tape=None``: none of its ops records anything.
 Values are scalars (shape ``()``), vectors ``(n,)`` or matrices
 ``(n, m)``; there is no broadcasting and no higher-rank support, every
 primitive checks its operand shapes explicitly.
@@ -111,10 +112,6 @@ class Tape:
         self.nodes.append(v)
         return v
 
-    def constant(self, data):
-        """A value that requires no gradient; the tape does not record it."""
-        return Value(data)
-
     def backward(self, loss):
         """Set the gradient of every leaf w.r.t. a scalar ``loss``.
 
@@ -155,7 +152,7 @@ class Tape:
 
 
 def _make(tape, data, parents, vjps):
-    """An op's output, recorded only if it requires a gradient.
+    """An op's output, recorded on ``tape`` only if it requires a gradient (else ``tape`` may be ``None``).
 
     ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta.
     """

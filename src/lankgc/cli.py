@@ -26,7 +26,6 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
 from .context import BundleContext
 from .decoder import SCORER_KINDS, check_scorer
@@ -211,9 +210,8 @@ def _cmd_inspect_weights(args):
     query = ctx.vocab.relation_id(args.query)
     rng = np.random.default_rng([args.seed, entity, query])
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg.neighbor_budget, rng)
-    tape = ad.Tape()
     _, alpha_logic, alpha_nn = encode_batch(
-        tape, constant_leaves(tape, store), offsets, rels, ents, [query], acfg,
+        None, constant_leaves(store), offsets, rels, ents, [query], acfg,
         dense_table=dense, rng=rng, trace=True,
     )
     lines = ["entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total"]

@@ -24,8 +24,9 @@ weight vectors are summed, not renormalized.
 
 :func:`encode_batch` is the one forward pass, used for training,
 ranking, scoring and ``inspect-weights`` alike; with ``trace`` set it
-also returns the per-slot attention.  The numpy oracles in the test
-suite pin it to the formulas above.
+also returns the per-slot attention.  Only training passes it a tape;
+over constant weights (:func:`constant_leaves`) it takes ``None``.  The
+numpy oracles in the test suite pin it to the formulas above.
 
 A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
 the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
@@ -40,15 +41,16 @@ per row and gathered to its slots, the neighbor half once per slot;
 ``global-attn`` has no query half.
 
 A row's encoding does not depend on the other rows of its batch, except
-through BLAS: the attention's ``transformed @ W_e^T`` and the lstm's
-gate products, which run over the rows still live at each step, round a
-row differently in its last bits depending on the product's row count
-(with the transposed view of ``W_e``, rows of a product under 64 rows
-differ from the same rows in a larger one).  So a row equals its B=1
-encoding bitwise for ``mean`` and ``logic-only`` only; the other kinds
-agree to rounding.  Within a scoring batch a row's encoding is shared
-by its repeats (:func:`distinct_rows`): rows with the same (entity,
-query) key that read no rng are encoded once.
+through BLAS.  These products round a row's last bits differently with
+the product's row count, at any size: the attention's
+``transformed @ W_e^T`` and its score GEMV ``matvec(tanh(pre), u_a)``,
+both over the batch's slots, the query half ``query_vec[q] @ W_q^T``
+over its rows, and the lstm's gate products over the rows still live at
+each step.  So a row equals its B=1 encoding bitwise for ``mean`` and
+``logic-only`` only; the other kinds agree to rounding.  Within a
+scoring batch a row's encoding is shared by its repeats
+(:func:`distinct_rows`): rows with the same (entity, query) key that
+read no rng are encoded once.
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ def transform_batch(tape, entries, transforms):
     return ad.sub(tape, entries, ad.col_scale(tape, transforms, proj))
 
 
-def constant_leaves(tape, store):
-    """Every parameter of ``store`` as a constant (no-gradient) value, which ``tape`` does not record."""
-    return {name: tape.constant(store[name]) for name in store.names()}
+def constant_leaves(store):
+    """Every parameter of ``store`` as a constant (no-gradient) value, for a forward pass that takes no tape."""
+    return {name: ad.Value(store[name]) for name in store.names()}
 
 
 def _shared_rng(rng, rows):
@@ -186,6 +188,7 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
     neighbors are the slots ``offsets[b]:offsets[b + 1]`` of the (S,)
     ``relations`` and ``entities``, and ``queries`` is the (B,) query
     relation per row.  Rows without a neighbor come out as zero vectors.
+    ``tape`` is ``None`` when ``leaves`` are constants.
     ``rng`` (lstm only) is one Generator or a sequence with one
     Generator or seed per row, as for :func:`stack_samples`.  With
     ``trace`` set the result is ``(Value, alpha_logic, alpha_nn)``: the
@@ -216,9 +219,9 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
         )
 
     if cfg.kind == "mean":
-        weights = tape.constant(1.0 / np.repeat(counts, counts))
+        weights = ad.Value(1.0 / np.repeat(counts, counts))
     elif cfg.kind == "logic-only":
-        weights = tape.constant(logic_w)
+        weights = ad.Value(logic_w)
     else:
         proj = leaves["attn_proj"]
         pre = ad.matmul(tape, transformed, ad.transpose(tape, ad.narrow(tape, proj, dim, 2 * dim)))
@@ -228,7 +231,7 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
             pre = ad.add(tape, pre, ad.take_rows(tape, q_part, np.repeat(np.arange(counts.size), counts)))
         scores = ad.matvec(tape, ad.tanh(tape, pre), leaves["attn_score_vec"])
         alpha_nn = ad.softmax_masked(tape, scores, offsets)
-        weights = ad.add(tape, alpha_nn, tape.constant(logic_w)) if cfg.kind == "lan" else alpha_nn
+        weights = ad.add(tape, alpha_nn, ad.Value(logic_w)) if cfg.kind == "lan" else alpha_nn
     out = ad.weighted_block_sum(tape, transformed, weights, offsets)
     if not trace:
         return out
@@ -257,12 +260,12 @@ def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
     by_len = np.argsort(-counts, kind="stable")
     ends, t_max = offsets[1:][by_len], int(counts.max(initial=0))
     live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
-    h = c = tape.constant(np.zeros((0, dim)))
+    h = c = ad.Value(np.zeros((0, dim)))
     w_t = {g: ad.transpose(tape, leaves[f"lstm_w_{g}"]) for g in "fico"}
     b_row = {g: ad.reshape(tape, leaves[f"lstm_b_{g}"], (1, dim)) for g in "fico"}
     for t, n in enumerate(live):
         if n > h.data.shape[0]:
-            fresh = tape.constant(np.zeros((n - h.data.shape[0], dim)))
+            fresh = ad.Value(np.zeros((n - h.data.shape[0], dim)))
             h, c = ad.concat(tape, h, fresh, axis=0), ad.concat(tape, c, fresh, axis=0)
         hx = ad.concat(tape, h, ad.take_rows(tape, transformed, order[ends[:n] - (t_max - t)]))
         gates = {}
@@ -271,5 +274,5 @@ def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
             gates[g] = ad.tanh(tape, pre) if g == "c" else ad.sigmoid(tape, pre)
         c = ad.add(tape, ad.mul(tape, gates["f"], c), ad.mul(tape, gates["i"], gates["c"]))
         h = ad.mul(tape, gates["o"], ad.tanh(tape, c))
-    h = ad.concat(tape, h, tape.constant(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
+    h = ad.concat(tape, h, ad.Value(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
     return ad.take_rows(tape, h, np.argsort(by_len))  # back to row order

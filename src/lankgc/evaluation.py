@@ -172,25 +172,23 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None)
     one Generator or one per entity, as there.  Consecutive rows are
     encoded in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row
     is a block of its own), each one :func:`encode_batch` over constant
-    weights, which records nothing on a tape, so only one block's arrays
-    are alive at a time: this one bound covers ranking and triplet
-    classification alike.  ``leaves`` are the constant weights of
-    :func:`constant_leaves`, made from ``store`` when not given.  Nothing
-    is padded: a block is a run of the CSR slots.  Rows without neighbors
-    are zero vectors.
+    weights with no tape, so only one block's arrays are alive at a time:
+    this one bound covers ranking and triplet classification alike.
+    ``leaves`` are the constant weights of :func:`constant_leaves`, made
+    from ``store`` when not given.  Nothing is padded: a block is a run
+    of the CSR slots.  Rows without neighbors are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
     queries = np.broadcast_to(np.asarray(queries, dtype=np.int64), offsets.size - 1)
     out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
-    tape = ad.Tape()
-    leaves = constant_leaves(tape, store) if leaves is None else leaves
+    leaves = constant_leaves(store) if leaves is None else leaves
     lo = 0
     while lo < out.shape[0]:
         # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
         hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
         a, z = offsets[lo], offsets[hi]
         out[lo:hi] = encode_batch(
-            tape, leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg,
+            None, leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg,
             dense_table=dense, rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
         ).data
         lo = hi
@@ -381,28 +379,6 @@ def tune_thresholds(valid_scores):
     return ThresholdTable(per_relation=per_relation, default=_best_threshold(scores, labels))
 
 
-def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
-    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
-
-    Each endpoint is encoded under its triplet's relation, once per
-    distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`):
-    rows whose neighborhood fits the budget share one encoding, while a
-    truncated row and every lstm row keep their own, so ``rng`` (one
-    Generator) makes the draws of encoding every row.
-    """
-    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    b = triplets.shape[0]
-    ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
-    queries = np.tile(triplets[:, 1], 2)
-    keep, where = distinct_rows(graph, ent_ids, queries, acfg)
-    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg.neighbor_budget, rng)
-    enc = encode_batch(tape, leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense, rng=rng)
-    subj = ad.take_rows(tape, enc, where[:b])
-    obj = ad.take_rows(tape, enc, where[b:])
-    q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
-    return score_batch(tape, subj, q_emb, obj, scorer)
-
-
 def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     """Output-embedding scores of (s, q, o) id rows -> (n,) float64.
 
@@ -410,7 +386,8 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     many endpoints as a block has slots.  Each distinct (entity, relation)
     endpoint of a batch (:func:`~lankgc.encoder.distinct_rows`) is encoded
     once through :func:`encode_entities`, under the bound that also covers
-    ranking, and :func:`score_batch` scores the rows over constant values.
+    ranking, and :func:`score_batch` scores the rows over constant values,
+    with no tape.
     One Generator, keyed on (seed, n), makes every draw, batch by batch.
     An id outside the model raises :class:`EvalError`.
     """
@@ -424,8 +401,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
                         f"{n} entities and {r} relations")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
-    tape = ad.Tape()
-    leaves = constant_leaves(tape, store)
+    leaves = constant_leaves(store)
     step = max(1, _BLOCK_SLOTS // 2)
     for lo in range(0, out.size, step):
         t = labeled_ids[lo:lo + step]
@@ -433,9 +409,9 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
         ent_ids, queries = np.concatenate([t[:, 0], t[:, 2]]), np.tile(t[:, 1], 2)
         keep, where = distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)
         enc = encode_entities(ctx, store, acfg, dense, ent_ids[keep], queries[keep], rng, leaves=leaves)
-        subj, obj = tape.constant(enc[where[:b]]), tape.constant(enc[where[b:]])
-        q_emb = tape.constant(leaves["relation_emb"].data[t[:, 1]])
-        out[lo:lo + b] = score_batch(tape, subj, q_emb, obj, scorer).data
+        subj, obj = ad.Value(enc[where[:b]]), ad.Value(enc[where[b:]])
+        q_emb = ad.Value(leaves["relation_emb"].data[t[:, 1]])
+        out[lo:lo + b] = score_batch(None, subj, q_emb, obj, scorer).data
     return out
 
 

@@ -43,17 +43,14 @@ class ConfidenceTable:
     """conf(r1 => r2) over an augmented relation vocabulary, as an (R, R) matrix.
 
     Row r1, column r2 holds conf(r1 => r2); unobserved pairs are 0.  The
-    matrix is C-ordered float64 and read-only.  ``support`` is the (R,)
-    int64 count of entities carrying each relation, or ``None`` for an
-    imported table.
+    matrix is C-ordered float64 and read-only.
     """
 
-    def __init__(self, matrix, support=None, relation_names=None):
+    def __init__(self, matrix, relation_names=None):
         # C-ordered once, so logic_attention_batch's flat view never copies it; a view, so
         # freezing it leaves the caller's own array writable
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
         self._matrix.flags.writeable = False
-        self.support = support
         self.relation_names = relation_names
 
     @property
@@ -70,8 +67,8 @@ def mine_confidence(kg):
 
     Every entity of the graph contributes its distinct neighbor-relation
     set, a row of the 0/1 entity x relation incidence matrix; pair counts
-    come from one sparse product of that matrix with itself, and its
-    diagonal is the support.
+    come from one sparse product of that matrix with itself, and each
+    row is divided by its diagonal, the count of entities carrying r1.
     """
     if not kg.augmented:
         raise GraphError("confidence mining expects an inverse-augmented graph")
@@ -84,7 +81,7 @@ def mine_confidence(kg):
     # a relation no entity carries has an all-zero row, so dividing it by 1 keeps it 0
     matrix = counts / np.maximum(support, 1)[:, None]
     names = [kg.vocab.relation_name(i) for i in range(kg.n_relations)]
-    return ConfidenceTable(matrix, support=support, relation_names=names)
+    return ConfidenceTable(matrix, relation_names=names)
 
 
 def logic_attention_batch(dense, offsets, relations, queries, mode="normalized", epsilon=1e-3):
@@ -150,8 +147,7 @@ def import_table(path, vocab):
 
     Each row must name two relations of ``vocab``, each confidence must
     be a number in [0, 1] and each pair may appear once; a row breaking
-    a rule raises ``ValueError`` naming its line.  Support counts are not
-    serialized and come back as ``None``.
+    a rule raises ``ValueError`` naming its line.
     """
     nr = 2 * vocab.n_relations
     matrix = np.zeros((nr, nr))
@@ -172,4 +168,4 @@ def import_table(path, vocab):
         listed[r1, r2] = True
         matrix[r1, r2] = c
     names = [vocab.relation_name(r) for r in range(nr)]
-    return ConfidenceTable(matrix, support=None, relation_names=names)
+    return ConfidenceTable(matrix, relation_names=names)

@@ -12,11 +12,12 @@ hinge on the score gap,
 
     [margin - phi(positive) + phi(negative)]_+
 
-applied to the output-embedding scores and, when the subtask switch is
-on, also to the raw input-embedding scores (same relation embeddings,
-same margin).  Batches are averaged; attention parameters can carry an
-L2 penalty.  After every optimizer step the relation transform vectors
-are renormalized to unit length.
+applied to the output-embedding scores (:func:`output_scores`) and,
+when the subtask switch is on, also to the raw input-embedding scores
+(:func:`input_scores`; same relation embeddings, same margin).  Batches
+are averaged; attention parameters can carry an L2 penalty.  After
+every optimizer step the relation transform vectors are renormalized
+to unit length.
 
 A negative corrupts one endpoint, so it shares the other with its
 positive.  Each distinct (entity, relation) endpoint of a batch is
@@ -25,13 +26,14 @@ flow back through the encoder; a truncated neighborhood and every lstm
 row are still encoded per row, so the rng draws are those of encoding
 every row.
 
-One batch's tape is alive at a time: a step frees its tape, leaves and
-gradients before the next batch is corrupted and encoded.  Within a
-step, the backward pass keeps only the leaves' gradients, releasing each
-op output's gradient once its vector-Jacobian products have run, and
-Adam updates each parameter in place through two parameter-sized
-scratch arrays, so the step's high-water mark is the tape's data plus
-the gradients still to be passed on.
+Only training makes a :class:`~lankgc.autodiff.Tape`, and one batch's
+tape is alive at a time: a step frees its tape, leaves and gradients
+before the next batch is corrupted and encoded.  Within a step, the
+backward pass keeps only the leaves' gradients, releasing each op
+output's gradient once its vector-Jacobian products have run, and Adam
+updates each parameter in place through two parameter-sized scratch
+arrays, so the step's high-water mark is the tape's data plus the
+gradients still to be passed on.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import numpy as np
 from . import autodiff as ad
 from .context import BundleContext
 from .decoder import check_scorer, score_batch
-from .encoder import AggregatorConfig
-from .evaluation import KnownTriplets, link_prediction, output_scores
+from .encoder import AggregatorConfig, distinct_rows, encode_batch, stack_samples
+from .evaluation import KnownTriplets, link_prediction
 from .params import collect_gradients, init_params, save_checkpoint, vocab_checksums
 from .rules import export_table, mine_confidence
 from .util import ARTIFACT_VERSION, sha256_file
@@ -186,7 +188,7 @@ def corrupt(positives, known, n_entities, rng):
 def hinge(tape, margin, phi_pos, phi_neg):
     """Per-pair ranking hinge ``[margin - phi_pos + phi_neg]_+`` as a (B,) Value."""
     b = phi_pos.data.shape[0]
-    margin_vec = tape.constant(np.full(b, float(margin)))
+    margin_vec = ad.Value(np.full(b, float(margin)))
     return ad.relu(tape, ad.add(tape, ad.sub(tape, margin_vec, phi_pos), phi_neg))
 
 
@@ -199,6 +201,28 @@ def input_scores(tape, leaves, triplets, scorer):
     return score_batch(tape, subj, q_emb, obj, scorer)
 
 
+def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
+    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
+
+    Each endpoint is encoded under its triplet's relation, once per
+    distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`):
+    rows whose neighborhood fits the budget share one encoding, while a
+    truncated row and every lstm row keep their own, so ``rng`` (one
+    Generator) makes the draws of encoding every row.
+    """
+    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    b = triplets.shape[0]
+    ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
+    queries = np.tile(triplets[:, 1], 2)
+    keep, where = distinct_rows(graph, ent_ids, queries, acfg)
+    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg.neighbor_budget, rng)
+    enc = encode_batch(tape, leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense, rng=rng)
+    subj = ad.take_rows(tape, enc, where[:b])
+    obj = ad.take_rows(tape, enc, where[b:])
+    q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
+    return score_batch(tape, subj, q_emb, obj, scorer)
+
+
 def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, rng):
     """Mean pair loss over a batch, plus the attention L2 penalty.
 
@@ -206,9 +230,9 @@ def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg
     in a single pass, sampling at most ``acfg.neighbor_budget`` neighbors
     each from ``graph``; repeated (entity, relation) endpoints whose
     neighborhood fits the budget share one encoding (see
-    :func:`~lankgc.evaluation.output_scores`).  The main part is the
-    mean hinge over output embeddings; the subtask part, when enabled,
-    is the same hinge over raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
+    :func:`output_scores`).  The main part is the mean hinge over output
+    embeddings; the subtask part, when enabled, is the same hinge over
+    raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
     holds the main and subtask components as plain floats.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from lankgc import autodiff as ad
 from lankgc.encoder import constant_leaves, encode_batch
 from lankgc.kg import Vocabulary, augment_inverses, graph_from_names
 from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSpec, build_split
@@ -268,9 +267,8 @@ def encode_one(store, dense, cfg, query, entries, rng):
     """
     entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
     rels, ents = entries[:, 0], entries[:, 1]
-    tape = ad.Tape()
     out, alpha_logic, alpha_nn = encode_batch(
-        tape, constant_leaves(tape, store), np.array([0, rels.size]), rels, ents, np.array([query]), cfg,
+        None, constant_leaves(store), np.array([0, rels.size]), rels, ents, np.array([query]), cfg,
         dense_table=dense, rng=rng, trace=True,
     )
     trace = []

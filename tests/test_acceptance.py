@@ -90,7 +90,7 @@ def _kink_distance(arrays, kg, dense, pos, neg, tcfg, acfg, scorer):
     differences in the checker never straddle a kink.
     """
     tape = ad.Tape()
-    leaves = {k: tape.constant(v) for k, v in arrays.items()}
+    leaves = {k: ad.Value(v) for k, v in arrays.items()}
     rng = np.random.default_rng(0)
     both = np.concatenate([np.asarray(pos), np.asarray(neg)], axis=0)
     b = len(pos)

@@ -42,7 +42,7 @@ def weighted(tape, v, seed):
     w = np.random.default_rng(seed).normal(size=v.data.shape)
     if v.data.ndim == 0:
         return ad.scale(tape, v, float(w))
-    return ad.sum_all(tape, ad.mul(tape, v, tape.constant(w)))
+    return ad.sum_all(tape, ad.mul(tape, v, ad.Value(w)))
 
 
 def r(seed, *shape):
@@ -166,7 +166,7 @@ def test_unused_leaf_gradient_stays_none():
 
 def test_constant_leaves_get_no_gradient():
     tape = ad.Tape()
-    x = tape.constant(r(3, 3))
+    x = ad.Value(r(3, 3))
     y = tape.leaf(r(4, 3))
     loss = ad.sum_all(tape, ad.mul(tape, x, y))
     tape.backward(loss)
@@ -215,7 +215,7 @@ def test_take_rows_backward_matches_add_at(idx):
     g = r(14, idx.size, 3)
     tape = ad.Tape()
     m = tape.leaf(m0)
-    loss = ad.sum_all(tape, ad.mul(tape, ad.take_rows(tape, m, idx), tape.constant(g)))
+    loss = ad.sum_all(tape, ad.mul(tape, ad.take_rows(tape, m, idx), ad.Value(g)))
     tape.backward(loss)
     np.testing.assert_allclose(m.grad, _scatter_oracle(idx, g, m0.shape), rtol=1e-15, atol=0)
 
@@ -227,9 +227,9 @@ def test_take_rows_backward_adds_to_a_gradient_already_touched():
     w = r(17, 5, 3)
     tape = ad.Tape()
     m = tape.leaf(m0)
-    gathered = ad.sum_all(tape, ad.mul(tape, ad.take_rows(tape, m, idx), tape.constant(g)))
+    gathered = ad.sum_all(tape, ad.mul(tape, ad.take_rows(tape, m, idx), ad.Value(g)))
     # the mul below sits later on the tape, so its backward touches m first
-    loss = ad.add(tape, gathered, ad.sum_all(tape, ad.mul(tape, m, tape.constant(w))))
+    loss = ad.add(tape, gathered, ad.sum_all(tape, ad.mul(tape, m, ad.Value(w))))
     tape.backward(loss)
     np.testing.assert_allclose(m.grad, _scatter_oracle(idx, g, m0.shape, earlier=w), rtol=1e-15, atol=0)
 
@@ -238,7 +238,7 @@ def test_take_rows_backward_adds_to_a_gradient_already_touched():
 def test_take_rows_rejects_out_of_range_indices(idx):
     tape = ad.Tape()
     with pytest.raises(ValueError, match="out of range"):
-        ad.take_rows(tape, tape.constant(r(22, 5, 3)), np.array(idx))
+        ad.take_rows(tape, ad.Value(r(22, 5, 3)), np.array(idx))
 
 
 def test_first_touch_copies_a_shared_upstream_gradient():
@@ -248,7 +248,7 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     doubled = ad.add(tape, x, x)
     upstream = []  # the gradient that doubled's VJPs read, kept past its release
     doubled._vjps = tuple(lambda up, vjp=vjp: upstream.append(up) or vjp(up) for vjp in doubled._vjps)
-    loss = ad.sum_all(tape, ad.mul(tape, doubled, tape.constant(g)))
+    loss = ad.sum_all(tape, ad.mul(tape, doubled, ad.Value(g)))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, 2.0 * g)
     assert doubled.grad is None and len(upstream) == 2 and upstream[0] is upstream[1]
@@ -258,7 +258,7 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     tape = ad.Tape()
     a = tape.leaf(r(20, 4))
     b = tape.leaf(r(21, 4))
-    loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, a, b), tape.constant(g)))
+    loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, a, b), ad.Value(g)))
     tape.backward(loss)
     a.grad += 1.0
     np.testing.assert_array_equal(a.grad, g + 1.0)
@@ -268,7 +268,7 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     tape = ad.Tape()
     x = tape.leaf(r(22, 4))
     w = tape.leaf(r(23, 4))
-    loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, x, ad.mul(tape, x, w)), tape.constant(g)))
+    loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, x, ad.mul(tape, x, w)), ad.Value(g)))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, g + g * w.data)
     np.testing.assert_array_equal(w.grad, g * x.data)
@@ -302,7 +302,7 @@ def _assert_gradients_private(tape):
 
 def test_the_privacy_check_sees_a_gradient_that_aliases_a_constant():
     tape = ad.Tape()
-    x, margin = tape.leaf(r(35, 4)), tape.constant(r(36, 4))
+    x, margin = tape.leaf(r(35, 4)), ad.Value(r(36, 4))
     tape.backward(ad.sum_all(tape, ad.add(tape, x, margin)))
     _assert_gradients_private(tape)
     x.grad = margin.data  # as if a VJP had handed back the constant's own array
@@ -400,32 +400,32 @@ def test_weighted_block_sum_with_mask_matches_the_padded_grid():
     w = rng.normal(size=(3, 4))
     offsets, entries, w_real = grid_to_csr(mask, grid.reshape(3, 4, 3), w)
     tape = ad.Tape()
-    real = ad.weighted_block_sum(tape, tape.constant(entries), tape.constant(w_real), offsets)
+    real = ad.weighted_block_sum(tape, ad.Value(entries), ad.Value(w_real), offsets)
     padded = padded_grid_block_sum(entries, w, mask)
     np.testing.assert_allclose(real.data, padded, rtol=1e-15, atol=1e-15)
     np.testing.assert_array_equal(real.data[1], np.zeros(3))
     with pytest.raises(ValueError, match="real slots"):
-        ad.weighted_block_sum(tape, tape.constant(grid), tape.constant(w_real), offsets)
+        ad.weighted_block_sum(tape, ad.Value(grid), ad.Value(w_real), offsets)
 
 
 def test_segment_ops_place_slots_by_offsets():
     tape = ad.Tape()
     offsets = np.array([0, 0, 2, 3])  # an empty row, then two slots, then one
-    out = ad.weighted_block_sum(tape, tape.constant(np.eye(3)), tape.constant(np.array([1.0, 2.0, 3.0])), offsets)
+    out = ad.weighted_block_sum(tape, ad.Value(np.eye(3)), ad.Value(np.array([1.0, 2.0, 3.0])), offsets)
     np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-    p = ad.softmax_masked(tape, tape.constant(np.array([0.0, 0.0, 5.0])), offsets)
+    p = ad.softmax_masked(tape, ad.Value(np.array([0.0, 0.0, 5.0])), offsets)
     np.testing.assert_array_equal(p.data, [0.5, 0.5, 1.0])
     with pytest.raises(ValueError, match="4 rows for 3 real slots"):
-        ad.weighted_block_sum(tape, tape.constant(np.eye(4)), tape.constant(np.ones(3)), offsets)
+        ad.weighted_block_sum(tape, ad.Value(np.eye(4)), ad.Value(np.ones(3)), offsets)
     for bad in ([0, 2, 4], [0, 2, 1, 3], [1, 2, 3], [[0, 3]], []):
         with pytest.raises(ValueError, match="offsets must rise"):
-            ad.weighted_block_sum(tape, tape.constant(np.eye(3)), tape.constant(np.ones(3)), bad)
+            ad.weighted_block_sum(tape, ad.Value(np.eye(3)), ad.Value(np.ones(3)), bad)
         with pytest.raises(ValueError, match="offsets must rise"):
-            ad.softmax_masked(tape, tape.constant(np.ones(3)), bad)
+            ad.softmax_masked(tape, ad.Value(np.ones(3)), bad)
     with pytest.raises(ValueError, match=r"\(S,\) weights"):
-        ad.weighted_block_sum(tape, tape.constant(np.eye(3)), tape.constant(np.eye(3)), offsets)
+        ad.weighted_block_sum(tape, ad.Value(np.eye(3)), ad.Value(np.eye(3)), offsets)
     with pytest.raises(ValueError, match=r"\(S,\) scores"):
-        ad.softmax_masked(tape, tape.constant(np.ones((1, 3))), [0, 3])
+        ad.softmax_masked(tape, ad.Value(np.ones((1, 3))), [0, 3])
 
 
 def test_softmax_masked_rows_sum_to_one():
@@ -433,7 +433,7 @@ def test_softmax_masked_rows_sum_to_one():
     mask = np.array([[1, 0, 1, 1], [1, 1, 0, 0]], bool)
     offsets, scores = grid_to_csr(mask, r(6, 2, 4))
     p = np.zeros(mask.shape)
-    p[mask] = ad.softmax_masked(tape, tape.constant(scores), offsets).data
+    p[mask] = ad.softmax_masked(tape, ad.Value(scores), offsets).data
     np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
     assert (p[~mask] == 0.0).all()
 
@@ -444,7 +444,7 @@ def test_softmax_masked_gives_an_empty_row_no_slots():
     p = ad.softmax_masked(tape, scores, np.array([0, 3, 3]))
     assert p.data.shape == (3,)
     np.testing.assert_allclose(p.data.sum(), 1.0, rtol=0, atol=1e-15)
-    tape.backward(ad.sum_all(tape, ad.mul(tape, p, tape.constant(r(8, 3)))))
+    tape.backward(ad.sum_all(tape, ad.mul(tape, p, ad.Value(r(8, 3)))))
     assert scores.grad.shape == (3,)
 
 
@@ -455,7 +455,7 @@ def masked_mean(entries, mask):
     """
     tape = ad.Tape()
     k, d = entries.shape
-    leaves = {"entity_emb": tape.constant(entries), "transform_vec": tape.constant(np.zeros((1, d)))}
+    leaves = {"entity_emb": ad.Value(entries), "transform_vec": ad.Value(np.zeros((1, d)))}
     offsets, rels, ents = grid_to_csr(mask[None], np.zeros((1, k), np.int64), np.arange(k)[None])
     return encode_batch(tape, leaves, offsets, rels, ents, np.zeros(1, np.int64), AggregatorConfig(kind="mean"))
 
@@ -476,7 +476,7 @@ def test_weighted_block_sum_matches_loop():
     e = rng.normal(size=(6, 4))
     w = rng.normal(size=(2, 3))
     tape = ad.Tape()
-    out = ad.weighted_block_sum(tape, tape.constant(e), tape.constant(w.reshape(-1)), [0, 3, 6])
+    out = ad.weighted_block_sum(tape, ad.Value(e), ad.Value(w.reshape(-1)), [0, 3, 6])
     expect = np.stack([w[b] @ e[b * 3:(b + 1) * 3] for b in range(2)])
     np.testing.assert_allclose(out.data, expect, rtol=1e-15)
 
@@ -516,7 +516,7 @@ def test_weighted_block_sum_equals_padded_grid_einsum_bitwise(case):
     entries, weights, mask = case
     offsets, w_real = grid_to_csr(mask, weights)
     tape = ad.Tape()
-    out = ad.weighted_block_sum(tape, tape.constant(entries), tape.constant(w_real), offsets)
+    out = ad.weighted_block_sum(tape, ad.Value(entries), ad.Value(w_real), offsets)
     want = padded_grid_block_sum(entries, weights, mask)
     assert out.data.shape == want.shape
     assert out.data.tobytes() == want.tobytes()
@@ -538,7 +538,7 @@ def _run_segment_op(op, offsets, arrays, upstream):
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     out = op(tape, *leaves, offsets)
-    tape.backward(ad.sum_all(tape, ad.mul(tape, out, tape.constant(upstream))))
+    tape.backward(ad.sum_all(tape, ad.mul(tape, out, ad.Value(upstream))))
     return out.data, [np.zeros_like(a) if leaf.grad is None else leaf.grad for a, leaf in zip(arrays, leaves)]
 
 
@@ -587,13 +587,13 @@ def test_item_requires_scalar():
 def test_shape_mismatches_rejected(op, a, b):
     tape = ad.Tape()
     with pytest.raises(ValueError):
-        op(tape, tape.constant(a), tape.constant(b))
+        op(tape, ad.Value(a), ad.Value(b))
 
 
 def test_narrow_range_checked():
     tape = ad.Tape()
     with pytest.raises(ValueError, match="narrow"):
-        ad.narrow(tape, tape.constant(np.zeros(3)), 1, 5)
+        ad.narrow(tape, ad.Value(np.zeros(3)), 1, 5)
 
 
 def test_backward_requires_scalar_loss():
@@ -614,7 +614,7 @@ def test_backward_requires_loss_on_tape():
 def test_backward_on_a_gradient_free_loss_clears_every_gradient():
     tape = ad.Tape()
     x = tape.leaf(r(30, 3))
-    c = tape.constant(r(31, 3))
+    c = ad.Value(r(31, 3))
     tape.backward(ad.sum_all(tape, ad.mul(tape, x, c)))
     assert x.grad is not None
     free = ad.sum_all(tape, ad.mul(tape, c, c))
@@ -630,7 +630,7 @@ def test_take_rows_gathers_the_bytes_of_fancy_indexing():
     m[1, 2], m[4, 0], m[5, 3] = -0.0, np.nan, np.inf
     tape = ad.Tape()
     for data in (m, m.T.copy().T, r(33, 5, 6).T):  # C order, Fortran order, a transposed view
-        leaf = tape.constant(data)
+        leaf = ad.Value(data)
         for idx in ([4, 1, 4, 5, 0], [], [5] * 3):
             got = ad.take_rows(tape, leaf, idx).data
             want = data[np.asarray(idx, dtype=np.int64)]
@@ -658,8 +658,8 @@ vec = arrays(np.float64, 5, elements=st.floats(-3, 3, allow_nan=False, width=32)
 @given(a=vec, b=vec)
 def test_add_commutes(a, b):
     tape = ad.Tape()
-    left = ad.add(tape, tape.constant(a), tape.constant(b))
-    right = ad.add(tape, tape.constant(b), tape.constant(a))
+    left = ad.add(tape, ad.Value(a), ad.Value(b))
+    right = ad.add(tape, ad.Value(b), ad.Value(a))
     np.testing.assert_array_equal(left.data, right.data)
 
 
@@ -679,6 +679,6 @@ def test_mul_gradients_cross(a, b):
 def test_softmax_rows_are_distributions(scores):
     tape = ad.Tape()
     offsets, flat = grid_to_csr(np.ones((3, 4), bool), scores)
-    p = ad.softmax_masked(tape, tape.constant(flat), offsets).data.reshape(3, 4)
+    p = ad.softmax_masked(tape, ad.Value(flat), offsets).data.reshape(3, 4)
     assert (p >= 0).all()
     np.testing.assert_allclose(p.sum(axis=1), np.ones(3), atol=1e-12)

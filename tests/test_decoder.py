@@ -16,9 +16,9 @@ def run(kind, s, q, o):
     tape = ad.Tape()
     out = score_batch(
         tape,
-        tape.constant(np.atleast_2d(np.asarray(s, dtype=float))),
-        tape.constant(np.atleast_2d(np.asarray(q, dtype=float))),
-        tape.constant(np.atleast_2d(np.asarray(o, dtype=float))),
+        ad.Value(np.atleast_2d(np.asarray(s, dtype=float))),
+        ad.Value(np.atleast_2d(np.asarray(q, dtype=float))),
+        ad.Value(np.atleast_2d(np.asarray(o, dtype=float))),
         kind,
     )
     return float(out.data[0])
@@ -37,7 +37,7 @@ def batch_scores(cands, q, end, kind, rank_side):
     """:func:`score_batch` of every candidate against one fixed endpoint, the tiled rows."""
     tape = ad.Tape()
     n = cands.shape[0]
-    c, qs, e = (tape.constant(x) for x in (cands, np.tile(q, (n, 1)), np.tile(end, (n, 1))))
+    c, qs, e = (ad.Value(x) for x in (cands, np.tile(q, (n, 1)), np.tile(end, (n, 1))))
     s, o = (c, e) if rank_side == "subject" else (e, c)
     return score_batch(tape, s, qs, o, kind).data
 
@@ -106,7 +106,7 @@ def test_batch_matches_oracle(kind):
     rng = np.random.default_rng(7)
     S, Q, O = rng.normal(size=(3, 16, 8))
     tape = ad.Tape()
-    out = score_batch(tape, tape.constant(S), tape.constant(Q), tape.constant(O), kind)
+    out = score_batch(tape, ad.Value(S), ad.Value(Q), ad.Value(O), kind)
     for i in range(16):
         assert out.data[i] == pytest.approx(oracle_score(S[i], Q[i], O[i], kind), rel=1e-12)
 
@@ -154,7 +154,7 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         if case >= 5:
             cands, fixed = with_negative_zeros(rng, cands), with_negative_zeros(rng, fixed)
         tape = ad.Tape()
-        c, qs, fs = (tape.constant(x) for x in (cands, np.tile(q, (n, 1)), np.tile(fixed, (n, 1))))
+        c, qs, fs = (ad.Value(x) for x in (cands, np.tile(q, (n, 1)), np.tile(fixed, (n, 1))))
         s, o = (c, fs) if rank_side == "subject" else (fs, c)
         want = score_batch(tape, s, qs, o, kind).data
         columns = candidate_columns(cands, q, kind, rank_side)
@@ -167,7 +167,7 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         assert block.shape == (7, n)
         assert block[0].tobytes() == want.tobytes()
         for end, row in zip(ends, block):
-            e = tape.constant(np.tile(end, (n, 1)))
+            e = ad.Value(np.tile(end, (n, 1)))
             s, o = (c, e) if rank_side == "subject" else (e, c)
             assert row.tobytes() == score_batch(tape, s, qs, o, kind).data.tobytes()
         for top, width in ((0, 7), (0, 3), (3, 3), (6, 3)):  # whole, then 3-query blocks, the last ragged

@@ -17,7 +17,7 @@ from helpers import (
     random_bundles,
 )
 from lankgc import autodiff as ad
-from lankgc import evaluation
+from lankgc import evaluation, training
 from lankgc.context import BundleContext
 from lankgc.decoder import candidate_columns, score_columns
 from lankgc.encoder import (
@@ -37,7 +37,6 @@ from lankgc.evaluation import (
     encode_entities,
     link_prediction,
     metrics_from_ranks,
-    output_scores,
     rank_relation,
     score_labeled,
     tune_thresholds,
@@ -46,6 +45,7 @@ from lankgc.kg import GraphError, sample_neighbors
 from lankgc.params import init_params
 from lankgc.rules import mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
+from lankgc.training import output_scores
 
 
 def bundle_fixture(seed=0, **kw):
@@ -314,8 +314,7 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     rng = np.random.default_rng([2, q])
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
     assert np.diff(offsets).max() == budget and len(set(np.diff(offsets))) > 2
-    tape = ad.Tape()
-    want = encode_batch(tape, constant_leaves(tape, store), offsets, rels, ents,
+    want = encode_batch(None, constant_leaves(store), offsets, rels, ents,
                         np.full(len(ctx.seen_ids), q), acfg, dense_table=dense, rng=rng).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -407,18 +406,19 @@ def test_score_labeled_frees_each_batch_before_the_next(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["lan", "lstm", "mean"])
-def test_constant_leaves_are_made_once_per_call_on_a_tape_that_stays_empty(kind, monkeypatch):
+def test_constant_leaves_are_made_once_per_call_with_no_tape(kind, monkeypatch):
     ctx, acfg, table, store = bundle_fixture(seed=5)
     acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
     if acfg.uses_lstm:
         store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 5, with_lstm=True)
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)  # and so 4-row scoring batches
-    made, passes = [], []
+    made, passes, tapes = [], [], []
 
-    def capture(tape, store):
-        made.append((tape, constant_leaves(tape, store)))
-        return made[-1][1]
+    def capture(store):
+        made.append(constant_leaves(store))
+        return made[-1]
     monkeypatch.setattr(evaluation, "constant_leaves", capture)
+    monkeypatch.setattr(ad, "Tape", lambda: tapes.append(None))
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[0]) or encode_batch(*a, **kw))
     encode_entities(ctx, store, acfg, table.dense(), ctx.seen_ids, 1, np.random.default_rng(0))
     blocks = len(passes)
@@ -432,7 +432,7 @@ def test_constant_leaves_are_made_once_per_call_on_a_tape_that_stays_empty(kind,
         for k in degrees[ent_ids[distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)[0]]]:
             want, filled = (want, filled + k) if filled is not None and filled + k <= 8 else (want + 1, k)
     assert len(made) == 2 and blocks > 3 and len(passes) - blocks == want > math.ceil(rows.shape[0] / 4)
-    assert all(tape.nodes == [] for tape, _ in made)
+    assert tapes == [] and all(tape is None for tape in passes)
 
 
 # --- whole-test-set ranking -------------------------------------------------------
@@ -727,9 +727,8 @@ def repeated_rows(ctx):
 
 
 def scores_of(ctx, store, acfg, dense, triplets, scorer="transe", rng=None):
-    tape = ad.Tape()
     rng = np.random.default_rng(3) if rng is None else rng
-    return output_scores(tape, constant_leaves(tape, store), triplets, ctx.neighbor_graph, dense, acfg,
+    return output_scores(None, constant_leaves(store), triplets, ctx.neighbor_graph, dense, acfg,
                          scorer, rng).data
 
 
@@ -755,7 +754,7 @@ def test_output_scores_encode_each_distinct_row_once(kind, monkeypatch):
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 8, with_lstm=acfg.uses_lstm)
     rows = repeated_rows(ctx)
     encoded = []
-    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: encoded.append(a[2].size - 1)
+    monkeypatch.setattr(training, "encode_batch", lambda *a, **kw: encoded.append(a[2].size - 1)
                         or encode_batch(*a, **kw))
     scores_of(ctx, store, acfg, table.dense(), rows)
     keys = {(int(e), int(q)) for e, q in zip(np.concatenate([rows[:, 0], rows[:, 2]]), np.tile(rows[:, 1], 2))}
@@ -773,7 +772,7 @@ def test_truncated_repeats_are_each_sampled_with_the_draws_of_every_row(kind, mo
     assert degrees[small] <= acfg.neighbor_budget
     rows = np.array([[hub, 0, small], [small, 1, hub], [hub, 0, hub], [small, 1, small], [hub, 0, small]])
     sampled = []
-    monkeypatch.setattr(evaluation, "stack_samples", lambda g, ids, *a: sampled.append(np.array(ids))
+    monkeypatch.setattr(training, "stack_samples", lambda g, ids, *a: sampled.append(np.array(ids))
                         or stack_samples(g, ids, *a))
     rng = np.random.default_rng(21)
     scores_of(ctx, store, acfg, table.dense(), rows, rng=rng)

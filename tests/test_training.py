@@ -8,7 +8,7 @@ import pytest
 
 from helpers import make_graph, random_bundles, random_name_triples
 from lankgc import autodiff as ad
-from lankgc import evaluation, training
+from lankgc import training
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
 from lankgc.evaluation import KnownTriplets
@@ -117,9 +117,9 @@ def test_train_on_an_ordinary_bundle_has_no_fallbacks():
 
 def test_hinge_frozen_values():
     tape = ad.Tape()
-    easy = hinge(tape, 1.0, tape.constant(np.array([-1.0])), tape.constant(np.array([-5.0])))
+    easy = hinge(tape, 1.0, ad.Value(np.array([-1.0])), ad.Value(np.array([-5.0])))
     assert easy.data[0] == 0.0
-    hard = hinge(tape, 1.0, tape.constant(np.array([0.0])), tape.constant(np.array([0.5])))
+    hard = hinge(tape, 1.0, ad.Value(np.array([0.0])), ad.Value(np.array([0.5])))
     assert hard.data[0] == 1.5
 
 
@@ -214,7 +214,7 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
         return loss.item(), collect_gradients(leaves)
 
     merged_loss, merged = gradients()
-    monkeypatch.setattr(evaluation, "distinct_rows", lambda g, ids, q, cfg: (np.arange(ids.size),) * 2)
+    monkeypatch.setattr(training, "distinct_rows", lambda g, ids, q, cfg: (np.arange(ids.size),) * 2)
     every_loss, every = gradients()
     assert merged_loss == pytest.approx(every_loss, rel=0, abs=1e-12)
     assert merged.keys() == every.keys()
@@ -292,7 +292,7 @@ def test_adam_in_place_step_is_the_written_out_update():
         leaves = store.leaves(tape)
         rows = rng.integers(0, 3, size=4)  # entity rows 3 to 5 get zero gradients
         picked = ad.take_rows(tape, leaves["entity_emb"], rows)
-        loss = ad.add(tape, ad.sum_all(tape, ad.mul(tape, picked, tape.constant(rng.normal(size=picked.shape)))),
+        loss = ad.add(tape, ad.sum_all(tape, ad.mul(tape, picked, ad.Value(rng.normal(size=picked.shape)))),
                       ad.l2_norm_sq(tape, leaves["relation_emb"]))
         tape.backward(loss)
         grads = collect_gradients(leaves)
