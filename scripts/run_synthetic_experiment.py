@@ -2,7 +2,10 @@
 
 Generates a corpus, carves an unseen-entity split, trains each
 requested aggregator over several seeds, and reports filtered link
-prediction metrics on the held-out unseen-entity triplets.  The logic
+prediction metrics on the held-out unseen-entity triplets, and triplet
+classification accuracy.  Triplet classification labels every valid and
+test triplet positive and pairs it with one negative that corrupts an
+endpoint; thresholds are tuned on valid and applied to test.  The logic
 aware aggregators should come out well ahead of the mean baseline once
 the rule strength is high.
 
@@ -19,11 +22,11 @@ import numpy as np
 
 from lankgc.config import AggregatorConfig
 from lankgc.context import BundleContext
-from lankgc.evaluation import link_prediction
+from lankgc.evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from lankgc.rules import mine_confidence
 from lankgc.splits import SplitSpec, build_split
 from lankgc.synth import gen_synthetic
-from lankgc.training import TrainConfig, train
+from lankgc.training import TrainConfig, corrupt, train
 
 
 def parse_args(argv):
@@ -44,6 +47,22 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
+def labeled_rows(ctx, triplets, rng):
+    """Each triplet as a positive id row, then one corrupted negative each: ``(ids, labels)``."""
+    pos = ctx.to_ids(triplets)
+    neg, _ = corrupt(pos, ctx.known_triplets(), ctx.vocab.n_entities, rng)
+    return np.concatenate([pos, neg]), np.repeat([1, 0], len(pos))
+
+
+def tc_accuracy(ctx, store, acfg, scorer, dense, valid, test):
+    """Accuracy on ``test`` with per-relation thresholds tuned on ``valid``, each an ``(ids, labels)`` pair."""
+    def scored(ids, labels):
+        scores = score_labeled(ctx, store, acfg, scorer, dense, ids, seed=0)
+        return list(zip(ids[:, 1].tolist(), scores.tolist(), labels.tolist()))
+
+    return classify(scored(*test), tune_thresholds(scored(*valid)))
+
+
 def main(argv=None):
     args = parse_args(argv)
     corpus = gen_synthetic(args.entities, args.rule_strength, args.corpus_seed)
@@ -54,6 +73,8 @@ def main(argv=None):
     print(f"split: train={len(bundle.train)} aux={len(bundle.aux)} "
           f"valid={len(bundle.valid)} test={len(bundle.test)} "
           f"unseen={len(bundle.unseen)}")
+    rng = np.random.default_rng(args.corpus_seed)  # the same labeled rows for every run
+    valid, test = labeled_rows(ctx, bundle.valid, rng), labeled_rows(ctx, bundle.test, rng)
 
     rows = []
     for kind in args.aggregators.split(","):
@@ -68,16 +89,18 @@ def main(argv=None):
             store, report = train(ctx, tcfg, acfg, scorer=args.scorer, rules_table=table)
             d = dense if acfg.needs_rules else None
             m = link_prediction(ctx, store, acfg, args.scorer, d, seed=0).metrics
+            accuracy = tc_accuracy(ctx, store, acfg, args.scorer, d, valid, test)
             mrrs.append(m.mrr)
             rows.append({
                 "aggregator": kind, "scorer": args.scorer, "seed": seed,
                 "MR": f"{m.mr:.2f}", "MRR": f"{m.mrr:.4f}",
                 "hits1": f"{m.hits1:.4f}", "hits10": f"{m.hits10:.4f}",
+                "tc_accuracy": f"{accuracy:.4f}",
                 "final_loss": f"{report.epoch_losses[-1]:.4f}",
                 "seconds": f"{time.perf_counter() - started:.1f}",
             })
             print(f"  {kind:12s} seed={seed} MRR={m.mrr:.4f} hits@1={m.hits1:.4f} "
-                  f"({rows[-1]['seconds']}s)")
+                  f"tc_accuracy={accuracy:.4f} ({rows[-1]['seconds']}s)")
         print(f"  {kind:12s} mean MRR over {len(mrrs)} seeds: {np.mean(mrrs):.4f}")
 
     if args.out:

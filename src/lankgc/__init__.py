@@ -19,9 +19,9 @@ work takes the same time from one run to the next:
 - glibc's malloc keeps arrays up to 32 MB on the heap and keeps up to
   64 MB of freed heap.  By default it raises both limits as large
   blocks come and go, so whether a batch's arrays are reused or faulted
-  in afresh from the OS depended on what ran before; a batch's tape
-  then took half again as long.  The fixed limits are the highest its
-  own heuristic would reach.  Other C libraries are left alone.
+  in afresh from the OS depended on what ran before; a training batch's
+  graph then took half again as long.  The fixed limits are the highest
+  its own heuristic would reach.  Other C libraries are left alone.
 """
 
 import ctypes

@@ -1,17 +1,19 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A tape records only what a backward pass reads: the leaves that
-require a gradient, and every op output computed from one.  Because
-operands must exist before the operation that consumes them, the tape
-order is already topological, and the backward pass simply walks it in
-reverse.  A constant, and an op output whose operands all lack a
-gradient, is a plain :class:`Value` off the tape: it keeps no parents
-and no vector-Jacobian products, so it is freed as soon as the caller
-drops it.  A constant is ``Value(data)``, and a forward pass over
-constant weights passes ``tape=None``: none of its ops records anything.
-Values are scalars (shape ``()``), vectors ``(n,)`` or matrices
-``(n, m)``; there is no broadcasting and no higher-rank support, every
-primitive checks its operand shapes explicitly.
+The graph is the record: every value that requires a gradient, a leaf
+or an op output computed from one, keeps its parents and one
+vector-Jacobian product per parent, and draws a creation number.
+:func:`backward` walks the graph from the loss and runs the nodes it
+reaches in reverse creation order; an operand exists before the op that
+consumes it, so that order is topological, and gradients that meet at a
+node are added in the same sequence whatever the graph's shape.  A
+constant, and an op output whose operands all lack a gradient, is a
+plain ``Value(data)``: it keeps no parents, no vector-Jacobian products
+and no number, so it is freed as soon as the caller drops it, and a
+forward pass over constant weights builds no graph at all.  A graph
+dies with its loss.  Values are scalars (shape ``()``), vectors ``(n,)``
+or matrices ``(n, m)``; there is no broadcasting and no higher-rank
+support, every primitive checks its operand shapes explicitly.
 
 After a backward pass only leaves hold gradients, on their
 :class:`Value`.  A gradient is left unallocated (``None``) until a
@@ -19,18 +21,17 @@ backward pass touches it, so pure forward evaluation never pays for
 gradient buffers, and an op output's gradient is released as soon as
 its vector-Jacobian products have run, since nothing reads it again: a
 backward pass holds the gradients still to be passed on, not one per
-node.  Ops are pure: each records one vector-Jacobian product per
-parent, and ``vjps[i](g)`` returns parent ``i``'s delta for the
+node.  Ops are pure: ``vjps[i](g)`` returns parent ``i``'s delta for the
 upstream gradient ``g``.  A delta is ``g``, a view of ``g`` or a fresh
-array, never an array held anywhere else.  :meth:`Tape.backward` alone
+array, never an array held anywhere else.  :func:`backward` alone
 decides what to do with it, for each parent that requires a gradient:
 add it in place into a gradient the parent already has; otherwise store
 a private copy if it shares memory with ``g`` (``add``, ``sub``'s left
 side, ``transpose``, ``reshape`` and ``concat`` along either axis pass
-``g`` on), and store it as it is if it is fresh.  So no gradient aliases another node's
-gradient or data, while it is held.  A backward pass first clears all
-gradients on the tape, which makes repeated backward calls over the
-same tape bit-identical.
+``g`` on), and store it as it is if it is fresh.  So no gradient aliases
+another node's gradient or data, while it is held.  A backward pass
+first clears the gradients of the nodes it reaches, which makes
+repeated backward calls from the same loss bit-identical.
 
 The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
 take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
@@ -41,12 +42,14 @@ whichever rows share the batch.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Tape",
     "Value",
+    "backward",
     "add",
     "sub",
     "mul",
@@ -73,11 +76,13 @@ __all__ = [
     "mean_all",
 ]
 
+_created = itertools.count()  # creation numbers of the values that require a gradient; only their order matters
+
 
 class Value:
-    """A float64 array plus a gradient slot; a tape node if it requires a gradient."""
+    """A float64 array plus a gradient slot; a graph node, numbered at creation, if it requires a gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_order")
 
     def __init__(self, data, requires_grad=False, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -87,6 +92,7 @@ class Value:
         self.requires_grad = bool(requires_grad)
         self._parents = parents
         self._vjps = vjps
+        self._order = next(_created) if self.requires_grad else None
 
     @property
     def shape(self):
@@ -101,66 +107,57 @@ class Value:
         return f"Value(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-class Tape:
-    """Append-only record of gradient leaves and of the ops that need a gradient; replayed in reverse."""
+def backward(loss):
+    """Set the gradient of every leaf that a scalar ``loss`` reaches.
 
-    def __init__(self):
-        self.nodes = []
-
-    def leaf(self, data):
-        v = Value(data, requires_grad=True)
-        self.nodes.append(v)
-        return v
-
-    def backward(self, loss):
-        """Set the gradient of every leaf w.r.t. a scalar ``loss``.
-
-        Gradients are cleared first, so calling this twice on the same
-        tape gives identical results.  An op output's gradient lives
-        only until its vector-Jacobian products have run, so afterwards
-        every op output's ``grad`` is ``None``.  Leaves whose gradient
-        was never touched (they do not influence the loss) keep
-        ``None``, which reads as zero.  A loss that requires a gradient
-        must be a node of this tape.  A loss that requires none depends
-        on no leaf, wherever it was computed: this tape's gradients are
-        cleared, and none is set.
-        """
-        if loss.data.shape != ():
-            raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss.requires_grad and not any(node is loss for node in self.nodes):
-            raise ValueError("loss is not a node on this tape")
-        for node in self.nodes:
-            node.grad = None
-        if not loss.requires_grad:
-            return
-        loss.grad = np.ones((), dtype=np.float64)
-        for node in reversed(self.nodes):
-            g = node.grad
-            if g is None or not node._parents:  # a leaf keeps its gradient
+    Walks ``loss``'s parents through the values that require a gradient,
+    then runs the vector-Jacobian products of the nodes it reached in
+    reverse creation order.  Gradients of the reached nodes are cleared
+    first, so calling this twice gives identical results.  An op
+    output's gradient lives only until its vector-Jacobian products have
+    run, so afterwards every op output's ``grad`` is ``None``.  A leaf
+    the loss does not reach keeps whatever ``grad`` it had.  A loss that
+    requires no gradient depends on no leaf, and sets nothing.
+    """
+    if loss.data.shape != ():
+        raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return
+    reached, todo = {loss._order: loss}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if parent.requires_grad and parent._order not in reached:
+                reached[parent._order] = parent
+                todo.append(parent)
+    nodes = [reached[key] for key in sorted(reached, reverse=True)]
+    for node in nodes:
+        node.grad = None
+    loss.grad = np.ones((), dtype=np.float64)
+    for node in nodes:
+        if not node._parents:  # a leaf keeps its gradient
+            continue
+        g = node.grad
+        for parent, vjp in zip(node._parents, node._vjps):
+            if not parent.requires_grad:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
-                    continue
-                delta = vjp(g)
-                if parent.grad is not None:
-                    parent.grad += delta
-                elif np.may_share_memory(delta, g):
-                    parent.grad = np.array(delta)
-                else:
-                    parent.grad = np.asarray(delta)  # a 0-d product comes back as a numpy scalar
-            node.grad = delta = None  # nothing reads an interior gradient, or a view of it, once its VJPs have run
+            delta = vjp(g)
+            if parent.grad is not None:
+                parent.grad += delta
+            elif np.may_share_memory(delta, g):
+                parent.grad = np.array(delta)
+            else:
+                parent.grad = np.asarray(delta)  # a 0-d product comes back as a numpy scalar
+        node.grad = g = delta = None  # nothing reads an interior gradient, or a view of it, once its VJPs have run
 
 
-def _make(tape, data, parents, vjps):
-    """An op's output, recorded on ``tape`` only if it requires a gradient (else ``tape`` may be ``None``).
+def _make(data, parents, vjps):
+    """An op's output: a graph node with ``parents`` if any of them requires a gradient, else a plain value.
 
     ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta.
     """
     if not any([p.requires_grad for p in parents]):
         return Value(data)
-    out = Value(data, requires_grad=True, parents=parents, vjps=vjps)
-    tape.nodes.append(out)
-    return out
+    return Value(data, requires_grad=True, parents=parents, vjps=vjps)
 
 
 def _same_shape(a, b, op):
@@ -168,73 +165,73 @@ def _same_shape(a, b, op):
         raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def add(tape, a, b):
+def add(a, b):
     _same_shape(a, b, "add")
-    return _make(tape, a.data + b.data, (a, b), (lambda g: g, lambda g: g))
+    return _make(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
-def sub(tape, a, b):
+def sub(a, b):
     _same_shape(a, b, "sub")
-    return _make(tape, a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
+    return _make(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
-def mul(tape, a, b):
+def mul(a, b):
     """Elementwise product of same-shape operands."""
     _same_shape(a, b, "mul")
-    return _make(tape, a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+    return _make(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
-def scale(tape, a, c):
+def scale(a, c):
     """Multiply by a plain python float (not differentiated through)."""
     c = float(c)
-    return _make(tape, a.data * c, (a,), (lambda g: g * c,))
+    return _make(a.data * c, (a,), (lambda g: g * c,))
 
 
-def col_scale(tape, x, v):
+def col_scale(x, v):
     """Scale row ``i`` of a matrix by ``v[i]``."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[0] != v.data.shape[0]:
         raise ValueError(f"col_scale: incompatible shapes {x.data.shape}, {v.data.shape}")
-    return _make(tape, x.data * v.data[:, None], (x, v),
+    return _make(x.data * v.data[:, None], (x, v),
                  (lambda g: g * v.data[:, None], lambda g: np.sum(g * x.data, axis=1)))
 
 
-def row_dot(tape, a, b):
+def row_dot(a, b):
     """Row-wise dot product of two equal-shape matrices, giving a vector."""
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise ValueError(f"row_dot: incompatible shapes {a.data.shape}, {b.data.shape}")
-    return _make(tape, np.sum(a.data * b.data, axis=1), (a, b),
+    return _make(np.sum(a.data * b.data, axis=1), (a, b),
                  (lambda g: g[:, None] * b.data, lambda g: g[:, None] * a.data))
 
 
-def matvec(tape, m, v):
+def matvec(m, v):
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {m.data.shape}, {v.data.shape}")
-    return _make(tape, m.data @ v.data, (m, v), (lambda g: np.outer(g, v.data), lambda g: m.data.T @ g))
+    return _make(m.data @ v.data, (m, v), (lambda g: np.outer(g, v.data), lambda g: m.data.T @ g))
 
 
-def matmul(tape, a, b):
+def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape}, {b.data.shape}")
-    return _make(tape, a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
-def transpose(tape, a):
+def transpose(a):
     if a.data.ndim != 2:
         raise ValueError(f"transpose: matrix expected, got shape {a.data.shape}")
-    return _make(tape, a.data.T, (a,), (lambda g: g.T,))
+    return _make(a.data.T, (a,), (lambda g: g.T,))
 
 
-def concat(tape, a, b, axis=1):
+def concat(a, b, axis=1):
     """Join two matrices column-wise (``axis=1``, same row count) or row-wise (``axis=0``, same column count)."""
     sa, sb = a.data.shape, b.data.shape
     if axis not in (0, 1) or len(sa) != 2 or len(sb) != 2 or sa[1 - axis] != sb[1 - axis]:
         raise ValueError(f"concat: incompatible shapes {sa}, {sb} along axis {axis}")
     split = sa[axis]
-    return _make(tape, np.concatenate([a.data, b.data], axis=axis), (a, b),
+    return _make(np.concatenate([a.data, b.data], axis=axis), (a, b),
                  (lambda g: np.split(g, [split], axis)[0], lambda g: np.split(g, [split], axis)[1]))
 
 
-def narrow(tape, a, lo, hi):
+def narrow(a, lo, hi):
     """Slice elements ``lo:hi`` of a vector, or columns ``lo:hi`` of a matrix."""
     if a.data.ndim == 0:
         raise ValueError("narrow: scalar input")
@@ -246,17 +243,17 @@ def narrow(tape, a, lo, hi):
         full[..., lo:hi] = g
         return full
 
-    return _make(tape, a.data[..., lo:hi].copy(), (a,), (vjp,))
+    return _make(a.data[..., lo:hi].copy(), (a,), (vjp,))
 
 
-def reshape(tape, a, shape):
+def reshape(a, shape):
     data = a.data.reshape(shape)
     if data.ndim > 2:
         raise ValueError(f"reshape: target rank too high {shape}")
-    return _make(tape, data.copy(), (a,), (lambda g: g.reshape(a.data.shape),))
+    return _make(data.copy(), (a,), (lambda g: g.reshape(a.data.shape),))
 
 
-def take_rows(tape, m, idx):
+def take_rows(m, idx):
     """Gather rows ``m[idx]``; the backward pass scatter-adds into ``m``.
 
     The scatter is one sparse product: a selection matrix with a single
@@ -278,31 +275,31 @@ def take_rows(tape, m, idx):
         )
         return np.asarray(select @ g)
 
-    return _make(tape, m.data.take(idx, axis=0), (m,), (vjp,))  # a copy, as m.data[idx], but faster
+    return _make(m.data.take(idx, axis=0), (m,), (vjp,))  # a copy, as m.data[idx], but faster
 
 
-def repeat_rows(tape, a, k):
+def repeat_rows(a, k):
     """Repeat each row k times: ``(B, d) -> (B*k, d)``, blockwise."""
     if a.data.ndim != 2:
         raise ValueError(f"repeat_rows: matrix expected, got shape {a.data.shape}")
     n, d = a.data.shape
-    return _make(tape, np.repeat(a.data, k, axis=0), (a,), (lambda g: g.reshape(n, k, d).sum(axis=1),))
+    return _make(np.repeat(a.data, k, axis=0), (a,), (lambda g: g.reshape(n, k, d).sum(axis=1),))
 
 
-def tanh(tape, a):
+def tanh(a):
     data = np.tanh(a.data)
-    return _make(tape, data, (a,), (lambda g: g * (1.0 - data * data),))
+    return _make(data, (a,), (lambda g: g * (1.0 - data * data),))
 
 
-def sigmoid(tape, a):
+def sigmoid(a):
     data = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(tape, data, (a,), (lambda g: g * data * (1.0 - data),))
+    return _make(data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
-def relu(tape, a):
+def relu(a):
     """max(0, x); the subgradient at exactly zero is taken as zero."""
     keep = a.data > 0.0
-    return _make(tape, np.where(keep, a.data, 0.0), (a,), (lambda g: g * keep,))
+    return _make(np.where(keep, a.data, 0.0), (a,), (lambda g: g * keep,))
 
 
 def _slot_rows(offsets, slots, op):
@@ -319,7 +316,7 @@ def _slot_rows(offsets, slots, op):
     return np.repeat(np.arange(counts.size), counts), counts
 
 
-def softmax_masked(tape, scores, offsets):
+def softmax_masked(scores, offsets):
     """Softmax over each row's slots of the (S,) ``scores``: a segment softmax.
 
     Row ``b`` owns the slots ``offsets[b]:offsets[b + 1]``; a row
@@ -340,10 +337,10 @@ def softmax_masked(tape, scores, offsets):
         inner = np.bincount(row, weights=g * data, minlength=counts.size)
         return data * (g - inner[row])
 
-    return _make(tape, data, (scores,), (vjp,))
+    return _make(data, (scores,), (vjp,))
 
 
-def weighted_block_sum(tape, entries, weights, offsets):
+def weighted_block_sum(entries, weights, offsets):
     """Per-row weighted sum of the (S, d) ``entries`` by the (S,) ``weights`` -> ``(B, d)``.
 
     Row ``b`` of the output is the weighted sum of the slots
@@ -363,7 +360,7 @@ def weighted_block_sum(tape, entries, weights, offsets):
     itype = np.int32 if slots < 2**31 else np.int64
     select = sp.csr_matrix((w, np.arange(slots, dtype=itype), np.asarray(offsets, dtype=itype)),
                            shape=(counts.size, slots))
-    return _make(tape, np.asarray(select @ entries.data), (entries, weights),
+    return _make(np.asarray(select @ entries.data), (entries, weights),
                  (lambda g: g[row] * w[:, None], lambda g: np.sum(entries.data * g[row], axis=1)))
 
 
@@ -371,7 +368,7 @@ def _running_sum(x):
     """Each row of a matrix added from 0.0 in column order -> (B,) vector.
 
     One fixed order, so a ranker can repeat these sums bit for bit
-    outside the tape (:mod:`lankgc.decoder`); ``np.sum`` adds a row
+    outside the graph (:mod:`lankgc.decoder`); ``np.sum`` adds a row
     pairwise, and a numpy reduction over the outer axis of a one-row
     array does too.
     """
@@ -381,32 +378,32 @@ def _running_sum(x):
     return acc
 
 
-def row_sum(tape, a):
+def row_sum(a):
     """Each row of a matrix added as a running sum from 0.0 in column order -> (B,) vector."""
     if a.data.ndim != 2:
         raise ValueError(f"row_sum: expects a matrix, got shape {a.data.shape}")
-    return _make(tape, _running_sum(a.data), (a,), (lambda g: np.broadcast_to(g[:, None], a.data.shape),))
+    return _make(_running_sum(a.data), (a,), (lambda g: np.broadcast_to(g[:, None], a.data.shape),))
 
 
-def l1_norm(tape, a):
+def l1_norm(a):
     """Sum of absolute values of each row of a matrix -> (B,) vector, added as in :func:`row_sum`.
 
     The subgradient of ``|x|`` at zero is taken as zero.
     """
     if a.data.ndim != 2:
         raise ValueError(f"l1_norm: expects a matrix, got shape {a.data.shape}")
-    return _make(tape, _running_sum(np.abs(a.data)), (a,), (lambda g: g[:, None] * np.sign(a.data),))
+    return _make(_running_sum(np.abs(a.data)), (a,), (lambda g: g[:, None] * np.sign(a.data),))
 
 
-def l2_norm_sq(tape, a):
+def l2_norm_sq(a):
     """Sum of squares of all entries, as a scalar."""
-    return _make(tape, np.asarray(np.sum(a.data * a.data)), (a,), (lambda g: g * 2.0 * a.data,))
+    return _make(np.asarray(np.sum(a.data * a.data)), (a,), (lambda g: g * 2.0 * a.data,))
 
 
-def sum_all(tape, a):
-    return _make(tape, np.asarray(np.sum(a.data)), (a,), (lambda g: np.full_like(a.data, float(g)),))
+def sum_all(a):
+    return _make(np.asarray(np.sum(a.data)), (a,), (lambda g: np.full_like(a.data, float(g)),))
 
 
-def mean_all(tape, a):
-    return scale(tape, sum_all(tape, a), 1.0 / max(a.data.size, 1))
+def mean_all(a):
+    return scale(sum_all(a), 1.0 / max(a.data.size, 1))
 

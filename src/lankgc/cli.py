@@ -29,7 +29,7 @@ import numpy as np
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
 from .context import BundleContext
 from .decoder import SCORER_KINDS, check_scorer
-from .encoder import AGGREGATOR_KINDS, constant_leaves, encode_batch, stack_samples
+from .encoder import AGGREGATOR_KINDS, encode_batch, stack_samples
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets
 from .params import load_checkpoint, vocab_checksums
@@ -211,7 +211,7 @@ def _cmd_inspect_weights(args):
     rng = np.random.default_rng([args.seed, entity, query])
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg.neighbor_budget, rng)
     _, alpha_logic, alpha_nn = encode_batch(
-        None, constant_leaves(store), offsets, rels, ents, [query], acfg,
+        store.leaves(False), offsets, rels, ents, [query], acfg,
         dense_table=dense, rng=rng, trace=True,
     )
     lines = ["entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total"]

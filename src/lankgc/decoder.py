@@ -10,7 +10,7 @@ their own independent rows.
 
 Every score term is a running sum over the features, from 0.0 in
 feature order, in training, triplet classification and ranking alike.
-:func:`score_batch` scores rows on an autodiff tape, for training and
+:func:`score_batch` scores rows as autodiff values, for training and
 batched scoring, through :func:`~lankgc.autodiff.l1_norm` and
 :func:`~lankgc.autodiff.row_sum`.  :func:`score_columns` is the ranking
 scorer: it scores many candidates against many fixed endpoints in plain
@@ -38,30 +38,30 @@ def check_scorer(kind, dim):
         raise ValueError(f"complex scorer needs an even embedding dimension, got {dim}")
 
 
-def score_batch(tape, subjects, queries, objects, kind):
+def score_batch(subjects, queries, objects, kind):
     """Score (B,) triplets from (B, d) embedding Values."""
     dim = subjects.data.shape[1]
     check_scorer(kind, dim)
     if kind == "transe":
-        diff = ad.sub(tape, ad.add(tape, subjects, queries), objects)
-        return ad.scale(tape, ad.l1_norm(tape, diff), -1.0)
+        diff = ad.sub(ad.add(subjects, queries), objects)
+        return ad.scale(ad.l1_norm(diff), -1.0)
     if kind == "distmult":
-        return _product_sum(tape, subjects, queries, objects)
+        return _product_sum(subjects, queries, objects)
     half = dim // 2
-    s_re, s_im = ad.narrow(tape, subjects, 0, half), ad.narrow(tape, subjects, half, dim)
-    q_re, q_im = ad.narrow(tape, queries, 0, half), ad.narrow(tape, queries, half, dim)
-    o_re, o_im = ad.narrow(tape, objects, 0, half), ad.narrow(tape, objects, half, dim)
+    s_re, s_im = ad.narrow(subjects, 0, half), ad.narrow(subjects, half, dim)
+    q_re, q_im = ad.narrow(queries, 0, half), ad.narrow(queries, half, dim)
+    o_re, o_im = ad.narrow(objects, 0, half), ad.narrow(objects, half, dim)
     # Re((s_re + i s_im)(q_re + i q_im)(o_re - i o_im)) summed over components
-    t1 = _product_sum(tape, s_re, q_re, o_re)
-    t2 = _product_sum(tape, s_im, q_im, o_re)
-    t3 = _product_sum(tape, s_re, q_im, o_im)
-    t4 = _product_sum(tape, s_im, q_re, o_im)
-    return ad.add(tape, ad.sub(tape, t1, t2), ad.add(tape, t3, t4))
+    t1 = _product_sum(s_re, q_re, o_re)
+    t2 = _product_sum(s_im, q_im, o_re)
+    t3 = _product_sum(s_re, q_im, o_im)
+    t4 = _product_sum(s_im, q_re, o_im)
+    return ad.add(ad.sub(t1, t2), ad.add(t3, t4))
 
 
-def _product_sum(tape, s, q, o):
+def _product_sum(s, q, o):
     """``sum_k (s_k q_k) o_k`` of each row, a running sum over k."""
-    return ad.row_sum(tape, ad.mul(tape, ad.mul(tape, s, q), o))
+    return ad.row_sum(ad.mul(ad.mul(s, q), o))
 
 
 _TILE_CELLS = 6144  # (query, candidate) scores per distmult or complex tile; a tile stays in cache

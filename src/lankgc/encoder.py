@@ -24,9 +24,10 @@ weight vectors are summed, not renormalized.
 
 :func:`encode_batch` is the one forward pass, used for training,
 ranking, scoring and ``inspect-weights`` alike; with ``trace`` set it
-also returns the per-slot attention.  Only training passes it a tape;
-over constant weights (:func:`constant_leaves`) it takes ``None``.  The
-numpy oracles in the test suite pin it to the formulas above.
+also returns the per-slot attention.  Only training passes it gradient
+leaves, so only training builds a graph; over constant weights
+(``store.leaves(False)``) no op keeps its operands.  The numpy oracles
+in the test suite pin it to the formulas above.
 
 A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
 the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
@@ -93,15 +94,10 @@ class AggregatorConfig:
         return self.kind == "lstm"
 
 
-def transform_batch(tape, entries, transforms):
+def transform_batch(entries, transforms):
     """Project out the transform direction row by row: ``e - (w . e) w``."""
-    proj = ad.row_dot(tape, entries, transforms)
-    return ad.sub(tape, entries, ad.col_scale(tape, transforms, proj))
-
-
-def constant_leaves(store):
-    """Every parameter of ``store`` as a constant (no-gradient) value, for a forward pass that takes no tape."""
-    return {name: ad.Value(store[name]) for name in store.names()}
+    proj = ad.row_dot(entries, transforms)
+    return ad.sub(entries, ad.col_scale(transforms, proj))
 
 
 def _shared_rng(rng, rows):
@@ -180,7 +176,7 @@ def distinct_rows(graph, ent_ids, queries, cfg):
     return np.flatnonzero(kept), (np.cumsum(kept) - 1)[rep]
 
 
-def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense_table=None, rng=None,
+def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table=None, rng=None,
                  trace=False):
     """Encode a batch of entities; returns a ``(B, d)`` Value.
 
@@ -188,7 +184,6 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
     neighbors are the slots ``offsets[b]:offsets[b + 1]`` of the (S,)
     ``relations`` and ``entities``, and ``queries`` is the (B,) query
     relation per row.  Rows without a neighbor come out as zero vectors.
-    ``tape`` is ``None`` when ``leaves`` are constants.
     ``rng`` (lstm only) is one Generator or a sequence with one
     Generator or seed per row, as for :func:`stack_samples`.  With
     ``trace`` set the result is ``(Value, alpha_logic, alpha_nn)``: the
@@ -200,14 +195,13 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
     counts = np.diff(offsets)
     dim = leaves["entity_emb"].data.shape[1]
 
-    transformed = transform_batch(  # (S, d), in slot order; the gathers are freed here unless recorded
-        tape,
-        ad.take_rows(tape, leaves["entity_emb"], entities),
-        ad.take_rows(tape, leaves["transform_vec"], relations),
+    transformed = transform_batch(  # (S, d), in slot order; the gathers are freed here unless they need a gradient
+        ad.take_rows(leaves["entity_emb"], entities),
+        ad.take_rows(leaves["transform_vec"], relations),
     )
 
     if cfg.kind == "lstm":
-        out = _encode_batch_lstm(tape, leaves, transformed, offsets, rng)
+        out = _encode_batch_lstm(leaves, transformed, offsets, rng)
         return (out, np.zeros(offsets[-1]), np.zeros(offsets[-1])) if trace else out
 
     logic_w = alpha_nn = None
@@ -224,22 +218,22 @@ def encode_batch(tape, leaves, offsets, relations, entities, queries, cfg, dense
         weights = ad.Value(logic_w)
     else:
         proj = leaves["attn_proj"]
-        pre = ad.matmul(tape, transformed, ad.transpose(tape, ad.narrow(tape, proj, dim, 2 * dim)))
+        pre = ad.matmul(transformed, ad.transpose(ad.narrow(proj, dim, 2 * dim)))
         if cfg.kind != "global-attn":
-            w_q = ad.transpose(tape, ad.narrow(tape, proj, 0, dim))
-            q_part = ad.matmul(tape, ad.take_rows(tape, leaves["query_vec"], queries), w_q)  # (B, d)
-            pre = ad.add(tape, pre, ad.take_rows(tape, q_part, np.repeat(np.arange(counts.size), counts)))
-        scores = ad.matvec(tape, ad.tanh(tape, pre), leaves["attn_score_vec"])
-        alpha_nn = ad.softmax_masked(tape, scores, offsets)
-        weights = ad.add(tape, alpha_nn, ad.Value(logic_w)) if cfg.kind == "lan" else alpha_nn
-    out = ad.weighted_block_sum(tape, transformed, weights, offsets)
+            w_q = ad.transpose(ad.narrow(proj, 0, dim))
+            q_part = ad.matmul(ad.take_rows(leaves["query_vec"], queries), w_q)  # (B, d)
+            pre = ad.add(pre, ad.take_rows(q_part, np.repeat(np.arange(counts.size), counts)))
+        scores = ad.matvec(ad.tanh(pre), leaves["attn_score_vec"])
+        alpha_nn = ad.softmax_masked(scores, offsets)
+        weights = ad.add(alpha_nn, ad.Value(logic_w)) if cfg.kind == "lan" else alpha_nn
+    out = ad.weighted_block_sum(transformed, weights, offsets)
     if not trace:
         return out
     zeros = np.zeros(offsets[-1])
     return out, (zeros if logic_w is None else logic_w), (zeros if alpha_nn is None else alpha_nn.data)
 
 
-def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
+def _encode_batch_lstm(leaves, transformed, offsets, rng):
     """Batched LSTM aggregation: each row steps over its own slots only.
 
     ``transformed`` holds the (S, d) slots; row ``b`` owns
@@ -261,18 +255,18 @@ def _encode_batch_lstm(tape, leaves, transformed, offsets, rng):
     ends, t_max = offsets[1:][by_len], int(counts.max(initial=0))
     live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
     h = c = ad.Value(np.zeros((0, dim)))
-    w_t = {g: ad.transpose(tape, leaves[f"lstm_w_{g}"]) for g in "fico"}
-    b_row = {g: ad.reshape(tape, leaves[f"lstm_b_{g}"], (1, dim)) for g in "fico"}
+    w_t = {g: ad.transpose(leaves[f"lstm_w_{g}"]) for g in "fico"}
+    b_row = {g: ad.reshape(leaves[f"lstm_b_{g}"], (1, dim)) for g in "fico"}
     for t, n in enumerate(live):
         if n > h.data.shape[0]:
             fresh = ad.Value(np.zeros((n - h.data.shape[0], dim)))
-            h, c = ad.concat(tape, h, fresh, axis=0), ad.concat(tape, c, fresh, axis=0)
-        hx = ad.concat(tape, h, ad.take_rows(tape, transformed, order[ends[:n] - (t_max - t)]))
+            h, c = ad.concat(h, fresh, axis=0), ad.concat(c, fresh, axis=0)
+        hx = ad.concat(h, ad.take_rows(transformed, order[ends[:n] - (t_max - t)]))
         gates = {}
         for g in "fico":  # a bias repeat per step: one shared repeat would reorder its gradient's sum
-            pre = ad.add(tape, ad.matmul(tape, hx, w_t[g]), ad.repeat_rows(tape, b_row[g], n))
-            gates[g] = ad.tanh(tape, pre) if g == "c" else ad.sigmoid(tape, pre)
-        c = ad.add(tape, ad.mul(tape, gates["f"], c), ad.mul(tape, gates["i"], gates["c"]))
-        h = ad.mul(tape, gates["o"], ad.tanh(tape, c))
-    h = ad.concat(tape, h, ad.Value(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
-    return ad.take_rows(tape, h, np.argsort(by_len))  # back to row order
+            pre = ad.add(ad.matmul(hx, w_t[g]), ad.repeat_rows(b_row[g], n))
+            gates[g] = ad.tanh(pre) if g == "c" else ad.sigmoid(pre)
+        c = ad.add(ad.mul(gates["f"], c), ad.mul(gates["i"], gates["c"]))
+        h = ad.mul(gates["o"], ad.tanh(c))
+    h = ad.concat(h, ad.Value(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
+    return ad.take_rows(h, np.argsort(by_len))  # back to row order

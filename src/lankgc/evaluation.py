@@ -16,7 +16,7 @@ its transient memory, and a freed block leaves its high-water mark in
 the heap that the allocator keeps, so the block size bounds the peak
 resident memory of ranking.  Each query keeps its own rng, keyed on
 (seed, s, q, o), for a truncated neighborhood or an lstm permutation.
-Scores come tape-free in bounded (queries, candidates) blocks from
+Scores come graph-free in bounded (queries, candidates) blocks from
 :func:`~lankgc.decoder.score_columns`, the candidates laid out once: transe
 through one ``cdist`` city-block call per block, distmult and complex through
 a running-sum loop over (d, N) factors.  Every term is a running sum over
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .decoder import candidate_columns, check_scorer, score_batch, score_columns
-from .encoder import constant_leaves, distinct_rows, encode_batch, stack_samples
+from .encoder import distinct_rows, encode_batch, stack_samples
 
 
 class EvalError(ValueError):
@@ -172,23 +172,23 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None)
     one Generator or one per entity, as there.  Consecutive rows are
     encoded in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row
     is a block of its own), each one :func:`encode_batch` over constant
-    weights with no tape, so only one block's arrays are alive at a time:
+    weights, so only one block's arrays are alive at a time:
     this one bound covers ranking and triplet classification alike.
-    ``leaves`` are the constant weights of :func:`constant_leaves`, made
+    ``leaves`` are the constant weights ``store.leaves(False)``, made
     from ``store`` when not given.  Nothing is padded: a block is a run
     of the CSR slots.  Rows without neighbors are zero vectors.
     """
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
     queries = np.broadcast_to(np.asarray(queries, dtype=np.int64), offsets.size - 1)
     out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
-    leaves = constant_leaves(store) if leaves is None else leaves
+    leaves = store.leaves(False) if leaves is None else leaves
     lo = 0
     while lo < out.shape[0]:
         # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
         hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
         a, z = offsets[lo], offsets[hi]
         out[lo:hi] = encode_batch(
-            None, leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg,
+            leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg,
             dense_table=dense, rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
         ).data
         lo = hi
@@ -387,7 +387,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     endpoint of a batch (:func:`~lankgc.encoder.distinct_rows`) is encoded
     once through :func:`encode_entities`, under the bound that also covers
     ranking, and :func:`score_batch` scores the rows over constant values,
-    with no tape.
+    which build no graph.
     One Generator, keyed on (seed, n), makes every draw, batch by batch.
     An id outside the model raises :class:`EvalError`.
     """
@@ -401,7 +401,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
                         f"{n} entities and {r} relations")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
-    leaves = constant_leaves(store)
+    leaves = store.leaves(False)
     step = max(1, _BLOCK_SLOTS // 2)
     for lo in range(0, out.size, step):
         t = labeled_ids[lo:lo + step]
@@ -411,7 +411,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
         enc = encode_entities(ctx, store, acfg, dense, ent_ids[keep], queries[keep], rng, leaves=leaves)
         subj, obj = ad.Value(enc[where[:b]]), ad.Value(enc[where[b:]])
         q_emb = ad.Value(leaves["relation_emb"].data[t[:, 1]])
-        out[lo:lo + b] = score_batch(None, subj, q_emb, obj, scorer).data
+        out[lo:lo + b] = score_batch(subj, q_emb, obj, scorer).data
     return out
 
 

@@ -1,4 +1,4 @@
-"""Model parameters: allocation, tape hookup, checkpoint files.
+"""Model parameters: allocation, autodiff leaves, checkpoint files.
 
 All trainable state is a flat dict of named float64 arrays:
 
@@ -24,13 +24,14 @@ import os
 
 import numpy as np
 
+from . import autodiff as ad
 from .util import checked_file, read_kv, sha256_file, write_kv
 
 LSTM_GATES = ("f", "i", "c", "o")
 
 
 class ParamStore:
-    """Named float64 arrays plus helpers to expose them on a tape."""
+    """Named float64 arrays plus helpers to expose them as autodiff leaves."""
 
     def __init__(self, arrays):
         self.arrays = dict(arrays)
@@ -41,9 +42,9 @@ class ParamStore:
     def names(self):
         return sorted(self.arrays)
 
-    def leaves(self, tape):
-        """Wrap every array as a gradient-requiring leaf on ``tape``."""
-        return {name: tape.leaf(self.arrays[name]) for name in self.names()}
+    def leaves(self, requires_grad):
+        """Wrap every array as an autodiff leaf: a gradient leaf for training, else a constant."""
+        return {name: ad.Value(self.arrays[name], requires_grad) for name in self.names()}
 
     def copy(self):
         return ParamStore({k: v.copy() for k, v in self.arrays.items()})

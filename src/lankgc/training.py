@@ -26,14 +26,15 @@ flow back through the encoder; a truncated neighborhood and every lstm
 row are still encoded per row, so the rng draws are those of encoding
 every row.
 
-Only training makes a :class:`~lankgc.autodiff.Tape`, and one batch's
-tape is alive at a time: a step frees its tape, leaves and gradients
-before the next batch is corrupted and encoded.  Within a step, the
-backward pass keeps only the leaves' gradients, releasing each op
-output's gradient once its vector-Jacobian products have run, and Adam
-updates each parameter in place through two parameter-sized scratch
-arrays, so the step's high-water mark is the tape's data plus the
-gradients still to be passed on.
+Only training makes gradient leaves, so only training builds an
+autodiff graph, and one batch's graph is alive at a time: it dies with
+the step's loss, leaves and gradients, before the next batch is
+corrupted and encoded.  Within a step, the backward pass keeps only the
+leaves' gradients, releasing each op output's gradient once its
+vector-Jacobian products have run, and Adam updates each parameter in
+place through two parameter-sized scratch arrays, so the step's
+high-water mark is the graph's data plus the gradients still to be
+passed on.
 """
 
 from __future__ import annotations
@@ -185,23 +186,23 @@ def corrupt(positives, known, n_entities, rng):
     return cand, int(todo.size)
 
 
-def hinge(tape, margin, phi_pos, phi_neg):
+def hinge(margin, phi_pos, phi_neg):
     """Per-pair ranking hinge ``[margin - phi_pos + phi_neg]_+`` as a (B,) Value."""
     b = phi_pos.data.shape[0]
     margin_vec = ad.Value(np.full(b, float(margin)))
-    return ad.relu(tape, ad.add(tape, ad.sub(tape, margin_vec, phi_pos), phi_neg))
+    return ad.relu(ad.add(ad.sub(margin_vec, phi_pos), phi_neg))
 
 
-def input_scores(tape, leaves, triplets, scorer):
+def input_scores(leaves, triplets, scorer):
     """phi over raw input embeddings (the subtask), same relation rows."""
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    subj = ad.take_rows(tape, leaves["entity_emb"], triplets[:, 0])
-    obj = ad.take_rows(tape, leaves["entity_emb"], triplets[:, 2])
-    q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
-    return score_batch(tape, subj, q_emb, obj, scorer)
+    subj = ad.take_rows(leaves["entity_emb"], triplets[:, 0])
+    obj = ad.take_rows(leaves["entity_emb"], triplets[:, 2])
+    q_emb = ad.take_rows(leaves["relation_emb"], triplets[:, 1])
+    return score_batch(subj, q_emb, obj, scorer)
 
 
-def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
+def output_scores(leaves, triplets, graph, dense, acfg, scorer, rng):
     """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
 
     Each endpoint is encoded under its triplet's relation, once per
@@ -216,14 +217,14 @@ def output_scores(tape, leaves, triplets, graph, dense, acfg, scorer, rng):
     queries = np.tile(triplets[:, 1], 2)
     keep, where = distinct_rows(graph, ent_ids, queries, acfg)
     offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg.neighbor_budget, rng)
-    enc = encode_batch(tape, leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense, rng=rng)
-    subj = ad.take_rows(tape, enc, where[:b])
-    obj = ad.take_rows(tape, enc, where[b:])
-    q_emb = ad.take_rows(tape, leaves["relation_emb"], triplets[:, 1])
-    return score_batch(tape, subj, q_emb, obj, scorer)
+    enc = encode_batch(leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense, rng=rng)
+    subj = ad.take_rows(enc, where[:b])
+    obj = ad.take_rows(enc, where[b:])
+    q_emb = ad.take_rows(leaves["relation_emb"], triplets[:, 1])
+    return score_batch(subj, q_emb, obj, scorer)
 
 
-def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, rng):
+def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, rng):
     """Mean pair loss over a batch, plus the attention L2 penalty.
 
     Encodes the four endpoint groups (positive/negative x subject/object)
@@ -239,37 +240,36 @@ def batch_objective(tape, leaves, positives, negatives, graph, dense, tcfg, acfg
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     b = positives.shape[0]
     both = np.concatenate([positives, negatives], axis=0)
-    phi = output_scores(tape, leaves, both, graph, dense, acfg, scorer, rng)
-    loss = ad.mean_all(tape, hinge(tape, tcfg.margin, ad.narrow(tape, phi, 0, b), ad.narrow(tape, phi, b, 2 * b)))
+    phi = output_scores(leaves, both, graph, dense, acfg, scorer, rng)
+    loss = ad.mean_all(hinge(tcfg.margin, ad.narrow(phi, 0, b), ad.narrow(phi, b, 2 * b)))
     parts = {"main": float(loss.data), "subtask": 0.0}
     if tcfg.subtask_enabled:
-        psi = input_scores(tape, leaves, both, scorer)
-        sub = ad.mean_all(tape, hinge(tape, tcfg.margin, ad.narrow(tape, psi, 0, b), ad.narrow(tape, psi, b, 2 * b)))
+        psi = input_scores(leaves, both, scorer)
+        sub = ad.mean_all(hinge(tcfg.margin, ad.narrow(psi, 0, b), ad.narrow(psi, b, 2 * b)))
         parts["subtask"] = float(sub.data)
-        loss = ad.add(tape, loss, sub)
+        loss = ad.add(loss, sub)
     if tcfg.l2_rate > 0.0:
         first, *rest = _ATTN_PARAM_NAMES
-        reg = ad.l2_norm_sq(tape, leaves[first])
+        reg = ad.l2_norm_sq(leaves[first])
         for name in rest:
-            reg = ad.add(tape, reg, ad.l2_norm_sq(tape, leaves[name]))
-        loss = ad.add(tape, loss, ad.scale(tape, reg, tcfg.l2_rate))
+            reg = ad.add(reg, ad.l2_norm_sq(leaves[name]))
+        loss = ad.add(loss, ad.scale(reg, tcfg.l2_rate))
     return loss, parts
 
 
 def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, rng, where):
     """One optimizer step on one batch, then the transform renormalization -> ``(loss, parts, gradient norm)``.
 
-    The batch's tape, leaves and gradients die when this returns, before
+    The batch's graph, leaves and gradients die when this returns, before
     the next batch is built.  ``where`` names the batch in the error
     that a non-finite loss raises.
     """
-    tape = ad.Tape()
-    leaves = store.leaves(tape)
-    loss, parts = batch_objective(tape, leaves, pos, neg, graph, dense, tcfg, acfg, scorer, rng)
+    leaves = store.leaves(True)
+    loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, scorer, rng)
     value = loss.item()
     if not np.isfinite(value):
         raise TrainError(f"non-finite loss at {where}: {value}")
-    tape.backward(loss)
+    ad.backward(loss)
     grads = collect_gradients(leaves)
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     opt.step(store, grads, tcfg.learning_rate)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from lankgc.encoder import constant_leaves, encode_batch
+from lankgc.encoder import encode_batch
 from lankgc.kg import Vocabulary, augment_inverses, graph_from_names
 from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSpec, build_split
 
@@ -22,7 +22,7 @@ from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSp
 def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
     """Compare analytic gradients with central finite differences.
 
-    ``fn(arrays) -> (loss_value, grads_dict)`` must rebuild its tape on
+    ``fn(arrays) -> (loss_value, grads_dict)`` must rebuild its graph on
     every call from the plain float64 arrays in ``arrays`` and return
     the scalar loss along with analytic gradients keyed like ``arrays``.
     Every entry of every array is perturbed by ``±h``.  Relative error
@@ -54,6 +54,17 @@ def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
         report[name] = worst
     ok = all(v <= tol for v in report.values())
     return ok, report
+
+
+def graph_nodes(loss):
+    """The values that require a gradient and that ``loss`` reaches through its parents, in creation order."""
+    seen, todo = {id(loss): loss}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return sorted((node for node in seen.values() if node.requires_grad), key=lambda node: node._order)
 
 
 def make_graph(triples):
@@ -268,7 +279,7 @@ def encode_one(store, dense, cfg, query, entries, rng):
     entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
     rels, ents = entries[:, 0], entries[:, 1]
     out, alpha_logic, alpha_nn = encode_batch(
-        None, constant_leaves(store), np.array([0, rels.size]), rels, ents, np.array([query]), cfg,
+        store.leaves(False), np.array([0, rels.size]), rels, ents, np.array([query]), cfg,
         dense_table=dense, rng=rng, trace=True,
     )
     trace = []

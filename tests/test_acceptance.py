@@ -66,13 +66,12 @@ def _loss_fn(kg, dense, pos, neg, tcfg, acfg, scorer):
     """
 
     def fn(arrays):
-        tape = ad.Tape()
-        leaves = {k: tape.leaf(v) for k, v in arrays.items()}
+        leaves = {k: ad.Value(v, requires_grad=True) for k, v in arrays.items()}
         rng = np.random.default_rng(0)
         loss, _ = batch_objective(
-            tape, leaves, pos, neg, kg, dense, tcfg, acfg, scorer, rng
+            leaves, pos, neg, kg, dense, tcfg, acfg, scorer, rng
         )
-        tape.backward(loss)
+        ad.backward(loss)
         grads = {
             k: (l.grad if l.grad is not None else np.zeros_like(arrays[k]))
             for k, l in leaves.items()
@@ -89,15 +88,14 @@ def _kink_distance(arrays, kg, dense, pos, neg, tcfg, acfg, scorer):
     comfortable distance from its corner guarantees the central
     differences in the checker never straddle a kink.
     """
-    tape = ad.Tape()
     leaves = {k: ad.Value(v) for k, v in arrays.items()}
     rng = np.random.default_rng(0)
     both = np.concatenate([np.asarray(pos), np.asarray(neg)], axis=0)
     b = len(pos)
     phi = output_scores(
-        tape, leaves, both, kg, dense, acfg, scorer, rng
+        leaves, both, kg, dense, acfg, scorer, rng
     ).data
-    psi = input_scores(tape, leaves, both, scorer).data
+    psi = input_scores(leaves, both, scorer).data
     args = np.concatenate([
         tcfg.margin - phi[:b] + phi[b:],
         tcfg.margin - psi[:b] + psi[b:],

@@ -13,9 +13,7 @@ from lankgc.decoder import SCORER_KINDS, candidate_columns, check_scorer, score_
 
 
 def run(kind, s, q, o):
-    tape = ad.Tape()
     out = score_batch(
-        tape,
         ad.Value(np.atleast_2d(np.asarray(s, dtype=float))),
         ad.Value(np.atleast_2d(np.asarray(q, dtype=float))),
         ad.Value(np.atleast_2d(np.asarray(o, dtype=float))),
@@ -35,11 +33,10 @@ def with_negative_zeros(rng, x):
 
 def batch_scores(cands, q, end, kind, rank_side):
     """:func:`score_batch` of every candidate against one fixed endpoint, the tiled rows."""
-    tape = ad.Tape()
     n = cands.shape[0]
     c, qs, e = (ad.Value(x) for x in (cands, np.tile(q, (n, 1)), np.tile(end, (n, 1))))
     s, o = (c, e) if rank_side == "subject" else (e, c)
-    return score_batch(tape, s, qs, o, kind).data
+    return score_batch(s, qs, o, kind).data
 
 
 def test_check_scorer():
@@ -105,8 +102,7 @@ def test_complex_object_conjugation_witness():
 def test_batch_matches_oracle(kind):
     rng = np.random.default_rng(7)
     S, Q, O = rng.normal(size=(3, 16, 8))
-    tape = ad.Tape()
-    out = score_batch(tape, ad.Value(S), ad.Value(Q), ad.Value(O), kind)
+    out = score_batch(ad.Value(S), ad.Value(Q), ad.Value(O), kind)
     for i in range(16):
         assert out.data[i] == pytest.approx(oracle_score(S[i], Q[i], O[i], kind), rel=1e-12)
 
@@ -117,10 +113,9 @@ def test_score_is_differentiable(kind):
     S, Q, O = rng.normal(size=(3, 4, 6)) + 0.05  # nudge off transe kinks
 
     def build(arrays):
-        tape = ad.Tape()
-        leaves = {k: tape.leaf(arrays[k]) for k in ("s", "q", "o")}
-        loss = ad.sum_all(tape, score_batch(tape, leaves["s"], leaves["q"], leaves["o"], kind))
-        tape.backward(loss)
+        leaves = {k: ad.Value(arrays[k], requires_grad=True) for k in ("s", "q", "o")}
+        loss = ad.sum_all(score_batch(leaves["s"], leaves["q"], leaves["o"], kind))
+        ad.backward(loss)
         return float(loss.data), {k: v.grad for k, v in leaves.items()}
 
     ok, report = finite_difference_check(build, {"s": S, "q": Q, "o": O})
@@ -153,10 +148,9 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         q, fixed = rng.normal(size=dim), rng.normal(size=dim)
         if case >= 5:
             cands, fixed = with_negative_zeros(rng, cands), with_negative_zeros(rng, fixed)
-        tape = ad.Tape()
         c, qs, fs = (ad.Value(x) for x in (cands, np.tile(q, (n, 1)), np.tile(fixed, (n, 1))))
         s, o = (c, fs) if rank_side == "subject" else (fs, c)
-        want = score_batch(tape, s, qs, o, kind).data
+        want = score_batch(s, qs, o, kind).data
         columns = candidate_columns(cands, q, kind, rank_side)
         got = score_columns(columns, q, fixed, kind, rank_side)[0]
         assert got.shape == (n,)
@@ -169,7 +163,7 @@ def test_score_candidates_bitwise_equals_score_batch(kind, rank_side):
         for end, row in zip(ends, block):
             e = ad.Value(np.tile(end, (n, 1)))
             s, o = (c, e) if rank_side == "subject" else (e, c)
-            assert row.tobytes() == score_batch(tape, s, qs, o, kind).data.tobytes()
+            assert row.tobytes() == score_batch(s, qs, o, kind).data.tobytes()
         for top, width in ((0, 7), (0, 3), (3, 3), (6, 3)):  # whole, then 3-query blocks, the last ragged
             part = score_columns(columns, q, ends[top:top + width], kind, rank_side)
             for i, row in enumerate(part):

@@ -9,7 +9,6 @@ from lankgc import evaluation
 from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
-    constant_leaves,
     encode_batch,
     stack_samples,
     transform_batch,
@@ -63,24 +62,21 @@ def test_transform_output_orthogonal_to_direction():
         w = rng.normal(size=6)
         w /= np.linalg.norm(w)
         e = rng.normal(size=6)
-        tape = ad.Tape()
-        out = transform_batch(tape, ad.Value(e[None]), ad.Value(w[None]))
+        out = transform_batch(ad.Value(e[None]), ad.Value(w[None]))
         assert abs(np.dot(w, out.data[0])) <= 1e-12
 
 
 def test_transform_annihilates_its_direction():
     w = np.zeros(4)
     w[1] = 1.0
-    tape = ad.Tape()
-    out = transform_batch(tape, ad.Value(w[None].copy()), ad.Value(w[None]))
+    out = transform_batch(ad.Value(w[None].copy()), ad.Value(w[None]))
     np.testing.assert_allclose(out.data[0], np.zeros(4), atol=1e-15)
 
 
 def test_transform_keeps_perpendicular_component():
     w = np.array([1.0, 0.0, 0.0])
     e = np.array([0.0, 2.0, -3.0])
-    tape = ad.Tape()
-    out = transform_batch(tape, ad.Value(e[None]), ad.Value(w[None]))
+    out = transform_batch(ad.Value(e[None]), ad.Value(w[None]))
     np.testing.assert_array_equal(out.data[0], e)
 
 
@@ -89,8 +85,7 @@ def test_transform_batch_matches_single():
     E = rng.normal(size=(5, 4))
     W = rng.normal(size=(5, 4))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
-    tape = ad.Tape()
-    batch = transform_batch(tape, ad.Value(E), ad.Value(W))
+    batch = transform_batch(ad.Value(E), ad.Value(W))
     for j in range(5):
         single = E[j] - np.dot(W[j], E[j]) * W[j]
         np.testing.assert_allclose(batch.data[j], single, rtol=1e-14, atol=1e-15)
@@ -346,9 +341,8 @@ def test_encode_batch_matches_single(world, kind):
     ents = np.arange(kg.n_entities)
     queries = np.arange(kg.n_entities) % kg.n_relations
     offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
-    tape = ad.Tape()
     leaves = {n: ad.Value(store[n]) for n in store.names()}
-    batch = encode_batch(tape, leaves, offsets, rels, nbs, queries, cfg,
+    batch = encode_batch(leaves, offsets, rels, nbs, queries, cfg,
                          dense_table=dense, rng=np.random.default_rng(0))
     for i, e in enumerate(ents):
         sample = grab_sample(kg, int(e))
@@ -364,9 +358,8 @@ def test_encode_batch_matches_single_lstm(world):
         sample = grab_sample(kg, e)
         single = encode_one(store, None, cfg, 0, sample, np.random.default_rng(5))
         offsets, rels, nbs = stack_samples(kg, [e], 64, np.random.default_rng(0))
-        tape = ad.Tape()
         leaves = {n: ad.Value(store[n]) for n in store.names()}
-        batch = encode_batch(tape, leaves, offsets, rels, nbs, np.array([0]), cfg,
+        batch = encode_batch(leaves, offsets, rels, nbs, np.array([0]), cfg,
                              rng=np.random.default_rng(5))
         np.testing.assert_allclose(batch.data[0], single.embedding, rtol=1e-9, atol=1e-12)
 
@@ -380,13 +373,12 @@ def test_lstm_gates_run_over_the_live_rows_only(world, monkeypatch):
     gate_rows = []
     matmul = ad.matmul
 
-    def counted(tape, a, b):
+    def counted(a, b):
         gate_rows.append(a.data.shape[0])
-        return matmul(tape, a, b)
+        return matmul(a, b)
 
     monkeypatch.setattr(ad, "matmul", counted)
-    tape = ad.Tape()
-    out = encode_batch(tape, store.leaves(tape), offsets, rels, nbs, np.zeros(counts.size, np.int64),
+    out = encode_batch(store.leaves(True), offsets, rels, nbs, np.zeros(counts.size, np.int64),
                        AggregatorConfig(kind="lstm"), rng=np.random.default_rng(0))
     # longest first and right-aligned: the two 5-slot rows step alone until the 3-slot rows join
     assert gate_rows == np.repeat([2, 2, 4, 5, 6], 4).tolist()
@@ -410,8 +402,7 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
                    np.random.default_rng(seeds[i])).embedding
         for i, (a, z) in enumerate(zip(offsets[:-1], offsets[1:]))
     ])
-    tape = ad.Tape()
-    batch = encode_batch(tape, store.leaves(tape), offsets, rels, nbs, np.ones(ents.size, np.int64), cfg,
+    batch = encode_batch(store.leaves(True), offsets, rels, nbs, np.ones(ents.size, np.int64), cfg,
                          dense_table=table.dense(), rng=seeds).data
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 5)  # blocks of one to a few rows
     blocks = evaluation.encode_entities(SimpleNamespace(neighbor_graph=kg), store, cfg, table.dense(), ents, 1, seeds)
@@ -429,19 +420,17 @@ def test_per_row_rng_sequences_must_match_the_rows(world):
         with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
             stack_samples(kg, [hub, 0], 2, rngs)
         offsets, rels, nbs = stack_samples(kg, [hub, 0], 2, np.random.default_rng(0))
-        tape = ad.Tape()
         with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
-            encode_batch(tape, store.leaves(tape), offsets, rels, nbs, np.zeros(2, np.int64),
+            encode_batch(store.leaves(True), offsets, rels, nbs, np.zeros(2, np.int64),
                          AggregatorConfig(kind="lstm"), rng=rngs)
 
 
 def _row_objective(kind, store, table, rels, nbs, mask, queries, weights, rng):
     """Encode a batch, dot each row with ``weights``; returns (outputs, leaf gradients)."""
-    tape = ad.Tape()
-    leaves = store.leaves(tape)
-    out = encode_batch(tape, leaves, *grid_to_csr(mask, rels, nbs), queries, AggregatorConfig(kind=kind),
+    leaves = store.leaves(True)
+    out = encode_batch(leaves, *grid_to_csr(mask, rels, nbs), queries, AggregatorConfig(kind=kind),
                        dense_table=table.dense(), rng=rng)
-    tape.backward(ad.sum_all(tape, ad.mul(tape, out, ad.Value(weights))))
+    ad.backward(ad.sum_all(ad.mul(out, ad.Value(weights))))
     grads = {n: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
              for n, leaf in leaves.items()}
     return out.data, grads
@@ -489,15 +478,15 @@ def test_an_encode_over_constant_leaves_records_only_leaves(world, kind):
     offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
     queries = ents % kg.n_relations
     cfg = AggregatorConfig(kind=kind)
-    # no tape: nothing needs a gradient, so a record of anything would raise, be it the store's
-    # constants, the constants the pass makes (uniform, logic or lstm state) or an op's output
-    out = encode_batch(None, constant_leaves(store), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
+    # nothing needs a gradient, so no value draws a creation number, be it the store's constants,
+    # the constants the pass makes (uniform, logic or lstm state) or an op's output
+    start = next(ad._created)
+    out = encode_batch(store.leaves(False), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
                        rng=np.random.default_rng(1))
-    assert not out.requires_grad
-    tape = ad.Tape()
-    recorded = encode_batch(tape, store.leaves(tape), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
+    assert not out.requires_grad and next(ad._created) == start + 1
+    recorded = encode_batch(store.leaves(True), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
                             rng=np.random.default_rng(1))
-    assert recorded.requires_grad and any(node is recorded for node in tape.nodes)
+    assert recorded.requires_grad and recorded._parents
     assert out.data.tobytes() == recorded.data.tobytes()
 
 
@@ -508,9 +497,8 @@ def test_encode_batch_zero_neighbor_rows(world):
         rels = np.zeros((2, 3), dtype=np.int64)
         nbs = np.zeros((2, 3), dtype=np.int64)
         mask = np.array([[True, True, False], [False, False, False]])
-        tape = ad.Tape()
         leaves = {n: ad.Value(store[n]) for n in store.names()}
-        out = encode_batch(tape, leaves, *grid_to_csr(mask, rels, nbs), np.array([0, 0]), cfg,
+        out = encode_batch(leaves, *grid_to_csr(mask, rels, nbs), np.array([0, 0]), cfg,
                            dense_table=table.dense(), rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out.data[1], np.zeros(10))
         assert np.abs(out.data[0]).max() > 0
@@ -518,10 +506,9 @@ def test_encode_batch_zero_neighbor_rows(world):
 
 def test_encode_batch_requires_rules(world):
     kg, table, store = world
-    tape = ad.Tape()
     leaves = {n: ad.Value(store[n]) for n in store.names()}
     with pytest.raises(ValueError, match="rule table"):
-        encode_batch(tape, leaves, [0, 2], np.zeros(2, np.int64), np.zeros(2, np.int64),
+        encode_batch(leaves, [0, 2], np.zeros(2, np.int64), np.zeros(2, np.int64),
                      np.array([0]), AggregatorConfig(kind="lan"))
 
 

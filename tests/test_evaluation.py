@@ -23,7 +23,6 @@ from lankgc.decoder import candidate_columns, score_columns
 from lankgc.encoder import (
     AGGREGATOR_KINDS,
     AggregatorConfig,
-    constant_leaves,
     distinct_rows,
     encode_batch,
     stack_samples,
@@ -42,7 +41,7 @@ from lankgc.evaluation import (
     tune_thresholds,
 )
 from lankgc.kg import GraphError, sample_neighbors
-from lankgc.params import init_params
+from lankgc.params import ParamStore, init_params
 from lankgc.rules import mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
 from lankgc.training import output_scores
@@ -308,13 +307,13 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     # a bound of one budget plus one slot splits the candidates into many passes
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", budget + 1)
     passes = []
-    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[2].size - 1) or encode_batch(*a, **kw))
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[1].size - 1) or encode_batch(*a, **kw))
     got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
     assert len(passes) > 3 and sum(passes) == len(ctx.seen_ids)
     rng = np.random.default_rng([2, q])
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
     assert np.diff(offsets).max() == budget and len(set(np.diff(offsets))) > 2
-    want = encode_batch(None, constant_leaves(store), offsets, rels, ents,
+    want = encode_batch(store.leaves(False), offsets, rels, ents,
                         np.full(len(ctx.seen_ids), q), acfg, dense_table=dense, rng=rng).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -398,7 +397,7 @@ def test_score_labeled_holds_one_block_of_slots_at_a_time(kind):
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_score_labeled_frees_each_batch_before_the_next(kind, monkeypatch):
-    # 64-row batches, 94 of them on the call's one tape, so arrays that outlive their batch add up past the bound
+    # 64-row batches, 94 of them over the call's one set of constant leaves, so arrays that outlive their batch add up past the bound
     n, deg, dim, r, rows = 2000, 12, 32, 6, 6000
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 128)
     out, peak = traced_score_labeled(kind, n, deg, dim, r, rows)
@@ -412,13 +411,14 @@ def test_constant_leaves_are_made_once_per_call_with_no_tape(kind, monkeypatch):
     if acfg.uses_lstm:
         store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 5, with_lstm=True)
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)  # and so 4-row scoring batches
-    made, passes, tapes = [], [], []
+    made, passes = [], []
+    leaves = ParamStore.leaves
 
-    def capture(store):
-        made.append(constant_leaves(store))
+    def capture(store, requires_grad):
+        made.append(leaves(store, requires_grad))
         return made[-1]
-    monkeypatch.setattr(evaluation, "constant_leaves", capture)
-    monkeypatch.setattr(ad, "Tape", lambda: tapes.append(None))
+    monkeypatch.setattr(ParamStore, "leaves", capture)
+    start = next(ad._created)
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[0]) or encode_batch(*a, **kw))
     encode_entities(ctx, store, acfg, table.dense(), ctx.seen_ids, 1, np.random.default_rng(0))
     blocks = len(passes)
@@ -432,7 +432,8 @@ def test_constant_leaves_are_made_once_per_call_with_no_tape(kind, monkeypatch):
         for k in degrees[ent_ids[distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)[0]]]:
             want, filled = (want, filled + k) if filled is not None and filled + k <= 8 else (want + 1, k)
     assert len(made) == 2 and blocks > 3 and len(passes) - blocks == want > math.ceil(rows.shape[0] / 4)
-    assert tapes == [] and all(tape is None for tape in passes)
+    assert next(ad._created) == start + 1 and not any(v.requires_grad for m in made for v in m.values())
+    assert all(any(p is m for m in made) for p in passes)
 
 
 # --- whole-test-set ranking -------------------------------------------------------
@@ -728,7 +729,7 @@ def repeated_rows(ctx):
 
 def scores_of(ctx, store, acfg, dense, triplets, scorer="transe", rng=None):
     rng = np.random.default_rng(3) if rng is None else rng
-    return output_scores(None, constant_leaves(store), triplets, ctx.neighbor_graph, dense, acfg,
+    return output_scores(store.leaves(False), triplets, ctx.neighbor_graph, dense, acfg,
                          scorer, rng).data
 
 
@@ -754,7 +755,7 @@ def test_output_scores_encode_each_distinct_row_once(kind, monkeypatch):
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 8, with_lstm=acfg.uses_lstm)
     rows = repeated_rows(ctx)
     encoded = []
-    monkeypatch.setattr(training, "encode_batch", lambda *a, **kw: encoded.append(a[2].size - 1)
+    monkeypatch.setattr(training, "encode_batch", lambda *a, **kw: encoded.append(a[1].size - 1)
                         or encode_batch(*a, **kw))
     scores_of(ctx, store, acfg, table.dense(), rows)
     keys = {(int(e), int(q)) for e, q in zip(np.concatenate([rows[:, 0], rows[:, 2]]), np.tile(rows[:, 1], 2))}

@@ -44,3 +44,4 @@ def test_synthetic_experiment_mines_the_rule_table_once(tmp_path, monkeypatch):
     ]
     assert len(mined) == 1
     assert len(built) == 1
+    assert all(0.0 <= float(row["tc_accuracy"]) <= 1.0 for row in rows)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import make_graph, random_bundles, random_name_triples
+from helpers import graph_nodes, make_graph, random_bundles, random_name_triples
 from lankgc import autodiff as ad
 from lankgc import training
 from lankgc.context import BundleContext
@@ -116,10 +116,9 @@ def test_train_on_an_ordinary_bundle_has_no_fallbacks():
 # --- loss pieces ----------------------------------------------------------------
 
 def test_hinge_frozen_values():
-    tape = ad.Tape()
-    easy = hinge(tape, 1.0, ad.Value(np.array([-1.0])), ad.Value(np.array([-5.0])))
+    easy = hinge(1.0, ad.Value(np.array([-1.0])), ad.Value(np.array([-5.0])))
     assert easy.data[0] == 0.0
-    hard = hinge(tape, 1.0, ad.Value(np.array([0.0])), ad.Value(np.array([0.5])))
+    hard = hinge(1.0, ad.Value(np.array([0.0])), ad.Value(np.array([0.5])))
     assert hard.data[0] == 1.5
 
 
@@ -131,10 +130,9 @@ def objective_on(bundle, tcfg, acfg, scorer="transe"):
     pos = ctx.train_graph.triplets[:8]
     known = fact_index(ctx.train_graph.triplets, ctx.vocab.n_entities, ctx.train_graph.n_relations)
     neg, _ = corrupt(pos, known, ctx.vocab.n_entities, rng)
-    tape = ad.Tape()
-    leaves = store.leaves(tape)
+    leaves = store.leaves(True)
     loss, parts = batch_objective(
-        tape, leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, scorer, rng
+        leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, scorer, rng
     )
     return store, float(loss.data), parts
 
@@ -174,18 +172,16 @@ def test_batch_objective_matches_per_pair_losses():
     pos = ctx.train_graph.triplets[:4]
     neg = ctx.train_graph.triplets[4:8]
 
-    tape = ad.Tape()
-    leaves = store.leaves(tape)
+    leaves = store.leaves(True)
     loss, _ = batch_objective(
-        tape, leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, "transe",
+        leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, "transe",
         np.random.default_rng(0),
     )
 
     single = 0.0
     for p, n in zip(pos, neg):
-        t2 = ad.Tape()
-        l2 = store.leaves(t2)
-        pair, _ = batch_objective(t2, l2, [p], [n], ctx.neighbor_graph, None, tcfg, acfg,
+        l2 = store.leaves(True)
+        pair, _ = batch_objective(l2, [p], [n], ctx.neighbor_graph, None, tcfg, acfg,
                                   "transe", np.random.default_rng(0))
         single += pair.item()
     assert float(loss.data) == pytest.approx(single / 4, rel=1e-12)
@@ -206,11 +202,10 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
     neg, _ = corrupt(pos, known, ctx.vocab.n_entities, np.random.default_rng(1))
 
     def gradients():
-        tape = ad.Tape()
-        leaves = store.leaves(tape)
-        loss, _ = batch_objective(tape, leaves, pos, neg, graph, dense, tcfg, acfg, "transe",
+        leaves = store.leaves(True)
+        loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe",
                                   np.random.default_rng(2))
-        tape.backward(loss)
+        ad.backward(loss)
         return loss.item(), collect_gradients(leaves)
 
     merged_loss, merged = gradients()
@@ -224,13 +219,13 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_a_batch_tape_is_freed_before_the_next_batch_starts(kind, monkeypatch):
-    refs = []  # weak references to the last batch's tape, its op outputs and its gradients
+    refs = []  # weak references to the data of the last batch's loss, the op outputs it reaches and its gradients
     alive_at_start = []
 
-    def objective(tape, leaves, *args):
+    def objective(leaves, *args):
         alive_at_start.append(sum(ref() is not None for ref in refs))
-        loss, parts = batch_objective(tape, leaves, *args)
-        refs[:] = [weakref.ref(tape)] + [weakref.ref(node.data) for node in tape.nodes if node._parents]
+        loss, parts = batch_objective(leaves, *args)
+        refs[:] = [weakref.ref(node.data) for node in graph_nodes(loss) if node._parents]
         return loss, parts
 
     def gradients(leaves):
@@ -288,13 +283,12 @@ def test_adam_in_place_step_is_the_written_out_update():
     opt = Adam(store)
     rng = np.random.default_rng(3)
     for t in range(1, 6):
-        tape = ad.Tape()
-        leaves = store.leaves(tape)
+        leaves = store.leaves(True)
         rows = rng.integers(0, 3, size=4)  # entity rows 3 to 5 get zero gradients
-        picked = ad.take_rows(tape, leaves["entity_emb"], rows)
-        loss = ad.add(tape, ad.sum_all(tape, ad.mul(tape, picked, ad.Value(rng.normal(size=picked.shape)))),
-                      ad.l2_norm_sq(tape, leaves["relation_emb"]))
-        tape.backward(loss)
+        picked = ad.take_rows(leaves["entity_emb"], rows)
+        loss = ad.add(ad.sum_all(ad.mul(picked, ad.Value(rng.normal(size=picked.shape)))),
+                      ad.l2_norm_sq(leaves["relation_emb"]))
+        ad.backward(loss)
         grads = collect_gradients(leaves)
         assert leaves["attn_proj"].grad is None and not grads["attn_proj"].any()
         assert grads["entity_emb"][rows].all() and not grads["entity_emb"][3:].any()
