@@ -1,22 +1,24 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The graph is the record: every value that requires a gradient, a leaf
-or an op output computed from one, keeps its parents and one
-vector-Jacobian product per parent, and draws a creation number.
-:func:`backward` walks the graph from the loss and runs the nodes it
-reaches in reverse creation order; an operand exists before the op that
-consumes it, so that order is topological, and gradients that meet at a
-node are added in the same sequence whatever the graph's shape.  A
-constant, and an op output whose operands all lack a gradient, is a
-plain ``Value(data)``: it keeps no parents, no vector-Jacobian products
-and no number, so it is freed as soon as the caller drops it, and a
-forward pass over constant weights builds no graph at all.  A graph
-dies with its loss.  Values are scalars (shape ``()``), vectors ``(n,)``
-or matrices ``(n, m)``; there is no broadcasting and no higher-rank
-support, every primitive checks its operand shapes explicitly.
+The graph is the record, and it holds gradients, not values: a value
+that requires a gradient, a leaf or an op output computed from one, owns
+a :class:`Node` with its gradient, its parents' nodes, a vector-Jacobian
+product per parent that requires a gradient, and a creation number.  A
+node never references a :class:`Value` or its data: each product closes
+over the arrays it reads, or only a shape, so an op output that no
+product reads is freed as soon as the caller drops it.  :func:`backward`
+walks the nodes from the loss and runs the nodes it reaches in reverse
+creation order; an operand exists before the op that consumes it, so
+that order is topological, and gradients that meet at a node are added
+in the same sequence whatever the graph's shape.  A constant, and an op
+output whose operands all lack a gradient, is a plain ``Value(data)``
+with no node, so a forward pass over constant weights builds no graph.
+A graph dies with its loss.  Values are scalars (shape ``()``), vectors
+``(n,)`` or matrices ``(n, m)``; there is no broadcasting and no
+higher-rank support, every primitive checks its operand shapes.
 
-After a backward pass only leaves hold gradients, on their
-:class:`Value`.  A gradient is left unallocated (``None``) until a
+After a backward pass only leaves hold gradients, read as
+:attr:`Value.grad`.  A gradient is left unallocated (``None``) until a
 backward pass touches it, so pure forward evaluation never pays for
 gradient buffers, and an op output's gradient is released as soon as
 its vector-Jacobian products have run, since nothing reads it again: a
@@ -29,7 +31,7 @@ add it in place into a gradient the parent already has; otherwise store
 a private copy if it shares memory with ``g`` (``add``, ``sub``'s left
 side, ``transpose``, ``reshape`` and ``concat`` along either axis pass
 ``g`` on), and store it as it is if it is fresh.  So no gradient aliases
-another node's gradient or data, while it is held.  A backward pass
+another gradient or an array a leaf or a product holds.  A backward pass
 first clears the gradients of the nodes it reaches, which makes
 repeated backward calls from the same loss bit-identical.
 
@@ -76,23 +78,39 @@ __all__ = [
     "mean_all",
 ]
 
-_created = itertools.count()  # creation numbers of the values that require a gradient; only their order matters
+_created = itertools.count()  # creation numbers of the graph nodes; only their order matters
+
+
+class Node:
+    """The gradient side of a value: its gradient, its parents' nodes and their VJPs (none for a leaf), and a number."""
+
+    __slots__ = ("grad", "parents", "vjps", "order")
+
+    def __init__(self, parents=(), vjps=()):
+        self.grad = None
+        self.parents = parents
+        self.vjps = vjps
+        self.order = next(_created)
 
 
 class Value:
-    """A float64 array plus a gradient slot; a graph node, numbered at creation, if it requires a gradient."""
+    """A float64 array, plus a graph :class:`Node` if it requires a gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_order")
+    __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad=False, parents=(), vjps=()):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError(f"values are at most rank 2, got shape {self.data.shape}")
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = parents
-        self._vjps = vjps
-        self._order = next(_created) if self.requires_grad else None
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
 
     @property
     def shape(self):
@@ -110,36 +128,34 @@ class Value:
 def backward(loss):
     """Set the gradient of every leaf that a scalar ``loss`` reaches.
 
-    Walks ``loss``'s parents through the values that require a gradient,
-    then runs the vector-Jacobian products of the nodes it reached in
-    reverse creation order.  Gradients of the reached nodes are cleared
-    first, so calling this twice gives identical results.  An op
-    output's gradient lives only until its vector-Jacobian products have
-    run, so afterwards every op output's ``grad`` is ``None``.  A leaf
-    the loss does not reach keeps whatever ``grad`` it had.  A loss that
-    requires no gradient depends on no leaf, and sets nothing.
+    Walks the nodes from ``loss``'s node through their parents, then
+    runs the vector-Jacobian products of the nodes it reached in reverse
+    creation order.  Gradients of the reached nodes are cleared first,
+    so calling this twice gives identical results.  An op output's
+    gradient lives only until its vector-Jacobian products have run, so
+    afterwards every op output's ``grad`` is ``None``.  A leaf the loss
+    does not reach keeps whatever ``grad`` it had.  A loss that requires
+    no gradient depends on no leaf, and sets nothing.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    if loss.node is None:
         return
-    reached, todo = {loss._order: loss}, [loss]
+    reached, todo = {loss.node.order: loss.node}, [loss.node]
     while todo:
-        for parent in todo.pop()._parents:
-            if parent.requires_grad and parent._order not in reached:
-                reached[parent._order] = parent
+        for parent in todo.pop().parents:
+            if parent.order not in reached:
+                reached[parent.order] = parent
                 todo.append(parent)
     nodes = [reached[key] for key in sorted(reached, reverse=True)]
     for node in nodes:
         node.grad = None
-    loss.grad = np.ones((), dtype=np.float64)
+    loss.node.grad = np.ones((), dtype=np.float64)
     for node in nodes:
-        if not node._parents:  # a leaf keeps its gradient
+        if not node.parents:  # a leaf keeps its gradient
             continue
         g = node.grad
-        for parent, vjp in zip(node._parents, node._vjps):
-            if not parent.requires_grad:
-                continue
+        for parent, vjp in zip(node.parents, node.vjps):
             delta = vjp(g)
             if parent.grad is not None:
                 parent.grad += delta
@@ -151,13 +167,16 @@ def backward(loss):
 
 
 def _make(data, parents, vjps):
-    """An op's output: a graph node with ``parents`` if any of them requires a gradient, else a plain value.
+    """An op's output: a graph node over the ``parents`` that require a gradient, if any does, else a plain value.
 
-    ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta.
+    ``vjps[i](g)`` maps the upstream gradient to parent ``i``'s delta;
+    only the products of parents that require a gradient are kept.
     """
-    if not any([p.requires_grad for p in parents]):
-        return Value(data)
-    return Value(data, requires_grad=True, parents=parents, vjps=vjps)
+    out = Value(data)
+    kept = [(p.node, vjp) for p, vjp in zip(parents, vjps) if p.node is not None]
+    if kept:
+        out.node = Node(*zip(*kept))
+    return out
 
 
 def _same_shape(a, b, op):
@@ -178,7 +197,8 @@ def sub(a, b):
 def mul(a, b):
     """Elementwise product of same-shape operands."""
     _same_shape(a, b, "mul")
-    return _make(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+    x, y = a.data, b.data
+    return _make(x * y, (a, b), (lambda g: g * y, lambda g: g * x))
 
 
 def scale(a, c):
@@ -191,28 +211,30 @@ def col_scale(x, v):
     """Scale row ``i`` of a matrix by ``v[i]``."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[0] != v.data.shape[0]:
         raise ValueError(f"col_scale: incompatible shapes {x.data.shape}, {v.data.shape}")
-    return _make(x.data * v.data[:, None], (x, v),
-                 (lambda g: g * v.data[:, None], lambda g: np.sum(g * x.data, axis=1)))
+    xd, vd = x.data, v.data
+    return _make(xd * vd[:, None], (x, v), (lambda g: g * vd[:, None], lambda g: np.sum(g * xd, axis=1)))
 
 
 def row_dot(a, b):
     """Row-wise dot product of two equal-shape matrices, giving a vector."""
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise ValueError(f"row_dot: incompatible shapes {a.data.shape}, {b.data.shape}")
-    return _make(np.sum(a.data * b.data, axis=1), (a, b),
-                 (lambda g: g[:, None] * b.data, lambda g: g[:, None] * a.data))
+    x, y = a.data, b.data
+    return _make(np.sum(x * y, axis=1), (a, b), (lambda g: g[:, None] * y, lambda g: g[:, None] * x))
 
 
 def matvec(m, v):
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {m.data.shape}, {v.data.shape}")
-    return _make(m.data @ v.data, (m, v), (lambda g: np.outer(g, v.data), lambda g: m.data.T @ g))
+    md, vd = m.data, v.data
+    return _make(md @ vd, (m, v), (lambda g: np.outer(g, vd), lambda g: md.T @ g))
 
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape}, {b.data.shape}")
-    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    x, y = a.data, b.data
+    return _make(x @ y, (a, b), (lambda g: g @ y.T, lambda g: x.T @ g))
 
 
 def transpose(a):
@@ -237,9 +259,10 @@ def narrow(a, lo, hi):
         raise ValueError("narrow: scalar input")
     if not (0 <= lo <= hi <= a.data.shape[-1]):
         raise ValueError(f"narrow: bad range [{lo}, {hi}) for shape {a.data.shape}")
+    shape = a.data.shape
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[..., lo:hi] = g
         return full
 
@@ -250,7 +273,8 @@ def reshape(a, shape):
     data = a.data.reshape(shape)
     if data.ndim > 2:
         raise ValueError(f"reshape: target rank too high {shape}")
-    return _make(data.copy(), (a,), (lambda g: g.reshape(a.data.shape),))
+    before = a.data.shape
+    return _make(data.copy(), (a,), (lambda g: g.reshape(before),))
 
 
 def take_rows(m, idx):
@@ -265,9 +289,9 @@ def take_rows(m, idx):
         raise ValueError(f"take_rows: need matrix and index vector, got {m.data.shape}, {idx.shape}")
     if idx.size and idx.view(np.uint64).max() >= m.data.shape[0]:  # a negative id reads as huge
         raise ValueError("take_rows: index out of range")
+    n = m.data.shape[0]
 
     def vjp(g):
-        n = m.data.shape[0]
         # int32 indices, as scipy stores them anyway; int64 costs a checked downcast per call
         itype = np.int32 if max(n, idx.size) < 2**31 else np.int64
         select = sp.csc_matrix(
@@ -356,12 +380,12 @@ def weighted_block_sum(entries, weights, offsets):
     row, counts = _slot_rows(offsets, slots, "weighted_block_sum")
     if entries.data.shape[0] != slots:
         raise ValueError(f"weighted_block_sum: {entries.data.shape[0]} rows for {slots} real slots")
-    w = weights.data
+    e, w = entries.data, weights.data
     itype = np.int32 if slots < 2**31 else np.int64
     select = sp.csr_matrix((w, np.arange(slots, dtype=itype), np.asarray(offsets, dtype=itype)),
                            shape=(counts.size, slots))
-    return _make(np.asarray(select @ entries.data), (entries, weights),
-                 (lambda g: g[row] * w[:, None], lambda g: np.sum(entries.data * g[row], axis=1)))
+    return _make(np.asarray(select @ e), (entries, weights),
+                 (lambda g: g[row] * w[:, None], lambda g: np.sum(e * g[row], axis=1)))
 
 
 def _running_sum(x):
@@ -382,7 +406,8 @@ def row_sum(a):
     """Each row of a matrix added as a running sum from 0.0 in column order -> (B,) vector."""
     if a.data.ndim != 2:
         raise ValueError(f"row_sum: expects a matrix, got shape {a.data.shape}")
-    return _make(_running_sum(a.data), (a,), (lambda g: np.broadcast_to(g[:, None], a.data.shape),))
+    shape = a.data.shape
+    return _make(_running_sum(a.data), (a,), (lambda g: np.broadcast_to(g[:, None], shape),))
 
 
 def l1_norm(a):
@@ -392,16 +417,19 @@ def l1_norm(a):
     """
     if a.data.ndim != 2:
         raise ValueError(f"l1_norm: expects a matrix, got shape {a.data.shape}")
-    return _make(_running_sum(np.abs(a.data)), (a,), (lambda g: g[:, None] * np.sign(a.data),))
+    x = a.data
+    return _make(_running_sum(np.abs(x)), (a,), (lambda g: g[:, None] * np.sign(x),))
 
 
 def l2_norm_sq(a):
     """Sum of squares of all entries, as a scalar."""
-    return _make(np.asarray(np.sum(a.data * a.data)), (a,), (lambda g: g * 2.0 * a.data,))
+    x = a.data
+    return _make(np.asarray(np.sum(x * x)), (a,), (lambda g: g * 2.0 * x,))
 
 
 def sum_all(a):
-    return _make(np.asarray(np.sum(a.data)), (a,), (lambda g: np.full_like(a.data, float(g)),))
+    shape = a.data.shape
+    return _make(np.asarray(np.sum(a.data)), (a,), (lambda g: np.full(shape, float(g)),))
 
 
 def mean_all(a):

@@ -27,14 +27,13 @@ row are still encoded per row, so the rng draws are those of encoding
 every row.
 
 Only training makes gradient leaves, so only training builds an
-autodiff graph, and one batch's graph is alive at a time: it dies with
-the step's loss, leaves and gradients, before the next batch is
-corrupted and encoded.  Within a step, the backward pass keeps only the
-leaves' gradients, releasing each op output's gradient once its
-vector-Jacobian products have run, and Adam updates each parameter in
-place through two parameter-sized scratch arrays, so the step's
-high-water mark is the graph's data plus the gradients still to be
-passed on.
+autodiff graph, and one batch's graph is alive at a time.  It holds only
+the arrays its vector-Jacobian products read, so an op output that none
+reads is freed during the forward pass.  The backward pass keeps only
+the leaves' gradients, and the step drops the loss, and so the graph,
+once they are collected.  So the step's high-water mark is the arrays
+the products keep plus the gradients still to be passed on; the
+gradient norm and Adam's two parameter-sized scratch arrays come later.
 """
 
 from __future__ import annotations
@@ -260,9 +259,10 @@ def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scor
 def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, rng, where):
     """One optimizer step on one batch, then the transform renormalization -> ``(loss, parts, gradient norm)``.
 
-    The batch's graph, leaves and gradients die when this returns, before
-    the next batch is built.  ``where`` names the batch in the error
-    that a non-finite loss raises.
+    The batch's graph dies once its gradients are collected, and its
+    leaves and gradients when this returns, before the next batch is
+    built.  ``where`` names the batch in the error that a non-finite
+    loss raises.
     """
     leaves = store.leaves(True)
     loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, scorer, rng)
@@ -271,6 +271,7 @@ def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, rng, where):
         raise TrainError(f"non-finite loss at {where}: {value}")
     ad.backward(loss)
     grads = collect_gradients(leaves)
+    del loss  # the graph and the arrays its products keep, before the norm's and Adam's temporaries
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     opt.step(store, grads, tcfg.learning_rate)
     store.renormalize_transforms()

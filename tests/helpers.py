@@ -57,14 +57,27 @@ def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
 
 
 def graph_nodes(loss):
-    """The values that require a gradient and that ``loss`` reaches through its parents, in creation order."""
-    seen, todo = {id(loss): loss}, [loss]
+    """The graph nodes that ``loss`` reaches through their parents, in creation order; none for a gradient-free loss."""
+    if loss.node is None:
+        return []
+    seen, todo = {id(loss.node): loss.node}, [loss.node]
     while todo:
-        for parent in todo.pop()._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        for parent in todo.pop().parents:
+            if id(parent) not in seen:
                 seen[id(parent)] = parent
                 todo.append(parent)
-    return sorted((node for node in seen.values() if node.requires_grad), key=lambda node: node._order)
+    return sorted(seen.values(), key=lambda node: node.order)
+
+
+def kept_arrays(nodes):
+    """The distinct arrays that the vector-Jacobian products of ``nodes`` close over: a graph's memory."""
+    kept = {}
+    for node in nodes:
+        for vjp in node.vjps:
+            for cell in vjp.__closure__ or ():
+                if isinstance(cell.cell_contents, np.ndarray):
+                    kept[id(cell.cell_contents)] = cell.cell_contents
+    return list(kept.values())
 
 
 def make_graph(triples):

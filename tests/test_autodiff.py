@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import finite_difference_check, graph_nodes, grid_to_csr, make_graph, random_name_triples
+from helpers import finite_difference_check, graph_nodes, grid_to_csr, kept_arrays, make_graph, random_name_triples
 from lankgc import autodiff as ad
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_batch
 from lankgc.params import init_params
@@ -232,7 +233,7 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     x = ad.Value(r(19, 4), requires_grad=True)
     doubled = ad.add(x, x)
     upstream = []  # the gradient that doubled's VJPs read, kept past its release
-    doubled._vjps = tuple(lambda up, vjp=vjp: upstream.append(up) or vjp(up) for vjp in doubled._vjps)
+    doubled.node.vjps = tuple(lambda up, vjp=vjp: upstream.append(up) or vjp(up) for vjp in doubled.node.vjps)
     loss = ad.sum_all(ad.mul(doubled, ad.Value(g)))
     ad.backward(loss)
     np.testing.assert_array_equal(x.grad, 2.0 * g)
@@ -244,7 +245,7 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     b = ad.Value(r(21, 4), requires_grad=True)
     loss = ad.sum_all(ad.mul(ad.add(a, b), ad.Value(g)))
     ad.backward(loss)
-    a.grad += 1.0
+    a.node.grad += 1.0
     np.testing.assert_array_equal(a.grad, g + 1.0)
     np.testing.assert_array_equal(b.grad, g)
 
@@ -257,23 +258,24 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     np.testing.assert_array_equal(w.grad, g * x.data)
 
 
-def _assert_gradients_private(loss):
-    """No ``.grad`` of ``loss``'s graph shares memory with another ``.grad`` or with the ``.data`` of a node or a parent.
+def _assert_gradients_private(loss, leaves):
+    """No gradient of ``loss``'s graph shares memory with another gradient, the data of one of ``leaves``
+    or an array that a node's vector-Jacobian product keeps.
 
-    The parents include the constants, which are no graph nodes, so a
-    gradient that aliases a constant's data (such as the hinge's margin
-    vector) is seen too.  Sorts the byte intervals of all arrays once, so
-    a large graph costs ``n log n``: an interval that starts before the
-    furthest end seen so far overlaps an earlier one, and that is a fault
-    if either is a gradient.
+    The kept arrays include the constants that a product reads, which
+    are no graph nodes, so a gradient that aliases a constant's data is
+    seen too; a product can hand back no other array.  Sorts the byte
+    intervals of all arrays once, so a large graph costs ``n log n``: an
+    interval that starts before the furthest end seen so far overlaps an
+    earlier one, and that is a fault if either is a gradient.
     """
-    values = {id(value): value for node in graph_nodes(loss) for value in (node, *node._parents)}
+    nodes = graph_nodes(loss)
+    arrays = [(False, leaf.data) for leaf in leaves] + [(False, arr) for arr in kept_arrays(nodes)]
     spans = []
-    for value in values.values():
-        for is_grad, arr in ((False, value.data), (True, value.grad)):
-            if arr is not None and arr.size:
-                lo, hi = byte_bounds(arr)
-                spans.append((lo, hi, is_grad))
+    for is_grad, arr in arrays + [(True, node.grad) for node in nodes]:
+        if arr is not None and arr.size:
+            lo, hi = byte_bounds(arr)
+            spans.append((lo, hi, is_grad))
     spans.sort(key=lambda span: span[0])
     end_any = end_grad = -1
     for lo, hi, is_grad in spans:
@@ -285,17 +287,17 @@ def _assert_gradients_private(loss):
 
 def test_the_privacy_check_sees_a_gradient_that_aliases_a_constant():
     x, margin = ad.Value(r(35, 4), requires_grad=True), ad.Value(r(36, 4))
-    loss = ad.sum_all(ad.add(x, margin))
+    loss = ad.sum_all(ad.mul(x, margin))  # x's product keeps the constant's data
     ad.backward(loss)
-    _assert_gradients_private(loss)
-    x.grad = margin.data  # as if a VJP had handed back the constant's own array
+    _assert_gradients_private(loss, [x])
+    x.node.grad = margin.data  # as if a VJP had handed back the constant's own array
     with pytest.raises(AssertionError, match="shares memory"):
-        _assert_gradients_private(loss)
+        _assert_gradients_private(loss, [x])
 
 
 def _leaves_reached(loss):
     """The leaves that require a gradient and that ``loss`` depends on, in creation order."""
-    return [node for node in graph_nodes(loss) if not node._parents]
+    return [node for node in graph_nodes(loss) if not node.parents]
 
 
 def _objective_graph(kind):
@@ -328,8 +330,8 @@ def test_backward_leaves_every_gradient_private(case):
     ad.backward(loss)
     held = [node for node in graph_nodes(loss) if node.grad is not None]
     assert held and held == _leaves_reached(loss)
-    assert all(leaf.grad is None for leaf in leaves if not any(leaf is node for node in held))
-    _assert_gradients_private(loss)
+    assert all(leaf.grad is None for leaf in leaves if not any(leaf.node is node for node in held))
+    _assert_gradients_private(loss, leaves)
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
@@ -339,8 +341,47 @@ def test_only_the_leaves_the_loss_reaches_keep_a_gradient(kind):
         ad.backward(loss)
         held = [node for node in graph_nodes(loss) if node.grad is not None]
         # the L2 penalty reaches the attention parameters, so the loss reaches every parameter
-        assert held == _leaves_reached(loss) == leaves and len(held) > 1
+        assert held == _leaves_reached(loss) == [leaf.node for leaf in leaves] and len(held) > 1
     assert loss.grad is None
+
+
+def _recording_outputs(monkeypatch):
+    """Patch ``ad._make`` to record a weak reference to every op output's data, in creation order."""
+    made, make = [], ad._make
+
+    def recording(data, parents, vjps):
+        out = make(data, parents, vjps)
+        made.append(weakref.ref(out.data))
+        return out
+    monkeypatch.setattr(ad, "_make", recording)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(set(FD_CASES) - {"l2_norm_sq", "sum_all"}))  # both make the loss alone
+def test_an_op_output_lives_only_while_a_product_reads_it(name, monkeypatch):
+    # each case is weighted(op(...)) or mean_all: the consumer of the op output reads no more than its shape
+    params, build = FD_CASES[name]
+    made = _recording_outputs(monkeypatch)
+    leaves = {k: ad.Value(v.copy(), requires_grad=True) for k, v in params.items()}
+    loss = build(leaves)
+    reads_its_output = name.startswith(("tanh", "sigmoid", "softmax"))  # their VJPs read the op's own output
+    alive = [ref() is not None for ref in made]
+    assert len(alive) >= 2 and alive == [reads_its_output] + [False] * (len(alive) - 2) + [True]
+    ad.backward(loss)
+    assert all(leaf.grad is not None for leaf in leaves.values())
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_training_graph_keeps_no_value_and_only_the_outputs_its_products_read(kind, monkeypatch):
+    made = _recording_outputs(monkeypatch)
+    leaves, loss = _objective_graph(kind)
+    nodes = graph_nodes(loss)
+    cells = [cell.cell_contents for node in nodes for vjp in node.vjps for cell in vjp.__closure__ or ()]
+    assert cells and not any(isinstance(obj, ad.Value) for obj in cells)
+    kept = kept_arrays(nodes)
+    alive = [ref() for ref in made if ref() is not None]
+    assert len(alive) < len(made)
+    assert all(arr is loss.data or any(np.may_share_memory(arr, k) for k in kept) for arr in alive)
 
 
 def _order_sensitive_sum():
@@ -594,7 +635,7 @@ def test_backward_on_a_gradient_free_loss_sets_nothing():
     ad.backward(ad.sum_all(ad.mul(x, c)))
     held = x.grad.copy()
     free = ad.sum_all(ad.mul(c, c))
-    assert not free.requires_grad and free._parents == ()
+    assert not free.requires_grad and free.node is None
     ad.backward(free)  # a gradient-free loss depends on no leaf
     assert free.grad is None and x.grad.tobytes() == held.tobytes()
 
@@ -605,7 +646,7 @@ def test_a_leaf_the_loss_does_not_reach_keeps_its_gradient():
     held = y.grad.copy()
     loss = ad.sum_all(ad.tanh(x))
     ad.backward(loss)
-    assert _leaves_reached(loss) == [x]
+    assert _leaves_reached(loss) == [x.node]
     np.testing.assert_array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
     assert y.grad.tobytes() == held.tobytes()
 

@@ -486,7 +486,7 @@ def test_an_encode_over_constant_leaves_records_only_leaves(world, kind):
     assert not out.requires_grad and next(ad._created) == start + 1
     recorded = encode_batch(store.leaves(True), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
                             rng=np.random.default_rng(1))
-    assert recorded.requires_grad and recorded._parents
+    assert recorded.requires_grad and recorded.node.parents
     assert out.data.tobytes() == recorded.data.tobytes()
 
 

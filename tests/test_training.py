@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import graph_nodes, make_graph, random_bundles, random_name_triples
+from helpers import graph_nodes, kept_arrays, make_graph, random_bundles, random_name_triples
 from lankgc import autodiff as ad
 from lankgc import training
 from lankgc.context import BundleContext
@@ -217,15 +217,22 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
         np.testing.assert_allclose(merged[name], every[name], rtol=0, atol=1e-12, err_msg=name)
 
 
+def graph_refs(leaves, loss):
+    """Weak references to ``loss``'s data, its graph's VJPs and the arrays they keep beside the ``leaves``' data."""
+    nodes = graph_nodes(loss)
+    kept = [arr for arr in kept_arrays(nodes) if not any(arr is leaf.data for leaf in leaves.values())]
+    return [weakref.ref(obj) for obj in [loss.data, *kept, *(vjp for node in nodes for vjp in node.vjps)]]
+
+
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_a_batch_tape_is_freed_before_the_next_batch_starts(kind, monkeypatch):
-    refs = []  # weak references to the data of the last batch's loss, the op outputs it reaches and its gradients
+    refs = []  # weak references to the last batch's loss data, its nodes' VJPs, the arrays they keep and its gradients
     alive_at_start = []
 
     def objective(leaves, *args):
         alive_at_start.append(sum(ref() is not None for ref in refs))
         loss, parts = batch_objective(leaves, *args)
-        refs[:] = [weakref.ref(node.data) for node in graph_nodes(loss) if node._parents]
+        refs[:] = graph_refs(leaves, loss)
         return loss, parts
 
     def gradients(leaves):
@@ -242,6 +249,64 @@ def test_a_batch_tape_is_freed_before_the_next_batch_starts(kind, monkeypatch):
         gc.enable()
     assert len(alive_at_start) > 2 and alive_at_start == [0] * len(alive_at_start)
     assert len(refs) > 20
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_step_frees_its_graph_before_the_optimizer_runs(kind, monkeypatch):
+    refs = []  # weak references to the batch's graph
+    freed_at_step = []
+
+    def objective(leaves, *args):
+        loss, parts = batch_objective(leaves, *args)
+        refs[:] = graph_refs(leaves, loss)
+        return loss, parts
+
+    def step(opt, store, grads, lr):
+        freed_at_step.append(all(ref() is None for ref in refs))
+        return sgd_step(opt, store, grads, lr)
+
+    sgd_step = Sgd.step
+    monkeypatch.setattr(training, "batch_objective", objective)
+    monkeypatch.setattr(Sgd, "step", step)
+    gc.disable()  # reference counting alone must free the graph
+    try:
+        train(tiny_bundle(seed=4), quick_cfg(), AggregatorConfig(kind=kind))
+    finally:
+        gc.enable()
+    assert len(freed_at_step) > 2 and all(freed_at_step) and len(refs) > 20
+
+
+def test_a_lan_batch_graph_holds_under_five_per_slot_arrays(monkeypatch):
+    # the graph keeps four (S, d) arrays, the two gathers, the transformed slots and the tanh output; every other
+    # (S, d) output is freed while the forward pass runs, as no vector-Jacobian product reads it
+    graph = make_graph(random_name_triples(np.random.default_rng(8), 400, 6, 4000))
+    n, dim, b = graph.vocab.n_entities, 32, 128
+    tcfg, acfg = TrainConfig(dim=dim, neighbor_budget=64), AggregatorConfig(kind="lan", neighbor_budget=64)
+    store, dense = init_params(n, graph.n_relations, dim, 0), mine_confidence(graph).dense()
+    pos = graph.triplets[:b]
+    neg, _ = corrupt(pos, KnownTriplets(graph.triplets, n, graph.n_relations), n, np.random.default_rng(1))
+    encoded = []  # (rows, slots) of each encode pass
+    encode = training.encode_batch
+    monkeypatch.setattr(training, "encode_batch", lambda leaves, offsets, *a, **kw:
+                        encoded.append((offsets.size - 1, int(offsets[-1]))) or encode(leaves, offsets, *a, **kw))
+    leaves = store.leaves(True)
+    batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", np.random.default_rng(2))  # untraced warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", np.random.default_rng(2))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    (rows, slots), = encoded[1:]
+    assert loss.requires_grad and slots > 10 * rows  # the per-slot arrays dominate
+    per_slot = 5 * slots * dim * 8
+    # (S,): the two gathers' ids, the query half's slot rows, the projection, the softmax's weights and rows,
+    # and the final sum's weights and rows
+    slot_vectors = 8 * slots * 8
+    # (B, d): the query gather over the encoded rows, and the two scorers' (2b, d) differences
+    row_blocks = (rows + 2 * 2 * b) * dim * 8
+    assert held <= per_slot + slot_vectors + row_blocks
 
 
 # --- optimizers -----------------------------------------------------------------
