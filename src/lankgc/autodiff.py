@@ -13,27 +13,27 @@ that order is topological, and gradients that meet at a node are added
 in the same sequence whatever the graph's shape.  A constant, and an op
 output whose operands all lack a gradient, is a plain ``Value(data)``
 with no node, so a forward pass over constant weights builds no graph.
-A graph dies with its loss.  Values are scalars (shape ``()``), vectors
-``(n,)`` or matrices ``(n, m)``; there is no broadcasting and no
-higher-rank support, every primitive checks its operand shapes.
+Values are scalars (shape ``()``), vectors ``(n,)`` or matrices
+``(n, m)``; there is no broadcasting and no higher-rank support, every
+primitive checks its operand shapes.
 
-After a backward pass only leaves hold gradients, read as
-:attr:`Value.grad`.  A gradient is left unallocated (``None``) until a
-backward pass touches it, so pure forward evaluation never pays for
-gradient buffers, and an op output's gradient is released as soon as
-its vector-Jacobian products have run, since nothing reads it again: a
-backward pass holds the gradients still to be passed on, not one per
-node.  Ops are pure: ``vjps[i](g)`` returns parent ``i``'s delta for the
-upstream gradient ``g``.  A delta is ``g``, a view of ``g`` or a fresh
-array, never an array held anywhere else.  :func:`backward` alone
+A backward pass consumes the graph: after a node's vector-Jacobian
+products have run, it drops its gradient, its parents and its products,
+so every array a product kept is freed as the pass goes by, not when
+the loss dies, and a backward pass holds the gradients still to be
+passed on, not one per node.  Only leaves keep their gradients, read as
+:attr:`Value.grad`; a second backward pass over a consumed graph
+raises.  A gradient is left unallocated (``None``) until a backward
+pass touches it, so pure forward evaluation never pays for gradient
+buffers.  Ops are pure: ``vjps[i](g)`` returns parent ``i``'s delta for
+the upstream gradient ``g``.  A delta is ``g``, a view of ``g`` or a
+fresh array, never an array held anywhere else.  :func:`backward` alone
 decides what to do with it, for each parent that requires a gradient:
 add it in place into a gradient the parent already has; otherwise store
 a private copy if it shares memory with ``g`` (``add``, ``sub``'s left
 side, ``transpose``, ``reshape`` and ``concat`` along either axis pass
 ``g`` on), and store it as it is if it is fresh.  So no gradient aliases
-another gradient or an array a leaf or a product holds.  A backward pass
-first clears the gradients of the nodes it reaches, which makes
-repeated backward calls from the same loss bit-identical.
+another gradient or an array a leaf or a product holds.
 
 The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
 take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
@@ -56,8 +56,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "col_scale",
-    "row_dot",
     "matvec",
     "matmul",
     "transpose",
@@ -65,6 +63,7 @@ __all__ = [
     "narrow",
     "reshape",
     "take_rows",
+    "transform_rows",
     "repeat_rows",
     "tanh",
     "sigmoid",
@@ -126,16 +125,16 @@ class Value:
 
 
 def backward(loss):
-    """Set the gradient of every leaf that a scalar ``loss`` reaches.
+    """Set the gradient of every leaf that a scalar ``loss`` reaches, consuming the loss's graph.
 
     Walks the nodes from ``loss``'s node through their parents, then
     runs the vector-Jacobian products of the nodes it reached in reverse
-    creation order.  Gradients of the reached nodes are cleared first,
-    so calling this twice gives identical results.  An op output's
-    gradient lives only until its vector-Jacobian products have run, so
-    afterwards every op output's ``grad`` is ``None``.  A leaf the loss
-    does not reach keeps whatever ``grad`` it had.  A loss that requires
-    no gradient depends on no leaf, and sets nothing.
+    creation order.  The leaves' gradients are cleared first.  Each op
+    node drops its gradient, parents and products once its products have
+    run, so afterwards only the leaves hold anything, and a graph that
+    meets a node an earlier call consumed raises :class:`ValueError`.
+    A leaf the loss does not reach keeps whatever ``grad`` it had.  A
+    loss that requires no gradient depends on no leaf, and sets nothing.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -148,6 +147,8 @@ def backward(loss):
                 reached[parent.order] = parent
                 todo.append(parent)
     nodes = [reached[key] for key in sorted(reached, reverse=True)]
+    if any(node.vjps is None for node in nodes):
+        raise ValueError("backward: the graph was consumed by an earlier backward pass")
     for node in nodes:
         node.grad = None
     loss.node.grad = np.ones((), dtype=np.float64)
@@ -163,7 +164,8 @@ def backward(loss):
                 parent.grad = np.array(delta)
             else:
                 parent.grad = np.asarray(delta)  # a 0-d product comes back as a numpy scalar
-        node.grad = g = delta = None  # nothing reads an interior gradient, or a view of it, once its VJPs have run
+        node.grad = node.vjps = g = delta = vjp = None  # nothing reads these, or the arrays the products keep, again
+        node.parents = ()
 
 
 def _make(data, parents, vjps):
@@ -205,22 +207,6 @@ def scale(a, c):
     """Multiply by a plain python float (not differentiated through)."""
     c = float(c)
     return _make(a.data * c, (a,), (lambda g: g * c,))
-
-
-def col_scale(x, v):
-    """Scale row ``i`` of a matrix by ``v[i]``."""
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[0] != v.data.shape[0]:
-        raise ValueError(f"col_scale: incompatible shapes {x.data.shape}, {v.data.shape}")
-    xd, vd = x.data, v.data
-    return _make(xd * vd[:, None], (x, v), (lambda g: g * vd[:, None], lambda g: np.sum(g * xd, axis=1)))
-
-
-def row_dot(a, b):
-    """Row-wise dot product of two equal-shape matrices, giving a vector."""
-    if a.data.ndim != 2 or a.data.shape != b.data.shape:
-        raise ValueError(f"row_dot: incompatible shapes {a.data.shape}, {b.data.shape}")
-    x, y = a.data, b.data
-    return _make(np.sum(x * y, axis=1), (a, b), (lambda g: g[:, None] * y, lambda g: g[:, None] * x))
 
 
 def matvec(m, v):
@@ -277,29 +263,68 @@ def reshape(a, shape):
     return _make(data.copy(), (a,), (lambda g: g.reshape(before),))
 
 
-def take_rows(m, idx):
-    """Gather rows ``m[idx]``; the backward pass scatter-adds into ``m``.
-
-    The scatter is one sparse product: a selection matrix with a single
-    1 in column ``j`` at row ``idx[j]`` times the upstream gradient, so
-    repeated indices sum.
-    """
+def _row_ids(m, idx, op):
+    """``idx`` as int64 ids of rows of the matrix ``m``; an id outside its rows raises."""
     idx = np.asarray(idx, dtype=np.int64)
     if m.data.ndim != 2 or idx.ndim != 1:
-        raise ValueError(f"take_rows: need matrix and index vector, got {m.data.shape}, {idx.shape}")
+        raise ValueError(f"{op}: need matrix and index vector, got {m.data.shape}, {idx.shape}")
     if idx.size and idx.view(np.uint64).max() >= m.data.shape[0]:  # a negative id reads as huge
-        raise ValueError("take_rows: index out of range")
-    n = m.data.shape[0]
+        raise ValueError(f"{op}: index out of range")
+    return idx
 
-    def vjp(g):
-        # int32 indices, as scipy stores them anyway; int64 costs a checked downcast per call
-        itype = np.int32 if max(n, idx.size) < 2**31 else np.int64
-        select = sp.csc_matrix(
-            (np.ones(idx.size), idx.astype(itype), np.arange(idx.size + 1, dtype=itype)), shape=(n, idx.size)
-        )
-        return np.asarray(select @ g)
 
-    return _make(m.data.take(idx, axis=0), (m,), (vjp,))  # a copy, as m.data[idx], but faster
+def _scatter_rows(idx, n, g):
+    """Row ``j`` of ``g`` added into row ``idx[j]`` of (n, d) zeros, as one sparse product: repeated ids sum."""
+    itype = np.int32 if max(n, idx.size) < 2**31 else np.int64  # as scipy stores them; int64 costs a checked downcast
+    select = sp.csc_matrix((np.ones(idx.size), idx.astype(itype), np.arange(idx.size + 1, dtype=itype)),
+                           shape=(n, idx.size))
+    return np.asarray(select @ g)
+
+
+def take_rows(m, idx):
+    """Gather rows ``m[idx]``; the backward pass scatter-adds into ``m``."""
+    idx, n = _row_ids(m, idx, "take_rows"), m.data.shape[0]
+    return _make(m.data.take(idx, axis=0), (m,), (lambda g: _scatter_rows(idx, n, g),))  # a copy, as m.data[idx]
+
+
+def transform_rows(m, idx, w, rel):
+    """Rows ``e = m[idx]`` less their component along ``v = w[rel]``: ``e - (v . e) v``, computed as written.
+
+    Keeps the ids and the (S,) projections ``v . e``; the products gather
+    rows again from ``m.data`` and ``w.data``, which must not change
+    before the backward pass, and ``m``'s, which runs first, hands the
+    projections' gradient ``sum(-g * v)`` on to ``w``'s.
+    """
+    idx, rel = _row_ids(m, idx, "transform_rows"), _row_ids(w, rel, "transform_rows")
+    table, transforms = m.data, w.data
+    if idx.size != rel.size or table.shape[1] != transforms.shape[1]:
+        raise ValueError(f"transform_rows: {idx.size} ids for {rel.size} relations, or the widths differ")
+    e, v = table.take(idx, axis=0), transforms.take(rel, axis=0)
+    proj = np.sum(e * v, axis=1)
+    v *= proj[:, None]
+    handoff = []
+
+    def proj_grad(g, v):  # closes over nothing: each product's arrays are its own closure cells
+        dp = np.negative(g)
+        dp *= v
+        return dp.sum(axis=1)
+
+    def d_table(g):
+        v = transforms.take(rel, axis=0)
+        dp = proj_grad(g, v)
+        handoff.append(dp)  # for w's product, the next to run; the graph drops both products after it
+        v *= dp[:, None]
+        v += g
+        return _scatter_rows(idx, table.shape[0], v)
+
+    def d_transforms(g):
+        dp = handoff.pop() if handoff else proj_grad(g, transforms.take(rel, axis=0))
+        e, delta = table.take(idx, axis=0), g * -proj[:, None]  # the bytes of (-g) * proj
+        e *= dp[:, None]
+        delta += e
+        return _scatter_rows(rel, transforms.shape[0], delta)
+
+    return _make(np.subtract(e, v, out=e), (m, w), (d_table, d_transforms))
 
 
 def repeat_rows(a, k):
@@ -312,7 +337,12 @@ def repeat_rows(a, k):
 
 def tanh(a):
     data = np.tanh(a.data)
-    return _make(data, (a,), (lambda g: g * (1.0 - data * data),))
+
+    def vjp(g):  # g * (1 - t*t) in one scratch array
+        out = np.multiply(data, data, out=np.empty_like(data))
+        return np.multiply(g, np.subtract(1.0, out, out=out), out=out)
+
+    return _make(data, (a,), (vjp,))
 
 
 def sigmoid(a):

@@ -31,11 +31,13 @@ in the test suite pin it to the formulas above.
 
 A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
 the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
-arrays, and every per-slot quantity is an (S,) array, from the gathers,
-the transform and the attention projection to the logic weights, the
-softmax and the weights of the final sum
-(:func:`~lankgc.autodiff.weighted_block_sum`).  Each row's scalar sums
-add its own slots in slot order, so an empty row simply has no slots.
+arrays, and every per-slot quantity is an (S,) array, from the
+transform (:func:`~lankgc.autodiff.transform_rows`, one op from the two
+tables and the slot ids, whose graph node keeps no gathered row) and
+the attention projection to the logic weights, the softmax and the
+weights of the final sum (:func:`~lankgc.autodiff.weighted_block_sum`).
+Each row's scalar sums add its own slots in slot order, so an empty row
+simply has no slots.
 ``attn_proj`` is applied in two halves taken apart by column:
 ``W_a [z_q ; t] = W_q z_q + W_e t``.  The query half is computed once
 per row and gathered to its slots, the neighbor half once per slot;
@@ -92,12 +94,6 @@ class AggregatorConfig:
     @property
     def uses_lstm(self):
         return self.kind == "lstm"
-
-
-def transform_batch(entries, transforms):
-    """Project out the transform direction row by row: ``e - (w . e) w``."""
-    proj = ad.row_dot(entries, transforms)
-    return ad.sub(entries, ad.col_scale(transforms, proj))
 
 
 def _shared_rng(rng, rows):
@@ -195,10 +191,7 @@ def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table
     counts = np.diff(offsets)
     dim = leaves["entity_emb"].data.shape[1]
 
-    transformed = transform_batch(  # (S, d), in slot order; the gathers are freed here unless they need a gradient
-        ad.take_rows(leaves["entity_emb"], entities),
-        ad.take_rows(leaves["transform_vec"], relations),
-    )
+    transformed = ad.transform_rows(leaves["entity_emb"], entities, leaves["transform_vec"], relations)
 
     if cfg.kind == "lstm":
         out = _encode_batch_lstm(leaves, transformed, offsets, rng)

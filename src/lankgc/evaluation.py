@@ -212,8 +212,8 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     features, equal to :func:`~lankgc.decoder.score_batch`'s bit for bit;
     transe scores a block of queries with one ``cdist`` call.
     :func:`link_prediction` calls this once per query relation; no
-    queries, or queries of more than one relation, raise
-    :class:`EvalError`.
+    queries, queries of more than one relation, or an id outside the
+    model raise :class:`EvalError`.
     """
     if rank_side not in ("subject", "object"):
         raise EvalError(f"rank_side must be subject or object, got {rank_side!r}")
@@ -221,7 +221,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         raise EvalError(
             f"filter_set must be a KnownTriplets index, got {type(filter_set).__name__}"
         )
-    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    triplets = _checked_ids(ctx, store, triplets, "query")
     if triplets.shape[0] == 0:
         raise EvalError("no queries to rank")
     q = int(triplets[0, 1])
@@ -282,11 +282,18 @@ class LinkPredictionResult:
     empty_fixed: int = 0
 
 
-def _check_vocabulary(ctx, store):
-    """Refuse a parameter store with fewer entity rows than the bundle's vocabulary."""
-    rows, n = store["entity_emb"].shape[0], ctx.vocab.n_entities
-    if rows < n:
-        raise EvalError(f"the parameter store embeds {rows} entities, but the bundle's vocabulary has {n}")
+def _checked_ids(ctx, store, rows, what):
+    """(s, q, o) id rows as (n, 3) int64; a store short of the vocabulary, or an id outside it, is an EvalError."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    n, r = ctx.vocab.n_entities, store["relation_emb"].shape[0]
+    if store["entity_emb"].shape[0] < n:
+        raise EvalError(f"the parameter store embeds {store['entity_emb'].shape[0]} entities, but the bundle's "
+                        f"vocabulary has {n}")
+    outside = ((rows < 0) | (rows >= np.array([n, r, n]))).any(axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise EvalError(f"{what} row {i} {tuple(rows[i].tolist())} has an id outside {n} entities and {r} relations")
+    return rows
 
 
 def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank_side=None):
@@ -298,13 +305,11 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
     relation's queries together: the candidate encodings of a relation
     are computed once and dropped before the next, so at most one
     (N, d) block is held.  Each query has its own keyed rng, so the
-    ranks do not depend on query order.
+    ranks do not depend on query order.  An id outside the model raises
+    :class:`EvalError` before any encoding.
     """
     check_scorer(scorer, store["entity_emb"].shape[1])
-    _check_vocabulary(ctx, store)
-    if triplets is None:
-        triplets = ctx.to_ids(ctx.bundle.test)
-    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    triplets = _checked_ids(ctx, store, ctx.to_ids(ctx.bundle.test) if triplets is None else triplets, "query")
     if triplets.shape[0] == 0:
         raise EvalError("no test triplets to rank")
     if rank_side is None:
@@ -391,14 +396,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     One Generator, keyed on (seed, n), makes every draw, batch by batch.
     An id outside the model raises :class:`EvalError`.
     """
-    _check_vocabulary(ctx, store)
-    labeled_ids = np.asarray(labeled_ids, dtype=np.int64).reshape(-1, 3)
-    n, r = ctx.neighbor_graph.offsets.size - 1, store["relation_emb"].shape[0]
-    outside = (labeled_ids < 0) | (labeled_ids >= np.array([n, r, n]))
-    if outside.any():
-        i = int(np.argmax(outside.any(axis=1)))
-        raise EvalError(f"labeled row {i} {tuple(labeled_ids[i].tolist())} has an id outside "
-                        f"{n} entities and {r} relations")
+    labeled_ids = _checked_ids(ctx, store, labeled_ids, "labeled")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     rng = np.random.default_rng([seed, labeled_ids.shape[0]])
     leaves = store.leaves(False)

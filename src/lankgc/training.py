@@ -29,11 +29,14 @@ every row.
 Only training makes gradient leaves, so only training builds an
 autodiff graph, and one batch's graph is alive at a time.  It holds only
 the arrays its vector-Jacobian products read, so an op output that none
-reads is freed during the forward pass.  The backward pass keeps only
-the leaves' gradients, and the step drops the loss, and so the graph,
-once they are collected.  So the step's high-water mark is the arrays
-the products keep plus the gradients still to be passed on; the
-gradient norm and Adam's two parameter-sized scratch arrays come later.
+reads is freed during the forward pass; for ``lan`` that is two per-slot
+arrays, the transformed slots and the ``tanh`` output.  The backward
+pass consumes the graph, freeing each node's arrays once its products
+have run, and keeps only the leaves' gradients.  So the step's
+high-water mark, in the backward pass, is the arrays of the nodes not
+yet reached plus the gradients still to be passed on; the gradient norm
+and Adam's two parameter-sized scratch arrays come after the step drops
+the loss.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import weakref
 
@@ -73,10 +74,6 @@ FD_CASES = {
             lambda l: weighted(ad.mul(l["a"], l["b"]), 10)),
     "scale": ({"a": r(11, 5)},
               lambda l: weighted(ad.scale(l["a"], -1.7), 12)),
-    "col_scale": ({"x": r(16, 4, 3), "v": r(17, 4)},
-                  lambda l: weighted(ad.col_scale(l["x"], l["v"]), 18)),
-    "row_dot": ({"a": r(21, 4, 3), "b": r(22, 4, 3)},
-                lambda l: weighted(ad.row_dot(l["a"], l["b"]), 23)),
     "matvec": ({"m": r(24, 3, 4), "v": r(25, 4)},
                lambda l: weighted(ad.matvec(l["m"], l["v"]), 26)),
     "matmul": ({"a": r(27, 3, 4), "b": r(28, 4, 2)},
@@ -95,6 +92,11 @@ FD_CASES = {
                 lambda l: weighted(ad.reshape(l["a"], (2, 3)), 43)),
     "take_rows": ({"m": r(44, 5, 3)},
                   lambda l: weighted(ad.take_rows(l["m"], np.array([0, 3, 3, 1])), 45)),
+    "transform_rows": ({"m": r(16, 5, 3), "w": r(17, 4, 3)},
+                       lambda l: weighted(ad.transform_rows(l["m"], [0, 3, 3, 1, 4, 0], l["w"], [2, 2, 0, 3, 2, 1]),
+                                          18)),
+    "transform_rows_one_pair": ({"m": r(21, 3, 4), "w": r(22, 2, 4)},  # every slot the same (entity, relation) pair
+                                lambda l: weighted(ad.transform_rows(l["m"], [1, 1, 1], l["w"], [0, 0, 0]), 23)),
     "repeat_rows": ({"a": r(48, 3, 2)},
                     lambda l: weighted(ad.repeat_rows(l["a"], 3), 49)),
     "tanh": ({"a": r(50, 5)},
@@ -134,19 +136,27 @@ def test_primitive_gradients(name):
 
 def test_dot_backward_frozen():
     x = ad.Value(np.array([[1.0, 2.0]]), requires_grad=True)
-    loss = ad.sum_all(ad.row_dot(x, x))
+    loss = ad.sum_all(ad.mul(x, x))
     ad.backward(loss)
     assert loss.item() == 5.0
     np.testing.assert_array_equal(x.grad[0], [2.0, 4.0])
 
 
-def test_backward_is_repeatable():
+def test_a_second_backward_over_a_consumed_graph_raises():
     x = ad.Value(r(0, 4), requires_grad=True)
     loss = ad.sum_all(ad.tanh(x))
     ad.backward(loss)
     first = x.grad.copy()
-    ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, first)
+    np.testing.assert_array_equal(first, 1.0 - np.tanh(x.data) ** 2)
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(loss)
+    assert x.grad.tobytes() == first.tobytes()
+    # a loss whose graph meets a node that an earlier pass consumed raises before it clears any gradient
+    t = ad.tanh(x)
+    ad.backward(ad.sum_all(t))
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(ad.add(ad.sum_all(t), ad.sum_all(x)))
+    assert x.grad.tobytes() == first.tobytes()
 
 
 def test_unused_leaf_gradient_stays_none():
@@ -222,6 +232,36 @@ def test_take_rows_backward_adds_to_a_gradient_already_touched():
     np.testing.assert_allclose(m.grad, _scatter_oracle(idx, g, m0.shape, earlier=w), rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("leaves", ["both", "table", "transforms"])
+def test_transform_rows_gives_the_bytes_of_the_ops_it_fuses(leaves):
+    idx, rel = np.array([2, 0, 2, 4, 4, 1]), np.array([1, 1, 0, 2, 1, 0])
+    m0, w0, up = r(40, 5, 4), r(41, 3, 4), r(42, 6, 4)
+    m, w = ad.Value(m0, requires_grad=leaves != "transforms"), ad.Value(w0, requires_grad=leaves != "table")
+    out = ad.transform_rows(m, idx, w, rel)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Value(up))))
+    # e - (v . e) v as a row gather, a row-wise dot, a row scale and a difference, and their products in reverse
+    e, v = m0[idx], w0[rel]
+    proj = np.sum(e * v, axis=1)
+    assert out.data.tobytes() == (e - v * proj[:, None]).tobytes()
+    d_proj = np.sum(-up * v, axis=1)
+    d_e, d_v = up + d_proj[:, None] * v, -up * proj[:, None] + d_proj[:, None] * e
+    assert (m.grad is None) == (leaves == "transforms") and (w.grad is None) == (leaves == "table")
+    if m.grad is not None:
+        assert m.grad.tobytes() == ad._scatter_rows(idx, 5, d_e).tobytes()
+        np.testing.assert_allclose(m.grad, _scatter_oracle(idx, d_e, m0.shape), rtol=1e-15, atol=0)
+    if w.grad is not None:
+        assert w.grad.tobytes() == ad._scatter_rows(rel, 3, d_v).tobytes()
+        np.testing.assert_allclose(w.grad, _scatter_oracle(rel, d_v, w0.shape), rtol=1e-15, atol=0)
+
+
+def test_transform_rows_checks_its_ids():
+    m, w = ad.Value(np.zeros((4, 3))), ad.Value(np.zeros((2, 3)))
+    for ids, rels, match in [([0, 1], [0], "2 ids for 1 relations"), ([0, 4], [0, 1], "out of range"),
+                             ([0], [-1], "out of range"), ([[0]], [0], "index vector")]:
+        with pytest.raises(ValueError, match=match):
+            ad.transform_rows(m, ids, w, rels)
+
+
 @pytest.mark.parametrize("idx", [[0, -1], [5], [2, 7, 1]])
 def test_take_rows_rejects_out_of_range_indices(idx):
     with pytest.raises(ValueError, match="out of range"):
@@ -258,9 +298,9 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     np.testing.assert_array_equal(w.grad, g * x.data)
 
 
-def _assert_gradients_private(loss, leaves):
-    """No gradient of ``loss``'s graph shares memory with another gradient, the data of one of ``leaves``
-    or an array that a node's vector-Jacobian product keeps.
+def _assert_gradients_private(nodes, kept, leaves):
+    """No gradient of the graph ``nodes`` shares memory with another gradient, the data of one of ``leaves``
+    or one of the ``kept`` arrays that the nodes' vector-Jacobian products held before the backward pass.
 
     The kept arrays include the constants that a product reads, which
     are no graph nodes, so a gradient that aliases a constant's data is
@@ -269,8 +309,7 @@ def _assert_gradients_private(loss, leaves):
     interval that starts before the furthest end seen so far overlaps an
     earlier one, and that is a fault if either is a gradient.
     """
-    nodes = graph_nodes(loss)
-    arrays = [(False, leaf.data) for leaf in leaves] + [(False, arr) for arr in kept_arrays(nodes)]
+    arrays = [(False, leaf.data) for leaf in leaves] + [(False, arr) for arr in kept]
     spans = []
     for is_grad, arr in arrays + [(True, node.grad) for node in nodes]:
         if arr is not None and arr.size:
@@ -288,16 +327,19 @@ def _assert_gradients_private(loss, leaves):
 def test_the_privacy_check_sees_a_gradient_that_aliases_a_constant():
     x, margin = ad.Value(r(35, 4), requires_grad=True), ad.Value(r(36, 4))
     loss = ad.sum_all(ad.mul(x, margin))  # x's product keeps the constant's data
+    nodes = graph_nodes(loss)
+    kept = kept_arrays(nodes)
+    assert any(arr is margin.data for arr in kept)
     ad.backward(loss)
-    _assert_gradients_private(loss, [x])
+    _assert_gradients_private(nodes, kept, [x])
     x.node.grad = margin.data  # as if a VJP had handed back the constant's own array
     with pytest.raises(AssertionError, match="shares memory"):
-        _assert_gradients_private(loss, [x])
+        _assert_gradients_private(nodes, kept, [x])
 
 
-def _leaves_reached(loss):
-    """The leaves that require a gradient and that ``loss`` depends on, in creation order."""
-    return [node for node in graph_nodes(loss) if not node.parents]
+def _leaves_reached(nodes):
+    """The leaves among the graph ``nodes``, read before a backward pass consumes them."""
+    return [node for node in nodes if not node.parents]
 
 
 def _objective_graph(kind):
@@ -327,22 +369,46 @@ def _op_graph(name):
 def test_backward_leaves_every_gradient_private(case):
     source, name = case
     leaves, loss = _op_graph(name) if source == "op" else _objective_graph(name)
+    nodes = graph_nodes(loss)
+    reached, kept = _leaves_reached(nodes), kept_arrays(nodes)
     ad.backward(loss)
-    held = [node for node in graph_nodes(loss) if node.grad is not None]
-    assert held and held == _leaves_reached(loss)
+    held = [node for node in nodes if node.grad is not None]
+    assert held and held == reached
     assert all(leaf.grad is None for leaf in leaves if not any(leaf.node is node for node in held))
-    _assert_gradients_private(loss, leaves)
+    _assert_gradients_private(nodes, kept, leaves)
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_only_the_leaves_the_loss_reaches_keep_a_gradient(kind):
     leaves, loss = _objective_graph(kind)
-    for _ in range(2):  # a repeated backward releases the same gradients
-        ad.backward(loss)
-        held = [node for node in graph_nodes(loss) if node.grad is not None]
-        # the L2 penalty reaches the attention parameters, so the loss reaches every parameter
-        assert held == _leaves_reached(loss) == [leaf.node for leaf in leaves] and len(held) > 1
+    nodes = graph_nodes(loss)
+    reached = _leaves_reached(nodes)
+    ad.backward(loss)
+    held = [node for node in nodes if node.grad is not None]
+    # the L2 penalty reaches the attention parameters, so the loss reaches every parameter
+    assert held == reached == [leaf.node for leaf in leaves] and len(held) > 1
     assert loss.grad is None
+    grads = [leaf.grad.tobytes() for leaf in leaves]
+    with pytest.raises(ValueError, match="consumed"):  # a second backward does not replay the graph
+        ad.backward(loss)
+    assert [leaf.grad.tobytes() for leaf in leaves] == grads
+
+
+@pytest.mark.parametrize("case", [("op", name) for name in sorted(FD_CASES)]
+                         + [("objective", kind) for kind in AGGREGATOR_KINDS], ids="-".join)
+def test_backward_frees_every_array_the_products_keep_while_the_loss_lives(case):
+    source, name = case
+    leaves, loss = _op_graph(name) if source == "op" else _objective_graph(name)
+    nodes = graph_nodes(loss)
+    refs = [weakref.ref(arr) for arr in kept_arrays(nodes) if not any(arr is leaf.data for leaf in leaves)]
+    assert refs or source == "op"  # a product of an op over leaves alone may keep only the leaves' data
+    gc.disable()  # reference counting alone must free them
+    try:
+        ad.backward(loss)
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert loss.node is nodes[-1]  # the loss, and its node, live on
 
 
 def _recording_outputs(monkeypatch):
@@ -402,7 +468,8 @@ def test_backward_adds_a_leafs_deltas_in_reverse_creation_order():
     assert want.tobytes() != ((np.array([-1e16]) + 1.0) + 1e16).tobytes()  # or c, a, b
     ad.backward(loss)
     assert x.grad.tobytes() == want.tobytes()
-    ad.backward(loss)  # a repeated backward is bit-identical
+    with pytest.raises(ValueError, match="consumed"):  # the graph is gone, and x keeps its gradient
+        ad.backward(loss)
     assert x.grad.tobytes() == want.tobytes()
 
 
@@ -601,15 +668,20 @@ def test_item_requires_scalar():
         ad.Value(np.zeros(3)).item()
 
 
+def transform_first_rows(a, b):
+    """:func:`ad.transform_rows` of ``a``'s first row by ``b``'s first row."""
+    return ad.transform_rows(a, [0], b, [0])
+
+
 @pytest.mark.parametrize("op,a,b", [
     (ad.add, np.zeros(3), np.zeros(4)),
     (ad.mul, np.zeros((2, 3)), np.zeros((3, 2))),
     (ad.sub, np.zeros((2, 2)), np.zeros(2)),
     (ad.matvec, np.zeros((2, 3)), np.zeros(2)),
     (ad.matmul, np.zeros((2, 3)), np.zeros((2, 3))),
-    (ad.row_dot, np.zeros((2, 3)), np.zeros((3, 3))),
+    (transform_first_rows, np.zeros((2, 3)), np.zeros((3, 4))),  # the widths differ
     (ad.concat, np.zeros(3), np.zeros((2, 3))),
-    (ad.col_scale, np.zeros((3, 2)), np.zeros(2)),
+    (transform_first_rows, np.zeros((3, 2)), np.zeros(2)),  # no matrix of transforms
     (lambda a, b: ad.concat(a, b, axis=0), np.zeros((2, 3)), np.zeros((2, 4))),
     (lambda a, b: ad.concat(a, b, axis=2), np.zeros((2, 3)), np.zeros((2, 3))),
 ])
@@ -645,8 +717,8 @@ def test_a_leaf_the_loss_does_not_reach_keeps_its_gradient():
     ad.backward(ad.sum_all(ad.mul(x, y)))
     held = y.grad.copy()
     loss = ad.sum_all(ad.tanh(x))
+    assert _leaves_reached(graph_nodes(loss)) == [x.node]
     ad.backward(loss)
-    assert _leaves_reached(loss) == [x.node]
     np.testing.assert_array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
     assert y.grad.tobytes() == held.tobytes()
 

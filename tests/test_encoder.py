@@ -11,7 +11,6 @@ from lankgc.encoder import (
     AggregatorConfig,
     encode_batch,
     stack_samples,
-    transform_batch,
 )
 from lankgc.kg import GraphError, sample_neighbors
 from lankgc.params import init_params
@@ -62,32 +61,33 @@ def test_transform_output_orthogonal_to_direction():
         w = rng.normal(size=6)
         w /= np.linalg.norm(w)
         e = rng.normal(size=6)
-        out = transform_batch(ad.Value(e[None]), ad.Value(w[None]))
+        out = ad.transform_rows(ad.Value(e[None]), [0], ad.Value(w[None]), [0])
         assert abs(np.dot(w, out.data[0])) <= 1e-12
 
 
 def test_transform_annihilates_its_direction():
     w = np.zeros(4)
     w[1] = 1.0
-    out = transform_batch(ad.Value(w[None].copy()), ad.Value(w[None]))
+    out = ad.transform_rows(ad.Value(w[None].copy()), [0], ad.Value(w[None]), [0])
     np.testing.assert_allclose(out.data[0], np.zeros(4), atol=1e-15)
 
 
 def test_transform_keeps_perpendicular_component():
     w = np.array([1.0, 0.0, 0.0])
     e = np.array([0.0, 2.0, -3.0])
-    out = transform_batch(ad.Value(e[None]), ad.Value(w[None]))
+    out = ad.transform_rows(ad.Value(e[None]), [0], ad.Value(w[None]), [0])
     np.testing.assert_array_equal(out.data[0], e)
 
 
 def test_transform_batch_matches_single():
     rng = np.random.default_rng(1)
-    E = rng.normal(size=(5, 4))
-    W = rng.normal(size=(5, 4))
+    E = rng.normal(size=(4, 4))
+    W = rng.normal(size=(3, 4))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
-    batch = transform_batch(ad.Value(E), ad.Value(W))
-    for j in range(5):
-        single = E[j] - np.dot(W[j], E[j]) * W[j]
+    ids, rels = [3, 0, 3, 1, 2], [2, 2, 0, 1, 2]  # slots gathered from the tables, with repeats
+    batch = ad.transform_rows(ad.Value(E), ids, ad.Value(W), rels)
+    for j, (i, q) in enumerate(zip(ids, rels)):
+        single = E[i] - np.dot(W[q], E[i]) * W[q]
         np.testing.assert_allclose(batch.data[j], single, rtol=1e-14, atol=1e-15)
 
 

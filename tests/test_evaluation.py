@@ -806,3 +806,25 @@ def test_score_labeled_refuses_an_id_out_of_range(kind, column, bad):
     rows[2, column] = limit.get(bad, bad)
     with pytest.raises(EvalError, match=r"labeled row 2 .* has an id outside"):
         score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["mean", "lan"])
+@pytest.mark.parametrize("entry", ["link_prediction", "rank_relation"])
+@pytest.mark.parametrize("column, bad", [(1, -1), (1, "r"), (0, -1), (2, "n")])
+def test_ranking_refuses_an_id_out_of_range_before_any_encoding(kind, entry, column, bad, monkeypatch):
+    ctx, acfg, table, store = bundle_fixture(seed=10)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
+    limit = {"n": ctx.vocab.n_entities, "r": store["relation_emb"].shape[0]}
+    rows = np.repeat(ctx.to_ids(ctx.bundle.test)[:1], 3, axis=0)
+    rows[2, column] = limit.get(bad, bad)
+    first = 2
+    if entry == "rank_relation" and column == 1:
+        rows[:, 1], first = rows[2, 1], 0  # rank_relation takes the queries of one relation
+    encoded = []
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: encoded.append(a) or encode_batch(*a, **kw))
+    with pytest.raises(EvalError, match=rf"query row {first} .* has an id outside"):
+        if entry == "link_prediction":
+            link_prediction(ctx, store, acfg, "transe", table.dense(), seed=0, triplets=rows)
+        else:
+            rank_relation(ctx, store, acfg, "transe", table.dense(), rows, "object", ctx.known_triplets(), 0)
+    assert not encoded

@@ -276,9 +276,13 @@ def test_a_step_frees_its_graph_before_the_optimizer_runs(kind, monkeypatch):
     assert len(freed_at_step) > 2 and all(freed_at_step) and len(refs) > 20
 
 
-def test_a_lan_batch_graph_holds_under_five_per_slot_arrays(monkeypatch):
-    # the graph keeps four (S, d) arrays, the two gathers, the transformed slots and the tanh output; every other
-    # (S, d) output is freed while the forward pass runs, as no vector-Jacobian product reads it
+def _traced_lan_batch(monkeypatch):
+    """One traced ``batch_objective`` on a ``lan`` batch after an untraced one, and its backward pass.
+
+    Returns the bytes the graph holds, the backward pass's peak over the
+    bytes traced before the forward pass, the batch's encoded rows and
+    slots, and the stored parameter bytes.
+    """
     graph = make_graph(random_name_triples(np.random.default_rng(8), 400, 6, 4000))
     n, dim, b = graph.vocab.n_entities, 32, 128
     tcfg, acfg = TrainConfig(dim=dim, neighbor_budget=64), AggregatorConfig(kind="lan", neighbor_budget=64)
@@ -296,17 +300,34 @@ def test_a_lan_batch_graph_holds_under_five_per_slot_arrays(monkeypatch):
         before = tracemalloc.get_traced_memory()[0]
         loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", np.random.default_rng(2))
         held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     (rows, slots), = encoded[1:]
     assert loss.requires_grad and slots > 10 * rows  # the per-slot arrays dominate
-    per_slot = 5 * slots * dim * 8
-    # (S,): the two gathers' ids, the query half's slot rows, the projection, the softmax's weights and rows,
-    # and the final sum's weights and rows
+    # (S,): the transform's entity and relation ids and its projections, the query half's slot rows, the
+    # softmax's weights and rows, and the final sum's weights and rows
     slot_vectors = 8 * slots * 8
     # (B, d): the query gather over the encoded rows, and the two scorers' (2b, d) differences
     row_blocks = (rows + 2 * 2 * b) * dim * 8
-    assert held <= per_slot + slot_vectors + row_blocks
+    return held, peak, slots * dim * 8, slot_vectors + row_blocks, sum(a.nbytes for a in store.arrays.values())
+
+
+def test_a_lan_batch_graph_holds_under_three_per_slot_arrays(monkeypatch):
+    # the graph keeps two (S, d) arrays, the transformed slots and the tanh output: the transform keeps ids and
+    # projections, and every other (S, d) output is freed while the forward pass runs, as no product reads it
+    held, _, per_slot, named, _ = _traced_lan_batch(monkeypatch)
+    assert held <= 3 * per_slot + named
+
+
+def test_a_lan_backward_pass_peaks_under_five_per_slot_arrays(monkeypatch):
+    # at its peak, tanh's product, the pass holds the graph's two (S, d) arrays, the gradients of both and the
+    # product's one scratch array: the nodes before it freed what their products kept, and the gathers are gone
+    held, peak, per_slot, named, parameters = _traced_lan_batch(monkeypatch)
+    assert peak <= 5 * per_slot + named + parameters  # the leaves' gradients are at most the parameters' size
+    assert peak - held <= 3 * per_slot + parameters
 
 
 # --- optimizers -----------------------------------------------------------------
