@@ -155,15 +155,15 @@ def backward(loss):
     for node in nodes:
         if not node.parents:  # a leaf keeps its gradient
             continue
-        g = node.grad
-        for parent, vjp in zip(node.parents, node.vjps):
-            delta = vjp(g)
+        g, last = node.grad, len(node.parents) - 1
+        for i, (parent, vjp) in enumerate(zip(node.parents, node.vjps)):
+            delta = np.asarray(vjp(g))  # a 0-d product comes back as a numpy scalar
             if parent.grad is not None:
                 parent.grad += delta
-            elif np.may_share_memory(delta, g):
-                parent.grad = np.array(delta)
+            elif np.may_share_memory(delta, g) and (i < last or not delta.flags.writeable):
+                parent.grad = np.array(delta)  # a later product reads g, or delta is a read-only broadcast
             else:
-                parent.grad = np.asarray(delta)  # a 0-d product comes back as a numpy scalar
+                parent.grad = delta  # the last product may hand on g itself, as nothing reads it again
         node.grad = node.vjps = g = delta = vjp = None  # nothing reads these, or the arrays the products keep, again
         node.parents = ()
 

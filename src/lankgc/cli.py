@@ -14,7 +14,8 @@ it as ``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it
 refuses ``--rules`` for the other aggregators, which use no rule table.
 The commands that load a checkpoint read the bundle and that file back
 in :func:`_load_model` and refuse a logic checkpoint without it, or
-with one that does not match its manifest's sha256 line.
+with one that does not match its manifest's sha256 line, and any
+checkpoint whose parameter names are not its aggregator's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .decoder import SCORER_KINDS, check_scorer
 from .encoder import AGGREGATOR_KINDS, encode_batch, stack_samples
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets
-from .params import load_checkpoint, vocab_checksums
+from .params import load_checkpoint, param_shapes, vocab_checksums
 from .rules import export_table, import_table, mine_confidence
 from .splits import SplitSpec, build_split, load_corpus, read_bundle, split_stats, write_bundle
 from .synth import gen_synthetic, write_corpus
@@ -141,6 +142,11 @@ def _load_model(ckpt_dir, bundle_dir):
     try:
         resolved = resolve_config(overrides={key: meta[key] for key in keys if key in meta})
         acfg = aggregator_config_from(resolved)
+        odd = sorted(set(param_shapes(0, 0, 0, acfg.uses_lstm)) ^ set(store.names()))  # the names, not the shapes
+        if odd:
+            need = odd[0] not in store.arrays
+            raise ConfigError(f"declares {'no ' if need else ''}parameter {odd[0]}, which the {acfg.kind} aggregator "
+                              f"{'needs' if need else 'does not use'}")
         scorer = resolved["scorer"]
         check_scorer(scorer, store["entity_emb"].shape[1])
     except ValueError as exc:  # a ConfigError, or check_scorer's ValueError
@@ -209,10 +215,9 @@ def _cmd_inspect_weights(args):
     entity = ctx.vocab.entity_id(args.entity)
     query = ctx.vocab.relation_id(args.query)
     rng = np.random.default_rng([args.seed, entity, query])
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg.neighbor_budget, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg, rng)
     _, alpha_logic, alpha_nn = encode_batch(
-        store.leaves(False), offsets, rels, ents, [query], acfg,
-        dense_table=dense, rng=rng, trace=True,
+        store.leaves(False), offsets, rels, ents, [query], acfg, dense_table=dense, trace=True,
     )
     lines = ["entity\tquery\tneighbor_relation\tneighbor_entity\talpha_logic\talpha_nn\talpha_total"]
     if acfg.kind not in ("mean", "lstm"):  # they have no attention to report

@@ -26,8 +26,10 @@ weight vectors are summed, not renormalized.
 ranking, scoring and ``inspect-weights`` alike; with ``trace`` set it
 also returns the per-slot attention.  Only training passes it gradient
 leaves, so only training builds a graph; over constant weights
-(``store.leaves(False)``) no op keeps its operands.  The numpy oracles
-in the test suite pin it to the formulas above.
+(``store.leaves(False)``) no op keeps its operands.  It takes no rng:
+every draw, a neighborhood's sample and an ``lstm`` row's order, is made
+by :func:`stack_samples`.  The numpy oracles in the test suite pin it to
+the formulas above.
 
 A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
 the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
@@ -96,50 +98,49 @@ class AggregatorConfig:
         return self.kind == "lstm"
 
 
-def _shared_rng(rng, rows):
-    """Whether ``rng`` is one Generator for all rows; a per-row sequence must have ``rows`` entries."""
-    if isinstance(rng, np.random.Generator):
-        return True
-    if len(rng) != rows:
-        raise ValueError(f"per-row rng sequence has {len(rng)} entries for {rows} rows")
-    return False
-
-
-def stack_samples(graph, ent_ids, budget, rng):
-    """Sample neighborhoods for a batch of entities as CSR slots.
+def stack_samples(graph, ent_ids, cfg, rng):
+    """Sample neighborhoods for a batch of entities as CSR slots, in the order the encoder reads them.
 
     Returns ``(offsets, relations, entities)``: row ``i`` holds the
     slots ``offsets[i]:offsets[i + 1]`` of the (S,) ``relations`` and
-    ``entities``, at most ``budget`` of them.  ``graph`` is a
-    :class:`~lankgc.kg.KnowledgeGraph`, or anything with its CSR
-    ``offsets`` and ``pairs`` arrays; rows are gathered from them
-    directly.  Only neighborhoods over the budget go through
-    :func:`sample_neighbors`, in row order, so the rng draws are those
-    of sampling every row.  ``rng`` is one Generator, or a sequence with
-    one entry per row: a Generator, or a seed from which a truncated row
-    makes its own with :func:`numpy.random.default_rng` (rows that fit
-    the budget never read theirs).  An entity id outside [0, N) raises
-    :class:`~lankgc.kg.GraphError`.
+    ``entities``, at most ``cfg.neighbor_budget`` of them.  ``graph`` is
+    a :class:`~lankgc.kg.KnowledgeGraph`, or anything with its CSR
+    ``offsets`` and ``pairs`` arrays.  Every draw of an encode is made
+    here: each neighborhood over the budget goes through
+    :func:`sample_neighbors`, in row order, and then, for ``lstm`` only,
+    each non-empty row's slots take ``permutation(k)`` order, in row
+    order.  ``rng`` is one Generator, or one entry per row: a Generator
+    or a seed, from which a row that draws makes one Generator with
+    :func:`numpy.random.default_rng` to sample and then permute.  An
+    entity id outside [0, N) raises :class:`~lankgc.kg.GraphError`.
     """
-    if budget < 1:
-        raise ValueError(f"neighbor budget must be >= 1, got {budget}")
+    budget = cfg.neighbor_budget
     indptr, pairs = graph.offsets, np.asarray(graph.pairs, dtype=np.int64)
     ent_ids = np.asarray(ent_ids, dtype=np.int64).reshape(-1)
     bad = ent_ids[(ent_ids < 0) | (ent_ids >= indptr.size - 1)]
     if bad.size:
         raise GraphError(f"entity id out of range: {int(bad[0])}")
-    shared = _shared_rng(rng, ent_ids.size)
     starts = indptr[ent_ids]
     sizes = indptr[ent_ids + 1] - starts
     taken = np.minimum(sizes, budget)
+    if isinstance(rng, np.random.Generator):
+        rngs = [rng] * ent_ids.size
+    elif len(rng) != ent_ids.size:
+        raise ValueError(f"per-row rng sequence has {len(rng)} entries for {ent_ids.size} rows")
+    else:
+        draws = (sizes > budget) | ((taken > 0) & cfg.uses_lstm)
+        rngs = [np.random.default_rng(rng[i]) if draws[i] else None for i in range(ent_ids.size)]
     offsets = np.zeros(ent_ids.size + 1, dtype=np.int64)
     np.cumsum(taken, out=offsets[1:])
     src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], taken)  # slot j of row i reads pairs[starts[i] + j]
     relations, entities = pairs[src, 0], pairs[src, 1]
     for i in np.flatnonzero(sizes > budget):
-        row_rng = rng if shared else np.random.default_rng(rng[i])
-        kept = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, row_rng)
+        kept = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, rngs[i])
         relations[offsets[i]:offsets[i + 1]], entities[offsets[i]:offsets[i + 1]] = kept.T
+    for i in np.flatnonzero(taken) if cfg.uses_lstm else ():  # in place, so no (S,) order array is made
+        a, z = offsets[i], offsets[i + 1]
+        order = a + rngs[i].permutation(taken[i])
+        relations[a:z], entities[a:z] = relations[order], entities[order]
     return offsets, relations, entities
 
 
@@ -172,19 +173,18 @@ def distinct_rows(graph, ent_ids, queries, cfg):
     return np.flatnonzero(kept), (np.cumsum(kept) - 1)[rep]
 
 
-def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table=None, rng=None,
-                 trace=False):
+def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table=None, trace=False):
     """Encode a batch of entities; returns a ``(B, d)`` Value.
 
     The batch is CSR, as :func:`stack_samples` returns it: row ``b``'s
     neighbors are the slots ``offsets[b]:offsets[b + 1]`` of the (S,)
     ``relations`` and ``entities``, and ``queries`` is the (B,) query
     relation per row.  Rows without a neighbor come out as zero vectors.
-    ``rng`` (lstm only) is one Generator or a sequence with one
-    Generator or seed per row, as for :func:`stack_samples`.  With
-    ``trace`` set the result is ``(Value, alpha_logic, alpha_nn)``: the
-    (S,) logic and neural attention weights, zero where the kind has no
-    such part.
+    It draws nothing: the encoding is a function of the slots and the
+    weights, and ``lstm`` reads each row's slots in slot order, the
+    order that :func:`stack_samples` drew.  With ``trace`` set the
+    result is ``(Value, alpha_logic, alpha_nn)``: the (S,) logic and
+    neural attention weights, zero where the kind has no such part.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -194,7 +194,7 @@ def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table
     transformed = ad.transform_rows(leaves["entity_emb"], entities, leaves["transform_vec"], relations)
 
     if cfg.kind == "lstm":
-        out = _encode_batch_lstm(leaves, transformed, offsets, rng)
+        out = _encode_batch_lstm(leaves, transformed, offsets)
         return (out, np.zeros(offsets[-1]), np.zeros(offsets[-1])) if trace else out
 
     logic_w = alpha_nn = None
@@ -226,24 +226,18 @@ def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table
     return out, (zeros if logic_w is None else logic_w), (zeros if alpha_nn is None else alpha_nn.data)
 
 
-def _encode_batch_lstm(leaves, transformed, offsets, rng):
+def _encode_batch_lstm(leaves, transformed, offsets):
     """Batched LSTM aggregation: each row steps over its own slots only.
 
     ``transformed`` holds the (S, d) slots; row ``b`` owns
-    ``transformed[offsets[b]:offsets[b + 1]]`` and consumes them in an
-    order permuted before any step, row by row: with one entry per row,
-    by its own Generator or one made from its seed.  Rows run longest
-    first and right-aligned: a row of k slots joins at step ``t_max - k``
-    with zero state, so the live rows are a prefix that only grows, and
-    the gates run over them alone.  A row without slots stays zero.
+    ``transformed[offsets[b]:offsets[b + 1]]`` and consumes them in slot
+    order, which :func:`stack_samples` has already permuted.  Rows run
+    longest first and right-aligned: a row of k slots joins at step
+    ``t_max - k`` with zero state, so the live rows are a prefix that
+    only grows, and the gates run over them alone.  A row without slots
+    stays zero.
     """
-    if rng is None:
-        raise ValueError("lstm aggregation needs an rng for the neighbor permutation")
     counts, dim = np.diff(offsets), transformed.data.shape[1]
-    shared = _shared_rng(rng, counts.size)
-    order = np.repeat(offsets[:-1], counts)  # step j of row b reads transformed[order[offsets[b] + j]]
-    for b in np.flatnonzero(counts):
-        order[offsets[b]:offsets[b + 1]] += (rng if shared else np.random.default_rng(rng[b])).permutation(counts[b])
     by_len = np.argsort(-counts, kind="stable")
     ends, t_max = offsets[1:][by_len], int(counts.max(initial=0))
     live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
@@ -254,7 +248,7 @@ def _encode_batch_lstm(leaves, transformed, offsets, rng):
         if n > h.data.shape[0]:
             fresh = ad.Value(np.zeros((n - h.data.shape[0], dim)))
             h, c = ad.concat(h, fresh, axis=0), ad.concat(c, fresh, axis=0)
-        hx = ad.concat(h, ad.take_rows(transformed, order[ends[:n] - (t_max - t)]))
+        hx = ad.concat(h, ad.take_rows(transformed, ends[:n] - (t_max - t)))
         gates = {}
         for g in "fico":  # a bias repeat per step: one shared repeat would reorder its gradient's sum
             pre = ad.add(ad.matmul(hx, w_t[g]), ad.repeat_rows(b_row[g], n))

@@ -15,7 +15,8 @@ most 2^12 real slots, or one wider row.  A block's per-slot arrays are
 its transient memory, and a freed block leaves its high-water mark in
 the heap that the allocator keeps, so the block size bounds the peak
 resident memory of ranking.  Each query keeps its own rng, keyed on
-(seed, s, q, o), for a truncated neighborhood or an lstm permutation.
+(seed, s, q, o), for a truncated neighborhood or an lstm permutation;
+:func:`~lankgc.encoder.stack_samples` makes every draw.
 Scores come graph-free in bounded (queries, candidates) blocks from
 :func:`~lankgc.decoder.score_columns`, the candidates laid out once: transe
 through one ``cdist`` city-block call per block, distmult and complex through
@@ -168,8 +169,9 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None)
     """Forward-encode a batch of entities, each under its query relation -> (B, d).
 
     ``queries`` holds one query relation per entity, or one for all of
-    them.  Neighborhoods come from :func:`stack_samples`, and ``rng`` is
-    one Generator or one per entity, as there.  Consecutive rows are
+    them.  Neighborhoods come from one :func:`stack_samples` call, which
+    makes every draw (``rng`` is one Generator or one entry per entity,
+    as there); the blocks draw nothing.  Consecutive rows are
     encoded in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row
     is a block of its own), each one :func:`encode_batch` over constant
     weights, so only one block's arrays are alive at a time:
@@ -178,7 +180,7 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None)
     from ``store`` when not given.  Nothing is padded: a block is a run
     of the CSR slots.  Rows without neighbors are zero vectors.
     """
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg.neighbor_budget, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg, rng)
     queries = np.broadcast_to(np.asarray(queries, dtype=np.int64), offsets.size - 1)
     out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
     leaves = store.leaves(False) if leaves is None else leaves
@@ -188,8 +190,7 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None)
         hi = max(lo + 1, int(np.searchsorted(offsets[1:], offsets[lo] + _BLOCK_SLOTS, side="right")))
         a, z = offsets[lo], offsets[hi]
         out[lo:hi] = encode_batch(
-            leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg,
-            dense_table=dense, rng=rng if isinstance(rng, np.random.Generator) else rng[lo:hi],
+            leaves, offsets[lo:hi + 1] - a, rels[a:z], ents[a:z], queries[lo:hi], acfg, dense_table=dense,
         ).data
         lo = hi
     return out
@@ -204,10 +205,13 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     ``triplets`` holds (s, q, o) id rows; ``rank_side`` names the slot to
     rank over the seen-entity candidates.  ``filter_set`` is the
     :class:`KnownTriplets` of the bundle; ``None`` or an empty set ranks
-    raw.  Each query's neighbor sampling rng is keyed on (seed, s, q, o),
-    so results do not depend on query order.  Returns the (Q,) int64
-    ranks and the number of queries whose fixed entity has no neighbors,
-    so that it is scored from a zero vector.  The candidates are encoded
+    raw.  :func:`~lankgc.encoder.stack_samples` makes every draw: each
+    query's fixed side samples and, for ``lstm``, orders its neighbors
+    with one rng keyed on (seed, s, q, o), so results do not depend on
+    query order, and the candidates draw from one
+    ``default_rng([seed, q])``.  Returns the (Q,) int64 ranks and the
+    number of queries whose fixed entity has no neighbors, so that it is
+    scored from a zero vector.  The candidates are encoded
     and laid out once per call.  Each score is a running sum over the
     features, equal to :func:`~lankgc.decoder.score_batch`'s bit for bit;
     transe scores a block of queries with one ``cdist`` call.
@@ -240,11 +244,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     columns = candidate_columns(cand_embs, q_vec, scorer, rank_side)
     del cand_embs  # only the layout is read from here
 
-    keys = [[seed, *row] for row in triplets.tolist()]
-    # an lstm permutes every row after any sample, from that row's one generator; the other
-    # kinds read a generator only to sample a truncated neighborhood, and stack_samples makes those
-    rngs = [np.random.default_rng(key) for key in keys] if acfg.uses_lstm else keys
-    fixed_embs = encode_entities(ctx, store, acfg, dense, fixed, q, rngs)
+    fixed_embs = encode_entities(ctx, store, acfg, dense, fixed, q, [[seed, *row] for row in triplets.tolist()])
 
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:

@@ -64,34 +64,30 @@ def collect_gradients(leaves):
     return out
 
 
+def param_shapes(n_entities, n_relations, dim, with_lstm):
+    """Every parameter's shape by name, in the order :func:`init_params` draws them (see the module docstring)."""
+    shapes = {"entity_emb": (n_entities, dim), "relation_emb": (n_relations, dim), "transform_vec": (n_relations, dim),
+              "query_vec": (n_relations, dim), "attn_proj": (dim, 2 * dim), "attn_score_vec": (dim,)}
+    for g in LSTM_GATES if with_lstm else ():
+        shapes[f"lstm_w_{g}"], shapes[f"lstm_b_{g}"] = (dim, 2 * dim), (dim,)
+    return shapes
+
+
 def init_params(n_entities, n_relations, dim, seed, with_lstm=False):
     """Allocate and initialize all parameters.
 
-    Entries are uniform on ``[-1/sqrt(d), 1/sqrt(d)]``; transform rows
-    are then renormalized to unit length.  ``n_relations`` is the full
-    (augmented) relation count.
+    Entries are uniform on ``[-1/sqrt(d), 1/sqrt(d)]``, except the lstm
+    biases, which start at zero; transform rows are then renormalized to
+    unit length.  ``n_relations`` is the full (augmented) relation count.
     """
     if dim < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(dim)
-
-    def u(*shape):
-        return rng.uniform(-s, s, size=shape)
-
-    arrays = {
-        "entity_emb": u(n_entities, dim),
-        "relation_emb": u(n_relations, dim),
-        "transform_vec": u(n_relations, dim),
-        "query_vec": u(n_relations, dim),
-        "attn_proj": u(dim, 2 * dim),
-        "attn_score_vec": u(dim),
-    }
-    if with_lstm:
-        for g in LSTM_GATES:
-            arrays[f"lstm_w_{g}"] = u(dim, 2 * dim)
-            arrays[f"lstm_b_{g}"] = np.zeros(dim)
-    store = ParamStore(arrays)
+    store = ParamStore({
+        name: np.zeros(shape) if name.startswith("lstm_b_") else rng.uniform(-s, s, size=shape)
+        for name, shape in param_shapes(n_entities, n_relations, dim, with_lstm).items()
+    })
     store.renormalize_transforms()
     return store
 

@@ -211,15 +211,16 @@ def output_scores(leaves, triplets, graph, dense, acfg, scorer, rng):
     distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`):
     rows whose neighborhood fits the budget share one encoding, while a
     truncated row and every lstm row keep their own, so ``rng`` (one
-    Generator) makes the draws of encoding every row.
+    Generator) makes the draws of encoding every row, samples and lstm
+    orders alike, all in :func:`~lankgc.encoder.stack_samples`.
     """
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     b = triplets.shape[0]
     ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
     queries = np.tile(triplets[:, 1], 2)
     keep, where = distinct_rows(graph, ent_ids, queries, acfg)
-    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg.neighbor_budget, rng)
-    enc = encode_batch(leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense, rng=rng)
+    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg, rng)
+    enc = encode_batch(leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense)
     subj = ad.take_rows(enc, where[:b])
     obj = ad.take_rows(enc, where[b:])
     q_emb = ad.take_rows(leaves["relation_emb"], triplets[:, 1])

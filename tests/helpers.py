@@ -280,8 +280,8 @@ def grid_to_csr(mask, *grids):
     return (offsets, *(np.asarray(grid)[mask] for grid in grids))
 
 
-def encode_one(store, dense, cfg, query, entries, rng):
-    """One entity's B=1 :func:`encode_batch` over its sampled ``(k, 2)`` (relation, entity) rows.
+def encode_one(store, dense, cfg, query, entries):
+    """One entity's B=1 :func:`encode_batch` over its sampled ``(k, 2)`` (relation, entity) rows, read in order.
 
     Returns ``embedding``, ``trace`` and ``flagged``.  ``trace`` holds a
     ``(relation, entity, alpha_logic, alpha_nn, alpha_total)`` row per
@@ -293,7 +293,7 @@ def encode_one(store, dense, cfg, query, entries, rng):
     rels, ents = entries[:, 0], entries[:, 1]
     out, alpha_logic, alpha_nn = encode_batch(
         store.leaves(False), np.array([0, rels.size]), rels, ents, np.array([query]), cfg,
-        dense_table=dense, rng=rng, trace=True,
+        dense_table=dense, trace=True,
     )
     trace = []
     if cfg.kind not in ("mean", "lstm"):

@@ -298,6 +298,27 @@ def test_first_touch_copies_a_shared_upstream_gradient():
     np.testing.assert_array_equal(w.grad, g * x.data)
 
 
+def test_the_last_parent_takes_the_upstream_gradient_itself():
+    # add's deltas are both the upstream gradient: the first parent gets a copy, since the second product
+    # reads the gradient after it, and the last takes the buffer itself, which nothing reads again
+    g = r(24, 4)
+    a = ad.Value(r(25, 4), requires_grad=True)
+    b = ad.Value(r(26, 4), requires_grad=True)
+    summed = ad.add(a, b)
+    upstream = []
+    summed.node.vjps = tuple(lambda up, vjp=vjp: upstream.append(up) or vjp(up) for vjp in summed.node.vjps)
+    ad.backward(ad.sum_all(ad.mul(summed, ad.Value(g))))
+    assert b.grad is upstream[1] and not np.may_share_memory(a.grad, upstream[0])
+    np.testing.assert_array_equal(a.grad, g)
+    np.testing.assert_array_equal(b.grad, g)
+
+    # row_sum's one delta is a read-only broadcast of the gradient: its parent gets a copy, which takes a +=
+    x = ad.Value(r(27, 3, 4), requires_grad=True)
+    ad.backward(ad.sum_all(ad.add(ad.row_sum(x), ad.row_sum(x))))
+    assert x.grad.flags.writeable
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+
+
 def _assert_gradients_private(nodes, kept, leaves):
     """No gradient of the graph ``nodes`` shares memory with another gradient, the data of one of ``leaves``
     or one of the ``kept`` arrays that the nodes' vector-Jacobian products held before the backward pass.

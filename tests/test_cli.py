@@ -240,9 +240,9 @@ def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path, kind):
     assert len(rows) == 2
 
     # the slots a B=1 batch samples with the command's rng, and their attention
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], 2, np.random.default_rng([3, e, q]))
     store, _ = load_checkpoint(str(ckpt))
     acfg = AggregatorConfig(kind=kind, neighbor_budget=2)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], acfg, np.random.default_rng([3, e, q]))
     dense = import_table(str(ckpt / "rules.tsv"), ctx.vocab).dense() if acfg.needs_rules else None
     _, alpha_logic, alpha_nn = encode_batch(store.leaves(False), offsets, rels, ents, [q], acfg,
                                             dense_table=dense, trace=True)
@@ -276,7 +276,7 @@ def test_inspect_weights_of_a_neighborless_entity(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
-def test_forward_passes_over_constant_weights_make_no_tape(pipeline, tmp_path, kind):
+def test_forward_passes_over_constant_weights_build_no_graph(pipeline, tmp_path, kind):
     _, _, bundle, _, _ = pipeline
     ckpt = tmp_path / "model"
     assert run(["train", "--bundle", str(bundle), "--aggregator", kind, "--seed", "0", "--set", "epochs=1",
@@ -546,6 +546,32 @@ def test_bad_checkpoint_config_value_gives_one_error_line(pipeline, tmp_path, ca
                           "--out", str(tmp_path / "m.csv")], capsys)
     assert code == 1
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {edited / 'manifest'}: ")
+
+
+@pytest.fixture(scope="module")
+def lstm_ckpt(pipeline, tmp_path_factory):
+    _, _, bundle, _, _ = pipeline
+    ckpt = tmp_path_factory.mktemp("lstm") / "model"
+    assert cli.main(["train", "--bundle", str(bundle), "--aggregator", "lstm", "--seed", "0",
+                     "--set", "epochs=1", "--set", "dim=4", "--out", str(ckpt)]) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("source, changes, message", [
+    ("lstm", {"shape.entity_emb": None}, "declares no parameter entity_emb, which the lstm aggregator needs"),
+    ("lstm", {"shape.lstm_w_f": None}, "declares no parameter lstm_w_f, which the lstm aggregator needs"),
+    ("lstm", {"shape.attn_score_vec": None}, "declares no parameter attn_score_vec, which the lstm aggregator needs"),
+    ("lstm", {"aggregator": "mean"}, "declares parameter lstm_b_c, which the mean aggregator does not use"),
+    ("lan", {"aggregator": "lstm"}, "declares no parameter lstm_b_c, which the lstm aggregator needs"),
+], ids=["no-entity_emb", "no-lstm_w_f", "no-attn_score_vec", "lstm-as-mean", "lan-as-lstm"])
+def test_a_checkpoint_whose_parameters_differ_from_its_aggregators_gives_one_error_line(
+        pipeline, lstm_ckpt, tmp_path, capsys, source, changes, message):
+    _, _, bundle, _, ckpt = pipeline
+    edited = edited_checkpoint(lstm_ckpt if source == "lstm" else ckpt, tmp_path, **changes)
+    code, captured = run(["eval-lp", "--bundle", str(bundle), "--ckpt", str(edited),
+                          "--out", str(tmp_path / "m.csv")], capsys)
+    assert code == 1
+    assert captured.err == f"error: {edited / 'manifest'}: {message}\n"
 
 
 def test_module_entry_point_runs(tmp_path):

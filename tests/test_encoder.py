@@ -79,7 +79,7 @@ def test_transform_keeps_perpendicular_component():
     np.testing.assert_array_equal(out.data[0], e)
 
 
-def test_transform_batch_matches_single():
+def test_transform_rows_matches_single():
     rng = np.random.default_rng(1)
     E = rng.normal(size=(4, 4))
     W = rng.normal(size=(3, 4))
@@ -100,7 +100,7 @@ def test_mean_divides_by_real_count_not_budget(world):
     sample = grab_sample(kg, e, budget=64)
     assert sample.shape[0] == nb.shape[0] < 64
     cfg = AggregatorConfig(kind="mean", neighbor_budget=64)
-    out = encode_one(store, None, cfg, 0, sample, np.random.default_rng(0)).embedding
+    out = encode_one(store, None, cfg, 0, sample).embedding
     manual = np.zeros(10)
     for r, v in nb:
         w = store["transform_vec"][r]
@@ -117,7 +117,7 @@ def test_mean_of_opposite_neighbors_is_zero():
     store.arrays["entity_emb"][1] = -v
     sample = np.array([[0, 0], [0, 1]])
     cfg = AggregatorConfig(kind="mean", neighbor_budget=2)
-    out = encode_one(store, None, cfg, 0, sample, np.random.default_rng(0))
+    out = encode_one(store, None, cfg, 0, sample)
     np.testing.assert_allclose(out.embedding, np.zeros(6), atol=1e-15)
 
 
@@ -126,7 +126,7 @@ def test_empty_neighborhood_is_flagged_zero(world):
     empty = np.zeros((0, 2), np.int64)
     for kind in AGGREGATOR_KINDS:
         cfg = AggregatorConfig(kind=kind, neighbor_budget=4)
-        out = encode_one(store, table.dense(), cfg, 0, empty, np.random.default_rng(0))
+        out = encode_one(store, table.dense(), cfg, 0, empty)
         assert out.flagged
         assert out.trace == []
         np.testing.assert_array_equal(out.embedding, np.zeros(10))
@@ -141,7 +141,7 @@ def test_attention_weights_sum_to_one(world):
         if len(sample) == 0:
             continue
         cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-        out = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+        out = encode_one(store, table.dense(), cfg, 1, sample)
         total = sum(row[3] for row in out.trace)
         assert abs(total - 1.0) <= 1e-12
 
@@ -152,7 +152,7 @@ def test_zero_score_vector_gives_uniform_attention(world):
     flat.arrays["attn_score_vec"][:] = 0.0
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-    out = encode_one(flat, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(flat, table.dense(), cfg, 1, sample)
     k = len(sample)
     for row in out.trace:
         assert row[3] == pytest.approx(1.0 / k, abs=1e-15)
@@ -162,7 +162,7 @@ def test_single_neighbor_attention_is_one(world):
     kg, table, store = world
     sample = np.array([[0, 1]])
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=2)
-    out = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, 1, sample)
     assert len(out.trace) == 1
     assert out.trace[0][3] == 1.0
 
@@ -171,8 +171,8 @@ def test_attention_depends_on_query(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="query-attn", neighbor_budget=64)
-    a = encode_one(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
-    b = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    a = encode_one(store, table.dense(), cfg, 0, sample)
+    b = encode_one(store, table.dense(), cfg, 1, sample)
     assert np.abs(a.embedding - b.embedding).max() > 1e-9
 
 
@@ -180,8 +180,8 @@ def test_global_attention_ignores_query(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="global-attn", neighbor_budget=64)
-    a = encode_one(store, table.dense(), cfg, 0, sample, np.random.default_rng(0))
-    b = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    a = encode_one(store, table.dense(), cfg, 0, sample)
+    b = encode_one(store, table.dense(), cfg, 1, sample)
     np.testing.assert_array_equal(a.embedding, b.embedding)
 
 
@@ -190,10 +190,8 @@ def test_global_equals_query_attention_at_zero_query_row(world):
     zeroed = store.copy()
     zeroed.arrays["query_vec"][2] = 0.0
     sample = grab_sample(kg, 0)
-    g = encode_one(zeroed, table.dense(), AggregatorConfig(kind="global-attn"),
-                   2, sample, np.random.default_rng(0))
-    q = encode_one(zeroed, table.dense(), AggregatorConfig(kind="query-attn"),
-                   2, sample, np.random.default_rng(0))
+    g = encode_one(zeroed, table.dense(), AggregatorConfig(kind="global-attn"), 2, sample)
+    q = encode_one(zeroed, table.dense(), AggregatorConfig(kind="query-attn"), 2, sample)
     np.testing.assert_array_equal(g.embedding, q.embedding)
 
 
@@ -205,7 +203,7 @@ def test_lan_single_neighbor_composition(world):
     r1, q = np.argwhere(table.dense())[0].tolist()
     sample = np.array([[r1, 3]])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
-    out = encode_one(store, table.dense(), cfg, q, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, q, sample)
     w = store["transform_vec"][r1]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
@@ -219,7 +217,7 @@ def test_lan_single_neighbor_zero_confidence(world):
     dead = np.zeros((table.n_relations, table.n_relations))
     sample = np.array([[0, 3]])
     cfg = AggregatorConfig(kind="lan", neighbor_budget=1)
-    out = encode_one(store, dead, cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(store, dead, cfg, 1, sample)
     w = store["transform_vec"][0]
     x = store["entity_emb"][3]
     t = x - np.dot(w, x) * w
@@ -237,7 +235,7 @@ def test_redundancy_demotion_in_trace():
     store = init_params(4, 3, 6, seed=1)
     sample = np.array([[0, 2], [1, 3]])
     cfg = AggregatorConfig(kind="logic-only", neighbor_budget=2)
-    out = encode_one(store, table.dense(), cfg, 2, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, 2, sample)
     weights = {row[0]: row[2] for row in out.trace}
     assert weights[1] > weights[0]
 
@@ -247,15 +245,14 @@ def test_rules_required_for_logic_kinds(world):
     sample = grab_sample(kg, 0)
     for kind in ("lan", "logic-only"):
         with pytest.raises(ValueError, match="rule table"):
-            encode_one(store, None, AggregatorConfig(kind=kind),
-                       0, sample, np.random.default_rng(0))
+            encode_one(store, None, AggregatorConfig(kind=kind), 0, sample)
 
 
 def test_trace_reports_total_as_sum(world):
     kg, table, store = world
     sample = grab_sample(kg, 0)
     cfg = AggregatorConfig(kind="lan", neighbor_budget=64)
-    out = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+    out = encode_one(store, table.dense(), cfg, 1, sample)
     assert len(out.trace) == len(sample)
     for _, _, a_logic, a_nn, a_total in out.trace:
         assert a_total == a_logic + a_nn
@@ -272,11 +269,11 @@ def test_permutation_invariance(world, kind):
         sample = grab_sample(kg, e)
         if len(sample) < 2:
             continue
-        base = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+        base = encode_one(store, table.dense(), cfg, 1, sample)
         scale = max(np.abs(base.embedding).max(), 1e-30)
         for _ in range(5):
             perm = rng.permutation(len(sample))
-            other = encode_one(store, table.dense(), cfg, 1, sample[perm], np.random.default_rng(0))
+            other = encode_one(store, table.dense(), cfg, 1, sample[perm])
             rel = np.abs(other.embedding - base.embedding).max() / scale
             assert rel <= 1e-9
 
@@ -284,13 +281,12 @@ def test_permutation_invariance(world, kind):
 def test_lstm_is_order_sensitive(world):
     kg, table, store = world
     e = max(range(kg.n_entities), key=lambda x: kg.neighborhood(x).shape[0])
-    sample = grab_sample(kg, e)
-    assert len(sample) >= 3
+    assert kg.neighborhood(e).shape[0] >= 3
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
-    outs = [
-        encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(s)).embedding
-        for s in (0, 1)
-    ]
+    outs = []
+    for s in (0, 1):  # two draws of the neighbor order
+        _, rels, nbs = stack_samples(kg, [e], cfg, np.random.default_rng(s))
+        outs.append(encode_one(store, table.dense(), cfg, 1, np.stack([rels, nbs], axis=1)).embedding)
     assert np.abs(outs[0] - outs[1]).max() > 1e-6
 
 
@@ -321,7 +317,8 @@ def test_lstm_matches_hand_rolled_gates(world):
     sample = grab_sample(kg, 0)
     seed = 21
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
-    out = encode_one(st2, None, cfg, 0, sample, np.random.default_rng(seed))
+    _, rels, nbs = stack_samples(kg, [0], cfg, np.random.default_rng(seed))
+    out = encode_one(st2, None, cfg, 0, np.stack([rels, nbs], axis=1))
     order = np.random.default_rng(seed).permutation(len(sample))
     xs = []
     for j in order:
@@ -340,14 +337,12 @@ def test_encode_batch_matches_single(world, kind):
     dense = table.dense()
     ents = np.arange(kg.n_entities)
     queries = np.arange(kg.n_entities) % kg.n_relations
-    offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
+    offsets, rels, nbs = stack_samples(kg, ents, cfg, np.random.default_rng(0))
     leaves = {n: ad.Value(store[n]) for n in store.names()}
-    batch = encode_batch(leaves, offsets, rels, nbs, queries, cfg,
-                         dense_table=dense, rng=np.random.default_rng(0))
+    batch = encode_batch(leaves, offsets, rels, nbs, queries, cfg, dense_table=dense)
     for i, e in enumerate(ents):
         sample = grab_sample(kg, int(e))
-        single = encode_one(store, table.dense(), cfg, int(queries[i]), sample,
-                            np.random.default_rng(0))
+        single = encode_one(store, table.dense(), cfg, int(queries[i]), sample)
         np.testing.assert_allclose(batch.data[i], single.embedding, rtol=1e-9, atol=1e-12)
 
 
@@ -355,12 +350,10 @@ def test_encode_batch_matches_single_lstm(world):
     kg, table, store = world
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     for e in range(4):
-        sample = grab_sample(kg, e)
-        single = encode_one(store, None, cfg, 0, sample, np.random.default_rng(5))
-        offsets, rels, nbs = stack_samples(kg, [e], 64, np.random.default_rng(0))
+        offsets, rels, nbs = stack_samples(kg, [e], cfg, np.random.default_rng(5))
+        single = encode_one(store, None, cfg, 0, np.stack([rels, nbs], axis=1))
         leaves = {n: ad.Value(store[n]) for n in store.names()}
-        batch = encode_batch(leaves, offsets, rels, nbs, np.array([0]), cfg,
-                             rng=np.random.default_rng(5))
+        batch = encode_batch(leaves, offsets, rels, nbs, np.array([0]), cfg)
         np.testing.assert_allclose(batch.data[0], single.embedding, rtol=1e-9, atol=1e-12)
 
 
@@ -379,7 +372,7 @@ def test_lstm_gates_run_over_the_live_rows_only(world, monkeypatch):
 
     monkeypatch.setattr(ad, "matmul", counted)
     out = encode_batch(store.leaves(True), offsets, rels, nbs, np.zeros(counts.size, np.int64),
-                       AggregatorConfig(kind="lstm"), rng=np.random.default_rng(0))
+                       AggregatorConfig(kind="lstm"))
     # longest first and right-aligned: the two 5-slot rows step alone until the 3-slot rows join
     assert gate_rows == np.repeat([2, 2, 4, 5, 6], 4).tolist()
     assert sum(gate_rows) == 4 * counts.sum()  # stepping every row to the widest would give 4 * 7 * 5
@@ -396,14 +389,13 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     widths = np.diff(kg.offsets)[ents]
     assert len(set(widths.tolist())) > 3 and widths.max() > 8  # mixed widths, some past numpy's 8 sum lanes
     seeds = [[9, i] for i in range(ents.size)]  # lstm permutations, one generator per row
-    offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
+    offsets, rels, nbs = stack_samples(kg, ents, cfg, seeds)
     single = np.stack([
-        encode_one(store, table.dense(), cfg, 1, np.stack([rels[a:z], nbs[a:z]], axis=1),
-                   np.random.default_rng(seeds[i])).embedding
-        for i, (a, z) in enumerate(zip(offsets[:-1], offsets[1:]))
+        encode_one(store, table.dense(), cfg, 1, np.stack([rels[a:z], nbs[a:z]], axis=1)).embedding
+        for a, z in zip(offsets[:-1], offsets[1:])
     ])
     batch = encode_batch(store.leaves(True), offsets, rels, nbs, np.ones(ents.size, np.int64), cfg,
-                         dense_table=table.dense(), rng=seeds).data
+                         dense_table=table.dense()).data
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 5)  # blocks of one to a few rows
     blocks = evaluation.encode_entities(SimpleNamespace(neighbor_graph=kg), store, cfg, table.dense(), ents, 1, seeds)
     for got in (batch, blocks):
@@ -418,18 +410,14 @@ def test_per_row_rng_sequences_must_match_the_rows(world):
     hub = int(np.argmax(np.diff(kg.offsets)))
     for rngs in ([7], [7, 8, 9]):
         with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
-            stack_samples(kg, [hub, 0], 2, rngs)
-        offsets, rels, nbs = stack_samples(kg, [hub, 0], 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
-            encode_batch(store.leaves(True), offsets, rels, nbs, np.zeros(2, np.int64),
-                         AggregatorConfig(kind="lstm"), rng=rngs)
+            stack_samples(kg, [hub, 0], AggregatorConfig(neighbor_budget=2), rngs)
 
 
-def _row_objective(kind, store, table, rels, nbs, mask, queries, weights, rng):
+def _row_objective(kind, store, table, rels, nbs, mask, queries, weights):
     """Encode a batch, dot each row with ``weights``; returns (outputs, leaf gradients)."""
     leaves = store.leaves(True)
     out = encode_batch(leaves, *grid_to_csr(mask, rels, nbs), queries, AggregatorConfig(kind=kind),
-                       dense_table=table.dense(), rng=rng)
+                       dense_table=table.dense())
     ad.backward(ad.sum_all(ad.mul(out, ad.Value(weights))))
     grads = {n: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
              for n, leaf in leaves.items()}
@@ -455,14 +443,12 @@ def test_padding_never_leaks_into_outputs_or_gradients(world, kind):
     queries = np.arange(len(rows)) % kg.n_relations
     weights = np.random.default_rng(3).normal(size=(len(rows), store["entity_emb"].shape[1]))
 
-    out, grads = _row_objective(kind, store, table, rels, nbs, mask, queries, weights,
-                                np.random.default_rng(7))
+    out, grads = _row_objective(kind, store, table, rels, nbs, mask, queries, weights)
     summed = {n: np.zeros_like(g) for n, g in grads.items()}
-    single_rng = np.random.default_rng(7)  # the batch draws its lstm orders row by row
     for b, nb in enumerate(rows):
         k = max(len(nb), 1)
         one, g1 = _row_objective(kind, store, table, rels[b:b + 1, :k], nbs[b:b + 1, :k], mask[b:b + 1, :k],
-                                 queries[b:b + 1], weights[b:b + 1], single_rng)
+                                 queries[b:b + 1], weights[b:b + 1])
         np.testing.assert_allclose(out[b], one[0], rtol=1e-12, atol=1e-12)
         for n in summed:
             summed[n] += g1[n]
@@ -475,17 +461,15 @@ def test_padding_never_leaks_into_outputs_or_gradients(world, kind):
 def test_an_encode_over_constant_leaves_records_only_leaves(world, kind):
     kg, table, store = world
     ents = np.arange(kg.n_entities)
-    offsets, rels, nbs = stack_samples(kg, ents, 64, np.random.default_rng(0))
-    queries = ents % kg.n_relations
     cfg = AggregatorConfig(kind=kind)
+    offsets, rels, nbs = stack_samples(kg, ents, cfg, np.random.default_rng(0))
+    queries = ents % kg.n_relations
     # nothing needs a gradient, so no value draws a creation number, be it the store's constants,
     # the constants the pass makes (uniform, logic or lstm state) or an op's output
     start = next(ad._created)
-    out = encode_batch(store.leaves(False), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
-                       rng=np.random.default_rng(1))
+    out = encode_batch(store.leaves(False), offsets, rels, nbs, queries, cfg, dense_table=table.dense())
     assert not out.requires_grad and next(ad._created) == start + 1
-    recorded = encode_batch(store.leaves(True), offsets, rels, nbs, queries, cfg, dense_table=table.dense(),
-                            rng=np.random.default_rng(1))
+    recorded = encode_batch(store.leaves(True), offsets, rels, nbs, queries, cfg, dense_table=table.dense())
     assert recorded.requires_grad and recorded.node.parents
     assert out.data.tobytes() == recorded.data.tobytes()
 
@@ -498,8 +482,7 @@ def test_encode_batch_zero_neighbor_rows(world):
         nbs = np.zeros((2, 3), dtype=np.int64)
         mask = np.array([[True, True, False], [False, False, False]])
         leaves = {n: ad.Value(store[n]) for n in store.names()}
-        out = encode_batch(leaves, *grid_to_csr(mask, rels, nbs), np.array([0, 0]), cfg,
-                           dense_table=table.dense(), rng=np.random.default_rng(0))
+        out = encode_batch(leaves, *grid_to_csr(mask, rels, nbs), np.array([0, 0]), cfg, dense_table=table.dense())
         np.testing.assert_array_equal(out.data[1], np.zeros(10))
         assert np.abs(out.data[0]).max() > 0
 
@@ -520,7 +503,7 @@ def test_encode_samples_deterministically(world):
     for _ in range(2):
         rng = np.random.default_rng(3)
         sample = sample_neighbors(kg.neighborhood(e), cfg.neighbor_budget, rng)
-        encoded.append(encode_one(store, table.dense(), cfg, 0, sample, rng))
+        encoded.append(encode_one(store, table.dense(), cfg, 0, sample))
     a, b = encoded
     np.testing.assert_array_equal(a.embedding, b.embedding)
 
@@ -537,7 +520,7 @@ def test_encode_matches_numpy_oracle(world, kind):
         if nb.shape[0] == 0:
             continue
         sample = grab_sample(kg, e)
-        got = encode_one(store, table.dense(), cfg, 1, sample, np.random.default_rng(0))
+        got = encode_one(store, table.dense(), cfg, 1, sample)
         want = oracle_encode(store.arrays, dense, kind, 1, nb)
         np.testing.assert_allclose(got.embedding, want, rtol=1e-9, atol=1e-12)
 
@@ -551,7 +534,7 @@ def test_trace_matches_oracle_attention(world):
         nb = kg.neighborhood(e)
         if nb.shape[0] == 0:
             continue
-        got = encode_one(store, dense, cfg, 1, grab_sample(kg, e), np.random.default_rng(0))
+        got = encode_one(store, dense, cfg, 1, grab_sample(kg, e))
         rels = np.array([row[0] for row in got.trace])
         ents = np.array([row[1] for row in got.trace])
         assert sorted(zip(rels.tolist(), ents.tolist())) == sorted(map(tuple, nb.tolist()))
@@ -572,7 +555,7 @@ def test_stack_samples_trims_width(world):
     kg, table, store = world
     widest = max(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
     offsets, rels, nbs = stack_samples(
-        kg, np.arange(kg.n_entities), 64, np.random.default_rng(0)
+        kg, np.arange(kg.n_entities), AggregatorConfig(neighbor_budget=64), np.random.default_rng(0)
     )
     assert np.diff(offsets).max() == widest
     assert rels.size == nbs.size == offsets[-1] == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
@@ -592,18 +575,53 @@ def test_stack_samples_matches_per_entity_sampling():
     for budget in (1, 4, 9, 64):
         ref_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
         samples = [sample_neighbors(hoods[e], budget, ref_rng) for e in ents]
-        offsets, rels, nbs = stack_samples(graph, ents, budget, got_rng)
+        offsets, rels, nbs = stack_samples(graph, ents, AggregatorConfig(neighbor_budget=budget), got_rng)
         kept = np.concatenate(samples)
         want = (np.cumsum([0] + [len(rows) for rows in samples]), kept[:, 0], kept[:, 1])
         for got, expect in zip((offsets, rels, nbs), want):
             np.testing.assert_array_equal(got, expect)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     with pytest.raises(ValueError, match="budget"):
-        stack_samples(graph, ents, 0, got_rng)
+        stack_samples(graph, ents, AggregatorConfig(neighbor_budget=0), got_rng)
+
+
+def test_lstm_slots_are_sampled_then_permuted_row_by_row():
+    # the draw convention written out: with one Generator, every truncated row's sample in row order, then
+    # permutation(k) of every non-empty row in row order; with one seed per row, that row's one generator
+    # samples and then permutes
+    rng = np.random.default_rng(5)
+    hoods = [np.stack([rng.integers(0, 5, size=k), rng.integers(0, 30, size=k)], axis=1)
+             for k in (7, 0, 1, 3, 9, 1, 0, 5)]
+    graph = SimpleNamespace(
+        offsets=np.concatenate([[0], np.cumsum([h.shape[0] for h in hoods])]),
+        pairs=np.concatenate(hoods).astype(np.int64),
+    )
+    ents = np.array([0, 1, 2, 3, 4, 5, 6, 7, 4, 0])  # truncated, empty, one-slot and whole rows, some twice
+    cfg = AggregatorConfig(kind="lstm", neighbor_budget=3)
+    seeds = [[4, i] for i in range(ents.size)]
+
+    shared = np.random.default_rng(6)
+    rows = [sample_neighbors(hoods[e], 3, shared) for e in ents]
+    want_shared = [row[shared.permutation(len(row))] if len(row) else row for row in rows]
+    want_seeded = []
+    for e, seed in zip(ents, seeds):
+        own = np.random.default_rng(seed)
+        row = sample_neighbors(hoods[e], 3, own)
+        want_seeded.append(row[own.permutation(len(row))] if len(row) else row)
+
+    got_rng = np.random.default_rng(6)
+    for rngs, want in ((got_rng, want_shared), (seeds, want_seeded)):
+        kept = np.concatenate(want)
+        offsets, rels, nbs = stack_samples(graph, ents, cfg, rngs)
+        np.testing.assert_array_equal(offsets, np.cumsum([0] + [len(row) for row in want]))
+        np.testing.assert_array_equal(rels, kept[:, 0])
+        np.testing.assert_array_equal(nbs, kept[:, 1])
+    assert got_rng.bit_generator.state == shared.bit_generator.state
+    assert any(len(row) > 1 and (row != np.asarray(hoods[e])[:len(row)]).any() for e, row in zip(ents, want_shared))
 
 
 def test_stack_samples_rejects_out_of_range_entities(world):
     kg, table, store = world
     for bad in (-1, kg.n_entities):
         with pytest.raises(GraphError, match="out of range"):
-            stack_samples(kg, [0, bad], 64, np.random.default_rng(0))
+            stack_samples(kg, [0, bad], AggregatorConfig(), np.random.default_rng(0))

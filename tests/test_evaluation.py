@@ -311,10 +311,10 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
     assert len(passes) > 3 and sum(passes) == len(ctx.seen_ids)
     rng = np.random.default_rng([2, q])
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, budget, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, acfg, rng)
     assert np.diff(offsets).max() == budget and len(set(np.diff(offsets))) > 2
     want = encode_batch(store.leaves(False), offsets, rels, ents,
-                        np.full(len(ctx.seen_ids), q), acfg, dense_table=dense, rng=rng).data
+                        np.full(len(ctx.seen_ids), q), acfg, dense_table=dense).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -405,7 +405,7 @@ def test_score_labeled_frees_each_batch_before_the_next(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["lan", "lstm", "mean"])
-def test_constant_leaves_are_made_once_per_call_with_no_tape(kind, monkeypatch):
+def test_constant_leaves_are_made_once_per_call_and_build_no_graph(kind, monkeypatch):
     ctx, acfg, table, store = bundle_fixture(seed=5)
     acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
     if acfg.uses_lstm:
@@ -464,7 +464,9 @@ def per_query_rank(ctx, store, acfg, scorer, dense, triplet, rank_side, known, s
     cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q]))
     rng = np.random.default_rng([seed, s, q, o])
     rows = sample_neighbors(ctx.neighbor_graph.neighborhood(fixed), acfg.neighbor_budget, rng)
-    emb = encode_one(store, dense, acfg, q, rows, rng).embedding
+    if acfg.uses_lstm and len(rows):  # the lstm reads its sample in an order drawn after it, from the same rng
+        rows = rows[rng.permutation(len(rows))]
+    emb = encode_one(store, dense, acfg, q, rows).embedding
     q_vec = store["relation_emb"][q]
     [scores] = score_columns(candidate_columns(cands, q_vec, scorer, rank_side), q_vec, emb, scorer, rank_side)
     _, answers = known.answer_rows(fixed, q, rank_side)
@@ -502,9 +504,11 @@ def test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, st
 @pytest.mark.parametrize("kind", ["lan", "lstm"])
 def test_batched_ranks_match_per_query_ranks_across_encode_passes(kind, monkeypatch):
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)
-    keyed = []  # passes whose rows each carry their own rng or seed: the fixed sides
-    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: keyed.append(
-        not isinstance(kw["rng"], np.random.Generator)) or encode_batch(*a, **kw))
+    sampled, keyed = [], []  # whether each sample, and each pass over it, has an rng per row: the fixed sides
+    monkeypatch.setattr(evaluation, "stack_samples", lambda g, ids, cfg, rng: sampled.append(
+        not isinstance(rng, np.random.Generator)) or stack_samples(g, ids, cfg, rng))
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: keyed.append(sampled[-1])
+                        or encode_batch(*a, **kw))
     test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, "subject")
     assert sum(keyed) > 3
 
@@ -781,7 +785,7 @@ def test_truncated_repeats_are_each_sampled_with_the_draws_of_every_row(kind, mo
     assert (sampled[0] == hub).sum() == 5
     assert (sampled[0] == small).sum() == 2
     every = np.random.default_rng(21)
-    stack_samples(graph, np.concatenate([rows[:, 0], rows[:, 2]]), acfg.neighbor_budget, every)
+    stack_samples(graph, np.concatenate([rows[:, 0], rows[:, 2]]), acfg, every)
     assert rng.bit_generator.state == every.bit_generator.state
 
 

@@ -225,7 +225,7 @@ def graph_refs(leaves, loss):
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
-def test_a_batch_tape_is_freed_before_the_next_batch_starts(kind, monkeypatch):
+def test_a_batch_graph_is_freed_before_the_next_batch_starts(kind, monkeypatch):
     refs = []  # weak references to the last batch's loss data, its nodes' VJPs, the arrays they keep and its gradients
     alive_at_start = []
 
