@@ -14,8 +14,9 @@ it as ``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it
 refuses ``--rules`` for the other aggregators, which use no rule table.
 The commands that load a checkpoint read the bundle and that file back
 in :func:`_load_model` and refuse a logic checkpoint without it, or
-with one that does not match its manifest's sha256 line, and any
-checkpoint whose parameter names are not its aggregator's.
+with one that does not match its manifest's sha256 line;
+:func:`~lankgc.params.load_checkpoint` refuses any checkpoint whose
+parameters are not its model's, by name and shape.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .decoder import SCORER_KINDS, check_scorer
 from .encoder import AGGREGATOR_KINDS, encode_batch, stack_samples
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets
-from .params import load_checkpoint, param_shapes, vocab_checksums
+from .params import load_checkpoint, vocab_checksums
 from .rules import export_table, import_table, mine_confidence
 from .splits import SplitSpec, build_split, load_corpus, read_bundle, split_stats, write_bundle
 from .synth import gen_synthetic, write_corpus
@@ -142,11 +143,6 @@ def _load_model(ckpt_dir, bundle_dir):
     try:
         resolved = resolve_config(overrides={key: meta[key] for key in keys if key in meta})
         acfg = aggregator_config_from(resolved)
-        odd = sorted(set(param_shapes(0, 0, 0, acfg.uses_lstm)) ^ set(store.names()))  # the names, not the shapes
-        if odd:
-            need = odd[0] not in store.arrays
-            raise ConfigError(f"declares {'no ' if need else ''}parameter {odd[0]}, which the {acfg.kind} aggregator "
-                              f"{'needs' if need else 'does not use'}")
         scorer = resolved["scorer"]
         check_scorer(scorer, store["entity_emb"].shape[1])
     except ValueError as exc:  # a ConfigError, or check_scorer's ValueError
@@ -214,8 +210,7 @@ def _cmd_inspect_weights(args):
     ctx, store, acfg, scorer, dense = _load_model(args.ckpt, args.bundle)
     entity = ctx.vocab.entity_id(args.entity)
     query = ctx.vocab.relation_id(args.query)
-    rng = np.random.default_rng([args.seed, entity, query])
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [entity], acfg, (args.seed,))
     _, alpha_logic, alpha_nn = encode_batch(
         store.leaves(False), offsets, rels, ents, [query], acfg, dense_table=dense, trace=True,
     )
@@ -242,6 +237,13 @@ def _cmd_inspect_weights(args):
     return 0
 
 
+def _seed(text):
+    """The type of every ``--seed``: an integer >= 0, which every sample key and generator takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="lankgc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,7 +251,7 @@ def build_parser():
     p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus with a planted rule")
     p.add_argument("--entities", type=int, default=1000)
     p.add_argument("--rule-strength", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synthetic)
 
@@ -257,7 +259,7 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--strategy", choices=["subject", "object"], default="subject")
     p.add_argument("--rate", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_dataset)
 
@@ -272,7 +274,7 @@ def build_parser():
     p.add_argument("--aggregator", choices=list(AGGREGATOR_KINDS), default=None)
     p.add_argument("--scorer", choices=list(SCORER_KINDS), default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
     p.add_argument("--out", required=True)
@@ -282,7 +284,7 @@ def build_parser():
     p = sub.add_parser("eval-lp", help="filtered link-prediction metrics")
     p.add_argument("--bundle", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval_lp)
 
@@ -291,7 +293,7 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--valid", required=True, help="labeled validation TSV (s, r, o, label)")
     p.add_argument("--test", required=True, help="labeled test TSV (s, r, o, label)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval_tc)
 
@@ -300,7 +302,7 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--entity", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_inspect_weights)
 

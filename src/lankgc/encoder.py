@@ -10,7 +10,7 @@ vector:
 Aggregator kinds:
 
     mean          uniform weights over the real neighbors
-    lstm          sequence model over a random permutation of neighbors
+    lstm          sequence model over a hashed order of the neighbors
     lan           logic weights plus query-aware neural attention
     query-attn    the neural attention alone
     global-attn   the neural attention alone, with the query zeroed
@@ -27,9 +27,9 @@ ranking, scoring and ``inspect-weights`` alike; with ``trace`` set it
 also returns the per-slot attention.  Only training passes it gradient
 leaves, so only training builds a graph; over constant weights
 (``store.leaves(False)``) no op keeps its operands.  It takes no rng:
-every draw, a neighborhood's sample and an ``lstm`` row's order, is made
-by :func:`stack_samples`.  The numpy oracles in the test suite pin it to
-the formulas above.
+every draw, a neighborhood's sample and an ``lstm`` row's order, is a
+hash made by :func:`stack_samples`.  The numpy oracles in the test
+suite pin it to the formulas above.
 
 A batch arrives as CSR slots (see :func:`stack_samples`): row b owns
 the slots offsets[b]:offsets[b+1] of flat (S,) relation and entity
@@ -54,18 +54,19 @@ over its rows, and the lstm's gate products over the rows still live at
 each step.  So a row equals its B=1 encoding bitwise for ``mean`` and
 ``logic-only`` only; the other kinds agree to rounding.  Within a
 scoring batch a row's encoding is shared by its repeats
-(:func:`distinct_rows`): rows with the same (entity, query) key that
-read no rng are encoded once.
+(:func:`distinct_rows`): the rows with one (entity, query) key are
+encoded once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .kg import GraphError, sample_neighbors
+from .kg import GraphError
 from .rules import logic_attention_batch
 
 AGGREGATOR_KINDS = ("mean", "lstm", "lan", "query-attn", "global-attn", "logic-only")
@@ -98,22 +99,40 @@ class AggregatorConfig:
         return self.kind == "lstm"
 
 
-def stack_samples(graph, ent_ids, cfg, rng):
+def _mix(x):
+    """splitmix64's finalizer over a uint64 array, in place; returns ``x``."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def stack_samples(graph, ent_ids, cfg, key):
     """Sample neighborhoods for a batch of entities as CSR slots, in the order the encoder reads them.
 
     Returns ``(offsets, relations, entities)``: row ``i`` holds the
     slots ``offsets[i]:offsets[i + 1]`` of the (S,) ``relations`` and
     ``entities``, at most ``cfg.neighbor_budget`` of them.  ``graph`` is
     a :class:`~lankgc.kg.KnowledgeGraph`, or anything with its CSR
-    ``offsets`` and ``pairs`` arrays.  Every draw of an encode is made
-    here: each neighborhood over the budget goes through
-    :func:`sample_neighbors`, in row order, and then, for ``lstm`` only,
-    each non-empty row's slots take ``permutation(k)`` order, in row
-    order.  ``rng`` is one Generator, or one entry per row: a Generator
-    or a seed, from which a row that draws makes one Generator with
-    :func:`numpy.random.default_rng` to sample and then permute.  An
+    ``offsets`` and ``pairs`` arrays.  Every draw is made here, from
+    ``key``, a tuple of ints in [0, 2^64): over uint64, neighbor ``j`` of
+    entity ``e`` hashes to ``h = mix(mix(salt ^ e) + j)``, with ``mix``
+    splitmix64's finalizer and ``salt = mix(salt ^ k)`` folded over the
+    key from splitmix64's increment.  A neighborhood over the budget
+    keeps its lowest ``h``, in neighborhood order, and an ``lstm`` row
+    reads its slots by ascending ``h``; a tie goes to the lower ``j``.
+    So an entity's rows under one key hold the same slots in any batch.
+    A key int outside [0, 2^64) raises :class:`ValueError` first; an
     entity id outside [0, N) raises :class:`~lankgc.kg.GraphError`.
     """
+    salt = np.array([0x9E3779B97F4A7C15], dtype=np.uint64)  # splitmix64's increment: the empty key's salt
+    for k in key:
+        if not 0 <= operator.index(k) < 1 << 64:
+            raise ValueError(f"sample key {tuple(key)} holds {k}, outside [0, 2**64)")
+        salt ^= np.uint64(k)
+        _mix(salt)
     budget = cfg.neighbor_budget
     indptr, pairs = graph.offsets, np.asarray(graph.pairs, dtype=np.int64)
     ent_ids = np.asarray(ent_ids, dtype=np.int64).reshape(-1)
@@ -123,54 +142,43 @@ def stack_samples(graph, ent_ids, cfg, rng):
     starts = indptr[ent_ids]
     sizes = indptr[ent_ids + 1] - starts
     taken = np.minimum(sizes, budget)
-    if isinstance(rng, np.random.Generator):
-        rngs = [rng] * ent_ids.size
-    elif len(rng) != ent_ids.size:
-        raise ValueError(f"per-row rng sequence has {len(rng)} entries for {ent_ids.size} rows")
-    else:
-        draws = (sizes > budget) | ((taken > 0) & cfg.uses_lstm)
-        rngs = [np.random.default_rng(rng[i]) if draws[i] else None for i in range(ent_ids.size)]
+    draws = (sizes > budget) | ((taken > 1) & cfg.uses_lstm)
+    rows = np.flatnonzero(draws)
+    n = sizes[rows]
+    first = np.cumsum(n) - n
+    j = np.arange(n.sum())
+    j -= np.repeat(first, n)  # each drawing neighbor's index in its neighborhood
+    row_of = np.repeat(np.arange(rows.size), n)
+    h = _mix(salt ^ ent_ids[rows].astype(np.uint64))[row_of]
+    h += j.view(np.uint64)
+    order = np.lexsort((_mix(h), row_of))  # by row, then by hash, a tie in neighborhood order
+    del h, row_of
+    kept = order[j < budget]  # position p of a row's run in ``order`` holds its rank j[p]
+    del order, j
+    if not cfg.uses_lstm:
+        kept.sort()
+    kept += np.repeat(starts[rows] - first, taken[rows])  # into ``pairs``
     offsets = np.zeros(ent_ids.size + 1, dtype=np.int64)
     np.cumsum(taken, out=offsets[1:])
     src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], taken)  # slot j of row i reads pairs[starts[i] + j]
-    relations, entities = pairs[src, 0], pairs[src, 1]
-    for i in np.flatnonzero(sizes > budget):
-        kept = sample_neighbors(pairs[starts[i]:starts[i] + sizes[i]], budget, rngs[i])
-        relations[offsets[i]:offsets[i + 1]], entities[offsets[i]:offsets[i + 1]] = kept.T
-    for i in np.flatnonzero(taken) if cfg.uses_lstm else ():  # in place, so no (S,) order array is made
-        a, z = offsets[i], offsets[i + 1]
-        order = a + rngs[i].permutation(taken[i])
-        relations[a:z], entities[a:z] = relations[order], entities[order]
-    return offsets, relations, entities
+    src[np.repeat(draws, taken)] = kept
+    return offsets, pairs[src, 0], pairs[src, 1]
 
 
-def distinct_rows(graph, ent_ids, queries, cfg):
+def distinct_rows(ent_ids, queries):
     """The rows of a batch to encode, and where each row's encoding is.
 
     Returns ``(keep, where)``: encoding the rows ``keep`` (ascending
-    indices into ``ent_ids``) gives row ``i``'s encoding at ``where[i]``.
-    A row shares the encoding of the first row with its (entity, query)
-    key only when it reads no rng: its neighborhood fits
-    ``cfg.neighbor_budget`` and the kind is not ``lstm``.  Every other
-    row is kept, so :func:`stack_samples` over ``ent_ids[keep]`` makes
-    the draws of sampling every row.  An entity id outside [0, N) is
-    kept too, for :func:`stack_samples` to refuse.
+    indices into ``ent_ids``, the first row of each (entity, query) key)
+    gives row ``i``'s encoding at ``where[i]``.  Every repeat shares:
+    :func:`stack_samples` gives one entity the same slots in every row.
     """
     ent_ids = np.asarray(ent_ids, dtype=np.int64).reshape(-1)
     queries = np.asarray(queries, dtype=np.int64).reshape(-1)
-    indptr = graph.offsets
-    ids = np.clip(ent_ids, 0, indptr.size - 2)
-    shares = (indptr[ids + 1] - indptr[ids] <= cfg.neighbor_budget) & (ids == ent_ids) & (not cfg.uses_lstm)
-    rows = np.flatnonzero(shares)
-    keys = ent_ids[rows] * (queries.max(initial=0) + 1) + queries[rows]  # distinct for relation ids >= 0
-    order = np.argsort(keys, kind="stable")  # a key's rows in ascending order, its first row leading
-    by_key, keys = rows[order], keys[order]
-    leads = np.ones(keys.size, dtype=bool)
-    leads[1:] = keys[1:] != keys[:-1]
-    rep = np.arange(ent_ids.size)
-    rep[by_key] = by_key[leads][np.cumsum(leads) - 1]
-    kept = rep == np.arange(ent_ids.size)
-    return np.flatnonzero(kept), (np.cumsum(kept) - 1)[rep]
+    keys = ent_ids * (queries.max(initial=0) + 1) + queries  # distinct for relation ids >= 0
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    return keep, np.searchsorted(keep, first[inverse])
 
 
 def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table=None, trace=False):
@@ -231,7 +239,7 @@ def _encode_batch_lstm(leaves, transformed, offsets):
 
     ``transformed`` holds the (S, d) slots; row ``b`` owns
     ``transformed[offsets[b]:offsets[b + 1]]`` and consumes them in slot
-    order, which :func:`stack_samples` has already permuted.  Rows run
+    order, the order :func:`stack_samples` drew.  Rows run
     longest first and right-aligned: a row of k slots joins at step
     ``t_max - k`` with zero state, so the live rows are a prefix that
     only grows, and the gates run over them alone.  A row without slots

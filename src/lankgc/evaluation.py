@@ -14,9 +14,9 @@ entities of all the relation's queries in one more pass; each pass runs
 most 2^12 real slots, or one wider row.  A block's per-slot arrays are
 its transient memory, and a freed block leaves its high-water mark in
 the heap that the allocator keeps, so the block size bounds the peak
-resident memory of ranking.  Each query keeps its own rng, keyed on
-(seed, s, q, o), for a truncated neighborhood or an lstm permutation;
-:func:`~lankgc.encoder.stack_samples` makes every draw.
+resident memory of ranking.  Every draw is a hash of the key ``(seed,)``
+and the entity (:func:`~lankgc.encoder.stack_samples`), so an entity has
+one sample in ranking, triplet classification and ``inspect-weights``.
 Scores come graph-free in bounded (queries, candidates) blocks from
 :func:`~lankgc.decoder.score_columns`, the candidates laid out once: transe
 through one ``cdist`` city-block call per block, distmult and complex through
@@ -165,13 +165,12 @@ def metrics_from_ranks(ranks):
 _BLOCK_SLOTS = 1 << 12  # real neighbor slots per encode pass, which bound its per-slot arrays
 
 
-def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None):
+def encode_entities(ctx, store, acfg, dense, ent_ids, queries, key, leaves=None):
     """Forward-encode a batch of entities, each under its query relation -> (B, d).
 
     ``queries`` holds one query relation per entity, or one for all of
     them.  Neighborhoods come from one :func:`stack_samples` call, which
-    makes every draw (``rng`` is one Generator or one entry per entity,
-    as there); the blocks draw nothing.  Consecutive rows are
+    makes every draw from ``key``; the blocks draw nothing.  Consecutive rows are
     encoded in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row
     is a block of its own), each one :func:`encode_batch` over constant
     weights, so only one block's arrays are alive at a time:
@@ -180,7 +179,7 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, rng, leaves=None)
     from ``store`` when not given.  Nothing is padded: a block is a run
     of the CSR slots.  Rows without neighbors are zero vectors.
     """
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg, key)
     queries = np.broadcast_to(np.asarray(queries, dtype=np.int64), offsets.size - 1)
     out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
     leaves = store.leaves(False) if leaves is None else leaves
@@ -205,11 +204,9 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     ``triplets`` holds (s, q, o) id rows; ``rank_side`` names the slot to
     rank over the seen-entity candidates.  ``filter_set`` is the
     :class:`KnownTriplets` of the bundle; ``None`` or an empty set ranks
-    raw.  :func:`~lankgc.encoder.stack_samples` makes every draw: each
-    query's fixed side samples and, for ``lstm``, orders its neighbors
-    with one rng keyed on (seed, s, q, o), so results do not depend on
-    query order, and the candidates draw from one
-    ``default_rng([seed, q])``.  Returns the (Q,) int64 ranks and the
+    raw.  :func:`~lankgc.encoder.stack_samples` makes every draw, of the
+    candidates and the fixed sides alike, from the key ``(seed,)``, so
+    results do not depend on query order.  Returns the (Q,) int64 ranks and the
     number of queries whose fixed entity has no neighbors, so that it is
     scored from a zero vector.  The candidates are encoded
     and laid out once per call.  Each score is a running sum over the
@@ -240,11 +237,11 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         raise EvalError(f"ground-truth entity {truth[np.argmin(found)]} is not in the candidate set")
 
     q_vec = store["relation_emb"][q]
-    cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, np.random.default_rng([seed, q]))
+    cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, (seed,))
     columns = candidate_columns(cand_embs, q_vec, scorer, rank_side)
     del cand_embs  # only the layout is read from here
 
-    fixed_embs = encode_entities(ctx, store, acfg, dense, fixed, q, [[seed, *row] for row in triplets.tolist()])
+    fixed_embs = encode_entities(ctx, store, acfg, dense, fixed, q, (seed,))
 
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:
@@ -304,8 +301,8 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
     subjects.  Queries are ranked one relation at a time, all of a
     relation's queries together: the candidate encodings of a relation
     are computed once and dropped before the next, so at most one
-    (N, d) block is held.  Each query has its own keyed rng, so the
-    ranks do not depend on query order.  An id outside the model raises
+    (N, d) block is held.  Every draw is keyed on ``(seed,)`` and the
+    entity, so the ranks do not depend on query order.  An id outside the model raises
     :class:`EvalError` before any encoding.
     """
     check_scorer(scorer, store["entity_emb"].shape[1])
@@ -393,20 +390,20 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     once through :func:`encode_entities`, under the bound that also covers
     ranking, and :func:`score_batch` scores the rows over constant values,
     which build no graph.
-    One Generator, keyed on (seed, n), makes every draw, batch by batch.
-    An id outside the model raises :class:`EvalError`.
+    Every draw is keyed on ``(seed,)`` and the entity, as in ranking, so a
+    row's score does not depend on the other rows, their order or the
+    batch size.  An id outside the model raises :class:`EvalError`.
     """
     labeled_ids = _checked_ids(ctx, store, labeled_ids, "labeled")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
-    rng = np.random.default_rng([seed, labeled_ids.shape[0]])
     leaves = store.leaves(False)
     step = max(1, _BLOCK_SLOTS // 2)
     for lo in range(0, out.size, step):
         t = labeled_ids[lo:lo + step]
         b = t.shape[0]
         ent_ids, queries = np.concatenate([t[:, 0], t[:, 2]]), np.tile(t[:, 1], 2)
-        keep, where = distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)
-        enc = encode_entities(ctx, store, acfg, dense, ent_ids[keep], queries[keep], rng, leaves=leaves)
+        keep, where = distinct_rows(ent_ids, queries)
+        enc = encode_entities(ctx, store, acfg, dense, ent_ids[keep], queries[keep], (seed,), leaves=leaves)
         subj, obj = ad.Value(enc[where[:b]]), ad.Value(enc[where[b:]])
         q_emb = ad.Value(leaves["relation_emb"].data[t[:, 1]])
         out[lo:lo + b] = score_batch(subj, q_emb, obj, scorer).data

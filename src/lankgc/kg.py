@@ -12,10 +12,10 @@ is rejected in input files.
 
 A graph stores its neighborhoods once, in compressed sparse rows: an
 ``offsets`` array of N+1 entries into one ``pairs`` array of
-(relation, entity) rows.  A neighborhood, whole or sampled, is its
-``(k, 2)`` (relation, entity) rows: the whole one is a read-only slice
-of ``pairs``, and a sampled one that fits its budget may be that same
-slice.  Batch samplers gather from the two arrays directly.
+(relation, entity) rows.  A neighborhood is its ``(k, 2)`` (relation,
+entity) rows, a read-only slice of ``pairs``; the batch sampler
+(:func:`lankgc.encoder.stack_samples`) gathers from the two arrays
+directly.
 """
 
 from __future__ import annotations
@@ -257,22 +257,3 @@ def augment_inverses(kg):
     inv = np.stack([fwd[:, 2], fwd[:, 1] + m, fwd[:, 0]], axis=1)
     return KnowledgeGraph(kg.vocab, np.concatenate([fwd, inv], axis=0), augmented=True)
 
-
-def sample_neighbors(entries, budget, rng):
-    """The kept ``(min(k, budget), 2)`` rows of a ``(k, 2)`` neighborhood.
-
-    ``entries`` holds (relation, entity) rows, as returned by
-    :meth:`KnowledgeGraph.neighborhood`.  A neighborhood that fits the
-    budget is returned as it is (no randomness), so it may be the
-    graph's read-only slice; a larger one yields a uniform sample
-    without replacement, kept in neighborhood order.
-    """
-    if budget < 1:
-        raise ValueError(f"neighbor budget must be >= 1, got {budget}")
-    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
-    k = entries.shape[0]
-    if k <= budget:
-        return entries
-    take = rng.choice(k, size=budget, replace=False)
-    take.sort()
-    return entries[take]

@@ -111,23 +111,35 @@ def save_checkpoint(out_dir, store, meta):
 
 
 def load_checkpoint(ckpt_dir):
-    """Read a checkpoint directory back into (store, meta); each file must match its sha256 line."""
+    """Read a checkpoint directory back into (store, meta); each file must match its sha256 line.
+
+    The ``shape.`` lines must be those of :func:`param_shapes` for the
+    manifest's own sizes (``n_relations`` counts base relations) and
+    aggregator, or one :class:`ValueError` names the first that is not.
+    """
     manifest = os.path.join(ckpt_dir, "manifest")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no manifest in checkpoint directory {ckpt_dir}")
     meta = read_kv(manifest)
+    try:
+        n, m, dim, kind = int(meta["n_entities"]), int(meta["n_relations"]), int(meta["dim"]), meta["aggregator"]
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{manifest}: needs n_entities, n_relations and dim counts and an aggregator: {exc}") from None
+    want = param_shapes(n, 2 * m, dim, kind == "lstm")
+    declared = {key[len("shape."):]: value for key, value in meta.items() if key.startswith("shape.")}
+    for name in sorted(set(want) | set(declared)):
+        if name not in declared or name not in want:
+            need = name in want
+            raise ValueError(f"{manifest}: declares {'no ' if need else ''}parameter {name}, which the {kind} "
+                             f"aggregator {'needs' if need else 'does not use'}")
+        if declared[name] != "x".join(map(str, want[name])):
+            raise ValueError(f"{manifest}: declares parameter {name} of shape {declared[name]}, where the {kind} "
+                             f"aggregator needs {'x'.join(map(str, want[name]))}")
     arrays = {}
-    for key in list(meta):
-        if not key.startswith("shape."):
-            continue
-        name = key[len("shape."):]
-        shape = tuple(int(d) for d in meta[key].split("x"))
+    for name, shape in want.items():
         path = checked_file(ckpt_dir, meta, f"{name}.f64")
         flat = np.fromfile(path, dtype="<f8")
-        expect = int(np.prod(shape)) if shape else 1
-        if flat.size != expect:
-            raise ValueError(f"{path}: expected {expect} values, found {flat.size}")
+        if flat.size != int(np.prod(shape)):
+            raise ValueError(f"{path}: expected {int(np.prod(shape))} values, found {flat.size}")
         arrays[name] = flat.astype(np.float64).reshape(shape)
-    if not arrays:
-        raise ValueError(f"checkpoint at {ckpt_dir} declares no parameters")
     return ParamStore(arrays), meta

@@ -22,9 +22,9 @@ to unit length.
 A negative corrupts one endpoint, so it shares the other with its
 positive.  Each distinct (entity, relation) endpoint of a batch is
 encoded once, and the gradients of its repeats are summed before they
-flow back through the encoder; a truncated neighborhood and every lstm
-row are still encoded per row, so the rng draws are those of encoding
-every row.
+flow back through the encoder.  The Generator draws only the epochs'
+permutations and the negatives: every neighbor draw is a hash of the key
+``(seed, epoch, batch)`` (:func:`~lankgc.encoder.stack_samples`).
 
 Only training makes gradient leaves, so only training builds an
 autodiff graph, and one batch's graph is alive at a time.  It holds only
@@ -106,6 +106,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.valid_max_queries < 1:
             raise ValueError(f"valid max queries must be >= 1, got {self.valid_max_queries}")
         for key in ("eval_every", "checkpoint_every"):  # 0 turns either off
@@ -204,22 +206,20 @@ def input_scores(leaves, triplets, scorer):
     return score_batch(subj, q_emb, obj, scorer)
 
 
-def output_scores(leaves, triplets, graph, dense, acfg, scorer, rng):
+def output_scores(leaves, triplets, graph, dense, acfg, scorer, key):
     """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
 
     Each endpoint is encoded under its triplet's relation, once per
-    distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`):
-    rows whose neighborhood fits the budget share one encoding, while a
-    truncated row and every lstm row keep their own, so ``rng`` (one
-    Generator) makes the draws of encoding every row, samples and lstm
-    orders alike, all in :func:`~lankgc.encoder.stack_samples`.
+    distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`),
+    from the slots that :func:`~lankgc.encoder.stack_samples` draws
+    under ``key``.
     """
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     b = triplets.shape[0]
     ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
     queries = np.tile(triplets[:, 1], 2)
-    keep, where = distinct_rows(graph, ent_ids, queries, acfg)
-    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg, rng)
+    keep, where = distinct_rows(ent_ids, queries)
+    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg, key)
     enc = encode_batch(leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense)
     subj = ad.take_rows(enc, where[:b])
     obj = ad.take_rows(enc, where[b:])
@@ -227,13 +227,13 @@ def output_scores(leaves, triplets, graph, dense, acfg, scorer, rng):
     return score_batch(subj, q_emb, obj, scorer)
 
 
-def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, rng):
+def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, key):
     """Mean pair loss over a batch, plus the attention L2 penalty.
 
     Encodes the four endpoint groups (positive/negative x subject/object)
     in a single pass, sampling at most ``acfg.neighbor_budget`` neighbors
-    each from ``graph``; repeated (entity, relation) endpoints whose
-    neighborhood fits the budget share one encoding (see
+    each from ``graph`` under the sample ``key``; repeated (entity,
+    relation) endpoints share one encoding (see
     :func:`output_scores`).  The main part is the mean hinge over output
     embeddings; the subtask part, when enabled, is the same hinge over
     raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
@@ -243,7 +243,7 @@ def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scor
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     b = positives.shape[0]
     both = np.concatenate([positives, negatives], axis=0)
-    phi = output_scores(leaves, both, graph, dense, acfg, scorer, rng)
+    phi = output_scores(leaves, both, graph, dense, acfg, scorer, key)
     loss = ad.mean_all(hinge(tcfg.margin, ad.narrow(phi, 0, b), ad.narrow(phi, b, 2 * b)))
     parts = {"main": float(loss.data), "subtask": 0.0}
     if tcfg.subtask_enabled:
@@ -260,19 +260,18 @@ def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scor
     return loss, parts
 
 
-def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, rng, where):
-    """One optimizer step on one batch, then the transform renormalization -> ``(loss, parts, gradient norm)``.
+def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, epoch, batch):
+    """One optimizer step on batch ``batch`` of ``epoch``, then the transform renormalization -> ``(loss, parts, gradient norm)``.
 
-    The batch's graph dies once its gradients are collected, and its
-    leaves and gradients when this returns, before the next batch is
-    built.  ``where`` names the batch in the error that a non-finite
-    loss raises.
+    The batch samples under the key ``(tcfg.seed, epoch, batch)``.  Its
+    graph dies once its gradients are collected, and its leaves and
+    gradients when this returns, before the next batch is built.
     """
     leaves = store.leaves(True)
-    loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, scorer, rng)
+    loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, scorer, (tcfg.seed, epoch, batch))
     value = loss.item()
     if not np.isfinite(value):
-        raise TrainError(f"non-finite loss at {where}: {value}")
+        raise TrainError(f"non-finite loss at epoch {epoch}, batch {batch}: {value}")
     ad.backward(loss)
     grads = collect_gradients(leaves)
     del loss  # the graph and the arrays its products keep, before the norm's and Adam's temporaries
@@ -341,8 +340,7 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
             neg, fallbacks = corrupt(pos, known, ctx.vocab.n_entities, rng)
             epoch_fallbacks += fallbacks
             value, parts, norm = _step(
-                store, opt, pos, neg, ctx.neighbor_graph, dense, tcfg, acfg, scorer, rng,
-                f"epoch {epoch}, batch {lo // tcfg.batch_size}",
+                store, opt, pos, neg, ctx.neighbor_graph, dense, tcfg, acfg, scorer, epoch, lo // tcfg.batch_size,
             )
             norm_sum += norm
             for name, arr in store.arrays.items():

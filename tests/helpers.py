@@ -1,5 +1,6 @@
 """Shared test fixtures-in-code: tiny graphs, random corpora, oracles, a
-B=1 encode and a finite-difference gradient check.
+per-entity reference sampler, a B=1 encode and a finite-difference
+gradient check.
 
 The oracle functions here deliberately reimplement the library math in
 plain numpy loops, straight from the formulas, so the vectorized
@@ -278,6 +279,36 @@ def grid_to_csr(mask, *grids):
     mask = np.asarray(mask, dtype=bool)
     offsets = np.concatenate([[0], np.cumsum(mask.sum(axis=1))]).astype(np.int64)
     return (offsets, *(np.asarray(grid)[mask] for grid in grids))
+
+
+_U64 = (1 << 64) - 1
+
+
+def _mix64(x):
+    """splitmix64's finalizer on one Python int in [0, 2^64)."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return x ^ (x >> 31)
+
+
+def reference_sample(graph, entity, cfg, key):
+    """Entity ``entity``'s ``(k, 2)`` slots under ``key``, one neighbor at a time in Python ints.
+
+    The draw rule of :func:`lankgc.encoder.stack_samples`, written out:
+    the salt starts at splitmix64's increment and folds in each key int
+    as ``salt = mix(salt ^ k)``; neighbor ``j`` hashes to
+    ``mix(mix(salt ^ e) + j)``.  A neighborhood over the budget keeps its
+    lowest hashes in neighborhood order, and the ``lstm`` reads its kept
+    neighbors by ascending hash, a tie going to the lower ``j``.
+    """
+    salt = 0x9E3779B97F4A7C15
+    for k in key:
+        salt = _mix64(salt ^ k)
+    rows = np.asarray(graph.pairs)[graph.offsets[entity]:graph.offsets[entity + 1]]
+    base = _mix64(salt ^ int(entity))
+    hashes = [_mix64((base + j) & _U64) for j in range(len(rows))]
+    kept = sorted(range(len(rows)), key=lambda j: (hashes[j], j))[:cfg.neighbor_budget]
+    return rows[kept if cfg.uses_lstm else sorted(kept)].reshape(-1, 2)
 
 
 def encode_one(store, dense, cfg, query, entries):

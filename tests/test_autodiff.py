@@ -375,7 +375,7 @@ def _objective_graph(kind):
     neg = pos.copy()
     neg[:, 2] = (neg[:, 2] + 1) % n
     leaves = store.leaves(True)
-    loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", np.random.default_rng(0))
+    loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (0,))
     return list(leaves.values()), loss
 
 

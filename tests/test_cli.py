@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from lankgc import autodiff as ad
-from lankgc import cli
+from lankgc import cli, evaluation
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_batch, stack_samples
 from lankgc.evaluation import encode_entities, link_prediction, score_labeled
@@ -239,10 +240,10 @@ def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path, kind):
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 2
 
-    # the slots a B=1 batch samples with the command's rng, and their attention
+    # the slots a B=1 batch samples under the command's key, and their attention
     store, _ = load_checkpoint(str(ckpt))
     acfg = AggregatorConfig(kind=kind, neighbor_budget=2)
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], acfg, np.random.default_rng([3, e, q]))
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], acfg, (3,))
     dense = import_table(str(ckpt / "rules.tsv"), ctx.vocab).dense() if acfg.needs_rules else None
     _, alpha_logic, alpha_nn = encode_batch(store.leaves(False), offsets, rels, ents, [q], acfg,
                                             dense_table=dense, trace=True)
@@ -252,6 +253,37 @@ def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path, kind):
         f"{a_logic:.6f}\t{a_nn:.6f}\t{a_logic + a_nn:.6f}"
         for r, n, a_logic, a_nn in slots
     ]
+
+
+def test_inspect_weights_shows_the_slots_eval_lp_used(pipeline, tmp_path, monkeypatch):
+    _, _, bundle, _, _ = pipeline
+    ckpt = tmp_path / "budget2"
+    assert cli.main(["train", "--bundle", str(bundle), "--seed", "0", "--set", "epochs=1", "--set", "dim=8",
+                     "--set", "neighbor_budget=2", "--out", str(ckpt)]) == 0
+    used = {}  # entity -> every slot list eval-lp sampled for it, as a candidate or a fixed side
+
+    def spy(graph, ids, cfg, key):
+        offsets, rels, ents = stack_samples(graph, ids, cfg, key)
+        for i, e in enumerate(np.asarray(ids).tolist()):
+            a, z = offsets[i], offsets[i + 1]
+            used.setdefault(e, set()).add(tuple(zip(rels[a:z].tolist(), ents[a:z].tolist())))
+        return offsets, rels, ents
+    monkeypatch.setattr(evaluation, "stack_samples", spy)
+    assert cli.main(["eval-lp", "--bundle", str(bundle), "--ckpt", str(ckpt), "--seed", "3",
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    assert all(len(slots) == 1 for slots in used.values())  # one entity, one sample, under every relation
+    ctx = BundleContext(read_bundle(str(bundle)))
+    degrees = np.diff(ctx.neighbor_graph.offsets)
+    hubs = [e for e in used if degrees[e] > 2]
+    assert len(hubs) > 3
+    for e in hubs[:4]:
+        [slots] = used[e]
+        out = tmp_path / "trace.tsv"
+        assert cli.main(["inspect-weights", "--bundle", str(bundle), "--ckpt", str(ckpt),
+                         "--entity", ctx.vocab.entity_name(e), "--query", ctx.vocab.relation_name(slots[0][0]),
+                         "--seed", "3", "--out", str(out)]) == 0
+        shown = [tuple(line.split("\t")[2:4]) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert sorted(shown) == sorted((ctx.vocab.relation_name(r), ctx.vocab.entity_name(n)) for r, n in slots)
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
@@ -285,7 +317,7 @@ def test_forward_passes_over_constant_weights_build_no_graph(pipeline, tmp_path,
     ctx, store, acfg, scorer, dense = cli._load_model(str(ckpt), str(bundle))
     assert link_prediction(ctx, store, acfg, scorer, dense, seed=0).metrics.n_queries > 0
     assert score_labeled(ctx, store, acfg, scorer, dense, ctx.to_ids(ctx.bundle.valid), seed=0).size > 0
-    assert encode_entities(ctx, store, acfg, dense, ctx.seen_ids, 0, np.random.default_rng(0)).shape[0] > 0
+    assert encode_entities(ctx, store, acfg, dense, ctx.seen_ids, 0, (0,)).shape[0] > 0
     b = ctx.bundle
     assert run(["inspect-weights", "--bundle", str(bundle), "--ckpt", str(ckpt), "--entity", b.train[0][0],
                 "--query", b.train[0][1], "--out", str(tmp_path / "trace.tsv")]) == 0
@@ -563,7 +595,9 @@ def lstm_ckpt(pipeline, tmp_path_factory):
     ("lstm", {"shape.attn_score_vec": None}, "declares no parameter attn_score_vec, which the lstm aggregator needs"),
     ("lstm", {"aggregator": "mean"}, "declares parameter lstm_b_c, which the mean aggregator does not use"),
     ("lan", {"aggregator": "lstm"}, "declares no parameter lstm_b_c, which the lstm aggregator needs"),
-], ids=["no-entity_emb", "no-lstm_w_f", "no-attn_score_vec", "lstm-as-mean", "lan-as-lstm"])
+    ("lan", {"shape.attn_score_vec": "2x4"},
+     "declares parameter attn_score_vec of shape 2x4, where the lan aggregator needs 8"),
+], ids=["no-entity_emb", "no-lstm_w_f", "no-attn_score_vec", "lstm-as-mean", "lan-as-lstm", "attn_score_vec-2x4"])
 def test_a_checkpoint_whose_parameters_differ_from_its_aggregators_gives_one_error_line(
         pipeline, lstm_ckpt, tmp_path, capsys, source, changes, message):
     _, _, bundle, _, ckpt = pipeline
@@ -572,6 +606,48 @@ def test_a_checkpoint_whose_parameters_differ_from_its_aggregators_gives_one_err
                           "--out", str(tmp_path / "m.csv")], capsys)
     assert code == 1
     assert captured.err == f"error: {edited / 'manifest'}: {message}\n"
+
+
+@pytest.mark.parametrize("source, changes, name", [
+    ("lstm", {"shape.lstm_w_f": None}, "lstm_w_f"),
+    ("lan", {"shape.attn_score_vec": "2x4"}, "attn_score_vec"),
+    ("lan", {"shape.entity_emb": "2x4"}, "entity_emb"),
+    ("lan", {"shape.lstm_b_f": "8"}, "lstm_b_f"),
+    ("lan", {"n_relations": "1"}, "query_vec"),
+    ("lstm", {"dim": "5"}, "attn_proj"),
+], ids=["no-lstm_w_f", "attn_score_vec-2x4", "entity_emb-2x4", "extra-lstm_b_f", "n_relations", "dim"])
+def test_load_checkpoint_refuses_parameters_that_are_not_its_models(pipeline, lstm_ckpt, tmp_path, source, changes,
+                                                                     name):
+    edited = edited_checkpoint(lstm_ckpt if source == "lstm" else pipeline[4], tmp_path, **changes)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(edited / 'manifest'))}: declares .*parameter {name}\b"):
+        load_checkpoint(str(edited))
+
+
+SEED_ARGS = {  # every command with a --seed, with its other arguments
+    "gen-synthetic": [],
+    "build-dataset": ["--corpus", "{corpus}"],
+    "train": ["--bundle", "{bundle}"],
+    "eval-lp": ["--bundle", "{bundle}", "--ckpt", "{ckpt}"],
+    "eval-tc": ["--bundle", "{bundle}", "--ckpt", "{ckpt}", "--valid", "{corpus}/valid.tsv",
+                "--test", "{corpus}/test.tsv"],
+    "inspect-weights": ["--bundle", "{bundle}", "--ckpt", "{ckpt}", "--entity", "e", "--query", "r"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGS))
+def test_a_negative_seed_gives_one_error_line_naming_it(pipeline, tmp_path, capsys, command):
+    _, corpus, bundle, _, ckpt = pipeline
+    args = [arg.format(corpus=corpus, bundle=bundle, ckpt=ckpt) for arg in SEED_ARGS[command]]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit:
+        cli.main([command, *args, "--seed", "-1", "--out", str(out)])
+    assert exit.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"lankgc {command}: error: argument --seed: must be an integer >= 0, got '-1'"]
+    assert not out.exists()
+    if command == "train":  # a seed from a config file or --set is refused too
+        code, captured = run([command, *args, "--set", "seed=-1", "--out", str(out)], capsys)
+        assert code == 1 and captured.err == "error: seed must be >= 0, got -1\n" and not out.exists()
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -1,9 +1,12 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import encode_one, grid_to_csr, make_graph, oracle_encode, oracle_logic, random_name_triples
+from helpers import (
+    encode_one, grid_to_csr, make_graph, oracle_encode, oracle_logic, random_name_triples, reference_sample,
+)
 from lankgc import autodiff as ad
 from lankgc import evaluation
 from lankgc.encoder import (
@@ -12,7 +15,7 @@ from lankgc.encoder import (
     encode_batch,
     stack_samples,
 )
-from lankgc.kg import GraphError, sample_neighbors
+from lankgc.kg import GraphError
 from lankgc.params import init_params
 from lankgc.rules import ConfidenceTable, logic_attention_batch, mine_confidence
 
@@ -28,7 +31,8 @@ def world():
 
 
 def grab_sample(kg, entity, budget=64, seed=0):
-    return sample_neighbors(kg.neighborhood(entity), budget, np.random.default_rng(seed))
+    _, rels, nbs = stack_samples(kg, [entity], AggregatorConfig(neighbor_budget=budget), (seed,))
+    return np.stack([rels, nbs], axis=1)
 
 
 # --- config ------------------------------------------------------------------
@@ -284,8 +288,8 @@ def test_lstm_is_order_sensitive(world):
     assert kg.neighborhood(e).shape[0] >= 3
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     outs = []
-    for s in (0, 1):  # two draws of the neighbor order
-        _, rels, nbs = stack_samples(kg, [e], cfg, np.random.default_rng(s))
+    for s in (0, 1):  # two keys, two neighbor orders
+        _, rels, nbs = stack_samples(kg, [e], cfg, (s,))
         outs.append(encode_one(store, table.dense(), cfg, 1, np.stack([rels, nbs], axis=1)).embedding)
     assert np.abs(outs[0] - outs[1]).max() > 1e-6
 
@@ -314,16 +318,13 @@ def test_lstm_matches_hand_rolled_gates(world):
     rng = np.random.default_rng(8)
     for g in ("f", "i", "c", "o"):
         st2.arrays[f"lstm_b_{g}"] = rng.normal(size=10) * 0.1
-    sample = grab_sample(kg, 0)
-    seed = 21
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
-    _, rels, nbs = stack_samples(kg, [0], cfg, np.random.default_rng(seed))
+    _, rels, nbs = stack_samples(kg, [0], cfg, (21,))
     out = encode_one(st2, None, cfg, 0, np.stack([rels, nbs], axis=1))
-    order = np.random.default_rng(seed).permutation(len(sample))
     xs = []
-    for j in order:
-        w = st2["transform_vec"][sample[j, 0]]
-        x = st2["entity_emb"][sample[j, 1]]
+    for rel, ent in reference_sample(kg, 0, cfg, (21,)):  # the neighbors in hash order
+        w = st2["transform_vec"][rel]
+        x = st2["entity_emb"][ent]
         xs.append(x - np.dot(w, x) * w)
     np.testing.assert_allclose(out.embedding, lstm_oracle(st2, xs), rtol=1e-10, atol=1e-12)
 
@@ -337,7 +338,7 @@ def test_encode_batch_matches_single(world, kind):
     dense = table.dense()
     ents = np.arange(kg.n_entities)
     queries = np.arange(kg.n_entities) % kg.n_relations
-    offsets, rels, nbs = stack_samples(kg, ents, cfg, np.random.default_rng(0))
+    offsets, rels, nbs = stack_samples(kg, ents, cfg, (0,))
     leaves = {n: ad.Value(store[n]) for n in store.names()}
     batch = encode_batch(leaves, offsets, rels, nbs, queries, cfg, dense_table=dense)
     for i, e in enumerate(ents):
@@ -350,7 +351,7 @@ def test_encode_batch_matches_single_lstm(world):
     kg, table, store = world
     cfg = AggregatorConfig(kind="lstm", neighbor_budget=64)
     for e in range(4):
-        offsets, rels, nbs = stack_samples(kg, [e], cfg, np.random.default_rng(5))
+        offsets, rels, nbs = stack_samples(kg, [e], cfg, (5,))
         single = encode_one(store, None, cfg, 0, np.stack([rels, nbs], axis=1))
         leaves = {n: ad.Value(store[n]) for n in store.names()}
         batch = encode_batch(leaves, offsets, rels, nbs, np.array([0]), cfg)
@@ -388,8 +389,7 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     ents = np.concatenate([np.arange(kg.n_entities), [3, 0, 3]])  # every entity, some twice
     widths = np.diff(kg.offsets)[ents]
     assert len(set(widths.tolist())) > 3 and widths.max() > 8  # mixed widths, some past numpy's 8 sum lanes
-    seeds = [[9, i] for i in range(ents.size)]  # lstm permutations, one generator per row
-    offsets, rels, nbs = stack_samples(kg, ents, cfg, seeds)
+    offsets, rels, nbs = stack_samples(kg, ents, cfg, (9,))
     single = np.stack([
         encode_one(store, table.dense(), cfg, 1, np.stack([rels[a:z], nbs[a:z]], axis=1)).embedding
         for a, z in zip(offsets[:-1], offsets[1:])
@@ -397,7 +397,7 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     batch = encode_batch(store.leaves(True), offsets, rels, nbs, np.ones(ents.size, np.int64), cfg,
                          dense_table=table.dense()).data
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 5)  # blocks of one to a few rows
-    blocks = evaluation.encode_entities(SimpleNamespace(neighbor_graph=kg), store, cfg, table.dense(), ents, 1, seeds)
+    blocks = evaluation.encode_entities(SimpleNamespace(neighbor_graph=kg), store, cfg, table.dense(), ents, 1, (9,))
     for got in (batch, blocks):
         if kind in ("mean", "logic-only"):
             assert got.tobytes() == single.tobytes()
@@ -405,12 +405,13 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
             np.testing.assert_allclose(got, single, rtol=1e-9, atol=1e-12)
 
 
-def test_per_row_rng_sequences_must_match_the_rows(world):
+@pytest.mark.parametrize("key", [(-1,), (3, -2), (1 << 64,), (5, 0, -7)])
+def test_a_sample_key_int_outside_uint64_is_refused_before_anything_else(world, key):
     kg, table, store = world
-    hub = int(np.argmax(np.diff(kg.offsets)))
-    for rngs in ([7], [7, 8, 9]):
-        with pytest.raises(ValueError, match=f"{len(rngs)} entries for 2 rows"):
-            stack_samples(kg, [hub, 0], AggregatorConfig(neighbor_budget=2), rngs)
+    bad = next(k for k in key if not 0 <= k < 1 << 64)
+    with pytest.raises(ValueError, match=rf"sample key {re.escape(str(key))} holds {bad}, outside") as err:
+        stack_samples(kg, [0, -1], AggregatorConfig(neighbor_budget=2), key)  # -1: no entity, checked later
+    assert not isinstance(err.value, GraphError)
 
 
 def _row_objective(kind, store, table, rels, nbs, mask, queries, weights):
@@ -462,7 +463,7 @@ def test_an_encode_over_constant_leaves_records_only_leaves(world, kind):
     kg, table, store = world
     ents = np.arange(kg.n_entities)
     cfg = AggregatorConfig(kind=kind)
-    offsets, rels, nbs = stack_samples(kg, ents, cfg, np.random.default_rng(0))
+    offsets, rels, nbs = stack_samples(kg, ents, cfg, (0,))
     queries = ents % kg.n_relations
     # nothing needs a gradient, so no value draws a creation number, be it the store's constants,
     # the constants the pass makes (uniform, logic or lstm state) or an op's output
@@ -501,8 +502,7 @@ def test_encode_samples_deterministically(world):
     cfg = AggregatorConfig(kind="lan", neighbor_budget=2)
     encoded = []
     for _ in range(2):
-        rng = np.random.default_rng(3)
-        sample = sample_neighbors(kg.neighborhood(e), cfg.neighbor_budget, rng)
+        sample = grab_sample(kg, e, cfg.neighbor_budget, seed=3)
         encoded.append(encode_one(store, table.dense(), cfg, 0, sample))
     a, b = encoded
     np.testing.assert_array_equal(a.embedding, b.embedding)
@@ -554,74 +554,76 @@ def test_trace_matches_oracle_attention(world):
 def test_stack_samples_trims_width(world):
     kg, table, store = world
     widest = max(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
-    offsets, rels, nbs = stack_samples(
-        kg, np.arange(kg.n_entities), AggregatorConfig(neighbor_budget=64), np.random.default_rng(0)
-    )
+    offsets, rels, nbs = stack_samples(kg, np.arange(kg.n_entities), AggregatorConfig(neighbor_budget=64), (0,))
     assert np.diff(offsets).max() == widest
     assert rels.size == nbs.size == offsets[-1] == sum(kg.neighborhood(e).shape[0] for e in range(kg.n_entities))
 
 
-def test_stack_samples_matches_per_entity_sampling():
-    # degrees 0..9 under budgets 1 to 64: empty, whole and truncated rows mixed
+@pytest.mark.parametrize("kind", ["lan", "lstm"])
+def test_stack_samples_matches_per_entity_sampling(kind):
+    # degrees 0..9 under budgets 1 to 64: empty, one-slot, whole and truncated rows mixed, some entities repeated
     rng = np.random.default_rng(3)
-    hoods = [np.stack([rng.integers(0, 5, size=k), rng.integers(0, 30, size=k)], axis=1)
-             for k in rng.integers(0, 10, size=60)]
-    hoods[5] = np.zeros((0, 2), dtype=np.int64)
-    graph = SimpleNamespace(
-        offsets=np.concatenate([[0], np.cumsum([h.shape[0] for h in hoods])]),
-        pairs=np.concatenate(hoods).astype(np.int64),
-    )
-    ents = np.concatenate([np.arange(60), [5, 7, 7]])
+    degrees = rng.integers(0, 10, size=60)
+    graph = SimpleNamespace(offsets=np.concatenate([[0], np.cumsum(degrees)]),
+                            pairs=np.stack([rng.integers(0, 5, degrees.sum()), rng.integers(0, 30, degrees.sum())], axis=1))
+    ents = np.concatenate([np.arange(60), [5, 7, 7, 59, 0]])
+    assert {0, 1, 9} <= set(degrees.tolist())
     for budget in (1, 4, 9, 64):
-        ref_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
-        samples = [sample_neighbors(hoods[e], budget, ref_rng) for e in ents]
-        offsets, rels, nbs = stack_samples(graph, ents, AggregatorConfig(neighbor_budget=budget), got_rng)
-        kept = np.concatenate(samples)
-        want = (np.cumsum([0] + [len(rows) for rows in samples]), kept[:, 0], kept[:, 1])
-        for got, expect in zip((offsets, rels, nbs), want):
-            np.testing.assert_array_equal(got, expect)
-        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        cfg = AggregatorConfig(kind=kind, neighbor_budget=budget)
+        for key in ((8,), (0,), (2**64 - 1, 3, 0), ()):
+            samples = [reference_sample(graph, e, cfg, key) for e in ents]
+            offsets, rels, nbs = stack_samples(graph, ents, cfg, key)
+            kept = np.concatenate(samples)
+            want = (np.cumsum([0] + [len(rows) for rows in samples]), kept[:, 0], kept[:, 1])
+            for got, expect in zip((offsets, rels, nbs), want):
+                np.testing.assert_array_equal(got, expect)
     with pytest.raises(ValueError, match="budget"):
-        stack_samples(graph, ents, AggregatorConfig(neighbor_budget=0), got_rng)
+        stack_samples(graph, ents, AggregatorConfig(neighbor_budget=0), (8,))
 
 
-def test_lstm_slots_are_sampled_then_permuted_row_by_row():
-    # the draw convention written out: with one Generator, every truncated row's sample in row order, then
-    # permutation(k) of every non-empty row in row order; with one seed per row, that row's one generator
-    # samples and then permutes
-    rng = np.random.default_rng(5)
-    hoods = [np.stack([rng.integers(0, 5, size=k), rng.integers(0, 30, size=k)], axis=1)
-             for k in (7, 0, 1, 3, 9, 1, 0, 5)]
-    graph = SimpleNamespace(
-        offsets=np.concatenate([[0], np.cumsum([h.shape[0] for h in hoods])]),
-        pairs=np.concatenate(hoods).astype(np.int64),
-    )
-    ents = np.array([0, 1, 2, 3, 4, 5, 6, 7, 4, 0])  # truncated, empty, one-slot and whole rows, some twice
-    cfg = AggregatorConfig(kind="lstm", neighbor_budget=3)
-    seeds = [[4, i] for i in range(ents.size)]
+# (entity, key) -> the neighbor entities of its slots, budget 3, over the graph of test_stack_samples_slots_are_pinned;
+# the hash is integer arithmetic on uint64, so numpy 1.24 and 2.x agree on every value
+GOLDEN_SLOTS = {
+    "lan": {(0, (0,)): [7, 11, 12], (0, (1, 2)): [7, 9, 10], (3, (0,)): [17, 18, 21],
+            (3, (2**64 - 1,)): [17, 18, 21], (2, (0,)): [14, 15, 16], (1, (0,)): []},
+    "lstm": {(0, (0,)): [12, 11, 7], (0, (1, 2)): [10, 9, 7], (3, (0,)): [21, 17, 18],
+             (3, (2**64 - 1,)): [17, 21, 18], (2, (0,)): [16, 15, 14], (1, (0,)): []},
+}
 
-    shared = np.random.default_rng(6)
-    rows = [sample_neighbors(hoods[e], 3, shared) for e in ents]
-    want_shared = [row[shared.permutation(len(row))] if len(row) else row for row in rows]
-    want_seeded = []
-    for e, seed in zip(ents, seeds):
-        own = np.random.default_rng(seed)
-        row = sample_neighbors(hoods[e], 3, own)
-        want_seeded.append(row[own.permutation(len(row))] if len(row) else row)
 
-    got_rng = np.random.default_rng(6)
-    for rngs, want in ((got_rng, want_shared), (seeds, want_seeded)):
-        kept = np.concatenate(want)
-        offsets, rels, nbs = stack_samples(graph, ents, cfg, rngs)
-        np.testing.assert_array_equal(offsets, np.cumsum([0] + [len(row) for row in want]))
-        np.testing.assert_array_equal(rels, kept[:, 0])
-        np.testing.assert_array_equal(nbs, kept[:, 1])
-    assert got_rng.bit_generator.state == shared.bit_generator.state
-    assert any(len(row) > 1 and (row != np.asarray(hoods[e])[:len(row)]).any() for e, row in zip(ents, want_shared))
+@pytest.mark.parametrize("kind", ["lan", "lstm"])
+def test_stack_samples_slots_are_pinned(kind):
+    # entity 0 has 7 neighbors, 1 none, 2 three and 3 five; neighbor entity x has relation x % 4
+    graph = SimpleNamespace(offsets=np.array([0, 7, 7, 10, 15]),
+                            pairs=np.stack([np.arange(7, 22) % 4, np.arange(7, 22)], axis=1))
+    cfg = AggregatorConfig(kind=kind, neighbor_budget=3)
+    for (e, key), want in GOLDEN_SLOTS[kind].items():
+        _, rels, nbs = stack_samples(graph, [e], cfg, key)
+        assert nbs.tolist() == want and rels.tolist() == [x % 4 for x in want]
+    ents = [e for e, _ in GOLDEN_SLOTS[kind] if _ == (0,)]
+    offsets, _, nbs = stack_samples(graph, ents, cfg, (0,))  # a batch holds each row's own slots
+    assert nbs.tolist() == sum((GOLDEN_SLOTS[kind][e, (0,)] for e in ents), [])
+
+
+def test_stack_samples_keeps_each_neighbor_and_lstm_order_uniformly():
+    # neighbor j of every entity is entity j, so a slot's entity is its neighbor index
+    n = 20000
+    for degree, kind, budget in ((10, "lan", 3), (3, "lstm", 64)):
+        graph = SimpleNamespace(offsets=np.arange(n + 1) * degree,
+                                pairs=np.stack([np.zeros(n * degree, np.int64), np.tile(np.arange(degree), n)], axis=1))
+        _, _, nbs = stack_samples(graph, np.arange(n), AggregatorConfig(kind=kind, neighbor_budget=budget), (4,))
+        if kind == "lan":
+            counts, p = np.bincount(nbs, minlength=degree), budget / degree  # each neighbor kept at 3/10
+        else:
+            _, counts = np.unique(nbs.reshape(n, 3), axis=0, return_counts=True)
+            p = 1 / 6  # each of the 3! orders at 1/6
+            assert counts.size == 6
+        # binomial counts over n entities, each within five standard deviations of n p
+        assert np.abs(counts - n * p).max() < 5 * np.sqrt(n * p * (1 - p)), counts
 
 
 def test_stack_samples_rejects_out_of_range_entities(world):
     kg, table, store = world
     for bad in (-1, kg.n_entities):
         with pytest.raises(GraphError, match="out of range"):
-            stack_samples(kg, [0, bad], AggregatorConfig(), np.random.default_rng(0))
+            stack_samples(kg, [0, bad], AggregatorConfig(), (0,))

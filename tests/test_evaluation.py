@@ -15,6 +15,7 @@ from helpers import (
     oracle_threshold,
     oracle_threshold_table,
     random_bundles,
+    reference_sample,
 )
 from lankgc import autodiff as ad
 from lankgc import evaluation, training
@@ -40,7 +41,7 @@ from lankgc.evaluation import (
     score_labeled,
     tune_thresholds,
 )
-from lankgc.kg import GraphError, sample_neighbors
+from lankgc.kg import GraphError
 from lankgc.params import ParamStore, init_params
 from lankgc.rules import mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
@@ -137,8 +138,7 @@ def test_structurally_tied_candidates_split_the_rank():
     acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 3)
     q = ctx.vocab.relation_id("r2")
-    embs = encode_entities(ctx, store, acfg, None, ctx.seen_ids, q,
-                           np.random.default_rng([0, q]))
+    embs = encode_entities(ctx, store, acfg, None, ctx.seen_ids, q, (0,))
     rows = {name: embs[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id(name))]
             for name in ("e2", "e3", "e4")}
     np.testing.assert_array_equal(rows["e2"], rows["e3"])
@@ -308,10 +308,9 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", budget + 1)
     passes = []
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[1].size - 1) or encode_batch(*a, **kw))
-    got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([2, q]))
+    got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, (2,))
     assert len(passes) > 3 and sum(passes) == len(ctx.seen_ids)
-    rng = np.random.default_rng([2, q])
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, acfg, rng)
+    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, acfg, (2,))
     assert np.diff(offsets).max() == budget and len(set(np.diff(offsets))) > 2
     want = encode_batch(store.leaves(False), offsets, rels, ents,
                         np.full(len(ctx.seen_ids), q), acfg, dense_table=dense).data
@@ -328,7 +327,7 @@ def traced_encode(kind, n, deg, dim, r):
     tracemalloc.start()
     try:
         out = encode_entities(SimpleNamespace(neighbor_graph=graph), store, acfg, rng.random((r, r)), np.arange(n),
-                              1, np.random.default_rng(5))
+                              1, (5,))
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,7 +419,7 @@ def test_constant_leaves_are_made_once_per_call_and_build_no_graph(kind, monkeyp
     monkeypatch.setattr(ParamStore, "leaves", capture)
     start = next(ad._created)
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[0]) or encode_batch(*a, **kw))
-    encode_entities(ctx, store, acfg, table.dense(), ctx.seen_ids, 1, np.random.default_rng(0))
+    encode_entities(ctx, store, acfg, table.dense(), ctx.seen_ids, 1, (0,))
     blocks = len(passes)
     rows = ctx.to_ids(ctx.bundle.valid)
     score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=0)
@@ -429,7 +428,7 @@ def test_constant_leaves_are_made_once_per_call_and_build_no_graph(kind, monkeyp
     for lo in range(0, rows.shape[0], 4):
         ent_ids, queries = np.concatenate([rows[lo:lo + 4, 0], rows[lo:lo + 4, 2]]), np.tile(rows[lo:lo + 4, 1], 2)
         filled = None
-        for k in degrees[ent_ids[distinct_rows(ctx.neighbor_graph, ent_ids, queries, acfg)[0]]]:
+        for k in degrees[ent_ids[distinct_rows(ent_ids, queries)[0]]]:
             want, filled = (want, filled + k) if filled is not None and filled + k <= 8 else (want + 1, k)
     assert len(made) == 2 and blocks > 3 and len(passes) - blocks == want > math.ceil(rows.shape[0] / 4)
     assert next(ad._created) == start + 1 and not any(v.requires_grad for m in made for v in m.values())
@@ -458,14 +457,11 @@ def test_link_prediction_matches_oracle_metrics():
 
 
 def per_query_rank(ctx, store, acfg, scorer, dense, triplet, rank_side, known, seed):
-    """One query ranked on its own: keyed sample, B=1 encode, one filter search."""
+    """One query ranked on its own: the reference sample under ``(seed,)``, B=1 encode, one filter search."""
     s, q, o = triplet
     truth, fixed = (s, o) if rank_side == "subject" else (o, s)
-    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([seed, q]))
-    rng = np.random.default_rng([seed, s, q, o])
-    rows = sample_neighbors(ctx.neighbor_graph.neighborhood(fixed), acfg.neighbor_budget, rng)
-    if acfg.uses_lstm and len(rows):  # the lstm reads its sample in an order drawn after it, from the same rng
-        rows = rows[rng.permutation(len(rows))]
+    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, (seed,))
+    rows = reference_sample(ctx.neighbor_graph, fixed, acfg, (seed,))
     emb = encode_one(store, dense, acfg, q, rows).embedding
     q_vec = store["relation_emb"][q]
     [scores] = score_columns(candidate_columns(cands, q_vec, scorer, rank_side), q_vec, emb, scorer, rank_side)
@@ -504,9 +500,10 @@ def test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, st
 @pytest.mark.parametrize("kind", ["lan", "lstm"])
 def test_batched_ranks_match_per_query_ranks_across_encode_passes(kind, monkeypatch):
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)
-    sampled, keyed = [], []  # whether each sample, and each pass over it, has an rng per row: the fixed sides
-    monkeypatch.setattr(evaluation, "stack_samples", lambda g, ids, cfg, rng: sampled.append(
-        not isinstance(rng, np.random.Generator)) or stack_samples(g, ids, cfg, rng))
+    sampled, keyed = [], []  # whether each sample, and each pass over it, is of fixed sides
+    # rank_relation samples its candidates, then its fixed sides
+    monkeypatch.setattr(evaluation, "stack_samples", lambda *a: sampled.append(len(sampled) % 2 == 1)
+                        or stack_samples(*a))
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: keyed.append(sampled[-1])
                         or encode_batch(*a, **kw))
     test_batched_ranks_match_per_query_ranks_on_truncated_neighborhoods(kind, "subject")
@@ -526,7 +523,7 @@ def test_empty_fixed_side_is_counted_and_scored_from_zero():
     res = link_prediction(ctx, store, acfg, "transe", dense, seed=0)
     assert res.empty_fixed == 1
     q = ctx.vocab.relation_id("r")
-    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, np.random.default_rng([0, q]))
+    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, (0,))
     q_vec = store["relation_emb"][q]
     [scores] = score_columns(candidate_columns(cands, q_vec, "transe", "object"), q_vec, np.zeros(6), "transe", "object")
     truth = scores[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id("b"))]
@@ -720,6 +717,25 @@ def test_score_labeled_batch_size_is_immaterial_within_budget(monkeypatch):
     np.testing.assert_allclose(whole, pieces, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_eval_tc_scores_do_not_depend_on_row_order_or_batch_size(kind, monkeypatch):
+    ctx, _, table, store = bundle_fixture(seed=13)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 13, with_lstm=True)
+    degrees = np.diff(ctx.neighbor_graph.offsets)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=int(np.median(degrees[degrees > 0])))
+    rows = np.concatenate([ctx.to_ids(ctx.bundle.valid), ctx.to_ids(ctx.bundle.test)])
+    assert (degrees[rows[:, [0, 2]]] > acfg.neighbor_budget).sum() > 10  # truncated endpoints, many repeated
+    whole = score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=2)
+    perm = np.random.default_rng(0).permutation(rows.shape[0])
+    for block in (evaluation._BLOCK_SLOTS, 64, 6):  # 2^11-, 32- and 3-row batches
+        monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", block)
+        got = score_labeled(ctx, store, acfg, "transe", table.dense(), rows[perm], seed=2)
+        if kind in ("mean", "logic-only"):
+            assert got.tobytes() == whole[perm].tobytes()
+        else:
+            np.testing.assert_allclose(got, whole[perm], rtol=0, atol=1e-12)
+
+
 # --- one encoding per distinct (entity, query) row -------------------------------
 
 def repeated_rows(ctx):
@@ -731,17 +747,16 @@ def repeated_rows(ctx):
     return np.concatenate([t, t[::-1], flipped])
 
 
-def scores_of(ctx, store, acfg, dense, triplets, scorer="transe", rng=None):
-    rng = np.random.default_rng(3) if rng is None else rng
-    return output_scores(store.leaves(False), triplets, ctx.neighbor_graph, dense, acfg,
-                         scorer, rng).data
+def scores_of(ctx, store, acfg, dense, triplets, scorer="transe"):
+    return output_scores(store.leaves(False), triplets, ctx.neighbor_graph, dense, acfg, scorer, (3,)).data
 
 
-@pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "lstm"])
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 @pytest.mark.parametrize("scorer", ["transe", "distmult", "complex"])
 def test_output_scores_of_repeated_rows_equal_one_row_at_a_time(kind, scorer):
     ctx, acfg, table, store = bundle_fixture(seed=7)
     acfg = AggregatorConfig(kind=kind, neighbor_budget=acfg.neighbor_budget)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 7, with_lstm=True)
     dense = table.dense()
     rows = repeated_rows(ctx)
     got = scores_of(ctx, store, acfg, dense, rows, scorer)
@@ -764,12 +779,13 @@ def test_output_scores_encode_each_distinct_row_once(kind, monkeypatch):
     scores_of(ctx, store, acfg, table.dense(), rows)
     keys = {(int(e), int(q)) for e, q in zip(np.concatenate([rows[:, 0], rows[:, 2]]), np.tile(rows[:, 1], 2))}
     assert len(keys) < 2 * rows.shape[0]
-    assert encoded == [2 * rows.shape[0] if acfg.uses_lstm else len(keys)]
+    assert encoded == [len(keys)]
 
 
-@pytest.mark.parametrize("kind", ["lan", "mean"])
-def test_truncated_repeats_are_each_sampled_with_the_draws_of_every_row(kind, monkeypatch):
+@pytest.mark.parametrize("kind", ["lan", "mean", "lstm"])
+def test_truncated_repeats_are_sampled_once(kind, monkeypatch):
     ctx, _, table, store = bundle_fixture(seed=9)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 9, with_lstm=True)
     graph = ctx.neighbor_graph
     degrees = np.diff(graph.offsets)
     hub, small = int(np.argmax(degrees)), int(np.argmin(degrees))
@@ -779,14 +795,15 @@ def test_truncated_repeats_are_each_sampled_with_the_draws_of_every_row(kind, mo
     sampled = []
     monkeypatch.setattr(training, "stack_samples", lambda g, ids, *a: sampled.append(np.array(ids))
                         or stack_samples(g, ids, *a))
-    rng = np.random.default_rng(21)
-    scores_of(ctx, store, acfg, table.dense(), rows, rng=rng)
-    # the hub is sampled once per row it ends (five times); each (small, query) row once
-    assert (sampled[0] == hub).sum() == 5
+    got = scores_of(ctx, store, acfg, table.dense(), rows)
+    # the hub ends rows under relations 0 and 1, and so does the small entity: each is sampled once per relation
+    assert (sampled[0] == hub).sum() == 2
     assert (sampled[0] == small).sum() == 2
-    every = np.random.default_rng(21)
-    stack_samples(graph, np.concatenate([rows[:, 0], rows[:, 2]]), acfg, every)
-    assert rng.bit_generator.state == every.bit_generator.state
+    want = np.concatenate([scores_of(ctx, store, acfg, table.dense(), row[None]) for row in rows])
+    if kind == "mean":
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-1, "n"])

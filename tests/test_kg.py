@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_name_triples
+from lankgc.encoder import AggregatorConfig, stack_samples
 from lankgc.kg import (
     GraphError,
     INVERSE_SUFFIX,
@@ -15,7 +18,6 @@ from lankgc.kg import (
     load_labeled_triplets,
     load_triplets,
     parse_triplet_file,
-    sample_neighbors,
     write_triplet_file,
 )
 
@@ -210,19 +212,24 @@ def big_neighborhood(n):
     return nb[np.lexsort((nb[:, 1], nb[:, 0]))]
 
 
+def sample_neighbors(nb, budget, key):
+    """The slots :func:`stack_samples` keeps of one ``(k, 2)`` neighborhood, as (relation, entity) rows."""
+    graph = SimpleNamespace(offsets=np.array([0, len(nb)]), pairs=np.asarray(nb, dtype=np.int64).reshape(-1, 2))
+    _, rels, ents = stack_samples(graph, [0], AggregatorConfig(neighbor_budget=budget), key)
+    return np.stack([rels, ents], axis=1)
+
+
 def test_sample_within_budget_is_identity():
     nb = big_neighborhood(10)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    s = sample_neighbors(nb, 16, rng)
-    assert s.shape == (10, 2)
-    np.testing.assert_array_equal(s, nb)
-    assert rng.bit_generator.state == state  # a neighborhood that fits draws nothing
+    for key in ((0,), (1,)):  # a neighborhood that fits draws nothing, whatever the key
+        s = sample_neighbors(nb, 16, key)
+        assert s.shape == (10, 2)
+        np.testing.assert_array_equal(s, nb)
 
 
 def test_sample_over_budget_draws_distinct_subset_in_order():
     nb = big_neighborhood(100)
-    s = sample_neighbors(nb, 64, np.random.default_rng(1))
+    s = sample_neighbors(nb, 64, (1,))
     assert s.shape == (64, 2)
     rows = {tuple(row) for row in nb}
     got = [tuple(row) for row in s.tolist()]
@@ -235,24 +242,24 @@ def test_sample_over_budget_draws_distinct_subset_in_order():
 
 def test_sample_same_seed_is_bit_identical():
     nb = big_neighborhood(100)
-    a = sample_neighbors(nb, 16, np.random.default_rng(42))
-    b = sample_neighbors(nb, 16, np.random.default_rng(42))
+    a = sample_neighbors(nb, 16, (42,))
+    b = sample_neighbors(nb, 16, (42,))
     np.testing.assert_array_equal(a, b)
 
 
 def test_sample_empty_neighborhood_has_no_rows():
-    s = sample_neighbors(np.zeros((0, 2), dtype=np.int64), 4, np.random.default_rng(0))
+    s = sample_neighbors(np.zeros((0, 2), dtype=np.int64), 4, (0,))
     assert s.shape == (0, 2)
 
 
 def test_sample_budget_validated():
     with pytest.raises(ValueError, match="budget"):
-        sample_neighbors(np.zeros((0, 2), dtype=np.int64), 0, np.random.default_rng(0))
+        sample_neighbors(np.zeros((0, 2), dtype=np.int64), 0, (0,))
 
 
 @given(st.integers(1, 20), st.integers(1, 30), st.integers(0, 1000))
 def test_sample_shape_properties(budget, n, seed):
     nb = big_neighborhood(n)
-    s = sample_neighbors(nb, budget, np.random.default_rng(seed))
+    s = sample_neighbors(nb, budget, (seed,))
     assert s.shape == (min(n, budget), 2)
     assert {tuple(row) for row in s.tolist()} <= {tuple(row) for row in nb.tolist()}

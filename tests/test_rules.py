@@ -100,7 +100,7 @@ def test_mined_matrix_is_c_ordered_so_a_logic_call_reads_it_in_place():
     kg = make_graph(random_name_triples(np.random.default_rng(4), 120, 300, 1500))
     dense = mine_confidence(kg).dense()
     assert dense.flags.c_contiguous and not dense.flags.writeable
-    offsets, rels, _ = stack_samples(kg, np.arange(8), AggregatorConfig(neighbor_budget=16), np.random.default_rng(0))
+    offsets, rels, _ = stack_samples(kg, np.arange(8), AggregatorConfig(neighbor_budget=16), (0,))
     tracemalloc.start()
     try:
         logic_attention_batch(dense, offsets, rels, rels[offsets[:-1]])
@@ -356,7 +356,7 @@ def test_batch_equals_padded_grid_form_on_truncated_samples():
     degree = np.diff(kg.offsets)
     budget = int(degree.max()) - 3
     ents = np.arange(kg.n_entities)
-    offsets, rels, _ = stack_samples(kg, ents, AggregatorConfig(neighbor_budget=budget), np.random.default_rng(0))
+    offsets, rels, _ = stack_samples(kg, ents, AggregatorConfig(neighbor_budget=budget), (0,))
     counts = np.diff(offsets)
     mask = np.arange(counts.max())[None, :] < counts[:, None]
     relations = np.zeros(mask.shape, dtype=np.int64)

@@ -132,7 +132,7 @@ def objective_on(bundle, tcfg, acfg, scorer="transe"):
     neg, _ = corrupt(pos, known, ctx.vocab.n_entities, rng)
     leaves = store.leaves(True)
     loss, parts = batch_objective(
-        leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, scorer, rng
+        leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, scorer, (0,)
     )
     return store, float(loss.data), parts
 
@@ -173,16 +173,12 @@ def test_batch_objective_matches_per_pair_losses():
     neg = ctx.train_graph.triplets[4:8]
 
     leaves = store.leaves(True)
-    loss, _ = batch_objective(
-        leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, "transe",
-        np.random.default_rng(0),
-    )
+    loss, _ = batch_objective(leaves, pos, neg, ctx.neighbor_graph, None, tcfg, acfg, "transe", (0,))
 
     single = 0.0
     for p, n in zip(pos, neg):
         l2 = store.leaves(True)
-        pair, _ = batch_objective(l2, [p], [n], ctx.neighbor_graph, None, tcfg, acfg,
-                                  "transe", np.random.default_rng(0))
+        pair, _ = batch_objective(l2, [p], [n], ctx.neighbor_graph, None, tcfg, acfg, "transe", (0,))
         single += pair.item()
     assert float(loss.data) == pytest.approx(single / 4, rel=1e-12)
 
@@ -203,13 +199,12 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
 
     def gradients():
         leaves = store.leaves(True)
-        loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe",
-                                  np.random.default_rng(2))
+        loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (2,))
         ad.backward(loss)
         return loss.item(), collect_gradients(leaves)
 
     merged_loss, merged = gradients()
-    monkeypatch.setattr(training, "distinct_rows", lambda g, ids, q, cfg: (np.arange(ids.size),) * 2)
+    monkeypatch.setattr(training, "distinct_rows", lambda ids, q: (np.arange(ids.size),) * 2)
     every_loss, every = gradients()
     assert merged_loss == pytest.approx(every_loss, rel=0, abs=1e-12)
     assert merged.keys() == every.keys()
@@ -294,11 +289,11 @@ def _traced_lan_batch(monkeypatch):
     monkeypatch.setattr(training, "encode_batch", lambda leaves, offsets, *a, **kw:
                         encoded.append((offsets.size - 1, int(offsets[-1]))) or encode(leaves, offsets, *a, **kw))
     leaves = store.leaves(True)
-    batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", np.random.default_rng(2))  # untraced warm-up
+    batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (2,))  # untraced warm-up
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", np.random.default_rng(2))
+        loss, _ = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (2,))
         held = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         ad.backward(loss)
@@ -437,6 +432,8 @@ def test_config_validation():
         TrainConfig(eval_every=-1)
     with pytest.raises(ValueError, match="checkpoint every"):
         TrainConfig(checkpoint_every=-2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     for bad in (np.nan, np.inf, -np.inf):  # nan compares false with any bound
         for key in ("learning_rate", "margin", "l2_rate"):
             with pytest.raises(ValueError, match=f"{key.replace('_', ' ')} must be finite"):
