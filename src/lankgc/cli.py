@@ -12,11 +12,11 @@ Errors exit nonzero with a single ``error: ...`` line on stderr.
 :func:`lankgc.training.train`, which mines a table otherwise and saves
 it as ``rules.tsv`` in every ``lan`` or ``logic-only`` checkpoint; it
 refuses ``--rules`` for the other aggregators, which use no rule table.
-The commands that load a checkpoint read the bundle and that file back
-in :func:`_load_model` and refuse a logic checkpoint without it, or
-with one that does not match its manifest's sha256 line;
-:func:`~lankgc.params.load_checkpoint` refuses any checkpoint whose
-parameters are not its model's, by name and shape.
+The commands that load a checkpoint build the bundle's context and hand
+its vocabulary to :func:`~lankgc.params.read_checkpoint`, which returns
+the weights, aggregator settings, scorer and rule matrix, and refuses a
+checkpoint with a missing or bad manifest line, parameters that are not
+its model's, or a file that does not match its sha256 line.
 """
 
 from __future__ import annotations
@@ -30,16 +30,16 @@ import numpy as np
 
 from .config import ConfigError, aggregator_config_from, resolve_config, train_config_from
 from .context import BundleContext
-from .decoder import SCORER_KINDS, check_scorer
+from .decoder import SCORER_KINDS
 from .encoder import AGGREGATOR_KINDS, encode_batch, stack_samples
 from .evaluation import classify, link_prediction, score_labeled, tune_thresholds
 from .kg import augment_inverses, load_labeled_triplets, load_triplets
-from .params import load_checkpoint, vocab_checksums
+from .params import read_checkpoint
 from .rules import export_table, import_table, mine_confidence
 from .splits import SplitSpec, build_split, load_corpus, read_bundle, split_stats, write_bundle
 from .synth import gen_synthetic, write_corpus
 from .training import train
-from .util import ARTIFACT_VERSION, checked_file, sha256_file, write_kv
+from .util import ARTIFACT_VERSION, sha256_file, write_kv
 
 
 def _meta_path(out):
@@ -100,7 +100,7 @@ def _cmd_build_dataset(args):
 def _cmd_mine_rules(args):
     graph = augment_inverses(load_triplets(args.train))
     table = mine_confidence(graph)
-    export_table(table, args.out)
+    export_table(table.dense(), args.out, graph.vocab)
     _write_meta(args.out, "mine-rules", {}, {"train": args.train})
     print(f"mined {np.count_nonzero(table.dense())} relation pairs from {args.train} into {args.out}")
     return 0
@@ -133,24 +133,7 @@ def _cmd_train(args):
 
 def _load_model(ckpt_dir, bundle_dir):
     ctx = BundleContext(read_bundle(bundle_dir))
-    store, meta = load_checkpoint(ckpt_dir)
-    manifest = os.path.join(ckpt_dir, "manifest")
-    if "vocab_sha256" not in meta:
-        raise ValueError(f"{manifest} has no vocab_sha256 line")
-    if meta["vocab_sha256"] != vocab_checksums(ctx.vocab)["vocab_sha256"]:
-        raise ValueError("checkpoint was trained on a different vocabulary than this bundle")
-    keys = ("aggregator", "scorer", "neighbor_budget", "logic_mode", "epsilon")
-    try:
-        resolved = resolve_config(overrides={key: meta[key] for key in keys if key in meta})
-        acfg = aggregator_config_from(resolved)
-        scorer = resolved["scorer"]
-        check_scorer(scorer, store["entity_emb"].shape[1])
-    except ValueError as exc:  # a ConfigError, or check_scorer's ValueError
-        raise ConfigError(f"{manifest}: {exc}") from None
-    dense = None
-    if acfg.needs_rules:
-        dense = import_table(checked_file(ckpt_dir, meta, "rules.tsv"), ctx.vocab).dense()
-    return ctx, store, acfg, scorer, dense
+    return (ctx, *read_checkpoint(ckpt_dir, ctx.vocab))
 
 
 def _cmd_eval_lp(args):

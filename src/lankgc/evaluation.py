@@ -47,6 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from .decoder import candidate_columns, check_scorer, score_batch, score_columns
 from .encoder import distinct_rows, encode_batch, stack_samples
+from .params import check_shapes, param_shapes
 
 
 class EvalError(ValueError):
@@ -222,7 +223,7 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
         raise EvalError(
             f"filter_set must be a KnownTriplets index, got {type(filter_set).__name__}"
         )
-    triplets = _checked_ids(ctx, store, triplets, "query")
+    triplets = _checked_ids(ctx, store, acfg, triplets, "query")
     if triplets.shape[0] == 0:
         raise EvalError("no queries to rank")
     q = int(triplets[0, 1])
@@ -279,13 +280,18 @@ class LinkPredictionResult:
     empty_fixed: int = 0
 
 
-def _checked_ids(ctx, store, rows, what):
-    """(s, q, o) id rows as (n, 3) int64; a store short of the vocabulary, or an id outside it, is an EvalError."""
+def _checked_ids(ctx, store, acfg, rows, what):
+    """(s, q, o) id rows as (n, 3) int64; a store unfit for ``acfg``'s model, or an id outside it, is an EvalError."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-    n, r = ctx.vocab.n_entities, store["relation_emb"].shape[0]
-    if store["entity_emb"].shape[0] < n:
-        raise EvalError(f"the parameter store embeds {store['entity_emb'].shape[0]} entities, but the bundle's "
-                        f"vocabulary has {n}")
+    n, r = ctx.vocab.n_entities, ctx.train_graph.n_relations
+    emb = store.arrays["entity_emb"].shape if "entity_emb" in store.arrays else ()
+    if len(emb) == 2 and emb[0] != n:
+        raise EvalError(f"the parameter store embeds {emb[0]} entities, but the bundle's vocabulary has {n}")
+    try:
+        check_shapes({name: "x".join(map(str, arr.shape)) for name, arr in store.arrays.items()},
+                     param_shapes(n, r, emb[-1] if len(emb) == 2 else 0, acfg.uses_lstm), acfg.kind, "holds", True)
+    except ValueError as exc:
+        raise EvalError(f"the parameter store {exc}") from None
     outside = ((rows < 0) | (rows >= np.array([n, r, n]))).any(axis=1)
     if outside.any():
         i = int(np.argmax(outside))
@@ -306,7 +312,7 @@ def link_prediction(ctx, store, acfg, scorer, dense, seed=0, triplets=None, rank
     :class:`EvalError` before any encoding.
     """
     check_scorer(scorer, store["entity_emb"].shape[1])
-    triplets = _checked_ids(ctx, store, ctx.to_ids(ctx.bundle.test) if triplets is None else triplets, "query")
+    triplets = _checked_ids(ctx, store, acfg, ctx.to_ids(ctx.bundle.test) if triplets is None else triplets, "query")
     if triplets.shape[0] == 0:
         raise EvalError("no test triplets to rank")
     if rank_side is None:
@@ -394,7 +400,7 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     row's score does not depend on the other rows, their order or the
     batch size.  An id outside the model raises :class:`EvalError`.
     """
-    labeled_ids = _checked_ids(ctx, store, labeled_ids, "labeled")
+    labeled_ids = _checked_ids(ctx, store, acfg, labeled_ids, "labeled")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     leaves = store.leaves(False)
     step = max(1, _BLOCK_SLOTS // 2)

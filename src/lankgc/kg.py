@@ -20,6 +20,8 @@ directly.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 INVERSE_SUFFIX = "**INV"
@@ -105,9 +107,9 @@ class Vocabulary:
             return self.relations[r - m] + INVERSE_SUFFIX
         raise GraphError(f"relation id out of range: {r}")
 
-    def checksum_material(self):
-        """Stable byte string covering both vocabularies (for manifests)."""
-        return "\n".join(self.entities + ["--"] + self.relations).encode("utf-8")
+    def sha256(self):
+        """Hex sha256 of both vocabularies, as a checkpoint's manifest records it."""
+        return hashlib.sha256("\n".join(self.entities + ["--"] + self.relations).encode("utf-8")).hexdigest()
 
 
 class KnowledgeGraph:

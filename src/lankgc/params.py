@@ -11,21 +11,23 @@ All trainable state is a flat dict of named float64 arrays:
     lstm_w_{f,i,c,o} (d, 2d)  gate weights (only with the lstm aggregator)
     lstm_b_{f,i,c,o} (d,)     gate biases
 
-Checkpoints are a directory holding one raw little-endian float64 file
-per parameter plus a ``manifest`` of ``key = value`` lines recording
-shapes, the sha256 of every file (``rules.tsv`` included), the run
-configuration, and vocabulary checksums.
+A checkpoint is a directory of one raw little-endian float64 file per
+parameter, ``rules.tsv`` for a logic aggregator, and a ``manifest`` of
+``key = value`` lines.  Only this module knows the format: one writer
+writes every line, and one reader checks every line, defaulting none.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
 
 from . import autodiff as ad
-from .util import checked_file, read_kv, sha256_file, write_kv
+from .decoder import check_scorer
+from .encoder import AggregatorConfig
+from .rules import export_table, import_table
+from .util import ARTIFACT_VERSION, checked_file, read_kv, sha256_file, write_kv
 
 LSTM_GATES = ("f", "i", "c", "o")
 
@@ -92,15 +94,37 @@ def init_params(n_entities, n_relations, dim, seed, with_lstm=False):
     return store
 
 
-def vocab_checksums(vocab):
-    digest = hashlib.sha256(vocab.checksum_material()).hexdigest()
-    return {"vocab_sha256": digest, "n_entities": str(vocab.n_entities), "n_relations": str(vocab.n_relations)}
+def check_shapes(shapes, want, kind, verb="declares", extra_ok=False):
+    """Refuse ``shapes`` (name -> ``AxB`` text) unless it has every parameter of :func:`param_shapes`'s
+    ``want`` at its shape, and no other unless ``extra_ok``: one ValueError names the first in sorted order.
+    """
+    want = {name: "x".join(map(str, shape)) for name, shape in want.items()}
+    for name in sorted(want if extra_ok else set(want) | set(shapes)):
+        if name not in shapes:
+            raise ValueError(f"{verb} no parameter {name}, which the {kind} aggregator needs")
+        if name not in want:
+            raise ValueError(f"{verb} parameter {name}, which the {kind} aggregator does not use")
+        if shapes[name] != want[name]:
+            raise ValueError(f"{verb} parameter {name} of shape {shapes[name]}, where the {kind} aggregator "
+                             f"needs {want[name]}")
 
 
-def save_checkpoint(out_dir, store, meta):
-    """Write one ``<name>.f64`` file per parameter plus a manifest."""
+def write_checkpoint(out_dir, store, vocab, acfg, scorer, dense, extras):
+    """Write a model as a checkpoint directory: its parameter files, ``dense`` as ``rules.tsv`` when the
+    aggregator reads a rule table, and a manifest of the vocabulary's sha256 and sizes, the settings, the
+    scorer, each file's sha256, each parameter's shape, and ``extras`` (training's epoch, margin and seed).
+    """
     os.makedirs(out_dir, exist_ok=True)
-    lines = dict(meta)
+    lines = {
+        "artifact_version": ARTIFACT_VERSION, "aggregator": acfg.kind, "scorer": scorer,
+        "neighbor_budget": str(acfg.neighbor_budget), "logic_mode": acfg.logic_mode, "epsilon": repr(acfg.epsilon),
+        "dim": str(store["entity_emb"].shape[1]), "vocab_sha256": vocab.sha256(),
+        "n_entities": str(vocab.n_entities), "n_relations": str(vocab.n_relations), **extras,
+    }
+    if acfg.needs_rules:
+        path = os.path.join(out_dir, "rules.tsv")
+        export_table(dense, path, vocab)
+        lines["sha256.rules.tsv"] = sha256_file(path)
     for name in store.names():
         arr = store.arrays[name]
         path = os.path.join(out_dir, f"{name}.f64")
@@ -110,31 +134,38 @@ def save_checkpoint(out_dir, store, meta):
     write_kv(os.path.join(out_dir, "manifest"), lines)
 
 
-def load_checkpoint(ckpt_dir):
-    """Read a checkpoint directory back into (store, meta); each file must match its sha256 line.
+def read_checkpoint(ckpt_dir, vocab):
+    """Read a checkpoint directory back as ``(store, acfg, scorer, dense)`` for a bundle's vocabulary.
 
-    The ``shape.`` lines must be those of :func:`param_shapes` for the
-    manifest's own sizes (``n_relations`` counts base relations) and
-    aggregator, or one :class:`ValueError` names the first that is not.
+    ``dense`` is the (R, R) rule matrix of a logic aggregator, else None.
+    Every line read is checked: the settings, the ``shape.`` lines against
+    :func:`param_shapes` at the manifest's own sizes, the vocabulary, and
+    each file's sha256.  A missing or bad line is one ValueError naming
+    the manifest and the key.
     """
     manifest = os.path.join(ckpt_dir, "manifest")
-    if not os.path.exists(manifest):
-        raise FileNotFoundError(f"no manifest in checkpoint directory {ckpt_dir}")
     meta = read_kv(manifest)
+
+    def line(key, parse=str):
+        if key not in meta:
+            raise ValueError(f"no {key} line")
+        try:
+            return parse(meta[key])
+        except ValueError:
+            raise ValueError(f"bad {key} line: {meta[key]!r}") from None
+
     try:
-        n, m, dim, kind = int(meta["n_entities"]), int(meta["n_relations"]), int(meta["dim"]), meta["aggregator"]
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{manifest}: needs n_entities, n_relations and dim counts and an aggregator: {exc}") from None
-    want = param_shapes(n, 2 * m, dim, kind == "lstm")
-    declared = {key[len("shape."):]: value for key, value in meta.items() if key.startswith("shape.")}
-    for name in sorted(set(want) | set(declared)):
-        if name not in declared or name not in want:
-            need = name in want
-            raise ValueError(f"{manifest}: declares {'no ' if need else ''}parameter {name}, which the {kind} "
-                             f"aggregator {'needs' if need else 'does not use'}")
-        if declared[name] != "x".join(map(str, want[name])):
-            raise ValueError(f"{manifest}: declares parameter {name} of shape {declared[name]}, where the {kind} "
-                             f"aggregator needs {'x'.join(map(str, want[name]))}")
+        acfg = AggregatorConfig(kind=line("aggregator"), neighbor_budget=line("neighbor_budget", int),
+                                logic_mode=line("logic_mode"), epsilon=line("epsilon", float))
+        scorer, dim, n, m = line("scorer"), line("dim", int), line("n_entities", int), line("n_relations", int)
+        check_scorer(scorer, dim)
+        want = param_shapes(n, 2 * m, dim, acfg.uses_lstm)
+        check_shapes({key[len("shape."):]: value for key, value in meta.items() if key.startswith("shape.")},
+                     want, acfg.kind)
+        if (line("vocab_sha256"), n, m) != (vocab.sha256(), vocab.n_entities, vocab.n_relations):
+            raise ValueError("checkpoint was trained on a different vocabulary than this bundle")
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None
     arrays = {}
     for name, shape in want.items():
         path = checked_file(ckpt_dir, meta, f"{name}.f64")
@@ -142,4 +173,5 @@ def load_checkpoint(ckpt_dir):
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"{path}: expected {int(np.prod(shape))} values, found {flat.size}")
         arrays[name] = flat.astype(np.float64).reshape(shape)
-    return ParamStore(arrays), meta
+    dense = import_table(checked_file(ckpt_dir, meta, "rules.tsv"), vocab).dense() if acfg.needs_rules else None
+    return ParamStore(arrays), acfg, scorer, dense

@@ -29,6 +29,9 @@ each other, so a batch costs the sum of k_i^2 over its rows' slot
 counts k_i.  The max is exact, and the normalization adds each row's
 slots in slot order (a running sum, as ``sum`` over a list does), so a
 row's weights have the same bytes whichever rows share its batch.
+
+A table holds ids only: :func:`export_table` and :func:`import_table`
+name them through the vocabulary that each caller holds.
 """
 
 from __future__ import annotations
@@ -46,12 +49,11 @@ class ConfidenceTable:
     matrix is C-ordered float64 and read-only.
     """
 
-    def __init__(self, matrix, relation_names=None):
+    def __init__(self, matrix):
         # C-ordered once, so logic_attention_batch's flat view never copies it; a view, so
         # freezing it leaves the caller's own array writable
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
         self._matrix.flags.writeable = False
-        self.relation_names = relation_names
 
     @property
     def n_relations(self):
@@ -79,9 +81,7 @@ def mine_confidence(kg):
     counts = (incidence.T @ incidence).toarray()
     support = counts.diagonal().astype(np.int64)
     # a relation no entity carries has an all-zero row, so dividing it by 1 keeps it 0
-    matrix = counts / np.maximum(support, 1)[:, None]
-    names = [kg.vocab.relation_name(i) for i in range(kg.n_relations)]
-    return ConfidenceTable(matrix, relation_names=names)
+    return ConfidenceTable(counts / np.maximum(support, 1)[:, None])
 
 
 def logic_attention_batch(dense, offsets, relations, queries, mode="normalized", epsilon=1e-3):
@@ -126,17 +126,14 @@ def logic_attention_batch(dense, offsets, relations, queries, mode="normalized",
     return w
 
 
-def export_table(table, path):
-    """Write the table's nonzero cells as TSV rows ``r1\tr2\tconfidence``, sorted by id.
+def export_table(matrix, path, vocab):
+    """Write the nonzero cells of an (R, R) confidence matrix as TSV rows ``r1\tr2\tconfidence``, sorted by id.
 
-    Confidences are written with ``repr`` so a float64 round-trips
-    exactly through import.
+    Relation ids are named through ``vocab``.  Confidences are written
+    with ``repr`` so a float64 round-trips exactly through import.
     """
-    if table.relation_names is None:
-        raise ValueError("table has no relation names; mine it from a graph first")
-    matrix = table.dense()
     rows, cols = np.nonzero(matrix)
-    names = table.relation_names
+    names = [vocab.relation_name(r) for r in range(matrix.shape[0])]
     with open(path, "w", encoding="utf-8") as fh:
         for r1, r2, c in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
             fh.write(f"{names[r1]}\t{names[r2]}\t{c!r}\n")
@@ -167,5 +164,4 @@ def import_table(path, vocab):
             raise ValueError(f"{path}:{lineno}: pair {fields[0]} => {fields[1]} is listed twice")
         listed[r1, r2] = True
         matrix[r1, r2] = c
-    names = [vocab.relation_name(r) for r in range(nr)]
-    return ConfidenceTable(matrix, relation_names=names)
+    return ConfidenceTable(matrix)

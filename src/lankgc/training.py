@@ -37,6 +37,10 @@ high-water mark, in the backward pass, is the arrays of the nodes not
 yet reached plus the gradients still to be passed on; the gradient norm
 and Adam's two parameter-sized scratch arrays come after the step drops
 the loss.
+
+Checkpoints, the periodic ``epoch-NNNN`` ones and the final one, go
+through :func:`~lankgc.params.write_checkpoint`, with the model's rule
+matrix for a logic aggregator and the run's epoch, margin and seed.
 """
 
 from __future__ import annotations
@@ -53,9 +57,8 @@ from .context import BundleContext
 from .decoder import check_scorer, score_batch
 from .encoder import AggregatorConfig, distinct_rows, encode_batch, stack_samples
 from .evaluation import KnownTriplets, link_prediction
-from .params import collect_gradients, init_params, save_checkpoint, vocab_checksums
-from .rules import export_table, mine_confidence
-from .util import ARTIFACT_VERSION, sha256_file
+from .params import collect_gradients, init_params, write_checkpoint
+from .rules import mine_confidence
 
 _ATTN_PARAM_NAMES = ("attn_proj", "attn_score_vec", "query_vec")
 
@@ -305,13 +308,13 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
         raise TrainError("bundle has no training triplets")
 
     graph = ctx.train_graph
-    if not acfg.needs_rules:
-        rules_table = None
-    elif rules_table is None:
-        rules_table = mine_confidence(graph)
-    elif out_dir and rules_table.relation_names is None:
-        raise TrainError("rules_table has no relation names, so no checkpoint could hold it")
-    dense = None if rules_table is None else rules_table.dense()
+    dense = None
+    if acfg.needs_rules:
+        dense = (mine_confidence(graph) if rules_table is None else rules_table).dense()
+
+    def save(path, store, epoch):
+        extras = {"epoch": str(epoch), "margin": repr(tcfg.margin), "seed": str(tcfg.seed)}
+        write_checkpoint(path, store, ctx.vocab, acfg, scorer, dense, extras)
 
     store = init_params(ctx.vocab.n_entities, graph.n_relations, tcfg.dim, tcfg.seed, with_lstm=acfg.uses_lstm)
     positives = graph.triplets
@@ -386,34 +389,11 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
                     break
 
         if out_dir and tcfg.checkpoint_every > 0 and epoch % tcfg.checkpoint_every == 0:
-            _save(os.path.join(out_dir, f"epoch-{epoch:04d}"), store, ctx, tcfg, acfg, scorer, rules_table, epoch)
+            save(os.path.join(out_dir, f"epoch-{epoch:04d}"), store, epoch)
 
     if best_store is not None:
         store = best_store
     report.seconds = time.perf_counter() - started
     if out_dir:
-        _save(out_dir, store, ctx, tcfg, acfg, scorer, rules_table, report.best_epoch or tcfg.epochs)
+        save(out_dir, store, report.best_epoch or tcfg.epochs)
     return store, report
-
-
-def _save(path, store, ctx, tcfg, acfg, scorer, rules_table, epoch):
-    """Write a checkpoint directory, with ``rules.tsv`` and its manifest sha256 when the model has a rule table."""
-    meta = {
-        "artifact_version": ARTIFACT_VERSION,
-        "epoch": str(epoch),
-        "scorer": scorer,
-        "aggregator": acfg.kind,
-        "logic_mode": acfg.logic_mode,
-        "epsilon": repr(acfg.epsilon),
-        "dim": str(tcfg.dim),
-        "neighbor_budget": str(tcfg.neighbor_budget),
-        "margin": repr(tcfg.margin),
-        "seed": str(tcfg.seed),
-    }
-    meta.update(vocab_checksums(ctx.vocab))
-    if rules_table is not None:  # written first, so the manifest records its sha256
-        os.makedirs(path, exist_ok=True)
-        rules_path = os.path.join(path, "rules.tsv")
-        export_table(rules_table, rules_path)
-        meta["sha256.rules.tsv"] = sha256_file(rules_path)
-    save_checkpoint(path, store, meta)

@@ -12,7 +12,7 @@ from lankgc import cli, evaluation
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_batch, stack_samples
 from lankgc.evaluation import encode_entities, link_prediction, score_labeled
-from lankgc.params import load_checkpoint
+from lankgc.params import read_checkpoint
 from lankgc.rules import export_table, import_table
 from helpers import oracle_split
 from lankgc.splits import BUNDLE_FILES, DatasetBundle, SplitSpec, load_corpus, read_bundle, write_bundle
@@ -241,7 +241,7 @@ def test_inspect_weights_on_a_truncated_neighborhood(pipeline, tmp_path, kind):
     assert len(rows) == 2
 
     # the slots a B=1 batch samples under the command's key, and their attention
-    store, _ = load_checkpoint(str(ckpt))
+    store, *_ = read_checkpoint(str(ckpt), ctx.vocab)
     acfg = AggregatorConfig(kind=kind, neighbor_budget=2)
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, [e], acfg, (3,))
     dense = import_table(str(ckpt / "rules.tsv"), ctx.vocab).dense() if acfg.needs_rules else None
@@ -344,7 +344,7 @@ def test_every_checkpoint_holds_the_rule_table_it_was_trained_with(pipeline, tmp
     custom.write_text("".join(f"{names[i]}\t{names[(i + 1) % len(names)]}\t{(i % 4 + 1) / 4:g}\n"
                               for i in reversed(range(len(names)))), encoding="utf-8")
     canonical = tmp_path / "canonical.tsv"
-    export_table(import_table(str(custom), vocab), str(canonical))
+    export_table(import_table(str(custom), vocab).dense(), str(canonical), vocab)
     ckpt = tmp_path / "model"
     assert cli.main(["train", "--bundle", str(bundle), "--aggregator", "lan", "--scorer", "distmult",
                      "--rules", str(custom), "--seed", "0", "--set", "epochs=2", "--set", "dim=8",
@@ -557,13 +557,14 @@ def edited_checkpoint(ckpt, tmp_path, **changes):
     return copy
 
 
-def test_checkpoint_without_a_vocabulary_line_is_refused(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("key", ["vocab_sha256", "scorer", "neighbor_budget", "logic_mode", "epsilon"])
+def test_checkpoint_without_a_vocabulary_line_is_refused(pipeline, tmp_path, capsys, key):
     _, _, bundle, _, ckpt = pipeline
-    edited = edited_checkpoint(ckpt, tmp_path, vocab_sha256=None)
+    edited = edited_checkpoint(ckpt, tmp_path, **{key: None})
     code, captured = run(["eval-lp", "--bundle", str(bundle), "--ckpt", str(edited),
                           "--out", str(tmp_path / "m.csv")], capsys)
     assert code == 1
-    assert captured.err.startswith("error:") and "no vocab_sha256 line" in captured.err
+    assert captured.err.startswith("error:") and f"no {key} line" in captured.err
     assert str(edited / "manifest") in captured.err
 
 
@@ -619,8 +620,9 @@ def test_a_checkpoint_whose_parameters_differ_from_its_aggregators_gives_one_err
 def test_load_checkpoint_refuses_parameters_that_are_not_its_models(pipeline, lstm_ckpt, tmp_path, source, changes,
                                                                      name):
     edited = edited_checkpoint(lstm_ckpt if source == "lstm" else pipeline[4], tmp_path, **changes)
+    vocab = BundleContext(read_bundle(str(pipeline[2]))).vocab
     with pytest.raises(ValueError, match=rf"^{re.escape(str(edited / 'manifest'))}: declares .*parameter {name}\b"):
-        load_checkpoint(str(edited))
+        read_checkpoint(str(edited), vocab)
 
 
 SEED_ARGS = {  # every command with a --seed, with its other arguments

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -363,7 +364,8 @@ def traced_score_labeled(kind, n, deg, dim, r, rows):
     rng = np.random.default_rng(4)
     graph = SimpleNamespace(offsets=np.arange(n + 1) * deg,
                             pairs=np.stack([rng.integers(0, r, n * deg), rng.integers(0, n, n * deg)], axis=1))
-    ctx = SimpleNamespace(neighbor_graph=graph, vocab=SimpleNamespace(n_entities=n))
+    ctx = SimpleNamespace(neighbor_graph=graph, vocab=SimpleNamespace(n_entities=n),
+                          train_graph=SimpleNamespace(n_relations=r))
     store = init_params(n, r, dim, 4, with_lstm=True)
     labeled = np.stack([rng.integers(0, n, rows), rng.integers(0, r, rows), rng.integers(0, n, rows)], axis=1)
     acfg = AggregatorConfig(kind=kind, neighbor_budget=64)
@@ -571,14 +573,27 @@ def test_link_prediction_empty_test_raises():
                         triplets=np.zeros((0, 3), dtype=np.int64))
 
 
+@pytest.mark.parametrize("case", ["fewer-entities", "lstm-without-gates", "no-attn_score_vec", "narrow-transform_vec"])
 @pytest.mark.parametrize("entry", ["link_prediction", "score_labeled"])
-def test_a_store_smaller_than_the_vocabulary_is_refused_before_any_encoding(entry, monkeypatch):
+def test_a_store_smaller_than_the_vocabulary_is_refused_before_any_encoding(entry, case, monkeypatch):
     ctx, acfg, table, _ = bundle_fixture(seed=9)
-    n = ctx.vocab.n_entities
-    small = init_params(n - 1, ctx.train_graph.n_relations, 8, 9)
+    n, r = ctx.vocab.n_entities, ctx.train_graph.n_relations
+    small = init_params(n, r, 8, 9)
+    if case == "fewer-entities":
+        small = init_params(n - 1, r, 8, 9)
+        message = f"embeds {n - 1} entities, but the bundle's vocabulary has {n}"
+    elif case == "lstm-without-gates":
+        acfg = AggregatorConfig(kind="lstm", neighbor_budget=acfg.neighbor_budget)
+        message = "the parameter store holds no parameter lstm_b_c, which the lstm aggregator needs"
+    elif case == "no-attn_score_vec":
+        del small.arrays["attn_score_vec"]
+        message = "the parameter store holds no parameter attn_score_vec, which the lan aggregator needs"
+    else:
+        small.arrays["transform_vec"] = small["transform_vec"][:, :4]
+        message = f"the parameter store holds parameter transform_vec of shape {r}x4, where the lan aggregator needs {r}x8"
     encoded = []
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: encoded.append(a) or encode_batch(*a, **kw))
-    with pytest.raises(EvalError, match=f"embeds {n - 1} entities, but the bundle's vocabulary has {n}"):
+    with pytest.raises(EvalError, match=re.escape(message)):
         if entry == "link_prediction":
             link_prediction(ctx, small, acfg, "transe", table.dense(), seed=0)
         else:

@@ -389,11 +389,10 @@ def test_export_import_round_trip(tmp_path):
     kg = three_entity_graph()
     table = mine_confidence(kg)
     path = tmp_path / "rules.tsv"
-    export_table(table, path)
+    export_table(table.dense(), path, kg.vocab)
     back = import_table(path, kg.vocab)
     assert back.n_relations == table.n_relations
     np.testing.assert_array_equal(back.dense(), table.dense())
-    assert back.relation_names == table.relation_names
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -402,16 +401,10 @@ def test_export_writes_naive_rows_sorted_by_id(seed, tmp_path):
     if kg is None:
         return
     path = tmp_path / "rules.tsv"
-    export_table(mine_confidence(kg), path)
+    export_table(mine_confidence(kg).dense(), path, kg.vocab)
     name = kg.vocab.relation_name
     want = "".join(f"{name(r1)}\t{name(r2)}\t{c!r}\n" for (r1, r2), c in sorted(naive_confidence(kg).items()))
     assert path.read_bytes() == want.encode("utf-8")
-
-
-def test_export_needs_relation_names(tmp_path):
-    table = ConfidenceTable([[0.0, 0.5], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="names"):
-        export_table(table, tmp_path / "rules.tsv")
 
 
 def test_import_rejects_malformed_rows(tmp_path):

@@ -12,8 +12,8 @@ from lankgc import training
 from lankgc.context import BundleContext
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
 from lankgc.evaluation import KnownTriplets
-from lankgc.params import ParamStore, collect_gradients, init_params, load_checkpoint
-from lankgc.rules import ConfidenceTable, import_table, mine_confidence
+from lankgc.params import ParamStore, collect_gradients, init_params, read_checkpoint, write_checkpoint
+from lankgc.rules import import_table, mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
 from lankgc.training import (
     Adam,
@@ -536,7 +536,9 @@ def test_checkpoint_round_trip(tmp_path):
     out = tmp_path / "ckpt"
     tcfg = quick_cfg(epochs=2, dim=6)
     store, _ = train(bundle, tcfg, AggregatorConfig(kind="lan"), out_dir=str(out))
-    loaded, meta = load_checkpoint(str(out))
+    ctx = BundleContext(bundle)
+    loaded, *_ = read_checkpoint(str(out), ctx.vocab)
+    meta = read_kv(str(out / "manifest"))
     assert set(loaded.names()) == set(store.names())
     for name in store.names():
         np.testing.assert_array_equal(loaded[name], store[name])
@@ -544,23 +546,51 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["dim"] == "6"
     assert meta["scorer"] == "transe"
     assert "vocab_sha256" in meta
-    ctx = BundleContext(bundle)
     assert meta["n_entities"] == str(ctx.vocab.n_entities)
     # the mined table travels with the weights, bit for bit
     mined = mine_confidence(ctx.train_graph).dense()
     assert import_table(str(out / "rules.tsv"), ctx.vocab).dense().tobytes() == mined.tobytes()
 
 
-def test_a_table_without_relation_names_is_refused_before_the_first_epoch(tmp_path):
-    bundle = tiny_bundle()
-    n_rel = BundleContext(bundle).train_graph.n_relations
-    epochs = []
-    with pytest.raises(TrainError, match="no relation names"):
-        train(bundle, quick_cfg(epochs=2), AggregatorConfig(kind="lan"),
-              rules_table=ConfidenceTable(np.full((n_rel, n_rel), 0.5)), out_dir=str(tmp_path / "ckpt"),
-              log=epochs.append)
-    assert epochs == []
-    assert not (tmp_path / "ckpt").exists()
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_checkpoint_reads_back_the_model_it_was_written_from(kind, tmp_path):
+    ctx = BundleContext(tiny_bundle())
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=3, logic_mode="raw", epsilon=0.25)
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 1, with_lstm=acfg.uses_lstm)
+    dense = mine_confidence(ctx.train_graph).dense() if acfg.needs_rules else None
+    write_checkpoint(str(tmp_path), store, ctx.vocab, acfg, "distmult", dense, {"epoch": "1"})
+    loaded, loaded_acfg, scorer, loaded_dense = read_checkpoint(str(tmp_path), ctx.vocab)
+    assert loaded_acfg == acfg and scorer == "distmult"
+    assert loaded.names() == store.names()
+    assert all(loaded[name].tobytes() == store[name].tobytes() for name in store.names())
+    if dense is None:
+        assert loaded_dense is None and not (tmp_path / "rules.tsv").exists()
+    else:
+        assert loaded_dense.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("lan", [
+        "aggregator", "artifact_version", "dim", "epoch", "epsilon", "logic_mode", "margin", "n_entities",
+        "n_relations", "neighbor_budget", "scorer", "seed", "sha256.attn_proj.f64", "sha256.attn_score_vec.f64",
+        "sha256.entity_emb.f64", "sha256.query_vec.f64", "sha256.relation_emb.f64", "sha256.rules.tsv",
+        "sha256.transform_vec.f64", "shape.attn_proj", "shape.attn_score_vec", "shape.entity_emb",
+        "shape.query_vec", "shape.relation_emb", "shape.transform_vec", "vocab_sha256",
+    ]),
+    ("lstm", [
+        "aggregator", "artifact_version", "dim", "epoch", "epsilon", "logic_mode", "margin", "n_entities",
+        "n_relations", "neighbor_budget", "scorer", "seed", "sha256.attn_proj.f64", "sha256.attn_score_vec.f64",
+        "sha256.entity_emb.f64", "sha256.lstm_b_c.f64", "sha256.lstm_b_f.f64", "sha256.lstm_b_i.f64",
+        "sha256.lstm_b_o.f64", "sha256.lstm_w_c.f64", "sha256.lstm_w_f.f64", "sha256.lstm_w_i.f64",
+        "sha256.lstm_w_o.f64", "sha256.query_vec.f64", "sha256.relation_emb.f64", "sha256.transform_vec.f64",
+        "shape.attn_proj", "shape.attn_score_vec", "shape.entity_emb", "shape.lstm_b_c", "shape.lstm_b_f",
+        "shape.lstm_b_i", "shape.lstm_b_o", "shape.lstm_w_c", "shape.lstm_w_f", "shape.lstm_w_i",
+        "shape.lstm_w_o", "shape.query_vec", "shape.relation_emb", "shape.transform_vec", "vocab_sha256",
+    ]),
+], ids=["lan", "lstm"])
+def test_a_trained_checkpoints_manifest_has_these_keys(kind, keys, tmp_path):
+    train(tiny_bundle(), quick_cfg(epochs=1), AggregatorConfig(kind=kind), out_dir=str(tmp_path))
+    assert sorted(read_kv(str(tmp_path / "manifest"))) == keys
 
 
 def test_checkpoint_rejects_corrupted_parameter_file(tmp_path):
@@ -571,7 +601,7 @@ def test_checkpoint_rejects_corrupted_parameter_file(tmp_path):
     raw[3] ^= 0x01  # same size, one bit off
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum mismatch"):
-        load_checkpoint(str(out))
+        read_checkpoint(str(out), BundleContext(tiny_bundle()).vocab)
 
 
 def test_checkpoint_refuses_a_manifest_without_a_checksum_line(tmp_path):
@@ -581,7 +611,7 @@ def test_checkpoint_refuses_a_manifest_without_a_checksum_line(tmp_path):
     del manifest["sha256.entity_emb.f64"]
     write_kv(str(out / "manifest"), manifest)
     with pytest.raises(ValueError, match="no sha256.entity_emb.f64 line for .*entity_emb.f64"):
-        load_checkpoint(str(out))
+        read_checkpoint(str(out), BundleContext(tiny_bundle()).vocab)
 
 
 def test_periodic_checkpoints(tmp_path):
