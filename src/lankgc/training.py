@@ -26,17 +26,29 @@ flow back through the encoder.  The Generator draws only the epochs'
 permutations and the negatives: every neighbor draw is a hash of the key
 ``(seed, epoch, batch)`` (:func:`~lankgc.encoder.stack_samples`).
 
+A pair whose hinge is zero has a zero gradient, so a batch takes two
+passes (:func:`batch_objective`).  The first scores every pair over
+constant weights, which builds no graph, and gives the loss its value
+and the batch its active pairs, those with a positive hinge
+(``TrainReport.active_shares`` is their share per epoch).  Its arrays
+are freed, and the second pass builds the graph over the active pairs'
+rows alone, a subsequence of the first pass's rows and slots.  So a
+gradient adds the same nonzero terms in the same order as a graph over
+every pair would: for ``mean`` and ``logic-only`` the step is bitwise
+the one-pass step, and the attention kinds and ``lstm`` differ in the
+last bits, with the row count of their BLAS products.
+
 Only training makes gradient leaves, so only training builds an
 autodiff graph, and one batch's graph is alive at a time.  It holds only
 the arrays its vector-Jacobian products read, so an op output that none
 reads is freed during the forward pass; for ``lan`` that is two per-slot
-arrays, the transformed slots and the ``tanh`` output.  The backward
-pass consumes the graph, freeing each node's arrays once its products
-have run, and keeps only the leaves' gradients.  So the step's
-high-water mark, in the backward pass, is the arrays of the nodes not
-yet reached plus the gradients still to be passed on; the gradient norm
-and Adam's two parameter-sized scratch arrays come after the step drops
-the loss.
+arrays over the active pairs' slots, the transformed slots and the
+``tanh`` output.  The backward pass consumes the graph, freeing each
+node's arrays once its products have run, and keeps only the leaves'
+gradients.  So the step's high-water mark, in the backward pass, is the
+arrays of the nodes not yet reached plus the gradients still to be
+passed on; the gradient norm and Adam's two parameter-sized scratch
+arrays come after the step drops the loss.
 
 Checkpoints, the periodic ``epoch-NNNN`` ones and the final one, go
 through :func:`~lankgc.params.write_checkpoint`, with the model's rule
@@ -130,6 +142,7 @@ class TrainReport:
     stopped_early: bool = False
     seconds: float = 0.0
     neg_fallbacks: int = 0
+    active_shares: list = field(default_factory=list)
 
 
 class Sgd:
@@ -195,9 +208,14 @@ def corrupt(positives, known, n_entities, rng):
 
 def hinge(margin, phi_pos, phi_neg):
     """Per-pair ranking hinge ``[margin - phi_pos + phi_neg]_+`` as a (B,) Value."""
+    return ad.relu(_gap(margin, phi_pos, phi_neg))
+
+
+def _gap(margin, phi_pos, phi_neg):
+    """``margin - phi_pos + phi_neg`` per pair, the hinge before its clip."""
     b = phi_pos.data.shape[0]
     margin_vec = ad.Value(np.full(b, float(margin)))
-    return ad.relu(ad.add(ad.sub(margin_vec, phi_pos), phi_neg))
+    return ad.add(ad.sub(margin_vec, phi_pos), phi_neg)
 
 
 def input_scores(leaves, triplets, scorer):
@@ -218,37 +236,86 @@ def output_scores(leaves, triplets, graph, dense, acfg, scorer, key):
     under ``key``.
     """
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    b = triplets.shape[0]
+    where, queries, slots = _sampled_rows(triplets, graph, acfg, key)
+    enc = encode_batch(leaves, *slots, queries, acfg, dense_table=dense)
+    return _pair_scores(leaves, enc, where, triplets, scorer)
+
+
+def _sampled_rows(triplets, graph, acfg, key):
+    """The distinct endpoint rows of (n, 3) ``triplets`` -> ``(where, queries, (offsets, relations, entities))``.
+
+    Subjects come first, then objects: endpoint ``i`` of the (2n,) ids
+    is encoded as row ``where[i]``, under ``queries[where[i]]``, from the
+    CSR slots that :func:`~lankgc.encoder.stack_samples` draws under ``key``.
+    """
     ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
     queries = np.tile(triplets[:, 1], 2)
     keep, where = distinct_rows(ent_ids, queries)
-    offsets, rels, ents = stack_samples(graph, ent_ids[keep], acfg, key)
-    enc = encode_batch(leaves, offsets, rels, ents, queries[keep], acfg, dense_table=dense)
-    subj = ad.take_rows(enc, where[:b])
-    obj = ad.take_rows(enc, where[b:])
+    return where, queries[keep], stack_samples(graph, ent_ids[keep], acfg, key)
+
+
+def _pair_scores(leaves, enc, where, triplets, scorer):
+    """phi of (n, 3) ``triplets`` whose subjects are the rows ``where[:n]`` of ``enc`` and objects ``where[n:]``."""
+    n = triplets.shape[0]
+    subj = ad.take_rows(enc, where[:n])
+    obj = ad.take_rows(enc, where[n:])
     q_emb = ad.take_rows(leaves["relation_emb"], triplets[:, 1])
     return score_batch(subj, q_emb, obj, scorer)
 
 
-def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, key):
-    """Mean pair loss over a batch, plus the attention L2 penalty.
+def _used_slots(offsets, relations, entities, used):
+    """The CSR slots of the rows where ``used`` is set, in row order -> ``(offsets, relations, entities)``."""
+    counts = np.diff(offsets)
+    on_used = np.repeat(used, counts)
+    out = np.zeros(np.count_nonzero(used) + 1, dtype=np.int64)
+    np.cumsum(counts[used], out=out[1:])
+    return out, relations[on_used], entities[on_used]
 
-    Encodes the four endpoint groups (positive/negative x subject/object)
-    in a single pass, sampling at most ``acfg.neighbor_budget`` neighbors
-    each from ``graph`` under the sample ``key``; repeated (entity,
-    relation) endpoints share one encoding (see
-    :func:`output_scores`).  The main part is the mean hinge over output
-    embeddings; the subtask part, when enabled, is the same hinge over
-    raw input embeddings.  Returns ``(loss, parts)`` where ``parts``
-    holds the main and subtask components as plain floats.
+
+def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, key):
+    """Mean pair loss over a batch, plus the attention L2 penalty, in two passes.
+
+    Pass 1 samples the four endpoint groups (positive/negative x
+    subject/object) once, at most ``acfg.neighbor_budget`` neighbors each
+    from ``graph`` under the sample ``key``, and scores every pair over
+    constant weights; repeated (entity, relation) endpoints share one
+    encoding (see :func:`output_scores`).  Its mean hinge is the main
+    part, and its active pairs, those with a positive hinge, are the
+    only ones with a gradient.  Pass 2 frees pass 1's arrays, then
+    builds the graph over the active pairs alone: it encodes the rows
+    they reference, a subsequence of pass 1's rows with their slots, so
+    every gradient sum adds its terms in pass 1's order, and sums their
+    hinge gaps times the whole batch's ``1/b``.  The returned loss holds
+    pass 1's value and pass 2's graph; with no active pair no encoder
+    graph is built.  The subtask part, when enabled, is the same hinge
+    over raw input embeddings for every pair.  Returns ``(loss, parts)``:
+    ``parts`` holds the main and subtask components as plain floats and
+    the number of active pairs as ``"active"``.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     b = positives.shape[0]
     both = np.concatenate([positives, negatives], axis=0)
-    phi = output_scores(leaves, both, graph, dense, acfg, scorer, key)
-    loss = ad.mean_all(hinge(tcfg.margin, ad.narrow(phi, 0, b), ad.narrow(phi, b, 2 * b)))
-    parts = {"main": float(loss.data), "subtask": 0.0}
+    where, queries, slots = _sampled_rows(both, graph, acfg, key)
+    fixed = {name: ad.Value(leaf.data) for name, leaf in leaves.items()}
+    enc = encode_batch(fixed, *slots, queries, acfg, dense_table=dense)
+    phi = _pair_scores(fixed, enc, where, both, scorer)
+    pair_loss = hinge(tcfg.margin, ad.narrow(phi, 0, b), ad.narrow(phi, b, 2 * b))
+    main = ad.mean_all(pair_loss)
+    active = np.flatnonzero(pair_loss.data > 0.0)
+    parts = {"main": float(main.data), "subtask": 0.0, "active": int(active.size)}
+    del fixed, enc, phi, pair_loss
+    if active.size:
+        a, pairs = active.size, np.concatenate([active, active + b])
+        ends = np.concatenate([where[pairs], where[pairs + 2 * b]])
+        used = np.zeros(queries.size, dtype=bool)
+        used[ends] = True
+        slots = _used_slots(*slots, used)
+        enc = encode_batch(leaves, *slots, queries[used], acfg, dense_table=dense)
+        phi = _pair_scores(leaves, enc, (np.cumsum(used) - 1)[ends], both[pairs], scorer)
+        gap = ad.scale(ad.sum_all(_gap(tcfg.margin, ad.narrow(phi, 0, a), ad.narrow(phi, a, 2 * a))), 1.0 / b)
+        main = ad.add(main, ad.sub(gap, ad.Value(gap.data)))  # pass 1's value, plus 0.0 that carries gap's gradient
+    loss = main
     if tcfg.subtask_enabled:
         psi = input_scores(leaves, both, scorer)
         sub = ad.mean_all(hinge(tcfg.margin, ad.narrow(psi, 0, b), ad.narrow(psi, b, 2 * b)))
@@ -267,8 +334,11 @@ def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, epoch, batch):
     """One optimizer step on batch ``batch`` of ``epoch``, then the transform renormalization -> ``(loss, parts, gradient norm)``.
 
     The batch samples under the key ``(tcfg.seed, epoch, batch)``.  Its
-    graph dies once its gradients are collected, and its leaves and
-    gradients when this returns, before the next batch is built.
+    graph, over the active pairs alone (:func:`batch_objective`), dies
+    once its gradients are collected, and its leaves and gradients when
+    this returns, before the next batch is built.  A leaf the graph does
+    not reach, as every encoder parameter when no pair is active, steps
+    with a zero gradient.
     """
     leaves = store.leaves(True)
     loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, scorer, (tcfg.seed, epoch, batch))
@@ -335,7 +405,7 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
     for epoch in range(1, tcfg.epochs + 1):
         order = rng.permutation(positives.shape[0])
         total = np.zeros(3)
-        norm_sum, count, batches, epoch_fallbacks = 0.0, 0, 0, 0
+        norm_sum, count, batches, epoch_fallbacks, active = 0.0, 0, 0, 0, 0
         for lo in range(0, order.size, tcfg.batch_size):
             pos = positives[order[lo:lo + tcfg.batch_size]]
             if tcfg.negatives_per_positive > 1:
@@ -354,12 +424,14 @@ def train(bundle, tcfg, acfg=None, scorer="transe", rules_table=None, out_dir=No
                     )
             total += np.array([value, parts["main"], parts["subtask"]]) * pos.shape[0]
             count += pos.shape[0]
+            active += parts["active"]
             batches += 1
         mean = (total / max(count, 1)).tolist()
         report.epoch_losses.append(mean[0])
         report.epoch_main_losses.append(mean[1])
         report.epoch_subtask_losses.append(mean[2])
         report.grad_norms.append(norm_sum / max(batches, 1))
+        report.active_shares.append(active / max(count, 1))
         report.neg_fallbacks += epoch_fallbacks
         if epoch_fallbacks:
             warnings.warn(

@@ -1,6 +1,6 @@
 """Shared test fixtures-in-code: tiny graphs, random corpora, oracles, a
-per-entity reference sampler, a B=1 encode and a finite-difference
-gradient check.
+per-entity reference sampler, a B=1 encode, a one-pass training
+objective and a finite-difference gradient check.
 
 The oracle functions here deliberately reimplement the library math in
 plain numpy loops, straight from the formulas, so the vectorized
@@ -15,9 +15,11 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
+from lankgc import autodiff as ad
 from lankgc.encoder import encode_batch
 from lankgc.kg import Vocabulary, augment_inverses, graph_from_names
 from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSpec, build_split
+from lankgc.training import hinge, input_scores, output_scores
 
 
 def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
@@ -79,6 +81,35 @@ def kept_arrays(nodes):
                 if isinstance(cell.cell_contents, np.ndarray):
                     kept[id(cell.cell_contents)] = cell.cell_contents
     return list(kept.values())
+
+
+def one_pass_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, key):
+    """:func:`lankgc.training.batch_objective` in one pass: a graph over every pair of the batch.
+
+    Every pair's hinge, zero or not, goes through the encoder graph, so
+    its gradients are the reference for the two-pass objective's.
+    Returns ``(loss, parts)`` with the same parts, ``"active"`` counting
+    the pairs whose main hinge is positive.
+    """
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
+    b = positives.shape[0]
+    both = np.concatenate([positives, negatives], axis=0)
+    phi = output_scores(leaves, both, graph, dense, acfg, scorer, key)
+    pair_loss = hinge(tcfg.margin, ad.narrow(phi, 0, b), ad.narrow(phi, b, 2 * b))
+    loss = ad.mean_all(pair_loss)
+    parts = {"main": float(loss.data), "subtask": 0.0, "active": int(np.count_nonzero(pair_loss.data > 0.0))}
+    if tcfg.subtask_enabled:
+        psi = input_scores(leaves, both, scorer)
+        sub = ad.mean_all(hinge(tcfg.margin, ad.narrow(psi, 0, b), ad.narrow(psi, b, 2 * b)))
+        parts["subtask"] = float(sub.data)
+        loss = ad.add(loss, sub)
+    if tcfg.l2_rate > 0.0:
+        reg = ad.l2_norm_sq(leaves["attn_proj"])
+        for name in ("attn_score_vec", "query_vec"):
+            reg = ad.add(reg, ad.l2_norm_sq(leaves[name]))
+        loss = ad.add(loss, ad.scale(reg, tcfg.l2_rate))
+    return loss, parts
 
 
 def make_graph(triples):

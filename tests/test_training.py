@@ -6,11 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import graph_nodes, kept_arrays, make_graph, random_bundles, random_name_triples
+from helpers import graph_nodes, kept_arrays, make_graph, one_pass_objective, random_bundles, random_name_triples
 from lankgc import autodiff as ad
 from lankgc import training
 from lankgc.context import BundleContext
-from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig
+from lankgc.decoder import SCORER_KINDS
+from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, distinct_rows
 from lankgc.evaluation import KnownTriplets
 from lankgc.params import ParamStore, collect_gradients, init_params, read_checkpoint, write_checkpoint
 from lankgc.rules import import_table, mine_confidence
@@ -24,6 +25,7 @@ from lankgc.training import (
     corrupt,
     hinge,
     make_optimizer,
+    output_scores,
     train,
 )
 from lankgc.util import read_kv, write_kv
@@ -212,6 +214,122 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
         np.testing.assert_allclose(merged[name], every[name], rtol=0, atol=1e-12, err_msg=name)
 
 
+def scored_batch(kind, scorer):
+    """A tiny-bundle batch at K=3, each positive twice, with its negatives and their gaps ``phi(pos) - phi(neg)``.
+
+    The gaps are scored over constant weights under the key ``(2,)``; at
+    margin ``m`` a pair's hinge is positive where its gap is below ``m``.
+    Returns ``(graph, dense, store, acfg, pos, neg, gap)``.
+    """
+    ctx = BundleContext(tiny_bundle(seed=3))
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=3)
+    dense = mine_confidence(ctx.train_graph).dense()
+    store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 3, with_lstm=acfg.uses_lstm)
+    pos = np.concatenate([ctx.train_graph.triplets[:10]] * 2)
+    known = fact_index(ctx.train_graph.triplets, ctx.vocab.n_entities, ctx.train_graph.n_relations)
+    neg, _ = corrupt(pos, known, ctx.vocab.n_entities, np.random.default_rng(1))
+    phi = output_scores(store.leaves(False), np.concatenate([pos, neg]), ctx.neighbor_graph, dense, acfg, scorer,
+                        (2,)).data
+    return ctx.neighbor_graph, dense, store, acfg, pos, neg, phi[:pos.shape[0]] - phi[pos.shape[0]:]
+
+
+def objective_gradients(objective, store, pos, neg, graph, dense, tcfg, acfg, scorer):
+    """``objective``'s loss value, parts and gradients on one batch under the key ``(2,)``."""
+    leaves = store.leaves(True)
+    loss, parts = objective(leaves, pos, neg, graph, dense, tcfg, acfg, scorer, (2,))
+    value = loss.item()
+    ad.backward(loss)
+    return value, parts, collect_gradients(leaves)
+
+
+@pytest.mark.parametrize("scorer", SCORER_KINDS)
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_two_pass_gradients_equal_a_graph_over_every_pair(kind, scorer):
+    graph, dense, store, acfg, pos, neg, gap = scored_batch(kind, scorer)
+    b = pos.shape[0]
+    above = np.sort(gap[gap > 0.0])
+    margin = (above[0] + above[1]) / 2  # positive, and no gap on it: the pairs whose gap is below it are active
+    active = gap < margin
+    assert 0 < active.sum() < b
+    ent_ids, queries = np.concatenate([pos[:, 0], neg[:, 0], pos[:, 2], neg[:, 2]]), np.tile(pos[:, 1], 4)
+    keep, where = distinct_rows(ent_ids, queries)
+    pair = np.arange(ent_ids.size) % b  # endpoint i belongs to pair i mod b
+    assert keep.size < ent_ids.size  # repeated rows
+    assert (np.diff(graph.offsets)[ent_ids] > acfg.neighbor_budget).any()  # truncated rows
+    assert (active[pair] & ~active[pair[keep[where]]]).any()  # an active pair's row first met in an inactive one
+    tcfg = quick_cfg(margin=margin, subtask_enabled=True, l2_rate=0.01, neighbor_budget=acfg.neighbor_budget)
+
+    two = objective_gradients(batch_objective, store, pos, neg, graph, dense, tcfg, acfg, scorer)
+    one = objective_gradients(one_pass_objective, store, pos, neg, graph, dense, tcfg, acfg, scorer)
+    assert two[:2] == one[:2] and two[1]["active"] == active.sum()  # pass 1 is the one pass's forward
+    assert two[2].keys() == one[2].keys()
+    for name in one[2]:
+        if kind in ("mean", "logic-only"):  # per-row arithmetic: the same sums of the same terms
+            np.testing.assert_array_equal(two[2][name], one[2][name], err_msg=name)
+        else:  # BLAS products round with their row count
+            np.testing.assert_allclose(two[2][name], one[2][name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def easy_batch(kind, scorer="transe"):
+    """:func:`scored_batch` with each pair whose gap is negative swapped, so every gap is positive."""
+    graph, dense, store, acfg, pos, neg, gap = scored_batch(kind, scorer)
+    flip = gap < 0.0
+    pos, neg = np.where(flip[:, None], neg, pos), np.where(flip[:, None], pos, neg)
+    assert (np.abs(gap) > 0.0).all()
+    return graph, dense, store, acfg, pos, neg, np.abs(gap)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_batch_without_an_active_pair_builds_no_encoder_graph(kind, monkeypatch):
+    graph, dense, store, acfg, pos, neg, gap = easy_batch(kind)
+    tcfg = quick_cfg(margin=gap.min() / 2, subtask_enabled=True, neighbor_budget=acfg.neighbor_budget)
+    passes = []  # whether each encode pass reads gradient leaves
+    encode = training.encode_batch
+    monkeypatch.setattr(training, "encode_batch", lambda leaves, *args, **kwargs:
+                        passes.append(leaves["entity_emb"].requires_grad) or encode(leaves, *args, **kwargs))
+    leaves = store.leaves(True)
+    loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (2,))
+    assert passes == [False] and parts["active"] == 0 and parts["main"] == 0.0
+    nodes = graph_nodes(loss)
+    ops = {vjp.__qualname__.split(".")[0] for node in nodes for vjp in node.vjps}
+    assert ops.isdisjoint({"transform_rows", "matmul", "matvec", "tanh", "softmax_masked", "weighted_block_sum"})
+    assert {name for name, leaf in leaves.items() if leaf.node in nodes} == {"entity_emb", "relation_emb"}
+    one = objective_gradients(one_pass_objective, store, pos, neg, graph, dense, tcfg, acfg, "transe")
+    ad.backward(loss)
+    assert loss.item() == one[0] and parts == one[1]
+    for name, g in collect_gradients(leaves).items():  # the graph over every pair passes only zeros to the encoder
+        np.testing.assert_array_equal(g, one[2][name], err_msg=name)
+
+
+def test_a_lan_graph_over_few_active_pairs_holds_fewer_bytes_than_over_all():
+    graph, dense, store, acfg, pos, neg, gap = easy_batch("lan")
+    ordered = np.sort(gap)
+    held = {}
+    for margin in ((ordered[1] + ordered[2]) / 2, ordered[-1] + 1.0):
+        tcfg = quick_cfg(margin=margin, subtask_enabled=False, neighbor_budget=acfg.neighbor_budget)
+        loss, parts = batch_objective(store.leaves(True), pos, neg, graph, dense, tcfg, acfg, "transe", (2,))
+        held[parts["active"]] = sum(arr.nbytes for arr in kept_arrays(graph_nodes(loss)))
+    b = pos.shape[0]
+    assert sorted(held) == [2, b] and held[2] < held[b] / 2
+
+
+def test_active_shares_recount_each_epochs_batches(monkeypatch):
+    counts = {}  # epoch -> [active pairs, pairs], recounted by the one-pass objective before each step
+
+    def objective(leaves, pos, neg, *args):
+        fixed = {name: ad.Value(leaf.data) for name, leaf in leaves.items()}
+        _, parts = one_pass_objective(fixed, pos, neg, *args)
+        tally = counts.setdefault(args[-1][1], [0, 0])
+        tally[0] += parts["active"]
+        tally[1] += len(pos)
+        return batch_objective(leaves, pos, neg, *args)
+
+    monkeypatch.setattr(training, "batch_objective", objective)
+    _, report = train(tiny_bundle(seed=4), quick_cfg(epochs=4, negatives_per_positive=2), AggregatorConfig(kind="lan"))
+    assert report.active_shares == [active / pairs for active, pairs in counts.values()]
+    assert list(counts) == [1, 2, 3, 4] and 0.0 < min(report.active_shares) < max(report.active_shares) <= 1.0
+
+
 def graph_refs(leaves, loss):
     """Weak references to ``loss``'s data, its graph's VJPs and the arrays they keep beside the ``leaves``' data."""
     nodes = graph_nodes(loss)
@@ -275,8 +393,8 @@ def _traced_lan_batch(monkeypatch):
     """One traced ``batch_objective`` on a ``lan`` batch after an untraced one, and its backward pass.
 
     Returns the bytes the graph holds, the backward pass's peak over the
-    bytes traced before the forward pass, the batch's encoded rows and
-    slots, and the stored parameter bytes.
+    bytes traced before the forward pass, the per-slot and named bytes of
+    the rows and slots the graph encodes, and the stored parameter bytes.
     """
     graph = make_graph(random_name_triples(np.random.default_rng(8), 400, 6, 4000))
     n, dim, b = graph.vocab.n_entities, 32, 128
@@ -284,10 +402,15 @@ def _traced_lan_batch(monkeypatch):
     store, dense = init_params(n, graph.n_relations, dim, 0), mine_confidence(graph).dense()
     pos = graph.triplets[:b]
     neg, _ = corrupt(pos, KnownTriplets(graph.triplets, n, graph.n_relations), n, np.random.default_rng(1))
-    encoded = []  # (rows, slots) of each encode pass
+    encoded = []  # (rows, slots) of each pass that builds a graph
     encode = training.encode_batch
-    monkeypatch.setattr(training, "encode_batch", lambda leaves, offsets, *a, **kw:
-                        encoded.append((offsets.size - 1, int(offsets[-1]))) or encode(leaves, offsets, *a, **kw))
+
+    def record(leaves, offsets, *args, **kwargs):
+        if leaves["entity_emb"].requires_grad:
+            encoded.append((offsets.size - 1, int(offsets[-1])))
+        return encode(leaves, offsets, *args, **kwargs)
+
+    monkeypatch.setattr(training, "encode_batch", record)
     leaves = store.leaves(True)
     batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (2,))  # untraced warm-up
     tracemalloc.start()
