@@ -27,10 +27,11 @@ binary search of :class:`KnownTriplets`, sorted int64 fact keys, finds
 every query's known answers.  The truth and those answers then score NaN,
 which neither beats nor ties, and row sums count the better and tied scores.
 
-Triplet classification encodes the distinct (entity, relation)
-endpoints of up to 2^11 labeled rows at a time through the same encoder
-and its 2^12-slot blocks, so one bound covers the transient memory of
-ranking and triplet classification.  It tunes one score threshold per
+Triplet classification scores up to 2^11 labeled rows at a time with
+:func:`score_triplets`, the one scorer over constant weights, which a
+training step's first pass also calls: it encodes the rows' distinct
+endpoints in the same 2^12-slot blocks, so one bound covers the
+transient memory of all three.  It tunes one score threshold per
 relation on labeled validation triplets (midpoints between consecutive
 sorted scores, ties broken toward the smallest threshold, with a global
 fallback for unseen-at-tuning relations) and reports test accuracy.  The
@@ -166,24 +167,23 @@ def metrics_from_ranks(ranks):
 _BLOCK_SLOTS = 1 << 12  # real neighbor slots per encode pass, which bound its per-slot arrays
 
 
-def encode_entities(ctx, store, acfg, dense, ent_ids, queries, key, leaves=None):
+def encode_entities(graph, leaves, acfg, dense, ent_ids, queries, key):
     """Forward-encode a batch of entities, each under its query relation -> (B, d).
 
     ``queries`` holds one query relation per entity, or one for all of
-    them.  Neighborhoods come from one :func:`stack_samples` call, which
-    makes every draw from ``key``; the blocks draw nothing.  Consecutive rows are
-    encoded in blocks of at most ``_BLOCK_SLOTS`` real slots (a wider row
-    is a block of its own), each one :func:`encode_batch` over constant
-    weights, so only one block's arrays are alive at a time:
-    this one bound covers ranking and triplet classification alike.
-    ``leaves`` are the constant weights ``store.leaves(False)``, made
-    from ``store`` when not given.  Nothing is padded: a block is a run
+    them.  Neighborhoods come from one :func:`stack_samples` call over
+    ``graph``, which makes every draw from ``key``; the blocks draw
+    nothing.  Consecutive rows are encoded in blocks of at most
+    ``_BLOCK_SLOTS`` real slots (a wider row is a block of its own), each
+    one :func:`encode_batch` over the constant weights ``leaves``
+    (``store.leaves(False)``), so only one block's arrays are alive at a
+    time: this one bound covers ranking, triplet classification and
+    training's constant pass alike.  Nothing is padded: a block is a run
     of the CSR slots.  Rows without neighbors are zero vectors.
     """
-    offsets, rels, ents = stack_samples(ctx.neighbor_graph, ent_ids, acfg, key)
+    offsets, rels, ents = stack_samples(graph, ent_ids, acfg, key)
     queries = np.broadcast_to(np.asarray(queries, dtype=np.int64), offsets.size - 1)
-    out = np.empty((offsets.size - 1, store["entity_emb"].shape[1]))
-    leaves = store.leaves(False) if leaves is None else leaves
+    out = np.empty((offsets.size - 1, leaves["entity_emb"].data.shape[1]))
     lo = 0
     while lo < out.shape[0]:
         # rows lo..hi-1 hold at most _BLOCK_SLOTS slots, or are a single row
@@ -194,6 +194,33 @@ def encode_entities(ctx, store, acfg, dense, ent_ids, queries, key, leaves=None)
         ).data
         lo = hi
     return out
+
+
+def endpoint_rows(triplets):
+    """The distinct (entity, relation) endpoints of (n, 3) ``triplets``, subjects first -> ``(ent_ids, queries, where)``.
+
+    Endpoint ``i`` of the (2n,) endpoints is row ``where[i]``, entity
+    ``ent_ids[where[i]]`` under ``queries[where[i]]``, in order of first
+    appearance (:func:`~lankgc.encoder.distinct_rows`).
+    """
+    ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
+    queries = np.tile(triplets[:, 1], 2)
+    keep, where = distinct_rows(ent_ids, queries)
+    return ent_ids[keep], queries[keep], where
+
+
+def score_triplets(graph, leaves, acfg, scorer, dense, triplets, key):
+    """Scores of (n, 3) id ``triplets`` over constant ``leaves`` -> ``((n,) scores, endpoint_rows(triplets))``.
+
+    The distinct endpoints are encoded in one :func:`encode_entities`
+    pass under ``key``, and :func:`score_batch` scores the rows.
+    """
+    n = triplets.shape[0]
+    rows = ent_ids, queries, where = endpoint_rows(triplets)
+    enc = encode_entities(graph, leaves, acfg, dense, ent_ids, queries, key)
+    subj, obj = ad.Value(enc[where[:n]]), ad.Value(enc[where[n:]])
+    q_emb = ad.Value(leaves["relation_emb"].data[triplets[:, 1]])
+    return score_batch(subj, q_emb, obj, scorer).data, rows
 
 
 _SCORE_CELLS = 1 << 18  # (query, candidate) scores held at once: 2 MB of float64
@@ -237,12 +264,12 @@ def rank_relation(ctx, store, acfg, scorer, dense, triplets, rank_side, filter_s
     if not found.all():
         raise EvalError(f"ground-truth entity {truth[np.argmin(found)]} is not in the candidate set")
 
-    q_vec = store["relation_emb"][q]
-    cand_embs = encode_entities(ctx, store, acfg, dense, candidates, q, (seed,))
+    q_vec, leaves = store["relation_emb"][q], store.leaves(False)
+    cand_embs = encode_entities(ctx.neighbor_graph, leaves, acfg, dense, candidates, q, (seed,))
     columns = candidate_columns(cand_embs, q_vec, scorer, rank_side)
     del cand_embs  # only the layout is read from here
 
-    fixed_embs = encode_entities(ctx, store, acfg, dense, fixed, q, (seed,))
+    fixed_embs = encode_entities(ctx.neighbor_graph, leaves, acfg, dense, fixed, q, (seed,))
 
     drop_query = drop_cand = np.zeros(0, dtype=np.int64)
     if filter_set:
@@ -391,28 +418,19 @@ def score_labeled(ctx, store, acfg, scorer, dense, labeled_ids, seed=0):
     """Output-embedding scores of (s, q, o) id rows -> (n,) float64.
 
     Rows go in batches of ``_BLOCK_SLOTS // 2``, so a batch has at most as
-    many endpoints as a block has slots.  Each distinct (entity, relation)
-    endpoint of a batch (:func:`~lankgc.encoder.distinct_rows`) is encoded
-    once through :func:`encode_entities`, under the bound that also covers
-    ranking, and :func:`score_batch` scores the rows over constant values,
-    which build no graph.
-    Every draw is keyed on ``(seed,)`` and the entity, as in ranking, so a
-    row's score does not depend on the other rows, their order or the
-    batch size.  An id outside the model raises :class:`EvalError`.
+    many endpoints as a block has slots, and :func:`score_triplets` scores
+    each batch under the bound that also covers ranking.  Every draw is
+    keyed on ``(seed,)`` and the entity, as in ranking, so a row's score
+    does not depend on the other rows, their order or the batch size.  An
+    id outside the model raises :class:`EvalError`.
     """
     labeled_ids = _checked_ids(ctx, store, acfg, labeled_ids, "labeled")
     out = np.empty(labeled_ids.shape[0], dtype=np.float64)
     leaves = store.leaves(False)
     step = max(1, _BLOCK_SLOTS // 2)
     for lo in range(0, out.size, step):
-        t = labeled_ids[lo:lo + step]
-        b = t.shape[0]
-        ent_ids, queries = np.concatenate([t[:, 0], t[:, 2]]), np.tile(t[:, 1], 2)
-        keep, where = distinct_rows(ent_ids, queries)
-        enc = encode_entities(ctx, store, acfg, dense, ent_ids[keep], queries[keep], (seed,), leaves=leaves)
-        subj, obj = ad.Value(enc[where[:b]]), ad.Value(enc[where[b:]])
-        q_emb = ad.Value(leaves["relation_emb"].data[t[:, 1]])
-        out[lo:lo + b] = score_batch(subj, q_emb, obj, scorer).data
+        batch = labeled_ids[lo:lo + step]
+        out[lo:lo + step] = score_triplets(ctx.neighbor_graph, leaves, acfg, scorer, dense, batch, (seed,))[0]
     return out
 
 

@@ -28,15 +28,16 @@ permutations and the negatives: every neighbor draw is a hash of the key
 
 A pair whose hinge is zero has a zero gradient, so a batch takes two
 passes (:func:`batch_objective`).  The first scores every pair over
-constant weights, which builds no graph, and gives the loss its value
-and the batch its active pairs, those with a positive hinge
-(``TrainReport.active_shares`` is their share per epoch).  Its arrays
-are freed, and the second pass builds the graph over the active pairs'
-rows alone, a subsequence of the first pass's rows and slots.  So a
-gradient adds the same nonzero terms in the same order as a graph over
-every pair would: for ``mean`` and ``logic-only`` the step is bitwise
-the one-pass step, and the attention kinds and ``lstm`` differ in the
-last bits, with the row count of their BLAS products.
+constant weights with :func:`~lankgc.evaluation.score_triplets`, as
+triplet classification does, one 2^12-slot block at a time, and gives
+the loss its value and the batch its active pairs, those with a
+positive hinge (``TrainReport.active_shares`` is their share per
+epoch).  The second builds the graph over the active pairs' rows alone,
+a subsequence of the first pass's rows, each drawing its slots again.
+So a gradient adds the same nonzero terms in the same order as a graph
+over every pair would: for ``mean`` and ``logic-only`` the step is
+bitwise the one-pass step, and the attention kinds and ``lstm`` differ
+in the last bits, with the row count of their BLAS products.
 
 Only training makes gradient leaves, so only training builds an
 autodiff graph, and one batch's graph is alive at a time.  It holds only
@@ -67,8 +68,8 @@ import numpy as np
 from . import autodiff as ad
 from .context import BundleContext
 from .decoder import check_scorer, score_batch
-from .encoder import AggregatorConfig, distinct_rows, encode_batch, stack_samples
-from .evaluation import KnownTriplets, link_prediction
+from .encoder import AggregatorConfig, encode_batch, stack_samples
+from .evaluation import KnownTriplets, endpoint_rows, link_prediction, score_triplets
 from .params import collect_gradients, init_params, write_checkpoint
 from .rules import mine_confidence
 
@@ -231,27 +232,14 @@ def output_scores(leaves, triplets, graph, dense, acfg, scorer, key):
     """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
 
     Each endpoint is encoded under its triplet's relation, once per
-    distinct (entity, relation) row (:func:`~lankgc.encoder.distinct_rows`),
+    distinct (entity, relation) row (:func:`~lankgc.evaluation.endpoint_rows`),
     from the slots that :func:`~lankgc.encoder.stack_samples` draws
-    under ``key``.
+    under ``key``, in one :func:`~lankgc.encoder.encode_batch` call.
     """
     triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    where, queries, slots = _sampled_rows(triplets, graph, acfg, key)
-    enc = encode_batch(leaves, *slots, queries, acfg, dense_table=dense)
+    ent_ids, queries, where = endpoint_rows(triplets)
+    enc = encode_batch(leaves, *stack_samples(graph, ent_ids, acfg, key), queries, acfg, dense_table=dense)
     return _pair_scores(leaves, enc, where, triplets, scorer)
-
-
-def _sampled_rows(triplets, graph, acfg, key):
-    """The distinct endpoint rows of (n, 3) ``triplets`` -> ``(where, queries, (offsets, relations, entities))``.
-
-    Subjects come first, then objects: endpoint ``i`` of the (2n,) ids
-    is encoded as row ``where[i]``, under ``queries[where[i]]``, from the
-    CSR slots that :func:`~lankgc.encoder.stack_samples` draws under ``key``.
-    """
-    ent_ids = np.concatenate([triplets[:, 0], triplets[:, 2]])
-    queries = np.tile(triplets[:, 1], 2)
-    keep, where = distinct_rows(ent_ids, queries)
-    return where, queries[keep], stack_samples(graph, ent_ids[keep], acfg, key)
 
 
 def _pair_scores(leaves, enc, where, triplets, scorer):
@@ -263,28 +251,18 @@ def _pair_scores(leaves, enc, where, triplets, scorer):
     return score_batch(subj, q_emb, obj, scorer)
 
 
-def _used_slots(offsets, relations, entities, used):
-    """The CSR slots of the rows where ``used`` is set, in row order -> ``(offsets, relations, entities)``."""
-    counts = np.diff(offsets)
-    on_used = np.repeat(used, counts)
-    out = np.zeros(np.count_nonzero(used) + 1, dtype=np.int64)
-    np.cumsum(counts[used], out=out[1:])
-    return out, relations[on_used], entities[on_used]
-
-
 def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, key):
     """Mean pair loss over a batch, plus the attention L2 penalty, in two passes.
 
-    Pass 1 samples the four endpoint groups (positive/negative x
-    subject/object) once, at most ``acfg.neighbor_budget`` neighbors each
-    from ``graph`` under the sample ``key``, and scores every pair over
-    constant weights; repeated (entity, relation) endpoints share one
-    encoding (see :func:`output_scores`).  Its mean hinge is the main
-    part, and its active pairs, those with a positive hinge, are the
-    only ones with a gradient.  Pass 2 frees pass 1's arrays, then
-    builds the graph over the active pairs alone: it encodes the rows
-    they reference, a subsequence of pass 1's rows with their slots, so
-    every gradient sum adds its terms in pass 1's order, and sums their
+    Pass 1 scores every pair over constant weights with
+    :func:`~lankgc.evaluation.score_triplets`, from at most
+    ``acfg.neighbor_budget`` neighbors of ``graph`` per endpoint under the
+    sample ``key``.  Its mean hinge is the main part, and its active
+    pairs, those with a positive hinge, are the only ones with a gradient.
+    Pass 2 builds the graph over the active pairs alone: it samples the
+    rows they reference again, in pass 1's order, and a row draws the
+    slots it had in pass 1 (:func:`~lankgc.encoder.stack_samples`), so
+    every gradient sum adds its terms in pass 1's order; it sums their
     hinge gaps times the whole batch's ``1/b``.  The returned loss holds
     pass 1's value and pass 2's graph; with no active pair no encoder
     graph is built.  The subtask part, when enabled, is the same hinge
@@ -296,21 +274,19 @@ def batch_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scor
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     b = positives.shape[0]
     both = np.concatenate([positives, negatives], axis=0)
-    where, queries, slots = _sampled_rows(both, graph, acfg, key)
     fixed = {name: ad.Value(leaf.data) for name, leaf in leaves.items()}
-    enc = encode_batch(fixed, *slots, queries, acfg, dense_table=dense)
-    phi = _pair_scores(fixed, enc, where, both, scorer)
-    pair_loss = hinge(tcfg.margin, ad.narrow(phi, 0, b), ad.narrow(phi, b, 2 * b))
+    phi, (ent_ids, queries, where) = score_triplets(graph, fixed, acfg, scorer, dense, both, key)
+    pair_loss = hinge(tcfg.margin, ad.Value(phi[:b]), ad.Value(phi[b:]))
     main = ad.mean_all(pair_loss)
     active = np.flatnonzero(pair_loss.data > 0.0)
     parts = {"main": float(main.data), "subtask": 0.0, "active": int(active.size)}
-    del fixed, enc, phi, pair_loss
     if active.size:
         a, pairs = active.size, np.concatenate([active, active + b])
         ends = np.concatenate([where[pairs], where[pairs + 2 * b]])
         used = np.zeros(queries.size, dtype=bool)
         used[ends] = True
-        slots = _used_slots(*slots, used)
+        # each row draws its pass-1 slots again: a draw is a hash of (key, entity, slot)
+        slots = stack_samples(graph, ent_ids[used], acfg, key)
         enc = encode_batch(leaves, *slots, queries[used], acfg, dense_table=dense)
         phi = _pair_scores(leaves, enc, (np.cumsum(used) - 1)[ends], both[pairs], scorer)
         gap = ad.scale(ad.sum_all(_gap(tcfg.margin, ad.narrow(phi, 0, a), ad.narrow(phi, a, 2 * a))), 1.0 / b)
@@ -334,9 +310,10 @@ def _step(store, opt, pos, neg, graph, dense, tcfg, acfg, scorer, epoch, batch):
     """One optimizer step on batch ``batch`` of ``epoch``, then the transform renormalization -> ``(loss, parts, gradient norm)``.
 
     The batch samples under the key ``(tcfg.seed, epoch, batch)``.  Its
-    graph, over the active pairs alone (:func:`batch_objective`), dies
-    once its gradients are collected, and its leaves and gradients when
-    this returns, before the next batch is built.  A leaf the graph does
+    constant pass holds one 2^12-slot block at a time, and its graph,
+    over the active pairs alone (:func:`batch_objective`), dies once its
+    gradients are collected, and its leaves and gradients when this
+    returns, before the next batch is built.  A leaf the graph does
     not reach, as every encoder parameter when no pair is active, steps
     with a zero gradient.
     """

@@ -317,7 +317,7 @@ def test_forward_passes_over_constant_weights_build_no_graph(pipeline, tmp_path,
     ctx, store, acfg, scorer, dense = cli._load_model(str(ckpt), str(bundle))
     assert link_prediction(ctx, store, acfg, scorer, dense, seed=0).metrics.n_queries > 0
     assert score_labeled(ctx, store, acfg, scorer, dense, ctx.to_ids(ctx.bundle.valid), seed=0).size > 0
-    assert encode_entities(ctx, store, acfg, dense, ctx.seen_ids, 0, (0,)).shape[0] > 0
+    assert encode_entities(ctx.neighbor_graph, store.leaves(False), acfg, dense, ctx.seen_ids, 0, (0,)).shape[0] > 0
     b = ctx.bundle
     assert run(["inspect-weights", "--bundle", str(bundle), "--ckpt", str(ckpt), "--entity", b.train[0][0],
                 "--query", b.train[0][1], "--out", str(tmp_path / "trace.tsv")]) == 0

@@ -397,7 +397,7 @@ def test_every_batch_row_equals_its_single_encoding(kind, monkeypatch):
     batch = encode_batch(store.leaves(True), offsets, rels, nbs, np.ones(ents.size, np.int64), cfg,
                          dense_table=table.dense()).data
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 5)  # blocks of one to a few rows
-    blocks = evaluation.encode_entities(SimpleNamespace(neighbor_graph=kg), store, cfg, table.dense(), ents, 1, (9,))
+    blocks = evaluation.encode_entities(kg, store.leaves(False), cfg, table.dense(), ents, 1, (9,))
     for got in (batch, blocks):
         if kind in ("mean", "logic-only"):
             assert got.tobytes() == single.tobytes()

@@ -139,7 +139,7 @@ def test_structurally_tied_candidates_split_the_rank():
     acfg = AggregatorConfig(kind="mean", neighbor_budget=8)
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 6, 3)
     q = ctx.vocab.relation_id("r2")
-    embs = encode_entities(ctx, store, acfg, None, ctx.seen_ids, q, (0,))
+    embs = encode_entities(ctx.neighbor_graph, store.leaves(False), acfg, None, ctx.seen_ids, q, (0,))
     rows = {name: embs[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id(name))]
             for name in ("e2", "e3", "e4")}
     np.testing.assert_array_equal(rows["e2"], rows["e3"])
@@ -309,7 +309,7 @@ def test_grouped_encode_entities_matches_one_padded_batch(kind, monkeypatch):
     monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", budget + 1)
     passes = []
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[1].size - 1) or encode_batch(*a, **kw))
-    got = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, (2,))
+    got = encode_entities(ctx.neighbor_graph, store.leaves(False), acfg, dense, ctx.seen_ids, q, (2,))
     assert len(passes) > 3 and sum(passes) == len(ctx.seen_ids)
     offsets, rels, ents = stack_samples(ctx.neighbor_graph, ctx.seen_ids, acfg, (2,))
     assert np.diff(offsets).max() == budget and len(set(np.diff(offsets))) > 2
@@ -327,8 +327,7 @@ def traced_encode(kind, n, deg, dim, r):
     acfg = AggregatorConfig(kind=kind, neighbor_budget=64)
     tracemalloc.start()
     try:
-        out = encode_entities(SimpleNamespace(neighbor_graph=graph), store, acfg, rng.random((r, r)), np.arange(n),
-                              1, (5,))
+        out = encode_entities(graph, store.leaves(False), acfg, rng.random((r, r)), np.arange(n), 1, (5,))
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,7 +420,7 @@ def test_constant_leaves_are_made_once_per_call_and_build_no_graph(kind, monkeyp
     monkeypatch.setattr(ParamStore, "leaves", capture)
     start = next(ad._created)
     monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: passes.append(a[0]) or encode_batch(*a, **kw))
-    encode_entities(ctx, store, acfg, table.dense(), ctx.seen_ids, 1, (0,))
+    encode_entities(ctx.neighbor_graph, store.leaves(False), acfg, table.dense(), ctx.seen_ids, 1, (0,))
     blocks = len(passes)
     rows = ctx.to_ids(ctx.bundle.valid)
     score_labeled(ctx, store, acfg, "transe", table.dense(), rows, seed=0)
@@ -462,7 +461,7 @@ def per_query_rank(ctx, store, acfg, scorer, dense, triplet, rank_side, known, s
     """One query ranked on its own: the reference sample under ``(seed,)``, B=1 encode, one filter search."""
     s, q, o = triplet
     truth, fixed = (s, o) if rank_side == "subject" else (o, s)
-    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, (seed,))
+    cands = encode_entities(ctx.neighbor_graph, store.leaves(False), acfg, dense, ctx.seen_ids, q, (seed,))
     rows = reference_sample(ctx.neighbor_graph, fixed, acfg, (seed,))
     emb = encode_one(store, dense, acfg, q, rows).embedding
     q_vec = store["relation_emb"][q]
@@ -525,7 +524,7 @@ def test_empty_fixed_side_is_counted_and_scored_from_zero():
     res = link_prediction(ctx, store, acfg, "transe", dense, seed=0)
     assert res.empty_fixed == 1
     q = ctx.vocab.relation_id("r")
-    cands = encode_entities(ctx, store, acfg, dense, ctx.seen_ids, q, (0,))
+    cands = encode_entities(ctx.neighbor_graph, store.leaves(False), acfg, dense, ctx.seen_ids, q, (0,))
     q_vec = store["relation_emb"][q]
     [scores] = score_columns(candidate_columns(cands, q_vec, "transe", "object"), q_vec, np.zeros(6), "transe", "object")
     truth = scores[np.searchsorted(ctx.seen_ids, ctx.vocab.entity_id("b"))]

@@ -2,13 +2,14 @@ import gc
 import tracemalloc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import graph_nodes, kept_arrays, make_graph, one_pass_objective, random_bundles, random_name_triples
 from lankgc import autodiff as ad
-from lankgc import training
+from lankgc import evaluation, training
 from lankgc.context import BundleContext
 from lankgc.decoder import SCORER_KINDS
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, distinct_rows
@@ -206,7 +207,7 @@ def test_batch_objective_gradients_with_repeated_rows_match_encoding_every_row(k
         return loss.item(), collect_gradients(leaves)
 
     merged_loss, merged = gradients()
-    monkeypatch.setattr(training, "distinct_rows", lambda ids, q: (np.arange(ids.size),) * 2)
+    monkeypatch.setattr(evaluation, "distinct_rows", lambda ids, q: (np.arange(ids.size),) * 2)
     every_loss, every = gradients()
     assert merged_loss == pytest.approx(every_loss, rel=0, abs=1e-12)
     assert merged.keys() == every.keys()
@@ -270,6 +271,71 @@ def test_two_pass_gradients_equal_a_graph_over_every_pair(kind, scorer):
             np.testing.assert_allclose(two[2][name], one[2][name], rtol=0, atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("scorer", SCORER_KINDS)
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_first_pass_over_several_blocks_equals_a_graph_over_every_pair(kind, scorer, monkeypatch):
+    graph, dense, store, acfg, pos, neg, gap = scored_batch(kind, scorer)
+    above = np.sort(gap[gap > 0.0])
+    tcfg = quick_cfg(margin=(above[0] + above[1]) / 2, subtask_enabled=True, l2_rate=0.01,
+                     neighbor_budget=acfg.neighbor_budget)
+    monkeypatch.setattr(evaluation, "_BLOCK_SLOTS", 8)
+    blocks = []  # the slots of each constant block
+    encode = evaluation.encode_batch
+    monkeypatch.setattr(evaluation, "encode_batch", lambda *a, **kw: blocks.append(int(a[1][-1])) or encode(*a, **kw))
+    two = objective_gradients(batch_objective, store, pos, neg, graph, dense, tcfg, acfg, scorer)
+    assert len(blocks) > 3 and max(blocks) <= 8
+    one = objective_gradients(one_pass_objective, store, pos, neg, graph, dense, tcfg, acfg, scorer)
+    assert two[1]["active"] == one[1]["active"] and 0 < one[1]["active"] < pos.shape[0]
+    assert two[2].keys() == one[2].keys()
+    if kind in ("mean", "logic-only"):  # per-row arithmetic: a row's encoding is its block's and the batch's
+        assert two[:2] == one[:2]
+        for name in one[2]:
+            np.testing.assert_array_equal(two[2][name], one[2][name], err_msg=name)
+    else:  # BLAS products round with their row count, here each block's
+        assert two[0] == pytest.approx(one[0], rel=0, abs=1e-12)
+        for part in ("main", "subtask"):
+            assert two[1][part] == pytest.approx(one[1][part], rel=0, abs=1e-12)
+        for name in one[2]:
+            np.testing.assert_allclose(two[2][name], one[2][name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_a_first_pass_holds_one_block_of_slots_at_a_time(kind, monkeypatch):
+    # 32 neighbors per entity, within the budget: the batch's distinct endpoints span over 10 blocks
+    n, deg, dim, r, b = 4000, 32, 32, 6, 512
+    rng = np.random.default_rng(6)
+    graph = SimpleNamespace(offsets=np.arange(n + 1) * deg,
+                            pairs=np.stack([rng.integers(0, r, n * deg), rng.integers(0, n, n * deg)], axis=1))
+    store, dense = init_params(n, r, dim, 6, with_lstm=True), rng.random((r, r))
+    pos, neg = (np.stack([rng.integers(0, n, b), rng.integers(0, r, b), rng.integers(0, n, b)], axis=1)
+                for _ in range(2))
+    tcfg = TrainConfig(dim=dim, neighbor_budget=64, subtask_enabled=False)
+    acfg = AggregatorConfig(kind=kind, neighbor_budget=64)
+    traced = []  # (endpoint rows, peak bytes over those traced before) of each first pass
+    score = training.score_triplets
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = score(*args)
+            traced.append((out[1][0].size, tracemalloc.get_traced_memory()[1] - before))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(training, "score_triplets", measured)
+    batch_objective(store.leaves(True), pos[:1], neg[:1], graph, dense, tcfg, acfg, "transe", (3,))  # numpy's setup
+    batch_objective(store.leaves(True), pos, neg, graph, dense, tcfg, acfg, "transe", (3,))
+    rows, peak = traced[-1]
+    slots = rows * deg
+    assert slots > 10 * evaluation._BLOCK_SLOTS
+    # the (E, d) encodings and the scorer's (2b, d) operands, the sampler's (S,) slot and scratch arrays, and one
+    # block's per-slot (S, d) arrays: one (S, d) array over the batch's slots is past it
+    bound = rows * dim * 8 + 3 * 2 * b * dim * 8 + 8 * slots * 8 + 6 * evaluation._BLOCK_SLOTS * dim * 8
+    assert slots * dim * 8 > bound and peak <= bound
+
+
 def easy_batch(kind, scorer="transe"):
     """:func:`scored_batch` with each pair whose gap is negative swapped, so every gap is positive."""
     graph, dense, store, acfg, pos, neg, gap = scored_batch(kind, scorer)
@@ -285,8 +351,9 @@ def test_a_batch_without_an_active_pair_builds_no_encoder_graph(kind, monkeypatc
     tcfg = quick_cfg(margin=gap.min() / 2, subtask_enabled=True, neighbor_budget=acfg.neighbor_budget)
     passes = []  # whether each encode pass reads gradient leaves
     encode = training.encode_batch
-    monkeypatch.setattr(training, "encode_batch", lambda leaves, *args, **kwargs:
-                        passes.append(leaves["entity_emb"].requires_grad) or encode(leaves, *args, **kwargs))
+    for module in (training, evaluation):  # the graph pass, and the constant pass's blocks
+        monkeypatch.setattr(module, "encode_batch", lambda leaves, *args, **kwargs:
+                            passes.append(leaves["entity_emb"].requires_grad) or encode(leaves, *args, **kwargs))
     leaves = store.leaves(True)
     loss, parts = batch_objective(leaves, pos, neg, graph, dense, tcfg, acfg, "transe", (2,))
     assert passes == [False] and parts["active"] == 0 and parts["main"] == 0.0
