@@ -18,6 +18,7 @@ import csv
 import sys
 import time
 
+import lankgc  # noqa: F401  # before numpy, so OpenBLAS runs on the one thread that the CLI and the benchmark use
 import numpy as np
 
 from lankgc.config import AggregatorConfig

@@ -31,15 +31,16 @@ fresh array, never an array held anywhere else.  :func:`backward` alone
 decides what to do with it, for each parent that requires a gradient:
 add it in place into a gradient the parent already has; otherwise store
 a private copy if it shares memory with ``g`` (``add``, ``sub``'s left
-side, ``transpose``, ``reshape`` and ``concat`` along either axis pass
-``g`` on), and store it as it is if it is fresh.  So no gradient aliases
-another gradient or an array a leaf or a product holds.
+side and ``transpose`` pass ``g`` on), and store it as it is if it is
+fresh.  So no gradient aliases another gradient or an array a leaf or a
+product holds.
 
 The per-row ops, :func:`softmax_masked` and :func:`weighted_block_sum`,
 take a batch as CSR slots: (S,) values plus ``offsets``, row ``b``
 owning the slots ``offsets[b]:offsets[b + 1]``.  Each row's sums add its
 slots in slot order, so its values and gradients have the same bytes
-whichever rows share the batch.
+whichever rows share the batch.  :func:`lstm_rows` takes its (S, d)
+inputs so too, but its gate products run over the rows live at a step.
 """
 
 from __future__ import annotations
@@ -59,17 +60,14 @@ __all__ = [
     "matvec",
     "matmul",
     "transpose",
-    "concat",
     "narrow",
-    "reshape",
     "take_rows",
     "transform_rows",
-    "repeat_rows",
     "tanh",
-    "sigmoid",
     "relu",
     "softmax_masked",
     "weighted_block_sum",
+    "lstm_rows",
     "row_sum",
     "l1_norm",
     "l2_norm_sq",
@@ -229,16 +227,6 @@ def transpose(a):
     return _make(a.data.T, (a,), (lambda g: g.T,))
 
 
-def concat(a, b, axis=1):
-    """Join two matrices column-wise (``axis=1``, same row count) or row-wise (``axis=0``, same column count)."""
-    sa, sb = a.data.shape, b.data.shape
-    if axis not in (0, 1) or len(sa) != 2 or len(sb) != 2 or sa[1 - axis] != sb[1 - axis]:
-        raise ValueError(f"concat: incompatible shapes {sa}, {sb} along axis {axis}")
-    split = sa[axis]
-    return _make(np.concatenate([a.data, b.data], axis=axis), (a, b),
-                 (lambda g: np.split(g, [split], axis)[0], lambda g: np.split(g, [split], axis)[1]))
-
-
 def narrow(a, lo, hi):
     """Slice elements ``lo:hi`` of a vector, or columns ``lo:hi`` of a matrix."""
     if a.data.ndim == 0:
@@ -253,14 +241,6 @@ def narrow(a, lo, hi):
         return full
 
     return _make(a.data[..., lo:hi].copy(), (a,), (vjp,))
-
-
-def reshape(a, shape):
-    data = a.data.reshape(shape)
-    if data.ndim > 2:
-        raise ValueError(f"reshape: target rank too high {shape}")
-    before = a.data.shape
-    return _make(data.copy(), (a,), (lambda g: g.reshape(before),))
 
 
 def _row_ids(m, idx, op):
@@ -327,27 +307,15 @@ def transform_rows(m, idx, w, rel):
     return _make(np.subtract(e, v, out=e), (m, w), (d_table, d_transforms))
 
 
-def repeat_rows(a, k):
-    """Repeat each row k times: ``(B, d) -> (B*k, d)``, blockwise."""
-    if a.data.ndim != 2:
-        raise ValueError(f"repeat_rows: matrix expected, got shape {a.data.shape}")
-    n, d = a.data.shape
-    return _make(np.repeat(a.data, k, axis=0), (a,), (lambda g: g.reshape(n, k, d).sum(axis=1),))
+def _tanh_grad(g, t):
+    """``g * (1 - t*t)`` for a tanh output ``t``, in one scratch array."""
+    out = np.multiply(t, t, out=np.empty_like(t))
+    return np.multiply(g, np.subtract(1.0, out, out=out), out=out)
 
 
 def tanh(a):
     data = np.tanh(a.data)
-
-    def vjp(g):  # g * (1 - t*t) in one scratch array
-        out = np.multiply(data, data, out=np.empty_like(data))
-        return np.multiply(g, np.subtract(1.0, out, out=out), out=out)
-
-    return _make(data, (a,), (vjp,))
-
-
-def sigmoid(a):
-    data = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(data, (a,), (lambda g: g * data * (1.0 - data),))
+    return _make(data, (a,), (lambda g: _tanh_grad(g, data),))
 
 
 def relu(a):
@@ -416,6 +384,83 @@ def weighted_block_sum(entries, weights, offsets):
                            shape=(counts.size, slots))
     return _make(np.asarray(select @ e), (entries, weights),
                  (lambda g: g[row] * w[:, None], lambda g: np.sum(e * g[row], axis=1)))
+
+
+def lstm_rows(x, offsets, weights, biases):
+    """An LSTM over each row's slots of the (S, d) ``x``, in slot order -> the (B, d) last hidden states.
+
+    ``weights`` and ``biases``: the gates' (d, 2d) and (d,) arrays, in the
+    order f, i, c, o, each gate reading ``[h ; x_t]``.  Rows start from a
+    zero state, longest first and right-aligned, so the gates run over
+    the live rows alone, a prefix that only grows; a row without slots
+    stays zero.  Steps keep their activations only if a parent requires
+    a gradient; the first product to run makes the one pass back through
+    time (:func:`_lstm_backward`) and hands each parent its delta.
+    """
+    shapes = [v.data.shape for v in (x, *weights, *biases)]
+    d = shapes[0][-1] if shapes[0] else 0
+    if len(shapes[0]) != 2 or shapes[1:] != [(d, 2 * d)] * 4 + [(d,)] * 4:
+        raise ValueError(f"lstm_rows: need (S, d) inputs, four (d, 2d) weights and four (d,) biases; got {shapes}")
+    _, counts = _slot_rows(offsets, shapes[0][0], "lstm_rows")
+    t_max = int(counts.max(initial=0))
+    if not t_max:  # no step: every row stays zero, whatever the parents
+        return Value(np.zeros((counts.size, d)))
+    by_len = np.argsort(-counts, kind="stable")
+    ends = np.asarray(offsets, dtype=np.int64)[1:][by_len]
+    live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
+    parents, ws, steps = (x, *weights, *biases), [w.data for w in weights], []
+    keep = any(p.node is not None for p in parents)
+    h = c = np.zeros((0, d))
+    for t, n in enumerate(live):
+        if n > h.shape[0]:  # rows join with a zero state
+            h, c = (np.concatenate([a, np.zeros((n - a.shape[0], d))]) for a in (h, c))
+        read = ends[:n] - (t_max - t)
+        hx = np.concatenate([h, x.data.take(read, axis=0)], axis=1)
+        f, i, g, o = (hx @ w.T + b.data for w, b in zip(ws, biases))  # g: the c gate, the candidate cell
+        f, i, g, o = 1.0 / (1.0 + np.exp(-f)), 1.0 / (1.0 + np.exp(-i)), np.tanh(g), 1.0 / (1.0 + np.exp(-o))
+        c_in, c = c, f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if keep:
+            steps.append((read, hx, f, i, g, o, c_in, tc))
+    out = np.zeros((counts.size, d))
+    out[by_len[:h.shape[0]]] = h
+    handoff, slots = {}, shapes[0]
+
+    def product(k):
+        def vjp(g):
+            if not handoff:
+                handoff.update(enumerate(_lstm_backward(g, steps, ws, slots, by_len)))
+            return handoff.pop(k)
+        return vjp
+
+    return _make(out, parents, [product(k) for k in range(len(parents))])
+
+
+def _lstm_backward(g_out, steps, ws, slots, by_len):
+    """The deltas of :func:`lstm_rows`' parents for the output gradient ``g_out``, popping ``steps`` from the last.
+
+    It repeats the arithmetic and order of a graph of separate ops: gate deltas reach ``[h ; x_t]`` in the
+    order o, c, i, f, weight and bias deltas add up from the last step to the first, and a slot of ``x``
+    gets the delta of the step that read it plus 0.0, as a scatter-add into zeros does.
+    """
+    dx, sums, d = np.empty(slots), None, slots[1]
+    gh, gc = g_out[by_len[:steps[-1][0].size]] + 0.0, None
+    while steps:
+        read, hx, f, i, g, o, c_in, tc = steps.pop()
+        dc = _tanh_grad(gh * o, tc)
+        if gc is not None:
+            dc += gc
+        dpre = [dc * c_in * f * (1.0 - f), dc * g * i * (1.0 - i), _tanh_grad(dc * i, g), gh * tc * o * (1.0 - o)]
+        dhx = dpre[3] @ ws[3]
+        for k in (2, 1, 0):
+            dhx += dpre[k] @ ws[k]
+        terms = [hx.T @ dp for dp in dpre] + [dp.sum(axis=0) for dp in dpre]
+        sums = terms if sums is None else [np.add(s, term, out=s) for s, term in zip(sums, terms)]
+        dx[read] = dhx[:, d:] + 0.0
+        prev = steps[-1][0].size if steps else 0
+        gh, gc = dhx[:prev, :d], dc[:prev] * f[:prev]
+    return [dx] + [s.T for s in sums[:4]] + sums[4:]
 
 
 def _running_sum(x):

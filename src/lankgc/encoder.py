@@ -10,7 +10,8 @@ vector:
 Aggregator kinds:
 
     mean          uniform weights over the real neighbors
-    lstm          sequence model over a hashed order of the neighbors
+    lstm          an LSTM over a hashed order of the neighbors, one autodiff
+                  op (:func:`~lankgc.autodiff.lstm_rows`), forward and back
     lan           logic weights plus query-aware neural attention
     query-attn    the neural attention alone
     global-attn   the neural attention alone, with the query zeroed
@@ -37,9 +38,9 @@ arrays, and every per-slot quantity is an (S,) array, from the
 transform (:func:`~lankgc.autodiff.transform_rows`, one op from the two
 tables and the slot ids, whose graph node keeps no gathered row) and
 the attention projection to the logic weights, the softmax and the
-weights of the final sum (:func:`~lankgc.autodiff.weighted_block_sum`).
-Each row's scalar sums add its own slots in slot order, so an empty row
-simply has no slots.
+weights of the final sum (:func:`~lankgc.autodiff.weighted_block_sum`),
+or for ``lstm`` the transform alone.  Each row's scalar sums add its own
+slots in slot order, so an empty row simply has no slots.
 ``attn_proj`` is applied in two halves taken apart by column:
 ``W_a [z_q ; t] = W_q z_q + W_e t``.  The query half is computed once
 per row and gathered to its slots, the neighbor half once per slot;
@@ -50,8 +51,8 @@ through BLAS.  These products round a row's last bits differently with
 the product's row count, at any size: the attention's
 ``transformed @ W_e^T`` and its score GEMV ``matvec(tanh(pre), u_a)``,
 both over the batch's slots, the query half ``query_vec[q] @ W_q^T``
-over its rows, and the lstm's gate products over the rows still live at
-each step.  So a row equals its B=1 encoding bitwise for ``mean`` and
+over its rows, and ``lstm_rows``' gate products over the rows still live
+at each step.  So a row equals its B=1 encoding bitwise for ``mean`` and
 ``logic-only`` only; the other kinds agree to rounding.  Within a
 scoring batch a row's encoding is shared by its repeats
 (:func:`distinct_rows`): the rows with one (entity, query) key are
@@ -202,7 +203,7 @@ def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table
     transformed = ad.transform_rows(leaves["entity_emb"], entities, leaves["transform_vec"], relations)
 
     if cfg.kind == "lstm":
-        out = _encode_batch_lstm(leaves, transformed, offsets)
+        out = ad.lstm_rows(transformed, offsets, *([leaves[f"lstm_{p}_{g}"] for g in "fico"] for p in "wb"))
         return (out, np.zeros(offsets[-1]), np.zeros(offsets[-1])) if trace else out
 
     logic_w = alpha_nn = None
@@ -232,36 +233,3 @@ def encode_batch(leaves, offsets, relations, entities, queries, cfg, dense_table
         return out
     zeros = np.zeros(offsets[-1])
     return out, (zeros if logic_w is None else logic_w), (zeros if alpha_nn is None else alpha_nn.data)
-
-
-def _encode_batch_lstm(leaves, transformed, offsets):
-    """Batched LSTM aggregation: each row steps over its own slots only.
-
-    ``transformed`` holds the (S, d) slots; row ``b`` owns
-    ``transformed[offsets[b]:offsets[b + 1]]`` and consumes them in slot
-    order, the order :func:`stack_samples` drew.  Rows run
-    longest first and right-aligned: a row of k slots joins at step
-    ``t_max - k`` with zero state, so the live rows are a prefix that
-    only grows, and the gates run over them alone.  A row without slots
-    stays zero.
-    """
-    counts, dim = np.diff(offsets), transformed.data.shape[1]
-    by_len = np.argsort(-counts, kind="stable")
-    ends, t_max = offsets[1:][by_len], int(counts.max(initial=0))
-    live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
-    h = c = ad.Value(np.zeros((0, dim)))
-    w_t = {g: ad.transpose(leaves[f"lstm_w_{g}"]) for g in "fico"}
-    b_row = {g: ad.reshape(leaves[f"lstm_b_{g}"], (1, dim)) for g in "fico"}
-    for t, n in enumerate(live):
-        if n > h.data.shape[0]:
-            fresh = ad.Value(np.zeros((n - h.data.shape[0], dim)))
-            h, c = ad.concat(h, fresh, axis=0), ad.concat(c, fresh, axis=0)
-        hx = ad.concat(h, ad.take_rows(transformed, ends[:n] - (t_max - t)))
-        gates = {}
-        for g in "fico":  # a bias repeat per step: one shared repeat would reorder its gradient's sum
-            pre = ad.add(ad.matmul(hx, w_t[g]), ad.repeat_rows(b_row[g], n))
-            gates[g] = ad.tanh(pre) if g == "c" else ad.sigmoid(pre)
-        c = ad.add(ad.mul(gates["f"], c), ad.mul(gates["i"], gates["c"]))
-        h = ad.mul(gates["o"], ad.tanh(c))
-    h = ad.concat(h, ad.Value(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
-    return ad.take_rows(h, np.argsort(by_len))  # back to row order

@@ -12,7 +12,7 @@ hinge on the score gap,
 
     [margin - phi(positive) + phi(negative)]_+
 
-applied to the output-embedding scores (:func:`output_scores`) and,
+applied to the output-embedding scores and,
 when the subtask switch is on, also to the raw input-embedding scores
 (:func:`input_scores`; same relation embeddings, same margin).  Batches
 are averaged; attention parameters can carry an L2 penalty.  After
@@ -69,7 +69,7 @@ from . import autodiff as ad
 from .context import BundleContext
 from .decoder import check_scorer, score_batch
 from .encoder import AggregatorConfig, encode_batch, stack_samples
-from .evaluation import KnownTriplets, endpoint_rows, link_prediction, score_triplets
+from .evaluation import KnownTriplets, link_prediction, score_triplets
 from .params import collect_gradients, init_params, write_checkpoint
 from .rules import mine_confidence
 
@@ -226,20 +226,6 @@ def input_scores(leaves, triplets, scorer):
     obj = ad.take_rows(leaves["entity_emb"], triplets[:, 2])
     q_emb = ad.take_rows(leaves["relation_emb"], triplets[:, 1])
     return score_batch(subj, q_emb, obj, scorer)
-
-
-def output_scores(leaves, triplets, graph, dense, acfg, scorer, key):
-    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
-
-    Each endpoint is encoded under its triplet's relation, once per
-    distinct (entity, relation) row (:func:`~lankgc.evaluation.endpoint_rows`),
-    from the slots that :func:`~lankgc.encoder.stack_samples` draws
-    under ``key``, in one :func:`~lankgc.encoder.encode_batch` call.
-    """
-    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    ent_ids, queries, where = endpoint_rows(triplets)
-    enc = encode_batch(leaves, *stack_samples(graph, ent_ids, acfg, key), queries, acfg, dense_table=dense)
-    return _pair_scores(leaves, enc, where, triplets, scorer)
 
 
 def _pair_scores(leaves, enc, where, triplets, scorer):

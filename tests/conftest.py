@@ -1,3 +1,4 @@
+import lankgc  # noqa: F401  # before numpy, so OpenBLAS runs on the one thread that the CLI and the benchmark use
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

@@ -1,6 +1,7 @@
 """Shared test fixtures-in-code: tiny graphs, random corpora, oracles, a
-per-entity reference sampler, a B=1 encode, a one-pass training
-objective and a finite-difference gradient check.
+per-entity reference sampler, a B=1 encode, a one-pass scorer and
+training objective, the ``lstm`` op as separate ops, and a
+finite-difference gradient check.
 
 The oracle functions here deliberately reimplement the library math in
 plain numpy loops, straight from the formulas, so the vectorized
@@ -16,10 +17,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lankgc import autodiff as ad
-from lankgc.encoder import encode_batch
+from lankgc.decoder import score_batch
+from lankgc.encoder import encode_batch, stack_samples
+from lankgc.evaluation import endpoint_rows
 from lankgc.kg import Vocabulary, augment_inverses, graph_from_names
 from lankgc.splits import STRATEGIES, Corpus, DatasetBundle, SplitError, SplitSpec, build_split
-from lankgc.training import hinge, input_scores, output_scores
+from lankgc.training import hinge, input_scores
 
 
 def finite_difference_check(fn, arrays, h=1e-6, tol=1e-4):
@@ -73,14 +76,34 @@ def graph_nodes(loss):
 
 
 def kept_arrays(nodes):
-    """The distinct arrays that the vector-Jacobian products of ``nodes`` close over: a graph's memory."""
-    kept = {}
-    for node in nodes:
-        for vjp in node.vjps:
-            for cell in vjp.__closure__ or ():
-                if isinstance(cell.cell_contents, np.ndarray):
-                    kept[id(cell.cell_contents)] = cell.cell_contents
+    """The distinct arrays that the vector-Jacobian products of ``nodes`` close over, by themselves or in lists
+    and tuples (an ``lstm_rows`` product keeps its steps' activations so): a graph's memory."""
+    kept, todo = {}, [cell.cell_contents for node in nodes for vjp in node.vjps for cell in vjp.__closure__ or ()]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            kept[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
     return list(kept.values())
+
+
+def output_scores(leaves, triplets, graph, dense, acfg, scorer, key):
+    """phi over output embeddings: each endpoint encoded from ``acfg.neighbor_budget`` neighbors of ``graph`` at most.
+
+    Each endpoint is encoded under its triplet's relation, once per
+    distinct (entity, relation) row (:func:`lankgc.evaluation.endpoint_rows`),
+    from the slots that :func:`lankgc.encoder.stack_samples` draws under
+    ``key``, in one :func:`lankgc.encoder.encode_batch` call: the
+    one-pass reference for the training objective and for
+    :func:`lankgc.evaluation.score_triplets`.
+    """
+    triplets = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    n = triplets.shape[0]
+    ent_ids, queries, where = endpoint_rows(triplets)
+    enc = encode_batch(leaves, *stack_samples(graph, ent_ids, acfg, key), queries, acfg, dense_table=dense)
+    subj, obj = ad.take_rows(enc, where[:n]), ad.take_rows(enc, where[n:])
+    return score_batch(subj, ad.take_rows(leaves["relation_emb"], triplets[:, 1]), obj, scorer)
 
 
 def one_pass_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, scorer, key):
@@ -110,6 +133,61 @@ def one_pass_objective(leaves, positives, negatives, graph, dense, tcfg, acfg, s
             reg = ad.add(reg, ad.l2_norm_sq(leaves[name]))
         loss = ad.add(loss, ad.scale(reg, tcfg.l2_rate))
     return loss, parts
+
+
+def _concat(a, b, axis=1):
+    """Two matrices joined column-wise (``axis=1``) or row-wise (``axis=0``), as an op on ``ad._make``."""
+    split = a.data.shape[axis]
+    return ad._make(np.concatenate([a.data, b.data], axis=axis), (a, b),
+                    (lambda g: np.split(g, [split], axis)[0], lambda g: np.split(g, [split], axis)[1]))
+
+
+def _reshape(a, shape):
+    before = a.data.shape
+    return ad._make(a.data.reshape(shape).copy(), (a,), (lambda g: g.reshape(before),))
+
+
+def _repeat_rows(a, k):
+    """Each row repeated k times: ``(B, d) -> (B*k, d)``, blockwise."""
+    n, d = a.data.shape
+    return ad._make(np.repeat(a.data, k, axis=0), (a,), (lambda g: g.reshape(n, k, d).sum(axis=1),))
+
+
+def _sigmoid(a):
+    data = 1.0 / (1.0 + np.exp(-a.data))
+    return ad._make(data, (a,), (lambda g: g * data * (1.0 - data),))
+
+
+def reference_lstm_rows(x, offsets, weights, biases):
+    """:func:`lankgc.autodiff.lstm_rows` composed of separate ops, about 20 graph nodes a step.
+
+    The gates run over the live rows only, longest rows first and
+    right-aligned, as in the fused op, whose bytes and gradients this
+    composition pins.  ``weights`` and ``biases`` are in the order f, i,
+    c, o.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts, dim = np.diff(offsets), x.data.shape[1]
+    by_len = np.argsort(-counts, kind="stable")
+    ends, t_max = offsets[1:][by_len], int(counts.max(initial=0))
+    live = np.searchsorted(-counts[by_len], np.arange(-t_max, 0), side="right")  # live rows at each step
+    h = c = ad.Value(np.zeros((0, dim)))
+    w_t = [ad.transpose(w) for w in weights]
+    b_row = [_reshape(b, (1, dim)) for b in biases]
+    for t, n in enumerate(live):
+        if n > h.data.shape[0]:
+            fresh = ad.Value(np.zeros((n - h.data.shape[0], dim)))
+            h, c = _concat(h, fresh, axis=0), _concat(c, fresh, axis=0)
+        hx = _concat(h, ad.take_rows(x, ends[:n] - (t_max - t)))
+        gates = []
+        for k in range(4):  # a bias repeat per step: one shared repeat would reorder its gradient's sum
+            pre = ad.add(ad.matmul(hx, w_t[k]), _repeat_rows(b_row[k], n))
+            gates.append(ad.tanh(pre) if k == 2 else _sigmoid(pre))
+        f, i, g, o = gates
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+    h = _concat(h, ad.Value(np.zeros((counts.size - h.data.shape[0], dim))), axis=0)
+    return ad.take_rows(h, np.argsort(by_len))  # back to row order
 
 
 def make_graph(triples):

@@ -27,6 +27,7 @@ from helpers import (
     oracle_metrics,
     oracle_rank,
     oracle_threshold_table,
+    output_scores,
     random_bundles,
     random_name_triples,
 )
@@ -40,7 +41,7 @@ from lankgc.params import init_params
 from lankgc.rules import ConfidenceTable, mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec, build_split, load_corpus, split_stats
 from lankgc.synth import gen_synthetic
-from lankgc.training import TrainConfig, batch_objective, input_scores, output_scores, train
+from lankgc.training import TrainConfig, batch_objective, input_scores, train
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

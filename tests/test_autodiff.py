@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import finite_difference_check, graph_nodes, grid_to_csr, kept_arrays, make_graph, random_name_triples
+from helpers import (
+    finite_difference_check,
+    graph_nodes,
+    grid_to_csr,
+    kept_arrays,
+    make_graph,
+    random_name_triples,
+    reference_lstm_rows,
+)
 from lankgc import autodiff as ad
 from lankgc.encoder import AGGREGATOR_KINDS, AggregatorConfig, encode_batch
 from lankgc.params import init_params
@@ -61,6 +69,14 @@ SOFTMAX_ROWS = masked(58, [[1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
 SOFTMAX_EMPTY_ROW = masked(47, [[1, 0, 1], [0, 0, 0], [1, 1, 0]])
 BLOCK_SUM = masked(63, np.ones((2, 3)))
 BLOCK_SUM_MASKED = masked(61, [[1, 1, 0], [0, 0, 0], [1, 1, 0]])
+LSTM_ROWS = np.array([0, 2, 2, 5, 6])  # rows of 2, 0, 3 and 1 slots
+LSTM_PARAMS = {"x": r(73, 6, 3), **{f"w_{g}": r(74 + k, 3, 6) for k, g in enumerate("fico")},
+               **{f"b_{g}": r(78 + k, 3) for k, g in enumerate("fico")}}
+
+
+def lstm_of(leaves, offsets=LSTM_ROWS, op=ad.lstm_rows):
+    """``op`` over the leaves ``x``, ``w_f`` to ``w_o`` and ``b_f`` to ``b_o``."""
+    return op(leaves["x"], offsets, [leaves[f"w_{g}"] for g in "fico"], [leaves[f"b_{g}"] for g in "fico"])
 
 
 # --- one finite-difference case per primitive -------------------------------
@@ -80,16 +96,10 @@ FD_CASES = {
                lambda l: weighted(ad.matmul(l["a"], l["b"]), 29)),
     "transpose": ({"a": r(30, 3, 4)},
                   lambda l: weighted(ad.transpose(l["a"]), 31)),
-    "concat_cols": ({"a": r(35, 3, 2), "b": r(36, 3, 4)},
-                    lambda l: weighted(ad.concat(l["a"], l["b"]), 37)),
-    "concat_rows": ({"a": r(32, 2, 3), "b": r(33, 4, 3)},
-                    lambda l: weighted(ad.concat(l["a"], l["b"], axis=0), 34)),
     "narrow_vec": ({"a": r(38, 7)},
                    lambda l: weighted(ad.narrow(l["a"], 2, 5), 39)),
     "narrow_cols": ({"a": r(40, 3, 7)},
                     lambda l: weighted(ad.narrow(l["a"], 1, 4), 41)),
-    "reshape": ({"a": r(42, 6)},
-                lambda l: weighted(ad.reshape(l["a"], (2, 3)), 43)),
     "take_rows": ({"m": r(44, 5, 3)},
                   lambda l: weighted(ad.take_rows(l["m"], np.array([0, 3, 3, 1])), 45)),
     "transform_rows": ({"m": r(16, 5, 3), "w": r(17, 4, 3)},
@@ -97,12 +107,8 @@ FD_CASES = {
                                           18)),
     "transform_rows_one_pair": ({"m": r(21, 3, 4), "w": r(22, 2, 4)},  # every slot the same (entity, relation) pair
                                 lambda l: weighted(ad.transform_rows(l["m"], [1, 1, 1], l["w"], [0, 0, 0]), 23)),
-    "repeat_rows": ({"a": r(48, 3, 2)},
-                    lambda l: weighted(ad.repeat_rows(l["a"], 3), 49)),
     "tanh": ({"a": r(50, 5)},
              lambda l: weighted(ad.tanh(l["a"]), 51)),
-    "sigmoid": ({"a": r(52, 5)},
-                lambda l: weighted(ad.sigmoid(l["a"]), 53)),
     "relu": ({"a": r(54, 9) + 0.05},
              lambda l: weighted(ad.relu(l["a"]), 55)),
     "softmax_vec": ({"a": SOFTMAX_VEC[1]},
@@ -115,6 +121,8 @@ FD_CASES = {
                            lambda l: weighted(ad.weighted_block_sum(l["e"], l["w"], BLOCK_SUM[0]), 64)),
     "weighted_block_sum_masked": ({"e": r(60, 4, 3), "w": BLOCK_SUM_MASKED[1]},
                                   lambda l: weighted(ad.weighted_block_sum(l["e"], l["w"], BLOCK_SUM_MASKED[0]), 46)),
+    "lstm_rows": (LSTM_PARAMS,
+                  lambda l: weighted(lstm_of(l), 82)),
     "row_sum": ({"a": r(70, 3, 9)},
                 lambda l: weighted(ad.row_sum(l["a"]), 71)),
     "l1_norm_rows": ({"a": r(66, 3, 4) + np.sign(r(66, 3, 4)) * 0.1},
@@ -260,6 +268,56 @@ def test_transform_rows_checks_its_ids():
                              ([0], [-1], "out of range"), ([[0]], [0], "index vector")]:
         with pytest.raises(ValueError, match=match):
             ad.transform_rows(m, ids, w, rels)
+
+
+LSTM_SHAPES = {
+    "ragged-tied": [3, 0, 5, 3, 1, 5, 2],
+    "empty-rows": [0, 2, 0, 0, 1],
+    "all-empty": [0, 0, 0],
+    "one-row": [4],
+    "64-slot-row": [64, 3],
+}
+
+
+@pytest.mark.parametrize("grads", ["all", "inputs", "parameters"])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("shape", sorted(LSTM_SHAPES))
+def test_lstm_rows_gives_the_bytes_of_the_ops_it_fuses(shape, d, grads):
+    counts = LSTM_SHAPES[shape]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rng = np.random.default_rng([d, len(counts)])
+    arrays = {"x": rng.normal(size=(offsets[-1], d)), **{f"w_{g}": rng.normal(size=(d, 2 * d)) for g in "fico"},
+              **{f"b_{g}": rng.normal(size=d) for g in "fico"}}
+    up = rng.normal(size=(len(counts), d))
+    wants = {k: grads == "all" or (k == "x") == (grads == "inputs") for k in arrays}
+    results = []
+    for op in (ad.lstm_rows, reference_lstm_rows):
+        leaves = {k: ad.Value(a, requires_grad=wants[k]) for k, a in arrays.items()}
+        out = lstm_of(leaves, offsets, op)
+        ad.backward(ad.sum_all(ad.mul(out, ad.Value(up))))
+        results.append([out.data] + [leaf.grad for leaf in leaves.values()])
+    for fused, composed in zip(*results):
+        assert (fused is None) == (composed is None)
+        if fused is not None:
+            assert fused.tobytes() == composed.tobytes() and fused.strides == composed.strides
+    held = [grad is not None for grad in results[0][1:]]
+    if shape == "all-empty":  # no step, so no parameter is reached
+        assert not any(held) and not results[0][0].any()
+    else:
+        assert held == list(wants.values())
+
+
+def test_lstm_rows_checks_its_shapes():
+    x, w, b = ad.Value(np.zeros((3, 2))), ad.Value(np.zeros((2, 4))), ad.Value(np.zeros(2))
+    for bad in ([0, 2], [0, 2, 1, 3], [1, 3], [[0, 3]]):
+        with pytest.raises(ValueError, match="offsets must rise"):
+            ad.lstm_rows(x, bad, [w] * 4, [b] * 4)
+    for weights, biases in [([w] * 3, [b] * 4), ([w] * 4, [b] * 3), ([ad.Value(np.zeros((2, 3)))] * 4, [b] * 4),
+                            ([w] * 4, [ad.Value(np.zeros(3))] * 4), ([ad.Value(np.zeros((4, 2)))] * 4, [b] * 4)]:
+        with pytest.raises(ValueError, match=r"four \(d, 2d\) weights"):
+            ad.lstm_rows(x, [0, 3], weights, biases)
+    with pytest.raises(ValueError, match=r"\(S, d\) inputs"):
+        ad.lstm_rows(ad.Value(np.zeros(3)), [0, 3], [w] * 4, [b] * 4)
 
 
 @pytest.mark.parametrize("idx", [[0, -1], [5], [2, 7, 1]])
@@ -451,7 +509,7 @@ def test_an_op_output_lives_only_while_a_product_reads_it(name, monkeypatch):
     made = _recording_outputs(monkeypatch)
     leaves = {k: ad.Value(v.copy(), requires_grad=True) for k, v in params.items()}
     loss = build(leaves)
-    reads_its_output = name.startswith(("tanh", "sigmoid", "softmax"))  # their VJPs read the op's own output
+    reads_its_output = name.startswith(("tanh", "softmax"))  # their VJPs read the op's own output
     alive = [ref() is not None for ref in made]
     assert len(alive) >= 2 and alive == [reads_its_output] + [False] * (len(alive) - 2) + [True]
     ad.backward(loss)
@@ -701,10 +759,7 @@ def transform_first_rows(a, b):
     (ad.matvec, np.zeros((2, 3)), np.zeros(2)),
     (ad.matmul, np.zeros((2, 3)), np.zeros((2, 3))),
     (transform_first_rows, np.zeros((2, 3)), np.zeros((3, 4))),  # the widths differ
-    (ad.concat, np.zeros(3), np.zeros((2, 3))),
     (transform_first_rows, np.zeros((3, 2)), np.zeros(2)),  # no matrix of transforms
-    (lambda a, b: ad.concat(a, b, axis=0), np.zeros((2, 3)), np.zeros((2, 4))),
-    (lambda a, b: ad.concat(a, b, axis=2), np.zeros((2, 3)), np.zeros((2, 3))),
 ])
 def test_shape_mismatches_rejected(op, a, b):
     with pytest.raises(ValueError):

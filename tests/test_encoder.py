@@ -358,22 +358,25 @@ def test_encode_batch_matches_single_lstm(world):
         np.testing.assert_allclose(batch.data[0], single.embedding, rtol=1e-9, atol=1e-12)
 
 
-def test_lstm_gates_run_over_the_live_rows_only(world, monkeypatch):
+def test_lstm_gates_run_over_the_live_rows_only(world):
     kg, table, store = world
     counts = np.array([3, 0, 5, 3, 1, 5, 2])  # an empty row, and tied widths
     offsets = np.concatenate([[0], np.cumsum(counts)])
     rng = np.random.default_rng(4)
     rels, nbs = rng.integers(kg.n_relations, size=counts.sum()), rng.integers(kg.n_entities, size=counts.sum())
     gate_rows = []
-    matmul = ad.matmul
 
-    def counted(a, b):
-        gate_rows.append(a.data.shape[0])
-        return matmul(a, b)
+    class RowCounted(np.ndarray):
+        """A gate's weights, recording the row count of every left operand they multiply."""
 
-    monkeypatch.setattr(ad, "matmul", counted)
-    out = encode_batch(store.leaves(True), offsets, rels, nbs, np.zeros(counts.size, np.int64),
-                       AggregatorConfig(kind="lstm"))
+        def __rmatmul__(self, other):
+            gate_rows.append(other.shape[0])
+            return other @ self.view(np.ndarray)
+
+    leaves = store.leaves(False)
+    for g in "fico":  # each gate product is (live rows, 2d) times a gate's transposed weights
+        leaves[f"lstm_w_{g}"].data = leaves[f"lstm_w_{g}"].data.view(RowCounted)
+    out = encode_batch(leaves, offsets, rels, nbs, np.zeros(counts.size, np.int64), AggregatorConfig(kind="lstm"))
     # longest first and right-aligned: the two 5-slot rows step alone until the 3-slot rows join
     assert gate_rows == np.repeat([2, 2, 4, 5, 6], 4).tolist()
     assert sum(gate_rows) == 4 * counts.sum()  # stepping every row to the widest would give 4 * 7 * 5

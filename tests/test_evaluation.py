@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     encode_one,
     max_degree,
@@ -15,11 +16,12 @@ from helpers import (
     oracle_rank,
     oracle_threshold,
     oracle_threshold_table,
+    output_scores,
     random_bundles,
     reference_sample,
 )
 from lankgc import autodiff as ad
-from lankgc import evaluation, training
+from lankgc import evaluation
 from lankgc.context import BundleContext
 from lankgc.decoder import candidate_columns, score_columns
 from lankgc.encoder import (
@@ -46,7 +48,6 @@ from lankgc.kg import GraphError
 from lankgc.params import ParamStore, init_params
 from lankgc.rules import mine_confidence
 from lankgc.splits import DatasetBundle, SplitSpec
-from lankgc.training import output_scores
 
 
 def bundle_fixture(seed=0, **kw):
@@ -788,7 +789,7 @@ def test_output_scores_encode_each_distinct_row_once(kind, monkeypatch):
     store = init_params(ctx.vocab.n_entities, ctx.train_graph.n_relations, 8, 8, with_lstm=acfg.uses_lstm)
     rows = repeated_rows(ctx)
     encoded = []
-    monkeypatch.setattr(training, "encode_batch", lambda *a, **kw: encoded.append(a[1].size - 1)
+    monkeypatch.setattr(helpers, "encode_batch", lambda *a, **kw: encoded.append(a[1].size - 1)
                         or encode_batch(*a, **kw))
     scores_of(ctx, store, acfg, table.dense(), rows)
     keys = {(int(e), int(q)) for e, q in zip(np.concatenate([rows[:, 0], rows[:, 2]]), np.tile(rows[:, 1], 2))}
@@ -807,7 +808,7 @@ def test_truncated_repeats_are_sampled_once(kind, monkeypatch):
     assert degrees[small] <= acfg.neighbor_budget
     rows = np.array([[hub, 0, small], [small, 1, hub], [hub, 0, hub], [small, 1, small], [hub, 0, small]])
     sampled = []
-    monkeypatch.setattr(training, "stack_samples", lambda g, ids, *a: sampled.append(np.array(ids))
+    monkeypatch.setattr(helpers, "stack_samples", lambda g, ids, *a: sampled.append(np.array(ids))
                         or stack_samples(g, ids, *a))
     got = scores_of(ctx, store, acfg, table.dense(), rows)
     # the hub ends rows under relations 0 and 1, and so does the small entity: each is sampled once per relation

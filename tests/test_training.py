@@ -7,7 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import graph_nodes, kept_arrays, make_graph, one_pass_objective, random_bundles, random_name_triples
+from helpers import (
+    graph_nodes,
+    kept_arrays,
+    make_graph,
+    one_pass_objective,
+    output_scores,
+    random_bundles,
+    random_name_triples,
+)
 from lankgc import autodiff as ad
 from lankgc import evaluation, training
 from lankgc.context import BundleContext
@@ -26,7 +34,6 @@ from lankgc.training import (
     corrupt,
     hinge,
     make_optimizer,
-    output_scores,
     train,
 )
 from lankgc.util import read_kv, write_kv
